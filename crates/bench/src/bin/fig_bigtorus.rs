@@ -1,10 +1,10 @@
-//! Big-torus BNF curves on the sharded engine — 16×16 and 32×32.
+//! Big-torus BNF curves on a multi-threaded engine — 16×16 and 32×32.
 //!
 //! The paper evaluates 4×4 through 12×12 tori (§4.3); this harness
 //! extends the BNF methodology to 256- and 1024-router tori, which are
-//! only practical because the sharded engine spreads one simulation
-//! across worker threads while staying bit-for-bit identical to the
-//! single-threaded engine (pinned by `tests/shard_equivalence.rs`).
+//! only practical because the engine spreads one simulation across
+//! worker threads while staying bit-for-bit identical to a
+//! single-threaded run (pinned by `tests/shard_equivalence.rs`).
 //! Per-node injection rates are swept over a lower grid than the small
 //! tori: bisection bandwidth per node shrinks with the ring extent, so a
 //! 32×32 saturates around a quarter of the 8×8's per-node rate.
@@ -31,7 +31,7 @@ use network::Torus;
 use router::ArbAlgorithm;
 use simcore::bnf::BnfCurve;
 use std::time::Instant;
-use workload::{run_coherence_sim, run_coherence_sim_sharded, TrafficPattern, WorkloadConfig};
+use workload::{run_coherence_sim_with_workers, TrafficPattern, WorkloadConfig};
 
 /// Curves per panel: the shipped pick, its windowed peer, and the
 /// extension family's middle member — the same trio as `fig_scenarios`.
@@ -199,38 +199,20 @@ fn measure_speedup(cycles: u64, rate: f64) -> Speedup {
     };
     let wl = WorkloadConfig::paper(TrafficPattern::Uniform, rate);
 
-    let t0 = Instant::now();
-    let (baseline, _) = run_coherence_sim(net(0), wl.clone());
-    let base_seconds = t0.elapsed().as_secs_f64();
-
+    let timed = |threads: usize| {
+        let t0 = Instant::now();
+        let (report, _) = run_coherence_sim_with_workers(net(0), wl.clone(), threads);
+        (report, t0.elapsed().as_secs_f64())
+    };
+    let (baseline, base_seconds) = timed(1);
     let mut runs = vec![SpeedupRun {
         threads: 1,
         seconds: base_seconds,
         speedup: 1.0,
     }];
     for &threads in &SPEEDUP_THREADS[1..] {
-        let t0 = Instant::now();
-        let (report, _) = run_coherence_sim_sharded(net(0), wl.clone(), threads);
-        let seconds = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            report.delivered_packets, baseline.delivered_packets,
-            "{threads}-thread run diverged from the single-threaded engine"
-        );
-        assert_eq!(
-            report.latency.mean().to_bits(),
-            baseline.latency.mean().to_bits(),
-            "{threads}-thread latency mean is not bit-identical"
-        );
-        assert_eq!(
-            report.latency.variance().to_bits(),
-            baseline.latency.variance().to_bits(),
-            "{threads}-thread latency variance is not bit-identical"
-        );
-        assert_eq!(
-            (report.nominations, report.grants, report.collisions),
-            (baseline.nominations, baseline.grants, baseline.collisions),
-            "{threads}-thread arbitration counters diverged"
-        );
+        let (report, seconds) = timed(threads);
+        report.assert_bit_identical(&baseline, &format!("{threads}-thread run"));
         runs.push(SpeedupRun {
             threads,
             seconds,

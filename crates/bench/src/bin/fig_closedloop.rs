@@ -19,12 +19,11 @@
 //! round-trip ceiling and throughput holds. The capacity ladder shows
 //! the ceiling rising with the MSHR count toward the open-loop knee.
 //!
-//! Before writing the table, the harness proves the closed-loop engine
-//! crossing: one closed-loop configuration is re-run on the sharded
-//! engine at worker counts {1, 2, 4, 8} with idle-skip both on and off,
-//! and every report — including the raw f64 bits of the transaction
-//! latency statistics — must be identical (the JSON records
-//! `"bit_exact": true`).
+//! Before writing the table, the harness proves the closed-loop shard
+//! crossing: one closed-loop configuration is re-run at worker counts
+//! {1, 2, 4, 8} with idle-skip both on and off, and every report field
+//! — including the raw f64 bits of the transaction latency statistics —
+//! must be identical (the JSON records `"bit_exact": true`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig_closedloop [-- --quick | --paper] \
@@ -32,7 +31,7 @@
 //! ```
 
 use bench::{flag_value, summary_table, Scale};
-use network::{NetworkConfig, NetworkReport, ShardedNetworkSim, Torus};
+use network::{NetworkConfig, NetworkReport, NetworkSim, Torus};
 use router::{ArbAlgorithm, RouterConfig};
 use simcore::bnf::{BnfCurve, BnfPoint};
 use simcore::sweep::parallel_map;
@@ -253,11 +252,11 @@ fn closedloop_point(
     }
 }
 
-/// Runs one closed-loop configuration on the sharded engine across
-/// worker counts {1,2,4,8} and idle-skip {on,off}, asserting every
-/// report identical down to the raw f64 bits of the transaction latency
-/// statistics. Returns `true` (or panics — a mismatch must fail CI, not
-/// get recorded as data).
+/// Runs one closed-loop configuration across worker counts {1,2,4,8}
+/// and idle-skip {on,off}, asserting every report field identical down
+/// to the raw f64 bits of the transaction latency statistics. Returns
+/// `true` (or panics — a mismatch must fail CI, not get recorded as
+/// data).
 fn prove_bit_exactness(cycles: u64) -> bool {
     let run = |workers: usize, idle_skip: bool| -> NetworkReport {
         let net = NetworkConfig {
@@ -271,7 +270,7 @@ fn prove_bit_exactness(cycles: u64) -> bool {
         };
         let wl = WorkloadConfig::closed_loop(TrafficPattern::Uniform, 0.05, 4);
         let endpoints = build_endpoints(&net, &wl);
-        let mut sim = ShardedNetworkSim::new(net, endpoints, workers);
+        let mut sim = NetworkSim::with_workers(net, endpoints, workers);
         sim.set_idle_skip(idle_skip);
         sim.run()
     };
@@ -282,30 +281,8 @@ fn prove_bit_exactness(cycles: u64) -> bool {
     );
     for workers in [1usize, 2, 4, 8] {
         for idle_skip in [false, true] {
-            let r = run(workers, idle_skip);
             let label = format!("workers={workers} idle_skip={idle_skip}");
-            assert_eq!(r.delivered_packets, reference.delivered_packets, "{label}");
-            assert_eq!(r.completed_txns, reference.completed_txns, "{label}");
-            assert_eq!(
-                r.latency.mean().to_bits(),
-                reference.latency.mean().to_bits(),
-                "{label}: packet latency bits"
-            );
-            assert_eq!(
-                r.txn_latency.mean().to_bits(),
-                reference.txn_latency.mean().to_bits(),
-                "{label}: txn latency bits"
-            );
-            assert_eq!(
-                r.txn_latency.variance().to_bits(),
-                reference.txn_latency.variance().to_bits(),
-                "{label}: txn variance bits"
-            );
-            assert_eq!(
-                r.txn_latency_hist.bins(),
-                reference.txn_latency_hist.bins(),
-                "{label}: txn histogram"
-            );
+            run(workers, idle_skip).assert_bit_identical(&reference, &label);
         }
     }
     true

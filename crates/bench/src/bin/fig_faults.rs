@@ -26,11 +26,11 @@
 //! here is a routing/link-layer property, not an arbitration one.
 //!
 //! Before writing any numbers the harness proves the fault plane's
-//! engine crossing: one full-storm configuration (corruption + flaps +
-//! a scheduled kill + boot-time dead links) re-run on the sharded engine
-//! at worker counts {1, 2, 4, 8} with idle-skip both on and off, every
-//! report compared down to the raw f64 bits and every fault counter
-//! (the JSON records `"bit_exact": true`).
+//! shard crossing: one full-storm configuration (corruption + flaps +
+//! a scheduled kill + boot-time dead links) re-run at worker counts
+//! {1, 2, 4, 8} with idle-skip both on and off, every report field
+//! compared down to the raw f64 bits and every fault counter (the JSON
+//! records `"bit_exact": true`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig_faults [-- --quick | --paper] \
@@ -40,8 +40,8 @@
 use arbitration::ports::OutputPort;
 use bench::{flag_value, Scale};
 use network::{
-    FaultConfig, LinkFlap, LinkKill, Mesh, NetTopology, NetworkConfig, NetworkReport,
-    ShardedNetworkSim, Torus,
+    FaultConfig, LinkFlap, LinkKill, Mesh, NetTopology, NetworkConfig, NetworkReport, NetworkSim,
+    Torus,
 };
 use router::{ArbAlgorithm, RouterConfig};
 use simcore::sweep::parallel_map;
@@ -222,9 +222,9 @@ fn fault_point(
     }
 }
 
-/// Runs one full-storm configuration on the sharded engine across worker
-/// counts {1,2,4,8} and idle-skip {on,off}, asserting every report
-/// identical down to the raw f64 latency bits and every fault counter.
+/// Runs one full-storm configuration across worker counts {1,2,4,8} and
+/// idle-skip {on,off}, asserting every report field identical down to
+/// the raw f64 latency bits and every fault counter.
 /// Returns `true` (or panics — a mismatch must fail the run, not get
 /// recorded as data).
 fn prove_bit_exactness(cycles: u64) -> bool {
@@ -250,7 +250,7 @@ fn prove_bit_exactness(cycles: u64) -> bool {
         };
         let wl = WorkloadConfig::open_loop(TrafficPattern::Uniform, RATE);
         let endpoints = build_endpoints(&net, &wl);
-        let mut sim = ShardedNetworkSim::new(net, endpoints, workers);
+        let mut sim = NetworkSim::with_workers(net, endpoints, workers);
         sim.set_idle_skip(idle_skip);
         sim.run()
     };
@@ -261,30 +261,8 @@ fn prove_bit_exactness(cycles: u64) -> bool {
     );
     for workers in [1usize, 2, 4, 8] {
         for idle_skip in [false, true] {
-            let r = run(workers, idle_skip);
             let label = format!("workers={workers} idle_skip={idle_skip}");
-            assert_eq!(r.delivered_packets, reference.delivered_packets, "{label}");
-            assert_eq!(r.injected_packets, reference.injected_packets, "{label}");
-            assert_eq!(
-                r.latency.mean().to_bits(),
-                reference.latency.mean().to_bits(),
-                "{label}: packet latency bits"
-            );
-            assert_eq!(
-                r.latency.variance().to_bits(),
-                reference.latency.variance().to_bits(),
-                "{label}: packet variance bits"
-            );
-            assert_eq!(r.flits_corrupted, reference.flits_corrupted, "{label}");
-            assert_eq!(r.retransmissions, reference.retransmissions, "{label}");
-            assert_eq!(r.retry_exhaustions, reference.retry_exhaustions, "{label}");
-            assert_eq!(r.links_dead, reference.links_dead, "{label}");
-            assert_eq!(r.unreachable_drops, reference.unreachable_drops, "{label}");
-            assert_eq!(
-                r.retransmit_latency_hist.bins(),
-                reference.retransmit_latency_hist.bins(),
-                "{label}: retransmit histogram"
-            );
+            run(workers, idle_skip).assert_bit_identical(&reference, &label);
         }
     }
     true

@@ -176,24 +176,7 @@ fn assert_zero_fault_tax() {
     assert_eq!(plain.flits_corrupted, 0, "fault-free run corrupted flits");
     assert_eq!(plain.retransmissions, 0, "fault-free run retransmitted");
     assert_eq!(plain.links_dead, 0, "fault-free run killed links");
-    assert_eq!(
-        plain.delivered_packets, armed.delivered_packets,
-        "watchdog-only run changed deliveries"
-    );
-    assert_eq!(
-        plain.injected_packets, armed.injected_packets,
-        "watchdog-only run changed injections"
-    );
-    assert_eq!(
-        plain.latency.mean().to_bits(),
-        armed.latency.mean().to_bits(),
-        "watchdog-only run changed latency bits"
-    );
-    assert_eq!(
-        plain.latency.variance().to_bits(),
-        armed.latency.variance().to_bits(),
-        "watchdog-only run changed latency variance bits"
-    );
+    plain.assert_bit_identical(&armed, "watchdog-only run vs fault-free run");
     eprintln!("zero-fault-tax guard: fault-off and watchdog-only reports bit-identical");
 }
 

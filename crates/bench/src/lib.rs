@@ -16,9 +16,7 @@ use router::{ArbAlgorithm, RouterConfig};
 use simcore::bnf::{BnfCurve, BnfPoint, ReplicatedBnfCurve};
 use simcore::sweep::parallel_map;
 use simcore::table::Table;
-use workload::{
-    run_coherence_sim, run_coherence_sim_sharded, BurstConfig, TrafficPattern, WorkloadConfig,
-};
+use workload::{run_coherence_sim_with_workers, BurstConfig, TrafficPattern, WorkloadConfig};
 
 /// How long each simulated point runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,8 +71,8 @@ pub struct SweepSpec {
     /// Optional bursty on/off arrival modulation (the scenario engine's
     /// temporal axis; `None` = the paper's smooth Bernoulli process).
     pub burst: Option<BurstConfig>,
-    /// Worker threads *inside* each simulation: `1` = the single-threaded
-    /// engine, anything else = the sharded engine with that many shards
+    /// Worker threads *inside* each simulation: `1` = run on the calling
+    /// thread, anything else = that many shards, one thread each
     /// (`0` = automatic). Reports are bit-identical either way (pinned by
     /// `tests/shard_equivalence.rs`), so this is purely a wall-clock
     /// knob; big-torus harnesses set it, small-torus sweeps stay at 1 and
@@ -131,9 +129,9 @@ impl SweepSpec {
         self
     }
 
-    /// The same sweep run on the sharded engine with `workers` threads
-    /// per simulation (`0` = automatic sizing, which clamps to 1 inside
-    /// a `parallel_map` worker so the two fan-outs never multiply).
+    /// The same sweep with each simulation split across `workers`
+    /// threads (`0` = automatic sizing, which clamps to 1 inside a
+    /// `parallel_map` worker so the two fan-outs never multiply).
     pub fn with_sim_workers(mut self, workers: usize) -> Self {
         self.sim_workers = workers;
         self
@@ -169,11 +167,7 @@ impl SweepSpec {
             coherence: Default::default(),
             burst: self.burst,
         };
-        let (report, _stats) = if self.sim_workers == 1 {
-            run_coherence_sim(net, wl)
-        } else {
-            run_coherence_sim_sharded(net, wl, self.sim_workers)
-        };
+        let (report, _stats) = run_coherence_sim_with_workers(net, wl, self.sim_workers);
         BnfPoint {
             offered: rate,
             delivered_flits_per_router_ns: report.flits_per_router_ns,
@@ -340,7 +334,7 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
 }
 
 /// The `--threads N` flag: worker threads *per simulation* for harnesses
-/// that run on the sharded engine (see [`SweepSpec::with_sim_workers`]).
+/// that shard each simulation (see [`SweepSpec::with_sim_workers`]).
 /// Absent or unparsable values fall back to `default`.
 pub fn threads_flag(args: &[String], default: usize) -> usize {
     flag_value(args, "--threads")

@@ -39,11 +39,11 @@
 //! *r* is owned by the shard that owns *r* and touched only at two
 //! deterministic points: the start of *r*'s phase-A slot (flap steps,
 //! due retries, pending refunds) and the application of *r*'s inbound
-//! events in phase B (arrival CRC draws). Both engines execute those
-//! points in the identical per-shard order for every worker count, so a
-//! faulted run is bit-exact across `{1,2,4,8,…}` workers and idle-skip
-//! on/off — the same argument that makes the fault-free engines agree
-//! (see DESIGN.md "Fault plane").
+//! events in phase B (arrival CRC draws). The inline cycle and the
+//! worker fleet execute those points in the identical per-shard order
+//! for every worker count, so a faulted run is bit-exact across
+//! `{1,2,4,8,…}` workers and idle-skip on/off — the same argument that
+//! makes fault-free runs agree (see DESIGN.md "Fault plane").
 //!
 //! When the plane is disabled (the [`FaultConfig::default`]), no
 //! per-link state is allocated, no RNG stream is forked, and no draw is
@@ -169,8 +169,8 @@ impl FaultConfig {
 ///
 /// Every shard holds an identical replica, updated in canonical event
 /// order (scheduled kills at the cycle boundary; exhaustion deaths via
-/// broadcast events), so route recomputations agree across engines and
-/// worker counts.
+/// broadcast events), so route recomputations agree across worker
+/// counts.
 #[derive(Clone, Debug, Default)]
 pub struct DeadLinks {
     words: Vec<u64>,
@@ -541,8 +541,7 @@ impl FaultPlane {
         }
     }
 
-    /// Start-of-cycle bookkeeping, run at the top of every phase A in
-    /// both engines: apply scheduled kills due this cycle, step the flap
+    /// Start-of-cycle bookkeeping, run at the top of every phase A: apply scheduled kills due this cycle, step the flap
     /// machines of locally received links (one draw per flapped live
     /// link, in ascending link order), drain due retry timers, and stage
     /// the refunds accumulated since the last cycle.

@@ -19,16 +19,14 @@
 //! * [`sim`] — the network simulator: steps every router on each 1.2 GHz
 //!   core-clock edge, transports packets over 0.8 GHz links with three
 //!   link-clocks of wire latency, returns credits, and delivers packets to
-//!   per-node [`sim::Endpoint`]s;
-//! * [`sharded`] — the same simulation on N worker threads: contiguous
-//!   node-range shards stepped in lockstep one core cycle at a time,
-//!   exchanging cross-shard events at a barrier — bit-for-bit identical
-//!   to [`sim`];
+//!   per-node [`sim::Endpoint`]s — on the calling thread, or with the
+//!   network split into contiguous node-range shards stepped in lockstep
+//!   on N worker threads, bit-for-bit identically;
 //! * [`fault`] — the deterministic fault plane: per-link BER corruption,
 //!   link flaps, and scheduled or exhaustion-triggered link death, with
 //!   CRC/retransmission recovery, fault-aware route masking, and a
-//!   forward-progress watchdog — bit-exact across both engines and every
-//!   worker count, with strictly zero cost when disabled.
+//!   forward-progress watchdog — bit-exact across every worker count,
+//!   with strictly zero cost when disabled.
 //!
 //! The traffic side (coherence transactions, MSHRs, §4.2 patterns) lives
 //! in the `workload` crate; anything implementing [`sim::Endpoint`] can
@@ -37,13 +35,11 @@
 pub mod fault;
 pub mod routing;
 pub(crate) mod shard;
-pub mod sharded;
 pub mod sim;
 pub mod topology;
 
 pub use fault::{DeadLinks, FaultConfig, LinkFlap, LinkKill};
 pub use routing::{route_for, FullMeshRouting, MeshRouting, Routing, TorusRouting};
-pub use sharded::ShardedNetworkSim;
 pub use sim::{
     Endpoint, InjectionOutcome, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, TxnCompletion,
 };

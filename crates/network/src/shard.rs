@@ -1,11 +1,8 @@
 //! Shard state: the per-worker slice of a simulation.
 //!
-//! Both network engines are built from the same [`Shard`]:
-//!
-//! * [`crate::sim::NetworkSim`] owns **one** shard covering every node
-//!   and runs its phases inline;
-//! * [`crate::sharded::ShardedNetworkSim`] owns one shard per worker
-//!   thread and separates the phases with a barrier.
+//! [`crate::sim::NetworkSim`] is built from [`Shard`]s: **one** covering
+//! every node, with its phases run inline, or one per worker thread,
+//! with the phases separated by a barrier.
 //!
 //! A shard owns a contiguous node-id range of routers and endpoints
 //! (see [`crate::topology::ShardMap`]), its own delivery wheel, idle-skip
@@ -25,15 +22,15 @@
 //!   events inline inserts them into the destination's event wheel, and
 //!   — because every event's effect tick lies strictly in the future —
 //!   deferring the application to the end of the cycle is behaviorally
-//!   invisible (the one-cycle-horizon argument; see DESIGN.md "Sharded
-//!   engine").
+//!   invisible (the one-cycle-horizon argument; see DESIGN.md "One
+//!   engine, N shards").
 //!
 //! The only order-*sensitive* statistics — the Welford latency
 //! accumulators, whose floating-point sums do not reassociate — are not
 //! accumulated in the shard at all: phase A emits one [`MeasureRecord`]
 //! per measured delivery, and the engine replays all shards' records
 //! through [`replay_records`] in the canonical key order, reproducing the
-//! single-threaded accumulation bit for bit.
+//! one-shard accumulation bit for bit.
 
 use crate::fault::{Admission, DeadLinks, FaultPlane, RetryOutcome};
 use crate::routing::route_for;
@@ -124,8 +121,8 @@ struct Delivery {
 
 /// One measured delivery, keyed for the canonical cross-shard replay.
 ///
-/// The single-threaded engine records latencies in its global delivery
-/// wheel's drain order: `(delivery tick, wheel insertion order)`, where
+/// A one-shard run records latencies in its single delivery wheel's
+/// drain order: `(delivery tick, wheel insertion order)`, where
 /// insertion order is `(emission cycle, emitting router, per-step
 /// emission index)` — routers are stepped in id order within a cycle.
 /// Sorting records by [`MeasureRecord::key`] therefore reconstructs the
@@ -141,7 +138,7 @@ pub(crate) struct MeasureRecord {
     /// Round-trip latency of the closed-loop transaction this delivery
     /// completed (`None` for deliveries that are not terminal replies).
     /// Riding the canonical replay keeps the per-transaction Welford
-    /// accumulator bit-exact across engines and worker counts.
+    /// accumulator bit-exact across worker counts.
     pub(crate) txn_ns: Option<f64>,
 }
 
@@ -158,8 +155,8 @@ impl MeasureRecord {
 
 /// Sorts one cycle's measurement records into canonical order and replays
 /// them through `record`, draining the buffer. Feeding each cycle's batch
-/// (from any number of shards) through this reproduces the
-/// single-threaded engine's floating-point accumulation bit for bit.
+/// (from any number of shards) through this reproduces the one-shard
+/// floating-point accumulation bit for bit.
 pub(crate) fn replay_records(
     records: &mut Vec<MeasureRecord>,
     latency: &mut simcore::stats::OnlineStats,
@@ -274,16 +271,6 @@ impl<E: Endpoint> Shard<E> {
         }
     }
 
-    /// Number of routers in this shard.
-    pub(crate) fn len(&self) -> usize {
-        self.routers.len()
-    }
-
-    /// First node id of the shard's range.
-    pub(crate) fn base(&self) -> u16 {
-        self.base
-    }
-
     pub(crate) fn set_idle_skip(&mut self, enabled: bool) {
         self.idle_skip = enabled;
         if !enabled {
@@ -355,7 +342,7 @@ impl<E: Endpoint> Shard<E> {
         let now = env.now;
         // 0. Fault-plane cycle boundary: scheduled kills, flap machine
         // steps, due retry timers, staged refunds — all before any router
-        // steps, in both engines.
+        // steps, at every shard count.
         if let Some(plane) = self.faults.as_mut() {
             plane.begin_cycle(&env.topology, env.cycle, now);
         }

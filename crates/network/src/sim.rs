@@ -16,15 +16,69 @@
 //! inject packets through its local input ports (cache, memory
 //! controllers, I/O), bounded by real buffer space. The `workload` crate's
 //! coherence generator is the production endpoint; tests use simpler ones.
+//!
+//! The network is partitioned into contiguous node-range shards
+//! ([`NetworkSim::with_workers`]); one shard runs inline on the calling
+//! thread, several run on one worker thread each, and the report is
+//! bit-for-bit identical either way.
+//!
+//! # Why a one-cycle horizon is safe
+//!
+//! Every inter-router interaction in the model crosses a network link,
+//! and every link has at least three 0.8 GHz link-clocks (= 4.5 core
+//! cycles) of wire latency — a floor the [`crate::topology::Topology`]
+//! contract guarantees on every shape (`link_latency` never shrinks
+//! below one core cycle); even a local injection is decoded cycles
+//! after it pins. So
+//! any event a router emits at cycle *k* takes effect strictly after
+//! cycle *k* — no router's cycle-*k* decisions can observe another
+//! router's cycle-*k* outputs. That makes one core cycle a safe
+//! parallelism quantum: run every shard's cycle-*k* phase A concurrently,
+//! exchange the emitted `Forward`/`Credit` events at a barrier, apply
+//! them (phase B), repeat. [`NetworkSim::step_cycle`] performs the same
+//! two phases inline, so the equivalence is structural; the golden and
+//! shard-equivalence suites pin it bit for bit.
+//!
+//! # Canonical order
+//!
+//! Determinism needs more than correctness of *values* — the events must
+//! be applied to each destination router in the same *order* for every
+//! shard count, and the order-sensitive floating-point latency
+//! accumulators must see deliveries in the same sequence:
+//!
+//! * **Events**: the inline cycle applies events in emission order —
+//!   ascending (source router, per-step emission index) within a cycle.
+//!   Each worker writes per-destination outbox buckets in emission
+//!   order; the destination drains source shards in index order, and
+//!   because shards are contiguous node ranges that *is* ascending
+//!   source order.
+//! * **Latencies**: each measured delivery is tagged with its canonical
+//!   key (delivery tick, emission cycle, destination router, emission
+//!   index); each cycle's records are sorted on that key and replayed
+//!   into one triple of Welford accumulators — the exact global
+//!   wheel-drain order. All other statistics (counters, the latency
+//!   histograms) merge exactly.
+//!
+//! # RNG streams
+//!
+//! Router and endpoint streams are forked per *node* from the run seed
+//! (`seed.fork(node)` and `(seed ^ 0x5eed_f00d).fork(node)`), never per
+//! shard, so partitioning cannot perturb a single random draw.
 
 use crate::fault::{retransmit_histogram, DeadLinks, FaultConfig};
 use crate::routing::route_for;
-use crate::shard::{replay_records, CycleEnv, MeasureRecord, OutEvent, Shard};
-use crate::topology::NetTopology;
+use crate::shard::{
+    event_destination, replay_records, CycleEnv, MeasureRecord, OutEvent, Shard, ShardEvent,
+};
+use crate::topology::{NetTopology, ShardMap};
 use arbitration::ports::InputPort;
 use router::{CoherenceClass, IncomingPacket, Packet, Router, RouterConfig, VcId};
 use simcore::stats::{Histogram, OnlineStats};
+use simcore::sweep::effective_workers;
+use simcore::sync::SpinBarrier;
 use simcore::Tick;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Result of an injection attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,8 +185,8 @@ impl NodeCtx<'_> {
 /// The engine turns the completion into a per-transaction latency sample
 /// — `now - issued` nanoseconds, reply-drain minus request-issue — and
 /// accumulates it through the same canonical-order replay as the packet
-/// latencies, so the statistic is bit-exact across idle-skip settings,
-/// engines, and shard worker counts.
+/// latencies, so the statistic is bit-exact across idle-skip settings
+/// and worker counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TxnCompletion {
     /// Tick at which the requester *issued* the original request (packet
@@ -141,8 +195,9 @@ pub struct TxnCompletion {
     pub issued: Tick,
 }
 
-/// A per-node traffic agent.
-pub trait Endpoint {
+/// A per-node traffic agent. `Send` because a multi-shard
+/// [`NetworkSim::run`] steps each shard's endpoints on a worker thread.
+pub trait Endpoint: Send {
     /// Called once per core cycle; may inject packets via `ctx`.
     fn on_cycle(&mut self, ctx: &mut NodeCtx<'_>);
 
@@ -170,7 +225,7 @@ pub struct NetworkConfig {
     pub measure_cycles: u64,
     /// Deterministic fault plane: link BER, flaps, scheduled deaths, and
     /// the CRC/retransmission recovery protocol. The default config
-    /// injects nothing and the engines then skip fault-plane construction
+    /// injects nothing and the engine then skips fault-plane construction
     /// entirely (zero cost, zero RNG draws).
     pub fault: FaultConfig,
 }
@@ -280,51 +335,212 @@ impl NetworkReport {
     pub fn avg_txn_latency_ns(&self) -> f64 {
         self.txn_latency.mean()
     }
+
+    /// Visits every field as `(name, exact u64 bits)`: counters as is,
+    /// `f64` through `to_bits`, each `OnlineStats` as
+    /// count/mean/variance/min/max, each `Histogram` as
+    /// underflow/bins/overflow. The destructure below is exhaustive on
+    /// purpose — a new field that is not visited fails to compile — so
+    /// every comparison built on this covers the whole report.
+    ///
+    /// Two digests deliberately do *not* derive from this list and keep
+    /// their own: `tests/golden_reports.rs::digest_line`, whose format
+    /// pins the 97 committed golden lines, and
+    /// `perf/src/workloads.rs::digest`, frozen with the benchmark.
+    pub fn for_each_field(&self, mut visit: impl FnMut(&str, u64)) {
+        let NetworkReport {
+            delivered_packets,
+            delivered_flits,
+            latency,
+            latency_hist,
+            total_latency,
+            flits_per_router_ns,
+            injected_packets,
+            injected_flits,
+            in_flight_packets,
+            nominations,
+            grants,
+            collisions,
+            escape_dispatches,
+            drain_engagements,
+            matched_weight,
+            mwm_weight,
+            completed_txns,
+            txn_latency,
+            txn_latency_hist,
+            flits_corrupted,
+            retransmissions,
+            retry_exhaustions,
+            links_dead,
+            unreachable_drops,
+            retransmit_latency_hist,
+        } = self;
+        for (name, s) in [
+            ("latency", latency),
+            ("total_latency", total_latency),
+            ("txn_latency", txn_latency),
+        ] {
+            visit(&format!("{name}.count"), s.count());
+            visit(&format!("{name}.mean"), s.mean().to_bits());
+            visit(&format!("{name}.variance"), s.variance().to_bits());
+            visit(
+                &format!("{name}.min"),
+                s.min().unwrap_or(f64::NAN).to_bits(),
+            );
+            visit(
+                &format!("{name}.max"),
+                s.max().unwrap_or(f64::NAN).to_bits(),
+            );
+        }
+        for (name, h) in [
+            ("latency_hist", latency_hist),
+            ("txn_latency_hist", txn_latency_hist),
+            ("retransmit_latency_hist", retransmit_latency_hist),
+        ] {
+            visit(&format!("{name}.underflow"), h.underflow());
+            for (i, &bin) in h.bins().iter().enumerate() {
+                visit(&format!("{name}.bins[{i}]"), bin);
+            }
+            visit(&format!("{name}.overflow"), h.overflow());
+        }
+        for (name, value) in [
+            ("delivered_packets", *delivered_packets),
+            ("delivered_flits", *delivered_flits),
+            ("flits_per_router_ns", flits_per_router_ns.to_bits()),
+            ("injected_packets", *injected_packets),
+            ("injected_flits", *injected_flits),
+            ("in_flight_packets", *in_flight_packets),
+            ("nominations", *nominations),
+            ("grants", *grants),
+            ("collisions", *collisions),
+            ("escape_dispatches", *escape_dispatches),
+            ("drain_engagements", *drain_engagements),
+            ("matched_weight", *matched_weight),
+            ("mwm_weight", *mwm_weight),
+            ("completed_txns", *completed_txns),
+            ("flits_corrupted", *flits_corrupted),
+            ("retransmissions", *retransmissions),
+            ("retry_exhaustions", *retry_exhaustions),
+            ("links_dead", *links_dead),
+            ("unreachable_drops", *unreachable_drops),
+        ] {
+            visit(name, value);
+        }
+    }
+
+    /// Asserts `self` and `other` agree on every field down to the raw
+    /// `f64` bit patterns, so even one reordered floating-point
+    /// accumulation fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first differing field, prefixed with `label`.
+    pub fn assert_bit_identical(&self, other: &NetworkReport, label: &str) {
+        let mut theirs = Vec::new();
+        other.for_each_field(|_, bits| theirs.push(bits));
+        let mut theirs = theirs.into_iter();
+        self.for_each_field(|name, bits| {
+            let other_bits = theirs.next();
+            assert!(
+                other_bits == Some(bits),
+                "{label}: reports differ at {name}: {bits} vs {other_bits:?}"
+            );
+        });
+        assert_eq!(theirs.next(), None, "{label}: histogram shapes differ");
+    }
 }
 
-/// The single-threaded simulator: one [`Shard`] covering every node,
-/// phases run inline.
+/// Extracts the human-readable message from a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "unknown panic"
+    }
+}
+
+/// The simulator: the network partitioned into one or more contiguous
+/// node-range [`Shard`]s, stepped one core cycle at a time.
 ///
-/// Since the sharded-engine refactor this engine is itself structured as
-/// a coordinator over one shard: each cycle runs the shard's phase A
-/// (routers, deliveries, endpoints) with `Forward`/`Credit` events
-/// deferred to an outbox, then applies the outbox in emission order
-/// (phase B). Deferring is bit-for-bit equivalent to inline application
-/// because every event's effect tick lies strictly beyond the emitting
-/// cycle — the same one-cycle-horizon argument that makes
-/// [`crate::ShardedNetworkSim`] exact (see DESIGN.md "Sharded engine");
-/// the golden-report suite pins the equivalence.
+/// Each cycle runs every shard's phase A (routers, deliveries,
+/// endpoints) with `Forward`/`Credit` events deferred to an outbox, then
+/// applies the outbox in canonical order (phase B). Deferring is
+/// bit-for-bit equivalent to inline application because every event's
+/// effect tick lies strictly beyond the emitting cycle (the
+/// one-cycle-horizon argument in the module docs), so the report is
+/// identical for every shard count; the golden-report and
+/// shard-equivalence suites pin that.
+///
+/// [`NetworkSim::new`] builds one shard and runs everything on the
+/// calling thread. [`NetworkSim::with_workers`] builds several;
+/// [`NetworkSim::run`] then steps them on one worker thread each, while
+/// [`NetworkSim::step_cycle`] steps them inline in index order.
 pub struct NetworkSim<E: Endpoint> {
     cfg: NetworkConfig,
     topology: NetTopology,
-    shard: Shard<E>,
+    map: ShardMap,
+    shards: Vec<Shard<E>>,
     outbox: Vec<OutEvent>,
     records: Vec<MeasureRecord>,
     cycle: u64,
     latency: OnlineStats,
     total_latency: OnlineStats,
     txn_latency: OnlineStats,
-    /// Forward-progress watchdog: deliveries seen at the last progress
-    /// check and the number of consecutive cycles without one.
+    /// Inline forward-progress watchdog: deliveries seen at the last
+    /// progress check and the number of consecutive cycles without one.
     watchdog_delivered: u64,
     watchdog_stall: u64,
 }
 
 impl<E: Endpoint> NetworkSim<E> {
-    /// Builds a simulator with one endpoint per node.
+    /// Builds a simulator with one endpoint per node, run on the calling
+    /// thread.
     ///
     /// # Panics
     ///
     /// Panics unless `endpoints.len()` equals the node count.
     pub fn new(cfg: NetworkConfig, endpoints: Vec<E>) -> Self {
+        Self::with_workers(cfg, endpoints, 1)
+    }
+
+    /// Builds a simulator with one endpoint per node, split across
+    /// `workers` shards that [`NetworkSim::run`] steps on one thread
+    /// each. `workers == 0` sizes automatically: `SIM_WORKERS` override
+    /// or available parallelism, clamped to 1 inside a `parallel_map`
+    /// region so nested fan-out cannot oversubscribe (see
+    /// [`effective_workers`]). Requests beyond the node count are
+    /// clamped to one node per shard. Reports are bit-for-bit identical
+    /// for every worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `endpoints.len()` equals the node count.
+    pub fn with_workers(cfg: NetworkConfig, endpoints: Vec<E>, workers: usize) -> Self {
         let topology = cfg.topology;
         assert_eq!(
             endpoints.len(),
             topology.nodes() as usize,
             "one endpoint per node"
         );
+        let workers = effective_workers(workers, topology.nodes() as usize);
+        let map = ShardMap::new(&topology, workers);
+        // Peel shards off the back so each `split_off` moves only that
+        // shard's endpoints, and shard 0 (the only one, for one worker)
+        // keeps the caller's allocation without a copy.
+        let mut rest = endpoints;
+        let mut shards: Vec<Shard<E>> = (0..map.shards())
+            .rev()
+            .map(|s| {
+                let base = map.range(s).start;
+                Shard::new(&cfg, base, rest.split_off(base as usize))
+            })
+            .collect();
+        shards.reverse();
         NetworkSim {
-            shard: Shard::new(&cfg, 0, endpoints),
+            map,
+            shards,
             outbox: Vec::with_capacity(64),
             records: Vec::with_capacity(64),
             cycle: 0,
@@ -338,68 +554,117 @@ impl<E: Endpoint> NetworkSim<E> {
         }
     }
 
+    /// Number of shards (= worker threads [`NetworkSim::run`] uses).
+    pub fn workers(&self) -> usize {
+        self.shards.len()
+    }
+
     /// The network shape.
     pub fn topology(&self) -> &NetTopology {
         &self.topology
     }
 
-    /// Immutable router access (tests, statistics).
-    pub fn router(&self, node: u16) -> &Router {
-        &self.shard.routers[node as usize]
+    /// The shard owning `node` and the node's index inside it.
+    fn locate(&self, node: u16) -> (usize, usize) {
+        let s = self.map.shard_of(node);
+        (s, (node - self.map.range(s).start) as usize)
     }
 
-    /// Endpoint access after a run.
+    /// Immutable router access (tests, statistics).
+    pub fn router(&self, node: u16) -> &Router {
+        let (s, i) = self.locate(node);
+        &self.shards[s].routers[i]
+    }
+
+    /// Endpoint access.
     pub fn endpoint(&self, node: u16) -> &E {
-        &self.shard.endpoints[node as usize]
+        let (s, i) = self.locate(node);
+        &self.shards[s].endpoints[i]
     }
 
     /// Mutable endpoint access (drain control in conservation tests:
     /// e.g. halting a closed-loop generator before stepping the network
     /// to empty).
     pub fn endpoint_mut(&mut self, node: u16) -> &mut E {
-        &mut self.shard.endpoints[node as usize]
+        let (s, i) = self.locate(node);
+        &mut self.shards[s].endpoints[i]
     }
 
     /// Enables or disables idle-skip (on by default). The two modes
     /// produce bit-for-bit identical results; disabling exists for
     /// equivalence testing and engine benchmarking.
     pub fn set_idle_skip(&mut self, enabled: bool) {
-        self.shard.set_idle_skip(enabled);
+        for shard in &mut self.shards {
+            shard.set_idle_skip(enabled);
+        }
     }
 
     /// Router steps avoided by idle-skip so far.
     pub fn skipped_router_steps(&self) -> u64 {
-        self.shard.skipped_steps
+        self.shards.iter().map(|s| s.skipped_steps).sum()
     }
 
-    /// Runs the configured warmup + measurement window and reports.
+    /// Runs the configured warmup + measurement window and reports: one
+    /// shard loops [`NetworkSim::step_cycle`] on the calling thread,
+    /// several hand the remaining cycles to the worker fleet.
     pub fn run(&mut self) -> NetworkReport {
         let total = self.cfg.total_cycles();
-        while self.cycle < total {
-            self.step_cycle();
+        if self.shards.len() == 1 {
+            while self.cycle < total {
+                self.step_cycle();
+            }
+        } else if self.cycle < total {
+            self.run_fleet(total);
+            self.cycle = total;
         }
         self.report()
     }
 
-    /// Advances exactly one core cycle (exposed for incremental tests).
+    /// Advances exactly one core cycle on the calling thread, whatever
+    /// the shard count (incremental tests, traced runs, post-run drains).
     pub fn step_cycle(&mut self) {
         let env = CycleEnv::at(&self.cfg, self.cycle);
 
         // Phase A: routers, deliveries, endpoints; Forward/Credit events
-        // land in the outbox in emission order.
+        // land in the outbox in emission order. Visiting shards in index
+        // order makes that the canonical `(source router ascending,
+        // per-step emission index)` order, because shards are contiguous
+        // ascending node ranges and each visits its routers in id order.
         let mut outbox = std::mem::take(&mut self.outbox);
         let mut records = std::mem::take(&mut self.records);
-        self.shard.phase_a(
-            &env,
-            &mut |src, ev| outbox.push(OutEvent { src, ev }),
-            &mut records,
-        );
+        for shard in &mut self.shards {
+            shard.phase_a(
+                &env,
+                &mut |src, ev| outbox.push(OutEvent { src, ev }),
+                &mut records,
+            );
+        }
 
-        // Phase B: apply the deferred events. Emission order here *is*
-        // the canonical `(source router ascending, per-step emission
-        // index)` order, because phase A visits routers in id order.
-        for OutEvent { src, ev } in outbox.drain(..) {
-            self.shard.apply(&env, src, ev);
+        // Phase B: apply the deferred events in that order.
+        if let [shard] = &mut self.shards[..] {
+            for OutEvent { src, ev } in outbox.drain(..) {
+                shard.apply(&env, src, ev);
+            }
+        } else {
+            for OutEvent { src, ev } in outbox.drain(..) {
+                match ev {
+                    // Routed events go to the shard owning the
+                    // destination router.
+                    ShardEvent::Router(ref out) => {
+                        let dst = event_destination(&self.topology, src, out);
+                        self.shards[self.map.shard_of(dst)].apply(&env, src, ev);
+                    }
+                    // Link deaths are broadcast: every shard must mask
+                    // the link out of its routing decisions, and the
+                    // receiver-owning shard tears down the retransmit
+                    // state.
+                    ShardEvent::LinkDead { .. } => {
+                        for shard in &mut self.shards {
+                            shard.apply(&env, src, ev);
+                        }
+                    }
+                }
+            }
         }
         self.outbox = outbox;
 
@@ -418,13 +683,23 @@ impl<E: Endpoint> NetworkSim<E> {
         }
     }
 
+    /// Packets not yet at an endpoint, over all shards.
+    fn occupancy(&self) -> u64 {
+        self.shards.iter().map(Shard::occupancy).sum()
+    }
+
+    /// Deliveries so far (warmup included), over all shards.
+    fn delivered_all(&self) -> u64 {
+        self.shards.iter().map(|s| s.delivered_all).sum()
+    }
+
     /// Forward-progress watchdog: with packets buffered in the network
     /// but no delivery for `budget` consecutive cycles, something is
     /// wedged (lost credit, dead escape path, protocol bug) — panic with
     /// a structured occupancy/credit dump instead of spinning silently.
     fn watchdog_check(&mut self, budget: u64) {
-        let delivered = self.shard.delivered_all;
-        if delivered != self.watchdog_delivered || self.shard.occupancy() == 0 {
+        let delivered = self.delivered_all();
+        if delivered != self.watchdog_delivered || self.occupancy() == 0 {
             self.watchdog_delivered = delivered;
             self.watchdog_stall = 0;
             return;
@@ -440,6 +715,7 @@ impl<E: Endpoint> NetworkSim<E> {
 
     /// Structured per-router occupancy/credit/fault dump — the payload
     /// the watchdog panics with, also usable by hang-guarded tests.
+    /// Routers are listed in ascending id order.
     pub fn diagnostic_dump(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -447,123 +723,284 @@ impl<E: Endpoint> NetworkSim<E> {
             out,
             "network diagnostic @ cycle {}: occupancy {} packet(s), {} delivered so far",
             self.cycle,
-            self.shard.occupancy(),
-            self.shard.delivered_all,
+            self.occupancy(),
+            self.delivered_all(),
         );
-        self.shard.diagnostics(&mut out);
+        for shard in &self.shards {
+            shard.diagnostics(&mut out);
+        }
         out
     }
 
-    /// Builds the report for the window simulated so far.
-    pub fn report(&self) -> NetworkReport {
-        let measure_ns = self
-            .cfg
-            .router
-            .timing
-            .core
-            .cycles(self.cfg.measure_cycles)
-            .as_ns();
-        report_from_parts(
-            &self.cfg,
-            measure_ns,
-            std::iter::once(&self.shard),
-            &self.latency,
-            &self.total_latency,
-            &self.txn_latency,
-        )
-    }
-}
+    /// Barrier-quantum fleet: W workers plus this coordinator thread.
+    ///
+    /// Segment *k* (between barrier crossings *k* and *k+1*) runs, on
+    /// each worker: apply phase B of cycle *k−1* from the previous
+    /// segment's outboxes, then phase A of cycle *k* into this segment's
+    /// outboxes. Outboxes and record buffers are double-buffered by
+    /// cycle parity, so one barrier per cycle suffices: parity-*p*
+    /// buffers are written in segment *k* (p = k mod 2), drained in
+    /// segment *k+1*, and not rewritten until *k+2*. The coordinator
+    /// spends segment *k* replaying cycle *k−1*'s measurement records.
+    /// Each worker holds the exclusive borrow of its shard for the whole
+    /// run; every mutex in the scheme (outboxes, record buffers) is
+    /// uncontended by construction — locks only order memory, the
+    /// barrier orders time.
+    ///
+    /// # Panic robustness
+    ///
+    /// A fixed-party barrier turns one dead worker into a fleet-wide
+    /// hang, so each worker runs under `catch_unwind`: on panic it
+    /// [poisons](SpinBarrier::poison) the barrier with the original
+    /// message and exits. Every peer — and the coordinator — observes
+    /// the poison at its next crossing and unwinds with
+    /// `"worker fleet panicked: <original message>"` instead of spinning
+    /// forever.
+    ///
+    /// # Watchdog
+    ///
+    /// With `fault.watchdog_cycles = Some(n)`, workers publish delivery
+    /// deltas to a shared counter each segment; a worker that sees no
+    /// fleet-wide delivery for ~n consecutive cycles while its own shard
+    /// still holds packets panics with a structured occupancy dump —
+    /// which the poisoning path then propagates to the whole fleet. The
+    /// shared counter is read with one-cycle staleness (benign: budgets
+    /// are thousands of cycles).
+    fn run_fleet(&mut self, total: u64) {
+        let w = self.shards.len();
+        let start = self.cycle;
+        let barrier = SpinBarrier::new(w + 1);
+        let fleet_delivered = AtomicU64::new(0);
+        let watchdog = self.cfg.fault.watchdog_cycles;
+        let buckets = |n: usize| -> Vec<Mutex<Vec<OutEvent>>> {
+            (0..n).map(|_| Mutex::new(Vec::new())).collect()
+        };
+        // outboxes[parity][src_shard][dst_shard]
+        let outboxes: [Vec<Vec<Mutex<Vec<OutEvent>>>>; 2] = [
+            (0..w).map(|_| buckets(w)).collect(),
+            (0..w).map(|_| buckets(w)).collect(),
+        ];
+        // records[parity][shard]
+        let mk_records = || -> Vec<Mutex<Vec<MeasureRecord>>> {
+            (0..w).map(|_| Mutex::new(Vec::new())).collect()
+        };
+        let records: [Vec<Mutex<Vec<MeasureRecord>>>; 2] = [mk_records(), mk_records()];
 
-/// Assembles a [`NetworkReport`] from shard partials plus the centrally
-/// replayed latency accumulators. Shared by both engines; every merge in
-/// here is exact (integer sums and [`Histogram::merge`]) — the only
-/// order-sensitive state, the `OnlineStats` pair, is handed in already
-/// accumulated in canonical order.
-pub(crate) fn report_from_parts<'a, E: Endpoint + 'a>(
-    cfg: &NetworkConfig,
-    measure_ns: f64,
-    shards: impl IntoIterator<Item = &'a Shard<E>>,
-    latency: &OnlineStats,
-    total_latency: &OnlineStats,
-    txn_latency: &OnlineStats,
-) -> NetworkReport {
-    let routers = cfg.topology.nodes() as f64;
-    let mut nominations = 0;
-    let mut grants = 0;
-    let mut collisions = 0;
-    let mut escapes = 0;
-    let mut drains = 0;
-    let mut matched_weight = 0;
-    let mut mwm_weight = 0;
-    let mut in_flight = 0u64;
-    let mut injected_packets = 0;
-    let mut injected_flits = 0;
-    let mut measured_packets = 0;
-    let mut measured_flits = 0;
-    let mut measured_txns = 0;
-    let mut latency_hist = Histogram::new(0.0, 2000.0, 200);
-    let mut txn_latency_hist = crate::shard::txn_histogram();
-    let mut flits_corrupted = 0;
-    let mut retransmissions = 0;
-    let mut retry_exhaustions = 0;
-    let mut links_dead = 0;
-    let mut unreachable_drops = 0;
-    let mut retransmit_latency_hist = retransmit_histogram();
-    for shard in shards {
-        for r in &shard.routers {
-            nominations += r.stats().nominations.get();
-            grants += r.stats().grants.get();
-            collisions += r.stats().collisions.get();
-            escapes += r.stats().escape_dispatches.get();
-            drains += r.stats().drain_engagements.get();
-            matched_weight += r.stats().matched_weight.get();
-            mwm_weight += r.stats().mwm_weight.get();
-            in_flight += r.accounted_packets() as u64;
-        }
-        in_flight += shard.pending_deliveries() as u64;
-        injected_packets += shard.injected_packets;
-        injected_flits += shard.injected_flits;
-        measured_packets += shard.measured_packets;
-        measured_flits += shard.measured_flits;
-        measured_txns += shard.measured_txns;
-        latency_hist.merge(&shard.latency_hist);
-        txn_latency_hist.merge(&shard.txn_latency_hist);
-        if let Some(plane) = shard.faults() {
-            flits_corrupted += plane.flits_corrupted;
-            retransmissions += plane.retransmissions;
-            retry_exhaustions += plane.retry_exhaustions;
-            links_dead += plane.links_dead;
-            unreachable_drops += plane.unreachable_drops;
-            in_flight += plane.queued_packets;
-            retransmit_latency_hist.merge(&plane.retransmit_hist);
-        }
+        let shards = &mut self.shards;
+        let map = &self.map;
+        let topology = self.topology;
+        let cfg = &self.cfg;
+        let latency = &mut self.latency;
+        let total_latency = &mut self.total_latency;
+        let txn_latency = &mut self.txn_latency;
+
+        std::thread::scope(|scope| {
+            for (me, shard) in shards.iter_mut().enumerate() {
+                let barrier = &barrier;
+                let outboxes = &outboxes;
+                let records = &records;
+                let fleet_delivered = &fleet_delivered;
+                scope.spawn(move || {
+                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        // Watchdog bookkeeping: this shard's deliveries
+                        // already published, the fleet total last seen,
+                        // and the no-progress streak.
+                        let mut published = shard.delivered_all;
+                        let mut last_total = u64::MAX;
+                        let mut stall = 0u64;
+                        for k in start..=total {
+                            barrier.wait();
+                            if k > start {
+                                // Phase B of cycle k-1: events destined to
+                                // this shard, source shards in index order =
+                                // ascending source router (canonical).
+                                let env = CycleEnv::at(cfg, k - 1);
+                                let parity = ((k - 1) % 2) as usize;
+                                for src_row in &outboxes[parity] {
+                                    let mut bucket =
+                                        src_row[me].lock().expect("worker fleet panicked");
+                                    for OutEvent { src, ev } in bucket.drain(..) {
+                                        shard.apply(&env, src, ev);
+                                    }
+                                }
+                                if let Some(budget) = watchdog {
+                                    let delivered = shard.delivered_all;
+                                    if delivered != published {
+                                        fleet_delivered.fetch_add(
+                                            delivered - published,
+                                            Ordering::Relaxed,
+                                        );
+                                        published = delivered;
+                                    }
+                                    let total_now = fleet_delivered.load(Ordering::Relaxed);
+                                    if total_now != last_total || shard.occupancy() == 0 {
+                                        last_total = total_now;
+                                        stall = 0;
+                                    } else {
+                                        stall += 1;
+                                        if stall >= budget {
+                                            use std::fmt::Write as _;
+                                            let mut dump = String::new();
+                                            let _ = writeln!(
+                                                dump,
+                                                "shard {me} diagnostic @ cycle {}: occupancy {} packet(s), {} delivered fleet-wide",
+                                                k - 1,
+                                                shard.occupancy(),
+                                                total_now,
+                                            );
+                                            shard.diagnostics(&mut dump);
+                                            panic!(
+                                                "watchdog: no delivery for {budget} cycles with packets in flight\n{dump}"
+                                            );
+                                        }
+                                    }
+                                }
+                            }
+                            if k < total {
+                                // Phase A of cycle k into this parity's
+                                // buckets (drained last segment, free now).
+                                let env = CycleEnv::at(cfg, k);
+                                let parity = (k % 2) as usize;
+                                let mut rows: Vec<_> = outboxes[parity][me]
+                                    .iter()
+                                    .map(|m| m.lock().expect("worker fleet panicked"))
+                                    .collect();
+                                let mut recs =
+                                    records[parity][me].lock().expect("worker fleet panicked");
+                                shard.phase_a(
+                                    &env,
+                                    &mut |src, ev| match ev {
+                                        // Routed events go to the shard
+                                        // owning the destination router.
+                                        ShardEvent::Router(ref out) => {
+                                            let dst = map.shard_of(event_destination(
+                                                &topology, src, out,
+                                            ));
+                                            rows[dst].push(OutEvent { src, ev });
+                                        }
+                                        // Link deaths are broadcast: every
+                                        // shard must mask the link out of
+                                        // its routing decisions, and the
+                                        // receiver-owning shard tears down
+                                        // the retransmit state.
+                                        ShardEvent::LinkDead { .. } => {
+                                            for row in rows.iter_mut() {
+                                                row.push(OutEvent { src, ev });
+                                            }
+                                        }
+                                    },
+                                    &mut recs,
+                                );
+                            }
+                        }
+                    }));
+                    if let Err(payload) = caught {
+                        barrier.poison(panic_message(payload.as_ref()));
+                    }
+                });
+            }
+
+            // Coordinator: replay cycle k-1's measurement records during
+            // segment k, in canonical key order across all shards.
+            let mut scratch: Vec<MeasureRecord> = Vec::new();
+            for k in start..=total {
+                barrier.wait();
+                if k > start {
+                    let parity = ((k - 1) % 2) as usize;
+                    for shard_records in &records[parity] {
+                        scratch.append(&mut shard_records.lock().expect("worker fleet panicked"));
+                    }
+                    replay_records(&mut scratch, latency, total_latency, txn_latency);
+                }
+            }
+        });
     }
-    NetworkReport {
-        delivered_packets: measured_packets,
-        delivered_flits: measured_flits,
-        latency: latency.clone(),
-        latency_hist,
-        total_latency: total_latency.clone(),
-        flits_per_router_ns: measured_flits as f64 / (routers * measure_ns),
-        injected_packets,
-        injected_flits,
-        in_flight_packets: in_flight,
-        nominations,
-        grants,
-        collisions,
-        escape_dispatches: escapes,
-        drain_engagements: drains,
-        matched_weight,
-        mwm_weight,
-        completed_txns: measured_txns,
-        txn_latency: txn_latency.clone(),
-        txn_latency_hist,
-        flits_corrupted,
-        retransmissions,
-        retry_exhaustions,
-        links_dead,
-        unreachable_drops,
-        retransmit_latency_hist,
+
+    /// Builds the report for the window simulated so far. Every merge in
+    /// here is exact (integer sums and [`Histogram::merge`]) — the only
+    /// order-sensitive state, the `OnlineStats` triple, was accumulated
+    /// in canonical order by [`replay_records`].
+    pub fn report(&self) -> NetworkReport {
+        let cfg = &self.cfg;
+        let measure_ns = cfg.router.timing.core.cycles(cfg.measure_cycles).as_ns();
+        let routers = cfg.topology.nodes() as f64;
+        let mut nominations = 0;
+        let mut grants = 0;
+        let mut collisions = 0;
+        let mut escapes = 0;
+        let mut drains = 0;
+        let mut matched_weight = 0;
+        let mut mwm_weight = 0;
+        let mut in_flight = 0u64;
+        let mut injected_packets = 0;
+        let mut injected_flits = 0;
+        let mut measured_packets = 0;
+        let mut measured_flits = 0;
+        let mut measured_txns = 0;
+        let mut latency_hist = Histogram::new(0.0, 2000.0, 200);
+        let mut txn_latency_hist = crate::shard::txn_histogram();
+        let mut flits_corrupted = 0;
+        let mut retransmissions = 0;
+        let mut retry_exhaustions = 0;
+        let mut links_dead = 0;
+        let mut unreachable_drops = 0;
+        let mut retransmit_latency_hist = retransmit_histogram();
+        for shard in &self.shards {
+            for r in &shard.routers {
+                nominations += r.stats().nominations.get();
+                grants += r.stats().grants.get();
+                collisions += r.stats().collisions.get();
+                escapes += r.stats().escape_dispatches.get();
+                drains += r.stats().drain_engagements.get();
+                matched_weight += r.stats().matched_weight.get();
+                mwm_weight += r.stats().mwm_weight.get();
+                in_flight += r.accounted_packets() as u64;
+            }
+            in_flight += shard.pending_deliveries() as u64;
+            injected_packets += shard.injected_packets;
+            injected_flits += shard.injected_flits;
+            measured_packets += shard.measured_packets;
+            measured_flits += shard.measured_flits;
+            measured_txns += shard.measured_txns;
+            latency_hist.merge(&shard.latency_hist);
+            txn_latency_hist.merge(&shard.txn_latency_hist);
+            if let Some(plane) = shard.faults() {
+                flits_corrupted += plane.flits_corrupted;
+                retransmissions += plane.retransmissions;
+                retry_exhaustions += plane.retry_exhaustions;
+                links_dead += plane.links_dead;
+                unreachable_drops += plane.unreachable_drops;
+                in_flight += plane.queued_packets;
+                retransmit_latency_hist.merge(&plane.retransmit_hist);
+            }
+        }
+        NetworkReport {
+            delivered_packets: measured_packets,
+            delivered_flits: measured_flits,
+            latency: self.latency.clone(),
+            latency_hist,
+            total_latency: self.total_latency.clone(),
+            flits_per_router_ns: measured_flits as f64 / (routers * measure_ns),
+            injected_packets,
+            injected_flits,
+            in_flight_packets: in_flight,
+            nominations,
+            grants,
+            collisions,
+            escape_dispatches: escapes,
+            drain_engagements: drains,
+            matched_weight,
+            mwm_weight,
+            completed_txns: measured_txns,
+            txn_latency: self.txn_latency.clone(),
+            txn_latency_hist,
+            flits_corrupted,
+            retransmissions,
+            retry_exhaustions,
+            links_dead,
+            unreachable_drops,
+            retransmit_latency_hist,
+        }
     }
 }
 

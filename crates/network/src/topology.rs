@@ -497,7 +497,7 @@ impl Topology for FullMesh {
 }
 
 /// The concrete shapes the simulator knows, behind one `Copy` value so
-/// configs stay plain data and both engines stay monomorphic.
+/// configs stay plain data and the engine stays monomorphic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetTopology {
     /// 2D torus with wraparound (the paper's network).

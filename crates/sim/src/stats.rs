@@ -249,7 +249,7 @@ pub fn standard_normal_quantile(p: f64) -> f64 {
 /// Fixed-width linear histogram with overflow bin.
 ///
 /// Used for packet-latency distributions; the paper reports means, but the
-/// histogram lets EXPERIMENTS.md discuss tails under saturation.
+/// histogram exposes the tails under saturation.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     lo: f64,

@@ -138,7 +138,7 @@ impl WorkloadConfig {
     /// develop and throughput simply plateaus. Lifting the cap lets the
     /// injection-rate sweep push the network through the saturation point
     /// and reproduces the paper's post-saturation collapse and the Rotary
-    /// Rule's protection. See DESIGN.md §3 and EXPERIMENTS.md.
+    /// Rule's protection. See DESIGN.md §3.
     pub fn open_loop(pattern: TrafficPattern, injection_rate: f64) -> Self {
         WorkloadConfig {
             pattern,

@@ -27,7 +27,7 @@ pub use mshr::MshrTable;
 pub use pattern::{HotspotTargets, TrafficPattern};
 pub use txn::{CoherenceParams, TxnTag};
 
-use network::{NetworkConfig, NetworkSim, ShardedNetworkSim};
+use network::{NetworkConfig, NetworkSim};
 use simcore::SimRng;
 
 /// Builds one coherence endpoint per node of `net`.
@@ -38,34 +38,27 @@ pub fn build_endpoints(net: &NetworkConfig, wl: &WorkloadConfig) -> Vec<Coherenc
         .collect()
 }
 
-/// Convenience: builds and runs a coherence-driven simulation, returning
-/// the network report and aggregate endpoint statistics.
+/// Convenience: builds and runs a coherence-driven simulation on the
+/// calling thread, returning the network report and aggregate endpoint
+/// statistics.
 pub fn run_coherence_sim(
     net: NetworkConfig,
     wl: WorkloadConfig,
 ) -> (network::NetworkReport, EndpointStats) {
-    let endpoints = build_endpoints(&net, &wl);
-    let nodes = net.topology.nodes();
-    let mut sim = NetworkSim::new(net, endpoints);
-    let report = sim.run();
-    let mut stats = EndpointStats::default();
-    for node in 0..nodes {
-        stats.merge(sim.endpoint(node).stats());
-    }
-    (report, stats)
+    run_coherence_sim_with_workers(net, wl, 1)
 }
 
-/// Like [`run_coherence_sim`], but on the sharded engine with `workers`
-/// threads (`0` = automatic sizing). Reports are bit-for-bit identical to
-/// the single-threaded runner for any worker count.
-pub fn run_coherence_sim_sharded(
+/// Like [`run_coherence_sim`], with the simulation split across `workers`
+/// threads (`0` = automatic sizing). Reports are bit-for-bit identical
+/// for any worker count.
+pub fn run_coherence_sim_with_workers(
     net: NetworkConfig,
     wl: WorkloadConfig,
     workers: usize,
 ) -> (network::NetworkReport, EndpointStats) {
     let endpoints = build_endpoints(&net, &wl);
     let nodes = net.topology.nodes();
-    let mut sim = ShardedNetworkSim::new(net, endpoints, workers);
+    let mut sim = NetworkSim::with_workers(net, endpoints, workers);
     let report = sim.run();
     let mut stats = EndpointStats::default();
     for node in 0..nodes {

@@ -13,7 +13,7 @@
 //! |-------|----------|
 //! | [`arbitration`] | the matching algorithms over the 16×7 connection matrix |
 //! | [`router`] | the pipelined router: VCs, buffers, credits, LA/RE/GA timing |
-//! | [`network`] | pluggable topologies (torus, mesh, full mesh), routing, the simulator |
+//! | [`network`] | pluggable topologies (torus, mesh, full mesh), routing, the fault plane, and the one simulator (`NetworkSim`, any worker count) |
 //! | [`workload`] | §4.2 coherence traffic: MSHRs, patterns, transaction mix |
 //! | [`standalone`] | the §5.1 single-router matching experiments |
 //! | [`simcore`] | clocks, deterministic RNG, statistics, sweep plumbing |
@@ -43,8 +43,7 @@
 //! ```
 //!
 //! The `bench` crate's binaries regenerate every figure of the paper's
-//! evaluation; see DESIGN.md for the experiment index and EXPERIMENTS.md
-//! for measured-vs-paper results.
+//! evaluation; see DESIGN.md for the experiment index.
 
 pub use arbitration;
 pub use network;
@@ -59,7 +58,7 @@ pub mod prelude {
     pub use network::{
         DeadLinks, Endpoint, FaultConfig, FullMesh, InjectionOutcome, LinkFlap, LinkKill, Mesh,
         NetTopology, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, Routing, ShardMap,
-        ShardedNetworkSim, Topology, Torus, TxnCompletion,
+        Topology, Torus, TxnCompletion,
     };
     pub use router::{
         ArbAlgorithm, BufferConfig, CoherenceClass, EscapeVc, IncomingPacket, Packet, RouteInfo,
@@ -70,7 +69,7 @@ pub mod prelude {
         find_mcm_saturation_load, run_standalone, AlgoKind, StandaloneConfig, StandaloneResult,
     };
     pub use workload::{
-        build_endpoints, run_coherence_sim, run_coherence_sim_sharded, BurstConfig,
+        build_endpoints, run_coherence_sim, run_coherence_sim_with_workers, BurstConfig,
         CoherenceEndpoint, CoherenceParams, EndpointStats, HotspotTargets, MshrTable,
         TrafficPattern, TxnTag, WorkloadConfig,
     };

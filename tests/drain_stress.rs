@@ -9,8 +9,8 @@
 //! packets still in flight long after the sources go quiet — so this
 //! suite injects far past the saturation knee (every source queue
 //! backpressured), cuts injection, and asserts `in_flight_packets == 0`
-//! within a bounded horizon, on the single-threaded engine and on the
-//! sharded engine at several worker counts.
+//! within a bounded horizon, on one thread and sharded across several
+//! worker counts.
 
 use alpha21364::prelude::*;
 use router::packet::PacketId;
@@ -100,30 +100,13 @@ fn assert_drains(topology: NetTopology, algo: ArbAlgorithm, workers: usize) {
     };
     let label = format!("{topology} {algo} workers={workers}");
     let endpoints = Firehose::fleet(topology, INJECT, 0xf1e5);
-    let (report, injected, delivered, dump) = if workers == 1 {
-        let mut sim = NetworkSim::new(cfg, endpoints);
-        let report = sim.run();
-        let (mut inj, mut del) = (0u64, 0u64);
-        for node in 0..topology.nodes() {
-            inj += sim.endpoint(node).seq;
-            del += sim.endpoint(node).delivered;
-        }
-        let dump = if report.in_flight_packets > 0 {
-            sim.diagnostic_dump()
-        } else {
-            String::new()
-        };
-        (report, inj, del, dump)
-    } else {
-        let mut sim = ShardedNetworkSim::new(cfg, endpoints, workers);
-        let report = sim.run();
-        let (mut inj, mut del) = (0u64, 0u64);
-        for node in 0..topology.nodes() {
-            inj += sim.endpoint(node).seq;
-            del += sim.endpoint(node).delivered;
-        }
-        (report, inj, del, String::new())
-    };
+    let mut sim = NetworkSim::with_workers(cfg, endpoints, workers);
+    let report = sim.run();
+    let (mut injected, mut delivered) = (0u64, 0u64);
+    for node in 0..topology.nodes() {
+        injected += sim.endpoint(node).seq;
+        delivered += sim.endpoint(node).delivered;
+    }
     assert!(
         injected > 100,
         "{label}: the firehose must actually saturate (injected {injected})"
@@ -135,8 +118,9 @@ fn assert_drains(topology: NetTopology, algo: ArbAlgorithm, workers: usize) {
     assert_eq!(
         report.in_flight_packets,
         0,
-        "{label}: network must drain fully within {} post-injection cycles\n{dump}",
-        HORIZON - INJECT
+        "{label}: network must drain fully within {} post-injection cycles\n{}",
+        HORIZON - INJECT,
+        sim.diagnostic_dump()
     );
 }
 

@@ -361,6 +361,6 @@ fn sharded_fleet_unwinds_with_the_original_panic_message() {
     // original message instead of spinning forever.
     let cfg = storm_config(Torus::net_4x4().into(), 3, 2_000, FaultConfig::default());
     let endpoints: Vec<PanicAt> = (0..16).map(|node| PanicAt { node, cycle: 0 }).collect();
-    let mut sim = ShardedNetworkSim::new(cfg, endpoints, 4);
+    let mut sim = NetworkSim::with_workers(cfg, endpoints, 4);
     let _ = sim.run();
 }

@@ -46,134 +46,6 @@ fn run(
     run_workload(seed, &wl, algo, cycles, idle_skip)
 }
 
-fn assert_reports_identical(a: &NetworkReport, b: &NetworkReport, label: &str) {
-    assert_eq!(
-        a.delivered_packets, b.delivered_packets,
-        "{label}: delivered"
-    );
-    assert_eq!(a.delivered_flits, b.delivered_flits, "{label}: flits");
-    assert_eq!(a.injected_packets, b.injected_packets, "{label}: injected");
-    assert_eq!(
-        a.injected_flits, b.injected_flits,
-        "{label}: injected flits"
-    );
-    assert_eq!(
-        a.in_flight_packets, b.in_flight_packets,
-        "{label}: in-flight at final cycle"
-    );
-    // Latency statistics must match on raw bits: any reordering of the
-    // floating-point accumulation would show up here.
-    assert_eq!(a.latency.count(), b.latency.count(), "{label}: lat count");
-    assert_eq!(
-        a.latency.mean().to_bits(),
-        b.latency.mean().to_bits(),
-        "{label}: lat mean bits"
-    );
-    assert_eq!(
-        a.latency.variance().to_bits(),
-        b.latency.variance().to_bits(),
-        "{label}: lat variance bits"
-    );
-    assert_eq!(
-        a.total_latency.mean().to_bits(),
-        b.total_latency.mean().to_bits(),
-        "{label}: total lat mean bits"
-    );
-    assert_eq!(
-        a.latency_hist.bins(),
-        b.latency_hist.bins(),
-        "{label}: latency histogram"
-    );
-    assert_eq!(
-        a.latency_hist.overflow(),
-        b.latency_hist.overflow(),
-        "{label}: histogram overflow"
-    );
-    assert_eq!(
-        a.flits_per_router_ns.to_bits(),
-        b.flits_per_router_ns.to_bits(),
-        "{label}: throughput bits"
-    );
-    assert_eq!(a.nominations, b.nominations, "{label}: nominations");
-    assert_eq!(a.grants, b.grants, "{label}: grants");
-    assert_eq!(a.collisions, b.collisions, "{label}: collisions");
-    assert_eq!(
-        a.escape_dispatches, b.escape_dispatches,
-        "{label}: escape dispatches"
-    );
-    assert_eq!(
-        a.drain_engagements, b.drain_engagements,
-        "{label}: drain engagements"
-    );
-    assert_eq!(
-        a.matched_weight, b.matched_weight,
-        "{label}: matched weight"
-    );
-    assert_eq!(a.mwm_weight, b.mwm_weight, "{label}: MWM oracle weight");
-    // Per-transaction (request-issue → reply-drain) statistics ride the
-    // same canonical replay as packet latency; compare them on raw bits
-    // too so a closed-loop reordering cannot hide.
-    assert_eq!(
-        a.completed_txns, b.completed_txns,
-        "{label}: completed txns"
-    );
-    assert_eq!(
-        a.txn_latency.count(),
-        b.txn_latency.count(),
-        "{label}: txn lat count"
-    );
-    assert_eq!(
-        a.txn_latency.mean().to_bits(),
-        b.txn_latency.mean().to_bits(),
-        "{label}: txn lat mean bits"
-    );
-    assert_eq!(
-        a.txn_latency.variance().to_bits(),
-        b.txn_latency.variance().to_bits(),
-        "{label}: txn lat variance bits"
-    );
-    assert_eq!(
-        a.txn_latency_hist.bins(),
-        b.txn_latency_hist.bins(),
-        "{label}: txn latency histogram"
-    );
-    assert_eq!(
-        a.txn_latency_hist.overflow(),
-        b.txn_latency_hist.overflow(),
-        "{label}: txn histogram overflow"
-    );
-    // Fault-plane counters: corruption draws, retransmit timers, and
-    // link-death events must land on the same cycles regardless of how
-    // many router steps were skipped or which shard owned the link.
-    assert_eq!(
-        a.flits_corrupted, b.flits_corrupted,
-        "{label}: corrupted flits"
-    );
-    assert_eq!(
-        a.retransmissions, b.retransmissions,
-        "{label}: retransmissions"
-    );
-    assert_eq!(
-        a.retry_exhaustions, b.retry_exhaustions,
-        "{label}: retry exhaustions"
-    );
-    assert_eq!(a.links_dead, b.links_dead, "{label}: links dead");
-    assert_eq!(
-        a.unreachable_drops, b.unreachable_drops,
-        "{label}: unreachable drops"
-    );
-    assert_eq!(
-        a.retransmit_latency_hist.bins(),
-        b.retransmit_latency_hist.bins(),
-        "{label}: retransmit latency histogram"
-    );
-    assert_eq!(
-        a.retransmit_latency_hist.overflow(),
-        b.retransmit_latency_hist.overflow(),
-        "{label}: retransmit histogram overflow"
-    );
-}
-
 #[test]
 fn idle_skip_is_bit_for_bit_equivalent() {
     // Every arbitration driver (pipelined SPAA, the windowed PIM1/WFA —
@@ -198,7 +70,7 @@ fn idle_skip_is_bit_for_bit_equivalent() {
             let (off, skipped_off) = run(seed, rate, algo, 3_000, false);
             let (on, skipped_on) = run(seed, rate, algo, 3_000, true);
             assert_eq!(skipped_off, 0, "{label}: disabled mode must not skip");
-            assert_reports_identical(&off, &on, &label);
+            off.assert_bit_identical(&on, &label);
             // The fast path must actually be fast at low load, otherwise
             // this test proves equivalence of nothing.
             if rate <= 0.002 {
@@ -232,7 +104,7 @@ fn idle_skip_is_bit_for_bit_equivalent_under_hotspot_traffic() {
             let wl = WorkloadConfig::paper(hotspot, rate);
             let (off, _) = run_workload(seed, &wl, algo, 3_000, false);
             let (on, skipped_on) = run_workload(seed, &wl, algo, 3_000, true);
-            assert_reports_identical(&off, &on, &label);
+            off.assert_bit_identical(&on, &label);
             if rate <= 0.002 {
                 assert!(
                     skipped_on > 3_000 * 16 / 4,
@@ -263,7 +135,7 @@ fn idle_skip_is_bit_for_bit_equivalent_under_bursty_traffic() {
             let (off, skipped_off) = run_workload(seed, &wl, algo, 3_000, false);
             let (on, skipped_on) = run_workload(seed, &wl, algo, 3_000, true);
             assert_eq!(skipped_off, 0, "{label}: disabled mode must not skip");
-            assert_reports_identical(&off, &on, &label);
+            off.assert_bit_identical(&on, &label);
             if rate <= 0.002 {
                 // OFF phases dominate (duty 20%), so the skip rate must
                 // stay high even though bursts wake whole neighbourhoods.
@@ -289,7 +161,7 @@ fn idle_skip_equivalence_holds_under_combined_hotspot_bursty() {
     .with_burst(BurstConfig::new(30.0, 120.0));
     let (off, _) = run_workload(41, &wl, ArbAlgorithm::SpaaRotary, 4_000, false);
     let (on, _) = run_workload(41, &wl, ArbAlgorithm::SpaaRotary, 4_000, true);
-    assert_reports_identical(&off, &on, "hotspot+bursty stress");
+    off.assert_bit_identical(&on, "hotspot+bursty stress");
 }
 
 #[test]
@@ -298,7 +170,7 @@ fn idle_skip_equivalence_holds_after_drain_engagement() {
     // (drain state must park the router awake until released).
     let (off, _) = run(7, 0.4, ArbAlgorithm::WfaRotary, 4_000, false);
     let (on, _) = run(7, 0.4, ArbAlgorithm::WfaRotary, 4_000, true);
-    assert_reports_identical(&off, &on, "drain stress");
+    off.assert_bit_identical(&on, "drain stress");
 }
 
 #[test]
@@ -327,11 +199,7 @@ fn idle_skip_equivalence_on_mesh_and_full_mesh() {
         NetTopology::from(FullMesh::new(5)),
     ] {
         let label = format!("{topology} idle-skip");
-        assert_reports_identical(
-            &run_shape(topology, false),
-            &run_shape(topology, true),
-            &label,
-        );
+        run_shape(topology, false).assert_bit_identical(&run_shape(topology, true), &label);
     }
 }
 
@@ -367,7 +235,7 @@ fn idle_skip_equivalence_holds_with_matching_weight_oracle() {
         let label = format!("{algo} oracle");
         let off = run_measured(false);
         let on = run_measured(true);
-        assert_reports_identical(&off, &on, &label);
+        off.assert_bit_identical(&on, &label);
         assert!(off.matched_weight > 0, "{label}: oracle saw no windows");
         assert!(
             off.mwm_weight >= off.matched_weight,
@@ -394,7 +262,7 @@ fn idle_skip_equivalence_for_closed_loop_drivers() {
             let (off, skipped_off) = run_workload(seed, &wl, algo, 3_000, false);
             let (on, _) = run_workload(seed, &wl, algo, 3_000, true);
             assert_eq!(skipped_off, 0, "{label}: disabled mode must not skip");
-            assert_reports_identical(&off, &on, &label);
+            off.assert_bit_identical(&on, &label);
             assert!(off.completed_txns > 0, "{label}: no transactions measured");
             assert!(
                 off.avg_txn_latency_ns() > off.avg_latency_ns(),
@@ -414,7 +282,7 @@ fn idle_skip_equivalence_for_closed_loop_three_hop_extremes() {
         let label = format!("closed loop three_hop={three_hop}");
         let (off, _) = run_workload(71, &wl, ArbAlgorithm::SpaaRotary, 3_000, false);
         let (on, _) = run_workload(71, &wl, ArbAlgorithm::SpaaRotary, 3_000, true);
-        assert_reports_identical(&off, &on, &label);
+        off.assert_bit_identical(&on, &label);
         assert!(off.completed_txns > 0, "{label}: no transactions measured");
     }
 }
@@ -439,7 +307,7 @@ fn idle_skip_equivalence_on_scaled_pipeline() {
         sim.set_idle_skip(idle_skip);
         sim.run()
     };
-    assert_reports_identical(&cfg(false), &cfg(true), "scaled 2x");
+    cfg(false).assert_bit_identical(&cfg(true), "scaled 2x");
 }
 
 /// Every fault class at once: per-flit corruption, geometric link flaps,
@@ -483,8 +351,8 @@ fn idle_skip_equivalence_under_fault_storms() {
     // like any other future wake: skipping past a due retransmission
     // would shift a CRC draw and desynchronize every later fault event.
     // Corruption, flaps, a mid-run kill and boot-time dead links are all
-    // active at once; the new fault counters compare inside
-    // assert_reports_identical.
+    // active at once; the fault counters compare inside
+    // assert_bit_identical.
     for algo in [
         ArbAlgorithm::SpaaRotary,
         ArbAlgorithm::Islip { iterations: 2 },
@@ -494,7 +362,7 @@ fn idle_skip_equivalence_under_fault_storms() {
             let (off, skipped_off) = run_faulted(seed, rate, algo, false);
             let (on, _) = run_faulted(seed, rate, algo, true);
             assert_eq!(skipped_off, 0, "{label}: disabled mode must not skip");
-            assert_reports_identical(&off, &on, &label);
+            off.assert_bit_identical(&on, &label);
             // The storm must actually exercise the machinery, or the
             // equivalence proves nothing.
             assert!(off.flits_corrupted > 0, "{label}: no corruption drawn");

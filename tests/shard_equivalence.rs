@@ -1,13 +1,15 @@
-//! The sharded engine must be *bit-for-bit* equivalent to the
-//! single-threaded engine for every worker count.
+//! One engine, any worker count: the report must be *bit-for-bit*
+//! identical however the network is sharded and however it is stepped.
 //!
-//! Property: for any (seed, injection rate, arbitration algorithm, torus,
-//! worker count), `ShardedNetworkSim` produces a report identical to
-//! `NetworkSim` — exact counters, the full latency histogram, and the
-//! latency statistics compared on raw f64 bit patterns, so a single
-//! reordered floating-point accumulation (the classic parallel-reduction
-//! bug) fails the suite. This is what lets `fig_bigtorus` publish
-//! multi-threaded curves as *the* results rather than an approximation.
+//! Property: for any (seed, injection rate, arbitration algorithm,
+//! topology, worker count), `NetworkSim::with_workers` produces a report
+//! identical to the one-shard `NetworkSim::new` — every field of
+//! `NetworkReport::for_each_field`, the latency statistics on raw f64 bit
+//! patterns, so a single reordered floating-point accumulation (the
+//! classic parallel-reduction bug) fails the suite — whether the cycles
+//! ran on the worker fleet (`run`), inline (`step_cycle`), or a mix. This
+//! is what lets `fig_bigtorus` publish multi-threaded curves as *the*
+//! results rather than an approximation.
 
 use alpha21364::prelude::*;
 
@@ -33,152 +35,28 @@ fn config(
     }
 }
 
-fn run_single(cfg: &NetworkConfig, wl: &WorkloadConfig, idle_skip: bool) -> NetworkReport {
-    let endpoints = workload::build_endpoints(cfg, wl);
-    let mut sim = NetworkSim::new(cfg.clone(), endpoints);
+fn sim(cfg: &NetworkConfig, wl: &WorkloadConfig, workers: usize) -> NetworkSim<CoherenceEndpoint> {
+    NetworkSim::with_workers(cfg.clone(), workload::build_endpoints(cfg, wl), workers)
+}
+
+fn run(cfg: &NetworkConfig, wl: &WorkloadConfig, workers: usize, idle_skip: bool) -> NetworkReport {
+    let mut sim = sim(cfg, wl, workers);
     sim.set_idle_skip(idle_skip);
     sim.run()
 }
 
-fn run_sharded(
+/// A `workers`-shard sim advanced `cycles` cycles inline.
+fn stepped(
     cfg: &NetworkConfig,
     wl: &WorkloadConfig,
     workers: usize,
-    idle_skip: bool,
-) -> NetworkReport {
-    let endpoints = workload::build_endpoints(cfg, wl);
-    let mut sim = ShardedNetworkSim::new(cfg.clone(), endpoints, workers);
-    sim.set_idle_skip(idle_skip);
-    sim.run()
-}
-
-fn assert_reports_identical(a: &NetworkReport, b: &NetworkReport, label: &str) {
-    assert_eq!(
-        a.delivered_packets, b.delivered_packets,
-        "{label}: delivered"
-    );
-    assert_eq!(a.delivered_flits, b.delivered_flits, "{label}: flits");
-    assert_eq!(a.injected_packets, b.injected_packets, "{label}: injected");
-    assert_eq!(
-        a.injected_flits, b.injected_flits,
-        "{label}: injected flits"
-    );
-    assert_eq!(
-        a.in_flight_packets, b.in_flight_packets,
-        "{label}: in-flight at final cycle"
-    );
-    // Latency statistics must match on raw bits: any reordering of the
-    // floating-point accumulation would show up here.
-    assert_eq!(a.latency.count(), b.latency.count(), "{label}: lat count");
-    assert_eq!(
-        a.latency.mean().to_bits(),
-        b.latency.mean().to_bits(),
-        "{label}: lat mean bits"
-    );
-    assert_eq!(
-        a.latency.variance().to_bits(),
-        b.latency.variance().to_bits(),
-        "{label}: lat variance bits"
-    );
-    assert_eq!(
-        a.total_latency.mean().to_bits(),
-        b.total_latency.mean().to_bits(),
-        "{label}: total lat mean bits"
-    );
-    assert_eq!(
-        a.latency_hist.bins(),
-        b.latency_hist.bins(),
-        "{label}: latency histogram"
-    );
-    assert_eq!(
-        a.latency_hist.overflow(),
-        b.latency_hist.overflow(),
-        "{label}: histogram overflow"
-    );
-    assert_eq!(
-        a.flits_per_router_ns.to_bits(),
-        b.flits_per_router_ns.to_bits(),
-        "{label}: throughput bits"
-    );
-    assert_eq!(a.nominations, b.nominations, "{label}: nominations");
-    assert_eq!(a.grants, b.grants, "{label}: grants");
-    assert_eq!(a.collisions, b.collisions, "{label}: collisions");
-    assert_eq!(
-        a.escape_dispatches, b.escape_dispatches,
-        "{label}: escape dispatches"
-    );
-    assert_eq!(
-        a.drain_engagements, b.drain_engagements,
-        "{label}: drain engagements"
-    );
-    assert_eq!(
-        a.matched_weight, b.matched_weight,
-        "{label}: matched weight"
-    );
-    assert_eq!(a.mwm_weight, b.mwm_weight, "{label}: MWM oracle weight");
-    // Per-transaction (request-issue → reply-drain) statistics are the
-    // newest order-sensitive accumulator: they ride the same canonical
-    // MeasureRecord replay, so raw-bit equality must hold for every
-    // worker count.
-    assert_eq!(
-        a.completed_txns, b.completed_txns,
-        "{label}: completed txns"
-    );
-    assert_eq!(
-        a.txn_latency.count(),
-        b.txn_latency.count(),
-        "{label}: txn lat count"
-    );
-    assert_eq!(
-        a.txn_latency.mean().to_bits(),
-        b.txn_latency.mean().to_bits(),
-        "{label}: txn lat mean bits"
-    );
-    assert_eq!(
-        a.txn_latency.variance().to_bits(),
-        b.txn_latency.variance().to_bits(),
-        "{label}: txn lat variance bits"
-    );
-    assert_eq!(
-        a.txn_latency_hist.bins(),
-        b.txn_latency_hist.bins(),
-        "{label}: txn latency histogram"
-    );
-    assert_eq!(
-        a.txn_latency_hist.overflow(),
-        b.txn_latency_hist.overflow(),
-        "{label}: txn histogram overflow"
-    );
-    // Fault-plane counters: CRC draws, retransmit timers, flap schedules
-    // and link-death broadcasts must replay identically when the faulty
-    // link's receiver sits in a different shard than its sender.
-    assert_eq!(
-        a.flits_corrupted, b.flits_corrupted,
-        "{label}: corrupted flits"
-    );
-    assert_eq!(
-        a.retransmissions, b.retransmissions,
-        "{label}: retransmissions"
-    );
-    assert_eq!(
-        a.retry_exhaustions, b.retry_exhaustions,
-        "{label}: retry exhaustions"
-    );
-    assert_eq!(a.links_dead, b.links_dead, "{label}: links dead");
-    assert_eq!(
-        a.unreachable_drops, b.unreachable_drops,
-        "{label}: unreachable drops"
-    );
-    assert_eq!(
-        a.retransmit_latency_hist.bins(),
-        b.retransmit_latency_hist.bins(),
-        "{label}: retransmit latency histogram"
-    );
-    assert_eq!(
-        a.retransmit_latency_hist.overflow(),
-        b.retransmit_latency_hist.overflow(),
-        "{label}: retransmit histogram overflow"
-    );
+    cycles: u64,
+) -> NetworkSim<CoherenceEndpoint> {
+    let mut sim = sim(cfg, wl, workers);
+    for _ in 0..cycles {
+        sim.step_cycle();
+    }
+    sim
 }
 
 #[test]
@@ -199,11 +77,11 @@ fn sharded_engine_is_bit_for_bit_equivalent_across_worker_counts() {
         for (seed, rate) in [(1u64, 0.002), (2, 0.02), (3, 0.1)] {
             let cfg = config(Torus::net_4x4(), algo, seed, 3_000);
             let wl = WorkloadConfig::paper(TrafficPattern::Uniform, rate);
-            let single = run_single(&cfg, &wl, true);
+            let single = run(&cfg, &wl, 1, true);
             for workers in WORKER_COUNTS {
                 let label = format!("{algo} seed={seed} rate={rate} workers={workers}");
-                let sharded = run_sharded(&cfg, &wl, workers, true);
-                assert_reports_identical(&single, &sharded, &label);
+                let sharded = run(&cfg, &wl, workers, true);
+                single.assert_bit_identical(&sharded, &label);
             }
         }
     }
@@ -212,16 +90,16 @@ fn sharded_engine_is_bit_for_bit_equivalent_across_worker_counts() {
 #[test]
 fn sharded_engine_is_equivalent_with_idle_skip_off() {
     // The skip machinery is per-shard; both settings must agree with the
-    // single-threaded engine under the same setting (which is itself
-    // pinned equivalent across settings by idle_skip_equivalence.rs).
+    // one-shard run under the same setting (which is itself pinned
+    // equivalent across settings by idle_skip_equivalence.rs).
     let cfg = config(Torus::net_4x4(), ArbAlgorithm::SpaaRotary, 5, 3_000);
     let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.02);
     for idle_skip in [false, true] {
-        let single = run_single(&cfg, &wl, idle_skip);
+        let single = run(&cfg, &wl, 1, idle_skip);
         for workers in [2, 4, 5] {
             let label = format!("idle_skip={idle_skip} workers={workers}");
-            let sharded = run_sharded(&cfg, &wl, workers, idle_skip);
-            assert_reports_identical(&single, &sharded, &label);
+            let sharded = run(&cfg, &wl, workers, idle_skip);
+            single.assert_bit_identical(&sharded, &label);
         }
     }
 }
@@ -248,11 +126,11 @@ fn sharded_engine_is_equivalent_under_hotspot_and_bursty_traffic() {
             23,
             3_000,
         );
-        let single = run_single(&cfg, wl, true);
+        let single = run(&cfg, wl, 1, true);
         for workers in [2, 3, 4, 8] {
             let label = format!("{name} workers={workers}");
-            let sharded = run_sharded(&cfg, wl, workers, true);
-            assert_reports_identical(&single, &sharded, &label);
+            let sharded = run(&cfg, wl, workers, true);
+            single.assert_bit_identical(&sharded, &label);
         }
     }
 }
@@ -263,11 +141,11 @@ fn sharded_engine_is_equivalent_on_a_larger_torus() {
     // dimensions and the wraparound rows land in the first/last shards.
     let cfg = config(Torus::net_8x8(), ArbAlgorithm::SpaaRotary, 9, 1_500);
     let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.03);
-    let single = run_single(&cfg, &wl, true);
+    let single = run(&cfg, &wl, 1, true);
     for workers in [2, 4, 7] {
         let label = format!("8x8 workers={workers}");
-        let sharded = run_sharded(&cfg, &wl, workers, true);
-        assert_reports_identical(&single, &sharded, &label);
+        let sharded = run(&cfg, &wl, workers, true);
+        single.assert_bit_identical(&sharded, &label);
     }
 }
 
@@ -278,11 +156,11 @@ fn sharded_engine_is_equivalent_under_saturation_drain() {
     // triggering credits arrive through the cross-shard outboxes.
     let cfg = config(Torus::net_4x4(), ArbAlgorithm::WfaRotary, 7, 4_000);
     let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.4);
-    let single = run_single(&cfg, &wl, true);
+    let single = run(&cfg, &wl, 1, true);
     for workers in [2, 4] {
         let label = format!("drain stress workers={workers}");
-        let sharded = run_sharded(&cfg, &wl, workers, true);
-        assert_reports_identical(&single, &sharded, &label);
+        let sharded = run(&cfg, &wl, workers, true);
+        single.assert_bit_identical(&sharded, &label);
     }
 }
 
@@ -291,24 +169,24 @@ fn sharded_engine_is_equivalent_on_mesh_and_full_mesh() {
     // The mesh loses its wrap links (edge shards have asymmetric
     // cross-shard degree) and the full mesh crosses shards on *every*
     // link with entry ports that are not the geometric opposite of the
-    // exit port — both exercise the topology-trait seam the engines
-    // share.
+    // exit port — both exercise the topology-trait seam every shard
+    // count shares.
     let mesh_cfg = config(Mesh::new(4, 4), ArbAlgorithm::SpaaRotary, 11, 3_000);
     let mesh_wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.03);
-    let single = run_single(&mesh_cfg, &mesh_wl, true);
+    let single = run(&mesh_cfg, &mesh_wl, 1, true);
     for workers in [2, 3, 4, 8, 16] {
         let label = format!("mesh4x4 workers={workers}");
-        let sharded = run_sharded(&mesh_cfg, &mesh_wl, workers, true);
-        assert_reports_identical(&single, &sharded, &label);
+        let sharded = run(&mesh_cfg, &mesh_wl, workers, true);
+        single.assert_bit_identical(&sharded, &label);
     }
 
     let fm_cfg = config(FullMesh::new(5), ArbAlgorithm::Pim1, 13, 3_000);
     let fm_wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.05);
-    let single = run_single(&fm_cfg, &fm_wl, true);
+    let single = run(&fm_cfg, &fm_wl, 1, true);
     for workers in [2, 3, 5] {
         let label = format!("fullmesh5 workers={workers}");
-        let sharded = run_sharded(&fm_cfg, &fm_wl, workers, true);
-        assert_reports_identical(&single, &sharded, &label);
+        let sharded = run(&fm_cfg, &fm_wl, workers, true);
+        single.assert_bit_identical(&sharded, &label);
     }
 }
 
@@ -326,12 +204,12 @@ fn sharded_engine_is_equivalent_with_matching_weight_oracle() {
     );
     cfg.router.measure_matching_weight = true;
     let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.03);
-    let single = run_single(&cfg, &wl, true);
+    let single = run(&cfg, &wl, 1, true);
     assert!(single.matched_weight > 0, "oracle saw no windows");
     for workers in [2, 3, 4, 8] {
         let label = format!("oracle workers={workers}");
-        let sharded = run_sharded(&cfg, &wl, workers, true);
-        assert_reports_identical(&single, &sharded, &label);
+        let sharded = run(&cfg, &wl, workers, true);
+        single.assert_bit_identical(&sharded, &label);
     }
 }
 
@@ -341,12 +219,12 @@ fn sharded_engine_is_equivalent_for_closed_loop_drivers() {
     // reply arrival cycles, so shard scheduling that perturbed a single
     // delivery would cascade into a different transaction trace. Worker
     // counts {1,2,4,8}, idle-skip both ways, per-transaction latency
-    // compared on raw bits (inside assert_reports_identical).
+    // compared on raw bits (inside assert_bit_identical).
     for (seed, rate, mshrs) in [(81u64, 0.01, 1), (82, 0.05, 4), (83, 0.2, 16)] {
         let cfg = config(Torus::net_4x4(), ArbAlgorithm::SpaaRotary, seed, 3_000);
         let wl = WorkloadConfig::closed_loop(TrafficPattern::Uniform, rate, mshrs);
         for idle_skip in [false, true] {
-            let single = run_single(&cfg, &wl, idle_skip);
+            let single = run(&cfg, &wl, 1, idle_skip);
             assert!(
                 single.completed_txns > 0,
                 "mshrs={mshrs}: no transactions measured"
@@ -355,8 +233,8 @@ fn sharded_engine_is_equivalent_for_closed_loop_drivers() {
                 let label = format!(
                     "closed loop mshrs={mshrs} rate={rate} idle_skip={idle_skip} workers={workers}"
                 );
-                let sharded = run_sharded(&cfg, &wl, workers, idle_skip);
-                assert_reports_identical(&single, &sharded, &label);
+                let sharded = run(&cfg, &wl, workers, idle_skip);
+                single.assert_bit_identical(&sharded, &label);
             }
         }
     }
@@ -375,12 +253,12 @@ fn sharded_engine_is_equivalent_for_closed_loop_three_hop_on_8x8() {
     );
     let wl =
         WorkloadConfig::closed_loop(TrafficPattern::Uniform, 0.05, 8).with_three_hop_fraction(1.0);
-    let single = run_single(&cfg, &wl, true);
+    let single = run(&cfg, &wl, 1, true);
     assert!(single.completed_txns > 0, "no transactions measured");
     for workers in [2, 4, 8] {
         let label = format!("closed loop 8x8 three-hop workers={workers}");
-        let sharded = run_sharded(&cfg, &wl, workers, true);
-        assert_reports_identical(&single, &sharded, &label);
+        let sharded = run(&cfg, &wl, workers, true);
+        single.assert_bit_identical(&sharded, &label);
     }
 }
 
@@ -388,9 +266,15 @@ fn sharded_engine_is_equivalent_for_closed_loop_three_hop_on_8x8() {
 fn sharded_worker_request_is_clamped_to_node_count() {
     let cfg = config(Torus::net_4x4(), ArbAlgorithm::SpaaRotary, 1, 100);
     let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.01);
-    let endpoints = workload::build_endpoints(&cfg, &wl);
-    let sim = ShardedNetworkSim::new(cfg, endpoints, 1_000);
-    assert_eq!(sim.workers(), 16, "one shard per node at most");
+    assert_eq!(
+        sim(&cfg, &wl, 1_000).workers(),
+        16,
+        "one shard per node at most"
+    );
+    assert_eq!(
+        NetworkSim::new(cfg.clone(), workload::build_endpoints(&cfg, &wl)).workers(),
+        1
+    );
 }
 
 #[test]
@@ -422,7 +306,7 @@ fn sharded_engine_is_equivalent_under_fault_storms() {
         cfg.fault = storm.clone();
         let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.02);
         for idle_skip in [false, true] {
-            let single = run_single(&cfg, &wl, idle_skip);
+            let single = run(&cfg, &wl, 1, idle_skip);
             assert!(
                 single.flits_corrupted > 0,
                 "{name}: storm must corrupt flits"
@@ -430,9 +314,95 @@ fn sharded_engine_is_equivalent_under_fault_storms() {
             assert!(single.links_dead > 0, "{name}: storm must kill links");
             for workers in [1, 2, 4, 8] {
                 let label = format!("fault storm {name} idle_skip={idle_skip} workers={workers}");
-                let sharded = run_sharded(&cfg, &wl, workers, idle_skip);
-                assert_reports_identical(&single, &sharded, &label);
+                let sharded = run(&cfg, &wl, workers, idle_skip);
+                single.assert_bit_identical(&sharded, &label);
             }
         }
     }
+}
+
+/// Corruption heavy enough, with a retry budget small enough, that links
+/// die of retry exhaustion mid-run: each death is a `LinkDead` event the
+/// engine must broadcast to every shard at its canonical position.
+fn exhaustion_storm() -> FaultConfig {
+    FaultConfig {
+        ber: 0.05,
+        max_retries: 1,
+        ..FaultConfig::default()
+    }
+}
+
+#[test]
+fn inline_stepping_matches_the_fleet_and_one_shard() {
+    // `step_cycle` on a multi-shard sim runs the same two phases the
+    // fleet does, on one thread: phase A over the shards in index order,
+    // phase B routed to the owning shard. Uneven (3) and one-node (16)
+    // shards, fault-free and under a storm that exercises the inline
+    // `LinkDead` broadcast.
+    for (name, fault) in [
+        ("fault-free", FaultConfig::default()),
+        ("storm", exhaustion_storm()),
+    ] {
+        let mut cfg = config(Torus::net_4x4(), ArbAlgorithm::SpaaRotary, 61, 3_000);
+        cfg.fault = fault;
+        let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.03);
+        let one = run(&cfg, &wl, 1, true);
+        if name == "storm" {
+            assert!(one.retry_exhaustions > 0, "storm must exhaust a link");
+        }
+        for workers in [3, 16] {
+            let label = format!("{name} workers={workers}");
+            let inline = stepped(&cfg, &wl, workers, cfg.total_cycles()).report();
+            inline.assert_bit_identical(&run(&cfg, &wl, workers, true), &label);
+            inline.assert_bit_identical(&one, &label);
+        }
+    }
+}
+
+#[test]
+fn stepping_then_running_equals_an_uninterrupted_run() {
+    // `run()` picks up wherever `step_cycle` left off — on the inline
+    // loop (1 worker) and on the fleet (4), whose watchdog and outbox
+    // state start fresh mid-simulation.
+    let mut cfg = config(Torus::net_4x4(), ArbAlgorithm::Pim1, 67, 3_000);
+    cfg.fault.watchdog_cycles = Some(1_000);
+    let wl = WorkloadConfig::closed_loop(TrafficPattern::Uniform, 0.05, 4);
+    let whole = run(&cfg, &wl, 1, true);
+    for workers in [1, 4] {
+        let resumed = stepped(&cfg, &wl, workers, cfg.total_cycles() / 3).run();
+        resumed.assert_bit_identical(&whole, &format!("resumed workers={workers}"));
+    }
+}
+
+#[test]
+fn mid_run_report_is_identical_across_worker_counts() {
+    // Mid-run the network is loaded (in-flight packets, partial
+    // histograms in every shard), so the report's cross-shard sums are
+    // all live.
+    let cfg = config(
+        Torus::net_4x4(),
+        ArbAlgorithm::Islip { iterations: 2 },
+        71,
+        3_000,
+    );
+    let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.05);
+    let at = cfg.total_cycles() / 2;
+    let one = stepped(&cfg, &wl, 1, at).report();
+    assert!(one.delivered_packets > 0 && one.in_flight_packets > 0);
+    for workers in [2, 5] {
+        let sharded = stepped(&cfg, &wl, workers, at).report();
+        sharded.assert_bit_identical(&one, &format!("mid-run workers={workers}"));
+    }
+}
+
+#[test]
+fn diagnostic_dump_lists_every_router_once_in_id_order() {
+    let cfg = config(Torus::net_4x4(), ArbAlgorithm::SpaaRotary, 73, 3_000);
+    let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.05);
+    let dump = stepped(&cfg, &wl, 4, 500).diagnostic_dump();
+    let routers: Vec<u16> = dump
+        .lines()
+        .filter_map(|l| l.strip_prefix("  router ")?.split(':').next()?.parse().ok())
+        .collect();
+    assert_eq!(routers, (0..16).collect::<Vec<u16>>(), "{dump}");
 }

@@ -1,49 +1,90 @@
-//! Figure-regeneration harnesses for the arbitration study.
+//! Figure regeneration for the arbitration study.
 //!
-//! Each binary in `src/bin/` regenerates one of the paper's figures (see
-//! DESIGN.md's experiment index). This library holds the shared plumbing:
-//! BNF sweeps over injection rates, fanned out across worker threads, and
-//! consistent table output.
+//! The one binary, `fig`, regenerates any figure of the [`catalogue`]
+//! (see DESIGN.md "Figure catalogue"). This file holds what every figure
+//! and the `perf/` benchmark share: the point runner ([`run_jobs`]), the
+//! per-point configuration layout ([`point_config`]) and the BNF sweep
+//! over injection rates ([`SweepSpec`]). [`figure`] holds what a
+//! catalogue entry is built from: arguments, columns, curves.
 //!
-//! Scale control: every harness accepts `--paper` for full paper fidelity
-//! (75,000 cycles per point, §4.3) and defaults to a reduced but
-//! shape-preserving quick mode so `cargo bench`/CI stay fast.
+//! Scale control ([`Scale`], resolved over a figure's [`Grid`]): every
+//! figure accepts `--paper` for full paper fidelity (75,000 cycles per
+//! point, §4.3), defaults to a reduced but shape-preserving scale, and
+//! has a `--quick` smoke scale for CI.
 
-pub mod harness;
+pub mod catalogue;
+pub mod figure;
 
-use network::{FaultConfig, NetTopology, NetworkConfig};
+use network::{FaultConfig, NetTopology, NetworkConfig, NetworkReport};
 use router::{ArbAlgorithm, RouterConfig};
 use simcore::bnf::{BnfCurve, BnfPoint, ReplicatedBnfCurve};
 use simcore::sweep::parallel_map;
-use simcore::table::Table;
-use workload::{run_coherence_sim_with_workers, BurstConfig, TrafficPattern, WorkloadConfig};
+use workload::{
+    run_coherence_sim_with_workers, BurstConfig, EndpointStats, TrafficPattern, WorkloadConfig,
+};
 
-/// How long each simulated point runs.
+/// How much work a figure does and how long each simulated point runs.
+/// The variant names are the labels the paper figures' headings print.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced cycle count: fast, same qualitative shape.
+    /// `--quick`: the CI smoke scale — three load points, short runs.
+    Smoke,
+    /// No flag: reduced cycle count, same qualitative shape; regenerates
+    /// the committed `BENCH_*.json` tables, whose `mode` says "default".
     Quick,
-    /// The paper's 75,000-cycle runs.
+    /// `--paper`: the paper's 75,000-cycle runs (§4.3).
     Paper,
 }
 
 impl Scale {
-    /// Parses process arguments: `--paper` selects full scale.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Quick
+    /// This scale's choice among per-scale values.
+    pub fn pick<T>(self, smoke: T, quick: T, paper: T) -> T {
+        match self {
+            Scale::Smoke => smoke,
+            Scale::Quick => quick,
+            Scale::Paper => paper,
         }
     }
 
-    /// Total cycles per simulated point.
-    pub fn cycles(self) -> u64 {
-        match self {
-            Scale::Quick => 20_000,
-            Scale::Paper => 75_000,
+    /// The JSON `mode` field and the extension figures' headings.
+    pub fn mode(self) -> &'static str {
+        self.pick("quick", "default", "paper")
+    }
+
+    /// The one mode resolver: cycles per point and the swept grid.
+    pub fn resolve(self, grid: &Grid) -> (u64, Vec<f64>) {
+        let (cycles, values) = self.pick(grid.smoke, grid.full, (grid.paper_cycles, grid.full.1));
+        (cycles, values.to_vec())
+    }
+}
+
+/// A figure's run length and swept values at each scale: `(cycles,
+/// values)` for `Smoke` and `Quick`; `Paper` sweeps the `Quick` values
+/// for `paper_cycles`.
+#[derive(Clone, Copy, Debug)]
+pub struct Grid {
+    /// `--quick`.
+    pub smoke: (u64, &'static [f64]),
+    /// No flag.
+    pub full: (u64, &'static [f64]),
+    /// `--paper` run length.
+    pub paper_cycles: u64,
+}
+
+impl Grid {
+    /// The standard shape: 4,000-cycle smoke over [`SMOKE_RATES`],
+    /// `cycles` over `values` by default, 75,000 cycles for `--paper`.
+    /// A figure that differs overrides fields with struct-update syntax.
+    pub const fn new(cycles: u64, values: &'static [f64]) -> Grid {
+        Grid {
+            smoke: (4_000, &SMOKE_RATES),
+            full: (cycles, values),
+            paper_cycles: 75_000,
         }
     }
+
+    /// The paper figures' grid, and what [`SweepSpec::new`] starts from.
+    pub const STANDARD: Grid = Grid::new(20_000, &DEFAULT_RATES);
 }
 
 /// Specification of one BNF sweep (one curve of a figure).
@@ -93,100 +134,60 @@ impl SweepSpec {
         pattern: TrafficPattern,
         scale: Scale,
     ) -> Self {
+        let (cycles, rates) = scale.resolve(&Grid::STANDARD);
         SweepSpec {
             algorithm,
             topology: topology.into(),
             pattern,
             mshrs: u32::MAX,
             scaled_2x: false,
-            rates: default_rates(),
-            cycles: scale.cycles(),
-            seed: 0x21364,
+            rates,
+            cycles,
+            seed: SEED,
             burst: None,
             sim_workers: 1,
             fault: FaultConfig::default(),
         }
     }
 
-    /// The same sweep with the closed-loop MSHR limit engaged (used by
-    /// the Figure 11b outstanding-miss study).
-    pub fn closed_loop(mut self, mshrs: u32) -> Self {
-        self.mshrs = mshrs;
-        self
-    }
-
-    /// The same sweep with bursty on/off arrivals.
-    pub fn with_burst(mut self, burst: BurstConfig) -> Self {
-        self.burst = Some(burst);
-        self
-    }
-
-    /// The same sweep with the deterministic fault plane active (link
-    /// corruption, flaps, scheduled kills, boot-time dead links — see
-    /// `network::FaultConfig`).
-    pub fn with_fault(mut self, fault: FaultConfig) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// The same sweep with each simulation split across `workers`
-    /// threads (`0` = automatic sizing, which clamps to 1 inside a
-    /// `parallel_map` worker so the two fan-outs never multiply).
-    pub fn with_sim_workers(mut self, workers: usize) -> Self {
-        self.sim_workers = workers;
-        self
-    }
-
-    /// Seed-stream layout: one independent simulation seed per
-    /// (replicate seed, load point). The rate index lives in the high
-    /// half so replicate seeds like 1, 2, 3… never collide with their
-    /// neighbours' points, and every router/endpoint stream is forked
-    /// from the result (see `simcore::rng`).
-    fn network_config(&self, seed: u64, rate_idx: usize) -> NetworkConfig {
+    /// The simulation of one load point under replicate seed `seed`.
+    pub fn job(&self, seed: u64, rate_idx: usize, rate: f64) -> Job {
         let router = if self.scaled_2x {
             RouterConfig::scaled_2x(self.algorithm)
         } else {
             RouterConfig::alpha_21364(self.algorithm)
         };
-        NetworkConfig {
-            topology: self.topology,
+        let net = point_config(
+            self.topology,
             router,
-            seed: seed ^ ((rate_idx as u64) << 32),
-            warmup_cycles: self.cycles / 5,
-            measure_cycles: self.cycles - self.cycles / 5,
-            fault: self.fault.clone(),
-        }
+            seed,
+            rate_idx,
+            self.cycles,
+            self.fault.clone(),
+        );
+        let wl = WorkloadConfig {
+            mshrs: self.mshrs,
+            burst: self.burst,
+            ..WorkloadConfig::open_loop(self.pattern, rate)
+        };
+        (net, wl)
     }
 
-    fn point(&self, seed: u64, rate_idx: usize, rate: f64) -> BnfPoint {
-        let net = self.network_config(seed, rate_idx);
-        let wl = WorkloadConfig {
-            pattern: self.pattern,
-            injection_rate: rate,
-            mshrs: self.mshrs,
-            coherence: Default::default(),
-            burst: self.burst,
-        };
-        let (report, _stats) = run_coherence_sim_with_workers(net, wl, self.sim_workers);
-        BnfPoint {
-            offered: rate,
-            delivered_flits_per_router_ns: report.flits_per_router_ns,
-            avg_latency_ns: report.avg_latency_ns(),
-            packets: report.delivered_packets,
-        }
+    /// One simulation per (seed, load point), seed-major, as one flat
+    /// batch through the worker pool.
+    fn run_seeds(&self, workers: usize, seeds: &[u64]) -> Vec<Point> {
+        let grid = || self.rates.iter().copied().enumerate();
+        let jobs = seeds
+            .iter()
+            .flat_map(|&seed| grid().map(move |(idx, rate)| (rate, self.job(seed, idx, rate))))
+            .collect();
+        run_jobs(workers, self.sim_workers, jobs)
     }
 
     /// Runs the sweep (points in parallel) into a labelled BNF curve.
     pub fn run(&self, workers: usize) -> BnfCurve {
-        let jobs: Vec<(usize, f64)> = self.rates.iter().copied().enumerate().collect();
-        let points = parallel_map(workers, jobs, |(idx, rate)| {
-            self.point(self.seed, idx, rate)
-        });
-        let mut curve = BnfCurve::new(self.algorithm.to_string());
-        for p in points {
-            curve.push(p);
-        }
-        curve
+        let points = self.run_seeds(workers, &[self.seed]);
+        bnf_curve(self.algorithm.to_string(), &points)
     }
 
     /// Runs the sweep once per seed in `seeds`, fanning the full
@@ -208,166 +209,129 @@ impl SweepSpec {
             !self.rates.is_empty(),
             "replication needs at least one load point"
         );
-        let jobs: Vec<(u64, usize, f64)> = seeds
-            .iter()
-            .flat_map(|&seed| {
-                self.rates
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .map(move |(idx, rate)| (seed, idx, rate))
-            })
-            .collect();
-        let points = parallel_map(workers, jobs, |(seed, idx, rate)| {
-            self.point(seed, idx, rate)
-        });
+        let points = self.run_seeds(workers, seeds);
         let mut replicated = ReplicatedBnfCurve::new(self.algorithm.to_string());
         for (chunk, &seed) in points.chunks(self.rates.len()).zip(seeds) {
-            let mut curve = BnfCurve::new(self.algorithm.to_string());
-            for p in chunk {
-                curve.push(*p);
-            }
-            replicated.merge(seed, curve);
+            replicated.merge(seed, bnf_curve(self.algorithm.to_string(), chunk));
         }
         replicated
     }
 }
 
+/// The seed every single-seed sweep and figure runs under.
+pub const SEED: u64 = 0x21364;
+
+/// One simulation to run: the network and the workload driving it.
+pub type Job = (NetworkConfig, WorkloadConfig);
+
+/// One simulated operating point with everything the run measured, so a
+/// figure's columns are chosen after the fact instead of by a private
+/// runner per figure.
+#[derive(Clone, Debug)]
+pub struct Point {
+    /// The swept coordinate: offered load (packets/node/cycle) on a BNF
+    /// curve, the fault parameter on a degradation curve.
+    pub x: f64,
+    /// The network's report.
+    pub report: NetworkReport,
+    /// The endpoints' aggregate statistics.
+    pub stats: EndpointStats,
+}
+
+/// A labelled BNF curve over `points`: each point's two BNF axes.
+pub fn bnf_curve(label: String, points: &[Point]) -> BnfCurve {
+    let mut curve = BnfCurve::new(label);
+    for p in points {
+        curve.push(BnfPoint {
+            offered: p.x,
+            delivered_flits_per_router_ns: p.report.flits_per_router_ns,
+            avg_latency_ns: p.report.avg_latency_ns(),
+            packets: p.report.delivered_packets,
+        });
+    }
+    curve
+}
+
+/// The network configuration of grid point `idx` under `seed` — the one
+/// place the seed-stream layout and the warm-up split are decided.
+///
+/// One independent simulation seed per (replicate seed, grid point): the
+/// index lives in the high half so replicate seeds like 1, 2, 3… never
+/// collide with their neighbours' points, and every router/endpoint
+/// stream is forked from the result (see `simcore::rng`). A fifth of
+/// `cycles` warms up, the rest is measured (§4.3).
+pub fn point_config(
+    topology: NetTopology,
+    router: RouterConfig,
+    seed: u64,
+    idx: usize,
+    cycles: u64,
+    fault: FaultConfig,
+) -> NetworkConfig {
+    NetworkConfig {
+        topology,
+        router,
+        seed: seed ^ ((idx as u64) << 32),
+        warmup_cycles: cycles / 5,
+        measure_cycles: cycles - cycles / 5,
+        fault,
+    }
+}
+
+/// The one point runner: a batch of independent simulations, each
+/// tagged with its swept coordinate, fanned over up to `workers` threads
+/// (`0` = automatic), each split across `sim_workers` shards; results in
+/// input order.
+pub fn run_jobs(workers: usize, sim_workers: usize, jobs: Vec<(f64, Job)>) -> Vec<Point> {
+    parallel_map(workers, jobs, |(x, (net, wl))| {
+        let (report, stats) = run_coherence_sim_with_workers(net, wl, sim_workers);
+        Point { x, report, stats }
+    })
+}
+
 /// The default injection-rate grid: dense around the saturation bend
 /// (≈0.02–0.04 transactions/node/cycle on the 8×8), with a short tail
 /// into the post-saturation region where the rotary/base curves separate.
-pub fn default_rates() -> Vec<f64> {
-    vec![
-        0.001, 0.002, 0.004, 0.006, 0.008, 0.012, 0.016, 0.020, 0.024, 0.028, 0.034, 0.042, 0.055,
-        0.075, 0.1,
-    ]
-}
+pub const DEFAULT_RATES: [f64; 15] = [
+    0.001, 0.002, 0.004, 0.006, 0.008, 0.012, 0.016, 0.020, 0.024, 0.028, 0.034, 0.042, 0.055,
+    0.075, 0.1,
+];
 
-/// Renders a set of curves the way the paper's figures tabulate them:
-/// one row per operating point.
-pub fn curves_table(curves: &[BnfCurve]) -> Table {
-    let mut t = Table::with_columns(&[
-        "algorithm",
-        "offered(pkt/node/cy)",
-        "delivered(flits/router/ns)",
-        "latency(ns)",
-        "packets",
-    ]);
-    for c in curves {
-        for p in &c.points {
-            t.row(vec![
-                c.label.clone(),
-                format!("{:.4}", p.offered),
-                format!("{:.4}", p.delivered_flits_per_router_ns),
-                format!("{:.1}", p.avg_latency_ns),
-                p.packets.to_string(),
-            ]);
-        }
-    }
-    t
-}
-
-/// Renders replicated curves with error bars: one row per load point
-/// with mean, sample std-dev, and 95% CI half-width for both axes.
-pub fn replicated_curves_table(curves: &[ReplicatedBnfCurve]) -> Table {
-    let mut t = Table::with_columns(&[
-        "algorithm",
-        "offered(pkt/node/cy)",
-        "seeds",
-        "thr mean",
-        "thr sd",
-        "thr ±ci95",
-        "lat mean(ns)",
-        "lat sd",
-        "lat ±ci95",
-    ]);
-    for c in curves {
-        for p in c.points() {
-            t.row(vec![
-                c.label.clone(),
-                format!("{:.4}", p.offered),
-                p.throughput.count().to_string(),
-                format!("{:.4}", p.throughput.mean()),
-                format!("{:.4}", p.throughput.sample_std_dev()),
-                format!("{:.4}", p.throughput_ci95()),
-                format!("{:.1}", p.latency_ns.mean()),
-                format!("{:.1}", p.latency_ns.sample_std_dev()),
-                format!("{:.1}", p.latency_ci95()),
-            ]);
-        }
-    }
-    t
-}
-
-/// Summarizes the paper's headline comparisons for a figure: peak and
-/// final throughput per algorithm plus throughput at a reference latency.
-pub fn summary_table(curves: &[BnfCurve], ref_latency_ns: f64) -> Table {
-    let mut t = Table::with_columns(&[
-        "algorithm",
-        "peak thr",
-        "final thr",
-        &format!("thr @ {ref_latency_ns} ns"),
-        "zero-load lat (ns)",
-    ]);
-    for c in curves {
-        t.row(vec![
-            c.label.clone(),
-            fmt_opt(c.peak_throughput()),
-            fmt_opt(c.final_throughput()),
-            fmt_opt(c.throughput_at_latency(ref_latency_ns)),
-            fmt_opt(c.zero_load_latency()),
-        ]);
-    }
-    t
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map(|x| format!("{x:.3}")).unwrap_or_else(|| "-".into())
-}
-
-/// The value following `flag` in an argument list (`--out path` style),
-/// shared by the figure binaries' hand-rolled CLI parsing.
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The `--threads N` flag: worker threads *per simulation* for harnesses
-/// that shard each simulation (see [`SweepSpec::with_sim_workers`]).
-/// Absent or unparsable values fall back to `default`.
-pub fn threads_flag(args: &[String], default: usize) -> usize {
-    flag_value(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// The smoke grid: three load points spanning pre-bend, bend, and
+/// post-saturation, short enough that every figure stays under a minute.
+pub const SMOKE_RATES: [f64; 3] = [0.004, 0.02, 0.055];
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use network::Torus;
 
-    #[test]
-    fn scale_cycles() {
-        assert_eq!(Scale::Quick.cycles(), 20_000);
-        assert_eq!(Scale::Paper.cycles(), 75_000);
-    }
-
-    #[test]
-    fn default_rate_grid_is_monotone() {
-        let rates = default_rates();
-        assert!(rates.windows(2).all(|w| w[0] < w[1]));
-        assert!(rates.len() >= 10, "enough points to trace a curve");
-    }
-
-    #[test]
-    fn tiny_sweep_produces_ordered_curve() {
-        let mut spec = SweepSpec::new(
+    fn tiny_spec() -> SweepSpec {
+        SweepSpec::new(
             ArbAlgorithm::SpaaBase,
             Torus::net_4x4(),
             TrafficPattern::Uniform,
             Scale::Quick,
-        );
+        )
+    }
+
+    #[test]
+    fn scales_resolve_the_standard_grid() {
+        let cycles = |scale: Scale| scale.resolve(&Grid::STANDARD);
+        assert_eq!(cycles(Scale::Smoke), (4_000, SMOKE_RATES.to_vec()));
+        assert_eq!(cycles(Scale::Quick), (20_000, DEFAULT_RATES.to_vec()));
+        assert_eq!(cycles(Scale::Paper), (75_000, DEFAULT_RATES.to_vec()));
+    }
+
+    #[test]
+    fn default_rate_grid_is_monotone() {
+        assert!(DEFAULT_RATES.windows(2).all(|w| w[0] < w[1]));
+        assert!(DEFAULT_RATES.len() >= 10, "enough points to trace a curve");
+    }
+
+    #[test]
+    fn tiny_sweep_produces_ordered_curve() {
+        let mut spec = tiny_spec();
         spec.rates = vec![0.002, 0.02];
         spec.cycles = 3000;
         let curve = spec.run(2);
@@ -380,12 +344,7 @@ mod tests {
 
     #[test]
     fn tiny_replicated_sweep_aggregates_seeds() {
-        let mut spec = SweepSpec::new(
-            ArbAlgorithm::SpaaBase,
-            Torus::net_4x4(),
-            TrafficPattern::Uniform,
-            Scale::Quick,
-        );
+        let mut spec = tiny_spec();
         spec.rates = vec![0.01];
         spec.cycles = 1500;
         let r = spec.run_replicated(2, &[1, 2, 3]);
@@ -396,45 +355,35 @@ mod tests {
         assert!(pts[0].throughput.mean() > 0.0);
         // Independent seeds genuinely differ (otherwise the CI is a lie).
         assert!(pts[0].throughput.sample_std_dev() > 0.0);
-        let table = replicated_curves_table(&[r]);
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn with_fault_threads_into_every_point_config() {
-        let spec = SweepSpec::new(
-            ArbAlgorithm::SpaaRotary,
-            Torus::net_4x4(),
-            TrafficPattern::Uniform,
-            Scale::Quick,
-        )
-        .with_fault(FaultConfig {
-            ber: 0.25,
-            ..FaultConfig::default()
-        });
-        let cfg = spec.network_config(1, 0);
-        assert_eq!(cfg.fault.ber, 0.25, "fault plane must reach the config");
-        let plain = SweepSpec::new(
-            ArbAlgorithm::SpaaRotary,
-            Torus::net_4x4(),
-            TrafficPattern::Uniform,
-            Scale::Quick,
-        );
-        assert!(!plain.network_config(1, 0).fault.injection_enabled());
     }
 
     #[test]
     fn tables_render() {
-        let mut c = BnfCurve::new("SPAA-base");
-        c.push(BnfPoint {
-            offered: 0.01,
-            delivered_flits_per_router_ns: 0.3,
-            avg_latency_ns: 60.0,
-            packets: 500,
-        });
-        let t = curves_table(&[c.clone()]);
+        let mut spec = tiny_spec();
+        spec.rates = vec![0.01];
+        spec.cycles = 1500;
+        let points = run_jobs(1, 1, vec![(0.01, spec.job(spec.seed, 0, 0.01))]);
+        let curves = [figure::Curve {
+            label: "SPAA-base".into(),
+            points,
+        }];
+        let t = figure::table(Some("algorithm"), &figure::bnf_columns("thr"), &curves);
         assert_eq!(t.len(), 1);
-        let s = summary_table(&[c], 80.0);
+        assert!(t.to_text().contains("offered(pkt/node/cy)"));
+        let s = figure::summary_table(&figure::bnf_curves(&curves), 80.0);
         assert!(s.to_text().contains("SPAA-base"));
+        assert!(s.to_text().contains("thr @ 80 ns"));
+    }
+
+    #[test]
+    fn fault_plane_and_seed_layout_reach_every_point_config() {
+        let mut spec = tiny_spec();
+        assert!(!spec.job(1, 0, 0.01).0.fault.injection_enabled());
+        spec.fault.ber = 0.25;
+        let (net, wl) = spec.job(1, 3, 0.01);
+        assert_eq!(net.fault.ber, 0.25, "fault plane must reach the config");
+        assert_eq!(net.seed, 1 ^ (3 << 32));
+        assert_eq!(net.warmup_cycles + net.measure_cycles, spec.cycles);
+        assert_eq!(wl.injection_rate, 0.01);
     }
 }

@@ -47,8 +47,8 @@
 //!
 //! When the plane is disabled (the [`FaultConfig::default`]), no
 //! per-link state is allocated, no RNG stream is forked, and no draw is
-//! ever taken: the only cost is one `Option` test per cycle phase. The
-//! `hot_path` harness pins the zero-fault tax; the golden digests pin
+//! ever taken: the only cost is one `Option` test per cycle phase.
+//! `tests/fault_plane.rs` pins the zero-fault tax; the golden digests pin
 //! byte-identical fault-off reports.
 
 use crate::topology::{NetTopology, Topology};

@@ -218,7 +218,7 @@ pub(crate) struct Shard<E> {
     pub(crate) txn_latency_hist: Histogram,
     /// The fault plane, present only when fault injection is configured
     /// — `None` costs one branch per phase and guarantees zero RNG
-    /// draws (the zero-fault tax pinned by `hot_path`).
+    /// draws (the zero-fault tax pinned by `tests/fault_plane.rs`).
     faults: Option<FaultPlane>,
     /// Every delivery to a local endpoint, warmup included — the
     /// forward-progress signal the watchdog monitors.

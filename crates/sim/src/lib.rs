@@ -13,7 +13,8 @@
 //! * [`stats`] — online moments, histograms and counters.
 //! * [`bnf`] — Burton-Normal-Form (latency vs delivered-throughput) curves,
 //!   the paper's performance metric (§4.3).
-//! * [`table`] — plain-text/CSV emission for the figure harnesses.
+//! * [`table`] — plain-text/CSV emission for the figure catalogue.
+//! * [`json`] — the one JSON writer behind the committed `BENCH_*.json`.
 //! * [`sweep`] — a parallel runner used to farm out injection-rate sweeps.
 //! * [`sync`] — a spin barrier for the cycle-locked sharded engine.
 //!
@@ -33,6 +34,7 @@
 
 pub mod bnf;
 pub mod clock;
+pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod sweep;

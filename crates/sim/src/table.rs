@@ -1,7 +1,7 @@
-//! Plain-text and CSV table emission for the figure harnesses.
+//! Plain-text and CSV table emission for the figure catalogue.
 //!
-//! The benchmark binaries print the same rows/series the paper's figures
-//! plot; this module keeps their output formatting consistent.
+//! The `fig` driver prints the same rows/series the paper's figures
+//! plot; this module keeps that output formatting consistent.
 
 use std::fmt::Write as _;
 

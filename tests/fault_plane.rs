@@ -7,7 +7,8 @@
 //! suite pins those promises end to end through the real engines: a
 //! lockstep ladder under a corruption storm, open-loop conservation with
 //! duplicate detection, the exact bounded-retry → link-death transition,
-//! and panic propagation out of the sharded worker fleet.
+//! panic propagation out of the sharded worker fleet, and the guard that
+//! a disabled fault plane costs the simulation nothing.
 
 use alpha21364::prelude::*;
 use router::packet::PacketId;
@@ -351,6 +352,33 @@ impl Endpoint for PanicAt {
     fn on_delivered(&mut self, _packet: &Packet, _now: Tick) -> Option<TxnCompletion> {
         None
     }
+}
+
+#[test]
+fn disabled_fault_plane_taxes_nothing() {
+    // Zero-fault-tax guard: with faults disabled (the default config
+    // every figure and benchmark point runs under) the fault plane must
+    // not perturb the simulation at all. A watchdog-only config arms the
+    // forward-progress watchdog but enables no fault injection, so its
+    // report must be bit-identical to the default's — any divergence
+    // means the fault plane is taxing the fault-free hot path with RNG
+    // draws or schedule changes, which would silently skew every
+    // committed table and every `perf/` number.
+    let run = |fault: FaultConfig| {
+        let cfg = storm_config(Torus::net_4x4().into(), 0x21364, 5_000, fault);
+        let wl = WorkloadConfig::open_loop(TrafficPattern::Uniform, 0.04);
+        run_coherence_sim(cfg, wl).0
+    };
+    let plain = run(FaultConfig::default());
+    let armed = run(FaultConfig {
+        watchdog_cycles: Some(2_000),
+        ..FaultConfig::default()
+    });
+    assert!(plain.delivered_packets > 1_000, "guard must carry traffic");
+    assert_eq!(plain.flits_corrupted, 0, "fault-free run corrupted flits");
+    assert_eq!(plain.retransmissions, 0, "fault-free run retransmitted");
+    assert_eq!(plain.links_dead, 0, "fault-free run killed links");
+    plain.assert_bit_identical(&armed, "watchdog-only run vs fault-free run");
 }
 
 #[test]

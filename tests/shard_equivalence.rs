@@ -8,7 +8,7 @@
 //! patterns, so a single reordered floating-point accumulation (the
 //! classic parallel-reduction bug) fails the suite — whether the cycles
 //! ran on the worker fleet (`run`), inline (`step_cycle`), or a mix. This
-//! is what lets `fig_bigtorus` publish multi-threaded curves as *the*
+//! is what lets `fig bigtorus` publish multi-threaded curves as *the*
 //! results rather than an approximation.
 
 use alpha21364::prelude::*;

@@ -28,13 +28,24 @@
 //! * **Intrusive per-VC queues** — the links live in the metadata,
 //!   making grant-time dequeue and tail-time release O(1) instead of the
 //!   O(queue) shifting a `VecDeque::retain` pays.
-//! * **Incremental eligibility masks** — the buffer tracks, per VC, how
-//!   many queued entries are in the `Waiting` state (and how many of
-//!   those are local deliveries). Only `Waiting` entries can ever be
-//!   nominated, so the LA scans and the window snapshot skip whole VCs
-//!   by one mask test instead of walking their queues, and the
-//!   anti-starvation census walks only the old prefix of VCs that still
-//!   hold waiting packets.
+//! * **Incremental waiting masks** — the buffer tracks, per VC, how many
+//!   queued entries are in the `Waiting` state. Only `Waiting` entries
+//!   can ever be nominated, so VCs without one are never visited, and
+//!   the anti-starvation census walks only the old prefix of VCs that
+//!   still hold waiting packets.
+//! * **Window-exact request tracking** — an LA walk examines at most the
+//!   first `scan_window` queued entries of a VC, so that prefix (the
+//!   *scan window*) is the only part of the queue whose requests matter.
+//!   Each entry inside it carries [`META_IN_WINDOW`], each VC remembers
+//!   its window tail, and the buffer keeps, per VC, the union of the
+//!   outputs requested by the `Waiting` entries inside the window
+//!   ([`InputBuffer::window_requests`]) — the row of the request matrix
+//!   the arbiters consume, maintained at insert / unlink / state
+//!   transition instead of re-derived by walking the queue. An unlink
+//!   inside the window promotes the next queued entry into it. A VC
+//!   whose union misses every wired, free and credited output holds no
+//!   eligible entry a walk could reach, so the scans skip it — and a
+//!   whole read port — without touching a queue.
 
 use crate::packet::{CoherenceClass, Packet};
 use crate::route::RouteInfo;
@@ -53,6 +64,17 @@ pub const META_QUEUED: u8 = 1 << 0;
 pub const META_WAITING: u8 = 1 << 1;
 /// [`EntryMeta::flags`]: the route is local delivery (no credits needed).
 pub const META_LOCAL: u8 = 1 << 2;
+/// [`EntryMeta::flags`]: among the first `scan_window` queued entries of
+/// its VC — the only ones an LA walk can reach.
+pub const META_IN_WINDOW: u8 = 1 << 3;
+
+/// Bit positions of a request word ([`InputBuffer::window_requests`]):
+/// the low byte is laid out like an output mask — adaptive torus
+/// directions in bits 0-3, local sink ports in bits 4-6 — and the high
+/// byte holds the escape direction, one nibble per escape-VC group.
+pub const REQ_ESCAPE_SHIFT: [u32; 2] = [8, 12];
+/// Number of bit positions a request word uses.
+const REQ_BITS: usize = 16;
 
 /// Handle to an entry within one input port's slab: slot index plus the
 /// slot's generation at allocation time. Ordering is by `(index, gen)`;
@@ -174,6 +196,9 @@ pub struct EntryMeta {
     pub vc: u8,
 }
 
+// Two scan records per cache line; the window flag rides in `flags`.
+const _: () = assert!(std::mem::size_of::<EntryMeta>() == 32);
+
 impl EntryMeta {
     /// Derives the route-dependent fields from a freshly decoded entry.
     fn route_fields(entry: &Entry) -> (u8, u8, u8, u8, u8) {
@@ -198,6 +223,25 @@ impl EntryMeta {
                 (0, *adaptive, 1u8 << escape.index(), avc, evc.index() as u8)
             }
         }
+    }
+
+    /// The outputs this entry requests, as a request word: its adaptive
+    /// directions (only when its class may route adaptively) or local
+    /// sinks in the low byte, its escape direction in the nibble of its
+    /// escape-VC group (`escape_vc % 3 == 2` selects group 1; the special
+    /// class and VC0 escapes land in group 0).
+    #[inline]
+    fn requests(&self) -> u16 {
+        if self.flags & META_LOCAL != 0 {
+            return self.outputs as u16;
+        }
+        let adaptive = if self.adaptive_vc != NO_VC {
+            self.outputs
+        } else {
+            0
+        };
+        let group = (self.escape_vc % 3 == 2) as usize;
+        adaptive as u16 | (self.escape_mask as u16) << REQ_ESCAPE_SHIFT[group]
     }
 
     /// Recomputes the readiness tick after a state transition.
@@ -237,35 +281,30 @@ pub struct InputBuffer {
     /// Bit `v` set while `waiting[v] > 0` (mask-parallel LA skipping:
     /// only `Waiting` entries can be nominated).
     waiting_mask: u32,
-    /// Queued `Waiting` entries whose route is local delivery, per VC.
-    /// Local candidates depend only on sink-port state, so the LA class
-    /// prune must not skip VCs that hold one.
-    local_waiting: [u16; NUM_VCS],
-    /// Bit `v` set while `local_waiting[v] > 0`.
-    local_waiting_mask: u32,
-    /// Per (VC, torus direction): queued `Waiting` entries whose adaptive
-    /// candidate set includes that direction. The union bitmasks below
-    /// are the request-tracking image the LA prune intersects with the
-    /// free and credited masks — a VC whose unions miss every live
-    /// direction provably cannot nominate and is skipped without a walk.
-    dir_adaptive: [[u16; 4]; NUM_VCS],
-    /// Union over `dir_adaptive[v]`: bit `d` set while some waiting entry
-    /// of `v` could route adaptively through direction `d`.
-    want_adaptive: [u8; NUM_VCS],
-    /// Like `dir_adaptive`, for the escape hop, split by resolved escape
-    /// VC group (`escape_vc % 3 == 2` selects group 1; the special class
-    /// and VC0 escapes land in group 0).
-    dir_escape: [[[u16; 4]; NUM_VCS]; 2],
-    /// Unions over `dir_escape[g][v]`.
-    want_escape: [[u8; NUM_VCS]; 2],
-    /// Bit `v` set while `queues[v]` is non-empty (fast LA skipping).
+    /// Entries threaded into each VC's age queue.
+    queued: [u16; NUM_VCS],
+    /// How many queued entries per VC an LA walk examines; the first
+    /// `scan_window` entries of a queue carry `META_IN_WINDOW`.
+    scan_window: usize,
+    /// The youngest in-window entry of each VC (`NIL_INDEX` while the
+    /// window is empty): the entry queued behind it is the one an unlink
+    /// inside the window promotes.
+    window_tail: [u32; NUM_VCS],
+    /// Per (VC, request-word bit): in-window `Waiting` entries requesting
+    /// that output.
+    request_count: [[u16; REQ_BITS]; NUM_VCS],
+    /// Per VC: the union of the request words of its in-window `Waiting`
+    /// entries (bit `b` set while `request_count[v][b] > 0`).
+    requests: [u16; NUM_VCS],
+    /// Bit `v` set while VC `v`'s age queue is non-empty.
     non_empty: u32,
     caps: BufferConfig,
 }
 
 impl InputBuffer {
-    /// Creates an empty buffer with the given partition.
-    pub fn new(caps: BufferConfig) -> Self {
+    /// Creates an empty buffer with the given partition, tracking the
+    /// requests of the first `scan_window` queued entries of each VC.
+    pub fn new(caps: BufferConfig, scan_window: usize) -> Self {
         InputBuffer {
             meta: Vec::new(),
             entries: Vec::new(),
@@ -277,112 +316,70 @@ impl InputBuffer {
             departing: 0,
             waiting: [0; NUM_VCS],
             waiting_mask: 0,
-            local_waiting: [0; NUM_VCS],
-            local_waiting_mask: 0,
-            dir_adaptive: [[0; 4]; NUM_VCS],
-            want_adaptive: [0; NUM_VCS],
-            dir_escape: [[[0; 4]; NUM_VCS]; 2],
-            want_escape: [[0; NUM_VCS]; 2],
+            queued: [0; NUM_VCS],
+            scan_window,
+            window_tail: [NIL_INDEX; NUM_VCS],
+            request_count: [[0; REQ_BITS]; NUM_VCS],
+            requests: [0; NUM_VCS],
             non_empty: 0,
             caps,
         }
     }
 
-    /// The escape-VC group of a meta record (see `dir_escape`).
+    /// Adds one in-window waiting entry's requests to VC `v`'s union.
     #[inline]
-    fn escape_group(m: &EntryMeta) -> usize {
-        (m.escape_vc % 3 == 2) as usize
-    }
-
-    /// Adds one waiting entry's candidate directions to the unions.
-    #[inline]
-    fn add_dirs(&mut self, v: usize, m: &EntryMeta) {
-        if m.flags & META_LOCAL != 0 {
-            return;
-        }
-        let adaptive = if m.adaptive_vc != NO_VC { m.outputs } else { 0 };
-        let mut bits = adaptive;
+    fn add_requests(&mut self, v: usize, m: &EntryMeta) {
+        let mut bits = m.requests();
+        self.requests[v] |= bits;
         while bits != 0 {
-            let d = bits.trailing_zeros() as usize;
+            self.request_count[v][bits.trailing_zeros() as usize] += 1;
             bits &= bits - 1;
-            self.dir_adaptive[v][d] += 1;
-            self.want_adaptive[v] |= 1 << d;
-        }
-        if m.escape_mask != 0 {
-            let g = Self::escape_group(m);
-            let d = m.escape_mask.trailing_zeros() as usize;
-            self.dir_escape[g][v][d] += 1;
-            self.want_escape[g][v] |= 1 << d;
         }
     }
 
-    /// Removes one waiting entry's candidate directions from the unions.
+    /// Removes one in-window waiting entry's requests from VC `v`'s union.
     #[inline]
-    fn remove_dirs(&mut self, v: usize, m: &EntryMeta) {
-        if m.flags & META_LOCAL != 0 {
-            return;
-        }
-        let adaptive = if m.adaptive_vc != NO_VC { m.outputs } else { 0 };
-        let mut bits = adaptive;
+    fn remove_requests(&mut self, v: usize, m: &EntryMeta) {
+        let mut bits = m.requests();
         while bits != 0 {
-            let d = bits.trailing_zeros() as usize;
+            let b = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            self.dir_adaptive[v][d] -= 1;
-            if self.dir_adaptive[v][d] == 0 {
-                self.want_adaptive[v] &= !(1 << d);
-            }
-        }
-        if m.escape_mask != 0 {
-            let g = Self::escape_group(m);
-            let d = m.escape_mask.trailing_zeros() as usize;
-            self.dir_escape[g][v][d] -= 1;
-            if self.dir_escape[g][v][d] == 0 {
-                self.want_escape[g][v] &= !(1 << d);
+            self.request_count[v][b] -= 1;
+            if self.request_count[v][b] == 0 {
+                self.requests[v] &= !(1 << b);
             }
         }
     }
 
-    /// Queued `Waiting` entries of VC `v` (the depth the LA scan would
-    /// have to walk; used to decide whether the union prune pays).
+    /// Queued `Waiting` entries of VC `v` (the depth weight of iLQF).
     #[inline]
     pub fn waiting_count(&self, v: usize) -> usize {
         self.waiting[v] as usize
     }
 
-    /// The candidate-direction unions of VC `v`'s queued waiting entries:
-    /// `(adaptive, escape group 0, escape group 1)`.
+    /// The request word of VC `v`: the union of the outputs requested by
+    /// exactly the `Waiting` entries among its first `scan_window` queued
+    /// entries — the set an LA walk of `v` can reach. Zero intersection
+    /// with the wired, free and credited outputs means no such entry is
+    /// eligible, whatever its readiness or age.
     #[inline]
-    pub fn want_masks(&self, v: usize) -> (u8, u8, u8) {
-        (
-            self.want_adaptive[v],
-            self.want_escape[0][v],
-            self.want_escape[1][v],
-        )
+    pub fn window_requests(&self, v: usize) -> u16 {
+        self.requests[v]
     }
 
-    /// Bumps the waiting counters for one queued `Waiting` entry of `v`.
+    /// Bumps the waiting counter for one queued `Waiting` entry of `v`.
     #[inline]
-    fn inc_waiting(&mut self, v: usize, local: bool) {
+    fn inc_waiting(&mut self, v: usize) {
         self.waiting[v] += 1;
         self.waiting_mask |= 1 << v;
-        if local {
-            self.local_waiting[v] += 1;
-            self.local_waiting_mask |= 1 << v;
-        }
     }
 
-    /// Drops the waiting counters for one queued `Waiting` entry of `v`.
+    /// Drops the waiting counter for one queued `Waiting` entry of `v`.
     #[inline]
-    fn dec_waiting(&mut self, v: usize, local: bool) {
+    fn dec_waiting(&mut self, v: usize) {
         self.waiting[v] -= 1;
         if self.waiting[v] == 0 {
             self.waiting_mask &= !(1 << v);
-        }
-        if local {
-            self.local_waiting[v] -= 1;
-            if self.local_waiting[v] == 0 {
-                self.local_waiting_mask &= !(1 << v);
-            }
         }
     }
 
@@ -398,14 +395,6 @@ impl InputBuffer {
     #[inline]
     pub fn waiting_mask(&self) -> u32 {
         self.waiting_mask
-    }
-
-    /// Mask (over VC indices) of VCs with at least one queued `Waiting`
-    /// entry bound for a *local* sink. These bypass the class-level
-    /// credit prune (local delivery consumes no credits).
-    #[inline]
-    pub fn local_waiting_mask(&self) -> u32 {
-        self.local_waiting_mask
     }
 
     /// The dense scan-metadata slab (parallel to the entry slots). The LA
@@ -477,7 +466,6 @@ impl InputBuffer {
         let (route_flags, outputs, escape_mask, adaptive_vc, escape_vc) =
             EntryMeta::route_fields(&entry);
         let ready_at = EntryMeta::ready_at_of(&entry);
-        let local = route_flags & META_LOCAL != 0;
         let index = match self.free.pop() {
             Some(index) => {
                 debug_assert!(self.entries[index as usize].is_none());
@@ -512,21 +500,27 @@ impl InputBuffer {
             m.vc = v as u8;
         }
         self.link_tail(v, index);
-        self.inc_waiting(v, local);
+        self.inc_waiting(v);
         let m = self.meta[index as usize];
-        self.add_dirs(v, &m);
-        self.non_empty |= 1 << v;
+        if m.flags & META_IN_WINDOW != 0 {
+            self.add_requests(v, &m);
+        }
         EntryId { index, gen: m.gen }
     }
 
-    /// Threads `index` at the tail of VC queue `v`.
+    /// Threads `index` at the tail of VC queue `v`; it lands inside the
+    /// scan window while fewer than `scan_window` entries are queued.
     fn link_tail(&mut self, v: usize, index: u32) {
         let tail = self.tail[v];
+        let in_window = (self.queued[v] as usize) < self.scan_window;
         {
             let m = &mut self.meta[index as usize];
             m.prev = tail;
             m.next = NIL_INDEX;
             m.flags |= META_QUEUED;
+            if in_window {
+                m.flags |= META_IN_WINDOW;
+            }
         }
         if tail == NIL_INDEX {
             self.head[v] = index;
@@ -534,13 +528,40 @@ impl InputBuffer {
             self.meta[tail as usize].next = index;
         }
         self.tail[v] = index;
+        if in_window {
+            self.window_tail[v] = index;
+        }
+        self.queued[v] += 1;
+        self.non_empty |= 1 << v;
     }
 
-    /// Unthreads `index` from VC queue `v`; a no-op when not queued.
-    fn unlink(&mut self, v: usize, index: u32) {
-        let m = &self.meta[index as usize];
+    /// Unthreads `index` from its VC queue, keeping the waiting counter
+    /// and the scan window in step; a no-op when not queued. Leaving the
+    /// window promotes the entry queued behind the window tail into it.
+    fn unlink(&mut self, index: u32) {
+        let m = self.meta[index as usize];
         if m.flags & META_QUEUED == 0 {
             return;
+        }
+        let v = m.vc as usize;
+        if m.flags & META_WAITING != 0 {
+            self.dec_waiting(v);
+        }
+        if m.flags & META_IN_WINDOW != 0 {
+            if m.flags & META_WAITING != 0 {
+                self.remove_requests(v, &m);
+            }
+            let promoted = self.meta[self.window_tail[v] as usize].next;
+            if promoted != NIL_INDEX {
+                self.meta[promoted as usize].flags |= META_IN_WINDOW;
+                let p = self.meta[promoted as usize];
+                if p.flags & META_WAITING != 0 {
+                    self.add_requests(v, &p);
+                }
+                self.window_tail[v] = promoted;
+            } else if self.window_tail[v] == index {
+                self.window_tail[v] = m.prev;
+            }
         }
         let (prev, next) = (m.prev, m.next);
         if prev == NIL_INDEX {
@@ -556,7 +577,8 @@ impl InputBuffer {
         let m = &mut self.meta[index as usize];
         m.prev = NIL_INDEX;
         m.next = NIL_INDEX;
-        m.flags &= !META_QUEUED;
+        m.flags &= !(META_QUEUED | META_IN_WINDOW);
+        self.queued[v] -= 1;
         if self.head[v] == NIL_INDEX {
             self.non_empty &= !(1 << v);
         }
@@ -617,13 +639,15 @@ impl InputBuffer {
             output,
             decide_at,
         };
-        let (v, local) = (e.vc.index(), e.route.is_local());
+        let v = e.vc.index();
+        let m = self.meta[id.index()];
+        if m.flags & META_IN_WINDOW != 0 {
+            self.remove_requests(v, &m);
+        }
         let m = &mut self.meta[id.index()];
         m.flags &= !META_WAITING;
         m.ready_at = Tick::MAX;
-        let m = self.meta[id.index()];
-        self.dec_waiting(v, local);
-        self.remove_dirs(v, &m);
+        self.dec_waiting(v);
     }
 
     /// Transition a `Nominated` entry back to `Waiting` (its nomination
@@ -633,17 +657,15 @@ impl InputBuffer {
         let e = self.entries[id.index()].as_mut().expect("checked");
         debug_assert!(matches!(e.state, EntryState::Nominated { .. }));
         e.state = EntryState::Waiting { not_before };
-        let (v, local, ready_at) = (
-            e.vc.index(),
-            e.route.is_local(),
-            not_before.max(e.eligible_at),
-        );
+        let (v, ready_at) = (e.vc.index(), not_before.max(e.eligible_at));
         let m = &mut self.meta[id.index()];
         m.flags |= META_WAITING;
         m.ready_at = ready_at;
-        let m = self.meta[id.index()];
-        self.inc_waiting(v, local);
-        self.add_dirs(v, &m);
+        let m = *m;
+        self.inc_waiting(v);
+        if m.flags & META_IN_WINDOW != 0 {
+            self.add_requests(v, &m);
+        }
     }
 
     /// Commits a grant: the entry stops competing in LA (dequeued) and
@@ -671,15 +693,8 @@ impl InputBuffer {
     /// Removes an id from its VC queue (the packet no longer competes in
     /// LA, though its slot remains held). O(1) via the intrusive links.
     pub fn dequeue(&mut self, id: EntryId) {
-        let e = self.entry(id);
-        let (v, local) = (e.vc.index(), e.route.is_local());
-        let m = self.meta[id.index()];
-        let waiting_in_queue = m.flags & META_QUEUED != 0 && m.flags & META_WAITING != 0;
-        self.unlink(v, id.index);
-        if waiting_in_queue {
-            self.dec_waiting(v, local);
-            self.remove_dirs(v, &m);
-        }
+        self.check_current(id);
+        self.unlink(id.index);
     }
 
     /// Releases an entry's slot (tail flit read out). Returns the freed
@@ -760,19 +775,18 @@ impl InputBuffer {
     }
 
     /// Recomputes every cached mask, counter, and metadata record from a
-    /// full slab re-scan and asserts the incremental state matches. The
-    /// census invokes it under `debug_assertions` only; release builds
-    /// trust the incremental updates this assertion proves (tests may
-    /// call it directly in any profile).
+    /// full slab re-scan — and the scan-window flags, window tails and
+    /// request unions from a naive walk of the first `scan_window` queued
+    /// entries of every VC — and asserts the incremental state matches.
+    /// The census invokes it under `debug_assertions` only; release
+    /// builds trust the incremental updates this assertion proves (tests
+    /// may call it directly in any profile).
     pub fn debug_validate(&self) {
         assert_eq!(self.meta.len(), self.entries.len(), "slab split drifted");
         let mut waiting = [0u16; NUM_VCS];
-        let mut local_waiting = [0u16; NUM_VCS];
         let mut occupancy = [0u16; NUM_VCS];
-        let mut dir_adaptive = [[0u16; 4]; NUM_VCS];
-        let mut dir_escape = [[[0u16; 4]; NUM_VCS]; 2];
         let mut departing = 0u16;
-        let mut queued = 0usize;
+        let mut in_window = 0usize;
         for (i, slot) in self.entries.iter().enumerate() {
             let m = &self.meta[i];
             let Some(e) = slot.as_ref() else {
@@ -799,33 +813,25 @@ impl InputBuffer {
                 EntryMeta::ready_at_of(e),
                 "readiness tick drifted"
             );
+            if m.flags & META_IN_WINDOW != 0 {
+                in_window += 1;
+            }
             match e.state {
                 EntryState::Departing { .. } => departing += 1,
                 EntryState::Waiting { .. } if m.flags & META_QUEUED != 0 => {
-                    let v = e.vc.index();
-                    waiting[v] += 1;
-                    if e.route.is_local() {
-                        local_waiting[v] += 1;
-                    } else {
-                        let mut bits = if m.adaptive_vc != NO_VC { m.outputs } else { 0 };
-                        while bits != 0 {
-                            let d = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            dir_adaptive[v][d] += 1;
-                        }
-                        if m.escape_mask != 0 {
-                            let g = Self::escape_group(m);
-                            dir_escape[g][v][m.escape_mask.trailing_zeros() as usize] += 1;
-                        }
-                    }
+                    waiting[e.vc.index()] += 1;
                 }
                 _ => {}
             }
         }
+        let mut queued = 0usize;
+        let mut windowed = 0usize;
         for v in 0..NUM_VCS {
             let mut prev_eligible = Tick::ZERO;
             let mut cur = self.head[v];
             let mut len = 0usize;
+            let mut window_tail = NIL_INDEX;
+            let mut request_count = [0u16; REQ_BITS];
             while cur != NIL_INDEX {
                 let m = &self.meta[cur as usize];
                 assert!(m.flags & META_QUEUED != 0, "queue references unqueued slot");
@@ -835,10 +841,41 @@ impl InputBuffer {
                 assert_eq!(e.vc.index(), v, "entry threaded into the wrong VC");
                 assert!(prev_eligible <= e.eligible_at, "queue out of age order");
                 prev_eligible = e.eligible_at;
+                // The window is exactly the walk's reach: the first
+                // `scan_window` queued entries.
+                assert_eq!(
+                    m.flags & META_IN_WINDOW != 0,
+                    len < self.scan_window,
+                    "scan-window flag drifted"
+                );
+                if len < self.scan_window {
+                    window_tail = cur;
+                    if m.flags & META_WAITING != 0 {
+                        let mut bits = m.requests();
+                        while bits != 0 {
+                            request_count[bits.trailing_zeros() as usize] += 1;
+                            bits &= bits - 1;
+                        }
+                    }
+                }
                 len += 1;
                 cur = m.next;
             }
             queued += len;
+            windowed += len.min(self.scan_window);
+            assert_eq!(self.queued[v] as usize, len, "queue length drifted");
+            assert_eq!(self.window_tail[v], window_tail, "window tail drifted");
+            assert_eq!(
+                self.request_count[v], request_count,
+                "window request counts drifted"
+            );
+            let mut requests = 0u16;
+            for (b, &n) in request_count.iter().enumerate() {
+                if n > 0 {
+                    requests |= 1 << b;
+                }
+            }
+            assert_eq!(self.requests[v], requests, "window request union drifted");
             assert_eq!(self.waiting[v], waiting[v], "waiting count drifted");
             assert_eq!(
                 self.waiting_mask & (1 << v) != 0,
@@ -846,49 +883,17 @@ impl InputBuffer {
                 "waiting mask drifted"
             );
             assert_eq!(
-                self.local_waiting[v], local_waiting[v],
-                "local waiting count drifted"
-            );
-            assert_eq!(
-                self.local_waiting_mask & (1 << v) != 0,
-                local_waiting[v] > 0,
-                "local waiting mask drifted"
-            );
-            assert_eq!(
                 self.non_empty & (1 << v) != 0,
                 len > 0,
                 "non-empty mask drifted"
             );
             assert_eq!(self.occupancy[v], occupancy[v], "occupancy drifted");
-            assert_eq!(
-                self.dir_adaptive[v], dir_adaptive[v],
-                "adaptive direction counts drifted"
-            );
-            let mut want_a = 0u8;
-            for (d, &n) in dir_adaptive[v].iter().enumerate() {
-                if n > 0 {
-                    want_a |= 1 << d;
-                }
-            }
-            assert_eq!(self.want_adaptive[v], want_a, "adaptive union drifted");
-            for (g, computed) in dir_escape.iter().enumerate() {
-                assert_eq!(
-                    self.dir_escape[g][v], computed[v],
-                    "escape direction counts drifted"
-                );
-                let mut want_e = 0u8;
-                for (d, &n) in computed[v].iter().enumerate() {
-                    if n > 0 {
-                        want_e |= 1 << d;
-                    }
-                }
-                assert_eq!(self.want_escape[g][v], want_e, "escape union drifted");
-            }
         }
         let live = self.entries.iter().filter(|s| s.is_some()).count();
         assert_eq!(self.total as usize, live, "total occupancy drifted");
         assert_eq!(self.departing, departing, "departing count drifted");
         assert!(queued <= live, "more queued than live entries");
+        assert_eq!(in_window, windowed, "unqueued slot still flagged in-window");
     }
 }
 
@@ -954,7 +959,7 @@ mod tests {
 
     #[test]
     fn insert_and_release_round_trip() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         assert_eq!(buf.space(vc()), 50);
         let id = buf.insert(entry(vc(), 5));
         assert_eq!(buf.space(vc()), 49);
@@ -970,7 +975,7 @@ mod tests {
 
     #[test]
     fn queue_preserves_age_order() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         let a = buf.insert(entry(vc(), 1));
         let b = buf.insert(entry(vc(), 2));
         let c = buf.insert(entry(vc(), 3));
@@ -982,7 +987,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_bumps_generation() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         let a = buf.insert(entry(vc(), 1));
         buf.release(a);
         let b = buf.insert(entry(vc(), 2));
@@ -995,7 +1000,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale entry id")]
     fn stale_handle_panics() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         let a = buf.insert(entry(vc(), 1));
         buf.release(a);
         buf.insert(entry(vc(), 2));
@@ -1005,7 +1010,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "flow control violated")]
     fn overflow_is_an_invariant_violation() {
-        let mut buf = InputBuffer::new(BufferConfig::uniform(1));
+        let mut buf = InputBuffer::new(BufferConfig::uniform(1), 8);
         buf.insert(entry(vc(), 1));
         buf.insert(entry(vc(), 2));
     }
@@ -1028,7 +1033,7 @@ mod tests {
 
     #[test]
     fn meta_mirrors_nominable() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         let a = buf.insert(entry(vc(), 100));
         let m = buf.metas()[a.index()];
         assert_eq!(m.ready_at, Tick::new(100), "ready_at = eligible_at");
@@ -1045,7 +1050,7 @@ mod tests {
 
     #[test]
     fn old_census() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         buf.insert(entry(vc(), 10));
         buf.insert(entry(vc(), 20));
         buf.insert(entry(vc(), 300));
@@ -1055,7 +1060,7 @@ mod tests {
 
     #[test]
     fn old_census_skips_non_waiting_states() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         let a = buf.insert(entry(vc(), 10));
         let b = buf.insert(entry(vc(), 20));
         buf.insert(entry(vc(), 30));
@@ -1070,7 +1075,7 @@ mod tests {
 
     #[test]
     fn non_empty_mask_tracks_queues() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         assert_eq!(buf.non_empty_mask(), 0);
         let a = buf.insert(entry(vc(), 1));
         assert_eq!(buf.non_empty_mask(), 1 << vc().index());
@@ -1084,7 +1089,7 @@ mod tests {
 
     #[test]
     fn waiting_mask_follows_state_transitions() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         let bit = 1 << vc().index();
         assert_eq!(buf.waiting_mask(), 0);
         let a = buf.insert(entry(vc(), 1));
@@ -1103,27 +1108,52 @@ mod tests {
     }
 
     #[test]
-    fn local_waiting_mask_tracks_local_routes() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+    fn window_requests_cover_exactly_the_scan_window() {
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 2);
         let mut local = entry(vc(), 1);
         local.route = RouteInfo::local(0b011_0000);
         let a = buf.insert(local);
-        buf.insert(entry(vc(), 2));
-        let bit = 1 << vc().index();
-        assert_eq!(buf.local_waiting_mask(), bit);
         let m = buf.metas()[a.index()];
         assert!(m.flags & META_LOCAL != 0);
         assert_eq!(m.outputs, 0b011_0000, "local sinks cached");
         assert_eq!(m.adaptive_vc, NO_VC);
+        let v = vc().index();
+        assert_eq!(buf.window_requests(v), 0b011_0000, "local sinks requested");
+        // A north-bound transit entry requests north adaptively and as
+        // its VC0 escape hop.
+        let north = 1 | 1 << REQ_ESCAPE_SHIFT[0];
+        let b = buf.insert(entry(vc(), 2));
+        assert_eq!(buf.window_requests(v), 0b011_0000 | north);
+        // The third entry is beyond the two-entry window: no request yet.
+        let mut south = entry(vc(), 3);
+        south.route = RouteInfo::transit(
+            OutputPort::South.mask() as u8,
+            OutputPort::South,
+            crate::route::EscapeVc::Vc1,
+        );
+        let c = buf.insert(south);
+        assert_eq!(buf.metas()[c.index()].flags & META_IN_WINDOW, 0);
+        assert_eq!(buf.window_requests(v), 0b011_0000 | north);
+        buf.debug_validate();
+        // A departure inside the window promotes it.
         buf.begin_departure(a, Tick::new(50));
-        assert_eq!(buf.local_waiting_mask(), 0, "transit entry is not local");
-        assert_eq!(buf.waiting_mask(), bit, "transit entry still waits");
+        assert!(buf.metas()[c.index()].flags & META_IN_WINDOW != 0);
+        assert_eq!(
+            buf.window_requests(v),
+            north | 2 | 2 << REQ_ESCAPE_SHIFT[1],
+            "local request gone, promoted south request added"
+        );
+        // A nominated entry requests nothing until it loses.
+        buf.set_nominated(b, 0, 0, Tick::new(60));
+        assert_eq!(buf.window_requests(v), 2 | 2 << REQ_ESCAPE_SHIFT[1]);
+        buf.set_waiting(b, Tick::new(70));
+        assert_eq!(buf.window_requests(v), north | 2 | 2 << REQ_ESCAPE_SHIFT[1]);
         buf.debug_validate();
     }
 
     #[test]
     fn occupancy_counts_per_vc() {
-        let mut buf = InputBuffer::new(BufferConfig::alpha_21364());
+        let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         let other = VcId::adaptive(CoherenceClass::BlockResponse);
         buf.insert(entry(vc(), 1));
         buf.insert(entry(other, 2));

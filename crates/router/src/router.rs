@@ -16,7 +16,10 @@
 use crate::antistarve::AntiStarvation;
 use crate::arb::{Candidate, Nomination, ReadPortState, WindowSnapshot};
 use crate::config::{AdaptiveChoice, ArbAlgorithm, RouterConfig, WeightKind};
-use crate::entry::{Entry, EntryId, EntryState, InputBuffer};
+use crate::entry::{
+    Entry, EntryId, EntryMeta, EntryState, InputBuffer, META_LOCAL, META_WAITING, NIL_INDEX, NO_VC,
+    REQ_ESCAPE_SHIFT,
+};
 use crate::output::{CreditBank, OutputState};
 use crate::packet::Packet;
 use crate::route::RouteInfo;
@@ -32,6 +35,7 @@ use arbitration::ports::{
     InputPort, OutputPort, NETWORK_ROW_MASK, NUM_ARBITER_ROWS, NUM_INPUT_PORTS, NUM_OUTPUT_PORTS,
 };
 use arbitration::wfa::WfaArbiter;
+use simcore::time::Cycles;
 use simcore::wheel::TimingWheel;
 use simcore::{SimRng, Tick};
 
@@ -188,7 +192,17 @@ pub struct Router {
     rng: SimRng,
     read_ports: Vec<ReadPortState>,
     /// Per read port: VC ids in least-recently-selected-first order.
-    vc_lru: Vec<Vec<u8>>,
+    vc_lru: [[u8; NUM_VCS]; NUM_ARBITER_ROWS],
+    /// LA-to-GA delay: a nomination (or window) decides this long after
+    /// its LA cycle.
+    ga_delay: Tick,
+    /// The LA stage's port-free prediction horizon
+    /// ([`RouterConfig::la_lookahead`]).
+    lookahead: Tick,
+    /// SPAA nominations one read port may have awaiting GA.
+    max_inflight: u8,
+    /// Spacing of the PIM1/WFA driver's windows.
+    window_interval: Tick,
     /// All deferred housekeeping events (arrivals, credit refunds, buffer
     /// releases) on one bounded-horizon timing wheel keyed by due tick.
     house: TimingWheel<HouseEvent>,
@@ -301,11 +315,15 @@ impl Router {
             (cfg.measure_matching_weight && !cfg.algorithm.is_spaa()).then_some(WeightKind::Depth)
         });
         let inputs = (0..NUM_INPUT_PORTS)
-            .map(|_| InputBuffer::new(cfg.buffers.clone()))
+            .map(|_| InputBuffer::new(cfg.buffers.clone(), cfg.scan_window))
             .collect();
         let credits = CreditBank::new(&cfg.buffers);
         let antistarve = AntiStarvation::new(cfg.antistarvation);
         let core_period = cfg.timing.core.period();
+        let ga_cycles = arb.latency.get() - 1;
+        let ga_delay = cfg.timing.core_cycles(Cycles::new(ga_cycles));
+        let lookahead = cfg.timing.core_cycles(cfg.la_lookahead());
+        let window_interval = cfg.timing.core_cycles(arb.initiation_interval);
         Router {
             id,
             cfg,
@@ -325,7 +343,11 @@ impl Router {
             weight_kind,
             rng,
             read_ports: vec![ReadPortState::default(); NUM_ARBITER_ROWS],
-            vc_lru: vec![(0..NUM_VCS as u8).collect(); NUM_ARBITER_ROWS],
+            vc_lru: [std::array::from_fn(|v| v as u8); NUM_ARBITER_ROWS],
+            ga_delay,
+            lookahead,
+            max_inflight: ga_cycles.min(8) as u8,
+            window_interval,
             house: TimingWheel::new(core_period, WHEEL_SLOTS),
             pending_arrival_count: 0,
             reserved: [[0; NUM_VCS]; NUM_INPUT_PORTS],
@@ -518,11 +540,7 @@ impl Router {
     /// fast-forwarding. A no-op when the router is stepped every cycle.
     fn catch_up_idle(&mut self, now: Tick) {
         if !self.cfg.algorithm.is_spaa() && self.next_window < now {
-            let ii = self
-                .cfg
-                .timing
-                .core_cycles(self.cfg.arb_timing().initiation_interval);
-            self.next_window = self.next_window.advance_cadence(now, ii);
+            self.next_window = self.next_window.advance_cadence(now, self.window_interval);
         }
         let period = self
             .cfg
@@ -542,8 +560,7 @@ impl Router {
             self.spaa_la_phase(now);
         } else if now >= self.next_window {
             self.run_window(now, out);
-            let ii = self.cfg.arb_timing().initiation_interval;
-            self.next_window = now + self.cfg.timing.core_cycles(ii);
+            self.next_window = now + self.window_interval;
         }
     }
 
@@ -641,46 +658,63 @@ impl Router {
     // Shared arbitration helpers
     // ------------------------------------------------------------------
 
-    /// The incremental request-tracking test at the heart of the
-    /// saturated LA prune: true when VC `v` of this input holds a queued
-    /// `Waiting` entry whose candidate direction is simultaneously wired
-    /// for this row, free, and credited for the direction's downstream VC
-    /// — the necessary condition for a scan of that VC to nominate
-    /// anything. The buffer maintains the per-direction unions at every
-    /// state transition ([`InputBuffer::want_masks`]); the credited masks
-    /// are maintained by the bank at every consume/refund. One mask
-    /// intersection therefore replaces a queue walk, bit-exactly: every
-    /// eligibility branch of a skipped VC's entries intersects to zero.
-    /// (Local deliveries consume no credits; callers exempt VCs with
-    /// waiting local entries via [`InputBuffer::local_waiting_mask`].)
+    /// The request-tracking test at the heart of the LA prune: the VCs of
+    /// `scannable` holding, among the `Waiting` entries an LA walk can
+    /// reach (their first `scan_window` queued entries), one whose
+    /// requested output is simultaneously wired for this row, free, and
+    /// — for a torus hop — credited for its downstream VC.
+    ///
+    /// The buffer maintains each VC's request word at every queue and
+    /// state transition ([`InputBuffer::window_requests`]); the bank
+    /// maintains the credited masks at every consume/refund. Every entry
+    /// of VC `v` resolves the same downstream adaptive VC and one of two
+    /// escape VCs, so intersecting the VC's request word with one
+    /// wired-and-credited word decides *exactly* whether any in-window
+    /// waiting entry is eligible: a VC left out is one whose walk
+    /// provably returns nothing, and a row with no live VC nominates
+    /// nothing. The test ignores readiness and age, so a live VC may
+    /// still walk to nothing — conservative, never wrong.
     #[inline]
-    fn vc_live(&self, buf: &InputBuffer, v: usize, wired: u8) -> bool {
-        let (want_a, want_e0, want_e1) = buf.want_masks(v);
+    fn live_vcs(&self, buf: &InputBuffer, scannable: u32, wired: u8) -> u32 {
+        // The request word's low byte is an output mask: torus nibble,
+        // then the local sinks, which need no credit.
+        const TORUS: u16 = OutputPort::NETWORK_MASK as u16;
+        const SINKS: u16 = 0xFF & !TORUS;
+        let torus = wired as u16 & TORUS;
+        let wired_word = wired as u16 | torus << REQ_ESCAPE_SHIFT[0] | torus << REQ_ESCAPE_SHIFT[1];
         let special = VcId::special().index();
-        let (avc, evc0, evc1) = if v == special {
-            (special, special, special)
-        } else {
-            let base = 3 * (v / 3);
-            (base, base + 1, base + 2)
-        };
-        let mut live = 0u8;
-        if want_a != 0 {
-            live |= want_a & self.credits.credited_mask(VcId::from_index(avc));
+        let mut live = 0u32;
+        let mut mask = scannable;
+        while mask != 0 {
+            let v = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let requests = buf.window_requests(v) & wired_word;
+            if requests == 0 {
+                continue;
+            }
+            let (avc, evc0, evc1) = if v == special {
+                (special, special, special)
+            } else {
+                let base = 3 * (v / 3);
+                (base, base + 1, base + 2)
+            };
+            let credited = |vc: usize| self.credits.credited_mask(VcId::from_index(vc)) as u16;
+            let credited_word = credited(avc)
+                | SINKS
+                | credited(evc0) << REQ_ESCAPE_SHIFT[0]
+                | credited(evc1) << REQ_ESCAPE_SHIFT[1];
+            if requests & credited_word != 0 {
+                live |= 1 << v;
+            }
         }
-        if want_e0 != 0 {
-            live |= want_e0 & self.credits.credited_mask(VcId::from_index(evc0));
-        }
-        if want_e1 != 0 {
-            live |= want_e1 & self.credits.credited_mask(VcId::from_index(evc1));
-        }
-        live & wired != 0
+        live
     }
 
     /// Mask of output ports the LA stage considers free at `now`: ports
     /// whose current packet clears within the entry table's fixed
     /// prediction horizon ([`RouterConfig::la_lookahead`]).
     fn free_outputs_for_la(&self, now: Tick) -> u8 {
-        let horizon = now + self.cfg.timing.core_cycles(self.cfg.la_lookahead());
+        let horizon = now + self.lookahead;
         let mut mask = 0u8;
         for (i, o) in self.outputs.iter().enumerate() {
             if o.busy_until() <= horizon {
@@ -761,46 +795,58 @@ impl Router {
         now: Tick,
         free: u8,
     ) -> Option<(EntryId, usize, Option<VcId>)> {
-        let input = row / 2;
-        let drain_cutoff = self.antistarve.cutoff();
-        // Only `Waiting` entries can be nominated, and only VCs whose
-        // class still has a credited free output (or a waiting local
-        // delivery) can yield a grant — both facts are incrementally
-        // maintained masks, so blocked VCs cost one AND instead of a
-        // queue walk. The scan result is provably the one a full walk
-        // would return.
         // A row whose wired outputs are all busy can nominate nothing:
         // every eligibility branch intersects `wired = row_mask & free`.
         let wired = self.conn.row_mask(row) as u8 & free;
         if wired == 0 {
             return None;
         }
-        let buf = &self.inputs[input];
-        let scannable = buf.non_empty_mask() & buf.waiting_mask();
-        if scannable == 0 {
+        // Only `Waiting` entries can be nominated, and only a VC whose
+        // window requests a wired, free, credited output can yield one —
+        // both incrementally maintained, so a blocked read port costs a
+        // few mask tests and never touches the LRU order or a queue.
+        let buf = &self.inputs[row / 2];
+        let scannable = buf.waiting_mask();
+        let live = self.live_vcs(buf, scannable, wired);
+        debug_assert!(
+            self.scan_for_nomination(row, now, wired, scannable & !live, None)
+                .is_none(),
+            "pruned VC holds a nominable entry"
+        );
+        if live == 0 {
             return None;
         }
         // Anti-starvation drain: old packets take priority, so scan for
         // them first; fall back to a normal scan when none can move.
+        let drain_cutoff = self.antistarve.cutoff();
         let mut found = None;
         if drain_cutoff.is_some() {
-            found = self.scan_for_nomination(row, now, wired, scannable, drain_cutoff);
+            found = self.scan_for_nomination(row, now, wired, live, drain_cutoff);
         }
         if found.is_none() {
-            found = self.scan_for_nomination(row, now, wired, scannable, None);
+            found = self.scan_for_nomination(row, now, wired, live, None);
         }
         let (pos, id, elig) = found?;
         let (out, vc_down) = self.choose_output(row, elig)?;
         // Selecting from a VC makes it most-recently selected.
-        let vc = self.vc_lru[row].remove(pos);
-        self.vc_lru[row].push(vc);
+        self.touch_vc(row, pos);
         Some((id, out, vc_down))
     }
 
+    /// Moves the VC at position `pos` of `row`'s LRU order to the
+    /// most-recently-selected end.
+    #[inline]
+    fn touch_vc(&mut self, row: usize, pos: usize) {
+        let lru = &mut self.vc_lru[row];
+        let vc = lru[pos];
+        lru.copy_within(pos + 1.., pos);
+        lru[NUM_VCS - 1] = vc;
+    }
+
     /// One LA scan pass over a read port's VCs in LRU order, restricted
-    /// to `scannable` VCs (non-empty with at least one `Waiting` entry).
-    /// With `only_older_than = Some(cutoff)`, only anti-starvation "old"
-    /// entries qualify.
+    /// to the VCs of `vcs`, walking at most `scan_window` queued entries
+    /// of each. With `only_older_than = Some(cutoff)`, only
+    /// anti-starvation "old" entries qualify.
     ///
     /// The walk touches only the dense [`EntryMeta`] slab: readiness is
     /// one flag-and-tick test and eligibility a handful of mask ANDs
@@ -814,35 +860,26 @@ impl Router {
         row: usize,
         now: Tick,
         wired: u8,
-        scannable: u32,
+        vcs: u32,
         only_older_than: Option<Tick>,
     ) -> Option<(usize, EntryId, Eligibility)> {
+        if vcs == 0 {
+            return None;
+        }
         let input = row / 2;
         let buf = &self.inputs[input];
         let metas = buf.metas();
-        let local_vcs = buf.local_waiting_mask();
         for (pos, &vc_idx) in self.vc_lru[row].iter().enumerate() {
-            if scannable & (1 << vc_idx) == 0 {
-                continue;
-            }
-            // Request tracking: skip the VC outright unless one of its
-            // waiting entries' directions is wired+free+credited (or a
-            // local delivery waits, which needs no credit). The union
-            // test only pays for itself when it saves a deep walk, so
-            // shallow queues go straight to the scan.
-            if local_vcs & (1 << vc_idx) == 0
-                && buf.waiting_count(vc_idx as usize) > 2
-                && !self.vc_live(buf, vc_idx as usize, wired)
-            {
+            if vcs & (1 << vc_idx) == 0 {
                 continue;
             }
             let vc = VcId::from_index(vc_idx as usize);
             let mut cur = buf.queue_head(vc);
             let mut scanned = 0;
-            while cur != crate::entry::NIL_INDEX && scanned < self.cfg.scan_window {
+            while cur != NIL_INDEX && scanned < self.cfg.scan_window {
                 let m = &metas[cur as usize];
                 scanned += 1;
-                if m.flags & crate::entry::META_WAITING == 0 || m.ready_at > now {
+                if m.flags & META_WAITING == 0 || m.ready_at > now {
                     cur = m.next;
                     continue;
                 }
@@ -869,13 +906,13 @@ impl Router {
     /// evaluating the entry's route against `wired` and the credit bank,
     /// without loading the entry.
     #[inline]
-    fn eligibility_meta(&self, m: &crate::entry::EntryMeta, wired: u8) -> Eligibility {
-        if m.flags & crate::entry::META_LOCAL != 0 {
+    fn eligibility_meta(&self, m: &EntryMeta, wired: u8) -> Eligibility {
+        if m.flags & META_LOCAL != 0 {
             return Eligibility::Local {
                 outputs: m.outputs & wired,
             };
         }
-        if m.adaptive_vc != crate::entry::NO_VC {
+        if m.adaptive_vc != NO_VC {
             let vc = VcId::from_index(m.adaptive_vc as usize);
             let a = m.outputs & wired & self.credits.credited_mask(vc);
             if a != 0 {
@@ -952,8 +989,7 @@ impl Router {
         // this read port (the LA ordering key, §3).
         let vc_idx = entry.vc.index() as u8;
         if let Some(pos) = self.vc_lru[row].iter().position(|&v| v == vc_idx) {
-            self.vc_lru[row].remove(pos);
-            self.vc_lru[row].push(vc_idx);
+            self.touch_vc(row, pos);
         }
         // The read port streams the flits; the buffer slot frees with the
         // tail.
@@ -1098,24 +1134,25 @@ impl Router {
     }
 
     fn spaa_la_phase(&mut self, now: Tick) {
-        let arb = self.cfg.arb_timing();
-        let ga_delay = self
-            .cfg
-            .timing
-            .core_cycles(simcore::time::Cycles::new(arb.latency.get() - 1));
-        let ga = now + ga_delay;
+        let ga = now + self.ga_delay;
         let free = self.free_outputs_for_la(now);
         if free == 0 {
             return;
         }
-        let max_inflight = (arb.latency.get() - 1).min(8) as u8;
-        let lookahead = self.cfg.timing.core_cycles(self.cfg.la_lookahead());
-        for row in 0..NUM_ARBITER_ROWS {
-            if !self.read_ports[row].can_arbitrate(now, lookahead, max_inflight) {
+        for input in 0..NUM_INPUT_PORTS {
+            // Only `Waiting` entries can be nominated: an input without
+            // one (the common case below saturation, where buffered
+            // packets are mostly awaiting GA) costs both rows one test.
+            if self.inputs[input].waiting_mask() == 0 {
                 continue;
             }
-            if let Some((id, output, vc_down)) = self.pick_nomination(row, now, free) {
-                let input = row / 2;
+            for row in [2 * input, 2 * input + 1] {
+                if !self.read_ports[row].can_arbitrate(now, self.lookahead, self.max_inflight) {
+                    continue;
+                }
+                let Some((id, output, vc_down)) = self.pick_nomination(row, now, free) else {
+                    continue;
+                };
                 self.inputs[input].set_nominated(id, (row % 2) as u8, output as u8, ga);
                 self.read_ports[row].inflight.push(id);
                 self.stats.nominations.bump();
@@ -1140,12 +1177,7 @@ impl Router {
     // ------------------------------------------------------------------
 
     fn run_window(&mut self, now: Tick, out: &mut Vec<RouterOutput>) {
-        let arb = self.cfg.arb_timing();
-        let ga = now
-            + self
-                .cfg
-                .timing
-                .core_cycles(simcore::time::Cycles::new(arb.latency.get() - 1));
+        let ga = now + self.ga_delay;
         let free = self.free_outputs_for_la(now);
         if free == 0 {
             return;
@@ -1237,7 +1269,6 @@ impl Router {
         free: u8,
         only_older_than: Option<Tick>,
     ) {
-        let lookahead = self.cfg.timing.core_cycles(self.cfg.la_lookahead());
         // Weight stamping (iLQF/iOCF, or oracle measurement): depth is the
         // VC's waiting-entry count behind the candidate (≥ 1, since the
         // candidate itself waits there); age is the candidate's eligibility
@@ -1248,12 +1279,19 @@ impl Router {
         let core_period = self.cfg.timing.core.period().as_ticks().max(1);
         let mut collected = std::mem::take(&mut self.scratch_collect);
         for input in 0..NUM_INPUT_PORTS {
+            // Nominable entries are `Waiting` by definition: an input
+            // without one offers nothing.
+            let buf = &self.inputs[input];
+            let scannable = buf.waiting_mask();
+            if scannable == 0 {
+                continue;
+            }
             let rows = [2 * input, 2 * input + 1];
             // Per-row gates: a busy read port or a fully-busy wired set
             // offers nothing.
             let wired: [u8; 2] = std::array::from_fn(|i| {
                 let row = rows[i];
-                if self.read_ports[row].can_arbitrate(now, lookahead, 1) {
+                if self.read_ports[row].can_arbitrate(now, self.lookahead, 1) {
                     self.conn.row_mask(row) as u8 & free
                 } else {
                     0
@@ -1262,41 +1300,36 @@ impl Router {
             if wired == [0, 0] {
                 continue;
             }
-            let buf = &self.inputs[input];
-            // Nominable entries are `Waiting` by definition, so VCs
-            // without one are skipped by the incremental mask, and the
-            // per-VC request-tracking test skips VCs dead for both rows
+            // The request-tracking test skips VCs dead for both rows
             // (bit-identical to scanning them and finding nothing). The
             // walk touches only the dense scan metadata.
-            let scannable = buf.non_empty_mask() & buf.waiting_mask();
-            if scannable == 0 {
+            let wired_union = wired[0] | wired[1];
+            let live = self.live_vcs(buf, scannable, wired_union);
+            debug_assert!(
+                self.scan_for_nomination(rows[0], now, wired_union, scannable & !live, None)
+                    .is_none(),
+                "pruned VC holds an offerable entry"
+            );
+            if live == 0 {
                 continue;
             }
             let metas = buf.metas();
-            let local_vcs = buf.local_waiting_mask();
-            let wired_union = wired[0] | wired[1];
             // Collect the ready candidates of each VC's scan window once
             // (grouped per VC; readiness is row-independent).
             collected.clear();
             let mut ranges = [(0u16, 0u16); NUM_VCS];
-            let mut mask = scannable;
+            let mut mask = live;
             while mask != 0 {
                 let v = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                if local_vcs & (1 << v) == 0
-                    && buf.waiting_count(v) > 2
-                    && !self.vc_live(buf, v, wired_union)
-                {
-                    continue;
-                }
                 let start = collected.len() as u16;
                 let mut cur = buf.queue_head(VcId::from_index(v));
                 let mut scanned = 0;
-                while cur != crate::entry::NIL_INDEX && scanned < self.cfg.scan_window {
+                while cur != NIL_INDEX && scanned < self.cfg.scan_window {
                     let m = &metas[cur as usize];
                     scanned += 1;
                     let next = m.next;
-                    if m.flags & crate::entry::META_WAITING != 0 && m.ready_at <= now {
+                    if m.flags & META_WAITING != 0 && m.ready_at <= now {
                         let old_enough = match only_older_than {
                             Some(cutoff) => buf.entry_eligible_at(cur) <= cutoff,
                             None => true,

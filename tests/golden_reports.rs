@@ -69,6 +69,10 @@ struct Case {
     /// digest suffix. Only new fault cases set this, so every
     /// pre-existing line stays byte-identical.
     fault: Option<FaultConfig>,
+    /// `Some(w)` overrides `RouterConfig::scan_window` and appends the
+    /// ` window=` suffix. Only the window-boundary cases set this, so
+    /// every pre-existing line stays byte-identical.
+    scan_window: Option<usize>,
 }
 
 fn pattern_label(c: &Case) -> String {
@@ -104,6 +108,7 @@ fn case_4x4(
         three_hop: None,
         txn_digest: false,
         fault: None,
+        scan_window: None,
     }
 }
 
@@ -123,6 +128,7 @@ fn case_closed(algo: ArbAlgorithm, rate: f64, mshrs: u32, three_hop: f64, seed: 
         three_hop: Some(three_hop),
         txn_digest: true,
         fault: None,
+        scan_window: None,
     }
 }
 
@@ -141,6 +147,7 @@ fn case_shape(topology: NetTopology, algo: ArbAlgorithm, rate: f64, seed: u64) -
         three_hop: None,
         txn_digest: false,
         fault: None,
+        scan_window: None,
     }
 }
 
@@ -161,6 +168,22 @@ fn case_fault(topology: NetTopology, algo: ArbAlgorithm, fault: FaultConfig, see
         three_hop: None,
         txn_digest: false,
         fault: Some(fault),
+        scan_window: None,
+    }
+}
+
+/// Open-loop 4x4 torus far past saturation at a non-default scan window,
+/// run past the anti-starvation age threshold (4096 cycles) so drain
+/// mode engages and the two-pass old-first scan is pinned at both window
+/// extremes.
+fn case_scan_window(algo: ArbAlgorithm, scan_window: usize) -> Case {
+    Case {
+        warmup_cycles: 400,
+        measure_cycles: 7600,
+        // `closed_loop` with unbounded MSHRs is `WorkloadConfig::open_loop`.
+        mshrs: Some(u32::MAX),
+        scan_window: Some(scan_window),
+        ..case_4x4(algo, TrafficPattern::Uniform, false, 0.1, 1)
     }
 }
 
@@ -186,6 +209,7 @@ fn case_16x16(
         three_hop: None,
         txn_digest: false,
         fault: None,
+        scan_window: None,
     }
 }
 
@@ -338,13 +362,25 @@ fn cases() -> Vec<Case> {
         },
         2,
     ));
+    // Scan-window extremes (appended so every digest above keeps its
+    // position): a one-entry window, where every unlink moves the window
+    // tail, and one deeper than most queues, under both drivers.
+    for algo in [ArbAlgorithm::SpaaRotary, ArbAlgorithm::WfaRotary] {
+        for scan_window in [1, 32] {
+            cases.push(case_scan_window(algo, scan_window));
+        }
+    }
     cases
 }
 
 fn digest_line(c: &Case) -> String {
+    let mut router = RouterConfig::alpha_21364(c.algo);
+    if let Some(scan_window) = c.scan_window {
+        router.scan_window = scan_window;
+    }
     let cfg = NetworkConfig {
         topology: c.topology,
-        router: RouterConfig::alpha_21364(c.algo),
+        router,
         seed: c.seed,
         warmup_cycles: c.warmup_cycles,
         measure_cycles: c.measure_cycles,
@@ -439,6 +475,9 @@ fn digest_line(c: &Case) -> String {
             r.unreachable_drops,
             rlat.0,
         ));
+    }
+    if let Some(scan_window) = c.scan_window {
+        line.push_str(&format!(" window={scan_window}"));
     }
     line
 }

@@ -370,6 +370,16 @@ fn cases() -> Vec<Case> {
             cases.push(case_scan_window(algo, scan_window));
         }
     }
+    // Windowed kernels no line above runs (appended so every digest
+    // above keeps its position): the base wave-front start and the
+    // single- and three-iteration slips.
+    for algo in [
+        ArbAlgorithm::WfaBase,
+        ArbAlgorithm::Islip { iterations: 1 },
+        ArbAlgorithm::Islip { iterations: 3 },
+    ] {
+        cases.push(case_4x4(algo, TrafficPattern::Uniform, false, 0.04, 1));
+    }
     cases
 }
 

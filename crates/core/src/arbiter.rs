@@ -16,16 +16,16 @@
 //! Figures 8 and 9 are produced.
 
 use crate::islip::IslipArbiter;
-use crate::lqf::LqfArbiter;
+use crate::lqf::WeightedArbiter;
 use crate::matching::Matching;
 use crate::matrix::{RequestMatrix, WeightMatrix};
 use crate::mcm;
-use crate::ocf::OcfArbiter;
 use crate::opf::OpfArbiter;
 use crate::pim::PimArbiter;
 use crate::spaa::SpaaArbiter;
 use crate::wfa::WfaArbiter;
 use simcore::SimRng;
+use std::borrow::Cow;
 
 /// Both views of one arbitration cycle's eligible traffic, optionally
 /// annotated with per-cell weights.
@@ -81,6 +81,20 @@ impl ArbitrationInput {
         self
     }
 
+    /// The weight plane, or unit weights when the input carries none:
+    /// every cell ties, so a weighted arbiter reduces to its tie-break
+    /// and the MWM oracle to a maximum-cardinality matching. The unit
+    /// path only runs in generic test drivers, so the allocation is fine.
+    pub fn weights_or_unit(&self) -> Cow<'_, WeightMatrix> {
+        match &self.weights {
+            Some(w) => Cow::Borrowed(w),
+            None => Cow::Owned(WeightMatrix::unit(
+                self.requests.rows(),
+                self.requests.cols(),
+            )),
+        }
+    }
+
     /// Checks the nomination-subset-of-requests invariant.
     pub fn validate(&self) -> bool {
         self.nominations
@@ -94,58 +108,30 @@ impl ArbitrationInput {
 }
 
 /// A one-shot arbitration algorithm, as modelled by the standalone
-/// experiments.
-pub trait Arbiter {
-    /// Short display name used in figure output (e.g. `"SPAA"`).
-    fn name(&self) -> &str;
-
+/// experiments and run once per window by the router's matrix driver.
+/// [`crate::catalogue::AlgoKind`] names and builds every implementation.
+pub trait Arbiter: std::fmt::Debug + Send {
     /// Produces a matching for one arbitration cycle.
     fn arbitrate(&mut self, input: &ArbitrationInput, rng: &mut SimRng) -> Matching;
 }
 
 /// MCM as an [`Arbiter`] (the exhaustive upper bound).
 ///
-/// The matching it returns is always maximum-cardinality; by default the
-/// *choice among equal-cardinality matchings* is randomized by permuting
-/// rows and columns before running Hopcroft–Karp. Without that, the
-/// deterministic tie-breaking systematically favours low-index ports and
-/// starves the rest — and in a closed-loop queue model sustained
-/// starvation translates into drops and a throughput *below* algorithms
-/// with rotating priorities, which would misrepresent MCM's role as the
-/// §5.1 upper bound.
-#[derive(Clone, Debug)]
-pub struct McmArbiter {
-    randomize: bool,
-}
-
-impl Default for McmArbiter {
-    fn default() -> Self {
-        McmArbiter { randomize: true }
-    }
-}
-
-impl McmArbiter {
-    /// MCM with randomized tie-breaking (the standalone-model default).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// MCM with deterministic (low-index-first) tie-breaking.
-    pub fn deterministic() -> Self {
-        McmArbiter { randomize: false }
-    }
-}
+/// The matching it returns is always maximum-cardinality; the *choice
+/// among equal-cardinality matchings* is randomized by permuting rows
+/// and columns before running Hopcroft–Karp
+/// ([`mcm::maximum_matching`] is the deterministic solver). Without
+/// that, the low-index-first tie-breaking systematically favours
+/// low-index ports and starves the rest — and in a closed-loop queue
+/// model sustained starvation translates into drops and a throughput
+/// *below* algorithms with rotating priorities, which would misrepresent
+/// MCM's role as the §5.1 upper bound.
+#[derive(Clone, Copy, Debug)]
+pub struct McmArbiter;
 
 impl Arbiter for McmArbiter {
-    fn name(&self) -> &str {
-        "MCM"
-    }
-
     fn arbitrate(&mut self, input: &ArbitrationInput, rng: &mut SimRng) -> Matching {
         let req = &input.requests;
-        if !self.randomize {
-            return mcm::maximum_matching(req);
-        }
         let rows = req.rows();
         let cols = req.cols();
         // Random row/column relabelling: cardinality is invariant, the
@@ -183,97 +169,45 @@ fn permutation(n: usize, rng: &mut SimRng) -> Vec<usize> {
 }
 
 impl Arbiter for PimArbiter {
-    fn name(&self) -> &str {
-        if self.iterations() == 1 {
-            "PIM1"
-        } else {
-            "PIM"
-        }
-    }
-
     fn arbitrate(&mut self, input: &ArbitrationInput, rng: &mut SimRng) -> Matching {
         PimArbiter::arbitrate(self, &input.requests, rng)
     }
 }
 
 impl Arbiter for WfaArbiter {
-    fn name(&self) -> &str {
-        "WFA"
-    }
-
     fn arbitrate(&mut self, input: &ArbitrationInput, _rng: &mut SimRng) -> Matching {
         WfaArbiter::arbitrate(self, &input.requests)
     }
 }
 
 impl Arbiter for SpaaArbiter {
-    fn name(&self) -> &str {
-        "SPAA"
-    }
-
     fn arbitrate(&mut self, input: &ArbitrationInput, rng: &mut SimRng) -> Matching {
         self.grant(&input.nominations, rng)
     }
 }
 
 impl Arbiter for OpfArbiter {
-    fn name(&self) -> &str {
-        "OPF"
-    }
-
     fn arbitrate(&mut self, input: &ArbitrationInput, rng: &mut SimRng) -> Matching {
         OpfArbiter::arbitrate(self, &input.nominations, rng)
     }
 }
 
 impl Arbiter for IslipArbiter {
-    fn name(&self) -> &str {
-        self.label()
-    }
-
     fn arbitrate(&mut self, input: &ArbitrationInput, _rng: &mut SimRng) -> Matching {
         IslipArbiter::arbitrate(self, &input.requests)
     }
 }
 
-impl Arbiter for LqfArbiter {
-    fn name(&self) -> &str {
-        self.label()
-    }
-
+impl Arbiter for WeightedArbiter {
     fn arbitrate(&mut self, input: &ArbitrationInput, _rng: &mut SimRng) -> Matching {
-        match &input.weights {
-            Some(w) => LqfArbiter::arbitrate(self, &input.requests, w),
-            // Unweighted input: every cell ties, so the kernel reduces to
-            // its round-robin tie-break (an iSLIP-like matcher). This path
-            // only runs in generic test drivers, so the allocation is fine.
-            None => {
-                let unit = WeightMatrix::unit(input.requests.rows(), input.requests.cols());
-                LqfArbiter::arbitrate(self, &input.requests, &unit)
-            }
-        }
-    }
-}
-
-impl Arbiter for OcfArbiter {
-    fn name(&self) -> &str {
-        self.label()
-    }
-
-    fn arbitrate(&mut self, input: &ArbitrationInput, _rng: &mut SimRng) -> Matching {
-        match &input.weights {
-            Some(w) => OcfArbiter::arbitrate(self, &input.requests, w),
-            None => {
-                let unit = WeightMatrix::unit(input.requests.rows(), input.requests.cols());
-                OcfArbiter::arbitrate(self, &input.requests, &unit)
-            }
-        }
+        WeightedArbiter::arbitrate(self, &input.requests, &input.weights_or_unit())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::AlgoKind;
 
     /// Builds a consistent input: random requests, nominations chosen as
     /// the lowest requested output per row.
@@ -288,40 +222,24 @@ mod tests {
         ArbitrationInput::new(RequestMatrix::from_rows(masks, cols), noms)
     }
 
-    fn all_arbiters(rows: usize, cols: usize) -> Vec<Box<dyn Arbiter>> {
-        vec![
-            Box::new(McmArbiter::new()),
-            Box::new(PimArbiter::pim1()),
-            Box::new(PimArbiter::converged(rows)),
-            Box::new(WfaArbiter::base(rows, cols)),
-            Box::new(SpaaArbiter::base(rows, cols)),
-            Box::new(OpfArbiter::new(rows, cols)),
-            Box::new(IslipArbiter::islip(rows, cols, 1)),
-            Box::new(IslipArbiter::islip(rows, cols, 3)),
-            Box::new(IslipArbiter::round_robin_matcher(rows, cols)),
-        ]
-    }
-
     #[test]
     fn every_algorithm_yields_valid_matchings_bounded_by_mcm() {
         let mut gen = SimRng::from_seed(50);
         let mut rng = SimRng::from_seed(51);
-        let mut arbiters = all_arbiters(16, 7);
+        let mut arbiters = AlgoKind::ALL.map(|kind| (kind.label(), kind.build(16, 7)));
         for _ in 0..100 {
             let input = random_input(&mut gen, 16, 7);
             assert!(input.validate());
             let upper = mcm::maximum_matching(&input.requests).cardinality();
-            for arb in arbiters.iter_mut() {
+            for (label, arb) in arbiters.iter_mut() {
                 let m = arb.arbitrate(&input, &mut rng);
                 assert!(
                     m.is_valid_for(&input.requests),
-                    "{} produced an invalid matching",
-                    arb.name()
+                    "{label} produced an invalid matching"
                 );
                 assert!(
                     m.cardinality() <= upper,
-                    "{} beat MCM: {} > {upper}",
-                    arb.name(),
+                    "{label} beat MCM: {} > {upper}",
                     m.cardinality()
                 );
             }
@@ -334,33 +252,20 @@ mod tests {
         // MCM >= WFA ~ PIM >= PIM1 >= SPAA.
         let mut gen = SimRng::from_seed(60);
         let mut rng = SimRng::from_seed(61);
-        let mut arbiters = all_arbiters(16, 7);
-        let mut totals = vec![0usize; arbiters.len()];
+        let mut arbiters = AlgoKind::FIGURE8.map(|kind| kind.build(16, 7));
+        let mut totals = [0usize; 5];
         for _ in 0..400 {
             let input = random_input(&mut gen, 16, 7);
-            for (i, arb) in arbiters.iter_mut().enumerate() {
-                totals[i] += arb.arbitrate(&input, &mut rng).cardinality();
+            for (total, arb) in totals.iter_mut().zip(arbiters.iter_mut()) {
+                *total += arb.arbitrate(&input, &mut rng).cardinality();
             }
         }
-        let (mcm_t, pim1_t, pim_t, wfa_t, spaa_t) =
-            (totals[0], totals[1], totals[2], totals[3], totals[4]);
+        let [mcm_t, wfa_t, pim_t, pim1_t, spaa_t] = totals;
         assert!(mcm_t >= wfa_t, "MCM {mcm_t} < WFA {wfa_t}");
         assert!(mcm_t >= pim_t, "MCM {mcm_t} < PIM {pim_t}");
         assert!(pim_t >= pim1_t, "PIM {pim_t} < PIM1 {pim1_t}");
         assert!(pim1_t >= spaa_t, "PIM1 {pim1_t} < SPAA {spaa_t}");
         assert!(wfa_t >= pim1_t, "WFA {wfa_t} < PIM1 {pim1_t}");
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(McmArbiter::new().name(), "MCM");
-        assert_eq!(PimArbiter::pim1().name(), "PIM1");
-        assert_eq!(PimArbiter::new(4).name(), "PIM");
-        assert_eq!(WfaArbiter::base(16, 7).name(), "WFA");
-        assert_eq!(SpaaArbiter::base(16, 7).name(), "SPAA");
-        assert_eq!(OpfArbiter::new(16, 7).name(), "OPF");
-        assert_eq!(IslipArbiter::islip(16, 7, 2).name(), "iSLIP2");
-        assert_eq!(IslipArbiter::round_robin_matcher(16, 7).name(), "RR");
     }
 
     #[test]

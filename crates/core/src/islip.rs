@@ -35,12 +35,13 @@
 //! driver (no RNG stream perturbation).
 
 use crate::matching::Matching;
-use crate::matrix::{RequestMatrix, MAX_DIM};
+use crate::matrix::RequestMatrix;
 use crate::policy::round_robin_first;
+use crate::round::{at_least_one, grant_accept_rounds, PickPolicy, Pointers};
 
 /// When a grant/accept pointer advances past the slot it granted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PointerUpdate {
+enum PointerUpdate {
     /// Only past grants accepted in the first iteration (iSLIP's rule —
     /// the property behind pointer desynchronization).
     OnAccept,
@@ -52,14 +53,9 @@ pub enum PointerUpdate {
 /// An iSLIP (or plain round-robin) matcher with persistent pointers.
 #[derive(Clone, Debug)]
 pub struct IslipArbiter {
-    rows: usize,
-    cols: usize,
+    ptrs: Pointers,
     iterations: usize,
     update: PointerUpdate,
-    /// Per output column: the input row with current grant priority.
-    grant_ptr: Vec<u32>,
-    /// Per input row: the output column with current accept priority.
-    accept_ptr: Vec<u32>,
 }
 
 impl IslipArbiter {
@@ -69,128 +65,56 @@ impl IslipArbiter {
     ///
     /// Panics if a dimension is zero or exceeds 32, or `iterations == 0`.
     pub fn islip(rows: usize, cols: usize, iterations: usize) -> Self {
-        IslipArbiter::new(rows, cols, iterations, PointerUpdate::OnAccept)
+        IslipArbiter {
+            ptrs: Pointers::new(rows, cols),
+            iterations: at_least_one(iterations),
+            update: PointerUpdate::OnAccept,
+        }
     }
 
     /// The plain parallel round-robin matcher baseline (single iteration,
     /// pointers always advance).
     pub fn round_robin_matcher(rows: usize, cols: usize) -> Self {
-        IslipArbiter::new(rows, cols, 1, PointerUpdate::Always)
-    }
-
-    /// Fully parameterized constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dimension is zero or exceeds 32, or `iterations == 0`.
-    pub fn new(rows: usize, cols: usize, iterations: usize, update: PointerUpdate) -> Self {
-        assert!(rows > 0 && rows <= MAX_DIM, "rows out of range: {rows}");
-        assert!(cols > 0 && cols <= MAX_DIM, "cols out of range: {cols}");
-        assert!(iterations > 0, "iSLIP needs at least one iteration");
         IslipArbiter {
-            rows,
-            cols,
-            iterations,
-            update,
-            grant_ptr: vec![0; cols],
-            accept_ptr: vec![0; rows],
+            update: PointerUpdate::Always,
+            ..IslipArbiter::islip(rows, cols, 1)
         }
     }
 
-    /// Iteration count.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// The pointer-update rule in force.
-    pub fn pointer_update(&self) -> PointerUpdate {
-        self.update
-    }
-
-    /// Display name used in figure output.
-    pub fn label(&self) -> &'static str {
-        match (self.update, self.iterations) {
-            (PointerUpdate::Always, _) => "RR",
-            (PointerUpdate::OnAccept, 1) => "iSLIP1",
-            (PointerUpdate::OnAccept, 2) => "iSLIP2",
-            (PointerUpdate::OnAccept, 3) => "iSLIP3",
-            (PointerUpdate::OnAccept, _) => "iSLIP",
-        }
-    }
-
-    /// Runs one arbitration pass and updates the pointers.
-    ///
-    /// Iterations after the matching stops growing are skipped (iSLIP
-    /// never revokes a match, so an empty grant phase is terminal).
+    /// Runs one arbitration pass (see [`grant_accept_rounds`]) and
+    /// updates the pointers.
     ///
     /// # Panics
     ///
     /// Panics if the request matrix shape differs from the arbiter's.
     pub fn arbitrate(&mut self, req: &RequestMatrix) -> Matching {
-        assert_eq!(req.rows(), self.rows, "request rows mismatch");
-        assert_eq!(req.cols(), self.cols, "request cols mismatch");
-        let mut m = Matching::empty(self.rows, self.cols);
-        // The transpose is invariant across iterations; only the matched
-        // sets change.
-        let col_masks = req.col_masks();
-        for iter in 0..self.iterations {
-            let matched_rows = m.matched_rows();
-            let matched_cols = m.matched_cols();
+        self.ptrs.check_shape(req);
+        grant_accept_rounds(req, self.iterations, self)
+    }
+}
 
-            // Grant: each unmatched output points one requesting input.
-            // grants[r] = mask of columns granting row r; granted_row[c]
-            // remembers each column's choice for the pointer update.
-            let mut grants = [0u32; MAX_DIM];
-            let mut granted_row = [usize::MAX; MAX_DIM];
-            let mut any_grant = false;
-            for (c, slot) in granted_row.iter_mut().enumerate().take(self.cols) {
-                if matched_cols & (1 << c) != 0 {
-                    continue;
-                }
-                let requesters = col_masks[c] & !matched_rows;
-                if requesters == 0 {
-                    continue;
-                }
-                let r = round_robin_first(requesters, self.grant_ptr[c]);
-                grants[r] |= 1 << c;
-                *slot = r;
-                any_grant = true;
-            }
-            if !any_grant {
-                break;
-            }
-
-            // Accept: each granted input picks one column round-robin.
-            for (r, &g) in grants.iter().enumerate().take(self.rows) {
-                if g == 0 {
-                    continue;
-                }
-                let c = round_robin_first(g, self.accept_ptr[r]);
-                m.grant(r, c);
-                if self.update == PointerUpdate::OnAccept && iter == 0 {
-                    // The slip: advance only past an accepted first-round
-                    // grant.
-                    self.grant_ptr[c] = ((r + 1) % self.rows) as u32;
-                    self.accept_ptr[r] = ((c + 1) % self.cols) as u32;
-                }
-            }
-            if self.update == PointerUpdate::Always {
-                // Plain round-robin: every pointer that acted moves on,
-                // accepted or not.
-                for (c, &gr) in granted_row.iter().enumerate().take(self.cols) {
-                    if gr != usize::MAX {
-                        self.grant_ptr[c] = ((gr + 1) % self.rows) as u32;
-                    }
-                }
-                for (r, &g) in grants.iter().enumerate().take(self.rows) {
-                    if g != 0 {
-                        let c = m.output_of(r).expect("granted row accepted one column");
-                        self.accept_ptr[r] = ((c + 1) % self.cols) as u32;
-                    }
-                }
-            }
+/// The rotating-pointer pick policy: each phase takes the first
+/// contender at or after its pointer. Every pointer is read at most once
+/// per round, so the plain matcher's "advance past every grant" can
+/// happen at the pick itself.
+impl PickPolicy for IslipArbiter {
+    #[inline]
+    fn grant(&mut self, col: usize, requesters: u32) -> usize {
+        let row = round_robin_first(requesters, self.ptrs.grant[col]);
+        if self.update == PointerUpdate::Always {
+            self.ptrs.advance_grant(col, row);
         }
-        m
+        row
+    }
+
+    #[inline]
+    fn accept(&mut self, iter: usize, row: usize, grants: u32) -> usize {
+        let col = round_robin_first(grants, self.ptrs.accept[row]);
+        match self.update {
+            PointerUpdate::OnAccept => self.ptrs.slip(iter, row, col),
+            PointerUpdate::Always => self.ptrs.advance_accept(row, col),
+        }
+        col
     }
 }
 
@@ -334,15 +258,6 @@ mod tests {
         let req = RequestMatrix::new(4, 4);
         let mut islip = IslipArbiter::islip(4, 4, 2);
         assert_eq!(islip.arbitrate(&req).cardinality(), 0);
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(IslipArbiter::islip(4, 4, 1).label(), "iSLIP1");
-        assert_eq!(IslipArbiter::islip(4, 4, 2).label(), "iSLIP2");
-        assert_eq!(IslipArbiter::islip(4, 4, 3).label(), "iSLIP3");
-        assert_eq!(IslipArbiter::islip(4, 4, 5).label(), "iSLIP");
-        assert_eq!(IslipArbiter::round_robin_matcher(4, 4).label(), "RR");
     }
 
     #[test]

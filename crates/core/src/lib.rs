@@ -14,9 +14,12 @@
 //! | MCM (Maximal Cardinality Matching upper bound) | [`mcm`] | §3 |
 //! | OPF (naïve oldest-packet-first strawman) | [`opf`] | Figure 2 |
 //! | iSLIP (iterative round-robin with slip, 1..n iterations) & plain round-robin matcher | [`islip`] | extension |
-//! | iLQF (iterative longest-queue-first, weighted) | [`lqf`] | extension |
-//! | iOCF (iterative oldest-cell-first, weighted) | [`ocf`] | extension |
+//! | iLQF / iOCF (iterative longest-queue-first / oldest-cell-first, weighted) | [`lqf`] | extension |
 //! | MWM (exact maximum-weight matching oracle, Hungarian) | [`mwm`] | extension |
+//!
+//! PIM, iSLIP and the weighted pair are pick policies over the one
+//! grant/accept loop in [`round`]; [`catalogue::AlgoKind`] names, labels
+//! and builds every kernel behind the [`arbiter::Arbiter`] trait.
 //!
 //! Output-port selection policies (random, round-robin, least-recently
 //! selected, and the Rotary Rule of §3.4) live in [`policy`]. Requests are
@@ -48,30 +51,31 @@
 //! ```
 
 pub mod arbiter;
+pub mod catalogue;
 pub mod islip;
 pub mod lqf;
 pub mod matching;
 pub mod matrix;
 pub mod mcm;
 pub mod mwm;
-pub mod ocf;
 pub mod opf;
 pub mod pim;
 pub mod policy;
 pub mod ports;
+pub mod round;
 pub mod spaa;
 pub mod wfa;
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::arbiter::{Arbiter, ArbitrationInput};
-    pub use crate::islip::{IslipArbiter, PointerUpdate};
-    pub use crate::lqf::{LqfArbiter, WeightedIterKernel};
+    pub use crate::catalogue::{AlgoKind, WeightKind};
+    pub use crate::islip::IslipArbiter;
+    pub use crate::lqf::{LqfArbiter, WeightedArbiter};
     pub use crate::matching::Matching;
     pub use crate::matrix::{ConnectionMatrix, RequestMatrix, WeightMatrix};
     pub use crate::mcm;
     pub use crate::mwm::{self, MwmArbiter};
-    pub use crate::ocf::OcfArbiter;
     pub use crate::opf::OpfArbiter;
     pub use crate::pim::PimArbiter;
     pub use crate::policy::{RotaryMode, SelectionPolicy, Selector};

@@ -1,35 +1,31 @@
-//! iLQF — iterative longest-queue-first matching (McKeown's weighted
-//! sibling of iSLIP), plus the shared weighted grant/accept kernel iOCF
-//! reuses.
+//! iLQF and iOCF — the weighted iterative matchers (McKeown's weighted
+//! siblings of iSLIP).
 //!
 //! Where iSLIP's grant and accept steps consult only rotating pointers,
-//! the weighted iterative algorithms consult a [`WeightMatrix`] carried
-//! alongside the request bitmasks:
+//! the weighted matchers consult a [`WeightMatrix`] carried alongside the
+//! request bitmasks: each unmatched output grants the *heaviest*
+//! requesting input and each granted input accepts its *heaviest* grant.
+//! What "heavy" means is the caller's choice of weight plane, not the
+//! kernel's:
 //!
-//! 1. **Request.** Every unmatched input requests every unmatched output
-//!    it has a packet for (the plain [`RequestMatrix`], unchanged).
-//! 2. **Grant.** Each unmatched output grants the *heaviest* requesting
-//!    input — under iLQF the weight is that (input, output) queue's
-//!    depth, so long queues drain first.
-//! 3. **Accept.** Each input that received grants accepts its heaviest
-//!    grant.
+//! * **iLQF** (longest queue first) schedules on queue **depth**, so long
+//!   queues drain first;
+//! * **iOCF** (oldest cell first) schedules on head-of-line **age** — a
+//!   cell's weight grows with every cycle it loses, so persistent losers
+//!   eventually outweigh any queue (the starvation-resistant member).
 //!
 //! Ties — ubiquitous at low load, where most weights are 1 — fall back to
 //! the same [`round_robin_first`] pointer discipline iSLIP uses, with the
-//! slip rule intact: pointers advance only past a first-iteration
-//! accepted grant, so equal-weight contention desynchronizes exactly like
-//! iSLIP instead of re-fighting the same cell every cycle.
+//! slip rule intact, so equal-weight contention desynchronizes exactly
+//! like iSLIP instead of re-fighting the same cell every cycle.
 //!
 //! The kernel is deterministic (no RNG draws) and allocation-free per
-//! pass: the grant scratch lives in fixed `[_; MAX_DIM]` arrays, exactly
-//! like [`crate::islip`]. [`WeightedIterKernel`] is the shared machinery;
-//! [`LqfArbiter`] names the depth-weighted instance, and
-//! [`crate::ocf::OcfArbiter`] wraps the same kernel with head-of-line age
-//! weights.
+//! pass.
 
 use crate::matching::Matching;
-use crate::matrix::{RequestMatrix, WeightMatrix, MAX_DIM};
+use crate::matrix::{RequestMatrix, WeightMatrix};
 use crate::policy::round_robin_first;
+use crate::round::{at_least_one, grant_accept_rounds, PickPolicy, Pointers};
 
 /// The heaviest member of `pool` by `weight_of`, ties broken round-robin
 /// at or after `ptr` — the pick primitive both weighted phases share.
@@ -57,152 +53,67 @@ fn heaviest(pool: u32, ptr: u32, weight_of: impl Fn(usize) -> u32) -> usize {
     round_robin_first(ties, ptr)
 }
 
-/// The weighted iterative grant/accept kernel: iSLIP's structure with
-/// max-weight picks and round-robin tie-breaks. Instantiated as iLQF
-/// (depth weights) and iOCF (age weights); the kernel itself is agnostic
-/// to what the weights mean.
+/// The weighted iterative matcher: iLQF on a depth plane, iOCF on an age
+/// plane. The arbiter itself is agnostic to what the weights mean.
 #[derive(Clone, Debug)]
-pub struct WeightedIterKernel {
-    rows: usize,
-    cols: usize,
+pub struct WeightedArbiter {
+    ptrs: Pointers,
     iterations: usize,
-    /// Per output column: the input row with current tie-break priority.
-    grant_ptr: Vec<u32>,
-    /// Per input row: the output column with current tie-break priority.
-    accept_ptr: Vec<u32>,
 }
 
-impl WeightedIterKernel {
-    /// A kernel over a `rows × cols` matrix.
+/// iLQF is [`WeightedArbiter`] fed queue depths.
+pub type LqfArbiter = WeightedArbiter;
+
+/// The weighted pick policy over one arbitration's weight plane: heaviest
+/// contender, pointer tie-break, pointers slipping as in iSLIP.
+struct HeaviestPick<'a> {
+    ptrs: &'a mut Pointers,
+    w: &'a WeightMatrix,
+}
+
+impl PickPolicy for HeaviestPick<'_> {
+    #[inline]
+    fn grant(&mut self, col: usize, requesters: u32) -> usize {
+        heaviest(requesters, self.ptrs.grant[col], |r| self.w.weight(r, col))
+    }
+
+    #[inline]
+    fn accept(&mut self, iter: usize, row: usize, grants: u32) -> usize {
+        let col = heaviest(grants, self.ptrs.accept[row], |c| self.w.weight(row, c));
+        self.ptrs.slip(iter, row, col);
+        col
+    }
+}
+
+impl WeightedArbiter {
+    /// A weighted matcher over a `rows × cols` matrix.
     ///
     /// # Panics
     ///
     /// Panics if a dimension is zero or exceeds 32, or `iterations == 0`.
     pub fn new(rows: usize, cols: usize, iterations: usize) -> Self {
-        assert!(rows > 0 && rows <= MAX_DIM, "rows out of range: {rows}");
-        assert!(cols > 0 && cols <= MAX_DIM, "cols out of range: {cols}");
-        assert!(
-            iterations > 0,
-            "weighted kernel needs at least one iteration"
-        );
-        WeightedIterKernel {
-            rows,
-            cols,
-            iterations,
-            grant_ptr: vec![0; cols],
-            accept_ptr: vec![0; rows],
+        WeightedArbiter {
+            ptrs: Pointers::new(rows, cols),
+            iterations: at_least_one(iterations),
         }
     }
 
-    /// Iteration count.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Runs one arbitration pass over `req` with weights `w`, updating the
-    /// tie-break pointers.
-    ///
-    /// Iterations after the matching stops growing are skipped (a match is
-    /// never revoked, so an empty grant phase is terminal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request or weight matrix shape differs from the
-    /// kernel's.
-    pub fn arbitrate(&mut self, req: &RequestMatrix, w: &WeightMatrix) -> Matching {
-        assert_eq!(req.rows(), self.rows, "request rows mismatch");
-        assert_eq!(req.cols(), self.cols, "request cols mismatch");
-        assert_eq!(w.rows(), self.rows, "weight rows mismatch");
-        assert_eq!(w.cols(), self.cols, "weight cols mismatch");
-        let mut m = Matching::empty(self.rows, self.cols);
-        let col_masks = req.col_masks();
-        for iter in 0..self.iterations {
-            let matched_rows = m.matched_rows();
-            let matched_cols = m.matched_cols();
-
-            // Grant: each unmatched output grants its heaviest requester.
-            // grants[r] = mask of columns granting row r.
-            let mut grants = [0u32; MAX_DIM];
-            let mut any_grant = false;
-            for (c, &col_mask) in col_masks.iter().enumerate().take(self.cols) {
-                if matched_cols & (1 << c) != 0 {
-                    continue;
-                }
-                let requesters = col_mask & !matched_rows;
-                if requesters == 0 {
-                    continue;
-                }
-                let r = heaviest(requesters, self.grant_ptr[c], |r| w.weight(r, c));
-                grants[r] |= 1 << c;
-                any_grant = true;
-            }
-            if !any_grant {
-                break;
-            }
-
-            // Accept: each granted input accepts its heaviest grant.
-            for (r, &g) in grants.iter().enumerate().take(self.rows) {
-                if g == 0 {
-                    continue;
-                }
-                let c = heaviest(g, self.accept_ptr[r], |c| w.weight(r, c));
-                m.grant(r, c);
-                if iter == 0 {
-                    // The slip, unchanged from iSLIP: tie-break pointers
-                    // advance only past a first-iteration accepted grant.
-                    self.grant_ptr[c] = ((r + 1) % self.rows) as u32;
-                    self.accept_ptr[r] = ((c + 1) % self.cols) as u32;
-                }
-            }
-        }
-        m
-    }
-}
-
-/// iLQF: the weighted iterative kernel with **queue-depth** weights —
-/// longest queue first. The weight plane is supplied by the caller (the
-/// router's window fill counts waiting packets per (input, output); the
-/// standalone model counts queued packets that can use the output).
-#[derive(Clone, Debug)]
-pub struct LqfArbiter {
-    kernel: WeightedIterKernel,
-}
-
-impl LqfArbiter {
-    /// An iLQF instance over a `rows × cols` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dimension is zero or exceeds 32, or `iterations == 0`.
-    pub fn new(rows: usize, cols: usize, iterations: usize) -> Self {
-        LqfArbiter {
-            kernel: WeightedIterKernel::new(rows, cols, iterations),
-        }
-    }
-
-    /// Iteration count.
-    pub fn iterations(&self) -> usize {
-        self.kernel.iterations()
-    }
-
-    /// Display name used in figure output.
-    pub fn label(&self) -> &'static str {
-        match self.kernel.iterations() {
-            1 => "iLQF1",
-            2 => "iLQF2",
-            3 => "iLQF3",
-            _ => "iLQF",
-        }
-    }
-
-    /// Runs one arbitration pass (see [`WeightedIterKernel::arbitrate`]).
+    /// Runs one arbitration pass (see [`grant_accept_rounds`]) over `req`
+    /// with weights `w`, updating the tie-break pointers.
     ///
     /// # Panics
     ///
     /// Panics if the request or weight matrix shape differs from the
     /// arbiter's.
-    pub fn arbitrate(&mut self, req: &RequestMatrix, weights: &WeightMatrix) -> Matching {
-        self.kernel.arbitrate(req, weights)
+    pub fn arbitrate(&mut self, req: &RequestMatrix, w: &WeightMatrix) -> Matching {
+        self.ptrs.check_shape(req);
+        assert_eq!(w.rows(), req.rows(), "weight rows mismatch");
+        assert_eq!(w.cols(), req.cols(), "weight cols mismatch");
+        let mut policy = HeaviestPick {
+            ptrs: &mut self.ptrs,
+            w,
+        };
+        grant_accept_rounds(req, self.iterations, &mut policy)
     }
 }
 
@@ -288,6 +199,37 @@ mod tests {
     }
 
     #[test]
+    fn oldest_cell_wins_both_phases() {
+        // Age weights (iOCF): rows 0 and 1 both request column 0; row 1's
+        // head packet is older. Row 1 also has a younger option at column
+        // 1: age steers its accept back to column 0.
+        let req = RequestMatrix::from_rows(vec![0b01, 0b11], 2);
+        let mut w = WeightMatrix::new(2, 2);
+        w.set(0, 0, 4);
+        w.set(1, 0, 20);
+        w.set(1, 1, 3);
+        let mut ocf = WeightedArbiter::new(2, 2, 2);
+        let m = ocf.arbitrate(&req, &w);
+        assert_eq!(m.output_of(1), Some(0), "oldest cell granted and accepted");
+        assert_eq!(m.output_of(0), None, "younger contender loses round one");
+    }
+
+    #[test]
+    fn second_iteration_recovers_the_loser() {
+        // Same setup, but row 0 — whose first choice went to row 1 — has
+        // a second column, which iteration 2 picks up.
+        let req = RequestMatrix::from_rows(vec![0b11, 0b01], 2);
+        let mut w = WeightMatrix::new(2, 2);
+        w.set(0, 0, 4);
+        w.set(0, 1, 1);
+        w.set(1, 0, 20);
+        let mut ocf = WeightedArbiter::new(2, 2, 2);
+        let m = ocf.arbitrate(&req, &w);
+        assert_eq!(m.output_of(1), Some(0));
+        assert_eq!(m.output_of(0), Some(1), "iteration 2 matches the loser");
+    }
+
+    #[test]
     fn unit_weights_degenerate_to_round_robin_tie_break() {
         // With every weight equal, the kernel desynchronizes exactly like
         // iSLIP: persistent all-ones requests reach a full matching.
@@ -328,13 +270,6 @@ mod tests {
         let w = WeightMatrix::unit(4, 4);
         let mut lqf = LqfArbiter::new(4, 4, 2);
         assert_eq!(lqf.arbitrate(&req, &w).cardinality(), 0);
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(LqfArbiter::new(4, 4, 1).label(), "iLQF1");
-        assert_eq!(LqfArbiter::new(4, 4, 2).label(), "iLQF2");
-        assert_eq!(LqfArbiter::new(4, 4, 5).label(), "iLQF");
     }
 
     #[test]

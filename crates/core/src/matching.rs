@@ -9,26 +9,22 @@
 //! request set and *maximality* (no augmenting pair left) are checked by
 //! predicates used heavily in tests.
 
-use crate::matrix::RequestMatrix;
-
-/// Largest supported matrix dimension. The mask helpers
-/// ([`Matching::matched_rows`]/[`Matching::matched_cols`]) already encode
-/// rows and columns as `u32` bit positions, so 32 was always the
-/// effective bound; making it explicit lets the storage live inline
-/// (arbitration kernels build one matching per window — on the saturated
-/// hot path — and must not touch the allocator).
-pub const MAX_MATCHING_DIM: usize = 32;
+use crate::matrix::{RequestMatrix, MAX_DIM};
 
 /// Sentinel for "unmatched" in the inline assignment arrays.
 const UNMATCHED: u8 = u8::MAX;
 
 /// A partial assignment of input-arbiter rows to output columns.
+///
+/// The storage is inline, sized by the [`MAX_DIM`] bound the `u32` masks
+/// impose anyway: kernels build one matching per window on the saturated
+/// hot path and must not touch the allocator.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Matching {
     rows: u8,
     cols: u8,
-    input_to_output: [u8; MAX_MATCHING_DIM],
-    output_to_input: [u8; MAX_MATCHING_DIM],
+    input_to_output: [u8; MAX_DIM],
+    output_to_input: [u8; MAX_DIM],
 }
 
 impl Matching {
@@ -36,14 +32,14 @@ impl Matching {
     ///
     /// # Panics
     ///
-    /// Panics if a dimension exceeds [`MAX_MATCHING_DIM`] or is zero.
+    /// Panics if a dimension exceeds [`MAX_DIM`] or is zero.
     pub fn empty(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && rows <= MAX_MATCHING_DIM && cols > 0 && cols <= MAX_MATCHING_DIM);
+        assert!(rows > 0 && rows <= MAX_DIM && cols > 0 && cols <= MAX_DIM);
         Matching {
             rows: rows as u8,
             cols: cols as u8,
-            input_to_output: [UNMATCHED; MAX_MATCHING_DIM],
-            output_to_input: [UNMATCHED; MAX_MATCHING_DIM],
+            input_to_output: [UNMATCHED; MAX_DIM],
+            output_to_input: [UNMATCHED; MAX_DIM],
         }
     }
 

@@ -13,7 +13,7 @@
 //! * [`WeightMatrix`] — optional per-(row, column) weights (queue depth or
 //!   head-of-line age) carried *alongside* a [`RequestMatrix`]. The
 //!   cardinality-only algorithms never look at it, so the unweighted path
-//!   is untouched; the weighted kernels ([`crate::lqf`], [`crate::ocf`])
+//!   is untouched; the weighted kernels ([`crate::lqf`])
 //!   and the exact MWM oracle ([`crate::mwm`]) read it for every cell the
 //!   request bitmask sets.
 //!
@@ -177,17 +177,6 @@ pub struct RequestMatrix {
     cols: usize,
 }
 
-impl Default for RequestMatrix {
-    /// A dimensionless placeholder (0 × 0) usable only as a scratch slot to
-    /// [`RequestMatrix::copy_rows_from`] into.
-    fn default() -> Self {
-        RequestMatrix {
-            rows: Vec::new(),
-            cols: 0,
-        }
-    }
-}
-
 impl RequestMatrix {
     /// An empty request matrix.
     ///
@@ -329,15 +318,6 @@ impl RequestMatrix {
     pub fn is_empty(&self) -> bool {
         self.rows.iter().all(|&r| r == 0)
     }
-
-    /// Returns a copy with every row intersected with `mask` (e.g. the set
-    /// of currently free outputs).
-    pub fn masked_cols(&self, mask: u32) -> RequestMatrix {
-        RequestMatrix {
-            rows: self.rows.iter().map(|r| r & mask).collect(),
-            cols: self.cols,
-        }
-    }
 }
 
 /// Per-(row, column) weights carried alongside a [`RequestMatrix`].
@@ -363,18 +343,6 @@ pub struct WeightMatrix {
     cols: usize,
 }
 
-impl Default for WeightMatrix {
-    /// A dimensionless placeholder (0 × 0) usable only as a scratch slot to
-    /// [`WeightMatrix::reset`] into shape.
-    fn default() -> Self {
-        WeightMatrix {
-            weights: Vec::new(),
-            rows: 0,
-            cols: 0,
-        }
-    }
-}
-
 impl WeightMatrix {
     /// An all-zero weight plane.
     ///
@@ -397,21 +365,6 @@ impl WeightMatrix {
         let mut w = WeightMatrix::new(rows, cols);
         w.weights.iter_mut().for_each(|x| *x = 1);
         w
-    }
-
-    /// Reshapes in place to `rows × cols` and zeroes every cell, reusing
-    /// the allocation — the per-window rebuild path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is 0 or exceeds [`MAX_DIM`].
-    pub fn reset(&mut self, rows: usize, cols: usize) {
-        assert!(rows > 0 && rows <= MAX_DIM, "rows out of range: {rows}");
-        assert!(cols > 0 && cols <= MAX_DIM, "cols out of range: {cols}");
-        self.weights.clear();
-        self.weights.resize(rows * cols, 0);
-        self.rows = rows;
-        self.cols = cols;
     }
 
     /// Number of rows.
@@ -556,17 +509,6 @@ mod tests {
         r.clear(1, 3);
         assert!(!r.requested(1, 3));
         assert_eq!(r.request_count(), 2);
-    }
-
-    #[test]
-    fn masked_cols_filters_busy_outputs() {
-        let mut r = RequestMatrix::new(2, 4);
-        r.set(0, 0);
-        r.set(0, 3);
-        r.set(1, 1);
-        let f = r.masked_cols(0b0001); // only output 0 free
-        assert_eq!(f.row_mask(0), 0b0001);
-        assert_eq!(f.row_mask(1), 0);
     }
 
     #[test]

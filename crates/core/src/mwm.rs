@@ -150,34 +150,16 @@ pub fn brute_force_max_weight(req: &RequestMatrix, w: &WeightMatrix) -> u64 {
 /// tabulate it beside the real algorithms. When the input carries no
 /// weight plane it degenerates to unit weights, i.e. a maximum-cardinality
 /// matching chosen deterministically.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct MwmArbiter;
 
-impl MwmArbiter {
-    /// A new oracle instance (stateless).
-    pub fn new() -> Self {
-        MwmArbiter
-    }
-}
-
 impl Arbiter for MwmArbiter {
-    fn name(&self) -> &str {
-        "MWM"
-    }
-
     fn arbitrate(
         &mut self,
         input: &crate::arbiter::ArbitrationInput,
         _rng: &mut simcore::SimRng,
     ) -> Matching {
-        let req = &input.requests;
-        match &input.weights {
-            Some(w) => maximum_weight_matching(req, w),
-            None => {
-                let unit = WeightMatrix::unit(req.rows(), req.cols());
-                maximum_weight_matching(req, &unit)
-            }
-        }
+        maximum_weight_matching(&input.requests, &input.weights_or_unit())
     }
 }
 

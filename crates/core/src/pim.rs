@@ -18,12 +18,28 @@
 
 use crate::matching::Matching;
 use crate::matrix::RequestMatrix;
+use crate::round::{at_least_one, grant_accept_rounds, PickPolicy};
 use simcore::SimRng;
 
 /// The PIM algorithm with a configurable iteration count.
 #[derive(Clone, Debug)]
 pub struct PimArbiter {
     iterations: usize,
+}
+
+/// PIM's pick policy: both phases draw uniformly at random.
+struct RandomPick<'a>(&'a mut SimRng);
+
+impl PickPolicy for RandomPick<'_> {
+    #[inline]
+    fn grant(&mut self, _col: usize, requesters: u32) -> usize {
+        self.0.pick_bit(requesters) as usize
+    }
+
+    #[inline]
+    fn accept(&mut self, _iter: usize, _row: usize, grants: u32) -> usize {
+        self.0.pick_bit(grants) as usize
+    }
 }
 
 impl PimArbiter {
@@ -33,8 +49,9 @@ impl PimArbiter {
     ///
     /// Panics if `iterations == 0`.
     pub fn new(iterations: usize) -> Self {
-        assert!(iterations > 0, "PIM needs at least one iteration");
-        PimArbiter { iterations }
+        PimArbiter {
+            iterations: at_least_one(iterations),
+        }
     }
 
     /// The single-iteration variant evaluated in the paper's timing model.
@@ -49,59 +66,11 @@ impl PimArbiter {
         PimArbiter::new((iters as usize).max(1))
     }
 
-    /// Iteration count.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Runs PIM on a request matrix.
-    ///
-    /// Rounds after the matching stops growing are skipped (they cannot
-    /// make progress: PIM never revokes a match). The pass is
-    /// allocation-free: the grant table lives on the stack and the column
-    /// masks are materialized once per call instead of once per
-    /// column-visit.
+    /// Runs PIM on a request matrix (see
+    /// [`grant_accept_rounds`]): within a round every grant draw is made
+    /// by ascending column, then every accept draw by ascending row.
     pub fn arbitrate(&mut self, req: &RequestMatrix, rng: &mut SimRng) -> Matching {
-        let rows = req.rows();
-        let cols = req.cols();
-        let mut m = Matching::empty(rows, cols);
-        // The transpose is invariant across iterations; only the matched
-        // sets change.
-        let col_masks = req.col_masks();
-
-        for _ in 0..self.iterations {
-            let matched_rows = m.matched_rows();
-            let matched_cols = m.matched_cols();
-
-            // Grant: each unmatched output randomly picks among the
-            // requests from unmatched inputs.
-            // grants[r] = mask of columns that granted row r.
-            let mut grants = [0u32; crate::matching::MAX_MATCHING_DIM];
-            let mut any_grant = false;
-            for (c, &col_mask) in col_masks.iter().enumerate().take(cols) {
-                if matched_cols & (1 << c) != 0 {
-                    continue;
-                }
-                let requesters = col_mask & !matched_rows;
-                if requesters != 0 {
-                    let r = rng.pick_bit(requesters) as usize;
-                    grants[r] |= 1 << c;
-                    any_grant = true;
-                }
-            }
-            if !any_grant {
-                break;
-            }
-
-            // Accept: each input with grants randomly accepts one.
-            for (r, &g) in grants.iter().enumerate().take(rows) {
-                if g != 0 {
-                    let c = rng.pick_bit(g) as usize;
-                    m.grant(r, c);
-                }
-            }
-        }
-        m
+        grant_accept_rounds(req, self.iterations, &mut RandomPick(rng))
     }
 }
 
@@ -138,7 +107,7 @@ mod tests {
         // small failure rate but most outcomes must be maximal.
         let mut r = rng();
         let mut pim = PimArbiter::converged(16);
-        assert_eq!(pim.iterations(), 4);
+        assert_eq!(pim.iterations, 4);
         let mut maximal = 0;
         let trials = 200;
         for _ in 0..trials {
@@ -209,10 +178,10 @@ mod tests {
 
     #[test]
     fn converged_iteration_counts() {
-        assert_eq!(PimArbiter::converged(16).iterations(), 4);
-        assert_eq!(PimArbiter::converged(8).iterations(), 3);
-        assert_eq!(PimArbiter::converged(2).iterations(), 1);
-        assert_eq!(PimArbiter::converged(1).iterations(), 1);
+        assert_eq!(PimArbiter::converged(16).iterations, 4);
+        assert_eq!(PimArbiter::converged(8).iterations, 3);
+        assert_eq!(PimArbiter::converged(2).iterations, 1);
+        assert_eq!(PimArbiter::converged(1).iterations, 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use simcore::SimRng;
 /// The first set bit of `pool` at or after `ptr`, wrapping — the shared
 /// round-robin primitive behind [`SelectionPolicy::RoundRobin`], the
 /// iSLIP grant/accept pointers ([`crate::islip`]), and the weighted
-/// kernels' tie-breaks ([`crate::lqf`], [`crate::ocf`]).
+/// kernel's tie-breaks ([`crate::lqf`]).
 ///
 /// Branch-free rotate-and-`trailing_zeros` kernel: rotating the pool right
 /// by `ptr` renames bit `ptr` to bit 0, so the priority-encode is a single

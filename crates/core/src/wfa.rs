@@ -129,7 +129,7 @@ impl WfaArbiter {
         let mut free_cols = mask_of(self.cols);
         // Row-order scratch lives on the stack: one wave per window on
         // the saturated hot path must not touch the allocator.
-        let mut order = [0usize; crate::matching::MAX_MATCHING_DIM];
+        let mut order = [0usize; crate::matrix::MAX_DIM];
         match self.start {
             WfaStart::RoundRobin => {
                 for (r, slot) in order.iter_mut().enumerate().take(self.rows) {
@@ -243,7 +243,8 @@ impl WfaArbiter {
     }
 }
 
-fn mask_of(n: usize) -> u32 {
+/// The low `n` bits set (`n ≤ 32`).
+pub(crate) fn mask_of(n: usize) -> u32 {
     if n == 32 {
         u32::MAX
     } else {

@@ -19,8 +19,6 @@
 //! GOLDEN_UPDATE=1 cargo test -p arbitration --test kernel_digests
 //! ```
 
-use arbitration::arbiter::McmArbiter;
-use arbitration::ports::NETWORK_ROW_MASK;
 use arbitration::prelude::*;
 use simcore::SimRng;
 
@@ -40,36 +38,6 @@ impl Fnv {
         self.0 ^= b as u64;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
-}
-
-/// Every kernel under its figure label.
-fn kernels() -> Vec<(&'static str, Box<dyn Arbiter>)> {
-    let (rows, cols) = (NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS);
-    vec![
-        ("MCM", Box::new(McmArbiter::new())),
-        ("WFA", Box::new(WfaArbiter::base(rows, cols))),
-        (
-            "WFA-rotary",
-            Box::new(WfaArbiter::rotary(rows, cols, NETWORK_ROW_MASK)),
-        ),
-        ("PIM", Box::new(PimArbiter::converged(rows))),
-        ("PIM1", Box::new(PimArbiter::pim1())),
-        ("SPAA", Box::new(SpaaArbiter::base(rows, cols))),
-        ("OPF", Box::new(OpfArbiter::new(rows, cols))),
-        ("iSLIP1", Box::new(IslipArbiter::islip(rows, cols, 1))),
-        ("iSLIP2", Box::new(IslipArbiter::islip(rows, cols, 2))),
-        ("iSLIP3", Box::new(IslipArbiter::islip(rows, cols, 3))),
-        (
-            "RR",
-            Box::new(IslipArbiter::round_robin_matcher(rows, cols)),
-        ),
-        ("iLQF1", Box::new(LqfArbiter::new(rows, cols, 1))),
-        ("iLQF2", Box::new(LqfArbiter::new(rows, cols, 2))),
-        ("iLQF3", Box::new(LqfArbiter::new(rows, cols, 3))),
-        ("iOCF1", Box::new(OcfArbiter::new(rows, cols, 1))),
-        ("iOCF2", Box::new(OcfArbiter::new(rows, cols, 2))),
-        ("MWM", Box::new(MwmArbiter::new())),
-    ]
 }
 
 /// The shared state sequence: requests over the 21364 wiring at a
@@ -111,9 +79,11 @@ fn states() -> Vec<ArbitrationInput> {
 /// One `label digest` line per kernel, in catalogue order.
 fn digest_lines() -> Vec<String> {
     let states = states();
-    kernels()
-        .into_iter()
-        .map(|(label, mut arbiter)| {
+    AlgoKind::ALL
+        .iter()
+        .map(|kind| {
+            let label = kind.label();
+            let mut arbiter = kind.build(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS);
             // The stream is keyed by the label, not the list position, so
             // adding a kernel never moves another kernel's draws.
             let stream = label

@@ -17,30 +17,17 @@
 //! workspace carries no property-testing dependency), so any failure
 //! reproduces exactly from the test alone.
 
-use arbitration::arbiter::{Arbiter, ArbitrationInput, McmArbiter};
 use arbitration::prelude::*;
 use simcore::SimRng;
 
 const CASES: usize = 200;
 
-fn all_arbiters(rows: usize, cols: usize) -> Vec<Box<dyn Arbiter>> {
-    vec![
-        Box::new(SpaaArbiter::base(rows, cols)),
-        Box::new(PimArbiter::converged(rows)),
-        Box::new(PimArbiter::pim1()),
-        Box::new(WfaArbiter::base(rows, cols)),
-        Box::new(McmArbiter::new()),
-        Box::new(McmArbiter::deterministic()),
-        Box::new(OpfArbiter::new(rows, cols)),
-        Box::new(IslipArbiter::islip(rows, cols, 1)),
-        Box::new(IslipArbiter::islip(rows, cols, 2)),
-        Box::new(IslipArbiter::islip(rows, cols, 3)),
-        Box::new(IslipArbiter::round_robin_matcher(rows, cols)),
-        Box::new(LqfArbiter::new(rows, cols, 1)),
-        Box::new(LqfArbiter::new(rows, cols, 2)),
-        Box::new(OcfArbiter::new(rows, cols, 1)),
-        Box::new(MwmArbiter::new()),
-    ]
+/// One persistent arbiter per catalogue entry, under its label.
+fn all_arbiters(rows: usize, cols: usize) -> Vec<(&'static str, Box<dyn Arbiter>)> {
+    AlgoKind::ALL
+        .iter()
+        .map(|kind| (kind.label(), kind.build(rows, cols)))
+        .collect()
 }
 
 /// A random request state over the real 21364 connection matrix: every
@@ -89,18 +76,18 @@ fn every_arbiter_grants_within_requests_and_connections() {
     for case in 0..CASES {
         let input = random_request_state(&mut gen, &conn);
         assert!(input.validate(), "case {case}: inconsistent input");
-        for arb in arbiters.iter_mut() {
+        for (label, arb) in arbiters.iter_mut() {
             let m = arb.arbitrate(&input, &mut rng);
             for (r, c) in m.pairs() {
                 assert!(
                     input.requests.requested(r, c),
                     "{} case {case}: granted ({r},{c}) without a request",
-                    arb.name()
+                    label
                 );
                 assert!(
                     conn.connected(r, c),
                     "{} case {case}: granted ({r},{c}) outside the connection matrix",
-                    arb.name()
+                    label
                 );
             }
         }
@@ -115,7 +102,7 @@ fn every_arbiter_grants_at_most_one_per_row_and_column() {
     let mut arbiters = all_arbiters(conn.rows(), conn.cols());
     for case in 0..CASES {
         let input = random_request_state(&mut gen, &conn);
-        for arb in arbiters.iter_mut() {
+        for (label, arb) in arbiters.iter_mut() {
             let m = arb.arbitrate(&input, &mut rng);
             // Recount directly from the pair list rather than trusting
             // the Matching accessors: the invariant under test is the
@@ -127,13 +114,13 @@ fn every_arbiter_grants_at_most_one_per_row_and_column() {
                     row_seen & (1 << r),
                     0,
                     "{} case {case}: row {r} granted twice",
-                    arb.name()
+                    label
                 );
                 assert_eq!(
                     col_seen & (1 << c),
                     0,
                     "{} case {case}: column {c} granted twice",
-                    arb.name()
+                    label
                 );
                 row_seen |= 1 << r;
                 col_seen |= 1 << c;
@@ -157,7 +144,7 @@ fn no_arbiter_grants_an_empty_row() {
                 empty_rows_seen += 1;
             }
         }
-        for arb in arbiters.iter_mut() {
+        for (label, arb) in arbiters.iter_mut() {
             let m = arb.arbitrate(&input, &mut rng);
             for r in 0..input.requests.rows() {
                 if input.requests.row_mask(r) == 0 {
@@ -165,7 +152,7 @@ fn no_arbiter_grants_an_empty_row() {
                         m.output_of(r),
                         None,
                         "{} case {case}: granted empty row {r}",
-                        arb.name()
+                        label
                     );
                 }
             }
@@ -189,13 +176,13 @@ fn all_ones_request_state_is_handled_by_every_arbiter() {
         .collect();
     let input = ArbitrationInput::new(RequestMatrix::from_rows(masks, conn.cols()), noms);
     let mut rng = SimRng::from_seed(0xdead);
-    for arb in all_arbiters(conn.rows(), conn.cols()).iter_mut() {
+    for (label, arb) in all_arbiters(conn.rows(), conn.cols()).iter_mut() {
         let m = arb.arbitrate(&input, &mut rng);
-        assert!(m.is_valid_for(&input.requests), "{}", arb.name());
+        assert!(m.is_valid_for(&input.requests), "{}", label);
         assert!(
             m.cardinality() >= 1,
             "{} matched nothing on a full matrix",
-            arb.name()
+            label
         );
     }
 }

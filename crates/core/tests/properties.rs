@@ -9,7 +9,6 @@
 //! (the workspace carries no external property-testing dependency), so a
 //! failure reproduces exactly from the test name alone.
 
-use arbitration::arbiter::McmArbiter;
 use arbitration::mcm::brute_force_max_cardinality;
 use arbitration::prelude::*;
 use simcore::SimRng;
@@ -158,25 +157,17 @@ fn every_algorithm_is_valid_and_bounded_by_mcm() {
         let cols = input.requests.cols();
         let mut rng = SimRng::from_seed(gen.next_u64());
         let upper = mcm::maximum_matching(&input.requests).cardinality();
-        let mut algos: Vec<Box<dyn Arbiter>> = vec![
-            Box::new(McmArbiter::new()),
-            Box::new(PimArbiter::pim1()),
-            Box::new(PimArbiter::converged(rows)),
-            Box::new(WfaArbiter::base(rows, cols)),
-            Box::new(SpaaArbiter::base(rows, cols)),
-            Box::new(OpfArbiter::new(rows, cols)),
-        ];
-        for algo in algos.iter_mut() {
-            let m = algo.arbitrate(&input, &mut rng);
+        for kind in AlgoKind::ALL {
+            let m = kind.build(rows, cols).arbitrate(&input, &mut rng);
             assert!(
                 m.is_valid_for(&input.requests),
                 "case {case}: {} invalid",
-                algo.name()
+                kind.label()
             );
             assert!(
                 m.cardinality() <= upper,
                 "case {case}: {} beat MCM ({} > {})",
-                algo.name(),
+                kind.label(),
                 m.cardinality(),
                 upper
             );

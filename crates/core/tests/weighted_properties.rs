@@ -16,29 +16,8 @@
 //! no property-testing dependency), so failures reproduce from the test
 //! alone.
 
-use arbitration::arbiter::{Arbiter, ArbitrationInput, McmArbiter};
 use arbitration::prelude::*;
 use simcore::SimRng;
-
-fn all_arbiters(rows: usize, cols: usize) -> Vec<Box<dyn Arbiter>> {
-    vec![
-        Box::new(SpaaArbiter::base(rows, cols)),
-        Box::new(PimArbiter::converged(rows)),
-        Box::new(PimArbiter::pim1()),
-        Box::new(WfaArbiter::base(rows, cols)),
-        Box::new(McmArbiter::new()),
-        Box::new(McmArbiter::deterministic()),
-        Box::new(OpfArbiter::new(rows, cols)),
-        Box::new(IslipArbiter::islip(rows, cols, 1)),
-        Box::new(IslipArbiter::islip(rows, cols, 3)),
-        Box::new(IslipArbiter::round_robin_matcher(rows, cols)),
-        Box::new(LqfArbiter::new(rows, cols, 1)),
-        Box::new(LqfArbiter::new(rows, cols, 2)),
-        Box::new(LqfArbiter::new(rows, cols, 3)),
-        Box::new(OcfArbiter::new(rows, cols, 1)),
-        Box::new(OcfArbiter::new(rows, cols, 2)),
-    ]
-}
 
 /// A random weighted request state over the 21364 connection matrix,
 /// mirroring the generator in `matching_invariants.rs`: arbitrary masks
@@ -78,19 +57,18 @@ fn mwm_weight_dominates_every_arbiter() {
     let conn = ConnectionMatrix::alpha_21364();
     let mut gen = SimRng::from_seed(0x6d77_6d64); // "mwmd"
     let mut rng = SimRng::from_seed(0x6f6d_696e);
-    let mut arbiters = all_arbiters(conn.rows(), conn.cols());
+    let mut arbiters = AlgoKind::ALL.map(|k| (k.label(), k.build(conn.rows(), conn.cols())));
     for case in 0..200 {
         let input = random_weighted_state(&mut gen, &conn);
         let w = input.weights.as_ref().expect("generator attaches weights");
         let oracle = mwm::maximum_weight_matching(&input.requests, w);
         let bound = w.matching_weight(&oracle);
-        for arb in arbiters.iter_mut() {
+        for (label, arb) in arbiters.iter_mut() {
             let m = arb.arbitrate(&input, &mut rng);
             let achieved = w.matching_weight(&m);
             assert!(
                 achieved <= bound,
-                "{} case {case}: weight {achieved} exceeds the MWM bound {bound}",
-                arb.name()
+                "{label} case {case}: weight {achieved} exceeds the MWM bound {bound}"
             );
         }
     }
@@ -138,21 +116,17 @@ fn weighted_arbiters_validate_against_matching_contract() {
     let conn = ConnectionMatrix::alpha_21364();
     let mut gen = SimRng::from_seed(0x7765_6967);
     let mut rng = SimRng::from_seed(0x6874_6564);
-    let mut arbiters: Vec<Box<dyn Arbiter>> = vec![
-        Box::new(LqfArbiter::new(conn.rows(), conn.cols(), 1)),
-        Box::new(LqfArbiter::new(conn.rows(), conn.cols(), 2)),
-        Box::new(OcfArbiter::new(conn.rows(), conn.cols(), 1)),
-        Box::new(MwmArbiter::new()),
-    ];
+    let mut arbiters: Vec<_> = AlgoKind::ALL
+        .iter()
+        .filter(|k| k.weight_kind().is_some())
+        .map(|k| (k.label(), k.build(conn.rows(), conn.cols())))
+        .collect();
+    assert_eq!(arbiters.len(), 6, "iLQF1-3, iOCF1-2, MWM");
     for case in 0..200 {
         let input = random_weighted_state(&mut gen, &conn);
-        for arb in arbiters.iter_mut() {
+        for (label, arb) in arbiters.iter_mut() {
             let m = arb.arbitrate(&input, &mut rng);
-            assert!(
-                m.is_valid_for(&input.requests),
-                "{} case {case}",
-                arb.name()
-            );
+            assert!(m.is_valid_for(&input.requests), "{label} case {case}");
         }
     }
 }

@@ -35,7 +35,7 @@
 use crate::fault::{Admission, DeadLinks, FaultPlane, RetryOutcome};
 use crate::routing::route_for;
 use crate::sim::{Endpoint, NetworkConfig, NodeCtx};
-use crate::topology::{NetTopology, Topology};
+use crate::topology::{NetTopology, ShardMap, Topology};
 use arbitration::ports::{InputPort, OutputPort};
 use router::{IncomingPacket, Packet, Router, RouterOutput};
 use simcore::stats::Histogram;
@@ -93,7 +93,7 @@ pub(crate) struct OutEvent {
 
 /// The destination router of a deferred event: the link neighbour a
 /// forward enters, or the upstream neighbour a credit returns to.
-pub(crate) fn event_destination(topo: &NetTopology, src: u16, ev: &RouterOutput) -> u16 {
+fn event_destination(topo: &NetTopology, src: u16, ev: &RouterOutput) -> u16 {
     match ev {
         RouterOutput::Forward(o) => {
             topo.link(src, o.output)
@@ -106,6 +106,26 @@ pub(crate) fn event_destination(topo: &NetTopology, src: u16, ev: &RouterOutput)
                 .0
         }
         RouterOutput::Delivered { .. } => src,
+    }
+}
+
+/// The shards that must apply a deferred event emitted by router `src`: a
+/// routed event goes to the shard owning its destination router; a link
+/// death is broadcast, because every shard must mask the link out of its
+/// routing decisions (and the receiver-owning shard tears down the
+/// retransmit state).
+pub(crate) fn event_shards(
+    topo: &NetTopology,
+    map: &ShardMap,
+    src: u16,
+    ev: &ShardEvent,
+) -> std::ops::Range<usize> {
+    match ev {
+        ShardEvent::Router(out) => {
+            let dst = map.shard_of(event_destination(topo, src, out));
+            dst..dst + 1
+        }
+        ShardEvent::LinkDead { .. } => 0..map.shards(),
     }
 }
 

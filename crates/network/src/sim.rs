@@ -67,9 +67,7 @@
 
 use crate::fault::{retransmit_histogram, DeadLinks, FaultConfig};
 use crate::routing::route_for;
-use crate::shard::{
-    event_destination, replay_records, CycleEnv, MeasureRecord, OutEvent, Shard, ShardEvent,
-};
+use crate::shard::{event_shards, replay_records, CycleEnv, MeasureRecord, OutEvent, Shard};
 use crate::topology::{NetTopology, ShardMap};
 use arbitration::ports::InputPort;
 use router::{CoherenceClass, IncomingPacket, Packet, Router, RouterConfig, VcId};
@@ -450,6 +448,51 @@ impl NetworkReport {
     }
 }
 
+/// Forward-progress watchdog: with packets buffered in the network but
+/// no delivery for `budget` consecutive cycles, something is wedged (lost
+/// credit, dead escape path, protocol bug) — panic with a structured
+/// occupancy/credit dump instead of spinning silently. The inline cycle
+/// and every fleet worker keep one; they differ only in which delivery
+/// counter and which dump they hand it.
+#[derive(Clone, Copy, Default)]
+struct Watchdog {
+    /// The delivery counter when it last moved.
+    delivered: u64,
+    /// Consecutive cycles since.
+    stall: u64,
+}
+
+impl Watchdog {
+    /// Records one cycle. `delivered` is any counter that moves whenever
+    /// a packet is delivered; `occupancy` (consulted only when it has not
+    /// moved) counts the packets that could still be.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `dump()` once `budget` consecutive cycles pass without
+    /// a delivery while packets are in flight.
+    fn check(
+        &mut self,
+        budget: u64,
+        delivered: u64,
+        occupancy: impl FnOnce() -> u64,
+        dump: impl FnOnce() -> String,
+    ) {
+        if delivered != self.delivered || occupancy() == 0 {
+            self.delivered = delivered;
+            self.stall = 0;
+            return;
+        }
+        self.stall += 1;
+        if self.stall >= budget {
+            panic!(
+                "watchdog: no delivery for {budget} cycles with packets in flight\n{}",
+                dump()
+            );
+        }
+    }
+}
+
 /// Extracts the human-readable message from a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -488,10 +531,8 @@ pub struct NetworkSim<E: Endpoint> {
     latency: OnlineStats,
     total_latency: OnlineStats,
     txn_latency: OnlineStats,
-    /// Inline forward-progress watchdog: deliveries seen at the last
-    /// progress check and the number of consecutive cycles without one.
-    watchdog_delivered: u64,
-    watchdog_stall: u64,
+    /// Forward-progress bookkeeping of the inline cycle.
+    watchdog: Watchdog,
 }
 
 impl<E: Endpoint> NetworkSim<E> {
@@ -547,8 +588,7 @@ impl<E: Endpoint> NetworkSim<E> {
             latency: OnlineStats::new(),
             total_latency: OnlineStats::new(),
             txn_latency: OnlineStats::new(),
-            watchdog_delivered: 0,
-            watchdog_stall: 0,
+            watchdog: Watchdog::default(),
             topology,
             cfg,
         }
@@ -647,22 +687,8 @@ impl<E: Endpoint> NetworkSim<E> {
             }
         } else {
             for OutEvent { src, ev } in outbox.drain(..) {
-                match ev {
-                    // Routed events go to the shard owning the
-                    // destination router.
-                    ShardEvent::Router(ref out) => {
-                        let dst = event_destination(&self.topology, src, out);
-                        self.shards[self.map.shard_of(dst)].apply(&env, src, ev);
-                    }
-                    // Link deaths are broadcast: every shard must mask
-                    // the link out of its routing decisions, and the
-                    // receiver-owning shard tears down the retransmit
-                    // state.
-                    ShardEvent::LinkDead { .. } => {
-                        for shard in &mut self.shards {
-                            shard.apply(&env, src, ev);
-                        }
-                    }
+                for dst in event_shards(&self.topology, &self.map, src, &ev) {
+                    self.shards[dst].apply(&env, src, ev);
                 }
             }
         }
@@ -679,7 +705,14 @@ impl<E: Endpoint> NetworkSim<E> {
 
         self.cycle += 1;
         if let Some(budget) = self.cfg.fault.watchdog_cycles {
-            self.watchdog_check(budget);
+            let mut watchdog = self.watchdog;
+            watchdog.check(
+                budget,
+                self.delivered_all(),
+                || self.occupancy(),
+                || self.diagnostic_dump(),
+            );
+            self.watchdog = watchdog;
         }
     }
 
@@ -691,26 +724,6 @@ impl<E: Endpoint> NetworkSim<E> {
     /// Deliveries so far (warmup included), over all shards.
     fn delivered_all(&self) -> u64 {
         self.shards.iter().map(|s| s.delivered_all).sum()
-    }
-
-    /// Forward-progress watchdog: with packets buffered in the network
-    /// but no delivery for `budget` consecutive cycles, something is
-    /// wedged (lost credit, dead escape path, protocol bug) — panic with
-    /// a structured occupancy/credit dump instead of spinning silently.
-    fn watchdog_check(&mut self, budget: u64) {
-        let delivered = self.delivered_all();
-        if delivered != self.watchdog_delivered || self.occupancy() == 0 {
-            self.watchdog_delivered = delivered;
-            self.watchdog_stall = 0;
-            return;
-        }
-        self.watchdog_stall += 1;
-        if self.watchdog_stall >= budget {
-            panic!(
-                "watchdog: no delivery for {budget} cycles with packets in flight\n{}",
-                self.diagnostic_dump()
-            );
-        }
     }
 
     /// Structured per-router occupancy/credit/fault dump — the payload
@@ -762,7 +775,8 @@ impl<E: Endpoint> NetworkSim<E> {
     /// With `fault.watchdog_cycles = Some(n)`, workers publish delivery
     /// deltas to a shared counter each segment; a worker that sees no
     /// fleet-wide delivery for ~n consecutive cycles while its own shard
-    /// still holds packets panics with a structured occupancy dump —
+    /// still holds packets (the same [`Watchdog`] bookkeeping the inline
+    /// cycle runs) panics with a structured occupancy dump —
     /// which the poisoning path then propagates to the whole fleet. The
     /// shared counter is read with one-cycle staleness (benign: budgets
     /// are thousands of cycles).
@@ -771,7 +785,7 @@ impl<E: Endpoint> NetworkSim<E> {
         let start = self.cycle;
         let barrier = SpinBarrier::new(w + 1);
         let fleet_delivered = AtomicU64::new(0);
-        let watchdog = self.cfg.fault.watchdog_cycles;
+        let watchdog_budget = self.cfg.fault.watchdog_cycles;
         let buckets = |n: usize| -> Vec<Mutex<Vec<OutEvent>>> {
             (0..n).map(|_| Mutex::new(Vec::new())).collect()
         };
@@ -802,12 +816,10 @@ impl<E: Endpoint> NetworkSim<E> {
                 let fleet_delivered = &fleet_delivered;
                 scope.spawn(move || {
                     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        // Watchdog bookkeeping: this shard's deliveries
-                        // already published, the fleet total last seen,
-                        // and the no-progress streak.
+                        // This shard's deliveries already published to
+                        // the fleet-wide counter its watchdog watches.
                         let mut published = shard.delivered_all;
-                        let mut last_total = u64::MAX;
-                        let mut stall = 0u64;
+                        let mut watchdog = Watchdog::default();
                         for k in start..=total {
                             barrier.wait();
                             if k > start {
@@ -823,7 +835,7 @@ impl<E: Endpoint> NetworkSim<E> {
                                         shard.apply(&env, src, ev);
                                     }
                                 }
-                                if let Some(budget) = watchdog {
+                                if let Some(budget) = watchdog_budget {
                                     let delivered = shard.delivered_all;
                                     if delivered != published {
                                         fleet_delivered.fetch_add(
@@ -833,12 +845,11 @@ impl<E: Endpoint> NetworkSim<E> {
                                         published = delivered;
                                     }
                                     let total_now = fleet_delivered.load(Ordering::Relaxed);
-                                    if total_now != last_total || shard.occupancy() == 0 {
-                                        last_total = total_now;
-                                        stall = 0;
-                                    } else {
-                                        stall += 1;
-                                        if stall >= budget {
+                                    watchdog.check(
+                                        budget,
+                                        total_now,
+                                        || shard.occupancy(),
+                                        || {
                                             use std::fmt::Write as _;
                                             let mut dump = String::new();
                                             let _ = writeln!(
@@ -849,11 +860,9 @@ impl<E: Endpoint> NetworkSim<E> {
                                                 total_now,
                                             );
                                             shard.diagnostics(&mut dump);
-                                            panic!(
-                                                "watchdog: no delivery for {budget} cycles with packets in flight\n{dump}"
-                                            );
-                                        }
-                                    }
+                                            dump
+                                        },
+                                    );
                                 }
                             }
                             if k < total {
@@ -869,24 +878,9 @@ impl<E: Endpoint> NetworkSim<E> {
                                     records[parity][me].lock().expect("worker fleet panicked");
                                 shard.phase_a(
                                     &env,
-                                    &mut |src, ev| match ev {
-                                        // Routed events go to the shard
-                                        // owning the destination router.
-                                        ShardEvent::Router(ref out) => {
-                                            let dst = map.shard_of(event_destination(
-                                                &topology, src, out,
-                                            ));
+                                    &mut |src, ev| {
+                                        for dst in event_shards(&topology, map, src, &ev) {
                                             rows[dst].push(OutEvent { src, ev });
-                                        }
-                                        // Link deaths are broadcast: every
-                                        // shard must mask the link out of
-                                        // its routing decisions, and the
-                                        // receiver-owning shard tears down
-                                        // the retransmit state.
-                                        ShardEvent::LinkDead { .. } => {
-                                            for row in rows.iter_mut() {
-                                                row.push(OutEvent { src, ev });
-                                            }
                                         }
                                     },
                                     &mut recs,
@@ -1061,16 +1055,7 @@ mod tests {
 
     #[test]
     fn single_packet_crosses_the_torus() {
-        for algo in [
-            ArbAlgorithm::SpaaBase,
-            ArbAlgorithm::SpaaRotary,
-            ArbAlgorithm::WfaBase,
-            ArbAlgorithm::WfaRotary,
-            ArbAlgorithm::Pim1,
-            ArbAlgorithm::Islip { iterations: 1 },
-            ArbAlgorithm::Islip { iterations: 2 },
-            ArbAlgorithm::Islip { iterations: 3 },
-        ] {
+        for algo in ArbAlgorithm::ALL {
             let mut s = sim(10, algo); // (2,2): two hops in each dimension
             let report = s.run();
             assert_eq!(report.delivered_packets, 1, "{algo}");

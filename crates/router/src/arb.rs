@@ -74,8 +74,6 @@ pub struct ReadPortState {
     /// The read port streams a granted packet's flits until this time and
     /// cannot arbitrate while busy.
     pub busy_until: Tick,
-    /// Deterministic flip for [`crate::config::AdaptiveChoice::Alternate`].
-    pub flip: bool,
 }
 
 impl ReadPortState {

@@ -3,6 +3,8 @@
 use crate::antistarve::AntiStarvationConfig;
 use crate::timing::{ArbTiming, RouterTiming};
 use crate::vc::BufferConfig;
+use arbitration::catalogue::AlgoKind;
+pub use arbitration::catalogue::WeightKind;
 use std::fmt;
 
 /// The arbitration algorithms evaluated by the paper's timing model
@@ -61,17 +63,6 @@ pub enum ArbAlgorithm {
     },
 }
 
-/// Which quantity the window fill writes into the weight plane for a
-/// weighted algorithm (or for oracle measurement).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WeightKind {
-    /// Queue depth: waiting packets behind the (input, output) cell.
-    Depth,
-    /// Head-of-line age: cycles the cell's oldest eligible packet has
-    /// been eligible.
-    Age,
-}
-
 impl ArbAlgorithm {
     /// The five paper configurations of Figure 10, in plot order.
     pub const FIGURE10: [ArbAlgorithm; 5] = [
@@ -103,6 +94,47 @@ impl ArbAlgorithm {
         ArbAlgorithm::Iocf { iterations: 1 },
     ];
 
+    /// Every timed configuration: the Figure 10 set, the two ablations
+    /// (the deepened SPAA at its studied 5 cycles), and the extension
+    /// families.
+    pub const ALL: [ArbAlgorithm; 13] = {
+        let [pim1, wfa_base, wfa_rotary, spaa_base, spaa_rotary] = Self::FIGURE10;
+        let [islip1, islip2, islip3] = Self::ISLIP_FAMILY;
+        let [ilqf1, ilqf2, iocf1] = Self::WEIGHTED_FAMILY;
+        [
+            pim1,
+            wfa_base,
+            wfa_rotary,
+            spaa_base,
+            spaa_rotary,
+            ArbAlgorithm::WfaBase3Cycle,
+            ArbAlgorithm::SpaaDeep { latency: 5 },
+            islip1,
+            islip2,
+            islip3,
+            ilqf1,
+            ilqf2,
+            iocf1,
+        ]
+    };
+
+    /// The matching kernel the windowed driver runs for this
+    /// configuration, or `None` for the SPAA family, whose pipelined
+    /// driver arbitrates per output with no matrix kernel.
+    pub fn kernel(self) -> Option<AlgoKind> {
+        match self {
+            ArbAlgorithm::Pim1 => Some(AlgoKind::Pim1),
+            ArbAlgorithm::WfaBase | ArbAlgorithm::WfaBase3Cycle => Some(AlgoKind::Wfa),
+            ArbAlgorithm::WfaRotary => Some(AlgoKind::WfaRotary),
+            ArbAlgorithm::Islip { iterations } => Some(AlgoKind::Islip { iterations }),
+            ArbAlgorithm::Ilqf { iterations } => Some(AlgoKind::Ilqf { iterations }),
+            ArbAlgorithm::Iocf { iterations } => Some(AlgoKind::Iocf { iterations }),
+            ArbAlgorithm::SpaaBase | ArbAlgorithm::SpaaRotary | ArbAlgorithm::SpaaDeep { .. } => {
+                None
+            }
+        }
+    }
+
     /// Arbitration timing at the base (1×) pipeline scale.
     pub fn timing(self) -> ArbTiming {
         match self {
@@ -112,14 +144,12 @@ impl ArbAlgorithm {
             ArbAlgorithm::SpaaBase | ArbAlgorithm::SpaaRotary => ArbTiming::new(3, 1),
             ArbAlgorithm::WfaBase3Cycle => ArbTiming::new(3, 3),
             ArbAlgorithm::SpaaDeep { latency } => ArbTiming::new(latency as u32, 1),
-            ArbAlgorithm::Islip { iterations } => {
-                assert!(iterations >= 1, "iSLIP needs at least one iteration");
-                ArbTiming::new(3 + iterations as u32, 3)
-            }
-            ArbAlgorithm::Ilqf { iterations } | ArbAlgorithm::Iocf { iterations } => {
+            ArbAlgorithm::Islip { iterations }
+            | ArbAlgorithm::Ilqf { iterations }
+            | ArbAlgorithm::Iocf { iterations } => {
                 assert!(
                     iterations >= 1,
-                    "weighted kernels need at least one iteration"
+                    "a grant/accept matcher needs at least one iteration"
                 );
                 ArbTiming::new(3 + iterations as u32, 3)
             }
@@ -127,35 +157,21 @@ impl ArbAlgorithm {
     }
 
     /// Arbitration timing at the Figure 11a double-depth scale
-    /// (PIM1/WFA: 8 cycles every 6; SPAA: 6 cycles, still every cycle).
+    /// (PIM1/WFA: 8 cycles every 6; SPAA: 6 cycles, still every cycle):
+    /// the latency doubles, and so does the restart interval of a driver
+    /// that has one — a pipelined driver still starts every cycle.
     pub fn timing_2x(self) -> ArbTiming {
-        match self {
-            ArbAlgorithm::Pim1 | ArbAlgorithm::WfaBase | ArbAlgorithm::WfaRotary => {
-                ArbTiming::new(8, 6)
-            }
-            ArbAlgorithm::SpaaBase | ArbAlgorithm::SpaaRotary => ArbTiming::new(6, 1),
-            ArbAlgorithm::WfaBase3Cycle => ArbTiming::new(6, 6),
-            ArbAlgorithm::SpaaDeep { latency } => ArbTiming::new(latency as u32 * 2, 1),
-            ArbAlgorithm::Islip { iterations } => {
-                assert!(iterations >= 1, "iSLIP needs at least one iteration");
-                ArbTiming::new((3 + iterations as u32) * 2, 6)
-            }
-            ArbAlgorithm::Ilqf { iterations } | ArbAlgorithm::Iocf { iterations } => {
-                assert!(
-                    iterations >= 1,
-                    "weighted kernels need at least one iteration"
-                );
-                ArbTiming::new((3 + iterations as u32) * 2, 6)
-            }
-        }
+        let base = self.timing();
+        let interval = base.initiation_interval.get();
+        ArbTiming::new(
+            base.latency.get() * 2,
+            if interval == 1 { 1 } else { interval * 2 },
+        )
     }
 
     /// True for the SPAA family (single-nomination, pipelined driver).
     pub fn is_spaa(self) -> bool {
-        matches!(
-            self,
-            ArbAlgorithm::SpaaBase | ArbAlgorithm::SpaaRotary | ArbAlgorithm::SpaaDeep { .. }
-        )
+        self.kernel().is_none()
     }
 
     /// True when the Rotary Rule is active.
@@ -167,11 +183,7 @@ impl ArbAlgorithm {
     /// unweighted algorithms (whose window fill skips weight stamping
     /// entirely unless oracle measurement asks for it).
     pub fn weight_kind(self) -> Option<WeightKind> {
-        match self {
-            ArbAlgorithm::Ilqf { .. } => Some(WeightKind::Depth),
-            ArbAlgorithm::Iocf { .. } => Some(WeightKind::Age),
-            _ => None,
-        }
+        self.kernel().and_then(AlgoKind::weight_kind)
     }
 }
 
@@ -192,22 +204,6 @@ impl fmt::Display for ArbAlgorithm {
     }
 }
 
-/// How an input arbiter picks among a packet's adaptive candidates
-/// (two on the grid topologies' minimal rectangle, up to four on the
-/// full mesh).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum AdaptiveChoice {
-    /// Prefer the candidate whose downstream virtual channel holds more
-    /// credits (congestion-aware; ties broken toward the lower port
-    /// index). The default.
-    #[default]
-    MostCredits,
-    /// Alternate deterministically per read port.
-    Alternate,
-    /// Uniformly random.
-    Random,
-}
-
 /// Full configuration of one router instance.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
@@ -223,8 +219,6 @@ pub struct RouterConfig {
     /// cycle when looking for an eligible nomination (the entry table is
     /// not infinitely associative; 8 models a realistic window).
     pub scan_window: usize,
-    /// Adaptive direction choice policy.
-    pub adaptive_choice: AdaptiveChoice,
     /// Anti-starvation coloring (backs the Rotary Rule, §3.4).
     pub antistarvation: AntiStarvationConfig,
     /// When true, every window additionally solves the exact
@@ -246,7 +240,6 @@ impl RouterConfig {
             timing: RouterTiming::alpha_21364(),
             buffers: BufferConfig::alpha_21364(),
             scan_window: 8,
-            adaptive_choice: AdaptiveChoice::MostCredits,
             antistarvation: AntiStarvationConfig::default(),
             measure_matching_weight: false,
         }
@@ -315,6 +308,30 @@ mod tests {
         assert_eq!(
             ArbAlgorithm::SpaaDeep { latency: 5 }.timing(),
             ArbTiming::new(5, 1)
+        );
+        // Doubled: a restarting driver's interval doubles, a pipelined
+        // one still starts every cycle.
+        assert_eq!(
+            ArbAlgorithm::WfaBase3Cycle.timing_2x(),
+            ArbTiming::new(6, 6)
+        );
+        assert_eq!(
+            ArbAlgorithm::SpaaDeep { latency: 5 }.timing_2x(),
+            ArbTiming::new(10, 1)
+        );
+    }
+
+    #[test]
+    fn all_enumerates_each_timed_configuration_once() {
+        for (i, a) in ArbAlgorithm::ALL.iter().enumerate() {
+            assert!(!ArbAlgorithm::ALL[..i].contains(a), "{a} listed twice");
+            // Exactly the SPAA family runs without a matrix kernel.
+            assert_eq!(a.kernel().is_none(), a.to_string().starts_with("SPAA"));
+        }
+        assert_eq!(
+            ArbAlgorithm::WfaBase3Cycle.kernel(),
+            ArbAlgorithm::WfaBase.kernel(),
+            "the 3-cycle ablation changes timing, not the kernel"
         );
     }
 

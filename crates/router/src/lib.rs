@@ -36,7 +36,7 @@ pub mod stats;
 pub mod timing;
 pub mod vc;
 
-pub use config::{AdaptiveChoice, ArbAlgorithm, RouterConfig, WeightKind};
+pub use config::{ArbAlgorithm, RouterConfig, WeightKind};
 pub use packet::{CoherenceClass, Packet, PacketId};
 pub use route::{EscapeVc, RouteInfo};
 pub use router::{IncomingPacket, OutgoingPacket, Router, RouterOutput};

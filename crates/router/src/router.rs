@@ -15,7 +15,7 @@
 
 use crate::antistarve::AntiStarvation;
 use crate::arb::{Candidate, Nomination, ReadPortState, WindowSnapshot};
-use crate::config::{AdaptiveChoice, ArbAlgorithm, RouterConfig, WeightKind};
+use crate::config::{RouterConfig, WeightKind};
 use crate::entry::{
     Entry, EntryId, EntryMeta, EntryState, InputBuffer, META_LOCAL, META_WAITING, NIL_INDEX, NO_VC,
     REQ_ESCAPE_SHIFT,
@@ -25,16 +25,12 @@ use crate::packet::Packet;
 use crate::route::RouteInfo;
 use crate::stats::RouterStats;
 use crate::vc::{VcId, NUM_VCS};
-use arbitration::islip::IslipArbiter;
-use arbitration::lqf::LqfArbiter;
+use arbitration::arbiter::{Arbiter, ArbitrationInput};
 use arbitration::matrix::{ConnectionMatrix, RequestMatrix, WeightMatrix};
-use arbitration::ocf::OcfArbiter;
-use arbitration::pim::PimArbiter;
 use arbitration::policy::{RotaryMode, SelectionPolicy, Selector};
 use arbitration::ports::{
     InputPort, OutputPort, NETWORK_ROW_MASK, NUM_ARBITER_ROWS, NUM_INPUT_PORTS, NUM_OUTPUT_PORTS,
 };
-use arbitration::wfa::WfaArbiter;
 use simcore::time::Cycles;
 use simcore::wheel::TimingWheel;
 use simcore::{SimRng, Tick};
@@ -164,7 +160,7 @@ enum Eligibility {
 }
 
 /// One router of the 21364 torus.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Router {
     id: u16,
     cfg: RouterConfig,
@@ -174,16 +170,10 @@ pub struct Router {
     credits: CreditBank,
     /// SPAA output arbiters (one selector per output port).
     selectors: Vec<Selector>,
-    /// WFA kernel (windowed driver).
-    wfa: Option<WfaArbiter>,
-    /// PIM kernel (windowed driver).
-    pim: Option<PimArbiter>,
-    /// iSLIP kernel (windowed driver).
-    islip: Option<IslipArbiter>,
-    /// iLQF kernel (windowed driver, depth weights).
-    lqf: Option<LqfArbiter>,
-    /// iOCF kernel (windowed driver, age weights).
-    ocf: Option<OcfArbiter>,
+    /// The windowed driver's matching kernel
+    /// ([`ArbAlgorithm::kernel`](crate::config::ArbAlgorithm::kernel));
+    /// `None` for the SPAA family.
+    kernel: Option<Box<dyn Arbiter>>,
     /// The weight plane the window fill stamps: the algorithm's own kind
     /// for iLQF/iOCF, `Depth` when only oracle measurement asks for
     /// weights, `None` otherwise (fill passes weight 0 and skips all
@@ -235,14 +225,15 @@ pub struct Router {
     scratch_collect: Vec<u32>,
     /// Windowed driver: the per-window offer table, reset in place.
     win_snapshot: WindowSnapshot,
-    /// Windowed driver: the request matrix, rebuilt in place each window.
-    win_req: RequestMatrix,
-    /// Windowed driver: the weight plane projected from the snapshot.
-    /// Every requested cell is rewritten each window; cells outside the
-    /// current request mask may hold stale values, which no reader (the
-    /// weighted kernels, the oracle, `matching_weight`) ever observes —
-    /// all of them index strictly under the request bitmask.
-    win_weights: WeightMatrix,
+    /// Windowed driver: the kernel's input, rebuilt in place each window.
+    /// The request matrix is rewritten whole; the weight plane (present
+    /// exactly when `weight_kind` is) is projected from the snapshot,
+    /// rewriting every requested cell — cells outside the current request
+    /// mask may hold stale values, which no reader (the weighted kernels,
+    /// the oracle, `matching_weight`) ever observes, since all of them
+    /// index strictly under the request bitmask. The nominations are the
+    /// single-nomination view no windowed kernel reads.
+    win_input: ArbitrationInput,
 }
 
 impl Router {
@@ -275,42 +266,10 @@ impl Router {
                 )
             })
             .collect();
-        let wfa = match cfg.algorithm {
-            ArbAlgorithm::WfaBase | ArbAlgorithm::WfaBase3Cycle => {
-                Some(WfaArbiter::base(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS))
-            }
-            ArbAlgorithm::WfaRotary => Some(WfaArbiter::rotary(
-                NUM_ARBITER_ROWS,
-                NUM_OUTPUT_PORTS,
-                NETWORK_ROW_MASK,
-            )),
-            _ => None,
-        };
-        let pim = matches!(cfg.algorithm, ArbAlgorithm::Pim1).then(PimArbiter::pim1);
-        let islip = match cfg.algorithm {
-            ArbAlgorithm::Islip { iterations } => Some(IslipArbiter::islip(
-                NUM_ARBITER_ROWS,
-                NUM_OUTPUT_PORTS,
-                iterations as usize,
-            )),
-            _ => None,
-        };
-        let lqf = match cfg.algorithm {
-            ArbAlgorithm::Ilqf { iterations } => Some(LqfArbiter::new(
-                NUM_ARBITER_ROWS,
-                NUM_OUTPUT_PORTS,
-                iterations as usize,
-            )),
-            _ => None,
-        };
-        let ocf = match cfg.algorithm {
-            ArbAlgorithm::Iocf { iterations } => Some(OcfArbiter::new(
-                NUM_ARBITER_ROWS,
-                NUM_OUTPUT_PORTS,
-                iterations as usize,
-            )),
-            _ => None,
-        };
+        let kernel = cfg
+            .algorithm
+            .kernel()
+            .map(|kind| kind.build(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS));
         let weight_kind = cfg.algorithm.weight_kind().or_else(|| {
             (cfg.measure_matching_weight && !cfg.algorithm.is_spaa()).then_some(WeightKind::Depth)
         });
@@ -335,11 +294,7 @@ impl Router {
                 .collect(),
             credits,
             selectors,
-            wfa,
-            pim,
-            islip,
-            lqf,
-            ocf,
+            kernel,
             weight_kind,
             rng,
             read_ports: vec![ReadPortState::default(); NUM_ARBITER_ROWS],
@@ -363,8 +318,11 @@ impl Router {
             scratch_dispatched: Vec::new(),
             scratch_collect: Vec::new(),
             win_snapshot: WindowSnapshot::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS),
-            win_req: RequestMatrix::default(),
-            win_weights: WeightMatrix::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS),
+            win_input: ArbitrationInput {
+                requests: RequestMatrix::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS),
+                nominations: vec![None; NUM_ARBITER_ROWS],
+                weights: weight_kind.map(|_| WeightMatrix::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS)),
+            },
         }
     }
 
@@ -472,51 +430,42 @@ impl Router {
         );
     }
 
-    /// True when stepping this router can only replay empty housekeeping
-    /// phases: no buffered entry is competing for arbitration (entries
-    /// that are merely `Departing` stream on a precomputed schedule and
-    /// free their slot at a known release tick), no nomination is awaiting
-    /// GA, and anti-starvation is not draining. Pending arrivals, buffer
-    /// releases, and credit refunds are allowed — each carries its own due
-    /// time, reported by [`Router::next_wake`], and is drained in heap
-    /// order on the first step at or after that time, exactly as per-cycle
-    /// stepping would have.
-    ///
-    /// A network layer may therefore skip stepping a quiescent router until
-    /// `next_wake()` (or until it hands it a packet or credit) and observe
-    /// bit-for-bit identical simulation results: [`Router::step`] catches
-    /// up the anti-starvation scan cadence and the PIM1/WFA window phase
-    /// across the gap, and every skipped step provably emitted no events,
-    /// mutated no entry state, and drew no random numbers (with no
-    /// competing entry the LA scans and window snapshots of the skipped
-    /// cycles were empty, and the anti-starvation old-census — which counts
-    /// only `Waiting` entries — was zero).
-    pub fn is_quiescent(&self) -> bool {
-        self.active_entries == 0 && self.ga_queue.is_empty() && !self.antistarve.draining()
-    }
-
-    /// For a quiescent router: the earliest tick at which it next has
-    /// internal work (a pending arrival becoming eligible, a streaming
-    /// packet's buffer slot releasing, or a credit refund coming due), or
-    /// [`Tick::MAX`] when it is fully idle until an external packet or
-    /// credit arrives.
+    /// The earliest tick at which a router with no competing entry next
+    /// has internal work — a pending arrival becoming eligible, a
+    /// streaming packet's buffer slot releasing, or a credit refund coming
+    /// due — or [`Tick::MAX`] when it is fully idle until an external
+    /// packet or credit arrives. Each such event carries its own due time
+    /// on the housekeeping wheel and is drained in heap order on the first
+    /// step at or after it, exactly as per-cycle stepping would have.
     pub fn next_wake(&self) -> Tick {
         self.house.next_due_edge().unwrap_or(Tick::MAX)
     }
 
     /// The earliest tick at which stepping this router can do anything at
-    /// all — the generalization of [`Router::next_wake`] to *loaded*
-    /// routers.
+    /// all. A network layer may skip stepping the router until then (or
+    /// until it hands it a packet or credit) and observe bit-for-bit
+    /// identical simulation results.
     ///
-    /// A SPAA router with buffered work arbitrates every cycle, so it
-    /// must be stepped every cycle (`Tick::ZERO`). A *windowed* router
-    /// (PIM1/WFA/iSLIP) with buffered work arbitrates only at its next
+    /// **Empty router** — no buffered entry competing for arbitration
+    /// (entries that are merely `Departing` stream on a precomputed
+    /// schedule and free their slot at a known release tick), no
+    /// nomination awaiting GA, anti-starvation not draining: only wheel
+    /// events remain, so the answer is [`Router::next_wake`].
+    /// [`Router::step`] catches up the anti-starvation scan cadence and
+    /// the windowed driver's phase across the gap, and every skipped step
+    /// provably emitted no events, mutated no entry state, and drew no
+    /// random numbers (with no competing entry the LA scans and window
+    /// snapshots of the skipped cycles were empty, and the
+    /// anti-starvation old-census — which counts only `Waiting` entries —
+    /// was zero).
+    ///
+    /// **Loaded router** — a SPAA router with buffered work arbitrates
+    /// every cycle, so it must be stepped every cycle (`Tick::ZERO`). A
+    /// *windowed* router with buffered work arbitrates only at its next
     /// window start; between windows a step with no due wheel event and
     /// no due anti-starvation census is provably a no-op (every phase
     /// short-circuits: the drains find nothing due, `scan_due` is false,
-    /// and `now < next_window`), so the network layer may skip it
-    /// bit-for-bit safely. External packets or credits re-arm the wake
-    /// through the usual [`Router::next_wake`] minimum.
+    /// and `now < next_window`).
     pub fn next_work(&self) -> Tick {
         let busy =
             self.active_entries > 0 || !self.ga_queue.is_empty() || self.antistarve.draining();
@@ -724,10 +673,9 @@ impl Router {
         mask
     }
 
-    /// Picks one (output, downstream VC) from an eligibility result per
-    /// the configured adaptive-choice policy. Returns `None` when the
-    /// eligibility is empty.
-    fn choose_output(&mut self, row: usize, elig: Eligibility) -> Option<(usize, Option<VcId>)> {
+    /// Picks one (output, downstream VC) from an eligibility result.
+    /// Returns `None` when the eligibility is empty.
+    fn choose_output(&self, elig: Eligibility) -> Option<(usize, Option<VcId>)> {
         match elig {
             Eligibility::None => None,
             Eligibility::Escape { output, vc } => Some((output, Some(vc))),
@@ -755,33 +703,21 @@ impl Router {
                 if outputs.count_ones() == 1 {
                     return Some((outputs.trailing_zeros() as usize, Some(vc)));
                 }
-                let out = match self.cfg.adaptive_choice {
-                    AdaptiveChoice::MostCredits => {
-                        let mut best = usize::MAX;
-                        let mut best_credit = 0u16;
-                        let mut m = outputs;
-                        while m != 0 {
-                            let bit = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            let credit = self.credits.available(OutputPort::from_index(bit), vc);
-                            if best == usize::MAX || credit > best_credit {
-                                best = bit;
-                                best_credit = credit;
-                            }
-                        }
-                        best
+                // Prefer the candidate whose downstream virtual channel
+                // holds more credits (congestion-aware; ties go to the
+                // lower port index).
+                let mut out = usize::MAX;
+                let mut best_credit = 0u16;
+                let mut m = outputs;
+                while m != 0 {
+                    let bit = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let credit = self.credits.available(OutputPort::from_index(bit), vc);
+                    if out == usize::MAX || credit > best_credit {
+                        out = bit;
+                        best_credit = credit;
                     }
-                    AdaptiveChoice::Alternate => {
-                        let flip = &mut self.read_ports[row].flip;
-                        *flip = !*flip;
-                        if *flip {
-                            31 - (outputs as u32).leading_zeros() as usize
-                        } else {
-                            outputs.trailing_zeros() as usize
-                        }
-                    }
-                    AdaptiveChoice::Random => self.rng.pick_bit(outputs as u32) as usize,
-                };
+                }
                 Some((out, Some(vc)))
             }
         }
@@ -827,7 +763,7 @@ impl Router {
             found = self.scan_for_nomination(row, now, wired, live, None);
         }
         let (pos, id, elig) = found?;
-        let (out, vc_down) = self.choose_output(row, elig)?;
+        let (out, vc_down) = self.choose_output(elig)?;
         // Selecting from a VC makes it most-recently selected.
         self.touch_vc(row, pos);
         Some((id, out, vc_down))
@@ -1182,8 +1118,8 @@ impl Router {
         if free == 0 {
             return;
         }
-        // The snapshot and request matrix are router-owned scratch, moved
-        // out for the duration of the window and rebuilt in place.
+        // The snapshot is router-owned scratch, moved out for the duration
+        // of the window and rebuilt in place.
         let mut snapshot = std::mem::take(&mut self.win_snapshot);
         snapshot.reset();
         // Anti-starvation: old entries claim matrix cells first (offers
@@ -1196,41 +1132,34 @@ impl Router {
             self.win_snapshot = snapshot;
             return;
         }
-        let mut req = std::mem::take(&mut self.win_req);
-        req.copy_rows_from(snapshot.row_masks(), NUM_OUTPUT_PORTS);
-        let nominations = req.request_count() as u64;
-        self.stats.nominations.add(nominations);
-        if self.weight_kind.is_some() {
-            snapshot.fill_weight_matrix(&mut self.win_weights);
+        let input = &mut self.win_input;
+        input
+            .requests
+            .copy_rows_from(snapshot.row_masks(), NUM_OUTPUT_PORTS);
+        self.stats
+            .nominations
+            .add(input.requests.request_count() as u64);
+        if let Some(weights) = input.weights.as_mut() {
+            snapshot.fill_weight_matrix(weights);
         }
-        let matching = if let Some(wfa) = self.wfa.as_mut() {
-            wfa.arbitrate(&req)
-        } else if let Some(pim) = self.pim.as_mut() {
-            pim.arbitrate(&req, &mut self.rng)
-        } else if let Some(islip) = self.islip.as_mut() {
-            islip.arbitrate(&req)
-        } else if let Some(lqf) = self.lqf.as_mut() {
-            lqf.arbitrate(&req, &self.win_weights)
-        } else if let Some(ocf) = self.ocf.as_mut() {
-            ocf.arbitrate(&req, &self.win_weights)
-        } else {
-            unreachable!("windowed driver requires a WFA, PIM, iSLIP, iLQF, or iOCF kernel")
-        };
+        let kernel = self
+            .kernel
+            .as_mut()
+            .expect("a windowed algorithm builds a kernel");
+        let matching = kernel.arbitrate(input, &mut self.rng);
         // Oracle instrumentation (fig_weighted only): score this window's
         // matching against the exact maximum-weight matching on the same
         // weight plane. Pure observation — the oracle result never feeds
         // back into grants and the solve draws no random numbers, so
         // enabling it cannot perturb the simulation.
         if self.cfg.measure_matching_weight {
+            let weights = input.weights.as_ref().expect("measurement stamps weights");
             self.stats
                 .matched_weight
-                .add(self.win_weights.matching_weight(&matching));
-            let optimal = arbitration::mwm::maximum_weight_matching(&req, &self.win_weights);
-            self.stats
-                .mwm_weight
-                .add(self.win_weights.matching_weight(&optimal));
+                .add(weights.matching_weight(&matching));
+            let optimal = arbitration::mwm::maximum_weight_matching(&input.requests, weights);
+            self.stats.mwm_weight.add(weights.matching_weight(&optimal));
         }
-        self.win_req = req;
         // Apply grants; a packet reachable from both read ports of a port
         // pair must not dispatch twice ("the input port arbiters in a pair
         // must synchronize to ensure that they do not choose the same

@@ -1,9 +1,9 @@
-//! Clock domains and cross-domain edge iteration.
+//! Clock domains.
 //!
 //! The 21364 router core runs at 1.2 GHz while the off-chip links run at
 //! 0.8 GHz, "33% slower than the internal router clock" (§2.2). The
-//! network simulator advances by visiting rising edges of both domains in
-//! global tick order; [`ClockPair`] produces that merged edge stream.
+//! network simulator steps on core edges and aligns departing flits to
+//! link edges ([`Clock::next_edge_at_or_after`]).
 
 use crate::time::{Tick, TICKS_PER_NS};
 
@@ -17,8 +17,7 @@ use crate::time::{Tick, TICKS_PER_NS};
 ///
 /// let link = Clock::alpha_21364_link();
 /// assert_eq!(link.edge(2), Tick::new(60));
-/// // From t=61: wait for the edge at 90, then one 30-tick cycle => 59 ticks.
-/// assert_eq!(link.cycles_until(Tick::new(61), 1), Tick::new(59));
+/// assert_eq!(link.next_edge_at_or_after(Tick::new(61)), Tick::new(90));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Clock {
@@ -77,13 +76,6 @@ impl Clock {
         Tick::new(self.phase.as_ticks() + n * self.period.as_ticks())
     }
 
-    /// Index of the cycle containing `t` (the number of edges at or before
-    /// `t`, minus one; time before the first edge counts as cycle 0).
-    #[inline]
-    pub fn cycle_of(&self, t: Tick) -> u64 {
-        t.as_ticks().saturating_sub(self.phase.as_ticks()) / self.period.as_ticks()
-    }
-
     /// The first edge at or after `t`.
     #[inline]
     pub fn next_edge_at_or_after(&self, t: Tick) -> Tick {
@@ -93,107 +85,10 @@ impl Clock {
         self.edge(n)
     }
 
-    /// Duration from `t` until the edge `cycles` whole cycles after the next
-    /// edge boundary — i.e. the latency of something that consumes `cycles`
-    /// cycles starting at the next edge.
-    pub fn cycles_until(&self, t: Tick, cycles: u64) -> Tick {
-        let start = self.next_edge_at_or_after(t);
-        start + Tick::new(cycles * self.period.as_ticks()) - t
-    }
-
     /// Duration of `n` whole cycles.
     #[inline]
     pub fn cycles(&self, n: u64) -> Tick {
         Tick::new(n * self.period.as_ticks())
-    }
-}
-
-/// Which domain's edge (or both) fired at a step of the merged stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Edge {
-    /// Only the core-domain clock has a rising edge at this time.
-    Core,
-    /// Only the link-domain clock has a rising edge at this time.
-    Link,
-    /// Both domains have simultaneous rising edges (e.g. every 2.5 ns for
-    /// the 1.2/0.8 GHz pair).
-    Both,
-}
-
-/// The merged edge stream of a core clock and a link clock.
-///
-/// Iteration yields `(time, edge)` pairs strictly ordered by time. When
-/// edges coincide the pair is reported once as [`Edge::Both`]; consumers
-/// conventionally evaluate link-domain work first (flit transport) and then
-/// core-domain work (router pipelines), mirroring wire-then-latch ordering.
-///
-/// # Example
-///
-/// ```
-/// use simcore::clock::{Clock, ClockPair, Edge};
-/// use simcore::time::Tick;
-///
-/// let mut edges = ClockPair::alpha_21364();
-/// assert_eq!(edges.next_edge(), (Tick::new(0), Edge::Both));
-/// assert_eq!(edges.next_edge(), (Tick::new(20), Edge::Core));
-/// assert_eq!(edges.next_edge(), (Tick::new(30), Edge::Link));
-/// assert_eq!(edges.next_edge(), (Tick::new(40), Edge::Core));
-/// assert_eq!(edges.next_edge(), (Tick::new(60), Edge::Both));
-/// ```
-#[derive(Clone, Debug)]
-pub struct ClockPair {
-    core: Clock,
-    link: Clock,
-    next_core: u64,
-    next_link: u64,
-}
-
-impl ClockPair {
-    /// Creates the merged stream starting at the clocks' first edges.
-    pub fn new(core: Clock, link: Clock) -> Self {
-        ClockPair {
-            core,
-            link,
-            next_core: 0,
-            next_link: 0,
-        }
-    }
-
-    /// The production 21364 clock pair: 1.2 GHz core, 0.8 GHz links.
-    pub fn alpha_21364() -> Self {
-        ClockPair::new(Clock::alpha_21364_core(), Clock::alpha_21364_link())
-    }
-
-    /// The Figure 11a scaled pair: 2.4 GHz core, 1.6 GHz links.
-    pub fn scaled_2x() -> Self {
-        ClockPair::new(Clock::scaled_2x_core(), Clock::scaled_2x_link())
-    }
-
-    /// The core-domain clock.
-    pub fn core(&self) -> Clock {
-        self.core
-    }
-
-    /// The link-domain clock.
-    pub fn link(&self) -> Clock {
-        self.link
-    }
-
-    /// Advances to and returns the next edge in global time order.
-    pub fn next_edge(&mut self) -> (Tick, Edge) {
-        let tc = self.core.edge(self.next_core);
-        let tl = self.link.edge(self.next_link);
-        if tc < tl {
-            self.next_core += 1;
-            (tc, Edge::Core)
-        } else if tl < tc {
-            self.next_link += 1;
-            (tl, Edge::Link)
-        } else {
-            self.next_core += 1;
-            self.next_link += 1;
-            (tc, Edge::Both)
-        }
     }
 }
 
@@ -214,8 +109,6 @@ mod tests {
         let c = Clock::alpha_21364_core();
         assert_eq!(c.edge(0), Tick::ZERO);
         assert_eq!(c.edge(5), Tick::new(100));
-        assert_eq!(c.cycle_of(Tick::new(39)), 1);
-        assert_eq!(c.cycle_of(Tick::new(40)), 2);
     }
 
     #[test]
@@ -225,52 +118,6 @@ mod tests {
         assert_eq!(c.next_edge_at_or_after(Tick::new(1)), Tick::new(30));
         assert_eq!(c.next_edge_at_or_after(Tick::new(30)), Tick::new(30));
         assert_eq!(c.next_edge_at_or_after(Tick::new(31)), Tick::new(60));
-    }
-
-    #[test]
-    fn merged_stream_alignment() {
-        // The 1.2/0.8 GHz pair realigns every 60 ticks (2.5 ns): the pattern
-        // of edges inside each 60-tick frame is Both, Core, Link, Core.
-        let mut pair = ClockPair::alpha_21364();
-        let mut kinds = Vec::new();
-        for _ in 0..8 {
-            kinds.push(pair.next_edge().1);
-        }
-        assert_eq!(
-            kinds,
-            vec![
-                Edge::Both,
-                Edge::Core,
-                Edge::Link,
-                Edge::Core,
-                Edge::Both,
-                Edge::Core,
-                Edge::Link,
-                Edge::Core
-            ]
-        );
-    }
-
-    #[test]
-    fn merged_stream_is_monotone() {
-        let mut pair = ClockPair::scaled_2x();
-        let mut last = None;
-        for _ in 0..1000 {
-            let (t, _) = pair.next_edge();
-            if let Some(prev) = last {
-                assert!(t > prev);
-            }
-            last = Some(t);
-        }
-    }
-
-    #[test]
-    fn cycles_until_counts_from_next_boundary() {
-        let c = Clock::alpha_21364_core();
-        // At an edge, 3 cycles take exactly 3 periods.
-        assert_eq!(c.cycles_until(Tick::new(40), 3), Tick::new(60));
-        // Mid-cycle, the wait to the boundary is included.
-        assert_eq!(c.cycles_until(Tick::new(41), 3), Tick::new(79));
     }
 
     #[test]

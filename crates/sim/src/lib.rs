@@ -8,12 +8,12 @@
 //!   the 1.2 GHz router clock (20 ticks) and the 0.8 GHz link clock
 //!   (30 ticks) land on exact integers, as do their doubled variants used by
 //!   the paper's 2× pipeline scaling experiment (Figure 11a).
-//! * [`clock`] — clock domains and a two-domain edge iterator.
+//! * [`clock`] — clock domains.
 //! * [`rng`] — deterministic, forkable PCG random-number streams.
 //! * [`stats`] — online moments, histograms and counters.
 //! * [`bnf`] — Burton-Normal-Form (latency vs delivered-throughput) curves,
 //!   the paper's performance metric (§4.3).
-//! * [`table`] — plain-text/CSV emission for the figure catalogue.
+//! * [`table`] — plain-text table emission for the figure catalogue.
 //! * [`json`] — the one JSON writer behind the committed `BENCH_*.json`.
 //! * [`sweep`] — a parallel runner used to farm out injection-rate sweeps.
 //! * [`sync`] — a spin barrier for the cycle-locked sharded engine.
@@ -44,7 +44,7 @@ pub mod time;
 pub mod wheel;
 
 pub use bnf::{BnfCurve, BnfPoint, ReplicatedBnfCurve, ReplicatedBnfPoint};
-pub use clock::{Clock, ClockPair, Edge};
+pub use clock::Clock;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, OnlineStats};
 pub use time::{Cycles, Tick, TICKS_PER_NS};

@@ -1,4 +1,4 @@
-//! Plain-text and CSV table emission for the figure catalogue.
+//! Plain-text table emission for the figure catalogue.
 //!
 //! The `fig` driver prints the same rows/series the paper's figures
 //! plot; this module keeps that output formatting consistent.
@@ -91,31 +91,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders RFC-4180-ish CSV (quotes cells containing commas/quotes).
-    pub fn to_csv(&self) -> String {
-        fn esc(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        let line = |cells: &[String]| cells.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",");
-        out.push_str(&line(&self.headers));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&line(row));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Formats a float with a fixed number of decimals (helper for harnesses).
-pub fn fmt_f(x: f64, decimals: usize) -> String {
-    format!("{:.*}", decimals, x)
 }
 
 #[cfg(test)]
@@ -132,16 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_escaping() {
-        let mut t = Table::with_columns(&["x"]);
-        t.row(vec!["a,b".into()]);
-        t.row(vec!["say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
     #[should_panic(expected = "row width")]
     fn width_mismatch_panics() {
         let mut t = Table::with_columns(&["a", "b"]);
@@ -153,11 +118,5 @@ mod tests {
         let t = Table::with_columns(&["a"]);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
-    }
-
-    #[test]
-    fn fmt_helper() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_f(0.5, 3), "0.500");
     }
 }

@@ -27,152 +27,14 @@
 //! Loads are normalized to the *MCM saturation load*, the offered load at
 //! which MCM's match rate stops improving ([`find_mcm_saturation_load`]).
 
-use arbitration::arbiter::{Arbiter, ArbitrationInput, McmArbiter};
-use arbitration::islip::IslipArbiter;
-use arbitration::lqf::LqfArbiter;
+use arbitration::arbiter::ArbitrationInput;
+pub use arbitration::catalogue::AlgoKind;
+use arbitration::catalogue::WeightKind;
 use arbitration::matrix::{ConnectionMatrix, RequestMatrix, WeightMatrix};
-use arbitration::mwm::{self, MwmArbiter};
-use arbitration::ocf::OcfArbiter;
-use arbitration::opf::OpfArbiter;
-use arbitration::pim::PimArbiter;
+use arbitration::mwm;
 use arbitration::ports::{InputPort, OutputPort, NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS};
-use arbitration::spaa::SpaaArbiter;
-use arbitration::wfa::WfaArbiter;
 use simcore::SimRng;
 use std::collections::VecDeque;
-
-/// Which algorithm a standalone experiment evaluates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AlgoKind {
-    /// Maximal-cardinality upper bound.
-    Mcm,
-    /// Converged PIM (log2 N = 4 iterations).
-    Pim,
-    /// Single-iteration PIM.
-    Pim1,
-    /// Wrapped wave-front arbiter, round-robin start.
-    Wfa,
-    /// SPAA with least-recently-selected grants.
-    Spaa,
-    /// The oldest-packet-first strawman of Figure 2.
-    Opf,
-    /// iSLIP with a given iteration count (1–3 in the figure output).
-    Islip {
-        /// Grant/accept rounds per arbitration.
-        iterations: u8,
-    },
-    /// The plain parallel round-robin matcher (iSLIP without the slip).
-    RoundRobin,
-    /// iLQF: iterative longest-queue-first on the depth weight plane.
-    Ilqf {
-        /// Grant/accept rounds per arbitration.
-        iterations: u8,
-    },
-    /// iOCF: iterative oldest-cell-first on the age weight plane.
-    Iocf {
-        /// Grant/accept rounds per arbitration.
-        iterations: u8,
-    },
-    /// The exact maximum-weight-matching oracle (Hungarian, depth
-    /// weights) — tabulated beside the real algorithms the same way MCM
-    /// provides the cardinality bound.
-    Mwm,
-}
-
-impl AlgoKind {
-    /// The five algorithms plotted in Figures 8 and 9, in legend order.
-    pub const FIGURE8: [AlgoKind; 5] = [
-        AlgoKind::Mcm,
-        AlgoKind::Wfa,
-        AlgoKind::Pim,
-        AlgoKind::Pim1,
-        AlgoKind::Spaa,
-    ];
-
-    /// The Figure 8 set extended with the iSLIP family, its plain
-    /// round-robin baseline, the weighted iterative kernels, and the MWM
-    /// oracle (the matching-quality comparison rows the extension study
-    /// reports alongside the paper's algorithms). New members are
-    /// appended so existing column positions never move.
-    pub const EXTENDED: [AlgoKind; 13] = [
-        AlgoKind::Mcm,
-        AlgoKind::Wfa,
-        AlgoKind::Pim,
-        AlgoKind::Pim1,
-        AlgoKind::Spaa,
-        AlgoKind::Islip { iterations: 1 },
-        AlgoKind::Islip { iterations: 2 },
-        AlgoKind::Islip { iterations: 3 },
-        AlgoKind::RoundRobin,
-        AlgoKind::Ilqf { iterations: 1 },
-        AlgoKind::Ilqf { iterations: 2 },
-        AlgoKind::Iocf { iterations: 1 },
-        AlgoKind::Mwm,
-    ];
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            AlgoKind::Mcm => "MCM",
-            AlgoKind::Pim => "PIM",
-            AlgoKind::Pim1 => "PIM1",
-            AlgoKind::Wfa => "WFA",
-            AlgoKind::Spaa => "SPAA",
-            AlgoKind::Opf => "OPF",
-            AlgoKind::Islip { iterations: 1 } => "iSLIP1",
-            AlgoKind::Islip { iterations: 2 } => "iSLIP2",
-            AlgoKind::Islip { iterations: 3 } => "iSLIP3",
-            AlgoKind::Islip { .. } => "iSLIP",
-            AlgoKind::RoundRobin => "RR",
-            AlgoKind::Ilqf { iterations: 1 } => "iLQF1",
-            AlgoKind::Ilqf { iterations: 2 } => "iLQF2",
-            AlgoKind::Ilqf { iterations: 3 } => "iLQF3",
-            AlgoKind::Ilqf { .. } => "iLQF",
-            AlgoKind::Iocf { iterations: 1 } => "iOCF1",
-            AlgoKind::Iocf { iterations: 2 } => "iOCF2",
-            AlgoKind::Iocf { iterations: 3 } => "iOCF3",
-            AlgoKind::Iocf { .. } => "iOCF",
-            AlgoKind::Mwm => "MWM",
-        }
-    }
-
-    /// True for the algorithms scheduling on the age plane (everyone else
-    /// weighted schedules on — and every gap is reported in — depth).
-    fn uses_age_weights(self) -> bool {
-        matches!(self, AlgoKind::Iocf { .. })
-    }
-
-    fn build(self) -> Box<dyn Arbiter> {
-        match self {
-            AlgoKind::Mcm => Box::new(McmArbiter::new()),
-            AlgoKind::Pim => Box::new(PimArbiter::converged(NUM_ARBITER_ROWS)),
-            AlgoKind::Pim1 => Box::new(PimArbiter::pim1()),
-            AlgoKind::Wfa => Box::new(WfaArbiter::base(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS)),
-            AlgoKind::Spaa => Box::new(SpaaArbiter::base(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS)),
-            AlgoKind::Opf => Box::new(OpfArbiter::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS)),
-            AlgoKind::Islip { iterations } => Box::new(IslipArbiter::islip(
-                NUM_ARBITER_ROWS,
-                NUM_OUTPUT_PORTS,
-                iterations as usize,
-            )),
-            AlgoKind::RoundRobin => Box::new(IslipArbiter::round_robin_matcher(
-                NUM_ARBITER_ROWS,
-                NUM_OUTPUT_PORTS,
-            )),
-            AlgoKind::Ilqf { iterations } => Box::new(LqfArbiter::new(
-                NUM_ARBITER_ROWS,
-                NUM_OUTPUT_PORTS,
-                iterations as usize,
-            )),
-            AlgoKind::Iocf { iterations } => Box::new(OcfArbiter::new(
-                NUM_ARBITER_ROWS,
-                NUM_OUTPUT_PORTS,
-                iterations as usize,
-            )),
-            AlgoKind::Mwm => Box::new(MwmArbiter::new()),
-        }
-    }
-}
 
 /// Standalone experiment parameters.
 #[derive(Clone, Copy, Debug)]
@@ -422,7 +284,7 @@ impl StandaloneResult {
 /// Runs the standalone model for one algorithm: independent loaded-router
 /// iterations, one arbitration pass each.
 pub fn run_standalone(kind: AlgoKind, cfg: &StandaloneConfig) -> StandaloneResult {
-    let mut algo = kind.build();
+    let mut algo = kind.build(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS);
     let mut rng = SimRng::from_seed(cfg.seed);
     let mut state = RouterState::new();
     let mut matches = 0u64;
@@ -458,10 +320,11 @@ pub fn run_standalone(kind: AlgoKind, cfg: &StandaloneConfig) -> StandaloneResul
             let (depth, age) = state.weight_planes(&input.requests);
             let optimal = mwm::maximum_weight_matching(&input.requests, &depth);
             mwm_weight += depth.matching_weight(&optimal);
-            input.weights = Some(if kind.uses_age_weights() {
-                age
-            } else {
-                depth.clone()
+            // Every column is scored — and everyone but iOCF schedules —
+            // on the depth plane.
+            input.weights = Some(match kind.weight_kind() {
+                Some(WeightKind::Age) => age,
+                Some(WeightKind::Depth) | None => depth.clone(),
             });
             let m = algo.arbitrate(&input, &mut rng);
             weight += depth.matching_weight(&m);

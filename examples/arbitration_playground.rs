@@ -12,7 +12,6 @@
 //! ```
 
 use alpha21364::prelude::*;
-use arbitration::arbiter::{Arbiter, ArbitrationInput, McmArbiter};
 
 fn main() {
     figure2();
@@ -76,19 +75,14 @@ fn same_state_comparison() {
     }
     let input = ArbitrationInput::new(req, noms);
 
-    let mut algos: Vec<Box<dyn Arbiter>> = vec![
-        Box::new(McmArbiter::new()),
-        Box::new(WfaArbiter::base(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS)),
-        Box::new(PimArbiter::converged(NUM_ARBITER_ROWS)),
-        Box::new(PimArbiter::pim1()),
-        Box::new(SpaaArbiter::base(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS)),
-        Box::new(OpfArbiter::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS)),
-    ];
     println!(
         "requests: {} set cells across 16 rows x 7 outputs",
         input.requests.request_count()
     );
-    for algo in algos.iter_mut() {
+    // The state carries no weight plane, so the weighted kernels run on
+    // unit weights (their round-robin tie-break).
+    for kind in AlgoKind::ALL {
+        let mut algo = kind.build(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS);
         let mut avg = 0.0;
         const TRIALS: usize = 200;
         for t in 0..TRIALS {
@@ -96,8 +90,8 @@ fn same_state_comparison() {
             avg += algo.arbitrate(&input, &mut r).cardinality() as f64;
         }
         println!(
-            "{:>5}: {:.2} matches (avg of {TRIALS} trials)",
-            algo.name(),
+            "{:>10}: {:.2} matches (avg of {TRIALS} trials)",
+            kind.label(),
             avg / TRIALS as f64
         );
     }

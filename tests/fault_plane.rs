@@ -7,8 +7,9 @@
 //! suite pins those promises end to end through the real engines: a
 //! lockstep ladder under a corruption storm, open-loop conservation with
 //! duplicate detection, the exact bounded-retry → link-death transition,
-//! panic propagation out of the sharded worker fleet, and the guard that
-//! a disabled fault plane costs the simulation nothing.
+//! panic propagation out of the sharded worker fleet, the forward-progress
+//! watchdog actually firing, and the guard that a disabled fault plane
+//! costs the simulation nothing.
 
 use alpha21364::prelude::*;
 use router::packet::PacketId;
@@ -391,4 +392,83 @@ fn sharded_fleet_unwinds_with_the_original_panic_message() {
     let endpoints: Vec<PanicAt> = (0..16).map(|node| PanicAt { node, cycle: 0 }).collect();
     let mut sim = NetworkSim::with_workers(cfg, endpoints, 4);
     let _ = sim.run();
+}
+
+/// Node 0 sends one packet to the far corner of the torus; nobody else
+/// sends anything.
+struct SendOnce {
+    node: u16,
+    sent: bool,
+}
+
+impl Endpoint for SendOnce {
+    fn on_cycle(&mut self, ctx: &mut NodeCtx<'_>) {
+        if self.node == 0 && !self.sent {
+            let packet = Packet::new(PacketId(1), CoherenceClass::Request, 0, 10, ctx.now(), 0);
+            self.sent = ctx.inject(InputPort::Cache, packet) == InjectionOutcome::Accepted;
+        }
+    }
+
+    fn on_delivered(&mut self, _packet: &Packet, _now: Tick) -> Option<TxnCompletion> {
+        None
+    }
+}
+
+#[test]
+fn watchdog_barks_with_a_router_dump_on_every_engine_path() {
+    // One router alone is 13 cycles pin to pin, so a packet four hops from
+    // home is in flight, undelivered, for far longer than a 3-cycle
+    // budget: the watchdog must fire, on the inline path and in the
+    // fleet, and say where the packets are.
+    let build = |workers: usize| {
+        let fault = FaultConfig {
+            watchdog_cycles: Some(3),
+            ..FaultConfig::default()
+        };
+        let cfg = storm_config(Torus::net_4x4().into(), 1, 200, fault);
+        let endpoints = (0..16).map(|node| SendOnce { node, sent: false }).collect();
+        NetworkSim::with_workers(cfg, endpoints, workers)
+    };
+    let panic_text = |f: &mut dyn FnMut()| -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("a 3-cycle budget cannot be met");
+        let text = payload.downcast_ref::<String>().expect("formatted panic");
+        text.clone()
+    };
+    const BARK: &str = "watchdog: no delivery for 3 cycles with packets in flight\n";
+
+    let stepped = panic_text(&mut || {
+        let mut sim = build(1);
+        for _ in 0..200 {
+            sim.step_cycle();
+        }
+    });
+    let dump = stepped.strip_prefix(BARK).expect("inline bark");
+    assert!(
+        dump.starts_with("network diagnostic @ cycle 3: occupancy 1 packet(s), 0 delivered"),
+        "{dump}"
+    );
+    for node in 0..16 {
+        assert!(dump.contains(&format!("  router {node}: ")), "{dump}");
+    }
+    let ran = panic_text(&mut || {
+        let _ = build(1).run();
+    });
+    assert_eq!(ran, stepped, "run() at one worker is the inline path");
+
+    // Three workers: the shard holding the packet barks, and the poisoned
+    // barrier carries its message out through the coordinator.
+    let fleet = panic_text(&mut || {
+        let _ = build(3).run();
+    });
+    let dump = fleet
+        .strip_prefix("worker fleet panicked: ")
+        .and_then(|rest| rest.strip_prefix(BARK))
+        .unwrap_or_else(|| panic!("fleet bark: {fleet}"));
+    assert!(dump.starts_with("shard 0 diagnostic @ cycle "), "{dump}");
+    assert!(dump.contains("  router 0: "), "{dump}");
+    assert!(
+        !dump.contains("  router 15: "),
+        "a worker dumps its own shard only: {dump}"
+    );
 }

@@ -48,23 +48,10 @@ fn run(
 
 #[test]
 fn idle_skip_is_bit_for_bit_equivalent() {
-    // Every arbitration driver (pipelined SPAA, the windowed PIM1/WFA —
-    // base and rotary — the windowed iSLIP family at every iteration
-    // count, and the weighted iLQF/iOCF kernels) across seeds and load
-    // levels from near-idle to saturation.
-    let algos = [
-        ArbAlgorithm::SpaaBase,
-        ArbAlgorithm::SpaaRotary,
-        ArbAlgorithm::WfaBase,
-        ArbAlgorithm::WfaRotary,
-        ArbAlgorithm::Pim1,
-        ArbAlgorithm::Islip { iterations: 1 },
-        ArbAlgorithm::Islip { iterations: 2 },
-        ArbAlgorithm::Islip { iterations: 3 },
-        ArbAlgorithm::Ilqf { iterations: 1 },
-        ArbAlgorithm::Iocf { iterations: 1 },
-    ];
-    for algo in algos {
+    // Every timed configuration (pipelined SPAA, the windowed PIM1/WFA —
+    // base and rotary — the iSLIP and weighted families, both ablations)
+    // across seeds and load levels from near-idle to saturation.
+    for algo in ArbAlgorithm::ALL {
         for (seed, rate) in [(1u64, 0.002), (2, 0.02), (3, 0.1)] {
             let label = format!("{algo} seed={seed} rate={rate}");
             let (off, skipped_off) = run(seed, rate, algo, 3_000, false);

@@ -4,15 +4,10 @@
 //! The paper's five algorithms predate the input-queued-switch scheduling
 //! literature's modern reference point: **iSLIP**, the iterative
 //! round-robin algorithm used in commercial crossbar schedulers. Like PIM
-//! it runs grant/accept rounds, but both steps use *rotating pointers*
-//! instead of random draws:
-//!
-//! 1. **Request.** Every unmatched input requests every unmatched output
-//!    it has a packet for.
-//! 2. **Grant.** Each unmatched output grants the requesting input at or
-//!    after its *grant pointer* (round-robin order).
-//! 3. **Accept.** Each input that received grants accepts the output at
-//!    or after its *accept pointer*.
+//! it runs the grant/accept round of [`crate::round`], but both picks use
+//! *rotating pointers* instead of random draws: an output grants the
+//! requesting input at or after its *grant pointer*, and an input accepts
+//! the granting output at or after its *accept pointer*.
 //!
 //! The defining subtlety — the "slip" — is the pointer-update rule:
 //! **pointers advance only past a grant that was accepted, and only in

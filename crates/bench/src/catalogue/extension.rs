@@ -13,8 +13,7 @@ use network::{FaultConfig, FullMesh, LinkFlap, LinkKill, Mesh, NetTopology, Toru
 use router::ArbAlgorithm;
 use simcore::bnf::ReplicatedBnfCurve;
 use simcore::json::Json;
-use std::time::Instant;
-use workload::{run_coherence_sim_with_workers, TrafficPattern, WorkloadConfig};
+use workload::{TrafficPattern, WorkloadConfig};
 
 /// The reference trio most extension panels compare: the paper's
 /// shipped pick, its windowed peer, and the iSLIP family's middle member.
@@ -257,7 +256,7 @@ pub fn weighted(args: &Args) -> Members {
                 scenario.name(),
             );
             let label = ArbAlgorithm::to_string;
-            let curves = sweep(1, &algorithms, &rates, label, |&algo, idx, rate| {
+            let curves = sweep(&algorithms, &rates, label, |&algo, idx, rate| {
                 let mut net = plain_net(topology, algo, idx, cycles);
                 net.router.measure_matching_weight = true;
                 let wl = WorkloadConfig {
@@ -360,7 +359,7 @@ pub fn closedloop(args: &Args) -> Members {
             println!(
                 "\nclosed loop: {topology} torus, {algorithm} ({mode} mode, {cycles} cycles/point)"
             );
-            let curves = sweep(1, &loops, &rates, loop_name, |&mshrs, idx, rate| {
+            let curves = sweep(&loops, &rates, loop_name, |&mshrs, idx, rate| {
                 let pattern = TrafficPattern::Uniform;
                 let wl = match mshrs {
                     None => WorkloadConfig::open_loop(pattern, rate),
@@ -400,26 +399,20 @@ pub fn closedloop(args: &Args) -> Members {
     ]
 }
 
-/// Big-torus BNF curves on a multi-threaded engine — 16×16 and 32×32.
+/// Big-torus BNF curves — 16×16 and 32×32.
 ///
 /// The paper evaluates 4×4 through 12×12 tori (§4.3); this figure
-/// extends the BNF methodology to 256- and 1024-router tori, which are
-/// only practical because the engine spreads one simulation across
-/// worker threads while staying bit-for-bit identical to a
-/// single-threaded run (pinned by `tests/shard_equivalence.rs`).
-/// Per-node injection rates are swept over a lower grid than the small
-/// tori: bisection bandwidth per node shrinks with the ring extent, so a
+/// extends the BNF methodology to 256- and 1024-router tori. Per-node
+/// injection rates are swept over a lower grid than the small tori:
+/// bisection bandwidth per node shrinks with the ring extent, so a
 /// 32×32 saturates around a quarter of the 8×8's per-node rate.
 ///
-/// Alongside the curves, the figure measures the engine speedup
-/// directly: one loaded 16×16 configuration run at 1, 2, 4 and 8
-/// threads, wall-clock timed, with the reports cross-checked for bit
-/// equality before any number is published. The measured ratios go into
-/// the JSON as-is — they are a property of the machine the figure ran
-/// on, not a claim about every machine.
-///
-/// `--threads` sets the per-simulation worker count for the curve sweeps
-/// (default 4).
+/// Like every figure, it runs one simulation per thread and spreads the
+/// points across the machine. These sizes are also where splitting one
+/// simulation across threads pays (DESIGN.md "One engine, N shards"), so
+/// before writing the table the figure proves that crossing at scale
+/// ([`prove_bit_exactness`] on one loaded 16×16 configuration; the JSON
+/// records `"bit_exact": true`).
 pub fn bigtorus(args: &Args) -> Members {
     // Big tori pay per-cycle costs 16-64x the 4x4's, so the default mode
     // runs shorter windows than the small-torus figures; the paper mode
@@ -447,10 +440,16 @@ pub fn bigtorus(args: &Args) -> Members {
         ),
         paper_cycles: 37_500,
     };
-    /// Thread counts the speedup probe measures.
-    const SPEEDUP_THREADS: [usize; 4] = [1, 2, 4, 8];
     let mode = args.scale.mode();
-    let threads = args.threads;
+
+    // Prove the engine crossing on a big torus before publishing numbers.
+    let probe_cycles = args.scale.pick(1_200, 6_000, 6_000);
+    let rate = args.scale.pick(0.008, 0.01, 0.01);
+    let net = plain_net(Torus::net_16x16(), TRIO[0], 0, probe_cycles);
+    let wl = WorkloadConfig::paper(TrafficPattern::Uniform, rate);
+    let probe = prove_bit_exactness("big-torus", &net, &wl);
+    assert!(probe.delivered_packets > 0, "probe carried no traffic");
+
     let columns = bnf_columns("throughput");
     let mut figures = Vec::new();
     // 1024 routers: two curves keep the 32x32 panel affordable while
@@ -462,12 +461,12 @@ pub fn bigtorus(args: &Args) -> Members {
         let topology = NetTopology::from(torus);
         let (cycles, rates) = args.scale.resolve(&grid);
         println!(
-            "\n{topology} torus: {} loads x {} algorithms ({mode} mode, {cycles} cycles/point, {threads} threads/sim)",
+            "\n{topology} torus: {} loads x {} algorithms ({mode} mode, {cycles} cycles/point)",
             rates.len(),
             algorithms.len(),
         );
         let label = ArbAlgorithm::to_string;
-        let curves = sweep(threads, algorithms, &rates, label, |&algo, idx, rate| {
+        let curves = sweep(algorithms, &rates, label, |&algo, idx, rate| {
             let wl = WorkloadConfig::open_loop(TrafficPattern::Uniform, rate);
             (plain_net(torus, algo, idx, cycles), wl)
         });
@@ -479,50 +478,9 @@ pub fn bigtorus(args: &Args) -> Members {
         ]));
     }
 
-    // Times one loaded 16x16 simulation at each thread count and checks
-    // every multi-threaded report bit-identical to the single-threaded
-    // baseline before reporting the ratio.
-    let cycles = args.scale.pick(1_200, 6_000, 6_000);
-    let rate = args.scale.pick(0.008, 0.01, 0.01);
-    let net = plain_net(Torus::net_16x16(), ArbAlgorithm::SpaaRotary, 0, cycles);
-    let wl = WorkloadConfig::paper(TrafficPattern::Uniform, rate);
-    println!("\nengine speedup, 16x16 SPAA-rotary at rate {rate} ({cycles} cycles):");
-    let mut baseline = None;
-    let mut runs = Vec::new();
-    for threads in SPEEDUP_THREADS {
-        let t0 = Instant::now();
-        let (report, _) = run_coherence_sim_with_workers(net.clone(), wl.clone(), threads);
-        let seconds = t0.elapsed().as_secs_f64();
-        let (base, base_seconds) = baseline.get_or_insert((report.clone(), seconds));
-        report.assert_bit_identical(base, &format!("{threads}-thread run"));
-        let speedup = *base_seconds / seconds;
-        println!("  {threads} thread(s): {seconds:.2}s  speedup {speedup:.2}x");
-        runs.push(Json::Object(vec![
-            ("threads", Json::Int(threads as u64)),
-            ("seconds", Json::Fixed(seconds, 3)),
-            ("speedup", Json::Fixed(speedup, 3)),
-        ]));
-    }
-    let (baseline, _) = baseline.expect("the single-threaded run comes first");
-
-    // Speedup ratios only mean something relative to the parallelism the
-    // host actually had; a single-CPU container can only measure the
-    // engine's overhead, never a gain.
-    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let speedup = Json::Object(vec![
-        ("torus", Json::str("16x16")),
-        ("algorithm", Json::str("SPAA-rotary")),
-        ("offered", Json::Float(rate)),
-        ("cycles", Json::Int(cycles)),
-        ("delivered_packets", Json::Int(baseline.delivered_packets)),
-        ("reports_bit_identical", Json::Bool(true)),
-        ("runs", Json::Array(runs)),
-    ]);
     vec![
-        ("threads_per_sim", Json::Int(threads as u64)),
-        ("host_cpus", Json::Int(host_cpus as u64)),
+        ("bit_exact", Json::Bool(true)),
         ("figures", Json::Array(figures)),
-        ("speedup", speedup),
     ]
 }
 
@@ -625,7 +583,7 @@ pub fn faults(args: &Args) -> Members {
                 println!(
                     "\nfaults: {topology}, {algorithm}, {axis} sweep ({mode} mode, {cycles} cycles/point)"
                 );
-                let curves = sweep(1, &[axis], &grid, ToString::to_string, |_, idx, x| {
+                let curves = sweep(&[axis], &grid, ToString::to_string, |_, idx, x| {
                     let mut net = plain_net(topology, algorithm, idx, cycles);
                     net.fault = fault(x);
                     (net, wl.clone())

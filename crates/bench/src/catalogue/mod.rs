@@ -79,14 +79,11 @@ pub const FIGURES: &[Figure] = &[
         "open loop vs the MSHR ladder {1,4,8,16}",
         Table(ext::closedloop),
     ),
-    Figure {
-        flags: &["--threads"],
-        ..Figure::new(
-            "bigtorus",
-            "16x16 and 32x32 tori, and the engine's speedup",
-            Table(ext::bigtorus),
-        )
-    },
+    Figure::new(
+        "bigtorus",
+        "uniform BNF curves on the 16x16 and 32x32 tori",
+        Table(ext::bigtorus),
+    ),
     Figure::new(
         "faults",
         "degradation vs bit-error rate and dead-link fraction",

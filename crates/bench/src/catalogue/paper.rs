@@ -309,7 +309,7 @@ pub fn ablation_pipeline_depth(args: &Args) {
             (rate, (net, wl))
         })
         .collect();
-    let results = run_jobs(0, 1, jobs);
+    let results = run_jobs(0, jobs);
 
     let base = results[0].report.flits_per_router_ns;
     let mut t = Table::with_columns(&[
@@ -378,7 +378,7 @@ pub fn ablation_buffers(args: &Args) {
             (rate, (net, wl))
         })
         .collect();
-    let results = run_jobs(0, 1, jobs);
+    let results = run_jobs(0, jobs);
 
     let mut t = Table::with_columns(&[
         "adaptive depth (pkts/VC)",

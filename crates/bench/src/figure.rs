@@ -32,8 +32,6 @@ pub struct Args {
     pub scale: Scale,
     /// `--out`: where the JSON table goes (a directory for `fig all`).
     pub out: Option<String>,
-    /// `--threads`: worker threads per simulation (`bigtorus`).
-    pub threads: usize,
     /// `--net`: the torus of a `fig10` panel.
     pub net: Torus,
     /// `--pattern`: the traffic of a `fig10` panel.
@@ -60,7 +58,7 @@ pub struct Figure {
     /// One line for `fig --list`.
     pub about: &'static str,
     /// Value flags it takes besides `--out` (which every [`Run::Table`]
-    /// figure takes): a subset of `--threads`, `--net`, `--pattern`.
+    /// figure takes): a subset of `--net`, `--pattern`.
     pub flags: &'static [&'static str],
     /// The argument lists `fig all` runs it under, one job each.
     pub jobs: &'static [&'static [&'static str]],
@@ -115,8 +113,8 @@ pub enum Command {
 /// The usage text, ending in the `--list` output.
 pub fn usage() -> String {
     format!(
-        "usage: fig <name> [--quick | --paper] [--out PATH] [--threads N] \
-         [--net 4x4|8x8] [--pattern uniform|bitrev|shuffle]\n       \
+        "usage: fig <name> [--quick | --paper] [--out PATH] [--net 4x4|8x8] \
+         [--pattern uniform|bitrev|shuffle]\n       \
          fig all [--quick | --paper] [--out DIR]\n       \
          fig --list\n\nfigures:\n{}",
         list()
@@ -139,7 +137,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut args = Args {
         scale: Scale::Quick,
         out: None,
-        threads: 4,
         net: Torus::net_8x8(),
         pattern: TrafficPattern::Uniform,
     };
@@ -159,10 +156,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             "--paper" if args.scale != Scale::Smoke => args.scale = Scale::Paper,
             "--quick" | "--paper" => return Err("--quick and --paper exclude each other".into()),
             "--out" => args.out = Some(value()?.clone()),
-            "--threads" => {
-                let v = value()?;
-                args.threads = v.parse().map_err(|_| bad(v, "a thread count"))?;
-            }
             "--net" => {
                 let v = value()?;
                 args.net = match v.as_str() {
@@ -407,13 +400,7 @@ pub fn gain_percent(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 /// through the worker pool and regroups the points per curve. `job`
 /// builds a cell's simulation from the curve, the grid index (the seed
 /// stream, see `point_config`) and the grid value.
-///
-/// With `sim_workers != 1` each simulation is sharded and the cells run
-/// one after another: the parallelism budget is spent *inside* each
-/// simulation, where a big torus's working set wants it (N sharded
-/// 1024-router sims at once would thrash cache and memory instead).
 pub fn sweep<C>(
-    sim_workers: usize,
     curves: &[C],
     grid: &[f64],
     label: impl Fn(&C) -> String,
@@ -426,8 +413,7 @@ pub fn sweep<C>(
             .map(move |(idx, &x)| (x, job(c, idx, x)))
     };
     let jobs = curves.iter().flat_map(cell).collect();
-    let workers = if sim_workers == 1 { 0 } else { 1 };
-    let mut points = run_jobs(workers, sim_workers, jobs).into_iter();
+    let mut points = run_jobs(0, jobs).into_iter();
     curves
         .iter()
         .map(|c| Curve {
@@ -455,7 +441,7 @@ pub fn spec_curves(
     let specs: Vec<SweepSpec> = algorithms.iter().map(spec).collect();
     let grid = specs.first().map_or(&[][..], |spec| &spec.rates);
     let label = |spec: &SweepSpec| spec.algorithm.to_string();
-    sweep(1, &specs, grid, label, |spec, idx, rate| {
+    sweep(&specs, grid, label, |spec, idx, rate| {
         spec.job(spec.seed, idx, rate)
     })
 }

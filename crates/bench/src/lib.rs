@@ -19,9 +19,7 @@ use network::{FaultConfig, NetTopology, NetworkConfig, NetworkReport};
 use router::{ArbAlgorithm, RouterConfig};
 use simcore::bnf::{BnfCurve, BnfPoint, ReplicatedBnfCurve};
 use simcore::sweep::parallel_map;
-use workload::{
-    run_coherence_sim_with_workers, BurstConfig, EndpointStats, TrafficPattern, WorkloadConfig,
-};
+use workload::{run_coherence_sim, BurstConfig, EndpointStats, TrafficPattern, WorkloadConfig};
 
 /// How much work a figure does and how long each simulated point runs.
 /// The variant names are the labels the paper figures' headings print.
@@ -112,13 +110,6 @@ pub struct SweepSpec {
     /// Optional bursty on/off arrival modulation (the scenario engine's
     /// temporal axis; `None` = the paper's smooth Bernoulli process).
     pub burst: Option<BurstConfig>,
-    /// Worker threads *inside* each simulation: `1` = run on the calling
-    /// thread, anything else = that many shards, one thread each
-    /// (`0` = automatic). Reports are bit-identical either way (pinned by
-    /// `tests/shard_equivalence.rs`), so this is purely a wall-clock
-    /// knob; big-torus harnesses set it, small-torus sweeps stay at 1 and
-    /// parallelize across points instead.
-    pub sim_workers: usize,
     /// Fault plane applied to every point of the sweep (default:
     /// disabled — no state allocated, no RNG drawn).
     pub fault: FaultConfig,
@@ -145,7 +136,6 @@ impl SweepSpec {
             cycles,
             seed: SEED,
             burst: None,
-            sim_workers: 1,
             fault: FaultConfig::default(),
         }
     }
@@ -181,7 +171,7 @@ impl SweepSpec {
             .iter()
             .flat_map(|&seed| grid().map(move |(idx, rate)| (rate, self.job(seed, idx, rate))))
             .collect();
-        run_jobs(workers, self.sim_workers, jobs)
+        run_jobs(workers, jobs)
     }
 
     /// Runs the sweep (points in parallel) into a labelled BNF curve.
@@ -280,11 +270,10 @@ pub fn point_config(
 
 /// The one point runner: a batch of independent simulations, each
 /// tagged with its swept coordinate, fanned over up to `workers` threads
-/// (`0` = automatic), each split across `sim_workers` shards; results in
-/// input order.
-pub fn run_jobs(workers: usize, sim_workers: usize, jobs: Vec<(f64, Job)>) -> Vec<Point> {
+/// (`0` = automatic), one simulation per thread; results in input order.
+pub fn run_jobs(workers: usize, jobs: Vec<(f64, Job)>) -> Vec<Point> {
     parallel_map(workers, jobs, |(x, (net, wl))| {
-        let (report, stats) = run_coherence_sim_with_workers(net, wl, sim_workers);
+        let (report, stats) = run_coherence_sim(net, wl);
         Point { x, report, stats }
     })
 }
@@ -362,7 +351,7 @@ mod tests {
         let mut spec = tiny_spec();
         spec.rates = vec![0.01];
         spec.cycles = 1500;
-        let points = run_jobs(1, 1, vec![(0.01, spec.job(spec.seed, 0, 0.01))]);
+        let points = run_jobs(1, vec![(0.01, spec.job(spec.seed, 0, 0.01))]);
         let curves = [figure::Curve {
             label: "SPAA-base".into(),
             points,

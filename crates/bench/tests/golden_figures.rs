@@ -13,8 +13,10 @@
 //! does any drift in the table or JSON rendering itself.
 //!
 //! The pins were captured from the per-figure binaries that predate the
-//! `fig` driver. When a change is *intended* to move the numbers,
-//! regenerate the pin and review the diff like any other figure change:
+//! `fig` driver (`bigtorus_quick` from `fig` itself, once that figure
+//! stopped timing its host). When a change is *intended* to move the
+//! numbers, regenerate the pin and review the diff like any other figure
+//! change:
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig -- islip --quick \
@@ -35,6 +37,7 @@ const PINS: &[(&str, &[&str], bool)] = &[
     ("scenarios_quick", &["scenarios", "--quick"], true),
     ("weighted_quick", &["weighted", "--quick"], true),
     ("closedloop_quick", &["closedloop", "--quick"], true),
+    ("bigtorus_quick", &["bigtorus", "--quick"], true),
     ("faults_quick", &["faults", "--quick"], true),
 ];
 

@@ -221,19 +221,6 @@ impl ReadPort {
         self.port as usize * READ_PORTS_PER_INPUT + self.rp as usize
     }
 
-    /// Inverse of [`ReadPort::row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= 16`.
-    pub fn from_row(row: usize) -> Self {
-        assert!(row < NUM_ARBITER_ROWS, "row {row} out of range");
-        ReadPort {
-            port: InputPort::from_index(row / READ_PORTS_PER_INPUT),
-            rp: (row % READ_PORTS_PER_INPUT) as u8,
-        }
-    }
-
     /// True when this arbiter serves a torus input port (a "rotary
     /// priority" row for the Rotary Rule).
     #[inline]
@@ -259,13 +246,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn row_round_trip() {
-        for row in 0..NUM_ARBITER_ROWS {
-            assert_eq!(ReadPort::from_row(row).row(), row);
-        }
-    }
-
-    #[test]
     fn figure5_row_order() {
         assert_eq!(ReadPort::new(InputPort::North, 0).row(), 0);
         assert_eq!(ReadPort::new(InputPort::North, 1).row(), 1);
@@ -277,9 +257,12 @@ mod tests {
     #[test]
     fn network_row_mask_matches_predicate() {
         let mut mask = 0u32;
-        for row in 0..NUM_ARBITER_ROWS {
-            if ReadPort::from_row(row).is_network() {
-                mask |= 1 << row;
+        for port in InputPort::ALL {
+            for rp in 0..READ_PORTS_PER_INPUT as u8 {
+                let read_port = ReadPort::new(port, rp);
+                if read_port.is_network() {
+                    mask |= 1 << read_port.row();
+                }
             }
         }
         assert_eq!(mask, NETWORK_ROW_MASK);

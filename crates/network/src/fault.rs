@@ -297,8 +297,6 @@ struct LinkState {
     /// FIFO retransmit buffer; head is the packet whose retry timer is
     /// armed. FIFO order preserves per-link in-order delivery.
     queue: VecDeque<PendingTx>,
-    /// One-way wire latency of this link (for the NACK round trip).
-    wire: Tick,
 }
 
 /// A synthetic credit refund owed upstream for a packet dropped at a
@@ -343,6 +341,8 @@ pub(crate) struct FaultPlane {
     flap: Option<LinkFlap>,
     max_retries: u32,
     backoff_base_cycles: u64,
+    /// One-way wire latency of a link (for the NACK round trip).
+    wire: Tick,
     /// Replicated dead mask (identical on every shard).
     pub(crate) dead: DeadLinks,
     /// Receiver-keyed state for links entering this shard's routers.
@@ -407,7 +407,7 @@ impl FaultPlane {
         topo: &NetTopology,
         seed: u64,
         core_period: Tick,
-        wire_base: Tick,
+        wire: Tick,
         base: u16,
         len: u16,
     ) -> Self {
@@ -444,7 +444,6 @@ impl FaultPlane {
                         flap_rng: cfg.flap.map(|_| flap_root.fork(link_id)),
                         up: true,
                         queue: VecDeque::new(),
-                        wire: topo.link_latency(src, output, wire_base),
                     },
                 );
             }
@@ -486,6 +485,7 @@ impl FaultPlane {
             flap: cfg.flap,
             max_retries: cfg.max_retries,
             backoff_base_cycles: cfg.backoff_base_cycles,
+            wire,
             dead: DeadLinks::new(topo.nodes()),
             links,
             kills,
@@ -695,7 +695,13 @@ impl FaultPlane {
         }
         let mut tx = tx;
         tx.attempts = 1;
-        let at = Self::retry_at(self.backoff_base_cycles, pin_time, st.wire, core_period, 1);
+        let at = Self::retry_at(
+            self.backoff_base_cycles,
+            pin_time,
+            self.wire,
+            core_period,
+            1,
+        );
         st.queue.push_back(tx);
         self.queued_packets += 1;
         self.wheel.schedule(at, key);
@@ -735,7 +741,7 @@ impl FaultPlane {
             let at = Self::retry_at(
                 self.backoff_base_cycles,
                 now,
-                st.wire,
+                self.wire,
                 core_period,
                 head.attempts,
             );

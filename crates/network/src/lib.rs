@@ -5,12 +5,12 @@
 //! function, and deadlock-avoidance scheme are orthogonal axes here:
 //!
 //! * [`topology`] — the [`topology::Topology`] trait (node enumeration,
-//!   links with latency, the feeder relation that returns credits
-//!   upstream) and its shapes: the paper's [`topology::Torus`], a 2D
+//!   links, the feeder relation that returns credits upstream) and its
+//!   shapes: the paper's [`topology::Torus`], a 2D
 //!   [`topology::Mesh`] without wrap links, and a small-radix
 //!   [`topology::FullMesh`], all behind the `Copy`
 //!   [`topology::NetTopology`] enum;
-//! * [`routing`] — the [`routing::Routing`] trait producing per-hop
+//! * [`routing`] — [`routing::route_for`], producing the per-hop
 //!   [`router::RouteInfo`]: minimal-rectangle adaptive candidates with
 //!   dateline VC0/VC1 escape on the torus, minimal-rectangle with plain
 //!   XY escape on the mesh, and VC-less direct-plus-misroute routing on
@@ -21,7 +21,7 @@
 //!   link-clocks of wire latency, returns credits, and delivers packets to
 //!   per-node [`sim::Endpoint`]s — on the calling thread, or with the
 //!   network split into contiguous node-range shards stepped in lockstep
-//!   on N worker threads, bit-for-bit identically;
+//!   on N threads (the caller's among them), bit-for-bit identically;
 //! * [`fault`] — the deterministic fault plane: per-link BER corruption,
 //!   link flaps, and scheduled or exhaustion-triggered link death, with
 //!   CRC/retransmission recovery, fault-aware route masking, and a
@@ -39,7 +39,7 @@ pub mod sim;
 pub mod topology;
 
 pub use fault::{DeadLinks, FaultConfig, LinkFlap, LinkKill};
-pub use routing::{route_for, FullMeshRouting, MeshRouting, Routing, TorusRouting};
+pub use routing::route_for;
 pub use sim::{
     Endpoint, InjectionOutcome, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, TxnCompletion,
 };

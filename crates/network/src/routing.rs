@@ -1,23 +1,23 @@
-//! Per-hop route computation: the [`Routing`] trait and one routing
-//! function per topology.
+//! Per-hop route computation: [`route_for`] and one routing function
+//! per topology.
 //!
 //! Routing is an axis orthogonal to the shape (see
 //! [`crate::topology`]): a routing function turns `(here, packet)` into
 //! the [`RouteInfo`] the router consumes — an adaptive candidate mask
-//! plus a deadlock-free escape hop. The simulator dispatches through
-//! [`route_for`], which pairs each [`NetTopology`] with its scheme:
+//! plus a deadlock-free escape hop. [`route_for`] pairs each
+//! [`NetTopology`] with its scheme:
 //!
-//! * **Torus — minimal rectangle + dateline escape** ([`TorusRouting`],
-//!   §2.1). Adaptive candidates are the per-dimension shorter ways
-//!   around the rings (≤ 2 bits); blocked packets fall back to VC0/VC1
+//! * **Torus — minimal rectangle + dateline escape** (§2.1). Adaptive
+//!   candidates are the per-dimension shorter ways around the rings
+//!   (≤ 2 bits); blocked packets fall back to VC0/VC1
 //!   escape channels routed in strict dimension order with a *dateline*
 //!   switch: a hop whose remaining path in the current dimension still
 //!   crosses the wrap edge travels on VC0, otherwise on VC1. VC0 chains
 //!   move monotonically toward the wrap edge and VC1 chains toward the
 //!   destination, so neither can cycle — the standard torus dateline
 //!   argument behind the 21364's Duato-style construction.
-//! * **Mesh — minimal rectangle + XY escape** ([`MeshRouting`]). The
-//!   minimal rectangle survives unchanged (there is only one productive
+//! * **Mesh — minimal rectangle + XY escape**. The minimal
+//!   rectangle survives unchanged (there is only one productive
 //!   way per dimension without wrap links); the escape is plain XY
 //!   dimension-order routing, which is deadlock-free on a mesh *without
 //!   any VC switch* — no wrap edge means no cyclic channel dependency
@@ -25,9 +25,9 @@
 //!   dimensions. Every escape hop uses VC1; see DESIGN.md "Topology
 //!   axis" for the argument and the Papaphilippou & Chu
 //!   (arXiv:2303.10526) scheme this mirrors.
-//! * **Full mesh — VC-less direct + source misroute**
-//!   ([`FullMeshRouting`], after Cano et al., arXiv:2510.14730). The
-//!   escape is always the direct link (one hop, so the escape network
+//! * **Full mesh — VC-less direct + source misroute** (after Cano et
+//!   al., arXiv:2510.14730). The escape is always the direct link
+//!   (one hop, so the escape network
 //!   is trivially acyclic and needs no dateline VCs — every escape hop
 //!   uses VC0); the adaptive set adds non-minimal candidates through
 //!   intermediate nodes, restricted to the source hop and to
@@ -38,8 +38,8 @@
 //! [`DeadLinks`] mask and removes dead links from the adaptive
 //! candidate set. The escape path is *never rerouted* on the grids: a
 //! torus or mesh packet whose dimension-order escape hop is dead has no
-//! deadlock-free path in this scheme, so `route` returns `None` and the
-//! engine drops the packet with accounting (`unreachable_drops`) rather
+//! deadlock-free path in this scheme, so [`route_for`] returns `None`
+//! and the engine drops the packet with accounting (`unreachable_drops`) rather
 //! than risking the escape argument. Masking adaptive candidates cannot
 //! introduce deadlock — it only removes edges from the channel
 //! dependency graph — so the surviving escape network keeps its original
@@ -53,37 +53,32 @@ use crate::topology::{FullMesh, Mesh, NetTopology, Torus};
 use arbitration::ports::OutputPort;
 use router::{EscapeVc, Packet, RouteInfo};
 
-/// A routing function: produces the per-hop [`RouteInfo`] the router
-/// consumes, or `None` when every deadlock-free path to the destination
-/// is dead. Implementations are deterministic and stateless — the same
-/// `(dead, here, packet)` always yields the same route, which is what
-/// lets the sharded engine recompute routes at the receiving shard (the
-/// [`DeadLinks`] replica is updated in canonical event order on every
-/// shard).
-pub trait Routing {
-    /// The routing choices for `packet` sitting at router `here`, with
-    /// the links in `dead` masked out. Local delivery is always `Some`.
-    fn route(&self, dead: &DeadLinks, here: u16, packet: &Packet) -> Option<RouteInfo>;
-}
-
 /// Computes the routing choices for `packet` sitting at router `here`,
 /// using the deadlock-free scheme native to `topo`, masking `dead`
 /// links. `None` means the destination is unreachable without breaking
 /// the deadlock-freedom argument; the engine drops such packets with
 /// accounting. Pass [`DeadLinks::empty`] when the fault plane is off.
 ///
-/// Delivery routes target the two local sink ports for coherence classes
-/// and the I/O port for I/O classes.
+/// Deterministic and stateless — the same `(dead, here, packet)` always
+/// yields the same route, which is what lets the sharded engine
+/// recompute routes at the receiving shard (the [`DeadLinks`] replica is
+/// updated in canonical event order on every shard).
+///
+/// Delivery routes (always `Some`) target the two local sink ports for
+/// coherence classes and the I/O port for I/O classes.
 pub fn route_for(
     topo: &NetTopology,
     dead: &DeadLinks,
     here: u16,
     packet: &Packet,
 ) -> Option<RouteInfo> {
-    match *topo {
-        NetTopology::Torus(t) => TorusRouting(t).route(dead, here, packet),
-        NetTopology::Mesh(m) => MeshRouting(m).route(dead, here, packet),
-        NetTopology::FullMesh(f) => FullMeshRouting(f).route(dead, here, packet),
+    if here == packet.dest {
+        return Some(local_route(packet));
+    }
+    match topo {
+        NetTopology::Torus(t) => torus_transit(t, dead, here, packet),
+        NetTopology::Mesh(m) => mesh_transit(m, dead, here, packet),
+        NetTopology::FullMesh(f) => full_mesh_transit(f, dead, here, packet),
     }
 }
 
@@ -100,96 +95,79 @@ fn local_route(packet: &Packet) -> RouteInfo {
 }
 
 /// Minimal-rectangle adaptive + dimension-order dateline escape on the
-/// torus — the 21364's scheme (§2.1).
-#[derive(Clone, Copy, Debug)]
-pub struct TorusRouting(pub Torus);
+/// torus — the 21364's scheme (§2.1) — for a packet not yet at its
+/// destination.
+fn torus_transit(torus: &Torus, dead: &DeadLinks, here: u16, packet: &Packet) -> Option<RouteInfo> {
+    let (hx, hy) = torus.coords(here);
+    let (dx, dy) = torus.coords(packet.dest);
+    let x_dir = ring_direction(hx, dx, torus.width(), OutputPort::East, OutputPort::West);
+    let y_dir = ring_direction(hy, dy, torus.height(), OutputPort::South, OutputPort::North);
 
-impl Routing for TorusRouting {
-    fn route(&self, dead: &DeadLinks, here: u16, packet: &Packet) -> Option<RouteInfo> {
-        if here == packet.dest {
-            return Some(local_route(packet));
-        }
-        let torus = &self.0;
-        let (hx, hy) = torus.coords(here);
-        let (dx, dy) = torus.coords(packet.dest);
-        let x_dir = ring_direction(hx, dx, torus.width(), OutputPort::East, OutputPort::West);
-        let y_dir = ring_direction(hy, dy, torus.height(), OutputPort::South, OutputPort::North);
-
-        let mut adaptive = 0u8;
-        if let Some(d) = x_dir {
-            adaptive |= d.mask() as u8;
-        }
-        if let Some(d) = y_dir {
-            adaptive |= d.mask() as u8;
-        }
-
-        // Dimension-order escape: x first, then y.
-        let (escape, escape_vc) = if let Some(d) = x_dir {
-            (d, dateline_vc(hx, dx, d == OutputPort::East))
-        } else {
-            let d = y_dir.expect("transit packet must be unaligned in some dimension");
-            (d, dateline_vc(hy, dy, d == OutputPort::South))
-        };
-        if dead.any() {
-            // Dropping adaptive candidates only removes edges from the
-            // channel dependency graph; the dateline argument is about
-            // the escape chain, which we refuse to reroute.
-            adaptive &= dead.alive_mask(here);
-            if dead.is_dead(here, escape) {
-                return None;
-            }
-        }
-        Some(RouteInfo::transit(adaptive, escape, escape_vc))
+    let mut adaptive = 0u8;
+    if let Some(d) = x_dir {
+        adaptive |= d.mask() as u8;
     }
+    if let Some(d) = y_dir {
+        adaptive |= d.mask() as u8;
+    }
+
+    // Dimension-order escape: x first, then y.
+    let (escape, escape_vc) = if let Some(d) = x_dir {
+        (d, dateline_vc(hx, dx, d == OutputPort::East))
+    } else {
+        let d = y_dir.expect("transit packet must be unaligned in some dimension");
+        (d, dateline_vc(hy, dy, d == OutputPort::South))
+    };
+    if dead.any() {
+        // Dropping adaptive candidates only removes edges from the
+        // channel dependency graph; the dateline argument is about
+        // the escape chain, which we refuse to reroute.
+        adaptive &= dead.alive_mask(here);
+        if dead.is_dead(here, escape) {
+            return None;
+        }
+    }
+    Some(RouteInfo::transit(adaptive, escape, escape_vc))
 }
 
 /// Minimal-rectangle adaptive + XY dimension-order escape on the mesh.
 /// No wrap links means no dateline: every escape hop rides VC1 (the
 /// "past the dateline" channel a torus packet ends on).
-#[derive(Clone, Copy, Debug)]
-pub struct MeshRouting(pub Mesh);
+fn mesh_transit(mesh: &Mesh, dead: &DeadLinks, here: u16, packet: &Packet) -> Option<RouteInfo> {
+    let (hx, hy) = mesh.coords(here);
+    let (dx, dy) = mesh.coords(packet.dest);
+    let x_dir = match dx.cmp(&hx) {
+        std::cmp::Ordering::Greater => Some(OutputPort::East),
+        std::cmp::Ordering::Less => Some(OutputPort::West),
+        std::cmp::Ordering::Equal => None,
+    };
+    let y_dir = match dy.cmp(&hy) {
+        std::cmp::Ordering::Greater => Some(OutputPort::South),
+        std::cmp::Ordering::Less => Some(OutputPort::North),
+        std::cmp::Ordering::Equal => None,
+    };
 
-impl Routing for MeshRouting {
-    fn route(&self, dead: &DeadLinks, here: u16, packet: &Packet) -> Option<RouteInfo> {
-        if here == packet.dest {
-            return Some(local_route(packet));
-        }
-        let mesh = &self.0;
-        let (hx, hy) = mesh.coords(here);
-        let (dx, dy) = mesh.coords(packet.dest);
-        let x_dir = match dx.cmp(&hx) {
-            std::cmp::Ordering::Greater => Some(OutputPort::East),
-            std::cmp::Ordering::Less => Some(OutputPort::West),
-            std::cmp::Ordering::Equal => None,
-        };
-        let y_dir = match dy.cmp(&hy) {
-            std::cmp::Ordering::Greater => Some(OutputPort::South),
-            std::cmp::Ordering::Less => Some(OutputPort::North),
-            std::cmp::Ordering::Equal => None,
-        };
-
-        let mut adaptive = 0u8;
-        if let Some(d) = x_dir {
-            adaptive |= d.mask() as u8;
-        }
-        if let Some(d) = y_dir {
-            adaptive |= d.mask() as u8;
-        }
-
-        // XY escape: x first, then y; deadlock-free without a VC switch.
-        let escape = x_dir
-            .or(y_dir)
-            .expect("transit packet must be unaligned in some dimension");
-        if dead.any() {
-            // Same argument as the torus: adaptive masking is always
-            // safe, the XY escape chain is never rerouted.
-            adaptive &= dead.alive_mask(here);
-            if dead.is_dead(here, escape) {
-                return None;
-            }
-        }
-        Some(RouteInfo::transit(adaptive, escape, EscapeVc::Vc1))
+    let mut adaptive = 0u8;
+    if let Some(d) = x_dir {
+        adaptive |= d.mask() as u8;
     }
+    if let Some(d) = y_dir {
+        adaptive |= d.mask() as u8;
+    }
+
+    // XY escape: x first, then y; deadlock-free without a VC switch.
+    let escape = x_dir
+        .or(y_dir)
+        .expect("transit packet must be unaligned in some dimension");
+    if dead.any() {
+        // Same argument as the torus: adaptive masking is always
+        // safe, the XY escape chain is never rerouted.
+        adaptive &= dead.alive_mask(here);
+        if dead.is_dead(here, escape) {
+            return None;
+        }
+    }
+    Some(RouteInfo::transit(adaptive, escape, EscapeVc::Vc1))
 }
 
 /// VC-less deadlock-free full-mesh routing after Cano et al.
@@ -205,60 +183,56 @@ impl Routing for MeshRouting {
 /// and every channel dependency `c(s,m) → c(m,d)` steps from a channel
 /// ending at `m` to one ending at `d > m`, making the dependency graph
 /// acyclic.
-#[derive(Clone, Copy, Debug)]
-pub struct FullMeshRouting(pub FullMesh);
-
-impl Routing for FullMeshRouting {
-    fn route(&self, dead: &DeadLinks, here: u16, packet: &Packet) -> Option<RouteInfo> {
-        if here == packet.dest {
-            return Some(local_route(packet));
-        }
-        let mesh = &self.0;
-        let direct = mesh.port_toward(here, packet.dest);
-        if !dead.any() {
-            let mut adaptive = direct.mask() as u8;
-            if here == packet.src {
-                for m in 0..packet.dest.min(mesh.nodes()) {
-                    if m != here {
-                        adaptive |= mesh.port_toward(here, m).mask() as u8;
-                    }
-                }
-            }
-            return Some(RouteInfo::transit(adaptive, direct, EscapeVc::Vc0));
-        }
-
-        // Fault-aware full mesh. Unlike the grids, the escape *can* be
-        // rerouted: a two-hop path s -> m -> d with m < d only adds the
-        // dependency c(s,m) -> c(m,d), stepping to a channel ending at a
-        // strictly larger node — the original acyclicity argument — so
-        // escaping through the lowest alive intermediate stays
-        // deadlock-free. In transit (here != src) the direct link is the
-        // only legal hop: rerouting there would break the two-hop bound.
-        let direct_dead = dead.is_dead(here, direct);
-        let mut adaptive = if direct_dead {
-            0u8
-        } else {
-            direct.mask() as u8
-        };
-        let mut escape_via = None;
+fn full_mesh_transit(
+    mesh: &FullMesh,
+    dead: &DeadLinks,
+    here: u16,
+    packet: &Packet,
+) -> Option<RouteInfo> {
+    let direct = mesh.port_toward(here, packet.dest);
+    if !dead.any() {
+        let mut adaptive = direct.mask() as u8;
         if here == packet.src {
             for m in 0..packet.dest.min(mesh.nodes()) {
-                if m == here {
-                    continue;
-                }
-                let hop1 = mesh.port_toward(here, m);
-                if dead.is_dead(here, hop1) || dead.is_dead(m, mesh.port_toward(m, packet.dest)) {
-                    continue;
-                }
-                adaptive |= hop1.mask() as u8;
-                if escape_via.is_none() {
-                    escape_via = Some(hop1);
+                if m != here {
+                    adaptive |= mesh.port_toward(here, m).mask() as u8;
                 }
             }
         }
-        let escape = if !direct_dead { direct } else { escape_via? };
-        Some(RouteInfo::transit(adaptive, escape, EscapeVc::Vc0))
+        return Some(RouteInfo::transit(adaptive, direct, EscapeVc::Vc0));
     }
+
+    // Fault-aware full mesh. Unlike the grids, the escape *can* be
+    // rerouted: a two-hop path s -> m -> d with m < d only adds the
+    // dependency c(s,m) -> c(m,d), stepping to a channel ending at a
+    // strictly larger node — the original acyclicity argument — so
+    // escaping through the lowest alive intermediate stays
+    // deadlock-free. In transit (here != src) the direct link is the
+    // only legal hop: rerouting there would break the two-hop bound.
+    let direct_dead = dead.is_dead(here, direct);
+    let mut adaptive = if direct_dead {
+        0u8
+    } else {
+        direct.mask() as u8
+    };
+    let mut escape_via = None;
+    if here == packet.src {
+        for m in 0..packet.dest.min(mesh.nodes()) {
+            if m == here {
+                continue;
+            }
+            let hop1 = mesh.port_toward(here, m);
+            if dead.is_dead(here, hop1) || dead.is_dead(m, mesh.port_toward(m, packet.dest)) {
+                continue;
+            }
+            adaptive |= hop1.mask() as u8;
+            if escape_via.is_none() {
+                escape_via = Some(hop1);
+            }
+        }
+    }
+    let escape = if !direct_dead { direct } else { escape_via? };
+    Some(RouteInfo::transit(adaptive, escape, EscapeVc::Vc0))
 }
 
 /// The productive direction in one ring dimension, or `None` when aligned.
@@ -321,64 +295,29 @@ mod tests {
         }
     }
 
-    fn torus_route(t: &Torus, here: u16, p: &Packet) -> RouteInfo {
-        TorusRouting(*t)
-            .route(DeadLinks::empty(), here, p)
-            .expect("fault-free routes always exist")
-    }
-
-    fn mesh_route(m: Mesh, here: u16, p: &Packet) -> RouteInfo {
-        MeshRouting(m)
-            .route(DeadLinks::empty(), here, p)
-            .expect("fault-free routes always exist")
-    }
-
-    fn fm_route(f: FullMesh, here: u16, p: &Packet) -> RouteInfo {
-        FullMeshRouting(f)
-            .route(DeadLinks::empty(), here, p)
+    /// The fault-free route on any shape.
+    fn live(topo: impl Into<NetTopology>, here: u16, p: &Packet) -> RouteInfo {
+        route_for(&topo.into(), DeadLinks::empty(), here, p)
             .expect("fault-free routes always exist")
     }
 
     #[test]
     fn local_delivery_routes() {
         let t = Torus::net_4x4();
-        let r = torus_route(&t, 5, &pkt(0, 5, CoherenceClass::Request));
+        let r = live(t, 5, &pkt(0, 5, CoherenceClass::Request));
         assert_eq!(
             r,
             RouteInfo::local((OutputPort::L0.mask() | OutputPort::L1.mask()) as u8)
         );
-        let io = torus_route(&t, 5, &pkt(0, 5, CoherenceClass::ReadIo));
+        let io = live(t, 5, &pkt(0, 5, CoherenceClass::ReadIo));
         assert_eq!(io, RouteInfo::local(OutputPort::Io.mask() as u8));
-    }
-
-    #[test]
-    fn dispatch_matches_concrete_schemes() {
-        let p = pkt(0, 5, CoherenceClass::Request);
-        let t = Torus::net_4x4();
-        let none = DeadLinks::empty();
-        assert_eq!(
-            route_for(&NetTopology::from(t), none, 0, &p),
-            TorusRouting(t).route(none, 0, &p)
-        );
-        let m = Mesh::new(4, 4);
-        assert_eq!(
-            route_for(&NetTopology::from(m), none, 0, &p),
-            MeshRouting(m).route(none, 0, &p)
-        );
-        let f = FullMesh::new(5);
-        let p5 = pkt(0, 3, CoherenceClass::Request);
-        assert_eq!(
-            route_for(&NetTopology::from(f), none, 0, &p5),
-            FullMeshRouting(f).route(none, 0, &p5)
-        );
     }
 
     #[test]
     fn two_candidates_inside_the_rectangle() {
         let t = Torus::net_4x4();
         // (0,0) -> (1,1): East and South are both productive.
-        let (adaptive, escape, _) =
-            transit_parts(torus_route(&t, 0, &pkt(0, 5, CoherenceClass::Request)));
+        let (adaptive, escape, _) = transit_parts(live(t, 0, &pkt(0, 5, CoherenceClass::Request)));
         assert_eq!(
             adaptive,
             (OutputPort::East.mask() | OutputPort::South.mask()) as u8
@@ -391,13 +330,11 @@ mod tests {
         let t = Torus::net_4x4();
         // (0,0) -> (2,0): only East (distance 2 both ways? no: east 2,
         // west 2 — a tie, positive direction wins).
-        let (adaptive, escape, _) =
-            transit_parts(torus_route(&t, 0, &pkt(0, 2, CoherenceClass::Request)));
+        let (adaptive, escape, _) = transit_parts(live(t, 0, &pkt(0, 2, CoherenceClass::Request)));
         assert_eq!(adaptive, OutputPort::East.mask() as u8);
         assert_eq!(escape, OutputPort::East);
         // (0,0) -> (0,1): only South.
-        let (adaptive, escape, _) =
-            transit_parts(torus_route(&t, 0, &pkt(0, 4, CoherenceClass::Request)));
+        let (adaptive, escape, _) = transit_parts(live(t, 0, &pkt(0, 4, CoherenceClass::Request)));
         assert_eq!(adaptive, OutputPort::South.mask() as u8);
         assert_eq!(escape, OutputPort::South);
     }
@@ -406,8 +343,7 @@ mod tests {
     fn wraparound_is_minimal() {
         let t = Torus::net_4x4();
         // (0,0) -> (3,0): West (1 hop) not East (3 hops).
-        let (adaptive, escape, _) =
-            transit_parts(torus_route(&t, 0, &pkt(0, 3, CoherenceClass::Request)));
+        let (adaptive, escape, _) = transit_parts(live(t, 0, &pkt(0, 3, CoherenceClass::Request)));
         assert_eq!(adaptive, OutputPort::West.mask() as u8);
         assert_eq!(escape, OutputPort::West);
     }
@@ -418,7 +354,7 @@ mod tests {
         // I/O classes carry adaptive candidates in the route, but the
         // router's eligibility logic never uses them (escape-only class);
         // what matters is that the escape hop exists.
-        let (_, escape, _) = transit_parts(torus_route(&t, 0, &pkt(0, 5, CoherenceClass::WriteIo)));
+        let (_, escape, _) = transit_parts(live(t, 0, &pkt(0, 5, CoherenceClass::WriteIo)));
         assert_eq!(escape, OutputPort::East);
     }
 
@@ -427,8 +363,8 @@ mod tests {
         let t = Torus::net_8x8();
         // (6,0) -> (1,0): East with wrap (6->7->0->1). Before the wrap
         // edge: remaining path crosses => VC0.
-        let (_, escape, vc) = transit_parts(torus_route(
-            &t,
+        let (_, escape, vc) = transit_parts(live(
+            t,
             t.node(6, 0),
             &pkt(0, t.node(1, 0), CoherenceClass::Request),
         ));
@@ -436,24 +372,24 @@ mod tests {
         assert_eq!(vc, EscapeVc::Vc0);
         // After wrapping to (0,0), the remaining path 0->1 no longer
         // crosses => VC1.
-        let (_, escape, vc) = transit_parts(torus_route(
-            &t,
+        let (_, escape, vc) = transit_parts(live(
+            t,
             t.node(0, 0),
             &pkt(0, t.node(1, 0), CoherenceClass::Request),
         ));
         assert_eq!(escape, OutputPort::East);
         assert_eq!(vc, EscapeVc::Vc1);
         // Negative direction: (1,0) -> (6,0) is West with wrap => VC0.
-        let (_, escape, vc) = transit_parts(torus_route(
-            &t,
+        let (_, escape, vc) = transit_parts(live(
+            t,
             t.node(1, 0),
             &pkt(0, t.node(6, 0), CoherenceClass::Request),
         ));
         assert_eq!(escape, OutputPort::West);
         assert_eq!(vc, EscapeVc::Vc0);
         // Non-wrapping westward path => VC1.
-        let (_, escape, vc) = transit_parts(torus_route(
-            &t,
+        let (_, escape, vc) = transit_parts(live(
+            t,
             t.node(6, 0),
             &pkt(0, t.node(3, 0), CoherenceClass::Request),
         ));
@@ -469,11 +405,8 @@ mod tests {
                 if here == dest {
                     continue;
                 }
-                let (adaptive, escape, _) = transit_parts(torus_route(
-                    &t,
-                    here,
-                    &pkt(0, dest, CoherenceClass::Request),
-                ));
+                let (adaptive, escape, _) =
+                    transit_parts(live(t, here, &pkt(0, dest, CoherenceClass::Request)));
                 assert!(adaptive.count_ones() <= 2);
                 assert!(
                     adaptive & escape.mask() as u8 != 0,
@@ -493,7 +426,7 @@ mod tests {
                     continue;
                 }
                 let p = pkt(0, dest, CoherenceClass::Request);
-                let (adaptive, _, _) = transit_parts(torus_route(&t, here, &p));
+                let (adaptive, _, _) = transit_parts(live(t, here, &p));
                 let mut m = adaptive;
                 while m != 0 {
                     let dir = OutputPort::from_index(m.trailing_zeros() as usize);
@@ -519,11 +452,8 @@ mod tests {
             let mut hops = 0;
             let mut seen_y = false;
             while here != dest {
-                let (_, escape, _) = transit_parts(torus_route(
-                    &t,
-                    here,
-                    &pkt(src, dest, CoherenceClass::Request),
-                ));
+                let (_, escape, _) =
+                    transit_parts(live(t, here, &pkt(src, dest, CoherenceClass::Request)));
                 match escape {
                     OutputPort::East | OutputPort::West => {
                         assert!(!seen_y, "x hop after y hop violates dimension order")
@@ -548,7 +478,7 @@ mod tests {
                     continue;
                 }
                 let p = pkt(0, dest, CoherenceClass::Request);
-                let (adaptive, escape, vc) = transit_parts(mesh_route(m, here, &p));
+                let (adaptive, escape, vc) = transit_parts(live(m, here, &p));
                 assert_eq!(vc, EscapeVc::Vc1, "mesh escape never switches VCs");
                 assert!(
                     adaptive & escape.mask() as u8 != 0,
@@ -578,7 +508,7 @@ mod tests {
         let mut dirs = Vec::new();
         while here != dest {
             let (_, escape, _) =
-                transit_parts(mesh_route(m, here, &pkt(0, dest, CoherenceClass::Request)));
+                transit_parts(live(m, here, &pkt(0, dest, CoherenceClass::Request)));
             dirs.push(escape);
             here = m.neighbor(here, escape).unwrap();
         }
@@ -597,16 +527,14 @@ mod tests {
     fn mesh_never_routes_off_the_edge() {
         // The corner-to-corner route has no wrap shortcut to offer.
         let m = Mesh::new(4, 4);
-        let (adaptive, escape, _) =
-            transit_parts(mesh_route(m, 0, &pkt(0, 15, CoherenceClass::Request)));
+        let (adaptive, escape, _) = transit_parts(live(m, 0, &pkt(0, 15, CoherenceClass::Request)));
         assert_eq!(
             adaptive,
             (OutputPort::East.mask() | OutputPort::South.mask()) as u8
         );
         assert_eq!(escape, OutputPort::East);
         // From (3,3) back: only North/West.
-        let (adaptive, _, _) =
-            transit_parts(mesh_route(m, 15, &pkt(15, 0, CoherenceClass::Request)));
+        let (adaptive, _, _) = transit_parts(live(m, 15, &pkt(15, 0, CoherenceClass::Request)));
         assert_eq!(
             adaptive,
             (OutputPort::West.mask() | OutputPort::North.mask()) as u8
@@ -622,7 +550,7 @@ mod tests {
                     continue;
                 }
                 let (adaptive, escape, vc) =
-                    transit_parts(fm_route(f, here, &pkt(here, dest, CoherenceClass::Request)));
+                    transit_parts(live(f, here, &pkt(here, dest, CoherenceClass::Request)));
                 assert_eq!(escape, f.port_toward(here, dest));
                 assert_eq!(vc, EscapeVc::Vc0, "VC-less: one escape channel");
                 assert!(adaptive & escape.mask() as u8 != 0, "direct is a candidate");
@@ -634,7 +562,7 @@ mod tests {
     fn full_mesh_misroutes_only_at_the_source_and_below_dest() {
         let f = FullMesh::new(5);
         // At the source 4 -> 3: direct plus intermediates {0,1,2}.
-        let (adaptive, _, _) = transit_parts(fm_route(f, 4, &pkt(4, 3, CoherenceClass::Request)));
+        let (adaptive, _, _) = transit_parts(live(f, 4, &pkt(4, 3, CoherenceClass::Request)));
         let mut expect = f.port_toward(4, 3).mask() as u8;
         for m in [0u16, 1, 2] {
             expect |= f.port_toward(4, m).mask() as u8;
@@ -642,10 +570,10 @@ mod tests {
         assert_eq!(adaptive, expect);
         assert_eq!(adaptive.count_ones(), 4, "beyond the fixed two candidates");
         // 4 -> 0: no intermediate below 0, direct only.
-        let (adaptive, _, _) = transit_parts(fm_route(f, 4, &pkt(4, 0, CoherenceClass::Request)));
+        let (adaptive, _, _) = transit_parts(live(f, 4, &pkt(4, 0, CoherenceClass::Request)));
         assert_eq!(adaptive, f.port_toward(4, 0).mask() as u8);
         // In transit (here != src): direct only, so every path is ≤ 2 hops.
-        let (adaptive, _, _) = transit_parts(fm_route(f, 1, &pkt(4, 3, CoherenceClass::Request)));
+        let (adaptive, _, _) = transit_parts(live(f, 1, &pkt(4, 3, CoherenceClass::Request)));
         assert_eq!(adaptive, f.port_toward(1, 3).mask() as u8);
     }
 
@@ -659,7 +587,7 @@ mod tests {
                     continue;
                 }
                 let p = pkt(src, dest, CoherenceClass::Request);
-                let (adaptive, _, _) = transit_parts(fm_route(f, src, &p));
+                let (adaptive, _, _) = transit_parts(live(f, src, &p));
                 let mut mask = adaptive;
                 while mask != 0 {
                     let port = OutputPort::from_index(mask.trailing_zeros() as usize);
@@ -669,7 +597,7 @@ mod tests {
                         continue;
                     }
                     assert!(hop1 < dest, "misroute intermediate stays below dest");
-                    let (a2, _, _) = transit_parts(fm_route(f, hop1, &p));
+                    let (a2, _, _) = transit_parts(live(f, hop1, &p));
                     assert_eq!(a2, f.port_toward(hop1, dest).mask() as u8);
                     let hop2 = f.link(hop1, f.port_toward(hop1, dest)).unwrap().peer;
                     assert_eq!(hop2, dest, "second hop lands");
@@ -694,7 +622,7 @@ mod tests {
         let p = pkt(0, 5, CoherenceClass::Request);
         let d = killed(&[(0, OutputPort::South)]);
         let (adaptive, escape, _) =
-            transit_parts(TorusRouting(t).route(&d, 0, &p).expect("escape alive"));
+            transit_parts(route_for(&t.into(), &d, 0, &p).expect("escape alive"));
         assert_eq!(adaptive, OutputPort::East.mask() as u8);
         assert_eq!(escape, OutputPort::East);
     }
@@ -707,10 +635,10 @@ mod tests {
         // though South is still productive — the dateline chain must not
         // be rerouted.
         let d = killed(&[(0, OutputPort::East)]);
-        assert!(TorusRouting(t).route(&d, 0, &p).is_none());
+        assert!(route_for(&t.into(), &d, 0, &p).is_none());
         // Local delivery and unrelated routers are unaffected.
-        assert!(TorusRouting(t).route(&d, 5, &p).is_some());
-        assert!(TorusRouting(t).route(&d, 1, &p).is_some());
+        assert!(route_for(&t.into(), &d, 5, &p).is_some());
+        assert!(route_for(&t.into(), &d, 1, &p).is_some());
     }
 
     #[test]
@@ -718,10 +646,10 @@ mod tests {
         let m = Mesh::new(4, 4);
         let p = pkt(0, 15, CoherenceClass::Request);
         let d = killed(&[(0, OutputPort::East)]);
-        assert!(MeshRouting(m).route(&d, 0, &p).is_none());
+        assert!(route_for(&m.into(), &d, 0, &p).is_none());
         let d2 = killed(&[(0, OutputPort::South)]);
         let (adaptive, escape, _) =
-            transit_parts(MeshRouting(m).route(&d2, 0, &p).expect("escape alive"));
+            transit_parts(route_for(&m.into(), &d2, 0, &p).expect("escape alive"));
         assert_eq!(adaptive, OutputPort::East.mask() as u8);
         assert_eq!(escape, OutputPort::East);
     }
@@ -734,7 +662,7 @@ mod tests {
         let p = pkt(4, 3, CoherenceClass::Request);
         let d = killed(&[(4, f.port_toward(4, 3))]);
         let (adaptive, escape, vc) =
-            transit_parts(FullMeshRouting(f).route(&d, 4, &p).expect("reroutable"));
+            transit_parts(route_for(&f.into(), &d, 4, &p).expect("reroutable"));
         assert_eq!(escape, f.port_toward(4, 0), "lowest alive intermediate");
         assert_eq!(vc, EscapeVc::Vc0);
         assert_eq!(
@@ -744,8 +672,7 @@ mod tests {
         );
         // Kill 4->0 as well: the escape advances to intermediate 1.
         let d = killed(&[(4, f.port_toward(4, 3)), (4, f.port_toward(4, 0))]);
-        let (_, escape, _) =
-            transit_parts(FullMeshRouting(f).route(&d, 4, &p).expect("reroutable"));
+        let (_, escape, _) = transit_parts(route_for(&f.into(), &d, 4, &p).expect("reroutable"));
         assert_eq!(escape, f.port_toward(4, 1));
         // An intermediate whose *second* hop is dead is skipped too.
         let d = killed(&[
@@ -753,8 +680,7 @@ mod tests {
             (4, f.port_toward(4, 0)),
             (1, f.port_toward(1, 3)),
         ]);
-        let (_, escape, _) =
-            transit_parts(FullMeshRouting(f).route(&d, 4, &p).expect("reroutable"));
+        let (_, escape, _) = transit_parts(route_for(&f.into(), &d, 4, &p).expect("reroutable"));
         assert_eq!(escape, f.port_toward(4, 2));
     }
 
@@ -765,11 +691,11 @@ mod tests {
         // In transit (here != src) the direct link is the only legal
         // hop: rerouting there would break the two-hop bound.
         let d = killed(&[(1, f.port_toward(1, 3))]);
-        assert!(FullMeshRouting(f).route(&d, 1, &p).is_none());
+        assert!(route_for(&f.into(), &d, 1, &p).is_none());
         // 4 -> 0 has no intermediate below the destination id, so a dead
         // direct link is terminal even at the source.
         let p0 = pkt(4, 0, CoherenceClass::Request);
         let d = killed(&[(4, f.port_toward(4, 0))]);
-        assert!(FullMeshRouting(f).route(&d, 4, &p0).is_none());
+        assert!(route_for(&f.into(), &d, 4, &p0).is_none());
     }
 }

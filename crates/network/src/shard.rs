@@ -193,6 +193,13 @@ pub(crate) fn replay_records(
     }
 }
 
+/// The packet transit-latency histogram every shard partial and the
+/// merged report use (`Histogram::merge` needs one shape): 10 ns bins
+/// up to 2 µs; saturated tails beyond that land in the overflow bucket.
+pub(crate) fn transit_histogram() -> Histogram {
+    Histogram::new(0.0, 2000.0, 200)
+}
+
 /// The transaction-latency histogram every shard partial uses: a closed
 /// -loop round trip is two network transits plus the 73 ns memory (or
 /// L2) lookup plus source queueing, so the clamp sits 4× above the
@@ -282,7 +289,7 @@ impl<E: Endpoint> Shard<E> {
             measured_packets: 0,
             measured_flits: 0,
             measured_txns: 0,
-            latency_hist: Histogram::new(0.0, 2000.0, 200),
+            latency_hist: transit_histogram(),
             txn_latency_hist: txn_histogram(),
             faults,
             delivered_all: 0,
@@ -550,8 +557,7 @@ impl<E: Endpoint> Shard<E> {
                     .link(src, o.output)
                     .expect("forward along an unwired port");
                 let (neighbor, entry) = (target.peer, target.entry);
-                let wire = env.topology.link_latency(src, o.output, env.link_latency);
-                let pin_time = o.first_flit + wire;
+                let pin_time = o.first_flit + env.link_latency;
                 let local = (neighbor - self.base) as usize;
                 let packet = if let Some(plane) = self.faults.as_mut() {
                     match plane.admit(
@@ -598,10 +604,7 @@ impl<E: Endpoint> Shard<E> {
                     .feeder(src, input)
                     .expect("credit for an unwired input");
                 let local = (upstream - self.base) as usize;
-                let wire = env
-                    .topology
-                    .link_latency(upstream, output, env.link_latency);
-                self.routers[local].accept_credit(output, vc, at + wire);
+                self.routers[local].accept_credit(output, vc, at + env.link_latency);
                 self.wake_at[local] = self.wake_at[local].min(self.routers[local].next_wake());
             }
             RouterOutput::Delivered { .. } => {

@@ -19,17 +19,16 @@
 //!
 //! The network is partitioned into contiguous node-range shards
 //! ([`NetworkSim::with_workers`]); one shard runs inline on the calling
-//! thread, several run on one worker thread each, and the report is
-//! bit-for-bit identical either way.
+//! thread, several run on one thread each (the calling thread takes
+//! shard 0), and the report is bit-for-bit identical either way.
 //!
 //! # Why a one-cycle horizon is safe
 //!
 //! Every inter-router interaction in the model crosses a network link,
-//! and every link has at least three 0.8 GHz link-clocks (= 4.5 core
-//! cycles) of wire latency — a floor the [`crate::topology::Topology`]
-//! contract guarantees on every shape (`link_latency` never shrinks
-//! below one core cycle); even a local injection is decoded cycles
-//! after it pins. So
+//! and every link has the router timing's wire latency — three 0.8 GHz
+//! link-clocks (= 4.5 core cycles) as shipped, and never less than one
+//! core cycle ([`NetworkSim::with_workers`] refuses a timing below that
+//! floor); even a local injection is decoded cycles after it pins. So
 //! any event a router emits at cycle *k* takes effect strictly after
 //! cycle *k* — no router's cycle-*k* decisions can observe another
 //! router's cycle-*k* outputs. That makes one core cycle a safe
@@ -67,7 +66,10 @@
 
 use crate::fault::{retransmit_histogram, DeadLinks, FaultConfig};
 use crate::routing::route_for;
-use crate::shard::{event_shards, replay_records, CycleEnv, MeasureRecord, OutEvent, Shard};
+use crate::shard::{
+    event_shards, replay_records, transit_histogram, txn_histogram, CycleEnv, MeasureRecord,
+    OutEvent, Shard,
+};
 use crate::topology::{NetTopology, ShardMap};
 use arbitration::ports::InputPort;
 use router::{CoherenceClass, IncomingPacket, Packet, Router, RouterConfig, VcId};
@@ -134,12 +136,6 @@ impl NodeCtx<'_> {
         }
     }
 
-    /// True when a packet of `class` could be injected through `input`
-    /// right now.
-    pub fn can_inject(&self, input: InputPort, class: CoherenceClass) -> bool {
-        input.is_local() && self.router.free_space(input, Self::injection_vc(class)) > 0
-    }
-
     /// Injects a packet through a local input port.
     ///
     /// # Panics
@@ -194,7 +190,7 @@ pub struct TxnCompletion {
 }
 
 /// A per-node traffic agent. `Send` because a multi-shard
-/// [`NetworkSim::run`] steps each shard's endpoints on a worker thread.
+/// [`NetworkSim::run`] steps each shard's endpoints on its own thread.
 pub trait Endpoint: Send {
     /// Called once per core cycle; may inject packets via `ctx`.
     fn on_cycle(&mut self, ctx: &mut NodeCtx<'_>);
@@ -313,21 +309,6 @@ impl NetworkReport {
         self.latency.mean()
     }
 
-    /// The transit-latency histogram's clamp range in ns. Deliveries
-    /// whose transit time reaches the upper edge are *not* dropped: they
-    /// are counted in [`NetworkReport::latency_overflow`] (and as
-    /// top-edge mass by the histogram's quantiles), so
-    /// `latency_hist.count()` always equals `delivered_packets`.
-    pub fn latency_clamp_ns(&self) -> (f64, f64) {
-        (self.latency_hist.lo(), self.latency_hist.hi())
-    }
-
-    /// Measured deliveries whose transit time fell at or beyond the
-    /// histogram clamp (routine under saturation, where tails pass 2 µs).
-    pub fn latency_overflow(&self) -> u64 {
-        self.latency_hist.overflow()
-    }
-
     /// Mean transaction round-trip latency in nanoseconds (0 when no
     /// closed-loop transaction completed in the measurement window).
     pub fn avg_txn_latency_ns(&self) -> f64 {
@@ -343,7 +324,7 @@ impl NetworkReport {
     ///
     /// Two digests deliberately do *not* derive from this list and keep
     /// their own: `tests/golden_reports.rs::digest_line`, whose format
-    /// pins the 97 committed golden lines, and
+    /// pins the 104 committed golden lines, and
     /// `perf/src/workloads.rs::digest`, frozen with the benchmark.
     pub fn for_each_field(&self, mut visit: impl FnMut(&str, u64)) {
         let NetworkReport {
@@ -518,7 +499,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 ///
 /// [`NetworkSim::new`] builds one shard and runs everything on the
 /// calling thread. [`NetworkSim::with_workers`] builds several;
-/// [`NetworkSim::run`] then steps them on one worker thread each, while
+/// [`NetworkSim::run`] then steps them on one thread each, while
 /// [`NetworkSim::step_cycle`] steps them inline in index order.
 pub struct NetworkSim<E: Endpoint> {
     cfg: NetworkConfig,
@@ -548,22 +529,27 @@ impl<E: Endpoint> NetworkSim<E> {
 
     /// Builds a simulator with one endpoint per node, split across
     /// `workers` shards that [`NetworkSim::run`] steps on one thread
-    /// each. `workers == 0` sizes automatically: `SIM_WORKERS` override
-    /// or available parallelism, clamped to 1 inside a `parallel_map`
-    /// region so nested fan-out cannot oversubscribe (see
-    /// [`effective_workers`]). Requests beyond the node count are
-    /// clamped to one node per shard. Reports are bit-for-bit identical
-    /// for every worker count.
+    /// each, shard 0 on the calling thread. `workers == 0` means the
+    /// machine's available parallelism; requests beyond the node count
+    /// are clamped to one node per shard ([`effective_workers`]).
+    /// Reports are bit-for-bit identical for every worker count.
     ///
     /// # Panics
     ///
-    /// Panics unless `endpoints.len()` equals the node count.
+    /// Panics unless `endpoints.len()` equals the node count, or when the
+    /// router timing's wire latency is shorter than one core cycle.
     pub fn with_workers(cfg: NetworkConfig, endpoints: Vec<E>, workers: usize) -> Self {
         let topology = cfg.topology;
         assert_eq!(
             endpoints.len(),
             topology.nodes() as usize,
             "one endpoint per node"
+        );
+        // The one-cycle horizon (module docs): an event emitted at cycle k
+        // must take effect strictly after cycle k.
+        assert!(
+            cfg.router.timing.link_latency_ticks() >= cfg.router.timing.core.period(),
+            "link wire latency must be at least one core cycle"
         );
         let workers = effective_workers(workers, topology.nodes() as usize);
         let map = ShardMap::new(&topology, workers);
@@ -594,7 +580,8 @@ impl<E: Endpoint> NetworkSim<E> {
         }
     }
 
-    /// Number of shards (= worker threads [`NetworkSim::run`] uses).
+    /// Number of shards (= threads [`NetworkSim::run`] uses, the calling
+    /// one included).
     pub fn workers(&self) -> usize {
         self.shards.len()
     }
@@ -745,30 +732,32 @@ impl<E: Endpoint> NetworkSim<E> {
         out
     }
 
-    /// Barrier-quantum fleet: W workers plus this coordinator thread.
+    /// Barrier-quantum fleet: W shards on W threads — W − 1 scoped
+    /// workers plus the calling thread, which steps shard 0 itself.
     ///
     /// Segment *k* (between barrier crossings *k* and *k+1*) runs, on
-    /// each worker: apply phase B of cycle *k−1* from the previous
+    /// each thread: apply phase B of cycle *k−1* from the previous
     /// segment's outboxes, then phase A of cycle *k* into this segment's
     /// outboxes. Outboxes and record buffers are double-buffered by
     /// cycle parity, so one barrier per cycle suffices: parity-*p*
     /// buffers are written in segment *k* (p = k mod 2), drained in
-    /// segment *k+1*, and not rewritten until *k+2*. The coordinator
-    /// spends segment *k* replaying cycle *k−1*'s measurement records.
-    /// Each worker holds the exclusive borrow of its shard for the whole
+    /// segment *k+1*, and not rewritten until *k+2*. The calling thread
+    /// also replays cycle *k−1*'s measurement records in segment *k*.
+    /// Each thread holds the exclusive borrow of its shard for the whole
     /// run; every mutex in the scheme (outboxes, record buffers) is
     /// uncontended by construction — locks only order memory, the
     /// barrier orders time.
     ///
     /// # Panic robustness
     ///
-    /// A fixed-party barrier turns one dead worker into a fleet-wide
-    /// hang, so each worker runs under `catch_unwind`: on panic it
-    /// [poisons](SpinBarrier::poison) the barrier with the original
-    /// message and exits. Every peer — and the coordinator — observes
-    /// the poison at its next crossing and unwinds with
-    /// `"worker fleet panicked: <original message>"` instead of spinning
-    /// forever.
+    /// A fixed-party barrier turns one dead party into a fleet-wide
+    /// hang, so every party — the calling thread included — runs under
+    /// `catch_unwind`: on panic it [poisons](SpinBarrier::poison) the
+    /// barrier with the original message and exits. Every peer observes
+    /// the poison at its next crossing and exits the same way; once the
+    /// scope has joined, the calling thread re-raises
+    /// `"worker fleet panicked: <original message>"`, whichever shard
+    /// the panic started in.
     ///
     /// # Watchdog
     ///
@@ -783,7 +772,7 @@ impl<E: Endpoint> NetworkSim<E> {
     fn run_fleet(&mut self, total: u64) {
         let w = self.shards.len();
         let start = self.cycle;
-        let barrier = SpinBarrier::new(w + 1);
+        let barrier = SpinBarrier::new(w);
         let fleet_delivered = AtomicU64::new(0);
         let watchdog_budget = self.cfg.fault.watchdog_cycles;
         let buckets = |n: usize| -> Vec<Mutex<Vec<OutEvent>>> {
@@ -800,114 +789,116 @@ impl<E: Endpoint> NetworkSim<E> {
         };
         let records: [Vec<Mutex<Vec<MeasureRecord>>>; 2] = [mk_records(), mk_records()];
 
-        let shards = &mut self.shards;
         let map = &self.map;
         let topology = self.topology;
         let cfg = &self.cfg;
-        let latency = &mut self.latency;
-        let total_latency = &mut self.total_latency;
-        let txn_latency = &mut self.txn_latency;
 
-        std::thread::scope(|scope| {
-            for (me, shard) in shards.iter_mut().enumerate() {
-                let barrier = &barrier;
-                let outboxes = &outboxes;
-                let records = &records;
-                let fleet_delivered = &fleet_delivered;
-                scope.spawn(move || {
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        // This shard's deliveries already published to
-                        // the fleet-wide counter its watchdog watches.
-                        let mut published = shard.delivered_all;
-                        let mut watchdog = Watchdog::default();
-                        for k in start..=total {
-                            barrier.wait();
-                            if k > start {
-                                // Phase B of cycle k-1: events destined to
-                                // this shard, source shards in index order =
-                                // ascending source router (canonical).
-                                let env = CycleEnv::at(cfg, k - 1);
-                                let parity = ((k - 1) % 2) as usize;
-                                for src_row in &outboxes[parity] {
-                                    let mut bucket =
-                                        src_row[me].lock().expect("worker fleet panicked");
-                                    for OutEvent { src, ev } in bucket.drain(..) {
-                                        shard.apply(&env, src, ev);
-                                    }
-                                }
-                                if let Some(budget) = watchdog_budget {
-                                    let delivered = shard.delivered_all;
-                                    if delivered != published {
-                                        fleet_delivered.fetch_add(
-                                            delivered - published,
-                                            Ordering::Relaxed,
-                                        );
-                                        published = delivered;
-                                    }
-                                    let total_now = fleet_delivered.load(Ordering::Relaxed);
-                                    watchdog.check(
-                                        budget,
-                                        total_now,
-                                        || shard.occupancy(),
-                                        || {
-                                            use std::fmt::Write as _;
-                                            let mut dump = String::new();
-                                            let _ = writeln!(
-                                                dump,
-                                                "shard {me} diagnostic @ cycle {}: occupancy {} packet(s), {} delivered fleet-wide",
-                                                k - 1,
-                                                shard.occupancy(),
-                                                total_now,
-                                            );
-                                            shard.diagnostics(&mut dump);
-                                            dump
-                                        },
-                                    );
-                                }
-                            }
-                            if k < total {
-                                // Phase A of cycle k into this parity's
-                                // buckets (drained last segment, free now).
-                                let env = CycleEnv::at(cfg, k);
-                                let parity = (k % 2) as usize;
-                                let mut rows: Vec<_> = outboxes[parity][me]
-                                    .iter()
-                                    .map(|m| m.lock().expect("worker fleet panicked"))
-                                    .collect();
-                                let mut recs =
-                                    records[parity][me].lock().expect("worker fleet panicked");
-                                shard.phase_a(
-                                    &env,
-                                    &mut |src, ev| {
-                                        for dst in event_shards(&topology, map, src, &ev) {
-                                            rows[dst].push(OutEvent { src, ev });
-                                        }
-                                    },
-                                    &mut recs,
-                                );
+        // The one worker body. `replay` is the latency/total/transaction
+        // accumulator triple, handed to exactly one party (the caller).
+        let worker = |me: usize,
+                      shard: &mut Shard<E>,
+                      mut replay: Option<[&mut OnlineStats; 3]>| {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // This shard's deliveries already published to the
+                // fleet-wide counter its watchdog watches.
+                let mut published = shard.delivered_all;
+                let mut watchdog = Watchdog::default();
+                let mut scratch: Vec<MeasureRecord> = Vec::new();
+                for k in start..=total {
+                    barrier.wait();
+                    if k > start {
+                        // Phase B of cycle k-1: events destined to this
+                        // shard, source shards in index order = ascending
+                        // source router (canonical).
+                        let env = CycleEnv::at(cfg, k - 1);
+                        let parity = ((k - 1) % 2) as usize;
+                        for src_row in &outboxes[parity] {
+                            let mut bucket = src_row[me].lock().expect("worker fleet panicked");
+                            for OutEvent { src, ev } in bucket.drain(..) {
+                                shard.apply(&env, src, ev);
                             }
                         }
-                    }));
-                    if let Err(payload) = caught {
-                        barrier.poison(panic_message(payload.as_ref()));
+                        if let Some(budget) = watchdog_budget {
+                            let delivered = shard.delivered_all;
+                            if delivered != published {
+                                fleet_delivered.fetch_add(delivered - published, Ordering::Relaxed);
+                                published = delivered;
+                            }
+                            let total_now = fleet_delivered.load(Ordering::Relaxed);
+                            watchdog.check(
+                                budget,
+                                total_now,
+                                || shard.occupancy(),
+                                || {
+                                    use std::fmt::Write as _;
+                                    let mut dump = String::new();
+                                    let _ = writeln!(
+                                        dump,
+                                        "shard {me} diagnostic @ cycle {}: occupancy {} packet(s), {} delivered fleet-wide",
+                                        k - 1,
+                                        shard.occupancy(),
+                                        total_now,
+                                    );
+                                    shard.diagnostics(&mut dump);
+                                    dump
+                                },
+                            );
+                        }
+                        // Cycle k-1's measurement records, in canonical
+                        // key order across all shards.
+                        if let Some([latency, total_latency, txn_latency]) = &mut replay {
+                            for shard_records in &records[parity] {
+                                scratch.append(
+                                    &mut shard_records.lock().expect("worker fleet panicked"),
+                                );
+                            }
+                            replay_records(&mut scratch, latency, total_latency, txn_latency);
+                        }
                     }
-                });
-            }
-
-            // Coordinator: replay cycle k-1's measurement records during
-            // segment k, in canonical key order across all shards.
-            let mut scratch: Vec<MeasureRecord> = Vec::new();
-            for k in start..=total {
-                barrier.wait();
-                if k > start {
-                    let parity = ((k - 1) % 2) as usize;
-                    for shard_records in &records[parity] {
-                        scratch.append(&mut shard_records.lock().expect("worker fleet panicked"));
+                    if k < total {
+                        // Phase A of cycle k into this parity's buckets
+                        // (drained last segment, free now).
+                        let env = CycleEnv::at(cfg, k);
+                        let parity = (k % 2) as usize;
+                        let mut rows: Vec<_> = outboxes[parity][me]
+                            .iter()
+                            .map(|m| m.lock().expect("worker fleet panicked"))
+                            .collect();
+                        let mut recs = records[parity][me].lock().expect("worker fleet panicked");
+                        shard.phase_a(
+                            &env,
+                            &mut |src, ev| {
+                                for dst in event_shards(&topology, map, src, &ev) {
+                                    rows[dst].push(OutEvent { src, ev });
+                                }
+                            },
+                            &mut recs,
+                        );
                     }
-                    replay_records(&mut scratch, latency, total_latency, txn_latency);
                 }
+            }));
+            if let Err(payload) = caught {
+                barrier.poison(panic_message(payload.as_ref()));
             }
+        };
+
+        let (first, rest) = self
+            .shards
+            .split_first_mut()
+            .expect("a simulator has at least one shard");
+        let replay = [
+            &mut self.latency,
+            &mut self.total_latency,
+            &mut self.txn_latency,
+        ];
+        std::thread::scope(|scope| {
+            for (i, shard) in rest.iter_mut().enumerate() {
+                let worker = &worker;
+                scope.spawn(move || worker(i + 1, shard, None));
+            }
+            worker(0, first, Some(replay));
         });
+        barrier.raise_if_poisoned();
     }
 
     /// Builds the report for the window simulated so far. Every merge in
@@ -931,8 +922,8 @@ impl<E: Endpoint> NetworkSim<E> {
         let mut measured_packets = 0;
         let mut measured_flits = 0;
         let mut measured_txns = 0;
-        let mut latency_hist = Histogram::new(0.0, 2000.0, 200);
-        let mut txn_latency_hist = crate::shard::txn_histogram();
+        let mut latency_hist = transit_histogram();
+        let mut txn_latency_hist = txn_histogram();
         let mut flits_corrupted = 0;
         let mut retransmissions = 0;
         let mut retry_exhaustions = 0;
@@ -1121,14 +1112,15 @@ mod tests {
     fn latency_histogram_accounts_every_delivery() {
         let mut s = sim(10, ArbAlgorithm::SpaaRotary);
         let report = s.run();
-        assert_eq!(report.latency_clamp_ns(), (0.0, 2000.0));
+        let hist = &report.latency_hist;
+        assert_eq!((hist.lo(), hist.hi()), (0.0, 2000.0));
         assert_eq!(
             report.latency_hist.count(),
             report.delivered_packets,
             "every measured delivery lands in a bin or the overflow bucket"
         );
         assert_eq!(
-            report.latency_overflow()
+            report.latency_hist.overflow()
                 + report.latency_hist.underflow()
                 + report.latency_hist.bins().iter().sum::<u64>(),
             report.delivered_packets,

@@ -4,12 +4,11 @@
 //! router model depends on that shape — a router sees packets arriving
 //! through four generic network ports with a pre-computed
 //! [`RouteInfo`](router::RouteInfo). The [`Topology`] trait captures what
-//! the simulation engines actually need from a shape: how many nodes
+//! the simulation engine actually needs from a shape: how many nodes
 //! exist, which `(node, output port)` pairs carry a link and where that
-//! link lands (peer node + entry input port), the inverse feeder relation
-//! used to return credits upstream, and per-link wire latency. The
-//! [`NetTopology`] enum dispatches over the concrete shapes so both
-//! engines stay monomorphic.
+//! link lands (peer node + entry input port), and the inverse feeder
+//! relation used to return credits upstream. The [`NetTopology`] enum
+//! dispatches over the concrete shapes so the engine stays monomorphic.
 //!
 //! Shapes:
 //!
@@ -25,14 +24,8 @@
 //!   port *k* of node *a* reaches the *k*-th other node in id order, so
 //!   the entry port at the peer depends on both endpoints rather than
 //!   being the geometric opposite.
-//!
-//! The sharded engine's one-cycle barrier quantum relies on a contract
-//! every implementation must honour: [`Topology::link_latency`] must be
-//! at least one core cycle on every link (see DESIGN.md "Topology
-//! axis").
 
 use arbitration::ports::{InputPort, OutputPort};
-use simcore::Tick;
 use std::fmt;
 
 /// Where a link lands: the peer node and the input port through which
@@ -45,9 +38,9 @@ pub struct LinkTarget {
     pub entry: InputPort,
 }
 
-/// A network shape: node enumeration, links with latency, and the
-/// inverse feeder relation. Everything the simulation engines need to
-/// move packets and credits between routers.
+/// A network shape: node enumeration, links, and the inverse feeder
+/// relation. Everything the simulation engine needs to move packets and
+/// credits between routers.
 pub trait Topology {
     /// Number of nodes.
     fn nodes(&self) -> u16;
@@ -64,17 +57,6 @@ pub trait Topology {
 
     /// Minimal hop distance between two nodes.
     fn distance(&self, a: u16, b: u16) -> u16;
-
-    /// Wire latency of the link leaving `node` through `port`, given the
-    /// router timing's base link latency. The default is uniform wire
-    /// latency; implementations may stretch individual links but must
-    /// never return less than one core cycle — the sharded engine's
-    /// one-cycle barrier quantum depends on it (DESIGN.md "Topology
-    /// axis").
-    fn link_latency(&self, node: u16, port: OutputPort, base: Tick) -> Tick {
-        let _ = (node, port);
-        base
-    }
 
     /// Average minimal hop distance over all (src, dest) pairs with
     /// uniform random destinations (used to sanity-check zero-load
@@ -592,14 +574,6 @@ impl Topology for NetTopology {
             NetTopology::FullMesh(f) => Topology::distance(f, a, b),
         }
     }
-
-    fn link_latency(&self, node: u16, port: OutputPort, base: Tick) -> Tick {
-        match self {
-            NetTopology::Torus(t) => t.link_latency(node, port, base),
-            NetTopology::Mesh(m) => m.link_latency(node, port, base),
-            NetTopology::FullMesh(f) => f.link_latency(node, port, base),
-        }
-    }
 }
 
 /// A partition of a topology's routers into contiguous near-equal shards.
@@ -879,20 +853,6 @@ mod tests {
         assert_eq!(NetTopology::from(FullMesh::new(5)).label(), "fullmesh5");
         assert_eq!(NetTopology::from(Mesh::new(4, 4)).grid(), Some((4, 4)));
         assert_eq!(NetTopology::from(FullMesh::new(3)).grid(), None);
-    }
-
-    #[test]
-    fn default_link_latency_is_the_base() {
-        let base = Tick::new(90);
-        for topo in [
-            NetTopology::from(Torus::net_4x4()),
-            NetTopology::from(Mesh::new(4, 4)),
-            NetTopology::from(FullMesh::new(4)),
-        ] {
-            for port in &OutputPort::ALL[..4] {
-                assert_eq!(topo.link_latency(0, *port, base), base);
-            }
-        }
     }
 
     #[test]

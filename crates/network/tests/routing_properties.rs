@@ -7,10 +7,7 @@
 //! exactly from the test name alone.
 
 use arbitration::ports::OutputPort;
-use network::{
-    route_for, DeadLinks, FullMesh, FullMeshRouting, Mesh, MeshRouting, NetTopology, Routing,
-    Topology, Torus,
-};
+use network::{route_for, DeadLinks, FullMesh, Mesh, NetTopology, Topology, Torus};
 use router::packet::PacketId;
 use router::{CoherenceClass, EscapeVc, Packet, RouteInfo};
 use simcore::{SimRng, Tick};
@@ -229,7 +226,12 @@ fn mesh_adaptive_candidates_always_make_minimal_progress() {
         if here == dest {
             continue;
         }
-        let route = live(MeshRouting(mesh).route(DeadLinks::empty(), here, &packet(here, dest)));
+        let route = live(route_for(
+            &mesh.into(),
+            DeadLinks::empty(),
+            here,
+            &packet(here, dest),
+        ));
         let RouteInfo::Transit {
             adaptive,
             escape,
@@ -270,7 +272,12 @@ fn mesh_escape_path_is_minimal_and_dimension_ordered() {
         let mut hops = 0u16;
         let mut seen_y = false;
         while here != dest {
-            let route = live(MeshRouting(mesh).route(DeadLinks::empty(), here, &packet(src, dest)));
+            let route = live(route_for(
+                &mesh.into(),
+                DeadLinks::empty(),
+                here,
+                &packet(src, dest),
+            ));
             let RouteInfo::Transit { escape, .. } = route else {
                 panic!("case {case}: transit expected");
             };
@@ -300,7 +307,7 @@ fn full_mesh_routes_are_direct_or_bounded_misroutes() {
             continue;
         }
         let p = packet(src, dest);
-        let route = live(FullMeshRouting(fm).route(DeadLinks::empty(), src, &p));
+        let route = live(route_for(&fm.into(), DeadLinks::empty(), src, &p));
         let RouteInfo::Transit {
             adaptive,
             escape,
@@ -334,7 +341,7 @@ fn full_mesh_routes_are_direct_or_bounded_misroutes() {
                 "case {case}: intermediate {hop1} not below {dest}"
             );
             let RouteInfo::Transit { adaptive: a2, .. } =
-                live(FullMeshRouting(fm).route(DeadLinks::empty(), hop1, &p))
+                live(route_for(&fm.into(), DeadLinks::empty(), hop1, &p))
             else {
                 panic!("case {case}: transit expected at the intermediate");
             };

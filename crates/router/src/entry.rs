@@ -757,14 +757,6 @@ impl InputBuffer {
         n
     }
 
-    /// Iterates over the ids of all queued (not yet granted) entries.
-    pub fn queued_ids(&self) -> impl Iterator<Item = EntryId> + '_ {
-        (0..NUM_VCS).flat_map(move |v| QueueIter {
-            meta: &self.meta,
-            next: self.head[v],
-        })
-    }
-
     /// Number of buffered packets that still *belong* to this router —
     /// everything except departing entries, whose ownership has moved to
     /// the downstream router (or the delivery queue). Used for
@@ -1160,6 +1152,5 @@ mod tests {
         assert_eq!(buf.occupancy(vc()), 1);
         assert_eq!(buf.occupancy(other), 1);
         assert_eq!(buf.total_occupancy(), 2);
-        assert_eq!(buf.queued_ids().count(), 2);
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! The router crate is topology-agnostic: it receives this pre-computed
 //! [`RouteInfo`] with each arriving packet from the `network` crate's
-//! `Routing` implementations (`network::routing`), one per topology.
+//! routing functions (`network::routing`), one per topology.
 //! The adaptive mask may name *any* subset of the four network ports —
 //! the torus scheme never sets more than two bits, but the full-mesh
 //! scheme's misroute candidates can fill all four — and the escape

@@ -37,16 +37,6 @@ pub struct RouterStats {
 }
 
 impl RouterStats {
-    /// Fraction of nominations that won arbitration (1.0 when no
-    /// nominations were made).
-    pub fn grant_rate(&self) -> f64 {
-        if self.nominations.get() == 0 {
-            1.0
-        } else {
-            self.grants.get() as f64 / self.nominations.get() as f64
-        }
-    }
-
     /// Compact traffic summary for diagnostic dumps.
     pub fn summary(&self) -> String {
         format!(
@@ -61,16 +51,6 @@ impl RouterStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grant_rate() {
-        let mut s = RouterStats::default();
-        assert_eq!(s.grant_rate(), 1.0);
-        s.nominations.add(10);
-        s.grants.add(7);
-        s.collisions.add(3);
-        assert!((s.grant_rate() - 0.7).abs() < 1e-12);
-    }
 
     #[test]
     fn summary_reports_traffic_counters() {

@@ -121,14 +121,6 @@ impl RouterTiming {
         self.link_cycles(self.link_latency)
     }
 
-    /// Round-trip wire latency of one link: the floor on any
-    /// NACK-then-retransmit recovery turnaround (the CRC verdict crosses
-    /// the wire back before the retransmitted flits cross it forward).
-    #[inline]
-    pub fn link_round_trip_ticks(&self) -> Tick {
-        self.link_latency_ticks() + self.link_latency_ticks()
-    }
-
     /// Pin-to-pin first-flit latency for a given arbitration latency.
     ///
     /// The LA stage shares a cycle with eligibility, so arbitration
@@ -165,7 +157,6 @@ mod tests {
         let ratio = t.link.period().as_ticks() as f64 / t.core.period().as_ticks() as f64;
         assert!((ratio - 1.5).abs() < 1e-12);
         assert_eq!(t.link_latency_ticks().as_ns(), 3.75); // 3 × 1.25 ns
-        assert_eq!(t.link_round_trip_ticks().as_ns(), 7.5);
     }
 
     #[test]

@@ -27,14 +27,6 @@ pub struct BnfPoint {
     pub packets: u64,
 }
 
-impl BnfPoint {
-    /// True when this point's latency exceeds `cap`, a crude indicator that
-    /// the configuration is past saturation.
-    pub fn is_saturated(&self, cap_ns: f64) -> bool {
-        self.avg_latency_ns > cap_ns
-    }
-}
-
 impl fmt::Display for BnfPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -202,22 +194,6 @@ impl ReplicatedBnfCurve {
             label: label.into(),
             replicates: Vec::new(),
         }
-    }
-
-    /// Builds from a full replicate set (any order; sorted internally).
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate seeds or mismatched offered-load grids.
-    pub fn from_replicates(
-        label: impl Into<String>,
-        replicates: impl IntoIterator<Item = (u64, BnfCurve)>,
-    ) -> Self {
-        let mut c = ReplicatedBnfCurve::new(label);
-        for (seed, curve) in replicates {
-            c.merge(seed, curve);
-        }
-        c
     }
 
     /// Merges one seed's curve into the replicate set.
@@ -436,8 +412,15 @@ mod tests {
             (7, replicate_curve("s", &[0.25, 0.55], &[52.0, 83.0])),
             (23, replicate_curve("s", &[0.21, 0.52], &[51.0, 81.0])),
         ];
-        let forward = ReplicatedBnfCurve::from_replicates("x", reps.clone());
-        let backward = ReplicatedBnfCurve::from_replicates("x", reps.into_iter().rev());
+        let merged = |reps: Vec<(u64, BnfCurve)>| {
+            let mut c = ReplicatedBnfCurve::new("x");
+            for (seed, curve) in reps {
+                c.merge(seed, curve);
+            }
+            c
+        };
+        let forward = merged(reps.to_vec());
+        let backward = merged(reps.into_iter().rev().collect());
         assert_eq!(
             forward.seeds().collect::<Vec<_>>(),
             backward.seeds().collect::<Vec<_>>()
@@ -494,11 +477,5 @@ mod tests {
         assert_eq!(c.peak_throughput(), None);
         assert_eq!(c.final_throughput(), None);
         assert_eq!(c.throughput_at_latency(100.0), None);
-    }
-
-    #[test]
-    fn saturation_flag() {
-        assert!(pt(0.1, 0.1, 400.0).is_saturated(300.0));
-        assert!(!pt(0.1, 0.1, 100.0).is_saturated(300.0));
     }
 }

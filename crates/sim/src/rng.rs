@@ -90,14 +90,6 @@ impl SimRng {
         self.next_u64() as u32
     }
 
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
     /// A uniformly random boolean that is `true` with probability `p`.
     ///
     /// Out-of-range probabilities are clamped to `[0, 1]`: `p <= 0`
@@ -304,14 +296,6 @@ mod tests {
             let x = r.unit();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SimRng::from_seed(7);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

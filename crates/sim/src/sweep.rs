@@ -6,61 +6,8 @@
 //! atomically-claimed work list and returns results in input order, so
 //! figure output is deterministic regardless of scheduling.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-thread_local! {
-    /// True while the current thread is a [`parallel_map`] worker. Used
-    /// to clamp *nested* automatic fan-out: a job that itself asks for
-    /// "available parallelism" (a sharded simulation inside a replicated
-    /// sweep) would otherwise multiply the two worker counts and
-    /// oversubscribe the machine.
-    static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
-}
-
-/// RAII flag for [`IN_PARALLEL_REGION`], restoring the previous value on
-/// drop so nested `parallel_map` calls unwind correctly.
-struct RegionGuard {
-    prev: bool,
-}
-
-impl RegionGuard {
-    fn enter() -> Self {
-        let prev = IN_PARALLEL_REGION.with(|f| f.replace(true));
-        RegionGuard { prev }
-    }
-}
-
-impl Drop for RegionGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_PARALLEL_REGION.with(|f| f.set(prev));
-    }
-}
-
-/// True when the calling thread is running inside a [`parallel_map`]
-/// worker (an automatic worker-count request here resolves to 1).
-pub fn in_parallel_region() -> bool {
-    IN_PARALLEL_REGION.with(|f| f.get())
-}
-
-/// The environment name checked for an explicit worker-count override.
-pub const WORKERS_ENV: &str = "SIM_WORKERS";
-
-/// The explicit worker-count override from `SIM_WORKERS`, if set to a
-/// positive integer (anything else — unset, unparsable, `0` — means "no
-/// override"). It replaces the machine-parallelism default wherever a
-/// caller requests automatic sizing, letting benchmark drivers and CI pin
-/// thread counts without plumbing a flag through every harness.
-pub fn worker_override() -> Option<usize> {
-    parse_worker_override(std::env::var(WORKERS_ENV).ok().as_deref())
-}
-
-fn parse_worker_override(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&w| w > 0)
-}
 
 /// Maps `f` over `inputs` using up to `workers` OS threads.
 ///
@@ -98,24 +45,21 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                let _region = RegionGuard::enter();
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let item = slots[idx]
-                        .lock()
-                        .expect("worker panicked")
-                        .take()
-                        .expect("each slot is claimed once");
-                    let r = f(item);
-                    results
-                        .lock()
-                        .expect("worker panicked")
-                        .insert_result(idx, r);
+            scope.spawn(|| loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
+                    break;
                 }
+                let item = slots[idx]
+                    .lock()
+                    .expect("worker panicked")
+                    .take()
+                    .expect("each slot is claimed once");
+                let r = f(item);
+                results
+                    .lock()
+                    .expect("worker panicked")
+                    .insert_result(idx, r);
             });
         }
     });
@@ -128,31 +72,11 @@ where
         .collect()
 }
 
-/// Resolves a worker-count request against machine parallelism and job
-/// count.
-///
-/// `requested == 0` means automatic sizing, resolved in this order:
-///
-/// 1. inside a [`parallel_map`] worker ([`in_parallel_region`]), the
-///    machine is already fanned out — automatic requests get 1 worker,
-///    so nested parallelism (a sharded simulation per sweep cell) cannot
-///    oversubscribe;
-/// 2. a positive [`WORKERS_ENV`] (`SIM_WORKERS`) override, when set;
-/// 3. `available_parallelism`.
-///
-/// An explicit `requested > 0` is always honored (capped by `jobs`): the
-/// caller who writes a number takes responsibility for the total budget.
+/// Resolves a worker-count request: `requested`, or the machine's
+/// available parallelism for `0`, clamped to `1..=jobs`.
 pub fn effective_workers(requested: usize, jobs: usize) -> usize {
     let w = if requested == 0 {
-        if in_parallel_region() {
-            1
-        } else {
-            worker_override().unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-        }
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         requested
     };
@@ -213,40 +137,5 @@ mod tests {
         assert_eq!(effective_workers(16, 2), 2);
         assert!(effective_workers(0, 100) >= 1);
         assert_eq!(effective_workers(5, 0).max(1), 1);
-    }
-
-    #[test]
-    fn override_parsing() {
-        assert_eq!(parse_worker_override(None), None);
-        assert_eq!(parse_worker_override(Some("")), None);
-        assert_eq!(parse_worker_override(Some("abc")), None);
-        assert_eq!(parse_worker_override(Some("0")), None, "0 is not a pin");
-        assert_eq!(parse_worker_override(Some("4")), Some(4));
-        assert_eq!(parse_worker_override(Some(" 12 ")), Some(12));
-    }
-
-    #[test]
-    fn nested_auto_fanout_clamps_to_one_worker() {
-        // Outside any region, automatic sizing may use the machine.
-        assert!(!in_parallel_region());
-        // Inside a parallel_map worker, an automatic request must resolve
-        // to 1 — this is what keeps `run_replicated` over sharded
-        // simulations from multiplying the two fan-outs.
-        let nested = parallel_map(2, vec![(); 4], |()| {
-            (in_parallel_region(), effective_workers(0, 64))
-        });
-        for (in_region, workers) in nested {
-            assert!(in_region, "worker thread must be flagged as a region");
-            assert_eq!(workers, 1, "nested auto fan-out must clamp to 1");
-        }
-        // The flag unwinds once the map returns.
-        assert!(!in_parallel_region());
-    }
-
-    #[test]
-    fn explicit_nested_request_is_honored() {
-        // An explicit worker count is a caller decision, nested or not.
-        let nested = parallel_map(2, vec![(); 2], |()| effective_workers(3, 8));
-        assert_eq!(nested, vec![3, 3]);
     }
 }

@@ -101,6 +101,16 @@ impl SpinBarrier {
         self.poisoned.load(Ordering::Acquire)
     }
 
+    /// Panics with `"worker fleet panicked: <recorded message>"` once the
+    /// barrier has been poisoned — what [`SpinBarrier::wait`] checks on
+    /// entry and while spinning, and what the thread that owns the fleet
+    /// calls after joining it to re-raise a failure its parties caught.
+    pub fn raise_if_poisoned(&self) {
+        if self.is_poisoned() {
+            self.poison_panic();
+        }
+    }
+
     #[cold]
     fn poison_panic(&self) -> ! {
         let msg = self
@@ -124,9 +134,7 @@ impl SpinBarrier {
     /// spinning, so a fleet whose peer died mid-generation unwinds
     /// instead of hanging.
     pub fn wait(&self) {
-        if self.is_poisoned() {
-            self.poison_panic();
-        }
+        self.raise_if_poisoned();
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             // Last arrival: reset the count *before* releasing the fleet,
@@ -140,9 +148,7 @@ impl SpinBarrier {
             // `== gen + 1`: a fast peer may complete whole generations
             // while this thread is descheduled.
             while self.generation.load(Ordering::Acquire) == gen {
-                if self.is_poisoned() {
-                    self.poison_panic();
-                }
+                self.raise_if_poisoned();
                 spins = spins.saturating_add(1);
                 if spins < 1 << 7 {
                     std::hint::spin_loop();

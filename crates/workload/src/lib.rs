@@ -45,20 +45,9 @@ pub fn run_coherence_sim(
     net: NetworkConfig,
     wl: WorkloadConfig,
 ) -> (network::NetworkReport, EndpointStats) {
-    run_coherence_sim_with_workers(net, wl, 1)
-}
-
-/// Like [`run_coherence_sim`], with the simulation split across `workers`
-/// threads (`0` = automatic sizing). Reports are bit-for-bit identical
-/// for any worker count.
-pub fn run_coherence_sim_with_workers(
-    net: NetworkConfig,
-    wl: WorkloadConfig,
-    workers: usize,
-) -> (network::NetworkReport, EndpointStats) {
     let endpoints = build_endpoints(&net, &wl);
     let nodes = net.topology.nodes();
-    let mut sim = NetworkSim::with_workers(net, endpoints, workers);
+    let mut sim = NetworkSim::new(net, endpoints);
     let report = sim.run();
     let mut stats = EndpointStats::default();
     for node in 0..nodes {

@@ -100,13 +100,6 @@ impl HotspotTargets {
 }
 
 impl TrafficPattern {
-    /// The three patterns the paper evaluates.
-    pub const PAPER: [TrafficPattern; 3] = [
-        TrafficPattern::Uniform,
-        TrafficPattern::BitReversal,
-        TrafficPattern::PerfectShuffle,
-    ];
-
     /// True when the pattern is usable on the given topology.
     ///
     /// The coordinate patterns (transpose, tornado) need a grid shape

@@ -57,8 +57,8 @@ pub mod prelude {
     pub use arbitration::prelude::*;
     pub use network::{
         DeadLinks, Endpoint, FaultConfig, FullMesh, InjectionOutcome, LinkFlap, LinkKill, Mesh,
-        NetTopology, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, Routing, ShardMap,
-        Topology, Torus, TxnCompletion,
+        NetTopology, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, ShardMap, Topology, Torus,
+        TxnCompletion,
     };
     pub use router::{
         ArbAlgorithm, BufferConfig, CoherenceClass, EscapeVc, IncomingPacket, Packet, RouteInfo,
@@ -69,9 +69,8 @@ pub mod prelude {
         find_mcm_saturation_load, run_standalone, AlgoKind, StandaloneConfig, StandaloneResult,
     };
     pub use workload::{
-        build_endpoints, run_coherence_sim, run_coherence_sim_with_workers, BurstConfig,
-        CoherenceEndpoint, CoherenceParams, EndpointStats, HotspotTargets, MshrTable,
-        TrafficPattern, TxnTag, WorkloadConfig,
+        build_endpoints, run_coherence_sim, BurstConfig, CoherenceEndpoint, CoherenceParams,
+        EndpointStats, HotspotTargets, MshrTable, TrafficPattern, TxnTag, WorkloadConfig,
     };
 }
 

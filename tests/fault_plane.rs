@@ -336,16 +336,17 @@ fn bounded_retries_exhaust_into_link_death_with_exact_accounting() {
     );
 }
 
-/// Panics on schedule inside one worker's endpoint phase.
+/// Panics on schedule inside the endpoint phase of node `exploding`.
 struct PanicAt {
     node: u16,
+    exploding: u16,
     cycle: u64,
 }
 
 impl Endpoint for PanicAt {
     fn on_cycle(&mut self, _ctx: &mut NodeCtx<'_>) {
         self.cycle += 1;
-        if self.node == 9 && self.cycle == 500 {
+        if self.node == self.exploding && self.cycle == 500 {
             panic!("endpoint exploded on schedule");
         }
     }
@@ -385,13 +386,65 @@ fn disabled_fault_plane_taxes_nothing() {
 #[test]
 #[should_panic(expected = "worker fleet panicked: endpoint exploded on schedule")]
 fn sharded_fleet_unwinds_with_the_original_panic_message() {
-    // A panic inside one of four workers must not wedge the barrier: the
-    // poisoned barrier unwinds the coordinator (and every peer) with the
-    // original message instead of spinning forever.
-    let cfg = storm_config(Torus::net_4x4().into(), 3, 2_000, FaultConfig::default());
-    let endpoints: Vec<PanicAt> = (0..16).map(|node| PanicAt { node, cycle: 0 }).collect();
-    let mut sim = NetworkSim::with_workers(cfg, endpoints, 4);
+    // A panic inside any of four shards must not wedge the barrier: the
+    // poisoned barrier unwinds every peer, and `run()` re-raises the
+    // original message on the caller instead of spinning forever.
+    let explode_at = |exploding: u16| {
+        let cfg = storm_config(Torus::net_4x4().into(), 3, 2_000, FaultConfig::default());
+        let endpoints = (0..16).map(|node| PanicAt {
+            node,
+            exploding,
+            cycle: 0,
+        });
+        let _ = NetworkSim::with_workers(cfg, endpoints.collect(), 4).run();
+    };
+    // Node 1 lives in shard 0, which the calling thread steps itself.
+    let payload = std::panic::catch_unwind(|| explode_at(1)).expect_err("shard 0 exploded");
+    let text = payload.downcast_ref::<String>();
+    assert!(
+        text.is_some_and(|t| t == "worker fleet panicked: endpoint exploded on schedule"),
+        "the caller's own shard unwound with {text:?}"
+    );
+    // Node 15 lives in the last shard, on a spawned worker; its unwind is
+    // the panic this test expects.
+    explode_at(15);
+}
+
+/// Remembers every thread that ever stepped it.
+struct ThreadProbe {
+    stepped_on: Vec<std::thread::ThreadId>,
+}
+
+impl Endpoint for ThreadProbe {
+    fn on_cycle(&mut self, _ctx: &mut NodeCtx<'_>) {
+        let id = std::thread::current().id();
+        if self.stepped_on.last() != Some(&id) {
+            self.stepped_on.push(id);
+        }
+    }
+
+    fn on_delivered(&mut self, _packet: &Packet, _now: Tick) -> Option<TxnCompletion> {
+        None
+    }
+}
+
+#[test]
+fn fleet_steps_w_shards_on_w_threads_with_shard_0_on_the_caller() {
+    let cfg = storm_config(Torus::net_4x4().into(), 1, 100, FaultConfig::default());
+    let endpoints = (0..16).map(|_| ThreadProbe {
+        stepped_on: Vec::new(),
+    });
+    let mut sim = NetworkSim::with_workers(cfg, endpoints.collect(), 3);
     let _ = sim.run();
+    let threads: HashSet<_> = (0..16)
+        .flat_map(|node| sim.endpoint(node).stepped_on.iter().copied())
+        .collect();
+    assert_eq!(threads.len(), 3, "three shards, three threads in all");
+    assert_eq!(
+        sim.endpoint(0).stepped_on,
+        [std::thread::current().id()],
+        "shard 0 runs on the thread that called run()"
+    );
 }
 
 /// Node 0 sends one packet to the far corner of the torus; nobody else
@@ -457,7 +510,7 @@ fn watchdog_barks_with_a_router_dump_on_every_engine_path() {
     assert_eq!(ran, stepped, "run() at one worker is the inline path");
 
     // Three workers: the shard holding the packet barks, and the poisoned
-    // barrier carries its message out through the coordinator.
+    // barrier carries its message out to the caller.
     let fleet = panic_text(&mut || {
         let _ = build(3).run();
     });

@@ -240,7 +240,7 @@ impl DeadLinks {
     }
 
     /// Marks a link dead. Returns `true` when the bit was newly set.
-    pub(crate) fn kill(&mut self, node: u16, port: OutputPort) -> bool {
+    pub fn kill(&mut self, node: u16, port: OutputPort) -> bool {
         let idx = Self::bit(node, port);
         let word = &mut self.words[idx / 64];
         let mask = 1u64 << (idx % 64);

@@ -31,7 +31,7 @@ const COARSE_RATES: [f64; 9] = [
 ];
 
 /// The two torus sizes the paper's BNF figures use.
-fn tori() -> [Torus; 2] {
+fn tori() -> [network::Grid; 2] {
     [Torus::net_4x4(), Torus::net_8x8()]
 }
 

@@ -172,7 +172,7 @@ pub fn fig10(args: &Args) {
 fn fig11(
     args: &Args,
     heading: &str,
-    torus: Torus,
+    torus: network::Grid,
     ref_latency_ns: f64,
     paper_gain: &str,
     tweak: impl Fn(&mut SweepSpec),

@@ -33,7 +33,7 @@ pub struct Args {
     /// `--out`: where the JSON table goes (a directory for `fig all`).
     pub out: Option<String>,
     /// `--net`: the torus of a `fig10` panel.
-    pub net: Torus,
+    pub net: network::Grid,
     /// `--pattern`: the traffic of a `fig10` panel.
     pub pattern: TrafficPattern,
 }
@@ -501,7 +501,7 @@ impl Scenario {
     /// The destination pattern. Hot set: two interior nodes (center and
     /// its diagonal neighbour) — deep enough in the torus that
     /// congestion trees have room to grow in every direction.
-    pub fn pattern(self, torus: &Torus) -> TrafficPattern {
+    pub fn pattern(self, torus: &network::Grid) -> TrafficPattern {
         match self {
             Scenario::Hotspot => {
                 let (cx, cy) = (torus.width() / 2, torus.height() / 2);

@@ -181,8 +181,8 @@ impl Arbiter for WfaArbiter {
 }
 
 impl Arbiter for SpaaArbiter {
-    fn arbitrate(&mut self, input: &ArbitrationInput, rng: &mut SimRng) -> Matching {
-        self.grant(&input.nominations, rng)
+    fn arbitrate(&mut self, input: &ArbitrationInput, _rng: &mut SimRng) -> Matching {
+        self.grant(&input.nominations)
     }
 }
 

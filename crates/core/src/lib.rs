@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::mwm::{self, MwmArbiter};
     pub use crate::opf::OpfArbiter;
     pub use crate::pim::PimArbiter;
-    pub use crate::policy::{RotaryMode, SelectionPolicy, Selector};
+    pub use crate::policy::{RotaryMode, Selector};
     pub use crate::ports::{
         InputPort, OutputPort, ReadPort, NUM_ARBITER_ROWS, NUM_INPUT_PORTS, NUM_OUTPUT_PORTS,
     };

@@ -1,26 +1,24 @@
-//! Output-port selection policies, including the Rotary Rule (§3.4).
+//! Output-port selection, including the Rotary Rule (§3.4).
 //!
 //! When several input arbiters nominate packets to the same output port,
 //! the output arbiter must pick one. The paper lists the design space —
 //! random, round-robin, least-recently selected, priority chains, or the
 //! Rotary Rule — and uses:
 //!
-//! * **random** inside PIM's grant/accept steps (§3.1),
+//! * **random** inside PIM's grant/accept steps (§3.1; [`crate::pim`]),
 //! * **least-recently selected (LRS)** for SPAA-base (§3.3 step 2),
 //! * **Rotary Rule, then LRS** for SPAA-rotary: "output port arbiters
 //!   select packets nominated by the input port arbiters for the network
 //!   ports before they select packets from the local ports. Within the
 //!   network ports, we use least-recently used selection" (§3.4).
 //!
-//! A [`Selector`] holds one output port's policy state and picks one row
-//! from a requester mask.
-
-use simcore::SimRng;
+//! A [`Selector`] holds one SPAA output port's LRS state and picks one
+//! row from a requester mask.
 
 /// The first set bit of `pool` at or after `ptr`, wrapping — the shared
-/// round-robin primitive behind [`SelectionPolicy::RoundRobin`], the
-/// iSLIP grant/accept pointers ([`crate::islip`]), and the weighted
-/// kernel's tie-breaks ([`crate::lqf`]).
+/// round-robin primitive behind the iSLIP grant/accept pointers
+/// ([`crate::islip`]) and the weighted kernel's tie-breaks
+/// ([`crate::lqf`]).
 ///
 /// Branch-free rotate-and-`trailing_zeros` kernel: rotating the pool right
 /// by `ptr` renames bit `ptr` to bit 0, so the priority-encode is a single
@@ -42,53 +40,37 @@ pub fn round_robin_first(pool: u32, ptr: u32) -> usize {
     ((rotated.trailing_zeros() + ptr) & 31) as usize
 }
 
-/// Which base policy a [`Selector`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SelectionPolicy {
-    /// Uniformly random among requesters (PIM's choice).
-    Random,
-    /// Rotating pointer; pick the first requester at or after the pointer,
-    /// then advance the pointer past it.
-    RoundRobin,
-    /// Least-recently selected requester wins (SPAA-base's choice).
-    LeastRecentlySelected,
-}
-
-/// Whether the Rotary Rule pre-filter is applied before the base policy.
+/// Whether the Rotary Rule pre-filter is applied before the LRS pick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RotaryMode {
     /// No prioritization: all requesters compete directly.
     Off,
     /// Requesters on network (torus) input rows are served before local
-    /// rows; ties within the preferred class fall through to the base
-    /// policy. This is the §3.4 prioritization that keeps a saturated
+    /// rows; ties within the preferred class fall through to the LRS
+    /// pick. This is the §3.4 prioritization that keeps a saturated
     /// network draining ("vehicles in the rotary exit before vehicles may
     /// enter").
     On,
 }
 
-/// One output arbiter's selection state.
+/// One output arbiter's selection state: least-recently-selected,
+/// optionally behind the Rotary Rule.
 ///
 /// # Example
 ///
 /// ```
-/// use arbitration::policy::{RotaryMode, SelectionPolicy, Selector};
+/// use arbitration::policy::{RotaryMode, Selector};
 /// use arbitration::ports::NETWORK_ROW_MASK;
-/// use simcore::SimRng;
 ///
-/// let mut rng = SimRng::from_seed(1);
-/// let mut sel = Selector::new(SelectionPolicy::LeastRecentlySelected, RotaryMode::On,
-///                             NETWORK_ROW_MASK, 16);
+/// let mut sel = Selector::new(RotaryMode::On, NETWORK_ROW_MASK, 16);
 /// // Rows 8 (cache) and 3 (torus) both request: the rotary rule picks 3.
-/// assert_eq!(sel.select(1 << 8 | 1 << 3, &mut rng), 3);
+/// assert_eq!(sel.select(1 << 8 | 1 << 3), 3);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Selector {
-    policy: SelectionPolicy,
     rotary: RotaryMode,
     network_rows: u32,
     rows: usize,
-    rr_ptr: u32,
     /// LRS recency stamps: larger = selected more recently.
     stamps: Vec<u64>,
     clock: u64,
@@ -103,41 +85,24 @@ impl Selector {
     /// # Panics
     ///
     /// Panics if `rows` is 0 or exceeds 32.
-    pub fn new(
-        policy: SelectionPolicy,
-        rotary: RotaryMode,
-        network_rows: u32,
-        rows: usize,
-    ) -> Self {
+    pub fn new(rotary: RotaryMode, network_rows: u32, rows: usize) -> Self {
         assert!(rows > 0 && rows <= 32, "rows out of range: {rows}");
         Selector {
-            policy,
             rotary,
             network_rows,
             rows,
-            rr_ptr: 0,
             stamps: vec![0; rows],
             clock: 0,
         }
     }
 
-    /// The base policy.
-    pub fn policy(&self) -> SelectionPolicy {
-        self.policy
-    }
-
-    /// Whether the rotary pre-filter is active.
-    pub fn rotary(&self) -> RotaryMode {
-        self.rotary
-    }
-
-    /// Picks one requester row from a nonzero mask and updates policy
-    /// state.
+    /// Picks the least-recently-selected requester row from a nonzero
+    /// mask (network rows first under the Rotary Rule) and stamps it.
     ///
     /// # Panics
     ///
     /// Panics if `requesters == 0` or contains bits at or above `rows`.
-    pub fn select(&mut self, requesters: u32, rng: &mut SimRng) -> usize {
+    pub fn select(&mut self, requesters: u32) -> usize {
         assert!(requesters != 0, "select with no requesters");
         assert!(
             self.rows == 32 || requesters < (1u32 << self.rows),
@@ -154,25 +119,10 @@ impl Selector {
             }
             RotaryMode::Off => requesters,
         };
-        let row = match self.policy {
-            SelectionPolicy::Random => rng.pick_bit(pool) as usize,
-            SelectionPolicy::RoundRobin => self.round_robin(pool),
-            SelectionPolicy::LeastRecentlySelected => self.least_recent(pool),
-        };
-        self.note_selected(row);
-        row
-    }
-
-    /// Records that `row` was selected (exposed so timing models that make
-    /// the choice elsewhere can keep LRS state coherent).
-    pub fn note_selected(&mut self, row: usize) {
+        let row = self.least_recent(pool);
         self.clock += 1;
         self.stamps[row] = self.clock;
-        self.rr_ptr = ((row as u32) + 1) % self.rows as u32;
-    }
-
-    fn round_robin(&self, pool: u32) -> usize {
-        round_robin_first(pool, self.rr_ptr)
+        row
     }
 
     fn least_recent(&self, pool: u32) -> usize {
@@ -196,27 +146,17 @@ mod tests {
     use super::*;
     use crate::ports::NETWORK_ROW_MASK;
 
-    fn rng() -> SimRng {
-        SimRng::from_seed(7)
-    }
-
     fn lrs(rotary: RotaryMode) -> Selector {
-        Selector::new(
-            SelectionPolicy::LeastRecentlySelected,
-            rotary,
-            NETWORK_ROW_MASK,
-            16,
-        )
+        Selector::new(rotary, NETWORK_ROW_MASK, 16)
     }
 
     #[test]
     fn lrs_cycles_through_contenders() {
         let mut s = lrs(RotaryMode::Off);
-        let mut r = rng();
         let contenders = 0b1011u32; // rows 0,1,3
         let mut seen = Vec::new();
         for _ in 0..3 {
-            seen.push(s.select(contenders, &mut r));
+            seen.push(s.select(contenders));
         }
         seen.sort_unstable();
         assert_eq!(
@@ -225,80 +165,43 @@ mod tests {
             "each contender served once before repeats"
         );
         // Fourth pick starts the cycle again.
-        let fourth = s.select(contenders, &mut r);
+        let fourth = s.select(contenders);
         assert!(contenders & (1 << fourth) != 0);
     }
 
     #[test]
     fn lrs_prefers_never_selected() {
         let mut s = lrs(RotaryMode::Off);
-        let mut r = rng();
-        assert_eq!(s.select(0b0001, &mut r), 0);
-        assert_eq!(s.select(0b0011, &mut r), 1, "row 1 never selected yet");
-        assert_eq!(s.select(0b0011, &mut r), 0, "row 0 now older");
+        assert_eq!(s.select(0b0001), 0);
+        assert_eq!(s.select(0b0011), 1, "row 1 never selected yet");
+        assert_eq!(s.select(0b0011), 0, "row 0 now older");
     }
 
     #[test]
     fn rotary_prefers_network_rows() {
         let mut s = lrs(RotaryMode::On);
-        let mut r = rng();
         // Cache row 8 and torus row 5 compete: torus wins regardless of LRS.
         for _ in 0..5 {
-            assert_eq!(s.select((1 << 8) | (1 << 5), &mut r), 5);
+            assert_eq!(s.select((1 << 8) | (1 << 5)), 5);
         }
         // With only local rows requesting, they are served normally.
-        assert_eq!(s.select(1 << 8, &mut r), 8);
+        assert_eq!(s.select(1 << 8), 8);
     }
 
     #[test]
     fn rotary_uses_lrs_within_network_class() {
         let mut s = lrs(RotaryMode::On);
-        let mut r = rng();
         let pool = (1 << 2) | (1 << 6); // two torus rows
-        let first = s.select(pool, &mut r);
-        let second = s.select(pool, &mut r);
+        let first = s.select(pool);
+        let second = s.select(pool);
         assert_ne!(first, second, "LRS alternates within the network class");
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let mut s = Selector::new(SelectionPolicy::RoundRobin, RotaryMode::Off, 0, 4);
-        let mut r = rng();
-        let pool = 0b1111u32;
-        let picks: Vec<usize> = (0..8).map(|_| s.select(pool, &mut r)).collect();
-        assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn round_robin_skips_non_requesters() {
-        let mut s = Selector::new(SelectionPolicy::RoundRobin, RotaryMode::Off, 0, 8);
-        let mut r = rng();
-        assert_eq!(s.select(0b0100_0001, &mut r), 0);
-        // Pointer is now 1; next requester at/after 1 is row 6.
-        assert_eq!(s.select(0b0100_0001, &mut r), 6);
-        // Pointer wraps past 7 back to row 0.
-        assert_eq!(s.select(0b0100_0001, &mut r), 0);
-    }
-
-    #[test]
-    fn random_is_valid_and_covers_pool() {
-        let mut s = Selector::new(SelectionPolicy::Random, RotaryMode::Off, 0, 16);
-        let mut r = rng();
-        let pool = 0b1010_0101u32;
-        let mut hit = 0u32;
-        for _ in 0..200 {
-            let row = s.select(pool, &mut r);
-            assert!(pool & (1 << row) != 0);
-            hit |= 1 << row;
-        }
-        assert_eq!(hit, pool, "all requesters eventually selected");
     }
 
     #[test]
     #[should_panic(expected = "no requesters")]
     fn empty_pool_panics() {
         let mut s = lrs(RotaryMode::Off);
-        let _ = s.select(0, &mut rng());
+        let _ = s.select(0);
     }
 
     #[test]
@@ -346,13 +249,6 @@ mod tests {
 
     #[test]
     fn single_requester_fast_path() {
-        for policy in [
-            SelectionPolicy::Random,
-            SelectionPolicy::RoundRobin,
-            SelectionPolicy::LeastRecentlySelected,
-        ] {
-            let mut s = Selector::new(policy, RotaryMode::Off, 0, 16);
-            assert_eq!(s.select(1 << 11, &mut rng()), 11);
-        }
+        assert_eq!(lrs(RotaryMode::Off).select(1 << 11), 11);
     }
 }

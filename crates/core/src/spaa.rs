@@ -20,8 +20,7 @@
 //! the pipelined nomination/lock/reset timing lives in the `router` crate.
 
 use crate::matching::Matching;
-use crate::policy::{RotaryMode, SelectionPolicy, Selector};
-use simcore::SimRng;
+use crate::policy::{RotaryMode, Selector};
 
 /// The SPAA output-arbitration stage.
 ///
@@ -43,14 +42,7 @@ impl SpaaArbiter {
     /// mask of rows fed by torus input ports.
     pub fn new(rows: usize, cols: usize, rotary: RotaryMode, network_rows: u32) -> Self {
         let selectors = (0..cols)
-            .map(|_| {
-                Selector::new(
-                    SelectionPolicy::LeastRecentlySelected,
-                    rotary,
-                    network_rows,
-                    rows,
-                )
-            })
+            .map(|_| Selector::new(rotary, network_rows, rows))
             .collect();
         SpaaArbiter { selectors, rows }
     }
@@ -86,7 +78,7 @@ impl SpaaArbiter {
     ///
     /// Panics if a nomination column is out of range or the nomination
     /// slice length differs from `rows`.
-    pub fn grant(&mut self, nominations: &[Option<u8>], rng: &mut SimRng) -> Matching {
+    pub fn grant(&mut self, nominations: &[Option<u8>]) -> Matching {
         assert_eq!(nominations.len(), self.rows, "nomination width mismatch");
         let cols = self.selectors.len();
         // Collect contender masks per output.
@@ -104,7 +96,7 @@ impl SpaaArbiter {
         let mut m = Matching::empty(self.rows, cols);
         for (c, &mask) in contenders.iter().enumerate() {
             if mask != 0 {
-                let row = self.selectors[c].select(mask, rng);
+                let row = self.selectors[c].select(mask);
                 m.grant(row, c);
             }
         }
@@ -118,10 +110,6 @@ mod tests {
     use crate::matrix::RequestMatrix;
     use crate::ports::NETWORK_ROW_MASK;
 
-    fn rng() -> SimRng {
-        SimRng::from_seed(11)
-    }
-
     fn noms(pairs: &[(usize, u8)], rows: usize) -> Vec<Option<u8>> {
         let mut v = vec![None; rows];
         for &(r, c) in pairs {
@@ -134,7 +122,7 @@ mod tests {
     fn uncontended_nominations_all_granted() {
         let mut spaa = SpaaArbiter::base(16, 7);
         let n = noms(&[(0, 0), (3, 2), (9, 5)], 16);
-        let m = spaa.grant(&n, &mut rng());
+        let m = spaa.grant(&n);
         assert_eq!(m.cardinality(), 3);
         assert_eq!(m.output_of(0), Some(0));
         assert_eq!(m.output_of(3), Some(2));
@@ -145,7 +133,7 @@ mod tests {
     fn collision_grants_exactly_one() {
         let mut spaa = SpaaArbiter::base(16, 7);
         let n = noms(&[(0, 4), (5, 4), (12, 4)], 16);
-        let m = spaa.grant(&n, &mut rng());
+        let m = spaa.grant(&n);
         assert_eq!(m.cardinality(), 1, "one winner per output port");
         assert_eq!(m.matched_cols(), 1 << 4);
     }
@@ -158,7 +146,7 @@ mod tests {
         // deliver more. This is the Figure 2 "arbitration collision".
         let mut spaa = SpaaArbiter::base(4, 4);
         let n = noms(&[(0, 0), (1, 0), (2, 0)], 4);
-        let m = spaa.grant(&n, &mut rng());
+        let m = spaa.grant(&n);
         assert_eq!(m.cardinality(), 1);
         // With the full request sets the upper bound is 3.
         let req = RequestMatrix::from_rows(vec![0b0011, 0b0101, 0b0001, 0], 4);
@@ -169,10 +157,9 @@ mod tests {
     fn lrs_grant_rotates_among_persistent_contenders() {
         let mut spaa = SpaaArbiter::base(4, 2);
         let n = noms(&[(0, 1), (1, 1), (2, 1)], 4);
-        let mut r = rng();
         let mut winners = Vec::new();
         for _ in 0..3 {
-            winners.push(spaa.grant(&n, &mut r).input_of(1).unwrap());
+            winners.push(spaa.grant(&n).input_of(1).unwrap());
         }
         winners.sort_unstable();
         assert_eq!(winners, vec![0, 1, 2], "LRS serves each before repeating");
@@ -183,20 +170,19 @@ mod tests {
         let mut spaa = SpaaArbiter::rotary(16, 7, NETWORK_ROW_MASK);
         // Row 10 (MC0) vs row 6 (torus W rp0), both nominating output 1.
         let n = noms(&[(10, 1), (6, 1)], 16);
-        let mut r = rng();
         for _ in 0..8 {
-            assert_eq!(spaa.grant(&n, &mut r).input_of(1), Some(6));
+            assert_eq!(spaa.grant(&n).input_of(1), Some(6));
         }
         // Local-only contention still gets served.
         let n = noms(&[(10, 1)], 16);
-        assert_eq!(spaa.grant(&n, &mut r).input_of(1), Some(10));
+        assert_eq!(spaa.grant(&n).input_of(1), Some(10));
     }
 
     #[test]
     fn independent_outputs_grant_in_parallel() {
         let mut spaa = SpaaArbiter::base(16, 7);
         let n = noms(&[(0, 0), (1, 0), (2, 1), (3, 1), (4, 2)], 16);
-        let m = spaa.grant(&n, &mut rng());
+        let m = spaa.grant(&n);
         assert_eq!(
             m.cardinality(),
             3,
@@ -207,7 +193,7 @@ mod tests {
     #[test]
     fn empty_nominations() {
         let mut spaa = SpaaArbiter::base(16, 7);
-        let m = spaa.grant(&[None; 16], &mut rng());
+        let m = spaa.grant(&[None; 16]);
         assert_eq!(m.cardinality(), 0);
     }
 
@@ -215,13 +201,13 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn wrong_width_rejected() {
         let mut spaa = SpaaArbiter::base(16, 7);
-        let _ = spaa.grant(&[None; 4], &mut rng());
+        let _ = spaa.grant(&[None; 4]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_output_rejected() {
         let mut spaa = SpaaArbiter::base(4, 2);
-        let _ = spaa.grant(&noms(&[(0, 5)], 4), &mut rng());
+        let _ = spaa.grant(&noms(&[(0, 5)], 4));
     }
 }

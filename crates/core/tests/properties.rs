@@ -116,11 +116,10 @@ fn spaa_grants_exactly_one_per_contended_output() {
     let mut gen = SimRng::from_seed(0x7370_6161);
     for case in 0..CASES {
         let input = random_input(&mut gen, 16, 7);
-        let mut rng = SimRng::from_seed(gen.next_u64());
         let rows = input.requests.rows();
         let cols = input.requests.cols();
         let mut spaa = SpaaArbiter::base(rows, cols);
-        let m = spaa.grant(&input.nominations, &mut rng);
+        let m = spaa.grant(&input.nominations);
         assert!(m.is_valid_for(&input.requests), "case {case}");
         // Cardinality is exactly the number of distinct nominated outputs.
         let mut outputs = 0u32;
@@ -177,26 +176,20 @@ fn every_algorithm_is_valid_and_bounded_by_mcm() {
 
 #[test]
 fn selector_always_picks_a_requester() {
-    use arbitration::policy::{RotaryMode, SelectionPolicy, Selector};
+    use arbitration::policy::{RotaryMode, Selector};
     use arbitration::ports::NETWORK_ROW_MASK;
     let mut gen = SimRng::from_seed(0x7365_6c31);
     for case in 0..CASES {
         let pool = 1 + gen.below((1 << 16) - 1) as u32;
-        let policy = [
-            SelectionPolicy::Random,
-            SelectionPolicy::RoundRobin,
-            SelectionPolicy::LeastRecentlySelected,
-        ][gen.below(3)];
         let rotary = gen.chance(0.5);
         let mode = if rotary {
             RotaryMode::On
         } else {
             RotaryMode::Off
         };
-        let mut sel = Selector::new(policy, mode, NETWORK_ROW_MASK, 16);
-        let mut rng = SimRng::from_seed(gen.next_u64());
+        let mut sel = Selector::new(mode, NETWORK_ROW_MASK, 16);
         for _ in 0..8 {
-            let row = sel.select(pool, &mut rng);
+            let row = sel.select(pool);
             assert!(pool & (1 << row) != 0, "case {case}: non-requester {row}");
             if rotary && pool & NETWORK_ROW_MASK != 0 {
                 assert!(

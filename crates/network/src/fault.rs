@@ -51,7 +51,7 @@
 //! `tests/fault_plane.rs` pins the zero-fault tax; the golden digests pin
 //! byte-identical fault-off reports.
 
-use crate::topology::{NetTopology, Topology};
+use crate::topology::NetTopology;
 use arbitration::ports::{InputPort, OutputPort};
 use router::{Packet, VcId};
 use simcore::stats::Histogram;

@@ -4,18 +4,20 @@
 //! network is the 21364's 2D torus (§2.1), but topology, routing
 //! function, and deadlock-avoidance scheme are orthogonal axes here:
 //!
-//! * [`topology`] — the [`topology::Topology`] trait (node enumeration,
-//!   links, the feeder relation that returns credits upstream) and its
-//!   shapes: the paper's [`topology::Torus`], a 2D
-//!   [`topology::Mesh`] without wrap links, and a small-radix
-//!   [`topology::FullMesh`], all behind the `Copy`
-//!   [`topology::NetTopology`] enum;
+//! * [`topology`] — [`topology::NetTopology`], the closed `Copy` set of
+//!   shapes and the one type that knows the wiring (node count, links,
+//!   the feeder relation that returns credits upstream, distances): a
+//!   [`topology::Grid`] — the paper's torus when it wraps
+//!   ([`topology::Torus::new`]), a 2D mesh when it does not
+//!   ([`topology::Mesh::new`]) — or a small-radix
+//!   [`topology::FullMesh`];
 //! * [`routing`] — [`routing::route_for`], producing the per-hop
-//!   [`router::RouteInfo`]: minimal-rectangle adaptive candidates with
-//!   dateline VC0/VC1 escape on the torus, minimal-rectangle with plain
-//!   XY escape on the mesh, and VC-less direct-plus-misroute routing on
-//!   the full mesh — each pairing deadlock-free by its own argument
-//!   (DESIGN.md "Topology axis");
+//!   [`router::RouteInfo`]: on a grid, minimal-rectangle adaptive
+//!   candidates with a dimension-order dateline VC0/VC1 escape (which on
+//!   a mesh, where no path wraps, is plain XY routing on VC1), and
+//!   VC-less direct-plus-misroute routing on the full mesh — each
+//!   pairing deadlock-free by its own argument (DESIGN.md "Topology
+//!   axis");
 //! * [`sim`] — the network simulator: steps every router on each 1.2 GHz
 //!   core-clock edge, transports packets over 0.8 GHz links with three
 //!   link-clocks of wire latency, returns credits, and delivers packets to
@@ -43,4 +45,4 @@ pub use routing::route_for;
 pub use sim::{
     Endpoint, InjectionOutcome, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, TxnCompletion,
 };
-pub use topology::{FullMesh, LinkTarget, Mesh, NetTopology, ShardMap, Topology, Torus};
+pub use topology::{FullMesh, Grid, LinkTarget, Mesh, NetTopology, ShardMap, Torus};

@@ -1,5 +1,5 @@
 //! Per-hop route computation: [`route_for`] and one routing function
-//! per topology.
+//! per shape.
 //!
 //! Routing is an axis orthogonal to the shape (see
 //! [`crate::topology`]): a routing function turns `(here, packet)` into
@@ -7,24 +7,23 @@
 //! plus a deadlock-free escape hop. [`route_for`] pairs each
 //! [`NetTopology`] with its scheme:
 //!
-//! * **Torus — minimal rectangle + dateline escape** (§2.1). Adaptive
-//!   candidates are the per-dimension shorter ways around the rings
-//!   (≤ 2 bits); blocked packets fall back to VC0/VC1
-//!   escape channels routed in strict dimension order with a *dateline*
-//!   switch: a hop whose remaining path in the current dimension still
-//!   crosses the wrap edge travels on VC0, otherwise on VC1. VC0 chains
-//!   move monotonically toward the wrap edge and VC1 chains toward the
-//!   destination, so neither can cycle — the standard torus dateline
-//!   argument behind the 21364's Duato-style construction.
-//! * **Mesh — minimal rectangle + XY escape**. The minimal
-//!   rectangle survives unchanged (there is only one productive
-//!   way per dimension without wrap links); the escape is plain XY
-//!   dimension-order routing, which is deadlock-free on a mesh *without
-//!   any VC switch* — no wrap edge means no cyclic channel dependency
-//!   inside a dimension, and the x-before-y order forbids cycles across
-//!   dimensions. Every escape hop uses VC1; see DESIGN.md "Topology
-//!   axis" for the argument and the Papaphilippou & Chu
-//!   (arXiv:2303.10526) scheme this mirrors.
+//! * **Grid — minimal rectangle + dimension-order dateline escape**
+//!   (§2.1). Adaptive candidates are the productive direction of each
+//!   unaligned dimension (≤ 2 bits): the shorter way around the ring on
+//!   a torus, the sign of the offset on a mesh. Blocked packets fall
+//!   back to VC0/VC1 escape channels routed in strict dimension order
+//!   with a *dateline* switch: a hop whose remaining path in the current
+//!   dimension still crosses the wrap edge travels on VC0, otherwise on
+//!   VC1. VC0 chains move monotonically toward the wrap edge and VC1
+//!   chains toward the destination, so neither can cycle — the standard
+//!   torus dateline argument behind the 21364's Duato-style
+//!   construction. A mesh path never crosses a wrap edge, so there the
+//!   same function puts every escape hop on VC1 and the escape network
+//!   is plain XY dimension-order routing, deadlock-free *without any VC
+//!   switch* — no wrap edge means no cyclic channel dependency inside a
+//!   dimension, and the x-before-y order forbids cycles across
+//!   dimensions (the Papaphilippou & Chu, arXiv:2303.10526, scheme; see
+//!   DESIGN.md "Topology axis").
 //! * **Full mesh — VC-less direct + source misroute** (after Cano et
 //!   al., arXiv:2510.14730). The escape is always the direct link
 //!   (one hop, so the escape network
@@ -49,7 +48,7 @@
 //! acyclicity argument verbatim (see DESIGN.md "Fault plane").
 
 use crate::fault::DeadLinks;
-use crate::topology::{FullMesh, Mesh, NetTopology, Torus};
+use crate::topology::{FullMesh, Grid, NetTopology};
 use arbitration::ports::OutputPort;
 use router::{EscapeVc, Packet, RouteInfo};
 
@@ -76,8 +75,7 @@ pub fn route_for(
         return Some(local_route(packet));
     }
     match topo {
-        NetTopology::Torus(t) => torus_transit(t, dead, here, packet),
-        NetTopology::Mesh(m) => mesh_transit(m, dead, here, packet),
+        NetTopology::Grid(g) => grid_transit(g, dead, here, packet),
         NetTopology::FullMesh(f) => full_mesh_transit(f, dead, here, packet),
     }
 }
@@ -94,14 +92,16 @@ fn local_route(packet: &Packet) -> RouteInfo {
     RouteInfo::local(outputs)
 }
 
-/// Minimal-rectangle adaptive + dimension-order dateline escape on the
-/// torus — the 21364's scheme (§2.1) — for a packet not yet at its
-/// destination.
-fn torus_transit(torus: &Torus, dead: &DeadLinks, here: u16, packet: &Packet) -> Option<RouteInfo> {
-    let (hx, hy) = torus.coords(here);
-    let (dx, dy) = torus.coords(packet.dest);
-    let x_dir = ring_direction(hx, dx, torus.width(), OutputPort::East, OutputPort::West);
-    let y_dir = ring_direction(hy, dy, torus.height(), OutputPort::South, OutputPort::North);
+/// Minimal-rectangle adaptive + dimension-order dateline escape on a
+/// grid — the 21364's scheme (§2.1) — for a packet not yet at its
+/// destination. On a mesh no path crosses a wrap edge, so every escape
+/// hop comes out on VC1 and the escape network is plain XY routing.
+fn grid_transit(grid: &Grid, dead: &DeadLinks, here: u16, packet: &Packet) -> Option<RouteInfo> {
+    use OutputPort::{East, North, South, West};
+    let (hx, hy) = grid.coords(here);
+    let (dx, dy) = grid.coords(packet.dest);
+    let x_dir = axis_direction(grid.wrap(), hx, dx, grid.width(), East, West);
+    let y_dir = axis_direction(grid.wrap(), hy, dy, grid.height(), South, North);
 
     let mut adaptive = 0u8;
     if let Some(d) = x_dir {
@@ -113,10 +113,10 @@ fn torus_transit(torus: &Torus, dead: &DeadLinks, here: u16, packet: &Packet) ->
 
     // Dimension-order escape: x first, then y.
     let (escape, escape_vc) = if let Some(d) = x_dir {
-        (d, dateline_vc(hx, dx, d == OutputPort::East))
+        (d, dateline_vc(hx, dx, d == East))
     } else {
         let d = y_dir.expect("transit packet must be unaligned in some dimension");
-        (d, dateline_vc(hy, dy, d == OutputPort::South))
+        (d, dateline_vc(hy, dy, d == South))
     };
     if dead.any() {
         // Dropping adaptive candidates only removes edges from the
@@ -128,46 +128,6 @@ fn torus_transit(torus: &Torus, dead: &DeadLinks, here: u16, packet: &Packet) ->
         }
     }
     Some(RouteInfo::transit(adaptive, escape, escape_vc))
-}
-
-/// Minimal-rectangle adaptive + XY dimension-order escape on the mesh.
-/// No wrap links means no dateline: every escape hop rides VC1 (the
-/// "past the dateline" channel a torus packet ends on).
-fn mesh_transit(mesh: &Mesh, dead: &DeadLinks, here: u16, packet: &Packet) -> Option<RouteInfo> {
-    let (hx, hy) = mesh.coords(here);
-    let (dx, dy) = mesh.coords(packet.dest);
-    let x_dir = match dx.cmp(&hx) {
-        std::cmp::Ordering::Greater => Some(OutputPort::East),
-        std::cmp::Ordering::Less => Some(OutputPort::West),
-        std::cmp::Ordering::Equal => None,
-    };
-    let y_dir = match dy.cmp(&hy) {
-        std::cmp::Ordering::Greater => Some(OutputPort::South),
-        std::cmp::Ordering::Less => Some(OutputPort::North),
-        std::cmp::Ordering::Equal => None,
-    };
-
-    let mut adaptive = 0u8;
-    if let Some(d) = x_dir {
-        adaptive |= d.mask() as u8;
-    }
-    if let Some(d) = y_dir {
-        adaptive |= d.mask() as u8;
-    }
-
-    // XY escape: x first, then y; deadlock-free without a VC switch.
-    let escape = x_dir
-        .or(y_dir)
-        .expect("transit packet must be unaligned in some dimension");
-    if dead.any() {
-        // Same argument as the torus: adaptive masking is always
-        // safe, the XY escape chain is never rerouted.
-        adaptive &= dead.alive_mask(here);
-        if dead.is_dead(here, escape) {
-            return None;
-        }
-    }
-    Some(RouteInfo::transit(adaptive, escape, EscapeVc::Vc1))
 }
 
 /// VC-less deadlock-free full-mesh routing after Cano et al.
@@ -235,9 +195,12 @@ fn full_mesh_transit(
     Some(RouteInfo::transit(adaptive, escape, EscapeVc::Vc0))
 }
 
-/// The productive direction in one ring dimension, or `None` when aligned.
-/// Ties (offset exactly half the extent) take the positive direction.
-fn ring_direction(
+/// The productive direction in one grid dimension, or `None` when
+/// aligned: the shorter way round the ring when the grid wraps (ties —
+/// an offset of exactly half the extent — take the positive direction),
+/// the sign of the offset when it does not.
+fn axis_direction(
+    wrap: bool,
     from: u16,
     to: u16,
     extent: u16,
@@ -247,12 +210,12 @@ fn ring_direction(
     if from == to {
         return None;
     }
-    let fwd = (to + extent - from) % extent;
-    if fwd * 2 <= extent {
-        Some(positive)
+    let forward = if wrap {
+        (to + extent - from) % extent * 2 <= extent
     } else {
-        Some(negative)
-    }
+        to > from
+    };
+    Some(if forward { positive } else { negative })
 }
 
 /// Dateline VC selection for an escape hop: VC0 while the remaining path
@@ -276,6 +239,7 @@ fn dateline_vc(from: u16, to: u16, moving_positive: bool) -> EscapeVc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{Mesh, Torus};
     use router::packet::PacketId;
     use router::CoherenceClass;
     use simcore::Tick;
@@ -431,7 +395,7 @@ mod tests {
                 while m != 0 {
                     let dir = OutputPort::from_index(m.trailing_zeros() as usize);
                     m &= m - 1;
-                    let next = t.neighbor(here, dir);
+                    let next = t.neighbor(here, dir).expect("a torus has no edge");
                     assert_eq!(
                         t.distance(next, dest),
                         t.distance(here, dest) - 1,
@@ -443,34 +407,55 @@ mod tests {
     }
 
     #[test]
-    fn dimension_order_escape_reaches_destination() {
-        // Walk the escape network only: must arrive in exactly
-        // distance(src, dest) hops, x strictly before y.
-        let t = Torus::net_8x8();
-        for (src, dest) in [(0u16, 63u16), (5, 58), (17, 40), (63, 0), (9, 9)] {
-            let mut here = src;
-            let mut hops = 0;
-            let mut seen_y = false;
-            while here != dest {
-                let (_, escape, _) =
-                    transit_parts(live(t, here, &pkt(src, dest, CoherenceClass::Request)));
-                match escape {
-                    OutputPort::East | OutputPort::West => {
-                        assert!(!seen_y, "x hop after y hop violates dimension order")
+    fn escape_walk_is_minimal_dimension_ordered_and_datelined_on_every_grid() {
+        // Walk the escape network only, between every pair of nodes of
+        // every grid the route digests pin: it must arrive in exactly
+        // distance(src, dest) hops, x strictly before y, never returning
+        // to VC0 after VC1 inside a dimension — and on a mesh, where no
+        // path crosses a wrap edge, ride VC1 throughout and stay on the
+        // grid.
+        let x_axis = |d| matches!(d, OutputPort::East | OutputPort::West);
+        for (w, h) in [(2, 2), (2, 3), (5, 3), (4, 4), (8, 8)] {
+            for grid in [Torus::new(w, h), Mesh::new(w, h)] {
+                let label = NetTopology::from(grid).label();
+                for src in 0..grid.nodes() {
+                    for dest in 0..grid.nodes() {
+                        let p = pkt(src, dest, CoherenceClass::Request);
+                        let (mut here, mut hops) = (src, 0);
+                        let mut last: Option<(OutputPort, EscapeVc)> = None;
+                        while here != dest {
+                            let (_, escape, vc) = transit_parts(live(grid, here, &p));
+                            if let Some((prev, prev_vc)) = last {
+                                assert!(
+                                    x_axis(prev) || !x_axis(escape),
+                                    "{label} {src}->{dest}: x hop after y hop"
+                                );
+                                assert!(
+                                    x_axis(prev) != x_axis(escape)
+                                        || prev_vc == EscapeVc::Vc0
+                                        || vc == EscapeVc::Vc1,
+                                    "{label} {src}->{dest}: VC0 after VC1 in one dimension"
+                                );
+                            }
+                            if !grid.wrap() {
+                                assert_eq!(vc, EscapeVc::Vc1, "{label} {src}->{dest}");
+                            }
+                            last = Some((escape, vc));
+                            here = grid
+                                .neighbor(here, escape)
+                                .unwrap_or_else(|| panic!("{label} {src}->{dest}: left the grid"));
+                            hops += 1;
+                            assert!(hops <= grid.distance(src, dest), "{label}: non-minimal");
+                        }
+                        assert_eq!(hops, grid.distance(src, dest), "{label} {src}->{dest}");
                     }
-                    _ => seen_y = true,
                 }
-                here = t.neighbor(here, escape);
-                hops += 1;
-                assert!(hops <= t.distance(src, dest), "non-minimal escape path");
             }
-            assert_eq!(hops, t.distance(src, dest));
         }
     }
 
     #[test]
     fn mesh_routes_stay_inside_the_rectangle() {
-        use crate::topology::Topology;
         let m = Mesh::new(4, 4);
         for here in 0..m.nodes() {
             for dest in 0..m.nodes() {
@@ -490,37 +475,13 @@ mod tests {
                     mask &= mask - 1;
                     let next = m.neighbor(here, dir).expect("candidate uses a real link");
                     assert_eq!(
-                        Topology::distance(&m, next, dest),
-                        Topology::distance(&m, here, dest) - 1,
+                        m.distance(next, dest),
+                        m.distance(here, dest) - 1,
                         "{here}->{dest} via {dir}"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn mesh_escape_is_xy_dimension_order() {
-        let m = Mesh::new(4, 4);
-        // (0,0) -> (2,2): escape goes East until x aligns, then South.
-        let mut here = 0u16;
-        let dest = m.node(2, 2);
-        let mut dirs = Vec::new();
-        while here != dest {
-            let (_, escape, _) =
-                transit_parts(live(m, here, &pkt(0, dest, CoherenceClass::Request)));
-            dirs.push(escape);
-            here = m.neighbor(here, escape).unwrap();
-        }
-        assert_eq!(
-            dirs,
-            vec![
-                OutputPort::East,
-                OutputPort::East,
-                OutputPort::South,
-                OutputPort::South
-            ]
-        );
     }
 
     #[test]
@@ -579,8 +540,8 @@ mod tests {
 
     #[test]
     fn full_mesh_adaptive_walks_terminate_within_two_hops() {
-        use crate::topology::Topology;
         let f = FullMesh::new(5);
+        let topo = NetTopology::from(f);
         for src in 0..5u16 {
             for dest in 0..5u16 {
                 if src == dest {
@@ -592,14 +553,17 @@ mod tests {
                 while mask != 0 {
                     let port = OutputPort::from_index(mask.trailing_zeros() as usize);
                     mask &= mask - 1;
-                    let hop1 = f.link(src, port).expect("candidate uses a real link").peer;
+                    let hop1 = topo
+                        .link(src, port)
+                        .expect("candidate uses a real link")
+                        .peer;
                     if hop1 == dest {
                         continue;
                     }
                     assert!(hop1 < dest, "misroute intermediate stays below dest");
                     let (a2, _, _) = transit_parts(live(f, hop1, &p));
                     assert_eq!(a2, f.port_toward(hop1, dest).mask() as u8);
-                    let hop2 = f.link(hop1, f.port_toward(hop1, dest)).unwrap().peer;
+                    let hop2 = topo.link(hop1, f.port_toward(hop1, dest)).unwrap().peer;
                     assert_eq!(hop2, dest, "second hop lands");
                 }
             }

@@ -35,7 +35,7 @@
 use crate::fault::{Admission, DeadLinks, FaultPlane, RetryOutcome};
 use crate::routing::route_for;
 use crate::sim::{Endpoint, NetworkConfig, NodeCtx};
-use crate::topology::{NetTopology, ShardMap, Topology};
+use crate::topology::{NetTopology, ShardMap};
 use arbitration::ports::{InputPort, OutputPort};
 use router::{IncomingPacket, Packet, Router, RouterOutput};
 use simcore::stats::Histogram;

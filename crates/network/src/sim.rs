@@ -486,7 +486,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// The simulator: the network partitioned into one or more contiguous
-/// node-range [`Shard`]s, stepped one core cycle at a time.
+/// node-range `Shard`s, stepped one core cycle at a time.
 ///
 /// Each cycle runs every shard's phase A (routers, deliveries,
 /// endpoints) with `Forward`/`Credit` events deferred to an outbox, then
@@ -904,7 +904,7 @@ impl<E: Endpoint> NetworkSim<E> {
     /// Builds the report for the window simulated so far. Every merge in
     /// here is exact (integer sums and [`Histogram::merge`]) — the only
     /// order-sensitive state, the `OnlineStats` triple, was accumulated
-    /// in canonical order by [`replay_records`].
+    /// in canonical order by `replay_records`.
     pub fn report(&self) -> NetworkReport {
         let cfg = &self.cfg;
         let measure_ns = cfg.router.timing.core.cycles(cfg.measure_cycles).as_ns();

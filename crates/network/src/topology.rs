@@ -1,24 +1,24 @@
-//! Network shapes: the [`Topology`] trait and its three implementations.
+//! Network shapes: who is wired to whom, and how far apart they are.
 //!
 //! The 21364 shipped on a 2D torus (§2.1, Figure 3), but nothing in the
 //! router model depends on that shape — a router sees packets arriving
 //! through four generic network ports with a pre-computed
-//! [`RouteInfo`](router::RouteInfo). The [`Topology`] trait captures what
-//! the simulation engine actually needs from a shape: how many nodes
-//! exist, which `(node, output port)` pairs carry a link and where that
-//! link lands (peer node + entry input port), and the inverse feeder
-//! relation used to return credits upstream. The [`NetTopology`] enum
-//! dispatches over the concrete shapes so the engine stays monomorphic.
+//! [`RouteInfo`](router::RouteInfo). [`NetTopology`] answers what the
+//! simulation engine actually needs from a shape: how many nodes exist,
+//! which `(node, output port)` pairs carry a link and where that link
+//! lands (peer node + entry input port), and the inverse feeder relation
+//! used to return credits upstream. It is a closed, `Copy` set of shapes,
+//! so configs stay plain data and the engine stays monomorphic.
 //!
 //! Shapes:
 //!
-//! * [`Torus`] — the paper's `width × height` 2D torus. Nodes are
-//!   numbered row-major; the four directions map to router ports as
-//!   **North = −y, South = +y, East = +x, West = −x**, all with
-//!   wraparound. Every link connects an output port to the opposite
-//!   input port.
-//! * [`Mesh`] — the same grid without wrap links: edge nodes simply lack
-//!   the outward links (2–4 neighbours per node).
+//! * [`Grid`] — `width × height` nodes numbered row-major; the four
+//!   directions map to router ports as **North = −y, South = +y,
+//!   East = +x, West = −x** and every link connects an output port to
+//!   the opposite input port. With `wrap` the edges join up and the grid
+//!   is the paper's 2D torus ([`Torus::new`]); without it edge nodes
+//!   simply lack the outward links, 2–4 neighbours per node
+//!   ([`Mesh::new`]).
 //! * [`FullMesh`] — up to [`FullMesh::MAX_NODES`] nodes, every pair
 //!   directly linked. The four network ports become plain link indices:
 //!   port *k* of node *a* reaches the *k*-th other node in id order, so
@@ -38,124 +38,41 @@ pub struct LinkTarget {
     pub entry: InputPort,
 }
 
-/// A network shape: node enumeration, links, and the inverse feeder
-/// relation. Everything the simulation engine needs to move packets and
-/// credits between routers.
-pub trait Topology {
-    /// Number of nodes.
-    fn nodes(&self) -> u16;
-
-    /// The link leaving `node` through network output `port`, or `None`
-    /// when that port is unwired (a non-network port, a mesh edge, or a
-    /// full-mesh port beyond the peer count).
-    fn link(&self, node: u16, port: OutputPort) -> Option<LinkTarget>;
-
-    /// The upstream `(peer, peer's output port)` that feeds `input` at
-    /// `node` — the inverse of [`Topology::link`]: credits for `input`
-    /// return to that peer through that output port.
-    fn feeder(&self, node: u16, input: InputPort) -> Option<(u16, OutputPort)>;
-
-    /// Minimal hop distance between two nodes.
-    fn distance(&self, a: u16, b: u16) -> u16;
-
-    /// Average minimal hop distance over all (src, dest) pairs with
-    /// uniform random destinations (used to sanity-check zero-load
-    /// latencies against §4.3).
-    fn mean_uniform_distance(&self) -> f64 {
-        let n = self.nodes() as u32;
-        let mut total = 0u64;
-        for a in 0..self.nodes() {
-            for b in 0..self.nodes() {
-                total += self.distance(a, b) as u64;
-            }
-        }
-        total as f64 / (n as f64 * n as f64)
-    }
-}
-
-/// The entry input port of a grid link: always the geometric opposite of
-/// the output direction.
-fn grid_entry_port(dir: OutputPort) -> InputPort {
+/// The grid direction facing `dir`: a link leaving through `dir` arrives
+/// on the neighbour's `opposite(dir)` side.
+fn opposite(dir: OutputPort) -> OutputPort {
     match dir {
-        OutputPort::North => InputPort::South,
-        OutputPort::South => InputPort::North,
-        OutputPort::East => InputPort::West,
-        OutputPort::West => InputPort::East,
+        OutputPort::North => OutputPort::South,
+        OutputPort::South => OutputPort::North,
+        OutputPort::East => OutputPort::West,
+        OutputPort::West => OutputPort::East,
         _ => panic!("{dir} is not a grid direction"),
     }
 }
 
-/// The grid output port that feeds an input port (inverse of
-/// [`grid_entry_port`]).
-fn grid_feeder_port(input: InputPort) -> OutputPort {
-    match input {
-        InputPort::North => OutputPort::South,
-        InputPort::South => OutputPort::North,
-        InputPort::East => OutputPort::West,
-        InputPort::West => OutputPort::East,
-        _ => panic!("{input} is not a grid direction"),
-    }
-}
-
-/// The grid direction an input port faces (which neighbour it receives
-/// from).
-fn grid_input_direction(input: InputPort) -> OutputPort {
-    match input {
-        InputPort::North => OutputPort::North,
-        InputPort::South => OutputPort::South,
-        InputPort::East => OutputPort::East,
-        InputPort::West => OutputPort::West,
-        _ => panic!("{input} is not a grid direction"),
-    }
-}
-
-/// A `width × height` torus.
+/// A `width × height` grid of nodes, numbered row-major, whose edges
+/// either join up (`wrap`: the paper's 2D torus) or end (a 2D mesh: edge
+/// nodes have 2 or 3 neighbours and their outward-facing ports are
+/// unwired). Built by [`Torus::new`] or [`Mesh::new`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Torus {
+pub struct Grid {
     width: u16,
     height: u16,
+    wrap: bool,
 }
 
-impl Torus {
-    /// Creates a torus.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both dimensions are at least 2 (a 1-wide ring would
-    /// make a direction its own opposite) and the node count fits `u16`.
-    pub fn new(width: u16, height: u16) -> Self {
-        assert!(width >= 2 && height >= 2, "torus needs at least 2x2 nodes");
+impl Grid {
+    fn new(width: u16, height: u16, wrap: bool) -> Self {
+        assert!(width >= 2 && height >= 2, "a grid needs at least 2x2 nodes");
         assert!(
             (width as u32) * (height as u32) <= u16::MAX as u32,
             "too many nodes"
         );
-        Torus { width, height }
-    }
-
-    /// The paper's 16-processor network.
-    pub fn net_4x4() -> Self {
-        Torus::new(4, 4)
-    }
-
-    /// The paper's 64-processor network.
-    pub fn net_8x8() -> Self {
-        Torus::new(8, 8)
-    }
-
-    /// The §5.3 144-processor scaling network.
-    pub fn net_12x12() -> Self {
-        Torus::new(12, 12)
-    }
-
-    /// A 256-processor network (beyond the paper's studies; reachable
-    /// with the sharded engine).
-    pub fn net_16x16() -> Self {
-        Torus::new(16, 16)
-    }
-
-    /// A 1024-processor network (sharded-engine scale).
-    pub fn net_32x32() -> Self {
-        Torus::new(32, 32)
+        Grid {
+            width,
+            height,
+            wrap,
+        }
     }
 
     /// Width (x extent).
@@ -166,6 +83,11 @@ impl Torus {
     /// Height (y extent).
     pub fn height(&self) -> u16 {
         self.height
+    }
+
+    /// True on a torus (the edges join up), false on a mesh.
+    pub fn wrap(&self) -> bool {
+        self.wrap
     }
 
     /// Number of nodes.
@@ -189,191 +111,107 @@ impl Torus {
         (node % self.width, node / self.width)
     }
 
-    /// The neighbour reached through a torus output port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dir` is not a torus port.
-    pub fn neighbor(&self, node: u16, dir: OutputPort) -> u16 {
+    /// The neighbour through `dir`: always `Some` for a grid direction
+    /// when the grid wraps, `None` off the edge of a mesh, and `None`
+    /// for a port that is not a grid direction.
+    pub fn neighbor(&self, node: u16, dir: OutputPort) -> Option<u16> {
         let (x, y) = self.coords(node);
         let (nx, ny) = match dir {
-            OutputPort::North => (x, (y + self.height - 1) % self.height),
-            OutputPort::South => (x, (y + 1) % self.height),
-            OutputPort::East => ((x + 1) % self.width, y),
-            OutputPort::West => ((x + self.width - 1) % self.width, y),
-            _ => panic!("{dir} is not a torus direction"),
+            OutputPort::North => (x, self.step(y, self.height, false)?),
+            OutputPort::South => (x, self.step(y, self.height, true)?),
+            OutputPort::East => (self.step(x, self.width, true)?, y),
+            OutputPort::West => (self.step(x, self.width, false)?, y),
+            _ => return None,
         };
-        self.node(nx, ny)
+        Some(self.node(nx, ny))
     }
 
-    /// The input port through which traffic sent via `dir` enters the
-    /// neighbour (always the opposite side).
-    pub fn entry_port(dir: OutputPort) -> InputPort {
-        grid_entry_port(dir)
+    /// One step from `at` along an axis of `extent` nodes: past either
+    /// end it comes round to the other when the grid wraps and falls off
+    /// otherwise.
+    fn step(&self, at: u16, extent: u16, forward: bool) -> Option<u16> {
+        let last = extent - 1;
+        match (forward, self.wrap) {
+            (true, _) if at < last => Some(at + 1),
+            (false, _) if at > 0 => Some(at - 1),
+            (true, true) => Some(0),
+            (false, true) => Some(last),
+            (_, false) => None,
+        }
     }
 
-    /// The output port that feeds an input port (inverse of
-    /// [`Torus::entry_port`]): credits for input `p` return to the
-    /// neighbour in `p`'s direction, through this port.
-    pub fn feeder_port(input: InputPort) -> OutputPort {
-        grid_feeder_port(input)
-    }
-
-    /// The torus direction of an input port (which neighbour it faces).
-    pub fn input_direction(input: InputPort) -> OutputPort {
-        grid_input_direction(input)
-    }
-
-    /// Minimal hop distance between two nodes.
+    /// Minimal hop distance between two nodes: per axis, the offset — or
+    /// the shorter way round the ring when the grid wraps.
     pub fn distance(&self, a: u16, b: u16) -> u16 {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
-        let dx = ring_distance(ax, bx, self.width);
-        let dy = ring_distance(ay, by, self.height);
-        dx + dy
-    }
-
-    /// Average minimal hop distance over all (src, dest) pairs with
-    /// uniform random destinations.
-    pub fn mean_uniform_distance(&self) -> f64 {
-        Topology::mean_uniform_distance(self)
-    }
-}
-
-impl Topology for Torus {
-    fn nodes(&self) -> u16 {
-        Torus::nodes(self)
-    }
-
-    fn link(&self, node: u16, port: OutputPort) -> Option<LinkTarget> {
-        if !port.is_network() {
-            return None;
-        }
-        Some(LinkTarget {
-            peer: self.neighbor(node, port),
-            entry: Torus::entry_port(port),
-        })
-    }
-
-    fn feeder(&self, node: u16, input: InputPort) -> Option<(u16, OutputPort)> {
-        if !input.is_network() {
-            return None;
-        }
-        let peer = self.neighbor(node, Torus::input_direction(input));
-        Some((peer, Torus::feeder_port(input)))
-    }
-
-    fn distance(&self, a: u16, b: u16) -> u16 {
-        Torus::distance(self, a, b)
+        let axis = |from: u16, to: u16, extent: u16| {
+            let d = from.abs_diff(to);
+            if self.wrap {
+                d.min(extent - d)
+            } else {
+                d
+            }
+        };
+        axis(ax, bx, self.width) + axis(ay, by, self.height)
     }
 }
 
-fn ring_distance(a: u16, b: u16, extent: u16) -> u16 {
-    let d = (b + extent - a) % extent;
-    d.min(extent - d)
+/// Constructors of the paper's shape, a [`Grid`] that wraps.
+pub enum Torus {}
+
+impl Torus {
+    /// Creates a `width × height` torus.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both dimensions are at least 2 (a 1-wide ring would
+    /// make a direction its own opposite) and the node count fits `u16`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(width: u16, height: u16) -> Grid {
+        Grid::new(width, height, true)
+    }
+
+    /// The paper's 16-processor network.
+    pub fn net_4x4() -> Grid {
+        Torus::new(4, 4)
+    }
+
+    /// The paper's 64-processor network.
+    pub fn net_8x8() -> Grid {
+        Torus::new(8, 8)
+    }
+
+    /// The §5.3 144-processor scaling network.
+    pub fn net_12x12() -> Grid {
+        Torus::new(12, 12)
+    }
+
+    /// A 256-processor network (beyond the paper's studies; reachable
+    /// with the sharded engine).
+    pub fn net_16x16() -> Grid {
+        Torus::new(16, 16)
+    }
+
+    /// A 1024-processor network (sharded-engine scale).
+    pub fn net_32x32() -> Grid {
+        Torus::new(32, 32)
+    }
 }
 
-/// A `width × height` 2D mesh: the torus grid without wrap links. Edge
-/// nodes have 2 or 3 neighbours, corners 2; the outward-facing ports are
-/// simply unwired.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Mesh {
-    width: u16,
-    height: u16,
-}
+/// Constructor of the 2D mesh, a [`Grid`] that does not wrap.
+pub enum Mesh {}
 
 impl Mesh {
-    /// Creates a mesh.
+    /// Creates a `width × height` mesh.
     ///
     /// # Panics
     ///
     /// Panics unless both dimensions are at least 2 and the node count
     /// fits `u16`.
-    pub fn new(width: u16, height: u16) -> Self {
-        assert!(width >= 2 && height >= 2, "mesh needs at least 2x2 nodes");
-        assert!(
-            (width as u32) * (height as u32) <= u16::MAX as u32,
-            "too many nodes"
-        );
-        Mesh { width, height }
-    }
-
-    /// Width (x extent).
-    pub fn width(&self) -> u16 {
-        self.width
-    }
-
-    /// Height (y extent).
-    pub fn height(&self) -> u16 {
-        self.height
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> u16 {
-        self.width * self.height
-    }
-
-    /// Node id of `(x, y)` (row-major, like [`Torus::node`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of range.
-    pub fn node(&self, x: u16, y: u16) -> u16 {
-        assert!(x < self.width && y < self.height, "coordinate out of range");
-        y * self.width + x
-    }
-
-    /// Coordinates of a node id.
-    pub fn coords(&self, node: u16) -> (u16, u16) {
-        assert!(node < self.nodes(), "node {node} out of range");
-        (node % self.width, node / self.width)
-    }
-
-    /// The neighbour through `dir`, or `None` at the grid edge.
-    pub fn neighbor(&self, node: u16, dir: OutputPort) -> Option<u16> {
-        let (x, y) = self.coords(node);
-        let (nx, ny) = match dir {
-            OutputPort::North => (x, y.checked_sub(1)?),
-            OutputPort::South => (x, y + 1),
-            OutputPort::East => (x + 1, y),
-            OutputPort::West => (x.checked_sub(1)?, y),
-            _ => return None,
-        };
-        if nx < self.width && ny < self.height {
-            Some(self.node(nx, ny))
-        } else {
-            None
-        }
-    }
-}
-
-impl Topology for Mesh {
-    fn nodes(&self) -> u16 {
-        Mesh::nodes(self)
-    }
-
-    fn link(&self, node: u16, port: OutputPort) -> Option<LinkTarget> {
-        if !port.is_network() {
-            return None;
-        }
-        self.neighbor(node, port).map(|peer| LinkTarget {
-            peer,
-            entry: grid_entry_port(port),
-        })
-    }
-
-    fn feeder(&self, node: u16, input: InputPort) -> Option<(u16, OutputPort)> {
-        if !input.is_network() {
-            return None;
-        }
-        let peer = self.neighbor(node, grid_input_direction(input))?;
-        Some((peer, grid_feeder_port(input)))
-    }
-
-    fn distance(&self, a: u16, b: u16) -> u16 {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        ax.abs_diff(bx) + ay.abs_diff(by)
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(width: u16, height: u16) -> Grid {
+        Grid::new(width, height, false)
     }
 }
 
@@ -383,10 +221,10 @@ impl Topology for Mesh {
 /// The router's four network ports become plain link indices: port *k*
 /// of node *a* reaches the *k*-th other node in ascending id order
 /// (skipping *a* itself). The entry port at the peer is *a*'s index in
-/// the *peer's* neighbour list — unlike the grid shapes, a link does
-/// *not* connect an output to the geometrically opposite input, which is
-/// why the engines route packets and credits through
-/// [`Topology::link`]/[`Topology::feeder`] rather than a static
+/// the *peer's* neighbour list — unlike the grid, a link does *not*
+/// connect an output to the geometrically opposite input, which is why
+/// the engine routes packets and credits through
+/// [`NetTopology::link`]/[`NetTopology::feeder`] rather than a static
 /// direction map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FullMesh {
@@ -416,14 +254,12 @@ impl FullMesh {
         self.nodes
     }
 
-    /// The peer reached through link index `k` of `node`: the `k`-th
-    /// other node in ascending id order.
-    fn peer_of(&self, node: u16, k: u16) -> u16 {
-        if k < node {
-            k
-        } else {
-            k + 1
-        }
+    /// The peer reached through network port `port` of `node` — the
+    /// `k`-th other node in ascending id order, `k` the port's index —
+    /// or `None` beyond the peer count.
+    fn peer_through(&self, node: u16, port: OutputPort) -> Option<u16> {
+        let k = port.index() as u16;
+        (k + 1 < self.nodes).then_some(if k < node { k } else { k + 1 })
     }
 
     /// The output port of `from` on its direct link toward `to`.
@@ -439,74 +275,31 @@ impl FullMesh {
     }
 }
 
-impl Topology for FullMesh {
-    fn nodes(&self) -> u16 {
-        FullMesh::nodes(self)
-    }
-
-    fn link(&self, node: u16, port: OutputPort) -> Option<LinkTarget> {
-        if !port.is_network() {
-            return None;
-        }
-        let k = port.index() as u16;
-        if k + 1 >= self.nodes {
-            return None;
-        }
-        let peer = self.peer_of(node, k);
-        let entry = if node < peer { node } else { node - 1 };
-        Some(LinkTarget {
-            peer,
-            entry: InputPort::from_index(entry as usize),
-        })
-    }
-
-    fn feeder(&self, node: u16, input: InputPort) -> Option<(u16, OutputPort)> {
-        if !input.is_network() {
-            return None;
-        }
-        let k = input.index() as u16;
-        if k + 1 >= self.nodes {
-            return None;
-        }
-        let peer = self.peer_of(node, k);
-        Some((peer, self.port_toward(peer, node)))
-    }
-
-    fn distance(&self, a: u16, b: u16) -> u16 {
-        assert!(a < self.nodes && b < self.nodes, "node out of range");
-        u16::from(a != b)
-    }
-}
-
-/// The concrete shapes the simulator knows, behind one `Copy` value so
-/// configs stay plain data and the engine stays monomorphic.
+/// The shapes the simulator knows — a closed set, behind one `Copy`
+/// value so configs stay plain data and the engine stays monomorphic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetTopology {
-    /// 2D torus with wraparound (the paper's network).
-    Torus(Torus),
-    /// 2D mesh (no wrap links).
-    Mesh(Mesh),
+    /// 2D torus (the paper's network) or 2D mesh.
+    Grid(Grid),
     /// Small-radix full mesh.
     FullMesh(FullMesh),
 }
 
 impl NetTopology {
     /// Grid extents when the shape is a grid (torus or mesh), `None` for
-    /// the full mesh. Both grids number nodes row-major, so
+    /// the full mesh. Grids number nodes row-major, so
     /// `node = y * width + x` holds whenever this returns `Some`.
     pub fn grid(&self) -> Option<(u16, u16)> {
         match self {
-            NetTopology::Torus(t) => Some((t.width(), t.height())),
-            NetTopology::Mesh(m) => Some((m.width(), m.height())),
+            NetTopology::Grid(g) => Some((g.width(), g.height())),
             NetTopology::FullMesh(_) => None,
         }
     }
 
-    /// Number of nodes (inherent convenience; also via [`Topology`]).
+    /// Number of nodes.
     pub fn nodes(&self) -> u16 {
         match self {
-            NetTopology::Torus(t) => t.nodes(),
-            NetTopology::Mesh(m) => m.nodes(),
+            NetTopology::Grid(g) => g.nodes(),
             NetTopology::FullMesh(f) => f.nodes(),
         }
     }
@@ -515,9 +308,62 @@ impl NetTopology {
     /// stable for golden digests), `mesh4x4`, `fullmesh5`.
     pub fn label(&self) -> String {
         match self {
-            NetTopology::Torus(t) => format!("{}x{}", t.width(), t.height()),
-            NetTopology::Mesh(m) => format!("mesh{}x{}", m.width(), m.height()),
+            NetTopology::Grid(g) => {
+                let kind = if g.wrap() { "" } else { "mesh" };
+                format!("{kind}{}x{}", g.width(), g.height())
+            }
             NetTopology::FullMesh(f) => format!("fullmesh{}", f.nodes()),
+        }
+    }
+
+    /// The far end of the wire on network side `side` of `node`: the
+    /// peer, and the side of the peer the same wire is on. Wires are
+    /// two-way, so this is its own inverse — asking the answer the same
+    /// question names `(node, side)` again — which is what makes
+    /// [`NetTopology::feeder`] the exact inverse of
+    /// [`NetTopology::link`].
+    fn across(&self, node: u16, side: OutputPort) -> Option<(u16, OutputPort)> {
+        match self {
+            NetTopology::Grid(g) => Some((g.neighbor(node, side)?, opposite(side))),
+            NetTopology::FullMesh(f) => {
+                let peer = f.peer_through(node, side)?;
+                Some((peer, f.port_toward(peer, node)))
+            }
+        }
+    }
+
+    /// The link leaving `node` through network output `port`, or `None`
+    /// when that port is unwired (a non-network port, a mesh edge, or a
+    /// full-mesh port beyond the peer count).
+    pub fn link(&self, node: u16, port: OutputPort) -> Option<LinkTarget> {
+        if !port.is_network() {
+            return None;
+        }
+        let (peer, side) = self.across(node, port)?;
+        Some(LinkTarget {
+            peer,
+            entry: InputPort::from_index(side.index()),
+        })
+    }
+
+    /// The upstream `(peer, peer's output port)` that feeds `input` at
+    /// `node` — the inverse of [`NetTopology::link`]: credits for `input`
+    /// return to that peer through that output port.
+    pub fn feeder(&self, node: u16, input: InputPort) -> Option<(u16, OutputPort)> {
+        if !input.is_network() {
+            return None;
+        }
+        self.across(node, OutputPort::from_index(input.index()))
+    }
+
+    /// Minimal hop distance between two nodes.
+    pub fn distance(&self, a: u16, b: u16) -> u16 {
+        match self {
+            NetTopology::Grid(g) => g.distance(a, b),
+            NetTopology::FullMesh(f) => {
+                assert!(a < f.nodes() && b < f.nodes(), "node out of range");
+                u16::from(a != b)
+            }
         }
     }
 }
@@ -528,51 +374,15 @@ impl fmt::Display for NetTopology {
     }
 }
 
-impl From<Torus> for NetTopology {
-    fn from(t: Torus) -> Self {
-        NetTopology::Torus(t)
-    }
-}
-
-impl From<Mesh> for NetTopology {
-    fn from(m: Mesh) -> Self {
-        NetTopology::Mesh(m)
+impl From<Grid> for NetTopology {
+    fn from(g: Grid) -> Self {
+        NetTopology::Grid(g)
     }
 }
 
 impl From<FullMesh> for NetTopology {
     fn from(f: FullMesh) -> Self {
         NetTopology::FullMesh(f)
-    }
-}
-
-impl Topology for NetTopology {
-    fn nodes(&self) -> u16 {
-        NetTopology::nodes(self)
-    }
-
-    fn link(&self, node: u16, port: OutputPort) -> Option<LinkTarget> {
-        match self {
-            NetTopology::Torus(t) => t.link(node, port),
-            NetTopology::Mesh(m) => m.link(node, port),
-            NetTopology::FullMesh(f) => f.link(node, port),
-        }
-    }
-
-    fn feeder(&self, node: u16, input: InputPort) -> Option<(u16, OutputPort)> {
-        match self {
-            NetTopology::Torus(t) => t.feeder(node, input),
-            NetTopology::Mesh(m) => m.feeder(node, input),
-            NetTopology::FullMesh(f) => f.feeder(node, input),
-        }
-    }
-
-    fn distance(&self, a: u16, b: u16) -> u16 {
-        match self {
-            NetTopology::Torus(t) => Topology::distance(t, a, b),
-            NetTopology::Mesh(m) => Topology::distance(m, a, b),
-            NetTopology::FullMesh(f) => Topology::distance(f, a, b),
-        }
     }
 }
 
@@ -596,7 +406,7 @@ impl ShardMap {
     /// request is clamped to `[1, nodes]` — asking for more shards than
     /// routers yields one single-node shard per router, and `0` is
     /// treated as 1 — so every shard is non-empty.
-    pub fn new(topo: &impl Topology, shards: usize) -> Self {
+    pub fn new(topo: &NetTopology, shards: usize) -> Self {
         let nodes = topo.nodes() as usize;
         let shards = shards.clamp(1, nodes);
         let base = nodes / shards;
@@ -645,7 +455,7 @@ impl ShardMap {
     /// direction, so the relation is symmetric by construction checks
     /// (and deduplicated: on a 2-extent torus ring both directions reach
     /// the same neighbour).
-    pub fn cross_shard_links(&self, topo: &impl Topology) -> Vec<(u16, u16)> {
+    pub fn cross_shard_links(&self, topo: &NetTopology) -> Vec<(u16, u16)> {
         let mut links = Vec::new();
         for node in 0..topo.nodes() {
             for dir in &OutputPort::ALL[..4] {
@@ -679,30 +489,40 @@ mod tests {
     fn neighbors_wrap() {
         let t = Torus::net_4x4();
         // Node 0 is (0,0): North wraps to (0,3) = 12, West wraps to (3,0).
-        assert_eq!(t.neighbor(0, OutputPort::North), 12);
-        assert_eq!(t.neighbor(0, OutputPort::West), 3);
-        assert_eq!(t.neighbor(0, OutputPort::South), 4);
-        assert_eq!(t.neighbor(0, OutputPort::East), 1);
+        assert_eq!(t.neighbor(0, OutputPort::North), Some(12));
+        assert_eq!(t.neighbor(0, OutputPort::West), Some(3));
+        assert_eq!(t.neighbor(0, OutputPort::South), Some(4));
+        assert_eq!(t.neighbor(0, OutputPort::East), Some(1));
     }
 
     #[test]
     fn neighbor_relation_is_symmetric() {
-        let t = Torus::net_4x4();
-        for n in 0..t.nodes() {
-            for dir in [
-                OutputPort::North,
-                OutputPort::South,
-                OutputPort::East,
-                OutputPort::West,
-            ] {
-                let m = t.neighbor(n, dir);
-                let back = Torus::feeder_port(Torus::entry_port(dir));
-                assert_eq!(
-                    t.neighbor(m, Torus::input_direction(Torus::entry_port(dir))),
-                    n,
-                    "walking back along the entry direction returns home"
-                );
-                assert_eq!(back, dir, "feeder/entry are inverses");
+        // Both grids, the 2-extent rings included (where a node's two
+        // neighbours in one dimension coincide but the wires do not).
+        for (w, h) in [(2, 2), (2, 3), (4, 4), (5, 3)] {
+            for grid in [Torus::new(w, h), Mesh::new(w, h)] {
+                let topo = NetTopology::from(grid);
+                for n in 0..topo.nodes() {
+                    for &dir in &OutputPort::ALL[..4] {
+                        let Some(l) = topo.link(n, dir) else {
+                            assert!(!grid.wrap(), "only a mesh edge is unwired");
+                            continue;
+                        };
+                        assert_eq!(
+                            topo.feeder(l.peer, l.entry),
+                            Some((n, dir)),
+                            "{topo}: the entry port's feeder is the link just followed"
+                        );
+                        let back = topo
+                            .link(l.peer, opposite(dir))
+                            .expect("a link has a reverse");
+                        assert_eq!(
+                            (back.peer, back.entry.index()),
+                            (n, dir.index()),
+                            "{topo}: walking back the opposite way returns home"
+                        );
+                    }
+                }
             }
         }
     }
@@ -723,18 +543,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_uniform_distance_4x4() {
-        // Each dimension of extent 4 has ring distances {0,1,2,1} => mean
-        // 1.0; two dimensions => 2.0 expected hops.
-        let t = Torus::net_4x4();
-        assert!((t.mean_uniform_distance() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a torus direction")]
     fn local_port_is_not_a_direction() {
-        let t = Torus::net_4x4();
-        let _ = t.neighbor(0, OutputPort::L0);
+        for grid in [Torus::net_4x4(), Mesh::new(4, 4)] {
+            assert_eq!(grid.neighbor(5, OutputPort::L0), None);
+            assert_eq!(NetTopology::from(grid).link(5, OutputPort::L0), None);
+            assert_eq!(NetTopology::from(grid).feeder(5, InputPort::Cache), None);
+        }
     }
 
     #[test]
@@ -743,16 +557,17 @@ mod tests {
         let _ = Torus::new(1, 8);
     }
 
-    /// The generic link/feeder relations must be mutual inverses on every
-    /// shape: following a link and then asking the destination who feeds
-    /// the entry port names the original `(node, port)`.
-    fn assert_link_feeder_inverse(topo: &impl Topology) {
+    /// The link/feeder relations must be mutual inverses on every shape:
+    /// following a link and then asking the destination who feeds the
+    /// entry port names the original `(node, port)`.
+    fn assert_link_feeder_inverse(topo: impl Into<NetTopology>) {
+        let topo = topo.into();
         for node in 0..topo.nodes() {
-            for port in &OutputPort::ALL[..4] {
-                if let Some(l) = topo.link(node, *port) {
+            for &port in &OutputPort::ALL[..4] {
+                if let Some(l) = topo.link(node, port) {
                     assert_eq!(
                         topo.feeder(l.peer, l.entry),
-                        Some((node, *port)),
+                        Some((node, port)),
                         "feeder inverts link at node {node} port {port}"
                     );
                 }
@@ -762,13 +577,13 @@ mod tests {
 
     #[test]
     fn torus_link_feeder_inverse() {
-        assert_link_feeder_inverse(&Torus::net_4x4());
-        assert_link_feeder_inverse(&Torus::new(2, 3));
+        assert_link_feeder_inverse(Torus::net_4x4());
+        assert_link_feeder_inverse(Torus::new(2, 3));
     }
 
     #[test]
     fn mesh_edges_are_unwired() {
-        let m = Mesh::new(4, 4);
+        let m = NetTopology::from(Mesh::new(4, 4));
         // Corner (0,0): no North, no West.
         assert_eq!(m.link(0, OutputPort::North), None);
         assert_eq!(m.link(0, OutputPort::West), None);
@@ -779,65 +594,62 @@ mod tests {
         );
         assert_eq!(m.link(0, OutputPort::South).map(|l| l.peer), Some(4));
         // Interior node (1,1) = 5 keeps all four.
-        for port in &OutputPort::ALL[..4] {
-            assert!(m.link(5, *port).is_some());
+        for &port in &OutputPort::ALL[..4] {
+            assert!(m.link(5, port).is_some());
         }
-        assert_link_feeder_inverse(&m);
+        assert_link_feeder_inverse(m);
     }
 
     #[test]
     fn mesh_distance_is_manhattan() {
         let m = Mesh::new(4, 4);
-        assert_eq!(Topology::distance(&m, 0, 3), 3, "no wraparound shortcut");
-        assert_eq!(Topology::distance(&m, 0, 15), 6);
-        assert_eq!(Topology::distance(&m, 5, 5), 0);
+        assert_eq!(m.distance(0, 3), 3, "no wraparound shortcut");
+        assert_eq!(m.distance(0, 15), 6);
+        assert_eq!(m.distance(5, 5), 0);
     }
 
     #[test]
     fn full_mesh_links_every_pair_exactly_once() {
         for n in 2..=FullMesh::MAX_NODES {
-            let f = FullMesh::new(n);
+            let f = NetTopology::from(FullMesh::new(n));
             for a in 0..n {
-                let mut peers: Vec<u16> = Vec::new();
-                for port in &OutputPort::ALL[..4] {
-                    if let Some(l) = f.link(a, *port) {
-                        peers.push(l.peer);
-                    }
-                }
-                let mut expect: Vec<u16> = (0..n).filter(|&b| b != a).collect();
-                expect.sort_unstable();
+                let mut peers: Vec<u16> = OutputPort::ALL[..4]
+                    .iter()
+                    .filter_map(|&port| f.link(a, port))
+                    .map(|l| l.peer)
+                    .collect();
+                let expect: Vec<u16> = (0..n).filter(|&b| b != a).collect();
                 peers.sort_unstable();
                 assert_eq!(peers, expect, "node {a} of {n}");
             }
-            assert_link_feeder_inverse(&f);
+            assert_link_feeder_inverse(f);
         }
     }
 
     #[test]
     fn full_mesh_entry_port_is_not_the_opposite_direction() {
-        // The property that forces the engines through the trait: on the
-        // 5-node full mesh, node 0's port North (link 0) reaches node 1,
-        // entering through node 1's input *North* (index of 0 in 1's
+        // The property that forces the engine through `link`/`feeder`: on
+        // the 5-node full mesh, node 0's port North (link 0) reaches node
+        // 1, entering through node 1's input *North* (index of 0 in 1's
         // neighbour list) — not the grid opposite (South).
         let f = FullMesh::new(5);
-        let l = f.link(0, OutputPort::North).unwrap();
+        let topo = NetTopology::from(f);
+        let l = topo.link(0, OutputPort::North).unwrap();
         assert_eq!(l.peer, 1);
         assert_eq!(l.entry, InputPort::North);
         // And 4's link toward 0 leaves through port North but enters 0
         // through input West (4 is the 3rd other node of 0).
         assert_eq!(f.port_toward(4, 0), OutputPort::North);
-        let l = f.link(4, OutputPort::North).unwrap();
+        let l = topo.link(4, OutputPort::North).unwrap();
         assert_eq!(l.peer, 0);
         assert_eq!(l.entry, InputPort::West);
     }
 
     #[test]
-    fn full_mesh_distance_and_mean() {
-        let f = FullMesh::new(5);
-        assert_eq!(Topology::distance(&f, 0, 0), 0);
-        assert_eq!(Topology::distance(&f, 0, 4), 1);
-        // Mean over all pairs incl. self: 20/25.
-        assert!((Topology::mean_uniform_distance(&f) - 0.8).abs() < 1e-12);
+    fn full_mesh_distance() {
+        let f = NetTopology::from(FullMesh::new(5));
+        assert_eq!(f.distance(0, 0), 0);
+        assert_eq!(f.distance(0, 4), 1);
     }
 
     #[test]
@@ -857,7 +669,7 @@ mod tests {
 
     #[test]
     fn shard_map_partitions_evenly() {
-        let t = Torus::net_4x4();
+        let t = Torus::net_4x4().into();
         let m = ShardMap::new(&t, 4);
         assert_eq!(m.shards(), 4);
         for s in 0..4 {
@@ -869,7 +681,7 @@ mod tests {
 
     #[test]
     fn shard_map_uneven_remainder_goes_to_low_shards() {
-        let t = Torus::net_4x4(); // 16 nodes
+        let t: NetTopology = Torus::net_4x4().into(); // 16 nodes
         let m = ShardMap::new(&t, 3); // 6 + 5 + 5
         assert_eq!(m.range(0), 0..6);
         assert_eq!(m.range(1), 6..11);
@@ -882,7 +694,7 @@ mod tests {
 
     #[test]
     fn shard_map_clamps_degenerate_requests() {
-        let t = Torus::net_4x4();
+        let t = Torus::net_4x4().into();
         assert_eq!(ShardMap::new(&t, 0).shards(), 1, "0 behaves as 1");
         assert_eq!(ShardMap::new(&t, 1).range(0), 0..16);
         let per_node = ShardMap::new(&t, 1000);
@@ -894,7 +706,7 @@ mod tests {
 
     #[test]
     fn single_shard_has_no_cross_links() {
-        let t = Torus::net_8x8();
+        let t = Torus::net_8x8().into();
         assert!(ShardMap::new(&t, 1).cross_shard_links(&t).is_empty());
     }
 }

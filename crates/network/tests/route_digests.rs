@@ -27,7 +27,7 @@
 //! ```
 
 use arbitration::ports::{InputPort, OutputPort};
-use network::{route_for, DeadLinks, FullMesh, Mesh, NetTopology, Topology, Torus};
+use network::{route_for, DeadLinks, FullMesh, Mesh, NetTopology, Torus};
 use router::packet::PacketId;
 use router::{CoherenceClass, EscapeVc, Packet, RouteInfo};
 use simcore::{SimRng, Tick};

@@ -7,7 +7,7 @@
 //! exactly from the test name alone.
 
 use arbitration::ports::OutputPort;
-use network::{route_for, DeadLinks, FullMesh, Mesh, NetTopology, Topology, Torus};
+use network::{route_for, DeadLinks, FullMesh, Grid, Mesh, NetTopology, Torus};
 use router::packet::PacketId;
 use router::{CoherenceClass, EscapeVc, Packet, RouteInfo};
 use simcore::{SimRng, Tick};
@@ -31,7 +31,7 @@ fn packet(src: u16, dest: u16) -> Packet {
 }
 
 /// A torus between 2×2 and 12×12 plus two node indices.
-fn torus_and_nodes(rng: &mut SimRng) -> (Torus, u16, u16) {
+fn torus_and_nodes(rng: &mut SimRng) -> (Grid, u16, u16) {
     let w = 2 + rng.below(11) as u16;
     let h = 2 + rng.below(11) as u16;
     let torus = Torus::new(w, h);
@@ -42,7 +42,7 @@ fn torus_and_nodes(rng: &mut SimRng) -> (Torus, u16, u16) {
 }
 
 /// A mesh between 2×2 and 12×12 plus two node indices.
-fn mesh_and_nodes(rng: &mut SimRng) -> (Mesh, u16, u16) {
+fn mesh_and_nodes(rng: &mut SimRng) -> (Grid, u16, u16) {
     let w = 2 + rng.below(11) as u16;
     let h = 2 + rng.below(11) as u16;
     let mesh = Mesh::new(w, h);
@@ -82,7 +82,7 @@ fn adaptive_candidates_always_make_minimal_progress() {
         while m != 0 {
             let dir = OutputPort::from_index(m.trailing_zeros() as usize);
             m &= m - 1;
-            let next = torus.neighbor(here, dir);
+            let next = torus.neighbor(here, dir).expect("a torus has no edge");
             assert_eq!(torus.distance(next, dest), d0 - 1, "case {case}");
         }
         // The escape hop is one of the adaptive candidates.
@@ -114,7 +114,7 @@ fn escape_path_is_minimal_and_dimension_ordered() {
                 OutputPort::East | OutputPort::West => assert!(!seen_y, "case {case}"),
                 _ => seen_y = true,
             }
-            here = torus.neighbor(here, escape);
+            here = torus.neighbor(here, escape).expect("a torus has no edge");
             hops += 1;
             assert!(hops <= torus.distance(src, dest), "case {case}");
         }
@@ -167,7 +167,7 @@ fn dateline_vc_switches_at_most_once_per_dimension() {
                 EscapeVc::Vc1 => seen_vc1_in_dim = true,
             }
             last_dim_dir = Some(escape);
-            here = torus.neighbor(here, escape);
+            here = torus.neighbor(here, escape).expect("a torus has no edge");
         }
     }
 }
@@ -193,12 +193,20 @@ fn neighbor_walk_round_trips() {
     for case in 0..CASES {
         let (torus, node, _) = torus_and_nodes(&mut gen);
         let dir = OutputPort::from_index(gen.below(4));
-        let there = torus.neighbor(node, dir);
-        let back = Torus::feeder_port(Torus::entry_port(dir));
-        assert_eq!(back, dir, "case {case}");
-        // Walking the opposite direction returns home.
-        let opposite = Torus::input_direction(Torus::entry_port(dir));
-        assert_eq!(torus.neighbor(there, opposite), node, "case {case}");
+        let topo = NetTopology::from(torus);
+        let there = topo.link(node, dir).expect("a torus has no edge");
+        assert_eq!(
+            topo.feeder(there.peer, there.entry),
+            Some((node, dir)),
+            "case {case}"
+        );
+        // Walking out of the port the link entered through returns home.
+        let opposite = OutputPort::from_index(there.entry.index());
+        assert_eq!(
+            torus.neighbor(there.peer, opposite),
+            Some(node),
+            "case {case}"
+        );
     }
 }
 
@@ -249,7 +257,7 @@ fn mesh_adaptive_candidates_always_make_minimal_progress() {
             adaptive.count_ones() >= 1 && adaptive.count_ones() <= 2,
             "case {case}"
         );
-        let d0 = Topology::distance(&mesh, here, dest);
+        let d0 = mesh.distance(here, dest);
         let mut m = adaptive;
         while m != 0 {
             let dir = OutputPort::from_index(m.trailing_zeros() as usize);
@@ -257,7 +265,7 @@ fn mesh_adaptive_candidates_always_make_minimal_progress() {
             let next = mesh
                 .neighbor(here, dir)
                 .unwrap_or_else(|| panic!("case {case}: candidate {dir} walks off the edge"));
-            assert_eq!(Topology::distance(&mesh, next, dest), d0 - 1, "case {case}");
+            assert_eq!(mesh.distance(next, dest), d0 - 1, "case {case}");
         }
         assert!(adaptive & escape.mask() as u8 != 0, "case {case}");
     }
@@ -289,9 +297,9 @@ fn mesh_escape_path_is_minimal_and_dimension_ordered() {
                 .neighbor(here, escape)
                 .unwrap_or_else(|| panic!("case {case}: escape {escape} walks off the edge"));
             hops += 1;
-            assert!(hops <= Topology::distance(&mesh, src, dest), "case {case}");
+            assert!(hops <= mesh.distance(src, dest), "case {case}");
         }
-        assert_eq!(hops, Topology::distance(&mesh, src, dest), "case {case}");
+        assert_eq!(hops, mesh.distance(src, dest), "case {case}");
     }
 }
 
@@ -329,7 +337,7 @@ fn full_mesh_routes_are_direct_or_bounded_misroutes() {
         while m != 0 {
             let port = OutputPort::from_index(m.trailing_zeros() as usize);
             m &= m - 1;
-            let hop1 = fm
+            let hop1 = NetTopology::from(fm)
                 .link(src, port)
                 .unwrap_or_else(|| panic!("case {case}: candidate {port} is unwired"))
                 .peer;

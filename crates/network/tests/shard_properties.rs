@@ -9,7 +9,7 @@
 //! full meshes (where *every* link crosses shards once the partition is
 //! fine enough).
 
-use network::{FullMesh, Mesh, NetTopology, ShardMap, Topology, Torus};
+use network::{FullMesh, Mesh, NetTopology, ShardMap, Torus};
 
 /// Shapes under test: tori including non-square and 2-extent rings
 /// (where a node's two neighbours in one dimension coincide), meshes of

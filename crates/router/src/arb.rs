@@ -35,36 +35,6 @@ pub struct Nomination {
     pub decide_at: Tick,
 }
 
-impl PartialOrd for Nomination {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Nomination {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Heap ordering: earliest GA first (callers wrap in Reverse), then
-        // deterministic tiebreaks over every remaining field so the order
-        // is total and consistent with `Eq`.
-        (
-            self.decide_at,
-            self.row,
-            self.entry,
-            self.output,
-            self.input,
-            self.downstream_vc,
-        )
-            .cmp(&(
-                other.decide_at,
-                other.row,
-                other.entry,
-                other.output,
-                other.input,
-                other.downstream_vc,
-            ))
-    }
-}
-
 /// Per-read-port arbitration state.
 #[derive(Clone, Debug, Default)]
 pub struct ReadPortState {
@@ -270,19 +240,5 @@ mod tests {
         assert_eq!(w.weight(0, 2), 7);
         assert_eq!(w.weight(1, 0), 3);
         assert_eq!(w.weight(0, 0), 0, "unrequested cells untouched");
-    }
-
-    #[test]
-    fn nomination_ordering_is_by_time() {
-        let n = |t: u64, row: u8| Nomination {
-            row,
-            input: row / 2,
-            entry: EntryId::new(0, 0),
-            output: 0,
-            downstream_vc: None,
-            decide_at: Tick::new(t),
-        };
-        assert!(n(10, 3) < n(20, 1));
-        assert!(n(10, 1) < n(10, 3));
     }
 }

@@ -27,13 +27,14 @@ use crate::stats::RouterStats;
 use crate::vc::{VcId, NUM_VCS};
 use arbitration::arbiter::{Arbiter, ArbitrationInput};
 use arbitration::matrix::{ConnectionMatrix, RequestMatrix, WeightMatrix};
-use arbitration::policy::{RotaryMode, SelectionPolicy, Selector};
+use arbitration::policy::{RotaryMode, Selector};
 use arbitration::ports::{
     InputPort, OutputPort, NETWORK_ROW_MASK, NUM_ARBITER_ROWS, NUM_INPUT_PORTS, NUM_OUTPUT_PORTS,
 };
 use simcore::time::Cycles;
 use simcore::wheel::TimingWheel;
 use simcore::{SimRng, Tick};
+use std::collections::VecDeque;
 
 /// A packet being handed to a router, with its routing pre-computed.
 #[derive(Clone, Copy, Debug)]
@@ -119,18 +120,17 @@ enum HouseEvent {
     Release(u8, EntryId),
 }
 
-/// Ring lookahead of the per-router timing wheels, in core-clock edges.
+/// Ring lookahead of the per-router timing wheel, in core-clock edges.
 ///
 /// Every event a router schedules for itself comes due a *bounded* number
 /// of edges ahead: an arrival decodes `input_delay` cycles after its pin
 /// time (itself at most the GA→pin plus wire latency ahead of the
 /// dispatching step), a credit refund arrives one wire latency after a
-/// release, a GA decision lands `latency - 1` cycles after LA, and a
-/// buffer release waits out at most a 19-flit train at link rate behind a
-/// bounded first-flit offset — all comfortably under 64 core cycles for
-/// both the production and the 2× scaled pipelines. Events past the ring
-/// (none in practice) spill into the wheel's overflow heap, preserving
-/// exactness either way.
+/// release, and a buffer release waits out at most a 19-flit train at
+/// link rate behind a bounded first-flit offset — all comfortably under
+/// 64 core cycles for both the production and the 2× scaled pipelines.
+/// Events past the ring (none in practice) spill into the wheel's
+/// overflow heap, preserving exactness either way.
 const WHEEL_SLOTS: usize = 64;
 
 /// What an entry could do this cycle, with the downstream VC resolved.
@@ -200,8 +200,11 @@ pub struct Router {
     pending_arrival_count: u32,
     /// Slots reserved by pending arrivals, per (input, vc).
     reserved: [[u16; NUM_VCS]; NUM_INPUT_PORTS],
-    /// SPAA nominations awaiting GA, keyed by decide tick.
-    ga_queue: TimingWheel<Nomination>,
+    /// SPAA nominations awaiting GA. Every nomination is decided the
+    /// same fixed `ga_delay` after its LA cycle and `now` never goes
+    /// back, so push order is decide order: a FIFO, drained from the
+    /// front while `decide_at <= now`.
+    ga_queue: VecDeque<Nomination>,
     /// Next window start for the PIM1/WFA driver.
     next_window: Tick,
     antistarve: AntiStarvation,
@@ -213,8 +216,6 @@ pub struct Router {
     active_entries: u32,
     /// SPAA GA phase: nominations maturing this cycle.
     scratch_due: Vec<Nomination>,
-    /// GA-wheel drain buffer.
-    scratch_ga: Vec<(Tick, Nomination)>,
     /// Housekeeping-wheel drain buffer.
     scratch_house: Vec<(Tick, HouseEvent)>,
     /// Release-reorder buffer (restores the split queues' release order).
@@ -257,14 +258,7 @@ impl Router {
             RotaryMode::Off
         };
         let selectors = (0..NUM_OUTPUT_PORTS)
-            .map(|_| {
-                Selector::new(
-                    SelectionPolicy::LeastRecentlySelected,
-                    rotary,
-                    NETWORK_ROW_MASK,
-                    NUM_ARBITER_ROWS,
-                )
-            })
+            .map(|_| Selector::new(rotary, NETWORK_ROW_MASK, NUM_ARBITER_ROWS))
             .collect();
         let kernel = cfg
             .algorithm
@@ -306,13 +300,12 @@ impl Router {
             house: TimingWheel::new(core_period, WHEEL_SLOTS),
             pending_arrival_count: 0,
             reserved: [[0; NUM_VCS]; NUM_INPUT_PORTS],
-            ga_queue: TimingWheel::new(core_period, WHEEL_SLOTS),
+            ga_queue: VecDeque::new(),
             next_window: Tick::ZERO,
             antistarve,
             stats: RouterStats::default(),
             active_entries: 0,
             scratch_due: Vec::new(),
-            scratch_ga: Vec::new(),
             scratch_house: Vec::new(),
             scratch_releases: Vec::new(),
             scratch_dispatched: Vec::new(),
@@ -941,23 +934,23 @@ impl Router {
     // ------------------------------------------------------------------
 
     fn spaa_ga_phase(&mut self, now: Tick, out: &mut Vec<RouterOutput>) {
-        if !self.ga_queue.has_due(now) {
+        if self.ga_queue.front().is_none_or(|n| n.decide_at > now) {
             return;
         }
-        // Pop all nominations maturing now, grouped per output. The lists
-        // live in router-owned scratch buffers (moved out for the
+        // Pop all nominations maturing now, grouped per output. The list
+        // lives in a router-owned scratch buffer (moved out for the
         // duration of the phase) so the steady state never allocates.
         //
-        // Wheel-drain order is `(decide_at, insertion order)`; all
-        // nominations sharing a decide tick come from the same LA cycle,
-        // which pushed them in ascending row order — exactly the
-        // `(decide_at, row, …)` order the former binary heap popped in.
-        let mut matured = std::mem::take(&mut self.scratch_ga);
-        matured.clear();
-        self.ga_queue.drain_due(now, &mut matured);
+        // All nominations sharing a decide tick come from the same LA
+        // cycle, which pushed them in ascending row order, so the FIFO
+        // yields `(decide_at, row, …)` order.
         let mut due = std::mem::take(&mut self.scratch_due);
         due.clear();
-        for &(_, n) in &matured {
+        while let Some(&n) = self.ga_queue.front() {
+            if n.decide_at > now {
+                break;
+            }
+            self.ga_queue.pop_front();
             // Stale-check: the entry must still hold this nomination
             // (grants of sibling nominations cancel the others; a
             // handle whose entry departed and was released reads as not
@@ -976,7 +969,6 @@ impl Router {
                 due.push(n);
             }
         }
-        self.scratch_ga = matured;
         if due.is_empty() {
             self.scratch_due = due;
             return;
@@ -1015,7 +1007,7 @@ impl Router {
                     }
                     None => contenders,
                 };
-                Some(self.selectors[output].select(pool, &mut self.rng))
+                Some(self.selectors[output].select(pool))
             } else {
                 None
             };
@@ -1092,17 +1084,14 @@ impl Router {
                 self.inputs[input].set_nominated(id, (row % 2) as u8, output as u8, ga);
                 self.read_ports[row].inflight.push(id);
                 self.stats.nominations.bump();
-                self.ga_queue.schedule(
-                    ga,
-                    Nomination {
-                        row: row as u8,
-                        input: input as u8,
-                        entry: id,
-                        output: output as u8,
-                        downstream_vc: vc_down,
-                        decide_at: ga,
-                    },
-                );
+                self.ga_queue.push_back(Nomination {
+                    row: row as u8,
+                    input: input as u8,
+                    entry: id,
+                    output: output as u8,
+                    downstream_vc: vc_down,
+                    decide_at: ga,
+                });
             }
         }
     }

@@ -17,9 +17,8 @@
 //! already accepted a packet this cycle) wait in unbounded per-port source
 //! queues; BNF latency deliberately includes that source queueing (§4.3).
 
-use crate::mshr::MshrTable;
 use crate::pattern::TrafficPattern;
-use crate::txn::{CoherenceParams, TxnTag};
+use crate::txn::{TxnTag, L2_LATENCY_CYCLES, MEMORY_LATENCY_NS, PAPER_THREE_HOP_FRACTION};
 use arbitration::ports::InputPort;
 use network::{Endpoint, InjectionOutcome, NetTopology, NodeCtx, TxnCompletion};
 use router::packet::PacketId;
@@ -108,8 +107,9 @@ pub struct WorkloadConfig {
     pub injection_rate: f64,
     /// Outstanding-miss limit (16 for the 21364, 64 for Figure 11b).
     pub mshrs: u32,
-    /// Protocol latencies and mix.
-    pub coherence: CoherenceParams,
+    /// Fraction of transactions that take three coherence hops (0.3 in
+    /// the paper's mix).
+    pub three_hop_fraction: f64,
     /// Optional on/off bursty modulation of request generation
     /// (`None` = the paper's smooth Bernoulli process).
     pub burst: Option<BurstConfig>,
@@ -123,7 +123,7 @@ impl WorkloadConfig {
             pattern,
             injection_rate,
             mshrs: 16,
-            coherence: CoherenceParams::default(),
+            three_hop_fraction: PAPER_THREE_HOP_FRACTION,
             burst: None,
         }
     }
@@ -144,7 +144,7 @@ impl WorkloadConfig {
             pattern,
             injection_rate,
             mshrs: u32::MAX,
-            coherence: CoherenceParams::default(),
+            three_hop_fraction: PAPER_THREE_HOP_FRACTION,
             burst: None,
         }
     }
@@ -165,7 +165,7 @@ impl WorkloadConfig {
             pattern,
             injection_rate,
             mshrs,
-            coherence: CoherenceParams::default(),
+            three_hop_fraction: PAPER_THREE_HOP_FRACTION,
             burst: None,
         }
     }
@@ -182,7 +182,7 @@ impl WorkloadConfig {
             (0.0..=1.0).contains(&fraction),
             "three-hop fraction must be a probability, got {fraction}"
         );
-        self.coherence.three_hop_fraction = fraction;
+        self.three_hop_fraction = fraction;
         self
     }
 }
@@ -256,7 +256,6 @@ pub struct CoherenceEndpoint {
     topology: NetTopology,
     cfg: WorkloadConfig,
     rng: SimRng,
-    mshrs: MshrTable,
     /// Source queues, one per local injection port.
     cache_queue: VecDeque<Packet>,
     mc_queues: [VecDeque<Packet>; 2],
@@ -282,12 +281,15 @@ pub struct CoherenceEndpoint {
     /// generation RNG) but keeps serving its home/owner roles, so a
     /// drain window can run the network dry.
     generating: bool,
-    /// Requester-side book of in-flight transactions: `txn_seq` → the
-    /// cycle the request entered the cache source queue. The matching
-    /// block response removes the entry and reports the issue tick as a
-    /// [`TxnCompletion`], from which the engine measures request-issue →
-    /// reply-drain latency. Keyed lookups only (never iterated), so the
-    /// map's order cannot leak into any simulation output.
+    /// Requester-side book of in-flight transactions — the MSHR file:
+    /// `txn_seq` → the cycle the request entered the cache source queue,
+    /// at most `cfg.mshrs` entries (§3.4: "only 16 outstanding cache
+    /// miss requests", 64 in the Figure 11b scaling study). The matching
+    /// block response removes the entry, which frees the MSHR, and
+    /// reports the issue tick as a [`TxnCompletion`], from which the
+    /// engine measures request-issue → reply-drain latency. Keyed
+    /// lookups and `len()` only (never iterated), so the map's order
+    /// cannot leak into any simulation output.
     inflight: HashMap<u32, Tick>,
     send_seq: u64,
     packet_seq: u64,
@@ -298,7 +300,7 @@ pub struct CoherenceEndpoint {
 impl CoherenceEndpoint {
     /// Creates the agent for `node`.
     pub fn new(node: u16, topology: NetTopology, cfg: WorkloadConfig, rng: SimRng) -> Self {
-        let mshrs = MshrTable::new(cfg.mshrs);
+        assert!(cfg.mshrs > 0, "a node needs at least one MSHR");
         let burst_peak_rate = match cfg.burst {
             Some(b) => b.peak_rate(cfg.injection_rate),
             None => cfg.injection_rate,
@@ -309,7 +311,6 @@ impl CoherenceEndpoint {
             topology,
             cfg,
             rng,
-            mshrs,
             cache_queue: VecDeque::new(),
             mc_queues: [VecDeque::new(), VecDeque::new()],
             mc_flip: false,
@@ -331,14 +332,9 @@ impl CoherenceEndpoint {
         &self.stats
     }
 
-    /// Outstanding misses right now.
-    pub fn outstanding_misses(&self) -> u32 {
-        self.mshrs.outstanding()
-    }
-
-    /// Transactions this node has issued whose block response has not
-    /// yet arrived.
-    pub fn inflight_transactions(&self) -> usize {
+    /// Outstanding misses right now: transactions this node has issued
+    /// whose block response has not yet arrived.
+    pub fn outstanding_misses(&self) -> usize {
         self.inflight.len()
     }
 
@@ -374,7 +370,7 @@ impl CoherenceEndpoint {
             .cfg
             .pattern
             .dest(&self.topology, self.node, &mut self.rng);
-        let three_hop = self.rng.chance(self.cfg.coherence.three_hop_fraction);
+        let three_hop = self.rng.chance(self.cfg.three_hop_fraction);
         // "The second dimension selects the destination of the requests
         // and forwards": the forward target is drawn from the same
         // pattern, applied at the home node.
@@ -434,20 +430,18 @@ impl CoherenceEndpoint {
 
     /// Accounts a packet refused with [`InjectionOutcome::Unreachable`]:
     /// link deaths severed every route to its destination. A dropped
-    /// `Request` is this node's own transaction — the MSHR and in-flight
-    /// entry unwind so the node keeps issuing toward reachable homes. A
-    /// dropped response-side packet (`Forward`/`BlockResponse`) strands
-    /// the remote requester's MSHR by design: a partitioned requester
-    /// cannot be notified, and the loss stays visible in
+    /// `Request` is this node's own transaction — its in-flight entry
+    /// (the MSHR) unwinds so the node keeps issuing toward reachable
+    /// homes. A dropped response-side packet (`Forward`/`BlockResponse`)
+    /// strands the remote requester's MSHR by design: a partitioned
+    /// requester cannot be notified, and the loss stays visible in
     /// [`EndpointStats::unreachable_drops`] rather than silently leaking.
     fn drop_unreachable(&mut self, packet: &Packet) {
         self.stats.unreachable_drops += 1;
         if packet.class == CoherenceClass::Request {
             let tag = TxnTag::unpack(packet.txn);
             debug_assert_eq!(tag.requester, self.node);
-            if self.inflight.remove(&tag.seq).is_some() {
-                self.mshrs.release();
-            }
+            self.inflight.remove(&tag.seq);
         }
     }
 
@@ -488,7 +482,7 @@ impl Endpoint for CoherenceEndpoint {
             0.0
         };
         if rate > 0.0 && self.rng.chance(rate) {
-            if self.mshrs.try_allocate() {
+            if self.inflight.len() < self.cfg.mshrs as usize {
                 self.start_transaction(now);
             } else {
                 self.stats.mshr_stalls += 1;
@@ -533,7 +527,7 @@ impl Endpoint for CoherenceEndpoint {
         match packet.class {
             CoherenceClass::Request => {
                 // Home role: after the memory lookup, answer or forward.
-                let at = now + Tick::from_ns(self.cfg.coherence.memory_latency_ns);
+                let at = now + Tick::from_ns(MEMORY_LATENCY_NS);
                 let (class, dest) = if tag.three_hop {
                     (CoherenceClass::Forward, tag.owner)
                 } else {
@@ -551,8 +545,7 @@ impl Endpoint for CoherenceEndpoint {
             }
             CoherenceClass::Forward => {
                 // Owner role: L2 lookup, then the data response.
-                let l2 = simcore::clock::Clock::alpha_21364_core()
-                    .cycles(self.cfg.coherence.l2_latency.get() as u64);
+                let l2 = simcore::clock::Clock::alpha_21364_core().cycles(L2_LATENCY_CYCLES);
                 self.send_seq += 1;
                 self.pending.push(Reverse(ScheduledSend {
                     at: now + l2,
@@ -570,7 +563,6 @@ impl Endpoint for CoherenceEndpoint {
                     .inflight
                     .remove(&tag.seq)
                     .expect("block response for a transaction this node never issued");
-                self.mshrs.release();
                 self.stats.transactions_completed += 1;
                 Some(TxnCompletion { issued })
             }
@@ -586,10 +578,10 @@ impl Endpoint for CoherenceEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use network::{NetworkConfig, NetworkSim, Torus};
+    use network::{Grid, NetworkConfig, NetworkSim, Torus};
     use router::{ArbAlgorithm, RouterConfig};
 
-    fn net(torus: Torus, algo: ArbAlgorithm, cycles: u64) -> NetworkConfig {
+    fn net(torus: Grid, algo: ArbAlgorithm, cycles: u64) -> NetworkConfig {
         NetworkConfig {
             topology: torus.into(),
             router: RouterConfig::alpha_21364(algo),
@@ -601,7 +593,7 @@ mod tests {
     }
 
     fn run(
-        torus: Torus,
+        torus: Grid,
         algo: ArbAlgorithm,
         rate: f64,
         cycles: u64,
@@ -658,13 +650,7 @@ mod tests {
     #[test]
     fn mshr_limit_caps_outstanding_misses() {
         let cfg = net(Torus::net_4x4(), ArbAlgorithm::SpaaBase, 3000);
-        let wl = WorkloadConfig {
-            pattern: TrafficPattern::Uniform,
-            injection_rate: 1.0, // every cycle
-            mshrs: 16,
-            coherence: CoherenceParams::default(),
-            burst: None,
-        };
+        let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 1.0); // every cycle
         let endpoints = crate::build_endpoints(&cfg, &wl);
         let mut sim = NetworkSim::new(cfg, endpoints);
         for _ in 0..3000 {

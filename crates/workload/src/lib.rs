@@ -18,14 +18,12 @@
 //! plays all three protocol roles (requester, home, owner) for its node.
 
 pub mod endpoint;
-pub mod mshr;
 pub mod pattern;
 pub mod txn;
 
 pub use endpoint::{BurstConfig, CoherenceEndpoint, EndpointStats, WorkloadConfig};
-pub use mshr::MshrTable;
 pub use pattern::{HotspotTargets, TrafficPattern};
-pub use txn::{CoherenceParams, TxnTag};
+pub use txn::TxnTag;
 
 use network::{NetworkConfig, NetworkSim};
 use simcore::SimRng;

@@ -7,13 +7,13 @@
 //!
 //! The bit patterns are defined only for power-of-two node counts; the
 //! paper accordingly evaluates the 12×12 network with uniform traffic
-//! only. Beyond the paper's three patterns, [`TrafficPattern::Transpose`]
-//! and [`TrafficPattern::Tornado`] are provided for extension studies.
+//! only. Beyond the paper's three patterns, [`TrafficPattern::Tornado`]
+//! and [`TrafficPattern::Hotspot`] are provided for extension studies.
 //!
 //! Patterns are checked against the [`NetTopology`] they will run on:
 //! the index-permutation patterns need only a power-of-two node count
-//! (any shape), while the coordinate patterns (transpose, tornado) need
-//! a grid and are undefined on the full mesh.
+//! (any shape), while tornado is defined on coordinates, needs a grid
+//! and is undefined on the full mesh.
 
 use network::NetTopology;
 use simcore::SimRng;
@@ -28,9 +28,6 @@ pub enum TrafficPattern {
     BitReversal,
     /// Perfect-shuffle (rotate-left-by-one) of the node index.
     PerfectShuffle,
-    /// Matrix transpose: (x, y) → (y, x) (extension; needs a square
-    /// grid — torus or mesh).
-    Transpose,
     /// Tornado: half-way around the ring in x (extension; needs a grid).
     /// On a mesh the destination still wraps modulo the width, making it
     /// an adversarial long-haul pattern rather than a ring rotation.
@@ -102,9 +99,8 @@ impl HotspotTargets {
 impl TrafficPattern {
     /// True when the pattern is usable on the given topology.
     ///
-    /// The coordinate patterns (transpose, tornado) need a grid shape
-    /// and are unsupported on the full mesh. Tornado is defined on every
-    /// grid (see [`tornado_shift`]) but degenerates to pure self-traffic
+    /// Tornado is defined on coordinates, so it needs a grid shape and
+    /// is unsupported on the full mesh. It is defined on every grid (see [`tornado_shift`]) but degenerates to pure self-traffic
     /// when the x-extent is too short for a nonzero shift, so widths
     /// below 3 are reported as unsupported — a sweep config selecting
     /// tornado on such a shape should be rejected up front rather than
@@ -114,9 +110,6 @@ impl TrafficPattern {
             TrafficPattern::Uniform => true,
             TrafficPattern::BitReversal | TrafficPattern::PerfectShuffle => {
                 topo.nodes().is_power_of_two()
-            }
-            TrafficPattern::Transpose => {
-                matches!(topo.grid(), Some((w, h)) if w == h)
             }
             TrafficPattern::Tornado => {
                 matches!(topo.grid(), Some((w, _)) if tornado_shift(w) > 0)
@@ -160,11 +153,6 @@ impl TrafficPattern {
                 let bits = n.trailing_zeros();
                 let msb = (src >> (bits - 1)) & 1;
                 ((src << 1) & (n - 1)) | msb
-            }
-            TrafficPattern::Transpose => {
-                let (w, _) = topo.grid().expect("supports() guarantees a grid");
-                let (x, y) = (src % w, src / w);
-                x * w + y
             }
             TrafficPattern::Tornado => {
                 let (w, _) = topo.grid().expect("supports() guarantees a grid");
@@ -231,7 +219,6 @@ impl fmt::Display for TrafficPattern {
             TrafficPattern::Uniform => "uniform",
             TrafficPattern::BitReversal => "bit-reversal",
             TrafficPattern::PerfectShuffle => "perfect-shuffle",
-            TrafficPattern::Transpose => "transpose",
             TrafficPattern::Tornado => "tornado",
             TrafficPattern::Hotspot { .. } => "hotspot",
         };
@@ -362,29 +349,20 @@ mod tests {
     }
 
     #[test]
-    fn transpose_and_tornado() {
+    fn tornado_shifts_along_x() {
         let torus = Torus::net_4x4();
         let t = NetTopology::from(torus);
         let mut r = rng();
-        assert_eq!(
-            TrafficPattern::Transpose.dest(&t, torus.node(1, 2), &mut r),
-            torus.node(2, 1)
-        );
         let d = TrafficPattern::Tornado.dest(&t, torus.node(0, 0), &mut r);
         assert_eq!(d, torus.node(1, 0));
     }
 
     #[test]
-    fn coordinate_patterns_work_on_the_mesh_grid_too() {
+    fn tornado_works_on_the_mesh_grid_too() {
         let mesh = Mesh::new(4, 4);
         let t = NetTopology::from(mesh);
         let mut r = rng();
-        assert!(TrafficPattern::Transpose.supports(&t));
         assert!(TrafficPattern::Tornado.supports(&t));
-        assert_eq!(
-            TrafficPattern::Transpose.dest(&t, mesh.node(3, 0), &mut r),
-            mesh.node(0, 3)
-        );
         // Tornado still wraps the coordinate even though the mesh has no
         // wrap link — the route is just longer.
         assert_eq!(
@@ -394,9 +372,8 @@ mod tests {
     }
 
     #[test]
-    fn coordinate_patterns_are_undefined_on_the_full_mesh() {
+    fn tornado_is_undefined_on_the_full_mesh() {
         let fm = NetTopology::from(FullMesh::new(4));
-        assert!(!TrafficPattern::Transpose.supports(&fm));
         assert!(!TrafficPattern::Tornado.supports(&fm));
         assert!(TrafficPattern::Uniform.supports(&fm));
         assert!(hotspot(&[3], 0.5).supports(&fm));

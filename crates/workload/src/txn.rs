@@ -12,31 +12,18 @@
 //! transaction roles from a [`TxnTag`] packed into `Packet::txn` —
 //! [`crate::endpoint::CoherenceEndpoint`] drives both flows end to end,
 //! and the requester matches the terminal block response back to its
-//! in-flight book by `(requester, seq)` to release the MSHR and report
+//! in-flight book by `(requester, seq)` to free the MSHR and report
 //! the transaction's issue→drain latency to the engine.
 
-use simcore::time::Cycles;
+/// Memory response time at the home node (§4.1).
+pub(crate) const MEMORY_LATENCY_NS: f64 = 73.0;
 
-/// Protocol latencies and the transaction mix (§4.1–4.2 defaults).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CoherenceParams {
-    /// Memory response time at the home node.
-    pub memory_latency_ns: f64,
-    /// On-chip L2 lookup time at a remote owner, in core cycles.
-    pub l2_latency: Cycles,
-    /// Fraction of transactions that take three coherence hops.
-    pub three_hop_fraction: f64,
-}
+/// On-chip L2 lookup time at a remote owner, in core cycles (§4.1).
+pub(crate) const L2_LATENCY_CYCLES: u64 = 25;
 
-impl Default for CoherenceParams {
-    fn default() -> Self {
-        CoherenceParams {
-            memory_latency_ns: 73.0,
-            l2_latency: Cycles::new(25),
-            three_hop_fraction: 0.3,
-        }
-    }
-}
+/// The paper's fraction of transactions that take three coherence hops
+/// (§4.2); [`crate::WorkloadConfig::with_three_hop_fraction`] varies it.
+pub(crate) const PAPER_THREE_HOP_FRACTION: f64 = 0.3;
 
 /// Transaction metadata packed into the 64-bit `Packet::txn` field.
 ///
@@ -114,13 +101,5 @@ mod tests {
         assert_eq!(u.owner, 0);
         assert!(!u.three_hop);
         assert_eq!(u.seq, 0);
-    }
-
-    #[test]
-    fn paper_defaults() {
-        let p = CoherenceParams::default();
-        assert_eq!(p.memory_latency_ns, 73.0);
-        assert_eq!(p.l2_latency, Cycles::new(25));
-        assert_eq!(p.three_hop_fraction, 0.3);
     }
 }

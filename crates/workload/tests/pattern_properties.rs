@@ -101,18 +101,3 @@ fn txn_tags_round_trip() {
         assert_eq!(TxnTag::unpack(tag.pack()), tag);
     }
 }
-
-#[test]
-fn transpose_is_involutive_on_squares() {
-    let mut rng = SimRng::from_seed(4);
-    for topo in [
-        NetTopology::from(Torus::new(8, 8)),
-        NetTopology::from(Mesh::new(8, 8)),
-    ] {
-        for src in 0..topo.nodes() {
-            let once = TrafficPattern::Transpose.dest(&topo, src, &mut rng);
-            let twice = TrafficPattern::Transpose.dest(&topo, once, &mut rng);
-            assert_eq!(twice, src);
-        }
-    }
-}

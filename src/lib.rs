@@ -56,8 +56,8 @@ pub use workload;
 pub mod prelude {
     pub use arbitration::prelude::*;
     pub use network::{
-        DeadLinks, Endpoint, FaultConfig, FullMesh, InjectionOutcome, LinkFlap, LinkKill, Mesh,
-        NetTopology, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, ShardMap, Topology, Torus,
+        DeadLinks, Endpoint, FaultConfig, FullMesh, Grid, InjectionOutcome, LinkFlap, LinkKill,
+        Mesh, NetTopology, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, ShardMap, Torus,
         TxnCompletion,
     };
     pub use router::{
@@ -69,8 +69,8 @@ pub mod prelude {
         find_mcm_saturation_load, run_standalone, AlgoKind, StandaloneConfig, StandaloneResult,
     };
     pub use workload::{
-        build_endpoints, run_coherence_sim, BurstConfig, CoherenceEndpoint, CoherenceParams,
-        EndpointStats, HotspotTargets, MshrTable, TrafficPattern, TxnTag, WorkloadConfig,
+        build_endpoints, run_coherence_sim, BurstConfig, CoherenceEndpoint, EndpointStats,
+        HotspotTargets, TrafficPattern, TxnTag, WorkloadConfig,
     };
 }
 

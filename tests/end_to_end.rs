@@ -3,7 +3,7 @@
 
 use alpha21364::prelude::*;
 
-fn net_config(torus: Torus, algo: ArbAlgorithm, cycles: u64, seed: u64) -> NetworkConfig {
+fn net_config(torus: Grid, algo: ArbAlgorithm, cycles: u64, seed: u64) -> NetworkConfig {
     NetworkConfig {
         topology: torus.into(),
         router: RouterConfig::alpha_21364(algo),
@@ -107,13 +107,7 @@ fn adversarial_wrap_traffic_does_not_deadlock() {
 
         fault: network::FaultConfig::default(),
     };
-    let wl = WorkloadConfig {
-        pattern: TrafficPattern::Tornado,
-        injection_rate: 0.05,
-        mshrs: 16,
-        coherence: CoherenceParams::default(),
-        burst: None,
-    };
+    let wl = WorkloadConfig::paper(TrafficPattern::Tornado, 0.05);
     let (report, stats) = run_coherence_sim(cfg, wl);
     assert!(
         stats.transactions_completed > 500,
@@ -212,13 +206,7 @@ fn mshr_scaling_increases_peak_load() {
     // once the generation rate saturates the MSHR table.
     let thr = |mshrs| {
         let cfg = net_config(Torus::net_4x4(), ArbAlgorithm::SpaaRotary, 6000, 9);
-        let wl = WorkloadConfig {
-            pattern: TrafficPattern::Uniform,
-            injection_rate: 1.0,
-            mshrs,
-            coherence: CoherenceParams::default(),
-            burst: None,
-        };
+        let wl = WorkloadConfig::closed_loop(TrafficPattern::Uniform, 1.0, mshrs);
         run_coherence_sim(cfg, wl).0.flits_per_router_ns
     };
     let t16 = thr(16);

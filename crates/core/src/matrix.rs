@@ -210,31 +210,6 @@ impl RequestMatrix {
         m
     }
 
-    /// Rebuilds this matrix in place from row masks, reusing its row
-    /// allocation — the zero-allocation path for per-window rebuilds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any mask uses bits at or above `cols`, or dimensions are
-    /// out of range.
-    pub fn copy_rows_from(&mut self, masks: &[u32], cols: usize) {
-        assert!(
-            !masks.is_empty() && masks.len() <= MAX_DIM,
-            "rows out of range: {}",
-            masks.len()
-        );
-        assert!(cols > 0 && cols <= MAX_DIM, "cols out of range: {cols}");
-        for (i, &mask) in masks.iter().enumerate() {
-            assert!(
-                cols == 32 || mask < (1u32 << cols),
-                "row {i} mask {mask:#x} exceeds {cols} columns"
-            );
-        }
-        self.rows.clear();
-        self.rows.extend_from_slice(masks);
-        self.cols = cols;
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -323,10 +298,10 @@ impl RequestMatrix {
 /// Per-(row, column) weights carried alongside a [`RequestMatrix`].
 ///
 /// The weight of a cell is only meaningful where the companion request
-/// bitmask is set; the plane is *not* cleared between arbitrations — the
-/// zero-allocation rebuild contract is that callers rewrite the weight of
-/// every cell they request (exactly how [`RequestMatrix::copy_rows_from`]
-/// rewrites every row). Two weight sources are in use:
+/// bitmask is set: every reader (the weighted kernels, the MWM oracle,
+/// [`WeightMatrix::matching_weight`] on a matching drawn from the requests)
+/// indexes strictly under it, so a caller reusing a plane only has to
+/// write the cells it requests. Two weight sources are in use:
 ///
 /// * **queue depth** — waiting packets behind the head-of-line packet for
 ///   that (input, output); the iLQF objective (longest queue first);

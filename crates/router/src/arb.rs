@@ -16,6 +16,8 @@
 
 use crate::entry::EntryId;
 use crate::vc::VcId;
+use arbitration::arbiter::ArbitrationInput;
+use arbitration::matrix::{RequestMatrix, WeightMatrix};
 use simcore::Tick;
 
 /// One in-flight SPAA nomination awaiting its GA stage.
@@ -77,85 +79,72 @@ pub struct Candidate {
     pub downstream_vc: Option<VcId>,
 }
 
-/// The per-window snapshot for the PIM1/WFA driver.
+/// The per-window snapshot for the PIM1/WFA driver: the candidate behind
+/// every requested cell, and the kernel input those requests form.
 ///
-/// The candidate table is stored row-major in one flat slab so a
-/// [`Router`](crate::router::Router) can own a single snapshot for its
-/// whole lifetime and [`reset`](WindowSnapshot::reset) it every window
+/// A [`Router`](crate::router::Router) owns a single snapshot for its
+/// whole lifetime and [`reset`](WindowSnapshot::reset)s it every window
 /// without touching the allocator.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct WindowSnapshot {
     cols: usize,
-    /// Flat `rows × cols` candidate table.
+    /// Flat row-major `rows × cols` candidate table, `Some` exactly where
+    /// `input.requests` has the bit set.
     candidates: Vec<Option<Candidate>>,
-    /// Flat `rows × cols` weight plane (queue depth or head-of-line age),
-    /// meaningful only where a candidate is set. Unweighted algorithms
-    /// pass weight 0 on every offer, leaving the plane inert.
-    weights: Vec<u32>,
-    /// Request mask per row.
-    row_masks: Vec<u32>,
+    /// What the matching kernel reads: offers set request bits (and
+    /// weight cells) here directly. The weight plane exists only when the
+    /// snapshot was built weighted, and is zero outside the requests. The
+    /// nominations are the single-nomination view no windowed kernel reads.
+    pub(crate) input: ArbitrationInput,
 }
 
 impl WindowSnapshot {
-    /// An empty snapshot for a `rows × cols` matrix.
-    pub fn new(rows: usize, cols: usize) -> Self {
+    /// An empty snapshot for a `rows × cols` matrix; `weighted` gives it a
+    /// weight plane (queue depth or head-of-line age) for offers to stamp.
+    pub fn new(rows: usize, cols: usize, weighted: bool) -> Self {
         WindowSnapshot {
             cols,
             candidates: vec![None; rows * cols],
-            weights: vec![0; rows * cols],
-            row_masks: vec![0; rows],
+            input: ArbitrationInput {
+                requests: RequestMatrix::new(rows, cols),
+                nominations: vec![None; rows],
+                weights: weighted.then(|| WeightMatrix::new(rows, cols)),
+            },
         }
     }
 
     /// Clears all offers, keeping the allocation. Sparse: only cells the
-    /// previous window actually populated (tracked by the row masks) are
-    /// touched, so an idle or lightly-loaded window costs nothing — the
+    /// previous window actually populated (tracked by the request masks)
+    /// are touched, so an idle or lightly-loaded window costs nothing — the
     /// end state is identical to clearing every cell.
     pub fn reset(&mut self) {
-        for (row, mask) in self.row_masks.iter_mut().enumerate() {
-            let mut m = *mask;
+        let input = &mut self.input;
+        for row in 0..input.requests.rows() {
+            let mut m = input.requests.row_mask(row);
             while m != 0 {
                 let col = m.trailing_zeros() as usize;
                 m &= m - 1;
                 self.candidates[row * self.cols + col] = None;
-                self.weights[row * self.cols + col] = 0;
+                if let Some(w) = input.weights.as_mut() {
+                    w.set(row, col, 0);
+                }
             }
-            *mask = 0;
+            input.requests.set_row_mask(row, 0);
         }
     }
 
     /// Records that `row` could dispatch `cand` through `col` at the
     /// given scheduling weight (first writer wins: rows are scanned
     /// oldest-first, so the earliest candidate — and its weight — is the
-    /// one the hardware's entry table would pick). Callers running an
-    /// unweighted algorithm pass `weight` 0.
+    /// one the hardware's entry table would pick). An unweighted snapshot
+    /// ignores `weight`.
     pub fn offer(&mut self, row: usize, col: usize, cand: Candidate, weight: u32) {
         let cell = &mut self.candidates[row * self.cols + col];
         if cell.is_none() {
             *cell = Some(cand);
-            self.weights[row * self.cols + col] = weight;
-            self.row_masks[row] |= 1 << col;
-        }
-    }
-
-    /// The weight recorded for `(row, col)` (0 when no offer landed
-    /// there, or when the window was filled without weights).
-    #[inline]
-    pub fn weight(&self, row: usize, col: usize) -> u32 {
-        self.weights[row * self.cols + col]
-    }
-
-    /// Copies the snapshot's weights into `w` for every requested cell.
-    /// Cells outside the row masks are left untouched — the weighted
-    /// kernels only ever read weights under the request bitmask, so
-    /// stale values elsewhere are unobservable.
-    pub fn fill_weight_matrix(&self, w: &mut arbitration::matrix::WeightMatrix) {
-        for (row, &mask) in self.row_masks.iter().enumerate() {
-            let mut m = mask;
-            while m != 0 {
-                let col = m.trailing_zeros() as usize;
-                m &= m - 1;
-                w.set(row, col, self.weights[row * self.cols + col]);
+            self.input.requests.set(row, col);
+            if let Some(w) = self.input.weights.as_mut() {
+                w.set(row, col, weight);
             }
         }
     }
@@ -164,17 +153,6 @@ impl WindowSnapshot {
     #[inline]
     pub fn candidate(&self, row: usize, col: usize) -> Option<Candidate> {
         self.candidates[row * self.cols + col]
-    }
-
-    /// Request mask per row (the request-matrix image of the snapshot).
-    #[inline]
-    pub fn row_masks(&self) -> &[u32] {
-        &self.row_masks
-    }
-
-    /// True when no row has any request.
-    pub fn is_empty(&self) -> bool {
-        self.row_masks.iter().all(|&m| m == 0)
     }
 }
 
@@ -202,43 +180,66 @@ mod tests {
         assert!(!rp.can_arbitrate(Tick::new(59), Tick::new(40), 2));
     }
 
-    #[test]
-    fn snapshot_first_offer_wins() {
-        let mut s = WindowSnapshot::new(2, 3);
-        assert!(s.is_empty());
-        let a = Candidate {
-            entry: EntryId::new(7, 0),
+    fn cand(slot: u32) -> Candidate {
+        Candidate {
+            entry: EntryId::new(slot, 0),
             downstream_vc: None,
-        };
-        let b = Candidate {
-            entry: EntryId::new(9, 0),
-            downstream_vc: None,
-        };
-        s.offer(0, 1, a, 5);
-        s.offer(0, 1, b, 9);
-        assert_eq!(s.candidate(0, 1), Some(a), "oldest candidate retained");
-        assert_eq!(s.weight(0, 1), 5, "winner's weight retained too");
-        assert_eq!(s.row_masks()[0], 0b010);
-        assert!(!s.is_empty());
-        s.reset();
-        assert!(s.is_empty());
-        assert_eq!(s.candidate(0, 1), None, "reset clears candidates");
-        assert_eq!(s.weight(0, 1), 0, "reset clears weights");
+        }
+    }
+
+    /// Requests, candidates and weights as `(row, col, cand, weight)` per
+    /// requested cell — everything a kernel or a dispatch can observe.
+    fn observable(s: &WindowSnapshot) -> Vec<(usize, usize, Option<Candidate>, u32)> {
+        let req = &s.input.requests;
+        let mut cells = Vec::new();
+        for row in 0..req.rows() {
+            for col in 0..req.cols() {
+                let weight = s.input.weights.as_ref().map_or(0, |w| w.weight(row, col));
+                if req.requested(row, col) || s.candidate(row, col).is_some() || weight != 0 {
+                    cells.push((row, col, s.candidate(row, col), weight));
+                }
+            }
+        }
+        cells
     }
 
     #[test]
-    fn snapshot_weights_project_onto_a_weight_matrix() {
-        let mut s = WindowSnapshot::new(2, 3);
-        let cand = Candidate {
-            entry: EntryId::new(1, 0),
-            downstream_vc: None,
-        };
-        s.offer(0, 2, cand, 7);
-        s.offer(1, 0, cand, 3);
-        let mut w = arbitration::matrix::WeightMatrix::new(2, 3);
-        s.fill_weight_matrix(&mut w);
-        assert_eq!(w.weight(0, 2), 7);
-        assert_eq!(w.weight(1, 0), 3);
-        assert_eq!(w.weight(0, 0), 0, "unrequested cells untouched");
+    fn snapshot_first_offer_keeps_candidate_and_weight() {
+        let mut s = WindowSnapshot::new(2, 3, true);
+        s.offer(0, 1, cand(7), 5);
+        s.offer(0, 1, cand(9), 9);
+        assert_eq!(
+            observable(&s),
+            [(0, 1, Some(cand(7)), 5)],
+            "oldest candidate and its weight retained, request bit set"
+        );
+        assert_eq!(s.input.requests.row_mask(0), 0b010);
+        assert!(s.input.validate(), "no nomination outside the requests");
+    }
+
+    #[test]
+    fn reset_snapshot_equals_a_fresh_one() {
+        for weighted in [false, true] {
+            let mut s = WindowSnapshot::new(2, 3, weighted);
+            s.offer(0, 2, cand(1), 7);
+            s.offer(1, 0, cand(2), 3);
+            s.reset();
+            assert_eq!(observable(&s), [], "weighted {weighted}");
+            // A cell claimed before the reset is open to a new first writer.
+            s.offer(0, 2, cand(4), 2);
+            let mut fresh = WindowSnapshot::new(2, 3, weighted);
+            fresh.offer(0, 2, cand(4), 2);
+            assert_eq!(observable(&s), observable(&fresh));
+        }
+    }
+
+    #[test]
+    fn unweighted_snapshot_never_grows_a_weight_plane() {
+        let mut s = WindowSnapshot::new(2, 3, false);
+        s.offer(1, 2, cand(3), 11);
+        assert!(s.input.weights.is_none(), "offer allocated a plane");
+        assert_eq!(observable(&s), [(1, 2, Some(cand(3)), 0)]);
+        s.reset();
+        assert!(s.input.weights.is_none(), "reset allocated a plane");
     }
 }

@@ -25,8 +25,8 @@ use crate::packet::Packet;
 use crate::route::RouteInfo;
 use crate::stats::RouterStats;
 use crate::vc::{VcId, NUM_VCS};
-use arbitration::arbiter::{Arbiter, ArbitrationInput};
-use arbitration::matrix::{ConnectionMatrix, RequestMatrix, WeightMatrix};
+use arbitration::arbiter::Arbiter;
+use arbitration::matrix::ConnectionMatrix;
 use arbitration::policy::{RotaryMode, Selector};
 use arbitration::ports::{
     InputPort, OutputPort, NETWORK_ROW_MASK, NUM_ARBITER_ROWS, NUM_INPUT_PORTS, NUM_OUTPUT_PORTS,
@@ -224,17 +224,10 @@ pub struct Router {
     scratch_dispatched: Vec<(usize, EntryId)>,
     /// Windowed driver: per-input collected ready-entry slots.
     scratch_collect: Vec<u32>,
-    /// Windowed driver: the per-window offer table, reset in place.
-    win_snapshot: WindowSnapshot,
-    /// Windowed driver: the kernel's input, rebuilt in place each window.
-    /// The request matrix is rewritten whole; the weight plane (present
-    /// exactly when `weight_kind` is) is projected from the snapshot,
-    /// rewriting every requested cell — cells outside the current request
-    /// mask may hold stale values, which no reader (the weighted kernels,
-    /// the oracle, `matching_weight`) ever observes, since all of them
-    /// index strictly under the request bitmask. The nominations are the
-    /// single-nomination view no windowed kernel reads.
-    win_input: ArbitrationInput,
+    /// Windowed driver: the per-window offer table and the kernel input
+    /// it builds, reset in place (its weight plane is present exactly
+    /// when `weight_kind` is); `None` for the SPAA family.
+    win_snapshot: Option<WindowSnapshot>,
 }
 
 impl Router {
@@ -266,6 +259,9 @@ impl Router {
             .map(|kind| kind.build(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS));
         let weight_kind = cfg.algorithm.weight_kind().or_else(|| {
             (cfg.measure_matching_weight && !cfg.algorithm.is_spaa()).then_some(WeightKind::Depth)
+        });
+        let win_snapshot = kernel.is_some().then(|| {
+            WindowSnapshot::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS, weight_kind.is_some())
         });
         let inputs = (0..NUM_INPUT_PORTS)
             .map(|_| InputBuffer::new(cfg.buffers.clone(), cfg.scan_window))
@@ -310,12 +306,7 @@ impl Router {
             scratch_releases: Vec::new(),
             scratch_dispatched: Vec::new(),
             scratch_collect: Vec::new(),
-            win_snapshot: WindowSnapshot::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS),
-            win_input: ArbitrationInput {
-                requests: RequestMatrix::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS),
-                nominations: vec![None; NUM_ARBITER_ROWS],
-                weights: weight_kind.map(|_| WeightMatrix::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS)),
-            },
+            win_snapshot,
         }
     }
 
@@ -1109,7 +1100,10 @@ impl Router {
         }
         // The snapshot is router-owned scratch, moved out for the duration
         // of the window and rebuilt in place.
-        let mut snapshot = std::mem::take(&mut self.win_snapshot);
+        let mut snapshot = self
+            .win_snapshot
+            .take()
+            .expect("a windowed algorithm builds a snapshot");
         snapshot.reset();
         // Anti-starvation: old entries claim matrix cells first (offers
         // are first-writer-wins), then the general population fills in.
@@ -1117,20 +1111,13 @@ impl Router {
             self.fill_snapshot(&mut snapshot, now, free, Some(cutoff));
         }
         self.fill_snapshot(&mut snapshot, now, free, None);
-        if snapshot.is_empty() {
-            self.win_snapshot = snapshot;
+        let input = &snapshot.input;
+        let requested = input.requests.request_count();
+        if requested == 0 {
+            self.win_snapshot = Some(snapshot);
             return;
         }
-        let input = &mut self.win_input;
-        input
-            .requests
-            .copy_rows_from(snapshot.row_masks(), NUM_OUTPUT_PORTS);
-        self.stats
-            .nominations
-            .add(input.requests.request_count() as u64);
-        if let Some(weights) = input.weights.as_mut() {
-            snapshot.fill_weight_matrix(weights);
-        }
+        self.stats.nominations.add(requested as u64);
         let kernel = self
             .kernel
             .as_mut()
@@ -1171,7 +1158,7 @@ impl Router {
             self.dispatch(row, cand.entry, col, cand.downstream_vc, ga, out);
         }
         self.scratch_dispatched = dispatched;
-        self.win_snapshot = snapshot;
+        self.win_snapshot = Some(snapshot);
     }
 
     /// Builds the window's offer table. The snapshot's cells are disjoint
@@ -1191,8 +1178,8 @@ impl Router {
         // VC's waiting-entry count behind the candidate (≥ 1, since the
         // candidate itself waits there); age is the candidate's eligibility
         // age in core cycles, floored at 1 so a requested cell never
-        // carries weight 0. `None` stamps 0 everywhere — the unweighted
-        // kernels never read the plane.
+        // carries weight 0. `None` computes nothing — the snapshot then
+        // has no plane to stamp.
         let weight_kind = self.weight_kind;
         let core_period = self.cfg.timing.core.period().as_ticks().max(1);
         let mut collected = std::mem::take(&mut self.scratch_collect);
@@ -1275,7 +1262,7 @@ impl Router {
                     // candidate, deeper entries could only re-offer
                     // claimed cells (no-ops), so the row scan can stop —
                     // exactly what a full walk would produce.
-                    if wired & !(snap.row_masks()[row] as u8) == 0 {
+                    if wired & !(snap.input.requests.row_mask(row) as u8) == 0 {
                         break;
                     }
                     let (start, end) = ranges[vc_idx as usize];

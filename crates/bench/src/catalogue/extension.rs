@@ -46,7 +46,7 @@ fn tori() -> [network::Grid; 2] {
 /// pipeline tax, so iSLIP3 wins matches yet loses zero-load latency; and
 /// none of the windowed variants can reach SPAA-rotary's pipelined
 /// initiation rate.
-pub fn islip(args: &Args) -> Members {
+pub(crate) fn islip(args: &Args) -> Members {
     let (cycles, _) = args.scale.resolve(&Grid::STANDARD);
     let mode = args.scale.mode();
     // The iSLIP family plus its two reference points from the paper.
@@ -90,7 +90,7 @@ pub fn islip(args: &Args) -> Members {
 /// the full mesh delivers one-hop routes and the highest per-node
 /// throughput of the three, bounded by the source's four injection
 /// links rather than by path contention.
-pub fn topology(args: &Args) -> Members {
+pub(crate) fn topology(args: &Args) -> Members {
     let (cycles, _) = args.scale.resolve(&Grid::STANDARD);
     let mode = args.scale.mode();
     // Both grid sizes in both wirings, plus the largest full mesh the
@@ -133,7 +133,7 @@ pub fn topology(args: &Args) -> Members {
 /// `SweepSpec::run_replicated` and reports mean ± 95% CI per point, on
 /// the two canonical non-uniform stress scenarios the paper does not
 /// cover ([`Scenario::Hotspot`], [`Scenario::Bursty`]).
-pub fn scenarios(args: &Args) -> Members {
+pub(crate) fn scenarios(args: &Args) -> Members {
     // Slightly below the smooth-sweep default: the replication ×5
     // dominates the budget, and the CI half-widths — not the per-run
     // cycle count — carry the precision story. The smoke mode keeps two
@@ -222,7 +222,7 @@ fn weight_gap(matched: u64, mwm: u64) -> Option<f64> {
 /// weights are *skewed* — hotspot and bursty panels — while on smooth
 /// uniform traffic all windowed algorithms sit within noise of each
 /// other, and none reaches SPAA-rotary's pipelined initiation rate.
-pub fn weighted(args: &Args) -> Members {
+pub(crate) fn weighted(args: &Args) -> Members {
     // Below the smooth-sweep default: the per-window Hungarian oracle
     // roughly doubles per-cycle cost, and the gap story needs load
     // coverage more than per-point precision.
@@ -314,7 +314,7 @@ pub fn weighted(args: &Args) -> Members {
 /// crossing ([`prove_bit_exactness`] on one closed-loop configuration,
 /// down to the raw f64 bits of the transaction latency statistics; the
 /// JSON records `"bit_exact": true`).
-pub fn closedloop(args: &Args) -> Members {
+pub(crate) fn closedloop(args: &Args) -> Members {
     /// `DEFAULT_RATES` trimmed of its two cheapest points — the
     /// open/closed divergence lives at the bend and beyond, and needs
     /// the load span more than per-point precision.
@@ -413,7 +413,7 @@ pub fn closedloop(args: &Args) -> Members {
 /// before writing the table the figure proves that crossing at scale
 /// ([`prove_bit_exactness`] on one loaded 16×16 configuration; the JSON
 /// records `"bit_exact": true`).
-pub fn bigtorus(args: &Args) -> Members {
+pub(crate) fn bigtorus(args: &Args) -> Members {
     // Big tori pay per-cycle costs 16-64x the 4x4's, so the default mode
     // runs shorter windows than the small-torus figures; the paper mode
     // keeps the full 75,000-cycle discipline on the 16x16 and half of it
@@ -515,7 +515,7 @@ pub fn bigtorus(args: &Args) -> Members {
 /// crossing ([`prove_bit_exactness`] on one full-storm configuration:
 /// corruption + flaps + a scheduled kill + boot-time dead links, every
 /// fault counter compared; the JSON records `"bit_exact": true`).
-pub fn faults(args: &Args) -> Members {
+pub(crate) fn faults(args: &Args) -> Members {
     /// Fixed offered load for every fault sweep: just below the
     /// fault-free saturation knee of the smaller 4×4 shapes, so
     /// degradation comes from the faults and not from ordinary congestion.

@@ -32,7 +32,7 @@ fn standalone_base(args: &Args) -> StandaloneConfig {
 /// Paper readings to check: MCM/WFA/PIM nearly coincide and approach 7;
 /// PIM1 sits visibly below; SPAA is lowest. At the MCM saturation load
 /// MCM-family matches are ~36% above SPAA and PIM1 ~14% above SPAA.
-pub fn fig08(args: &Args) {
+pub(crate) fn fig08(args: &Args) {
     let base = standalone_base(args);
     let sat = find_mcm_saturation_load(&base, 0.15);
     println!(
@@ -112,7 +112,7 @@ pub fn fig08(args: &Args) {
 /// increases, the difference between the algorithms reduces and
 /// completely disappears when 75% of the output ports are occupied" —
 /// the observation SPAA's design rests on.
-pub fn fig09(args: &Args) {
+pub(crate) fn fig09(args: &Args) {
     let base = standalone_base(args);
     let sat = find_mcm_saturation_load(&base, 0.15).min(1.0);
     println!(
@@ -154,7 +154,7 @@ pub fn fig09(args: &Args) {
 /// throughput at 83 ns on the 4×4, ≈24% at 122 ns on the 8×8), and the
 /// rotary variants hold their throughput past saturation while the base
 /// variants collapse.
-pub fn fig10(args: &Args) {
+pub(crate) fn fig10(args: &Args) {
     let topology = NetTopology::from(args.net);
     println!(
         "Figure 10: {topology} torus, {} traffic, {:?} scale\n",
@@ -199,7 +199,7 @@ fn fig11(
 /// significantly better with longer pipelines because SPAA-rotary is
 /// pipelined, unlike the other two... at about 100 ns of average packet
 /// latency, SPAA-rotary provides greater than 60% higher throughput."
-pub fn fig11a(args: &Args) {
+pub(crate) fn fig11a(args: &Args) {
     let heading = "Figure 11a: 2x pipeline, 8x8 torus, uniform traffic";
     fig11(args, heading, Torus::net_8x8(), 100.0, ">60%", |spec| {
         spec.scaled_2x = true
@@ -218,7 +218,7 @@ pub fn fig11a(args: &Args) {
 ///
 /// This experiment keeps the closed loop engaged (that is its point) and
 /// raises the limit to 64.
-pub fn fig11b(args: &Args) {
+pub(crate) fn fig11b(args: &Args) {
     let heading = "Figure 11b: 64 outstanding misses, 8x8 torus, uniform traffic";
     fig11(args, heading, Torus::net_8x8(), 200.0, "~13%", |spec| {
         spec.mshrs = 64;
@@ -240,7 +240,7 @@ pub fn fig11b(args: &Args) {
 ///
 /// The 12×12 node count is not a power of two, so (as in the paper) only
 /// uniform traffic applies.
-pub fn fig11c(args: &Args) {
+pub(crate) fn fig11c(args: &Args) {
     let heading = "Figure 11c: 12x12 torus, uniform traffic";
     fig11(args, heading, Torus::net_12x12(), 200.0, "~18%", |_| {});
 }
@@ -256,7 +256,7 @@ pub fn fig11c(args: &Args) {
 /// We run the hypothetical 3-cycle, non-pipelined WFA
 /// ([`router::ArbAlgorithm::WfaBase3Cycle`]) against SPAA-base and
 /// WFA-base and compare throughput at the paper's reference latency.
-pub fn ablation_wfa3(args: &Args) {
+pub(crate) fn ablation_wfa3(args: &Args) {
     println!(
         "Ablation: pipelining in isolation (8x8 uniform, {:?} scale)",
         args.scale
@@ -290,7 +290,7 @@ pub fn ablation_wfa3(args: &Args) {
 /// under heavy load. This measurement was done using SPAA." We sweep
 /// SPAA's arbitration latency from the production 3 cycles to 8 and
 /// report the sustained heavy-load throughput of each depth.
-pub fn ablation_pipeline_depth(args: &Args) {
+pub(crate) fn ablation_pipeline_depth(args: &Args) {
     let (cycles, _) = args.scale.resolve(&Grid::STANDARD);
     // Heavy (but pre-collapse) load on the 8x8 network.
     let rate = 0.02;
@@ -357,7 +357,7 @@ pub fn ablation_pipeline_depth(args: &Args) {
 /// With scarce buffers, credits (not arbitration speed) gate dispatch,
 /// and WFA's better matching buys back ground — the expected erosion of
 /// SPAA's edge.
-pub fn ablation_buffers(args: &Args) {
+pub(crate) fn ablation_buffers(args: &Args) {
     let (cycles, _) = args.scale.resolve(&Grid::STANDARD);
     // A saturating load: with deep buffers this sits at the knee; with
     // shallow buffers, credit scarcity is the binding constraint.

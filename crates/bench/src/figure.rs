@@ -3,12 +3,12 @@
 //! A figure is panels × curves × grid × columns:
 //!
 //! * the **grid** (run length and swept values) comes from the one mode
-//!   resolver, [`Scale::resolve`], over a per-figure [`crate::Grid`] that
+//!   resolver, `Scale::resolve`, over a per-figure `crate::Grid` that
 //!   states its overrides as data;
 //! * every cell runs through the one point runner (`crate::run_jobs`,
-//!   via [`sweep`]) and keeps its full report;
-//! * one **column list** per figure ([`Column`]) renders both the text
-//!   table ([`table`]) and the JSON points ([`json_points`]), so the two
+//!   via `sweep`) and keeps its full report;
+//! * one **column list** per figure (`Column`) renders both the text
+//!   table (`table`) and the JSON points (`json_points`), so the two
 //!   cannot drift apart;
 //! * the JSON document goes through the one writer, `simcore::json`,
 //!   under the header the driver adds ([`Figure::document`]).
@@ -33,9 +33,9 @@ pub struct Args {
     /// `--out`: where the JSON table goes (a directory for `fig all`).
     pub out: Option<String>,
     /// `--net`: the torus of a `fig10` panel.
-    pub net: network::Grid,
+    pub(crate) net: network::Grid,
     /// `--pattern`: the traffic of a `fig10` panel.
-    pub pattern: TrafficPattern,
+    pub(crate) pattern: TrafficPattern,
 }
 
 /// How a figure runs: text only, or text plus a JSON table.
@@ -49,17 +49,17 @@ pub enum Run {
 }
 
 /// The members of a JSON object, in order.
-pub type Members = Vec<(&'static str, Json)>;
+pub(crate) type Members = Vec<(&'static str, Json)>;
 
 /// One catalogue entry.
 pub struct Figure {
     /// `fig <name>`.
     pub name: &'static str,
     /// One line for `fig --list`.
-    pub about: &'static str,
+    pub(crate) about: &'static str,
     /// Value flags it takes besides `--out` (which every [`Run::Table`]
     /// figure takes): a subset of `--net`, `--pattern`.
-    pub flags: &'static [&'static str],
+    pub(crate) flags: &'static [&'static str],
     /// The argument lists `fig all` runs it under, one job each.
     pub jobs: &'static [&'static [&'static str]],
     /// The figure itself.
@@ -68,7 +68,7 @@ pub struct Figure {
 
 impl Figure {
     /// A figure that takes no flags of its own and is one `fig all` job.
-    pub const fn new(name: &'static str, about: &'static str, run: Run) -> Figure {
+    pub(crate) const fn new(name: &'static str, about: &'static str, run: Run) -> Figure {
         Figure {
             name,
             about,
@@ -197,7 +197,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
 
 /// A cell's value; the column says how many decimals a float gets.
 #[derive(Clone, Copy, Debug)]
-pub enum Val {
+pub(crate) enum Val {
     /// A measured float, fixed decimals.
     F(f64),
     /// A measured float that may be undefined: `-` in text, `null` in JSON.
@@ -211,7 +211,7 @@ pub enum Val {
 /// One column of a figure over rows of type `R`: its text-table header
 /// (`None` = JSON only), its JSON key, the decimals a float gets in
 /// each, and the value.
-pub struct Column<R> {
+pub(crate) struct Column<R> {
     head: Option<&'static str>,
     key: &'static str,
     decimals: (usize, usize),
@@ -221,7 +221,7 @@ pub struct Column<R> {
 impl<R> Column<R> {
     /// A column in both renderings (text under `head`, unless `None`);
     /// `decimals` is `(text, JSON)`.
-    pub fn new(
+    pub(crate) fn new(
         head: impl Into<Option<&'static str>>,
         key: &'static str,
         decimals: (usize, usize),
@@ -236,7 +236,7 @@ impl<R> Column<R> {
     }
 
     /// A count.
-    pub fn count(
+    pub(crate) fn count(
         head: impl Into<Option<&'static str>>,
         key: &'static str,
         get: fn(&R) -> Val,
@@ -245,7 +245,7 @@ impl<R> Column<R> {
     }
 
     /// The same column under another text header (`None` = JSON only).
-    pub fn titled(self, head: impl Into<Option<&'static str>>) -> Self {
+    pub(crate) fn titled(self, head: impl Into<Option<&'static str>>) -> Self {
         Column {
             head: head.into(),
             ..self
@@ -273,12 +273,12 @@ impl<R> Column<R> {
 }
 
 /// The JSON name the committed tables give the throughput axis.
-pub const DELIVERED: &str = "delivered_flits_per_router_ns";
+pub(crate) const DELIVERED: &str = "delivered_flits_per_router_ns";
 
 /// The four BNF columns of a load-swept figure — offered load,
 /// delivered throughput (JSON name `throughput_key`), packet latency,
 /// delivered packets — for a figure to use as they are or re-title.
-pub fn bnf_columns(throughput_key: &'static str) -> [Column<Point>; 4] {
+pub(crate) fn bnf_columns(throughput_key: &'static str) -> [Column<Point>; 4] {
     [
         Column::new("offered(pkt/node/cy)", "offered", (4, 4), |p| Val::F(p.x)),
         Column::new("delivered(flits/router/ns)", throughput_key, (4, 5), |p| {
@@ -292,16 +292,20 @@ pub fn bnf_columns(throughput_key: &'static str) -> [Column<Point>; 4] {
 }
 
 /// One labelled curve of a panel.
-pub struct Curve<R> {
+pub(crate) struct Curve<R> {
     /// Algorithm (or loop-mode) name.
-    pub label: String,
+    pub(crate) label: String,
     /// Its rows, in grid order.
-    pub points: Vec<R>,
+    pub(crate) points: Vec<R>,
 }
 
 /// The text table of a panel: one row per point, led by the curve label
 /// under `label_head` (no label column when `None`).
-pub fn table<R>(label_head: Option<&str>, columns: &[Column<R>], curves: &[Curve<R>]) -> Table {
+pub(crate) fn table<R>(
+    label_head: Option<&str>,
+    columns: &[Column<R>],
+    curves: &[Curve<R>],
+) -> Table {
     let shown = || columns.iter().filter_map(|c| Some((c.head?, c)));
     let heads: Vec<&str> = label_head
         .into_iter()
@@ -323,13 +327,17 @@ pub fn table<R>(label_head: Option<&str>, columns: &[Column<R>], curves: &[Curve
 }
 
 /// The JSON points of one curve: one object per row, one line each.
-pub fn json_points<R>(columns: &[Column<R>], points: &[R]) -> Json {
+pub(crate) fn json_points<R>(columns: &[Column<R>], points: &[R]) -> Json {
     let object = |row| Json::Object(columns.iter().map(|c| (c.key, c.json(row))).collect());
     Json::Array(points.iter().map(object).collect())
 }
 
 /// The JSON curves of a panel: `{label_key: label, "points": [...]}` each.
-pub fn json_curves<R>(label_key: &'static str, columns: &[Column<R>], curves: &[Curve<R>]) -> Json {
+pub(crate) fn json_curves<R>(
+    label_key: &'static str,
+    columns: &[Column<R>],
+    curves: &[Curve<R>],
+) -> Json {
     Json::Array(
         curves
             .iter()
@@ -344,7 +352,7 @@ pub fn json_curves<R>(label_key: &'static str, columns: &[Column<R>], curves: &[
 }
 
 /// The BNF view of a panel's curves, for [`summary_table`].
-pub fn bnf_curves(curves: &[Curve<Point>]) -> Vec<BnfCurve> {
+pub(crate) fn bnf_curves(curves: &[Curve<Point>]) -> Vec<BnfCurve> {
     curves
         .iter()
         .map(|c| bnf_curve(c.label.clone(), &c.points))
@@ -353,7 +361,7 @@ pub fn bnf_curves(curves: &[Curve<Point>]) -> Vec<BnfCurve> {
 
 /// Summarizes the paper's headline comparisons for a panel: peak and
 /// final throughput per algorithm plus throughput at a reference latency.
-pub fn summary_table(curves: &[BnfCurve], ref_latency_ns: f64) -> Table {
+pub(crate) fn summary_table(curves: &[BnfCurve], ref_latency_ns: f64) -> Table {
     let mut t = Table::with_columns(&[
         "algorithm",
         "peak thr",
@@ -375,7 +383,11 @@ pub fn summary_table(curves: &[BnfCurve], ref_latency_ns: f64) -> Table {
 }
 
 /// Prints a load-swept panel: its point table, then its summary.
-pub fn print_bnf_tables(columns: &[Column<Point>], curves: &[Curve<Point>], ref_latency_ns: f64) {
+pub(crate) fn print_bnf_tables(
+    columns: &[Column<Point>],
+    curves: &[Curve<Point>],
+    ref_latency_ns: f64,
+) {
     println!("{}", table(Some("algorithm"), columns, curves).to_text());
     let summary = summary_table(&bnf_curves(curves), ref_latency_ns);
     println!("{}", summary.to_text());
@@ -383,7 +395,7 @@ pub fn print_bnf_tables(columns: &[Column<Point>], curves: &[Curve<Point>], ref_
 
 /// The latency at which the paper reads throughput off a BNF curve:
 /// 83 ns on the 16-node networks, 122 ns on the larger ones (§5.2).
-pub fn reference_latency(topology: &NetTopology) -> f64 {
+pub(crate) fn reference_latency(topology: &NetTopology) -> f64 {
     if topology.nodes() == 16 {
         83.0
     } else {
@@ -392,7 +404,7 @@ pub fn reference_latency(topology: &NetTopology) -> f64 {
 }
 
 /// `a` over `b` as a signed percentage gain, when both are defined.
-pub fn gain_percent(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+pub(crate) fn gain_percent(a: Option<f64>, b: Option<f64>) -> Option<f64> {
     Some(100.0 * (a? / b? - 1.0))
 }
 
@@ -400,7 +412,7 @@ pub fn gain_percent(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 /// through the worker pool and regroups the points per curve. `job`
 /// builds a cell's simulation from the curve, the grid index (the seed
 /// stream, see `point_config`) and the grid value.
-pub fn sweep<C>(
+pub(crate) fn sweep<C>(
     curves: &[C],
     grid: &[f64],
     label: impl Fn(&C) -> String,
@@ -426,7 +438,7 @@ pub fn sweep<C>(
 /// One [`SweepSpec`] curve per algorithm on the standard grid at
 /// `scale`, `tweak` adjusting each spec (pipeline scaling, closed loop, a
 /// longer grid) — the same way for every curve, so they share one grid.
-pub fn spec_curves(
+pub(crate) fn spec_curves(
     algorithms: &[ArbAlgorithm],
     topology: NetTopology,
     pattern: TrafficPattern,
@@ -448,7 +460,7 @@ pub fn spec_curves(
 
 /// The production router under `algorithm` on `topology`, fault-free, at
 /// grid point `idx` of a `cycles`-long run under `SEED`.
-pub fn plain_net(
+pub(crate) fn plain_net(
     topology: impl Into<NetTopology>,
     algorithm: ArbAlgorithm,
     idx: usize,
@@ -467,7 +479,7 @@ pub fn plain_net(
 /// The traffic scenarios of the replicated and the weighted figures: the
 /// uniform reference plus the two skewed cases the paper does not cover.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scenario {
+pub(crate) enum Scenario {
     /// Smooth uniform traffic.
     Uniform,
     /// A quarter of the traffic converges on two interior nodes, the
@@ -483,14 +495,14 @@ pub enum Scenario {
 
 impl Scenario {
     /// Share of hotspot traffic aimed at the hot set.
-    pub const HOTSPOT_FRACTION: f64 = 0.25;
+    pub(crate) const HOTSPOT_FRACTION: f64 = 0.25;
     /// Mean ON phase, cycles.
-    pub const BURST_ON_CYCLES: f64 = 60.0;
+    pub(crate) const BURST_ON_CYCLES: f64 = 60.0;
     /// Mean OFF phase, cycles.
-    pub const BURST_OFF_CYCLES: f64 = 240.0;
+    pub(crate) const BURST_OFF_CYCLES: f64 = 240.0;
 
     /// The panel label.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Scenario::Uniform => "uniform",
             Scenario::Hotspot => "hotspot",
@@ -501,7 +513,7 @@ impl Scenario {
     /// The destination pattern. Hot set: two interior nodes (center and
     /// its diagonal neighbour) — deep enough in the torus that
     /// congestion trees have room to grow in every direction.
-    pub fn pattern(self, torus: &network::Grid) -> TrafficPattern {
+    pub(crate) fn pattern(self, torus: &network::Grid) -> TrafficPattern {
         match self {
             Scenario::Hotspot => {
                 let (cx, cy) = (torus.width() / 2, torus.height() / 2);
@@ -515,13 +527,13 @@ impl Scenario {
     }
 
     /// The arrival modulation.
-    pub fn burst(self) -> Option<BurstConfig> {
+    pub(crate) fn burst(self) -> Option<BurstConfig> {
         (self == Scenario::Bursty)
             .then(|| BurstConfig::new(Self::BURST_ON_CYCLES, Self::BURST_OFF_CYCLES))
     }
 
     /// The scenario constants as the tables' header fields.
-    pub fn json_header() -> [(&'static str, Json); 2] {
+    pub(crate) fn json_header() -> [(&'static str, Json); 2] {
         [
             ("hotspot_fraction", Json::Float(Self::HOTSPOT_FRACTION)),
             (
@@ -537,7 +549,7 @@ impl Scenario {
 
 /// The columns of a replicated panel: per load point the replicate
 /// mean, sample std-dev, and 95% CI half-width of both BNF axes.
-pub fn replicated_columns() -> Vec<Column<ReplicatedBnfPoint>> {
+pub(crate) fn replicated_columns() -> Vec<Column<ReplicatedBnfPoint>> {
     vec![
         Column::new("offered(pkt/node/cy)", "offered", (4, 4), |p| {
             Val::F(p.offered)
@@ -571,7 +583,11 @@ pub fn replicated_columns() -> Vec<Column<ReplicatedBnfPoint>> {
 /// reference report so the caller can check the probe exercised what it
 /// meant to. Panics on a mismatch — it must fail the run, not get
 /// recorded as data.
-pub fn prove_bit_exactness(what: &str, net: &NetworkConfig, wl: &WorkloadConfig) -> NetworkReport {
+pub(crate) fn prove_bit_exactness(
+    what: &str,
+    net: &NetworkConfig,
+    wl: &WorkloadConfig,
+) -> NetworkReport {
     let run = |workers: usize, idle_skip: bool| {
         let endpoints = build_endpoints(net, wl);
         let mut sim = NetworkSim::with_workers(net.clone(), endpoints, workers);

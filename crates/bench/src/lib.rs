@@ -2,12 +2,12 @@
 //!
 //! The one binary, `fig`, regenerates any figure of the [`catalogue`]
 //! (see DESIGN.md "Figure catalogue"). This file holds what every figure
-//! and the `perf/` benchmark share: the point runner ([`run_jobs`]), the
-//! per-point configuration layout ([`point_config`]) and the BNF sweep
+//! and the `perf/` benchmark share: the point runner (`run_jobs`), the
+//! per-point configuration layout (`point_config`) and the BNF sweep
 //! over injection rates ([`SweepSpec`]). [`figure`] holds what a
 //! catalogue entry is built from: arguments, columns, curves.
 //!
-//! Scale control ([`Scale`], resolved over a figure's [`Grid`]): every
+//! Scale control ([`Scale`], resolved over a figure's `Grid`): every
 //! figure accepts `--paper` for full paper fidelity (75,000 cycles per
 //! point, §4.3), defaults to a reduced but shape-preserving scale, and
 //! has a `--quick` smoke scale for CI.
@@ -45,12 +45,12 @@ impl Scale {
     }
 
     /// The JSON `mode` field and the extension figures' headings.
-    pub fn mode(self) -> &'static str {
+    pub(crate) fn mode(self) -> &'static str {
         self.pick("quick", "default", "paper")
     }
 
     /// The one mode resolver: cycles per point and the swept grid.
-    pub fn resolve(self, grid: &Grid) -> (u64, Vec<f64>) {
+    pub(crate) fn resolve(self, grid: &Grid) -> (u64, Vec<f64>) {
         let (cycles, values) = self.pick(grid.smoke, grid.full, (grid.paper_cycles, grid.full.1));
         (cycles, values.to_vec())
     }
@@ -60,20 +60,20 @@ impl Scale {
 /// values)` for `Smoke` and `Quick`; `Paper` sweeps the `Quick` values
 /// for `paper_cycles`.
 #[derive(Clone, Copy, Debug)]
-pub struct Grid {
+pub(crate) struct Grid {
     /// `--quick`.
-    pub smoke: (u64, &'static [f64]),
+    pub(crate) smoke: (u64, &'static [f64]),
     /// No flag.
-    pub full: (u64, &'static [f64]),
+    pub(crate) full: (u64, &'static [f64]),
     /// `--paper` run length.
-    pub paper_cycles: u64,
+    pub(crate) paper_cycles: u64,
 }
 
 impl Grid {
     /// The standard shape: 4,000-cycle smoke over [`SMOKE_RATES`],
     /// `cycles` over `values` by default, 75,000 cycles for `--paper`.
     /// A figure that differs overrides fields with struct-update syntax.
-    pub const fn new(cycles: u64, values: &'static [f64]) -> Grid {
+    pub(crate) const fn new(cycles: u64, values: &'static [f64]) -> Grid {
         Grid {
             smoke: (4_000, &SMOKE_RATES),
             full: (cycles, values),
@@ -82,7 +82,7 @@ impl Grid {
     }
 
     /// The paper figures' grid, and what [`SweepSpec::new`] starts from.
-    pub const STANDARD: Grid = Grid::new(20_000, &DEFAULT_RATES);
+    pub(crate) const STANDARD: Grid = Grid::new(20_000, &DEFAULT_RATES);
 }
 
 /// Specification of one BNF sweep (one curve of a figure).
@@ -97,9 +97,9 @@ pub struct SweepSpec {
     /// Outstanding-miss limit; `u32::MAX` disables the closed loop so the
     /// sweep can push the network through saturation (see
     /// `workload::WorkloadConfig::open_loop`).
-    pub mshrs: u32,
+    pub(crate) mshrs: u32,
     /// Use the Figure 11a 2× pipeline.
-    pub scaled_2x: bool,
+    pub(crate) scaled_2x: bool,
     /// Injection rates to sweep (per node per cycle).
     pub rates: Vec<f64>,
     /// Cycles per point.
@@ -112,7 +112,7 @@ pub struct SweepSpec {
     pub burst: Option<BurstConfig>,
     /// Fault plane applied to every point of the sweep (default:
     /// disabled — no state allocated, no RNG drawn).
-    pub fault: FaultConfig,
+    pub(crate) fault: FaultConfig,
 }
 
 impl SweepSpec {
@@ -141,7 +141,7 @@ impl SweepSpec {
     }
 
     /// The simulation of one load point under replicate seed `seed`.
-    pub fn job(&self, seed: u64, rate_idx: usize, rate: f64) -> Job {
+    pub(crate) fn job(&self, seed: u64, rate_idx: usize, rate: f64) -> Job {
         let router = if self.scaled_2x {
             RouterConfig::scaled_2x(self.algorithm)
         } else {
@@ -209,27 +209,27 @@ impl SweepSpec {
 }
 
 /// The seed every single-seed sweep and figure runs under.
-pub const SEED: u64 = 0x21364;
+pub(crate) const SEED: u64 = 0x21364;
 
 /// One simulation to run: the network and the workload driving it.
-pub type Job = (NetworkConfig, WorkloadConfig);
+pub(crate) type Job = (NetworkConfig, WorkloadConfig);
 
 /// One simulated operating point with everything the run measured, so a
 /// figure's columns are chosen after the fact instead of by a private
 /// runner per figure.
 #[derive(Clone, Debug)]
-pub struct Point {
+pub(crate) struct Point {
     /// The swept coordinate: offered load (packets/node/cycle) on a BNF
     /// curve, the fault parameter on a degradation curve.
-    pub x: f64,
+    pub(crate) x: f64,
     /// The network's report.
-    pub report: NetworkReport,
+    pub(crate) report: NetworkReport,
     /// The endpoints' aggregate statistics.
-    pub stats: EndpointStats,
+    pub(crate) stats: EndpointStats,
 }
 
 /// A labelled BNF curve over `points`: each point's two BNF axes.
-pub fn bnf_curve(label: String, points: &[Point]) -> BnfCurve {
+pub(crate) fn bnf_curve(label: String, points: &[Point]) -> BnfCurve {
     let mut curve = BnfCurve::new(label);
     for p in points {
         curve.push(BnfPoint {
@@ -250,7 +250,7 @@ pub fn bnf_curve(label: String, points: &[Point]) -> BnfCurve {
 /// collide with their neighbours' points, and every router/endpoint
 /// stream is forked from the result (see `simcore::rng`). A fifth of
 /// `cycles` warms up, the rest is measured (§4.3).
-pub fn point_config(
+pub(crate) fn point_config(
     topology: NetTopology,
     router: RouterConfig,
     seed: u64,
@@ -271,7 +271,7 @@ pub fn point_config(
 /// The one point runner: a batch of independent simulations, each
 /// tagged with its swept coordinate, fanned over up to `workers` threads
 /// (`0` = automatic), one simulation per thread; results in input order.
-pub fn run_jobs(workers: usize, jobs: Vec<(f64, Job)>) -> Vec<Point> {
+pub(crate) fn run_jobs(workers: usize, jobs: Vec<(f64, Job)>) -> Vec<Point> {
     parallel_map(workers, jobs, |(x, (net, wl))| {
         let (report, stats) = run_coherence_sim(net, wl);
         Point { x, report, stats }
@@ -281,14 +281,14 @@ pub fn run_jobs(workers: usize, jobs: Vec<(f64, Job)>) -> Vec<Point> {
 /// The default injection-rate grid: dense around the saturation bend
 /// (≈0.02–0.04 transactions/node/cycle on the 8×8), with a short tail
 /// into the post-saturation region where the rotary/base curves separate.
-pub const DEFAULT_RATES: [f64; 15] = [
+pub(crate) const DEFAULT_RATES: [f64; 15] = [
     0.001, 0.002, 0.004, 0.006, 0.008, 0.012, 0.016, 0.020, 0.024, 0.028, 0.034, 0.042, 0.055,
     0.075, 0.1,
 ];
 
 /// The smoke grid: three load points spanning pre-bend, bend, and
 /// post-saturation, short enough that every figure stays under a minute.
-pub const SMOKE_RATES: [f64; 3] = [0.004, 0.02, 0.055];
+pub(crate) const SMOKE_RATES: [f64; 3] = [0.004, 0.02, 0.055];
 
 #[cfg(test)]
 mod tests {

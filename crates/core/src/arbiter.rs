@@ -85,7 +85,7 @@ impl ArbitrationInput {
     /// every cell ties, so a weighted arbiter reduces to its tie-break
     /// and the MWM oracle to a maximum-cardinality matching. The unit
     /// path only runs in generic test drivers, so the allocation is fine.
-    pub fn weights_or_unit(&self) -> Cow<'_, WeightMatrix> {
+    pub(crate) fn weights_or_unit(&self) -> Cow<'_, WeightMatrix> {
         match &self.weights {
             Some(w) => Cow::Borrowed(w),
             None => Cow::Owned(WeightMatrix::unit(
@@ -127,7 +127,7 @@ pub trait Arbiter: std::fmt::Debug + Send {
 /// *below* algorithms with rotating priorities, which would misrepresent
 /// MCM's role as the §5.1 upper bound.
 #[derive(Clone, Copy, Debug)]
-pub struct McmArbiter;
+pub(crate) struct McmArbiter;
 
 impl Arbiter for McmArbiter {
     fn arbitrate(&mut self, input: &ArbitrationInput, rng: &mut SimRng) -> Matching {

@@ -18,7 +18,7 @@
 //! (100% throughput on persistent uniform traffic — see the
 //! `desynchronization_reaches_full_throughput` test).
 //!
-//! [`IslipArbiter::round_robin_matcher`] builds the degenerate baseline
+//! `IslipArbiter::round_robin_matcher` builds the degenerate baseline
 //! this rule fixes: identical grant/accept phases but pointers that
 //! advance past every grant, accepted or not. Under saturation its
 //! pointers move in lock-step and the matching collapses to one grant
@@ -69,7 +69,7 @@ impl IslipArbiter {
 
     /// The plain parallel round-robin matcher baseline (single iteration,
     /// pointers always advance).
-    pub fn round_robin_matcher(rows: usize, cols: usize) -> Self {
+    pub(crate) fn round_robin_matcher(rows: usize, cols: usize) -> Self {
         IslipArbiter {
             update: PointerUpdate::Always,
             ..IslipArbiter::islip(rows, cols, 1)
@@ -82,7 +82,7 @@ impl IslipArbiter {
     /// # Panics
     ///
     /// Panics if the request matrix shape differs from the arbiter's.
-    pub fn arbitrate(&mut self, req: &RequestMatrix) -> Matching {
+    pub(crate) fn arbitrate(&mut self, req: &RequestMatrix) -> Matching {
         self.ptrs.check_shape(req);
         grant_accept_rounds(req, self.iterations, self)
     }

@@ -71,17 +71,13 @@ pub mod prelude {
     pub use crate::arbiter::{Arbiter, ArbitrationInput};
     pub use crate::catalogue::{AlgoKind, WeightKind};
     pub use crate::islip::IslipArbiter;
-    pub use crate::lqf::{LqfArbiter, WeightedArbiter};
-    pub use crate::matching::Matching;
+    pub use crate::lqf::LqfArbiter;
     pub use crate::matrix::{ConnectionMatrix, RequestMatrix, WeightMatrix};
     pub use crate::mcm;
-    pub use crate::mwm::{self, MwmArbiter};
+    pub use crate::mwm;
     pub use crate::opf::OpfArbiter;
     pub use crate::pim::PimArbiter;
-    pub use crate::policy::{RotaryMode, Selector};
-    pub use crate::ports::{
-        InputPort, OutputPort, ReadPort, NUM_ARBITER_ROWS, NUM_INPUT_PORTS, NUM_OUTPUT_PORTS,
-    };
+    pub use crate::ports::{InputPort, OutputPort, NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS};
     pub use crate::spaa::SpaaArbiter;
-    pub use crate::wfa::{WfaArbiter, WfaStart, WfaVariant};
+    pub use crate::wfa::WfaArbiter;
 }

@@ -15,7 +15,7 @@
 //!   eventually outweigh any queue (the starvation-resistant member).
 //!
 //! Ties — ubiquitous at low load, where most weights are 1 — fall back to
-//! the same [`round_robin_first`] pointer discipline iSLIP uses, with the
+//! the same `round_robin_first` pointer discipline iSLIP uses, with the
 //! slip rule intact, so equal-weight contention desynchronizes exactly
 //! like iSLIP instead of re-fighting the same cell every cycle.
 //!
@@ -105,7 +105,7 @@ impl WeightedArbiter {
     ///
     /// Panics if the request or weight matrix shape differs from the
     /// arbiter's.
-    pub fn arbitrate(&mut self, req: &RequestMatrix, w: &WeightMatrix) -> Matching {
+    pub(crate) fn arbitrate(&mut self, req: &RequestMatrix, w: &WeightMatrix) -> Matching {
         self.ptrs.check_shape(req);
         assert_eq!(w.rows(), req.rows(), "weight rows mismatch");
         assert_eq!(w.cols(), req.cols(), "weight cols mismatch");

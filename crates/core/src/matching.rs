@@ -16,7 +16,7 @@ const UNMATCHED: u8 = u8::MAX;
 
 /// A partial assignment of input-arbiter rows to output columns.
 ///
-/// The storage is inline, sized by the [`MAX_DIM`] bound the `u32` masks
+/// The storage is inline, sized by the `MAX_DIM` bound the `u32` masks
 /// impose anyway: kernels build one matching per window on the saturated
 /// hot path and must not touch the allocator.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,7 +33,7 @@ impl Matching {
     /// # Panics
     ///
     /// Panics if a dimension exceeds [`MAX_DIM`] or is zero.
-    pub fn empty(rows: usize, cols: usize) -> Self {
+    pub(crate) fn empty(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && rows <= MAX_DIM && cols > 0 && cols <= MAX_DIM);
         Matching {
             rows: rows as u8,
@@ -44,12 +44,12 @@ impl Matching {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows as usize
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols as usize
     }
 
@@ -59,7 +59,7 @@ impl Matching {
     ///
     /// Panics if either side is already matched (that would violate the
     /// one-packet-per-port invariant) or out of range.
-    pub fn grant(&mut self, row: usize, col: usize) {
+    pub(crate) fn grant(&mut self, row: usize, col: usize) {
         assert!(row < self.rows(), "row {row} out of range");
         assert!(col < self.cols(), "col {col} out of range");
         assert!(
@@ -81,9 +81,10 @@ impl Matching {
         (c != UNMATCHED).then_some(c as usize)
     }
 
-    /// The row granted `col`, if any.
-    #[inline]
-    pub fn input_of(&self, col: usize) -> Option<usize> {
+    /// The row granted `col`, if any (the unit tests' "who won this
+    /// output" probe; nothing outside them asks).
+    #[cfg(test)]
+    pub(crate) fn input_of(&self, col: usize) -> Option<usize> {
         let r = self.output_to_input[col];
         (r != UNMATCHED).then_some(r as usize)
     }
@@ -105,7 +106,7 @@ impl Matching {
     }
 
     /// Mask of matched rows.
-    pub fn matched_rows(&self) -> u32 {
+    pub(crate) fn matched_rows(&self) -> u32 {
         let mut m = 0;
         for (r, c) in self.pairs() {
             debug_assert!(c < 32);
@@ -115,7 +116,7 @@ impl Matching {
     }
 
     /// Mask of matched columns.
-    pub fn matched_cols(&self) -> u32 {
+    pub(crate) fn matched_cols(&self) -> u32 {
         let mut m = 0;
         for (_, c) in self.pairs() {
             m |= 1u32 << c;

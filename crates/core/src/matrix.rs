@@ -25,7 +25,7 @@
 use crate::ports::{InputPort, OutputPort, ReadPort, NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS};
 
 /// Maximum rows/columns supported by the mask representation.
-pub const MAX_DIM: usize = 32;
+pub(crate) const MAX_DIM: usize = 32;
 
 /// Static crossbar legality: which input arbiters reach which outputs.
 ///
@@ -53,7 +53,7 @@ impl ConnectionMatrix {
     /// # Panics
     ///
     /// Panics if either dimension is 0 or exceeds [`MAX_DIM`].
-    pub fn full(rows: usize, cols: usize) -> Self {
+    pub(crate) fn full(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && rows <= MAX_DIM, "rows out of range: {rows}");
         assert!(cols > 0 && cols <= MAX_DIM, "cols out of range: {cols}");
         let mask = if cols == 32 {
@@ -68,7 +68,7 @@ impl ConnectionMatrix {
     }
 
     /// An empty `rows × cols` matrix (useful as a builder start).
-    pub fn empty(rows: usize, cols: usize) -> Self {
+    pub(crate) fn empty(rows: usize, cols: usize) -> Self {
         let mut m = ConnectionMatrix::full(rows, cols);
         for r in &mut m.rows {
             *r = 0;
@@ -130,7 +130,7 @@ impl ConnectionMatrix {
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of range.
-    pub fn connect(&mut self, row: usize, col: usize) {
+    pub(crate) fn connect(&mut self, row: usize, col: usize) {
         assert!(col < self.cols, "col {col} out of range");
         self.rows[row] |= 1 << col;
     }
@@ -148,19 +148,8 @@ impl ConnectionMatrix {
     }
 
     /// Total number of wired cells (54 for the 21364 matrix).
-    pub fn connection_count(&self) -> usize {
+    pub(crate) fn connection_count(&self) -> usize {
         self.rows.iter().map(|r| r.count_ones() as usize).sum()
-    }
-
-    /// Mask of rows that can reach `col`.
-    pub fn col_mask(&self, col: usize) -> u32 {
-        let mut m = 0;
-        for (i, &r) in self.rows.iter().enumerate() {
-            if r & (1 << col) != 0 {
-                m |= 1 << i;
-            }
-        }
-        m
     }
 }
 
@@ -182,7 +171,7 @@ impl RequestMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is 0 or exceeds [`MAX_DIM`].
+    /// Panics if either dimension is 0 or exceeds 32 (`MAX_DIM`).
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && rows <= MAX_DIM, "rows out of range: {rows}");
         assert!(cols > 0 && cols <= MAX_DIM, "cols out of range: {cols}");
@@ -232,12 +221,6 @@ impl RequestMatrix {
         self.rows[row] |= 1 << col;
     }
 
-    /// Removes a request (no-op when absent).
-    pub fn clear(&mut self, row: usize, col: usize) {
-        assert!(col < self.cols, "col {col} out of range");
-        self.rows[row] &= !(1 << col);
-    }
-
     /// True when `row` requests `col`.
     #[inline]
     pub fn requested(&self, row: usize, col: usize) -> bool {
@@ -256,22 +239,11 @@ impl RequestMatrix {
         self.rows[row] = mask;
     }
 
-    /// Mask of rows requesting `col`.
-    pub fn col_mask(&self, col: usize) -> u32 {
-        let mut m = 0;
-        for (i, &r) in self.rows.iter().enumerate() {
-            if r & (1 << col) != 0 {
-                m |= 1 << i;
-            }
-        }
-        m
-    }
-
     /// Materializes every column's requester mask in one pass over the
     /// rows (the transpose the iterative matching kernels consult once
     /// per grant phase; cost proportional to the number of requests, not
     /// `rows × cols`).
-    pub fn col_masks(&self) -> [u32; 32] {
+    pub(crate) fn col_masks(&self) -> [u32; 32] {
         let mut cols = [0u32; 32];
         for (r, &row) in self.rows.iter().enumerate() {
             let mut mask = row;
@@ -287,11 +259,6 @@ impl RequestMatrix {
     /// Total number of set cells.
     pub fn request_count(&self) -> usize {
         self.rows.iter().map(|r| r.count_ones() as usize).sum()
-    }
-
-    /// True when no row requests anything.
-    pub fn is_empty(&self) -> bool {
-        self.rows.iter().all(|&r| r == 0)
     }
 }
 
@@ -323,7 +290,7 @@ impl WeightMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is 0 or exceeds [`MAX_DIM`].
+    /// Panics if either dimension is 0 or exceeds 32 (`MAX_DIM`).
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && rows <= MAX_DIM, "rows out of range: {rows}");
         assert!(cols > 0 && cols <= MAX_DIM, "cols out of range: {cols}");
@@ -336,7 +303,7 @@ impl WeightMatrix {
 
     /// An all-one weight plane: every requested cell ties, so a weighted
     /// kernel running on it degenerates to its round-robin tie-break.
-    pub fn unit(rows: usize, cols: usize) -> Self {
+    pub(crate) fn unit(rows: usize, cols: usize) -> Self {
         let mut w = WeightMatrix::new(rows, cols);
         w.weights.iter_mut().for_each(|x| *x = 1);
         w
@@ -344,13 +311,13 @@ impl WeightMatrix {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -388,6 +355,16 @@ mod tests {
     use super::*;
     use crate::ports::NETWORK_ROW_MASK;
 
+    /// The two local sink columns, L0 and L1 (Figure 5).
+    const LOCAL_MASK: u32 = OutputPort::L0.mask() | OutputPort::L1.mask();
+
+    /// Mask of rows wired to `col`.
+    fn col_mask(m: &ConnectionMatrix, col: usize) -> u32 {
+        (0..m.rows()).fold(0, |mask, row| {
+            mask | (u32::from(m.connected(row, col)) << row)
+        })
+    }
+
     #[test]
     fn alpha_matrix_has_54_connections() {
         // "the total nominations for the matrix could be up to 54
@@ -415,8 +392,8 @@ mod tests {
         for port in 0..4 {
             let combined = m.row_mask(2 * port) | m.row_mask(2 * port + 1);
             assert_eq!(
-                combined & OutputPort::LOCAL_MASK,
-                OutputPort::LOCAL_MASK,
+                combined & LOCAL_MASK,
+                LOCAL_MASK,
                 "network input {port} cannot reach both local sinks"
             );
         }
@@ -444,12 +421,12 @@ mod tests {
         // Sanity: no output column is orphaned.
         let m = ConnectionMatrix::alpha_21364();
         for col in 0..7 {
-            assert!(m.col_mask(col) != 0, "output {col} unreachable");
+            assert!(col_mask(&m, col) != 0, "output {col} unreachable");
             // Every torus output must be reachable from some network row,
             // otherwise cross-traffic could not continue in that direction.
             if col < 4 {
                 assert!(
-                    m.col_mask(col) & NETWORK_ROW_MASK != 0,
+                    col_mask(&m, col) & NETWORK_ROW_MASK != 0,
                     "torus output {col} unreachable from network rows"
                 );
             }
@@ -473,17 +450,15 @@ mod tests {
     #[test]
     fn request_matrix_basics() {
         let mut r = RequestMatrix::new(4, 7);
-        assert!(r.is_empty());
+        assert_eq!(r.request_count(), 0);
         r.set(1, 3);
         r.set(1, 5);
         r.set(2, 3);
         assert!(r.requested(1, 3));
         assert_eq!(r.row_mask(1), 0b10_1000);
-        assert_eq!(r.col_mask(3), 0b0110);
+        assert_eq!(r.col_masks()[3], 0b0110);
         assert_eq!(r.request_count(), 3);
-        r.clear(1, 3);
-        assert!(!r.requested(1, 3));
-        assert_eq!(r.request_count(), 2);
+        assert!(!r.requested(1, 4));
     }
 
     #[test]

@@ -151,7 +151,7 @@ pub fn brute_force_max_weight(req: &RequestMatrix, w: &WeightMatrix) -> u64 {
 /// weight plane it degenerates to unit weights, i.e. a maximum-cardinality
 /// matching chosen deterministically.
 #[derive(Clone, Copy, Debug)]
-pub struct MwmArbiter;
+pub(crate) struct MwmArbiter;
 
 impl Arbiter for MwmArbiter {
     fn arbitrate(

@@ -67,7 +67,7 @@ impl PimArbiter {
     }
 
     /// Runs PIM on a request matrix (see
-    /// [`grant_accept_rounds`]): within a round every grant draw is made
+    /// `grant_accept_rounds`): within a round every grant draw is made
     /// by ascending column, then every accept draw by ascending row.
     pub fn arbitrate(&mut self, req: &RequestMatrix, rng: &mut SimRng) -> Matching {
         grant_accept_rounds(req, self.iterations, &mut RandomPick(rng))

@@ -33,7 +33,7 @@
 ///
 /// Panics (in debug builds) if `pool == 0`.
 #[inline]
-pub fn round_robin_first(pool: u32, ptr: u32) -> usize {
+pub(crate) fn round_robin_first(pool: u32, ptr: u32) -> usize {
     debug_assert!(pool != 0, "round-robin pick from an empty pool");
     let ptr = ptr & 31;
     let rotated = pool.rotate_right(ptr);

@@ -18,7 +18,7 @@ pub const NUM_INPUT_PORTS: usize = 8;
 /// Number of router output ports.
 pub const NUM_OUTPUT_PORTS: usize = 7;
 /// Buffer read ports (and hence input arbiters) per input port.
-pub const READ_PORTS_PER_INPUT: usize = 2;
+pub(crate) const READ_PORTS_PER_INPUT: usize = 2;
 /// Total input arbiter rows in the connection matrix (16 in the 21364).
 pub const NUM_ARBITER_ROWS: usize = NUM_INPUT_PORTS * READ_PORTS_PER_INPUT;
 
@@ -173,8 +173,6 @@ impl OutputPort {
 
     /// Mask of the four network output ports.
     pub const NETWORK_MASK: u32 = 0b0000_1111;
-    /// Mask of the two local sink ports.
-    pub const LOCAL_MASK: u32 = 0b0011_0000;
 }
 
 impl fmt::Display for OutputPort {
@@ -194,11 +192,11 @@ impl fmt::Display for OutputPort {
 
 /// One of the 16 input arbiters: an (input port, read port) pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ReadPort {
+pub(crate) struct ReadPort {
     /// The owning input port.
-    pub port: InputPort,
+    pub(crate) port: InputPort,
     /// Which of the two buffer read ports (0 or 1).
-    pub rp: u8,
+    pub(crate) rp: u8,
 }
 
 impl ReadPort {
@@ -207,7 +205,7 @@ impl ReadPort {
     /// # Panics
     ///
     /// Panics if `rp >= 2`.
-    pub fn new(port: InputPort, rp: u8) -> Self {
+    pub(crate) fn new(port: InputPort, rp: u8) -> Self {
         assert!(
             (rp as usize) < READ_PORTS_PER_INPUT,
             "read port {rp} out of range"
@@ -217,15 +215,8 @@ impl ReadPort {
 
     /// The Figure 5 row index of this arbiter (`0..16`).
     #[inline]
-    pub const fn row(self) -> usize {
+    pub(crate) const fn row(self) -> usize {
         self.port as usize * READ_PORTS_PER_INPUT + self.rp as usize
-    }
-
-    /// True when this arbiter serves a torus input port (a "rotary
-    /// priority" row for the Rotary Rule).
-    #[inline]
-    pub const fn is_network(self) -> bool {
-        self.port.is_network()
     }
 }
 
@@ -260,7 +251,7 @@ mod tests {
         for port in InputPort::ALL {
             for rp in 0..READ_PORTS_PER_INPUT as u8 {
                 let read_port = ReadPort::new(port, rp);
-                if read_port.is_network() {
+                if port.is_network() {
                     mask |= 1 << read_port.row();
                 }
             }
@@ -276,7 +267,10 @@ mod tests {
         assert!(!OutputPort::Io.is_local_sink());
         assert!(OutputPort::East.is_network());
         assert_eq!(
-            OutputPort::NETWORK_MASK | OutputPort::LOCAL_MASK | OutputPort::Io.mask(),
+            OutputPort::NETWORK_MASK
+                | OutputPort::L0.mask()
+                | OutputPort::L1.mask()
+                | OutputPort::Io.mask(),
             0b0111_1111
         );
     }

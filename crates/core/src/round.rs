@@ -12,8 +12,8 @@
 //! They differ only in how a grant and an accept are *picked* — a random
 //! draw ([`crate::pim`]), a rotating pointer ([`crate::islip`]), the
 //! heaviest cell with a rotating-pointer tie-break ([`crate::lqf`]) — so
-//! the round lives here once, in [`grant_accept_rounds`], and each family
-//! is a [`PickPolicy`].
+//! the round lives here once, in `grant_accept_rounds`, and each family
+//! is a `PickPolicy`.
 
 use crate::matching::Matching;
 use crate::matrix::{RequestMatrix, MAX_DIM};
@@ -23,7 +23,7 @@ use crate::matrix::{RequestMatrix, MAX_DIM};
 /// Within a round [`grant_accept_rounds`] makes every grant pick by
 /// ascending column, then every accept pick by ascending row, so a policy
 /// that draws random numbers or moves pointers sees a fixed call order.
-pub trait PickPolicy {
+pub(crate) trait PickPolicy {
     /// Output `col` grants one row of the non-empty mask `requesters`.
     fn grant(&mut self, col: usize, requesters: u32) -> usize;
 
@@ -51,7 +51,7 @@ pub(crate) fn at_least_one(iterations: usize) -> usize {
 /// terminal and the remaining rounds are skipped. The pass is
 /// allocation-free: the grant table lives on the stack and the column
 /// masks are materialized once per call.
-pub fn grant_accept_rounds<P: PickPolicy>(
+pub(crate) fn grant_accept_rounds<P: PickPolicy>(
     req: &RequestMatrix,
     iterations: usize,
     policy: &mut P,

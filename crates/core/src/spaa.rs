@@ -40,7 +40,7 @@ impl SpaaArbiter {
     /// `rotary` selects between SPAA-base (LRS only) and SPAA-rotary
     /// (network rows first, LRS within a class); `network_rows` is the
     /// mask of rows fed by torus input ports.
-    pub fn new(rows: usize, cols: usize, rotary: RotaryMode, network_rows: u32) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize, rotary: RotaryMode, network_rows: u32) -> Self {
         let selectors = (0..cols)
             .map(|_| Selector::new(rotary, network_rows, rows))
             .collect();
@@ -55,16 +55,6 @@ impl SpaaArbiter {
     /// SPAA-rotary: network-input nominations win before local ones.
     pub fn rotary(rows: usize, cols: usize, network_rows: u32) -> Self {
         SpaaArbiter::new(rows, cols, RotaryMode::On, network_rows)
-    }
-
-    /// Number of output ports.
-    pub fn cols(&self) -> usize {
-        self.selectors.len()
-    }
-
-    /// Number of input-arbiter rows.
-    pub fn rows(&self) -> usize {
-        self.rows
     }
 
     /// Grant step: resolves single-output nominations into a matching.

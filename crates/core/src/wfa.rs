@@ -17,9 +17,9 @@
 //!
 //! Fairness comes from rotating where the wave starts:
 //!
-//! * [`WfaStart::RoundRobin`] — WFA-base: the start diagonal rotates over
+//! * `WfaStart::RoundRobin` — WFA-base: the start diagonal rotates over
 //!   all rows every arbitration (Tamir & Chi's suggestion).
-//! * [`WfaStart::Rotary`] — WFA-rotary (§3.4): "cells connected to the
+//! * `WfaStart::Rotary` — WFA-rotary (§3.4): "cells connected to the
 //!   input port arbiters for the network ports get the highest priority to
 //!   be the first cell from where the wavefronts start". We realize that
 //!   priority exactly by running the wave over the network-input rows
@@ -29,7 +29,7 @@
 //!
 //! The timing-model assumption in the paper is the *Wrapped* WFA, which
 //! launches all diagonals in parallel and has the same matching behaviour;
-//! [`WfaVariant`] selects between the wrapped and plain evaluation orders
+//! `WfaVariant` selects between the wrapped and plain evaluation orders
 //! (both maximal; kept for cross-validation).
 
 use crate::matching::Matching;
@@ -37,7 +37,7 @@ use crate::matrix::RequestMatrix;
 
 /// Which cells get top priority in an arbitration pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WfaStart {
+pub(crate) enum WfaStart {
     /// Rotate the start diagonal round-robin over all rows (WFA-base).
     RoundRobin,
     /// Evaluate rows in `network_rows` before all others, each class with
@@ -50,14 +50,15 @@ pub enum WfaStart {
 
 /// Evaluation styles; both implement the same priority semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WfaVariant {
+pub(crate) enum WfaVariant {
     /// Wrapped wave-front: wrapped diagonals, each holding at most one
     /// cell per row and per column, evaluated as units. This is the
     /// variant whose hardware timing the paper assumes.
     #[default]
     Wrapped,
     /// Plain wave-front from a single start cell (textbook WFA). Also
-    /// maximal; kept for cross-validation.
+    /// maximal; the unit tests cross-validate the wrapped wave against it.
+    #[cfg(test)]
     Plain,
 }
 
@@ -81,7 +82,7 @@ impl WfaArbiter {
     ///
     /// Panics if dimensions are zero or exceed 32, or if a rotary start is
     /// given an empty or out-of-range `network_rows` mask.
-    pub fn new(rows: usize, cols: usize, variant: WfaVariant, start: WfaStart) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize, variant: WfaVariant, start: WfaStart) -> Self {
         assert!(rows > 0 && rows <= 32 && cols > 0 && cols <= 32);
         if let WfaStart::Rotary { network_rows } = start {
             assert!(network_rows != 0, "rotary start needs network rows");
@@ -113,11 +114,6 @@ impl WfaArbiter {
             WfaVariant::Wrapped,
             WfaStart::Rotary { network_rows },
         )
-    }
-
-    /// The configured variant.
-    pub fn variant(&self) -> WfaVariant {
-        self.variant
     }
 
     /// Runs one arbitration pass and advances the priority pointers.
@@ -208,6 +204,7 @@ impl WfaArbiter {
                     }
                 }
             }
+            #[cfg(test)]
             WfaVariant::Plain => {
                 // Anti-diagonal wavefronts from cell (order[start], 0).
                 let len = order.len();

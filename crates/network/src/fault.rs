@@ -73,9 +73,9 @@ const KILL_STREAM: u64 = 0xfa07_de1d_0bad_c0de;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkFlap {
     /// Mean cycles a link stays up between flaps (≥ 1).
-    pub mean_up_cycles: f64,
+    pub(crate) mean_up_cycles: f64,
     /// Mean cycles a flap lasts (≥ 1).
-    pub mean_down_cycles: f64,
+    pub(crate) mean_down_cycles: f64,
 }
 
 impl LinkFlap {
@@ -217,7 +217,7 @@ impl DeadLinks {
 
     /// True when the directed link leaving `node` through `port` is dead.
     #[inline]
-    pub fn is_dead(&self, node: u16, port: OutputPort) -> bool {
+    pub(crate) fn is_dead(&self, node: u16, port: OutputPort) -> bool {
         let idx = Self::bit(node, port);
         self.words
             .get(idx / 64)
@@ -227,7 +227,7 @@ impl DeadLinks {
     /// Mask over output-port indices 0..4 of `node`'s *alive* network
     /// directions (a node's four link bits never straddle a word).
     #[inline]
-    pub fn alive_mask(&self, node: u16) -> u8 {
+    pub(crate) fn alive_mask(&self, node: u16) -> u8 {
         if self.dead == 0 {
             return 0b1111;
         }

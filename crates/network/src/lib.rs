@@ -45,4 +45,4 @@ pub use routing::route_for;
 pub use sim::{
     Endpoint, InjectionOutcome, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, TxnCompletion,
 };
-pub use topology::{FullMesh, Grid, LinkTarget, Mesh, NetTopology, ShardMap, Torus};
+pub use topology::{FullMesh, Grid, Mesh, NetTopology, ShardMap, Torus};

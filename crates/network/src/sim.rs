@@ -112,11 +112,6 @@ pub struct NodeCtx<'a> {
 }
 
 impl NodeCtx<'_> {
-    /// This node's id.
-    pub fn node(&self) -> u16 {
-        self.node
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> Tick {
         self.now
@@ -126,7 +121,7 @@ impl NodeCtx<'_> {
     /// source router: the class's adaptive channel for coherence traffic,
     /// the deadlock-free VC0 for the escape-only I/O classes, the special
     /// channel for specials.
-    pub fn injection_vc(class: CoherenceClass) -> VcId {
+    pub(crate) fn injection_vc(class: CoherenceClass) -> VcId {
         match class {
             CoherenceClass::Special => VcId::special(),
             CoherenceClass::ReadIo | CoherenceClass::WriteIo => {
@@ -326,7 +321,7 @@ impl NetworkReport {
     /// their own: `tests/golden_reports.rs::digest_line`, whose format
     /// pins the 104 committed golden lines, and
     /// `perf/src/workloads.rs::digest`, frozen with the benchmark.
-    pub fn for_each_field(&self, mut visit: impl FnMut(&str, u64)) {
+    pub(crate) fn for_each_field(&self, mut visit: impl FnMut(&str, u64)) {
         let NetworkReport {
             delivered_packets,
             delivered_flits,
@@ -586,21 +581,10 @@ impl<E: Endpoint> NetworkSim<E> {
         self.shards.len()
     }
 
-    /// The network shape.
-    pub fn topology(&self) -> &NetTopology {
-        &self.topology
-    }
-
     /// The shard owning `node` and the node's index inside it.
     fn locate(&self, node: u16) -> (usize, usize) {
         let s = self.map.shard_of(node);
         (s, (node - self.map.range(s).start) as usize)
-    }
-
-    /// Immutable router access (tests, statistics).
-    pub fn router(&self, node: u16) -> &Router {
-        let (s, i) = self.locate(node);
-        &self.shards[s].routers[i]
     }
 
     /// Endpoint access.
@@ -1004,7 +988,7 @@ mod tests {
 
     impl Endpoint for OneShot {
         fn on_cycle(&mut self, ctx: &mut NodeCtx<'_>) {
-            if !self.sent && ctx.node() == 0 {
+            if !self.sent && ctx.node == 0 {
                 let p = Packet::new(
                     router::packet::PacketId(1),
                     CoherenceClass::Request,
@@ -1140,7 +1124,7 @@ mod tests {
         fn on_cycle(&mut self, ctx: &mut NodeCtx<'_>) {
             let cycle = self.cycle;
             self.cycle += 1;
-            if ctx.node() == 0 && !self.sent && cycle >= self.fire_at_cycle {
+            if ctx.node == 0 && !self.sent && cycle >= self.fire_at_cycle {
                 let p = Packet::new(
                     router::packet::PacketId(7),
                     CoherenceClass::Request,

@@ -86,7 +86,7 @@ impl Grid {
     }
 
     /// True on a torus (the edges join up), false on a mesh.
-    pub fn wrap(&self) -> bool {
+    pub(crate) fn wrap(&self) -> bool {
         self.wrap
     }
 
@@ -106,7 +106,7 @@ impl Grid {
     }
 
     /// Coordinates of a node id.
-    pub fn coords(&self, node: u16) -> (u16, u16) {
+    pub(crate) fn coords(&self, node: u16) -> (u16, u16) {
         assert!(node < self.nodes(), "node {node} out of range");
         (node % self.width, node / self.width)
     }
@@ -250,7 +250,7 @@ impl FullMesh {
     }
 
     /// Number of nodes.
-    pub fn nodes(&self) -> u16 {
+    pub(crate) fn nodes(&self) -> u16 {
         self.nodes
     }
 

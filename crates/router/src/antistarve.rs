@@ -25,7 +25,7 @@ use simcore::time::{Cycles, Tick};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AntiStarvationConfig {
     /// Whether the mechanism is armed at all.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Age (in core cycles) beyond which a waiting packet counts as old.
     pub age_threshold: Cycles,
     /// Number of old packets that trips drain mode.
@@ -47,7 +47,7 @@ impl Default for AntiStarvationConfig {
 
 /// Per-router anti-starvation state machine.
 #[derive(Clone, Debug)]
-pub struct AntiStarvation {
+pub(crate) struct AntiStarvation {
     cfg: AntiStarvationConfig,
     next_scan: Tick,
     /// While draining, only entries that became eligible at or before this
@@ -57,7 +57,7 @@ pub struct AntiStarvation {
 
 impl AntiStarvation {
     /// Creates the state machine.
-    pub fn new(cfg: AntiStarvationConfig) -> Self {
+    pub(crate) fn new(cfg: AntiStarvationConfig) -> Self {
         AntiStarvation {
             cfg,
             next_scan: Tick::ZERO,
@@ -66,12 +66,12 @@ impl AntiStarvation {
     }
 
     /// The configuration in force.
-    pub fn config(&self) -> &AntiStarvationConfig {
+    pub(crate) fn config(&self) -> &AntiStarvationConfig {
         &self.cfg
     }
 
     /// True when a periodic re-count is due.
-    pub fn scan_due(&self, now: Tick) -> bool {
+    pub(crate) fn scan_due(&self, now: Tick) -> bool {
         self.cfg.enabled && now >= self.next_scan
     }
 
@@ -79,7 +79,7 @@ impl AntiStarvation {
     /// mechanism is disabled). A loaded router must be stepped at this
     /// tick even if it has no other work — the census must run on
     /// schedule.
-    pub fn next_scan_tick(&self) -> Tick {
+    pub(crate) fn next_scan_tick(&self) -> Tick {
         if self.cfg.enabled {
             self.next_scan
         } else {
@@ -96,7 +96,7 @@ impl AntiStarvation {
     /// The caller guarantees the router held no packets over the gap (that
     /// is what made the cycles skippable), so drain mode cannot have been
     /// engaged — and a draining router is never skipped in the first place.
-    pub fn catch_up_idle(&mut self, now: Tick, period: Tick) {
+    pub(crate) fn catch_up_idle(&mut self, now: Tick, period: Tick) {
         if !self.cfg.enabled || self.next_scan >= now || period == Tick::ZERO {
             return;
         }
@@ -110,7 +110,7 @@ impl AntiStarvation {
     /// Feeds the result of a scan: `old_count` entries were eligible
     /// before `now - age_threshold`. `age_ticks` is the age threshold
     /// converted to ticks by the caller's core clock.
-    pub fn record_scan(&mut self, now: Tick, old_count: u32, age_ticks: Tick, period: Tick) {
+    pub(crate) fn record_scan(&mut self, now: Tick, old_count: u32, age_ticks: Tick, period: Tick) {
         self.next_scan = now + period;
         if self.drain_cutoff.is_none() && old_count > self.cfg.count_threshold {
             self.drain_cutoff = Some(now.saturating_sub(age_ticks));
@@ -121,12 +121,12 @@ impl AntiStarvation {
 
     /// While draining, returns the eligibility cutoff: only entries that
     /// became eligible at or before the cutoff may be nominated.
-    pub fn cutoff(&self) -> Option<Tick> {
+    pub(crate) fn cutoff(&self) -> Option<Tick> {
         self.drain_cutoff
     }
 
     /// True when the router is in drain mode.
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.drain_cutoff.is_some()
     }
 }

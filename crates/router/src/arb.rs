@@ -22,30 +22,30 @@ use simcore::Tick;
 
 /// One in-flight SPAA nomination awaiting its GA stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Nomination {
+pub(crate) struct Nomination {
     /// Connection-matrix row of the nominating read port.
-    pub row: u8,
+    pub(crate) row: u8,
     /// Input port index (row / 2).
-    pub input: u8,
+    pub(crate) input: u8,
     /// Nominated entry.
-    pub entry: EntryId,
+    pub(crate) entry: EntryId,
     /// Target output port index.
-    pub output: u8,
+    pub(crate) output: u8,
     /// Downstream virtual channel (None for local delivery).
-    pub downstream_vc: Option<VcId>,
+    pub(crate) downstream_vc: Option<VcId>,
     /// GA time.
-    pub decide_at: Tick,
+    pub(crate) decide_at: Tick,
 }
 
 /// Per-read-port arbitration state.
 #[derive(Clone, Debug, Default)]
-pub struct ReadPortState {
+pub(crate) struct ReadPortState {
     /// Entries with nominations currently in flight (awaiting GA); at
     /// most `latency - 1` of them, so the Vec never grows past a handful.
-    pub inflight: Vec<EntryId>,
+    pub(crate) inflight: Vec<EntryId>,
     /// The read port streams a granted packet's flits until this time and
     /// cannot arbitrate while busy.
-    pub busy_until: Tick,
+    pub(crate) busy_until: Tick,
 }
 
 impl ReadPortState {
@@ -57,12 +57,12 @@ impl ReadPortState {
     /// current one is still streaming, as long as the new flit train would
     /// start no earlier than the old one ends (the dispatch path enforces
     /// the actual serialization).
-    pub fn can_arbitrate(&self, now: Tick, lookahead: Tick, max_inflight: u8) -> bool {
+    pub(crate) fn can_arbitrate(&self, now: Tick, lookahead: Tick, max_inflight: u8) -> bool {
         self.busy_until <= now + lookahead && self.inflight.len() < max_inflight as usize
     }
 
     /// Removes one in-flight entry id (its nomination reached GA).
-    pub fn retire(&mut self, entry: EntryId) {
+    pub(crate) fn retire(&mut self, entry: EntryId) {
         if let Some(pos) = self.inflight.iter().position(|&e| e == entry) {
             self.inflight.swap_remove(pos);
         }
@@ -72,11 +72,11 @@ impl ReadPortState {
 /// A grant candidate recorded while building a window snapshot: the entry
 /// that row would dispatch through that output, and the downstream VC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Candidate {
+pub(crate) struct Candidate {
     /// Chosen entry.
-    pub entry: EntryId,
+    pub(crate) entry: EntryId,
     /// Downstream virtual channel (None for local delivery).
-    pub downstream_vc: Option<VcId>,
+    pub(crate) downstream_vc: Option<VcId>,
 }
 
 /// The per-window snapshot for the PIM1/WFA driver: the candidate behind
@@ -86,7 +86,7 @@ pub struct Candidate {
 /// whole lifetime and [`reset`](WindowSnapshot::reset)s it every window
 /// without touching the allocator.
 #[derive(Clone, Debug)]
-pub struct WindowSnapshot {
+pub(crate) struct WindowSnapshot {
     cols: usize,
     /// Flat row-major `rows × cols` candidate table, `Some` exactly where
     /// `input.requests` has the bit set.
@@ -101,7 +101,7 @@ pub struct WindowSnapshot {
 impl WindowSnapshot {
     /// An empty snapshot for a `rows × cols` matrix; `weighted` gives it a
     /// weight plane (queue depth or head-of-line age) for offers to stamp.
-    pub fn new(rows: usize, cols: usize, weighted: bool) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize, weighted: bool) -> Self {
         WindowSnapshot {
             cols,
             candidates: vec![None; rows * cols],
@@ -117,7 +117,7 @@ impl WindowSnapshot {
     /// previous window actually populated (tracked by the request masks)
     /// are touched, so an idle or lightly-loaded window costs nothing — the
     /// end state is identical to clearing every cell.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         let input = &mut self.input;
         for row in 0..input.requests.rows() {
             let mut m = input.requests.row_mask(row);
@@ -138,7 +138,7 @@ impl WindowSnapshot {
     /// oldest-first, so the earliest candidate — and its weight — is the
     /// one the hardware's entry table would pick). An unweighted snapshot
     /// ignores `weight`.
-    pub fn offer(&mut self, row: usize, col: usize, cand: Candidate, weight: u32) {
+    pub(crate) fn offer(&mut self, row: usize, col: usize, cand: Candidate, weight: u32) {
         let cell = &mut self.candidates[row * self.cols + col];
         if cell.is_none() {
             *cell = Some(cand);
@@ -151,7 +151,7 @@ impl WindowSnapshot {
 
     /// The candidate offered for `(row, col)`, if any.
     #[inline]
-    pub fn candidate(&self, row: usize, col: usize) -> Option<Candidate> {
+    pub(crate) fn candidate(&self, row: usize, col: usize) -> Option<Candidate> {
         self.candidates[row * self.cols + col]
     }
 }

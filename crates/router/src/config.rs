@@ -88,7 +88,7 @@ impl ArbAlgorithm {
     ];
 
     /// The weighted extension family swept by the `fig_weighted` harness.
-    pub const WEIGHTED_FAMILY: [ArbAlgorithm; 3] = [
+    pub(crate) const WEIGHTED_FAMILY: [ArbAlgorithm; 3] = [
         ArbAlgorithm::Ilqf { iterations: 1 },
         ArbAlgorithm::Ilqf { iterations: 2 },
         ArbAlgorithm::Iocf { iterations: 1 },
@@ -121,7 +121,7 @@ impl ArbAlgorithm {
     /// The matching kernel the windowed driver runs for this
     /// configuration, or `None` for the SPAA family, whose pipelined
     /// driver arbitrates per output with no matrix kernel.
-    pub fn kernel(self) -> Option<AlgoKind> {
+    pub(crate) fn kernel(self) -> Option<AlgoKind> {
         match self {
             ArbAlgorithm::Pim1 => Some(AlgoKind::Pim1),
             ArbAlgorithm::WfaBase | ArbAlgorithm::WfaBase3Cycle => Some(AlgoKind::Wfa),
@@ -136,7 +136,7 @@ impl ArbAlgorithm {
     }
 
     /// Arbitration timing at the base (1×) pipeline scale.
-    pub fn timing(self) -> ArbTiming {
+    pub(crate) fn timing(self) -> ArbTiming {
         match self {
             ArbAlgorithm::Pim1 | ArbAlgorithm::WfaBase | ArbAlgorithm::WfaRotary => {
                 ArbTiming::new(4, 3)
@@ -160,7 +160,7 @@ impl ArbAlgorithm {
     /// (PIM1/WFA: 8 cycles every 6; SPAA: 6 cycles, still every cycle):
     /// the latency doubles, and so does the restart interval of a driver
     /// that has one — a pipelined driver still starts every cycle.
-    pub fn timing_2x(self) -> ArbTiming {
+    pub(crate) fn timing_2x(self) -> ArbTiming {
         let base = self.timing();
         let interval = base.initiation_interval.get();
         ArbTiming::new(
@@ -170,19 +170,19 @@ impl ArbAlgorithm {
     }
 
     /// True for the SPAA family (single-nomination, pipelined driver).
-    pub fn is_spaa(self) -> bool {
+    pub(crate) fn is_spaa(self) -> bool {
         self.kernel().is_none()
     }
 
     /// True when the Rotary Rule is active.
-    pub fn is_rotary(self) -> bool {
+    pub(crate) fn is_rotary(self) -> bool {
         matches!(self, ArbAlgorithm::WfaRotary | ArbAlgorithm::SpaaRotary)
     }
 
     /// The weight plane this algorithm schedules on, or `None` for the
     /// unweighted algorithms (whose window fill skips weight stamping
     /// entirely unless oracle measurement asks for it).
-    pub fn weight_kind(self) -> Option<WeightKind> {
+    pub(crate) fn weight_kind(self) -> Option<WeightKind> {
         self.kernel().and_then(AlgoKind::weight_kind)
     }
 }
@@ -210,7 +210,7 @@ pub struct RouterConfig {
     /// Arbitration algorithm (fixes the arbiter driver and its timing).
     pub algorithm: ArbAlgorithm,
     /// Pipeline depth scale: `false` = 21364, `true` = Figure 11a 2×.
-    pub scaled_2x: bool,
+    pub(crate) scaled_2x: bool,
     /// Clock and fixed-delay set.
     pub timing: RouterTiming,
     /// Input-buffer partition.
@@ -255,7 +255,7 @@ impl RouterConfig {
     }
 
     /// The arbitration timing implied by `algorithm` and the scale flag.
-    pub fn arb_timing(&self) -> ArbTiming {
+    pub(crate) fn arb_timing(&self) -> ArbTiming {
         if self.scaled_2x {
             self.algorithm.timing_2x()
         } else {
@@ -274,7 +274,7 @@ impl RouterConfig {
     /// pays idle port cycles between back-to-back packets — which is
     /// exactly how "each additional cycle added to the arbitration
     /// pipeline degraded the network throughput by roughly 5%" (§1).
-    pub fn la_lookahead(&self) -> simcore::time::Cycles {
+    pub(crate) fn la_lookahead(&self) -> simcore::time::Cycles {
         let production_spaa_latency = if self.scaled_2x { 6 } else { 3 };
         simcore::time::Cycles::new(self.timing.output_delay.get() + production_spaa_latency - 1)
     }

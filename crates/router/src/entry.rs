@@ -56,14 +56,14 @@ use simcore::Tick;
 pub const NIL_INDEX: u32 = u32::MAX;
 
 /// "No virtual channel" marker in [`EntryMeta`] VC fields.
-pub const NO_VC: u8 = u8::MAX;
+pub(crate) const NO_VC: u8 = u8::MAX;
 
 /// [`EntryMeta::flags`]: threaded into its VC queue (competing in LA).
-pub const META_QUEUED: u8 = 1 << 0;
+pub(crate) const META_QUEUED: u8 = 1 << 0;
 /// [`EntryMeta::flags`]: state is `Waiting` (the only nominable state).
-pub const META_WAITING: u8 = 1 << 1;
+pub(crate) const META_WAITING: u8 = 1 << 1;
 /// [`EntryMeta::flags`]: the route is local delivery (no credits needed).
-pub const META_LOCAL: u8 = 1 << 2;
+pub(crate) const META_LOCAL: u8 = 1 << 2;
 /// [`EntryMeta::flags`]: among the first `scan_window` queued entries of
 /// its VC — the only ones an LA walk can reach.
 pub const META_IN_WINDOW: u8 = 1 << 3;
@@ -89,7 +89,7 @@ pub struct EntryId {
 
 impl EntryId {
     /// Builds a handle from raw parts (tests and scaffolding).
-    pub fn new(index: u32, gen: u32) -> Self {
+    pub(crate) fn new(index: u32, gen: u32) -> Self {
         EntryId { index, gen }
     }
 
@@ -97,12 +97,6 @@ impl EntryId {
     #[inline]
     pub fn index(self) -> usize {
         self.index as usize
-    }
-
-    /// The generation stamp carried by this handle.
-    #[inline]
-    pub fn gen(self) -> u32 {
-        self.gen
     }
 }
 
@@ -152,15 +146,6 @@ pub struct Entry {
     pub state: EntryState,
 }
 
-impl Entry {
-    /// True when the entry may be nominated at `now`.
-    #[inline]
-    pub fn nominable(&self, now: Tick) -> bool {
-        matches!(self.state, EntryState::Waiting { not_before } if not_before <= now)
-            && self.eligible_at <= now
-    }
-}
-
 /// The dense per-slot scan record: everything the LA readiness and
 /// eligibility tests consume, in 32 bytes. Derived from the [`Entry`] at
 /// insert time and kept in lock-step at every state transition, so the
@@ -170,30 +155,30 @@ impl Entry {
 pub struct EntryMeta {
     /// Next entry in this VC's age queue (`NIL_INDEX` at the tail or when
     /// unqueued).
-    pub next: u32,
+    pub(crate) next: u32,
     /// Previous entry in this VC's age queue.
     prev: u32,
     /// Slot generation; bumped on release.
-    pub gen: u32,
+    pub(crate) gen: u32,
     /// Earliest tick a `Waiting` entry can be nominated:
-    /// `max(not_before, eligible_at)`. `Entry::nominable(now)` is exactly
-    /// `flags & META_WAITING != 0 && ready_at <= now`.
-    pub ready_at: Tick,
+    /// `max(not_before, eligible_at)`. An entry is nominable at `now`
+    /// exactly when `flags & META_WAITING != 0 && ready_at <= now`.
+    pub(crate) ready_at: Tick,
     /// `META_*` bits.
     pub flags: u8,
     /// Candidate outputs: the adaptive torus directions for transit
     /// routes, or the wired sink ports for local routes.
-    pub outputs: u8,
+    pub(crate) outputs: u8,
     /// The dimension-order escape output as a one-hot mask (0 for local).
-    pub escape_mask: u8,
+    pub(crate) escape_mask: u8,
     /// Downstream adaptive VC index (`NO_VC` when the class must not
     /// route adaptively, or for local routes).
-    pub adaptive_vc: u8,
+    pub(crate) adaptive_vc: u8,
     /// Downstream deadlock-free VC index for the escape hop (`NO_VC` for
     /// local routes).
-    pub escape_vc: u8,
+    pub(crate) escape_vc: u8,
     /// The VC whose buffer the entry occupies here (for O(1) unlink).
-    pub vc: u8,
+    pub(crate) vc: u8,
 }
 
 // Two scan records per cache line; the window flag rides in `flags`.
@@ -353,7 +338,7 @@ impl InputBuffer {
 
     /// Queued `Waiting` entries of VC `v` (the depth weight of iLQF).
     #[inline]
-    pub fn waiting_count(&self, v: usize) -> usize {
+    pub(crate) fn waiting_count(&self, v: usize) -> usize {
         self.waiting[v] as usize
     }
 
@@ -383,23 +368,17 @@ impl InputBuffer {
         }
     }
 
-    /// Mask (over VC indices) of VCs with at least one queued entry.
-    #[inline]
-    pub fn non_empty_mask(&self) -> u32 {
-        self.non_empty
-    }
-
     /// Mask (over VC indices) of VCs with at least one queued entry in
     /// the `Waiting` state — the only entries an LA scan can nominate.
     /// Maintained incrementally at insert/release/state transitions.
     #[inline]
-    pub fn waiting_mask(&self) -> u32 {
+    pub(crate) fn waiting_mask(&self) -> u32 {
         self.waiting_mask
     }
 
     /// The dense scan-metadata slab (parallel to the entry slots). The LA
     /// scans walk this directly via [`InputBuffer::queue_head`] and
-    /// [`EntryMeta::next`].
+    /// `EntryMeta::next`.
     #[inline]
     pub fn metas(&self) -> &[EntryMeta] {
         &self.meta
@@ -416,12 +395,6 @@ impl InputBuffer {
     #[inline]
     pub fn space(&self, vc: VcId) -> usize {
         self.caps.capacity(vc) - self.occupancy[vc.index()] as usize
-    }
-
-    /// Current occupancy of `vc` in packets.
-    #[inline]
-    pub fn occupancy(&self, vc: VcId) -> usize {
-        self.occupancy[vc.index()] as usize
     }
 
     /// Total packets buffered across all VCs (O(1): kept in step).
@@ -598,7 +571,7 @@ impl InputBuffer {
     ///
     /// Panics if the id is stale (released, or released and reused).
     #[inline]
-    pub fn entry(&self, id: EntryId) -> &Entry {
+    pub(crate) fn entry(&self, id: EntryId) -> &Entry {
         self.check_current(id);
         self.entries[id.index()].as_ref().expect("stale entry id")
     }
@@ -610,7 +583,7 @@ impl InputBuffer {
     ///
     /// Panics if the slot is free.
     #[inline]
-    pub fn entry_eligible_at(&self, index: u32) -> Tick {
+    pub(crate) fn entry_eligible_at(&self, index: u32) -> Tick {
         self.entries[index as usize]
             .as_ref()
             .expect("queued slot is live")
@@ -621,7 +594,7 @@ impl InputBuffer {
     /// entry has been released (even if the slot was reused since). Used
     /// by the GA stage's liveness check on in-flight nominations.
     #[inline]
-    pub fn entry_if_current(&self, id: EntryId) -> Option<&Entry> {
+    pub(crate) fn entry_if_current(&self, id: EntryId) -> Option<&Entry> {
         if self.meta[id.index()].gen == id.gen {
             self.entries[id.index()].as_ref()
         } else {
@@ -729,7 +702,7 @@ impl InputBuffer {
     /// incremental waiting masks and the age order of the queues, the
     /// walk visits only the old prefix of VCs that hold waiting entries
     /// instead of every buffered packet.
-    pub fn count_old(&self, cutoff: Tick) -> u32 {
+    pub(crate) fn count_old(&self, cutoff: Tick) -> u32 {
         #[cfg(debug_assertions)]
         self.debug_validate();
         let mut n = 0;
@@ -762,7 +735,7 @@ impl InputBuffer {
     /// the downstream router (or the delivery queue). Used for
     /// packet-conservation accounting. O(1): both counts are maintained
     /// incrementally.
-    pub fn owned_packets(&self) -> usize {
+    pub(crate) fn owned_packets(&self) -> usize {
         (self.total - self.departing) as usize
     }
 
@@ -984,7 +957,7 @@ mod tests {
         buf.release(a);
         let b = buf.insert(entry(vc(), 2));
         assert_eq!(a.index(), b.index(), "freed slot is reused");
-        assert_ne!(a.gen(), b.gen(), "reuse invalidates old handles");
+        assert_ne!(a.gen, b.gen, "reuse invalidates old handles");
         assert!(buf.entry_if_current(a).is_none(), "stale handle detected");
         assert!(buf.entry_if_current(b).is_some());
     }
@@ -1005,22 +978,6 @@ mod tests {
         let mut buf = InputBuffer::new(BufferConfig::uniform(1), 8);
         buf.insert(entry(vc(), 1));
         buf.insert(entry(vc(), 2));
-    }
-
-    #[test]
-    fn nominable_respects_not_before_and_eligibility() {
-        let mut e = entry(vc(), 100);
-        assert!(!e.nominable(Tick::new(99)), "not yet decoded");
-        assert!(e.nominable(Tick::new(100)));
-        e.state = EntryState::Waiting {
-            not_before: Tick::new(150),
-        };
-        assert!(!e.nominable(Tick::new(120)), "reset backoff holds");
-        assert!(e.nominable(Tick::new(150)));
-        e.state = EntryState::Departing {
-            done_at: Tick::new(500),
-        };
-        assert!(!e.nominable(Tick::new(200)));
     }
 
     #[test]
@@ -1068,15 +1025,15 @@ mod tests {
     #[test]
     fn non_empty_mask_tracks_queues() {
         let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
-        assert_eq!(buf.non_empty_mask(), 0);
+        assert_eq!(buf.non_empty, 0);
         let a = buf.insert(entry(vc(), 1));
-        assert_eq!(buf.non_empty_mask(), 1 << vc().index());
+        assert_eq!(buf.non_empty, 1 << vc().index());
         buf.dequeue(a);
-        assert_eq!(buf.non_empty_mask(), 0, "dequeue clears the bit");
+        assert_eq!(buf.non_empty, 0, "dequeue clears the bit");
         buf.release(a);
         let b = buf.insert(entry(vc(), 2));
         buf.release(b);
-        assert_eq!(buf.non_empty_mask(), 0, "release clears the bit");
+        assert_eq!(buf.non_empty, 0, "release clears the bit");
     }
 
     #[test]
@@ -1149,8 +1106,8 @@ mod tests {
         let other = VcId::adaptive(CoherenceClass::BlockResponse);
         buf.insert(entry(vc(), 1));
         buf.insert(entry(other, 2));
-        assert_eq!(buf.occupancy(vc()), 1);
-        assert_eq!(buf.occupancy(other), 1);
+        assert_eq!(buf.occupancy[vc().index()], 1);
+        assert_eq!(buf.occupancy[other.index()], 1);
         assert_eq!(buf.total_occupancy(), 2);
     }
 }

@@ -39,6 +39,6 @@ pub mod vc;
 pub use config::{ArbAlgorithm, RouterConfig, WeightKind};
 pub use packet::{CoherenceClass, Packet, PacketId};
 pub use route::{EscapeVc, RouteInfo};
-pub use router::{IncomingPacket, OutgoingPacket, Router, RouterOutput};
+pub use router::{IncomingPacket, Router, RouterOutput};
 pub use timing::RouterTiming;
 pub use vc::{BufferConfig, VcId};

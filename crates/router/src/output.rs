@@ -21,50 +21,41 @@ use simcore::Tick;
 
 /// Departure schedule of one granted packet through an output port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlitSchedule {
+pub(crate) struct FlitSchedule {
     /// When the first flit crosses the output pin.
-    pub first_flit: Tick,
+    pub(crate) first_flit: Tick,
     /// When the last flit starts crossing.
-    pub last_flit_start: Tick,
+    pub(crate) last_flit_start: Tick,
     /// When the last flit has fully crossed (port and buffer release
     /// time; also the downstream tail-arrival minus link latency).
-    pub done: Tick,
+    pub(crate) done: Tick,
 }
 
 /// One output port's occupancy state.
 #[derive(Clone, Debug)]
-pub struct OutputState {
+pub(crate) struct OutputState {
     port: OutputPort,
     /// Time the current (or last) packet's final flit clears the port.
     busy_until: Tick,
-    /// Total flits ever sent (statistics).
-    flits_sent: u64,
-    /// Total packets ever sent.
-    packets_sent: u64,
-    /// Busy ticks accumulated (for occupancy statistics).
-    busy_ticks: u64,
 }
 
 impl OutputState {
     /// A fresh, idle output port.
-    pub fn new(port: OutputPort) -> Self {
+    pub(crate) fn new(port: OutputPort) -> Self {
         OutputState {
             port,
             busy_until: Tick::ZERO,
-            flits_sent: 0,
-            packets_sent: 0,
-            busy_ticks: 0,
         }
     }
 
     /// Which port this is.
-    pub fn port(&self) -> OutputPort {
+    pub(crate) fn port(&self) -> OutputPort {
         self.port
     }
 
     /// Flit period of this port: link clock for torus ports, core clock
     /// for the local sink and I/O ports.
-    pub fn flit_period(&self, timing: &RouterTiming) -> Tick {
+    pub(crate) fn flit_period(&self, timing: &RouterTiming) -> Tick {
         if self.port.is_network() {
             timing.link.period()
         } else {
@@ -76,7 +67,7 @@ impl OutputState {
     /// flit (at `ga + output_delay`) without colliding with the current
     /// packet's tail. This is what the LA "is the output port free"
     /// readiness test and the GA re-check both consult.
-    pub fn grantable(&self, ga: Tick, timing: &RouterTiming) -> bool {
+    pub(crate) fn grantable(&self, ga: Tick, timing: &RouterTiming) -> bool {
         ga + timing.core_cycles(timing.output_delay) >= self.busy_until
     }
 
@@ -95,7 +86,7 @@ impl OutputState {
     ///
     /// Panics if the port is not [`OutputState::grantable`] at `ga` —
     /// callers must check first (the arbiters do).
-    pub fn dispatch(
+    pub(crate) fn dispatch(
         &mut self,
         ga: Tick,
         len_flits: u32,
@@ -128,10 +119,7 @@ impl OutputState {
         let arrival_last = head_arrival + Tick::new(n * in_flit_period.as_ticks());
         let last_flit_start = own_rate_last.max(arrival_last);
         let done = last_flit_start + out_p;
-        self.busy_ticks += (done - first_flit).as_ticks();
         self.busy_until = done;
-        self.flits_sent += len_flits as u64;
-        self.packets_sent += 1;
         FlitSchedule {
             first_flit,
             last_flit_start,
@@ -140,23 +128,8 @@ impl OutputState {
     }
 
     /// Time the port frees (for tests and statistics).
-    pub fn busy_until(&self) -> Tick {
+    pub(crate) fn busy_until(&self) -> Tick {
         self.busy_until
-    }
-
-    /// Flits sent so far.
-    pub fn flits_sent(&self) -> u64 {
-        self.flits_sent
-    }
-
-    /// Packets sent so far.
-    pub fn packets_sent(&self) -> u64 {
-        self.packets_sent
-    }
-
-    /// Accumulated busy time in ticks.
-    pub fn busy_ticks(&self) -> u64 {
-        self.busy_ticks
     }
 }
 
@@ -168,7 +141,7 @@ impl OutputState {
 /// (`adaptive ∩ wired ∩ free ∩ credited`), so the saturated scan never
 /// probes counters output-by-output.
 #[derive(Clone, Debug)]
-pub struct CreditBank {
+pub(crate) struct CreditBank {
     /// `credits[dir][vc]` = free downstream packet slots; `dir` indexes
     /// the four torus outputs.
     credits: [[u16; NUM_VCS]; 4],
@@ -179,7 +152,7 @@ pub struct CreditBank {
 impl CreditBank {
     /// Initializes every torus neighbour's credit pool from the (shared)
     /// downstream buffer partition.
-    pub fn new(downstream: &crate::vc::BufferConfig) -> Self {
+    pub(crate) fn new(downstream: &crate::vc::BufferConfig) -> Self {
         let mut credits = [[0u16; NUM_VCS]; 4];
         let mut credited = [0u8; NUM_VCS];
         for (dir, pool) in credits.iter_mut().enumerate() {
@@ -200,7 +173,7 @@ impl CreditBank {
     ///
     /// Panics if `port` is not a torus port.
     #[inline]
-    pub fn available(&self, port: OutputPort, vc: VcId) -> u16 {
+    pub(crate) fn available(&self, port: OutputPort, vc: VcId) -> u16 {
         assert!(port.is_network(), "credits exist only for torus outputs");
         self.credits[port.index()][vc.index()]
     }
@@ -210,7 +183,7 @@ impl CreditBank {
     /// [`CreditBank::available`]` > 0` per output, maintained
     /// incrementally.
     #[inline]
-    pub fn credited_mask(&self, vc: VcId) -> u8 {
+    pub(crate) fn credited_mask(&self, vc: VcId) -> u8 {
         let mask = self.credited[vc.index()];
         #[cfg(debug_assertions)]
         for dir in 0..4 {
@@ -228,7 +201,7 @@ impl CreditBank {
     /// # Panics
     ///
     /// Panics if no credit is available (arbiters must check first).
-    pub fn consume(&mut self, port: OutputPort, vc: VcId) {
+    pub(crate) fn consume(&mut self, port: OutputPort, vc: VcId) {
         let c = &mut self.credits[port.index()][vc.index()];
         assert!(*c > 0, "credit underflow on {port} {vc}");
         *c -= 1;
@@ -238,7 +211,7 @@ impl CreditBank {
     }
 
     /// Returns one credit (downstream slot released).
-    pub fn refund(&mut self, port: OutputPort, vc: VcId) {
+    pub(crate) fn refund(&mut self, port: OutputPort, vc: VcId) {
         self.credits[port.index()][vc.index()] += 1;
         self.credited[vc.index()] |= 1 << port.index();
     }
@@ -251,7 +224,7 @@ impl CreditBank {
     /// # Panics
     ///
     /// Panics if `port` is not a torus port.
-    pub fn port_total(&self, port: OutputPort) -> u32 {
+    pub(crate) fn port_total(&self, port: OutputPort) -> u32 {
         assert!(port.is_network(), "credits exist only for torus outputs");
         self.credits[port.index()].iter().map(|&c| c as u32).sum()
     }
@@ -285,8 +258,6 @@ mod tests {
         // 3 flits at 30 ticks each.
         assert_eq!(sched.last_flit_start, Tick::new(300));
         assert_eq!(sched.done, Tick::new(330));
-        assert_eq!(out.flits_sent(), 3);
-        assert_eq!(out.packets_sent(), 1);
 
         // GA at tick 120: +140 = 260, aligned up to the 270 link edge.
         let mut out2 = OutputState::new(OutputPort::South);
@@ -427,13 +398,5 @@ mod tests {
     fn local_ports_have_no_credits() {
         let bank = CreditBank::new(&BufferConfig::alpha_21364());
         let _ = bank.available(OutputPort::L0, VcId::special());
-    }
-
-    #[test]
-    fn busy_fraction_accumulates() {
-        let t = timing();
-        let mut out = OutputState::new(OutputPort::South);
-        let s = out.dispatch(Tick::ZERO, 2, Tick::ZERO, t.link.period(), Tick::ZERO, &t);
-        assert_eq!(out.busy_ticks(), (s.done - s.first_flit).as_ticks());
     }
 }

@@ -45,12 +45,12 @@ impl CoherenceClass {
 
     /// Class index in `0..7`.
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 
     /// Default flit count for this class (the paper's common cases).
-    pub const fn flits(self) -> u8 {
+    pub(crate) const fn flits(self) -> u8 {
         match self {
             CoherenceClass::Request => 3,
             CoherenceClass::Forward => 3,
@@ -112,7 +112,7 @@ pub struct Packet {
     /// Coherence class (fixes the flit count and virtual-channel group).
     pub class: CoherenceClass,
     /// Packet length in flits.
-    pub len_flits: u8,
+    pub(crate) len_flits: u8,
     /// Source node (flat index in the network).
     pub src: u16,
     /// Destination node.

@@ -93,25 +93,6 @@ impl RouteInfo {
     pub fn is_local(&self) -> bool {
         matches!(self, RouteInfo::Local { .. })
     }
-
-    /// The adaptive candidate mask (empty for local routes).
-    pub fn adaptive_mask(&self) -> u8 {
-        match self {
-            RouteInfo::Local { .. } => 0,
-            RouteInfo::Transit { adaptive, .. } => *adaptive,
-        }
-    }
-
-    /// Every output this packet could ever leave through here, ignoring
-    /// occupancy and credit — used for request-matrix construction.
-    pub fn all_outputs_mask(&self) -> u8 {
-        match self {
-            RouteInfo::Local { outputs } => *outputs,
-            RouteInfo::Transit {
-                adaptive, escape, ..
-            } => adaptive | escape.mask() as u8,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,8 +103,12 @@ mod tests {
     fn local_route() {
         let r = RouteInfo::local((OutputPort::L0.mask() | OutputPort::L1.mask()) as u8);
         assert!(r.is_local());
-        assert_eq!(r.adaptive_mask(), 0);
-        assert_eq!(r.all_outputs_mask(), 0b0011_0000);
+        assert_eq!(
+            r,
+            RouteInfo::Local {
+                outputs: 0b0011_0000
+            }
+        );
     }
 
     #[test]
@@ -134,24 +119,34 @@ mod tests {
             EscapeVc::Vc0,
         );
         assert!(!r.is_local());
-        assert_eq!(r.adaptive_mask(), 0b0101);
-        assert_eq!(r.all_outputs_mask(), 0b0101);
+        assert_eq!(
+            r,
+            RouteInfo::Transit {
+                adaptive: 0b0101,
+                escape: OutputPort::East,
+                escape_vc: EscapeVc::Vc0,
+            }
+        );
     }
 
     #[test]
     fn escape_only_transit_is_legal() {
         // I/O packets: no adaptive candidates at all.
         let r = RouteInfo::transit(0, OutputPort::West, EscapeVc::Vc1);
-        assert_eq!(r.adaptive_mask(), 0);
-        assert_eq!(r.all_outputs_mask(), OutputPort::West.mask() as u8);
+        assert!(matches!(r, RouteInfo::Transit { adaptive: 0, .. }));
     }
 
     #[test]
     fn wide_adaptive_masks_are_legal() {
         // Full-mesh misrouting can nominate every network port at once.
         let r = RouteInfo::transit(0b1111, OutputPort::North, EscapeVc::Vc0);
-        assert_eq!(r.adaptive_mask(), 0b1111);
-        assert_eq!(r.all_outputs_mask(), 0b1111);
+        assert!(matches!(
+            r,
+            RouteInfo::Transit {
+                adaptive: 0b1111,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -162,7 +162,6 @@ enum Eligibility {
 /// One router of the 21364 torus.
 #[derive(Debug)]
 pub struct Router {
-    id: u16,
     cfg: RouterConfig,
     conn: ConnectionMatrix,
     inputs: Vec<InputBuffer>,
@@ -231,13 +230,14 @@ pub struct Router {
 }
 
 impl Router {
-    /// Builds a router.
+    /// Builds a router. The node id is the caller's bookkeeping: nothing
+    /// in a router depends on where it sits, so `_id` is not kept.
     ///
     /// # Panics
     ///
     /// Panics if the configured SPAA arbitration latency is below 2 cycles
     /// (LA and GA cannot share a cycle).
-    pub fn new(id: u16, cfg: RouterConfig, rng: SimRng) -> Self {
+    pub fn new(_id: u16, cfg: RouterConfig, rng: SimRng) -> Self {
         let arb = cfg.arb_timing();
         if cfg.algorithm.is_spaa() {
             assert!(
@@ -274,7 +274,6 @@ impl Router {
         let lookahead = cfg.timing.core_cycles(cfg.la_lookahead());
         let window_interval = cfg.timing.core_cycles(arb.initiation_interval);
         Router {
-            id,
             cfg,
             conn: ConnectionMatrix::alpha_21364(),
             inputs,
@@ -310,28 +309,13 @@ impl Router {
         }
     }
 
-    /// This router's node id.
-    pub fn id(&self) -> u16 {
-        self.id
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &RouterConfig {
-        &self.cfg
-    }
-
     /// Statistics counters.
     pub fn stats(&self) -> &RouterStats {
         &self.stats
     }
 
-    /// Output-port states (for utilization statistics).
-    pub fn outputs(&self) -> &[OutputState] {
-        &self.outputs
-    }
-
     /// Total packets currently buffered (including pending arrivals).
-    pub fn buffered_packets(&self) -> usize {
+    pub(crate) fn buffered_packets(&self) -> usize {
         self.inputs
             .iter()
             .map(|b| b.total_occupancy())

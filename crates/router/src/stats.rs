@@ -14,7 +14,7 @@ pub struct RouterStats {
     /// Packets delivered to the local sinks (L0/L1/I-O at destination).
     pub packets_delivered: Counter,
     /// Flits delivered to the local sinks.
-    pub flits_delivered: Counter,
+    pub(crate) flits_delivered: Counter,
     /// Nominations issued by the input arbiters.
     pub nominations: Counter,
     /// Grants issued by the output arbiters.
@@ -38,7 +38,7 @@ pub struct RouterStats {
 
 impl RouterStats {
     /// Compact traffic summary for diagnostic dumps.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "in {} out {} delivered {}",
             self.packets_in.get(),

@@ -14,7 +14,7 @@
 //! * **Clock domains**: the router core at 1.2 GHz, the off-chip links at
 //!   0.8 GHz with 3 link-clocks of wire latency.
 //!
-//! [`RouterTiming::scaled_2x`] doubles the pipeline (Figure 11a): 2.4 GHz
+//! `RouterTiming::scaled_2x` doubles the pipeline (Figure 11a): 2.4 GHz
 //! core, arbitration latencies 6 (SPAA) and 8 (PIM1/WFA), initiation
 //! intervals 1 and 6.
 
@@ -23,13 +23,13 @@ use simcore::time::{Cycles, Tick};
 
 /// Latency/initiation pair for an arbitration pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArbTiming {
+pub(crate) struct ArbTiming {
     /// Cycles from the LA (input arbitration) stage to the GA (output
     /// arbitration) stage, inclusive — 3 for SPAA, 4 for PIM1/WFA.
-    pub latency: Cycles,
+    pub(crate) latency: Cycles,
     /// Cycles between consecutive arbitration starts — 1 for SPAA,
     /// 3 for PIM1/WFA.
-    pub initiation_interval: Cycles,
+    pub(crate) initiation_interval: Cycles,
 }
 
 impl ArbTiming {
@@ -38,7 +38,7 @@ impl ArbTiming {
     /// # Panics
     ///
     /// Panics if either field is zero.
-    pub fn new(latency: u32, initiation_interval: u32) -> Self {
+    pub(crate) fn new(latency: u32, initiation_interval: u32) -> Self {
         assert!(latency >= 1, "arbitration takes at least one cycle");
         assert!(
             initiation_interval >= 1,
@@ -57,18 +57,18 @@ pub struct RouterTiming {
     /// Router-core clock (1.2 GHz in the 21364).
     pub core: Clock,
     /// Off-chip link clock (0.8 GHz — "33% slower", §2.2).
-    pub link: Clock,
+    pub(crate) link: Clock,
     /// Cycles from a network input pin to LA eligibility (synchronization,
     /// pad receiver, transport, ECC check and decode).
-    pub input_delay: Cycles,
+    pub(crate) input_delay: Cycles,
     /// Cycles from local-port injection to LA eligibility (router-table
     /// lookup path of Figure 4a; ≈2.5 ns of "local port latency", §4.3).
-    pub local_input_delay: Cycles,
+    pub(crate) local_input_delay: Cycles,
     /// Cycles from the GA grant to the first flit at the output pin
     /// (read-queue, crossbar, ECC generate, pad driver, transport).
-    pub output_delay: Cycles,
+    pub(crate) output_delay: Cycles,
     /// Link wire latency in link clocks (3 network clocks, §4.1).
-    pub link_latency: Cycles,
+    pub(crate) link_latency: Cycles,
 }
 
 impl RouterTiming {
@@ -76,7 +76,7 @@ impl RouterTiming {
     /// reaching LA, `latency - 1` further cycles to its GA stage, and
     /// `output_delay` cycles from GA to the output pin:
     /// `4 + 2 + 7 = 13` cycles pin-to-pin for SPAA, per §2.2.
-    pub fn alpha_21364() -> Self {
+    pub(crate) fn alpha_21364() -> Self {
         RouterTiming {
             core: Clock::alpha_21364_core(),
             link: Clock::alpha_21364_link(),
@@ -92,7 +92,7 @@ impl RouterTiming {
     /// double in cycle count, so their wall-clock duration is unchanged;
     /// arbitration latencies are supplied by [`ArbTiming`] separately
     /// (8/8/6 cycles per the paper).
-    pub fn scaled_2x() -> Self {
+    pub(crate) fn scaled_2x() -> Self {
         RouterTiming {
             core: Clock::scaled_2x_core(),
             link: Clock::scaled_2x_link(),
@@ -105,13 +105,13 @@ impl RouterTiming {
 
     /// Duration of `c` core cycles.
     #[inline]
-    pub fn core_cycles(&self, c: Cycles) -> Tick {
+    pub(crate) fn core_cycles(&self, c: Cycles) -> Tick {
         self.core.cycles(c.get() as u64)
     }
 
     /// Duration of `c` link cycles.
     #[inline]
-    pub fn link_cycles(&self, c: Cycles) -> Tick {
+    pub(crate) fn link_cycles(&self, c: Cycles) -> Tick {
         self.link.cycles(c.get() as u64)
     }
 
@@ -120,35 +120,36 @@ impl RouterTiming {
     pub fn link_latency_ticks(&self) -> Tick {
         self.link_cycles(self.link_latency)
     }
-
-    /// Pin-to-pin first-flit latency for a given arbitration latency.
-    ///
-    /// The LA stage shares a cycle with eligibility, so arbitration
-    /// contributes `latency - 1` whole cycles of elapsed time between the
-    /// input and output fixed delays.
-    pub fn pin_to_pin(&self, arb: ArbTiming) -> Cycles {
-        self.input_delay + Cycles::new(arb.latency.get() - 1) + self.output_delay
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Pin-to-pin first-flit latency for a given arbitration latency —
+    /// the §2.2 figure the fixed delays are calibrated to.
+    ///
+    /// The LA stage shares a cycle with eligibility, so arbitration
+    /// contributes `latency - 1` whole cycles of elapsed time between the
+    /// input and output fixed delays.
+    fn pin_to_pin(t: &RouterTiming, arb: ArbTiming) -> Cycles {
+        t.input_delay + Cycles::new(arb.latency.get() - 1) + t.output_delay
+    }
+
     #[test]
     fn paper_pin_to_pin_is_13_cycles() {
         let t = RouterTiming::alpha_21364();
         let spaa = ArbTiming::new(3, 1);
-        assert_eq!(t.pin_to_pin(spaa).get(), 13);
+        assert_eq!(pin_to_pin(&t, spaa).get(), 13);
         // 13 cycles at 1.2 GHz ≈ 10.8 ns (§2.2).
-        let ns = t.core_cycles(t.pin_to_pin(spaa)).as_ns();
+        let ns = t.core_cycles(pin_to_pin(&t, spaa)).as_ns();
         assert!((ns - 10.833).abs() < 0.01, "pin-to-pin = {ns} ns");
     }
 
     #[test]
     fn pim_wfa_pay_one_extra_cycle() {
         let t = RouterTiming::alpha_21364();
-        assert_eq!(t.pin_to_pin(ArbTiming::new(4, 3)).get(), 14);
+        assert_eq!(pin_to_pin(&t, ArbTiming::new(4, 3)).get(), 14);
     }
 
     #[test]

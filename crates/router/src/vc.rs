@@ -23,7 +23,7 @@ pub struct VcId(u8);
 
 /// The role a VC plays within its class group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum VcKind {
+pub(crate) enum VcKind {
     /// Minimal-rectangle adaptive channel.
     Adaptive,
     /// Deadlock-free dimension-order channel, pre-dateline.
@@ -96,7 +96,7 @@ impl VcId {
     }
 
     /// The role of this VC within its group.
-    pub fn kind(self) -> VcKind {
+    pub(crate) fn kind(self) -> VcKind {
         if self.0 == 18 {
             VcKind::Special
         } else {
@@ -115,7 +115,7 @@ impl VcId {
     }
 
     /// All VC ids.
-    pub fn all() -> impl Iterator<Item = VcId> {
+    pub(crate) fn all() -> impl Iterator<Item = VcId> {
         (0..NUM_VCS).map(VcId::from_index)
     }
 }
@@ -180,13 +180,8 @@ impl BufferConfig {
 
     /// Capacity of one VC, in packets.
     #[inline]
-    pub fn capacity(&self, vc: VcId) -> usize {
+    pub(crate) fn capacity(&self, vc: VcId) -> usize {
         self.caps[vc.index()] as usize
-    }
-
-    /// Total packets one input port can buffer.
-    pub fn total(&self) -> usize {
-        self.caps.iter().map(|&c| c as usize).sum()
     }
 }
 
@@ -194,10 +189,15 @@ impl BufferConfig {
 mod tests {
     use super::*;
 
+    /// Total packets one input port can buffer.
+    fn total(cfg: &BufferConfig) -> usize {
+        cfg.caps.iter().map(|&c| c as usize).sum()
+    }
+
     #[test]
     fn alpha_partition_totals_316() {
         // §2.1: "buffer space for 316 packets per input port".
-        assert_eq!(BufferConfig::alpha_21364().total(), 316);
+        assert_eq!(total(&BufferConfig::alpha_21364()), 316);
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
         );
         assert_eq!(cfg.capacity(VcId::special()), 4);
         let uni = BufferConfig::uniform(3);
-        assert_eq!(uni.total(), 3 * 19);
+        assert_eq!(total(&uni), 3 * 19);
     }
 
     #[test]

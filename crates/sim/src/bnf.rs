@@ -148,7 +148,7 @@ pub struct ReplicatedBnfPoint {
 
 impl ReplicatedBnfPoint {
     /// 95% confidence half-width on the mean delivered throughput
-    /// (normal approximation, see [`OnlineStats::confidence_interval`]).
+    /// (normal approximation, see `OnlineStats::confidence_interval`).
     pub fn throughput_ci95(&self) -> f64 {
         self.throughput.confidence_interval(0.95)
     }
@@ -160,7 +160,7 @@ impl ReplicatedBnfPoint {
 
     /// The replicate-mean operating point (for mean-curve comparisons
     /// through the existing [`BnfCurve`] analysis methods).
-    pub fn mean_point(&self) -> BnfPoint {
+    pub(crate) fn mean_point(&self) -> BnfPoint {
         BnfPoint {
             offered: self.offered,
             delivered_flits_per_router_ns: self.throughput.mean(),

@@ -5,7 +5,7 @@
 //! network simulator steps on core edges and aligns departing flits to
 //! link edges ([`Clock::next_edge_at_or_after`]).
 
-use crate::time::{Tick, TICKS_PER_NS};
+use crate::time::Tick;
 
 /// A free-running clock domain: rising edges at `phase + n * period`.
 ///
@@ -31,7 +31,7 @@ impl Clock {
     /// # Panics
     ///
     /// Panics if `period` is zero.
-    pub fn new(period: Tick) -> Self {
+    pub(crate) fn new(period: Tick) -> Self {
         assert!(period > Tick::ZERO, "clock period must be positive");
         Clock {
             period,
@@ -65,11 +65,6 @@ impl Clock {
         self.period
     }
 
-    /// Frequency in GHz.
-    pub fn ghz(&self) -> f64 {
-        TICKS_PER_NS as f64 / self.period.as_ticks() as f64
-    }
-
     /// Time of the `n`-th rising edge (edge 0 is at the phase offset).
     #[inline]
     pub fn edge(&self, n: u64) -> Tick {
@@ -95,13 +90,20 @@ impl Clock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::TICKS_PER_NS;
+
+    /// Frequency in GHz — the unit the paper states its clocks in
+    /// (§2.2: 1.2 GHz core, 0.8 GHz links; Figure 11a doubles both).
+    fn ghz(clock: Clock) -> f64 {
+        TICKS_PER_NS as f64 / clock.period().as_ticks() as f64
+    }
 
     #[test]
     fn paper_frequencies() {
-        assert!((Clock::alpha_21364_core().ghz() - 1.2).abs() < 1e-12);
-        assert!((Clock::alpha_21364_link().ghz() - 0.8).abs() < 1e-12);
-        assert!((Clock::scaled_2x_core().ghz() - 2.4).abs() < 1e-12);
-        assert!((Clock::scaled_2x_link().ghz() - 1.6).abs() < 1e-12);
+        assert!((ghz(Clock::alpha_21364_core()) - 1.2).abs() < 1e-12);
+        assert!((ghz(Clock::alpha_21364_link()) - 0.8).abs() < 1e-12);
+        assert!((ghz(Clock::scaled_2x_core()) - 2.4).abs() < 1e-12);
+        assert!((ghz(Clock::scaled_2x_link()) - 1.6).abs() < 1e-12);
     }
 
     #[test]

@@ -44,7 +44,5 @@ pub mod time;
 pub mod wheel;
 
 pub use bnf::{BnfCurve, BnfPoint, ReplicatedBnfCurve, ReplicatedBnfPoint};
-pub use clock::Clock;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, OnlineStats};
-pub use time::{Cycles, Tick, TICKS_PER_NS};
+pub use time::Tick;

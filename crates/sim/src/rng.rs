@@ -69,11 +69,6 @@ impl SimRng {
         SimRng::from_seed(splitmix64(self.seed ^ splitmix64(stream.wrapping_add(1))))
     }
 
-    /// The seed this stream was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The next 64 random bits: advance the MCG, then apply the XSL-RR
     /// output function to the new state.
     #[inline]
@@ -169,7 +164,7 @@ impl SimRng {
 
     /// A uniform `f64` in `[0, 1)` (53 random mantissa bits).
     #[inline]
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }

@@ -76,7 +76,7 @@ impl OnlineStats {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -123,7 +123,7 @@ impl OnlineStats {
     /// # Panics
     ///
     /// Panics unless `confidence` lies in the open interval `(0, 1)`.
-    pub fn confidence_interval(&self, confidence: f64) -> f64 {
+    pub(crate) fn confidence_interval(&self, confidence: f64) -> f64 {
         assert!(
             confidence > 0.0 && confidence < 1.0,
             "confidence level must be in (0, 1), got {confidence}"
@@ -143,31 +143,6 @@ impl OnlineStats {
     /// Largest sample, if any.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -193,7 +168,7 @@ impl fmt::Display for OnlineStats {
 /// # Panics
 ///
 /// Panics unless `p` lies in the open interval `(0, 1)`.
-pub fn standard_normal_quantile(p: f64) -> f64 {
+pub(crate) fn standard_normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "quantile probability must be in (0, 1)");
     // Coefficients from Peter Acklam's algorithm (2003).
     const A: [f64; 6] = [
@@ -324,8 +299,8 @@ impl Histogram {
 
     /// Merges another histogram with identical binning into this one.
     ///
-    /// Bin counts are integers, so — unlike [`OnlineStats::merge`], which
-    /// reassociates floating-point sums — this merge is *exact*: merging
+    /// Bin counts are integers, so — unlike a merge of [`OnlineStats`],
+    /// which would reassociate floating-point sums — this is *exact*: merging
     /// per-shard partials in any order equals recording every sample into
     /// one histogram in any order. The sharded network engine relies on
     /// this to keep its latency histograms bit-identical to the
@@ -378,11 +353,6 @@ impl Histogram {
 pub struct Counter(u64);
 
 impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
     /// Increments by one.
     #[inline]
     pub fn bump(&mut self) {
@@ -431,46 +401,6 @@ mod tests {
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.sum(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..57).map(|i| i as f64 * 0.7).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 3 == 0 {
-                a.record(x)
-            } else {
-                b.record(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.record(5.0);
-        let snapshot = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.count(), snapshot.count());
-        assert_eq!(a.mean(), snapshot.mean());
-
-        let mut e = OnlineStats::new();
-        e.merge(&snapshot);
-        assert_eq!(e.count(), 1);
-        assert_eq!(e.mean(), 5.0);
     }
 
     #[test]
@@ -631,7 +561,7 @@ mod tests {
 
     #[test]
     fn counter_ops() {
-        let mut c = Counter::new();
+        let mut c = Counter::default();
         c.bump();
         c.add(4);
         assert_eq!(c.get(), 5);

@@ -78,24 +78,6 @@ impl Tick {
         Tick(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, rhs: Tick) -> Option<Tick> {
-        self.0.checked_sub(rhs.0).map(Tick)
-    }
-
-    /// The larger of two times.
-    #[inline]
-    pub fn max(self, rhs: Tick) -> Tick {
-        Tick(self.0.max(rhs.0))
-    }
-
-    /// The smaller of two times.
-    #[inline]
-    pub fn min(self, rhs: Tick) -> Tick {
-        Tick(self.0.min(rhs.0))
-    }
-
     /// Fast-forwards a cadence: the earliest `self + k * step` (integer
     /// `k >= 0`) that is `>= now`. This is the replay arithmetic idle-skip
     /// catch-up relies on — a cadence counter advanced by this function
@@ -208,8 +190,6 @@ mod tests {
         assert_eq!((a + b).as_ticks(), 70);
         assert_eq!((a - b).as_ticks(), 30);
         assert_eq!(b.saturating_sub(a), Tick::ZERO);
-        assert_eq!(a.checked_sub(b), Some(Tick::new(30)));
-        assert_eq!(b.checked_sub(a), None);
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
     }

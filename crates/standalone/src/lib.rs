@@ -167,7 +167,10 @@ impl RouterState {
             // the basic constraints", §3) — one output, one row.
             let wired_union =
                 (self.conn.row_mask(port * 2) | self.conn.row_mask(port * 2 + 1)) as u8 & free;
-            let head = q.iter().take(SCAN_WINDOW).find(|pkt| pkt.outputs & wired_union != 0);
+            let head = q
+                .iter()
+                .take(SCAN_WINDOW)
+                .find(|pkt| pkt.outputs & wired_union != 0);
             if let Some(head) = head {
                 let mask0 = head.outputs & (self.conn.row_mask(port * 2) as u8 & free);
                 let mask1 = head.outputs & (self.conn.row_mask(port * 2 + 1) as u8 & free);
@@ -267,12 +270,12 @@ pub struct StandaloneResult {
     /// Mean matching weight per cycle on the **depth** plane (every
     /// algorithm is scored on the same plane so the columns compare;
     /// iOCF *schedules* on age but is scored here like everyone else).
-    pub weight_per_cycle: f64,
+    pub(crate) weight_per_cycle: f64,
     /// Mean exact maximum-weight-matching (Hungarian oracle) weight per
     /// cycle on the same depth plane. `weight_per_cycle /
     /// mwm_weight_per_cycle` is the optimality gap reported in fig08's
     /// extended table.
-    pub mwm_weight_per_cycle: f64,
+    pub(crate) mwm_weight_per_cycle: f64,
 }
 
 impl StandaloneResult {

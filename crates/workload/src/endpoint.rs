@@ -54,9 +54,9 @@ const BURST_STREAM: u64 = 0xb0b5_7b0b;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BurstConfig {
     /// Mean ON-phase length in core cycles (geometric; must be ≥ 1).
-    pub mean_burst_cycles: f64,
+    pub(crate) mean_burst_cycles: f64,
     /// Mean OFF-phase length in core cycles (geometric; must be ≥ 1).
-    pub mean_idle_cycles: f64,
+    pub(crate) mean_idle_cycles: f64,
 }
 
 impl BurstConfig {
@@ -82,7 +82,7 @@ impl BurstConfig {
     }
 
     /// Fraction of time spent in the ON phase.
-    pub fn duty_cycle(&self) -> f64 {
+    pub(crate) fn duty_cycle(&self) -> f64 {
         self.mean_burst_cycles / (self.mean_burst_cycles + self.mean_idle_cycles)
     }
 
@@ -90,7 +90,7 @@ impl BurstConfig {
     /// as the long-run mean (capped at 1 attempt/cycle; a cap hit means
     /// the requested average is unreachable at this duty cycle and the
     /// node simply generates every ON cycle).
-    pub fn peak_rate(&self, average_rate: f64) -> f64 {
+    pub(crate) fn peak_rate(&self, average_rate: f64) -> f64 {
         (average_rate / self.duty_cycle()).min(1.0)
     }
 }
@@ -103,7 +103,7 @@ pub struct WorkloadConfig {
     /// Probability per core cycle that a node tries to start a new
     /// transaction (the offered-load knob swept to trace a BNF curve).
     /// With `burst` set this is the *average* rate; generation
-    /// concentrates into ON phases at [`BurstConfig::peak_rate`].
+    /// concentrates into ON phases at `BurstConfig::peak_rate`.
     pub injection_rate: f64,
     /// Outstanding-miss limit (16 for the 21364, 64 for Figure 11b).
     pub mshrs: u32,
@@ -199,14 +199,14 @@ pub struct EndpointStats {
     /// Packets delivered to this node in any role.
     pub packets_received: u64,
     /// Peak source-queue depth observed (congestion indicator).
-    pub peak_queue_depth: usize,
+    pub(crate) peak_queue_depth: usize,
     /// Cycles spent in an ON burst phase (0 without a burst config);
     /// `burst_on_cycles / cycles` across nodes estimates the realized
     /// duty cycle.
-    pub burst_on_cycles: u64,
+    pub(crate) burst_on_cycles: u64,
     /// Packets refused at injection because link deaths severed every
     /// route to their destination (fault plane; 0 in a healthy network).
-    pub unreachable_drops: u64,
+    pub(crate) unreachable_drops: u64,
 }
 
 impl EndpointStats {
@@ -299,7 +299,7 @@ pub struct CoherenceEndpoint {
 
 impl CoherenceEndpoint {
     /// Creates the agent for `node`.
-    pub fn new(node: u16, topology: NetTopology, cfg: WorkloadConfig, rng: SimRng) -> Self {
+    pub(crate) fn new(node: u16, topology: NetTopology, cfg: WorkloadConfig, rng: SimRng) -> Self {
         assert!(cfg.mshrs > 0, "a node needs at least one MSHR");
         let burst_peak_rate = match cfg.burst {
             Some(b) => b.peak_rate(cfg.injection_rate),

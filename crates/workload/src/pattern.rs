@@ -49,7 +49,7 @@ pub enum TrafficPattern {
 }
 
 /// The hot node set of [`TrafficPattern::Hotspot`]: up to
-/// [`HotspotTargets::MAX`] node ids in a fixed inline array, so the
+/// four (`HotspotTargets::MAX`) node ids in a fixed inline array, so the
 /// pattern stays `Copy` and sweep configs remain plain values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HotspotTargets {
@@ -60,13 +60,13 @@ pub struct HotspotTargets {
 impl HotspotTargets {
     /// Maximum hot-set size. A hotspot's point is concentration; a
     /// larger set is better expressed as a custom pattern.
-    pub const MAX: usize = 4;
+    pub(crate) const MAX: usize = 4;
 
-    /// Builds a hot set from up to [`Self::MAX`] node ids.
+    /// Builds a hot set from up to four (`Self::MAX`) node ids.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is empty, exceeds [`Self::MAX`], or contains a
+    /// Panics if `nodes` is empty, exceeds four, or contains a
     /// duplicate (a duplicate would silently skew the hot-draw weights).
     pub fn new(nodes: &[u16]) -> Self {
         assert!(!nodes.is_empty(), "a hotspot needs at least one target");
@@ -91,7 +91,7 @@ impl HotspotTargets {
     }
 
     /// The hot node ids.
-    pub fn as_slice(&self) -> &[u16] {
+    pub(crate) fn as_slice(&self) -> &[u16] {
         &self.nodes[..self.len as usize]
     }
 }
@@ -105,7 +105,7 @@ impl TrafficPattern {
     /// below 3 are reported as unsupported — a sweep config selecting
     /// tornado on such a shape should be rejected up front rather than
     /// silently measuring local delivery.
-    pub fn supports(&self, topo: &NetTopology) -> bool {
+    pub(crate) fn supports(&self, topo: &NetTopology) -> bool {
         match self {
             TrafficPattern::Uniform => true,
             TrafficPattern::BitReversal | TrafficPattern::PerfectShuffle => {
@@ -130,7 +130,7 @@ impl TrafficPattern {
     /// # Panics
     ///
     /// Panics if the pattern does not support the topology
-    /// (see [`TrafficPattern::supports`]).
+    /// (see `TrafficPattern::supports`).
     pub fn dest(&self, topo: &NetTopology, src: u16, rng: &mut SimRng) -> u16 {
         assert!(
             self.supports(topo),
@@ -205,7 +205,7 @@ fn uniform_other(n: u16, src: u16, rng: &mut SimRng) -> u16 {
 /// direction is ambiguous. [`TrafficPattern::supports`] reports tornado
 /// as unusable whenever the shift is 0, so sweeps cannot silently
 /// measure self-traffic.
-pub fn tornado_shift(w: u16) -> u16 {
+pub(crate) fn tornado_shift(w: u16) -> u16 {
     if w < 2 {
         0
     } else {

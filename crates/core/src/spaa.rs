@@ -64,6 +64,14 @@ impl SpaaArbiter {
     /// guarantees one nomination per row, which is what makes speculative
     /// buffer read-out safe.
     ///
+    /// The router's pipelined GA stage (`Router::spaa_ga_phase`) drives
+    /// the same per-output [`Selector`] but cannot call this: between
+    /// nomination and grant it re-checks that the port is still free,
+    /// narrows the contenders to old entries during an anti-starvation
+    /// drain and re-checks credit — three tests on router state that a
+    /// nominations → matching function never sees. This is the one-cycle
+    /// SPAA of the standalone model (§5.1).
+    ///
     /// # Panics
     ///
     /// Panics if a nomination column is out of range or the nomination

@@ -908,6 +908,11 @@ impl Router {
     // SPAA driver (§3.3)
     // ------------------------------------------------------------------
 
+    /// The GA stage: resolves the nominations maturing at `now`, one
+    /// [`Selector`] pick per output. `arbitration::spaa::SpaaArbiter::grant`
+    /// is the same pick as a pure function and is not called here: this
+    /// stage interleaves it with a port re-check, the anti-starvation
+    /// narrowing of the pool and a credit re-check, all on router state.
     fn spaa_ga_phase(&mut self, now: Tick, out: &mut Vec<RouterOutput>) {
         if self.ga_queue.front().is_none_or(|n| n.decide_at > now) {
             return;
@@ -1163,7 +1168,8 @@ impl Router {
         // candidate itself waits there); age is the candidate's eligibility
         // age in core cycles, floored at 1 so a requested cell never
         // carries weight 0. `None` computes nothing — the snapshot then
-        // has no plane to stamp.
+        // has no plane to stamp. (The standalone model, with neither VCs
+        // nor a clock, defines both differently: its `weight_planes`.)
         let weight_kind = self.weight_kind;
         let core_period = self.cfg.timing.core.period().as_ticks().max(1);
         let mut collected = std::mem::take(&mut self.scratch_collect);

@@ -209,6 +209,12 @@ impl RouterState {
     ///   (the standalone model has no timestamps; queue position is its
     ///   arrival order).
     ///
+    /// These are not the timing model's definitions (`router`'s window
+    /// fill stamps depth = the candidate VC's waiting count and age = its
+    /// eligibility age in core cycles) and cannot be: this model has one
+    /// FIFO per port, reloaded every iteration, with neither VCs nor a
+    /// clock to measure either against.
+    ///
     /// Both are ≥ 1 on every requested cell (a request implies at least
     /// one usable packet) and draw no random numbers, so computing them
     /// beside every algorithm leaves existing results byte-identical.

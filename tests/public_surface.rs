@@ -14,15 +14,15 @@ use std::path::Path;
 /// Per crate directory: `pub` items (fn / struct / enum / trait / const /
 /// static / type — module declarations are not counted, they keep every
 /// surviving path resolvable), `pub` named fields, and `pub use` names,
-/// all in the non-test region of `src/` (up to the first `#[cfg(test)]`).
+/// all in the non-test region of `src/` (up to the `#[cfg(test)] mod`).
 const CEILING: [(&str, usize, usize, usize); 7] = [
-    ("core", 0, 0, 0),
-    ("router", 0, 0, 0),
-    ("network", 0, 0, 0),
-    ("sim", 0, 0, 0),
-    ("workload", 0, 0, 0),
-    ("standalone", 0, 0, 0),
-    ("bench", 0, 0, 0),
+    ("core", 87, 3, 19),
+    ("router", 75, 47, 15),
+    ("network", 70, 44, 18),
+    ("sim", 100, 11, 6),
+    ("workload", 24, 13, 7),
+    ("standalone", 5, 5, 1),
+    ("bench", 16, 12, 0),
 ];
 
 const RECIPE: &str = "\
@@ -47,6 +47,7 @@ To re-run the whole census (CHANGES.md, PR 22, carries the script):
   5. clippy, rustdoc (`-D warnings`: unlink private intra-doc links) and fmt.
 A fixed point demotes nothing: the counts below are what step 3 leaves.";
 
+#[derive(Default)]
 struct Census {
     items: usize,
     fields: usize,
@@ -84,9 +85,11 @@ fn scan_file(text: &str, census: &mut Census) {
         "union ",
     ];
     let mut open_use: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.starts_with("#[cfg(test)]") {
+    let mut lines = text.lines().map(str::trim).peekable();
+    while let Some(line) = lines.next() {
+        // The unit-test module ends the census; a `#[cfg(test)]` on a
+        // single item (a test-only reference kept beside live code) does not.
+        if line == "#[cfg(test)]" && lines.peek().is_some_and(|next| next.starts_with("mod ")) {
             break;
         }
         if let Some(body) = open_use.as_mut() {
@@ -132,11 +135,7 @@ fn library_crates_export_no_more_than_the_census_left() {
     let mut over = Vec::new();
     let mut table = String::new();
     for (name, items, fields, reexports) in CEILING {
-        let mut census = Census {
-            items: 0,
-            fields: 0,
-            reexports: 0,
-        };
+        let mut census = Census::default();
         scan_dir(&crates.join(name).join("src"), &mut census);
         table.push_str(&format!(
             "  {name:<10} items {:>3}/{items:<3} fields {:>3}/{fields:<3} re-exports {:>3}/{reexports}\n",
@@ -161,11 +160,7 @@ fn library_crates_export_no_more_than_the_census_left() {
 
 #[test]
 fn scanner_counts_what_the_census_counts() {
-    let mut census = Census {
-        items: 0,
-        fields: 0,
-        reexports: 0,
-    };
+    let mut census = Census::default();
     scan_file(
         "pub mod m;\n\
          pub use a::{B, c::D,\n    E};\n\
@@ -174,7 +169,7 @@ fn scanner_counts_what_the_census_counts() {
          pub struct S {\n    pub x: u8,\n    pub(crate) y: u8,\n    z: u8,\n}\n\
          pub const fn k() {}\n\
          pub(crate) fn hidden() {}\n\
-         impl S {\n    pub fn new() -> Self { todo!() }\n}\n\
+         impl S {\n    #[cfg(test)]\n    fn probe() {}\n    pub fn new() -> Self { todo!() }\n}\n\
          #[cfg(test)]\n\
          mod tests {\n    pub fn not_counted() {}\n}\n",
         &mut census,

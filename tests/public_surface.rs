@@ -32,20 +32,19 @@ perf/ or a doc-test), raise that crate's number in tests/public_surface.rs
 in the same commit. If nothing outside the crate calls it, spell it
 `pub(crate)` — dead_code can then see it.
 
-To re-run the whole census (CHANGES.md, PR 22, carries the script):
+To re-run the whole census (`tools/census.py split | demote | fix` does
+steps 1-3; its header has the rest):
   1. split every multi-name `pub use` into one statement per name;
   2. rewrite every `pub` item, field and `pub use` in the non-test region of
      crates/{core,router,network,sim,workload,standalone,bench}/src to
      `pub(crate)` (leave `pub mod` alone);
-  3. `cargo check --workspace --all-targets --message-format=json`, then the
-     same with `--manifest-path perf/Cargo.toml`, then
+  3. `cargo check --workspace --all-targets`, the same on perf/, then
      `cargo test --doc --workspace`; re-promote exactly what the privacy
-     errors (E0603/E0616/E0624/E0451/E0364/E0365, private_interfaces, names a
-     glob import no longer finds) point at; repeat until clean;
+     errors name; repeat until clean;
   4. delete what `cargo check --workspace` then reports as dead_code or
      unused_imports, with the unit tests that were its only callers; repeat;
   5. clippy, rustdoc (`-D warnings`: unlink private intra-doc links) and fmt.
-A fixed point demotes nothing: the counts below are what step 3 leaves.";
+A fixed point demotes nothing: the ceilings are what step 3 leaves.";
 
 #[derive(Default)]
 struct Census {

@@ -5,9 +5,10 @@
 //! with the phases separated by a barrier.
 //!
 //! A shard owns a contiguous node-id range of routers and endpoints
-//! (see [`crate::topology::ShardMap`]), its own delivery wheel, idle-skip
-//! wake array, and the order-insensitive measurement accumulators
-//! (integer counters and the latency histogram, whose merges are exact).
+//! (see [`crate::topology::ShardMap`]), its own delivery wheel, the
+//! idle-skip wake arrays of its routers and endpoints, and the
+//! order-insensitive measurement accumulators (integer counters and the
+//! latency histogram, whose merges are exact).
 //! Every cycle splits into:
 //!
 //! * **Phase A** ([`Shard::phase_a`]) — step the shard's routers, drain
@@ -230,6 +231,9 @@ pub(crate) struct Shard<E> {
     /// Per local router: `Tick::ZERO` while awake; otherwise the earliest
     /// tick at which it must be stepped again.
     wake_at: Vec<Tick>,
+    /// Per local endpoint: its last [`Endpoint::next_wake`] answer
+    /// (`Tick::ZERO` while idle-skip is off).
+    ep_wake: Vec<Tick>,
     pub(crate) skipped_steps: u64,
     pub(crate) injected_packets: u64,
     pub(crate) injected_flits: u64,
@@ -283,6 +287,7 @@ impl<E: Endpoint> Shard<E> {
             scratch: Vec::with_capacity(64),
             idle_skip: true,
             wake_at: vec![Tick::ZERO; routers.len()],
+            ep_wake: vec![Tick::ZERO; routers.len()],
             skipped_steps: 0,
             injected_packets: 0,
             injected_flits: 0,
@@ -302,7 +307,16 @@ impl<E: Endpoint> Shard<E> {
         self.idle_skip = enabled;
         if !enabled {
             self.wake_at.fill(Tick::ZERO);
+            self.ep_wake.fill(Tick::ZERO);
         }
+    }
+
+    /// Mutable access to local endpoint `i`. Whatever the caller changes
+    /// may void the endpoint's last [`Endpoint::next_wake`] promise, so
+    /// the next cycle calls it again.
+    pub(crate) fn endpoint_mut(&mut self, i: usize) -> &mut E {
+        self.ep_wake[i] = Tick::ZERO;
+        &mut self.endpoints[i]
     }
 
     /// Undelivered packets still parked on the delivery wheel.
@@ -353,7 +367,10 @@ impl<E: Endpoint> Shard<E> {
     ///    goes to `emit`;
     /// 2. deliveries due now reach their endpoints, appending a
     ///    [`MeasureRecord`] per measured delivery;
-    /// 3. endpoints generate new traffic.
+    /// 3. endpoints generate new traffic (skipping an endpoint until the
+    ///    tick its [`Endpoint::next_wake`] named — by that contract a
+    ///    skipped `on_cycle` would have been a no-op; a delivery in step 2
+    ///    re-asks).
     ///
     /// Endpoint decisions cannot observe the deferred events: injections
     /// check `free_space` on *local* input ports only, while forwards
@@ -418,7 +435,11 @@ impl<E: Endpoint> Shard<E> {
         self.deliveries.drain_due(now, &mut due);
         for &(at, ref d) in &due {
             self.delivered_all += 1;
-            let txn = self.endpoints[(d.node - self.base) as usize].on_delivered(&d.packet, at);
+            let local = (d.node - self.base) as usize;
+            let txn = self.endpoints[local].on_delivered(&d.packet, at);
+            if self.idle_skip {
+                self.ep_wake[local] = self.endpoints[local].next_wake();
+            }
             if at >= env.warmup_end {
                 let transit_ns = (at - d.packet.injected).as_ns();
                 self.latency_hist.record(transit_ns);
@@ -444,6 +465,9 @@ impl<E: Endpoint> Shard<E> {
 
         // 3. Endpoints generate new traffic.
         for i in 0..self.routers.len() {
+            if now < self.ep_wake[i] {
+                continue;
+            }
             let mut ctx = NodeCtx {
                 router: &mut self.routers[i],
                 topology: &env.topology,
@@ -459,13 +483,17 @@ impl<E: Endpoint> Shard<E> {
                 woke: false,
             };
             self.endpoints[i].on_cycle(&mut ctx);
-            if ctx.woke && self.idle_skip {
-                // An injection is processed by the router on a later
-                // edge; until then the router may stay asleep. Recompute
-                // the wake exactly (a `min` against the previous value
-                // could retain a stale earlier tick and trigger spurious
-                // steps).
-                self.wake_at[i] = self.routers[i].next_work();
+            let woke = ctx.woke;
+            if self.idle_skip {
+                self.ep_wake[i] = self.endpoints[i].next_wake();
+                if woke {
+                    // An injection is processed by the router on a later
+                    // edge; until then the router may stay asleep.
+                    // Recompute the wake exactly (a `min` against the
+                    // previous value could retain a stale earlier tick
+                    // and trigger spurious steps).
+                    self.wake_at[i] = self.routers[i].next_work();
+                }
             }
         }
     }

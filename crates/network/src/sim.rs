@@ -95,7 +95,7 @@ pub enum InjectionOutcome {
     Unreachable,
 }
 
-/// Per-node view handed to an [`Endpoint`] every cycle.
+/// Per-node view handed to an [`Endpoint`] on every cycle it runs.
 pub struct NodeCtx<'a> {
     pub(crate) router: &'a mut Router,
     pub(crate) topology: &'a NetTopology,
@@ -115,6 +115,12 @@ impl NodeCtx<'_> {
     /// Current simulation time.
     pub fn now(&self) -> Tick {
         self.now
+    }
+
+    /// The run's core-clock period: `now() + core_period()` is the tick
+    /// of the next cycle's [`Endpoint::on_cycle`].
+    pub fn core_period(&self) -> Tick {
+        self.core_period
     }
 
     /// The virtual channel an injected packet of `class` occupies at the
@@ -187,8 +193,21 @@ pub struct TxnCompletion {
 /// A per-node traffic agent. `Send` because a multi-shard
 /// [`NetworkSim::run`] steps each shard's endpoints on its own thread.
 pub trait Endpoint: Send {
-    /// Called once per core cycle; may inject packets via `ctx`.
+    /// Called on every core cycle at or after the endpoint's last
+    /// [`Endpoint::next_wake`] answer (so on every cycle, for an endpoint
+    /// that keeps the default); may inject packets via `ctx`.
     fn on_cycle(&mut self, ctx: &mut NodeCtx<'_>);
+
+    /// The earliest tick at which `on_cycle` must run again — the
+    /// endpoint's side of the idleness protocol (see
+    /// [`NetworkSim::set_idle_skip`]). Returning `t` promises that every
+    /// `on_cycle` before `t` would inject nothing, draw nothing observable
+    /// and change no statistic, unless `on_delivered` is called first;
+    /// the engine asks again after every `on_cycle` and `on_delivered`.
+    /// The default, [`Tick::ZERO`], means "call me every cycle".
+    fn next_wake(&self) -> Tick {
+        Tick::ZERO
+    }
 
     /// Called when a packet addressed to this node completes delivery.
     ///
@@ -598,12 +617,15 @@ impl<E: Endpoint> NetworkSim<E> {
     /// to empty).
     pub fn endpoint_mut(&mut self, node: u16) -> &mut E {
         let (s, i) = self.locate(node);
-        &mut self.shards[s].endpoints[i]
+        self.shards[s].endpoint_mut(i)
     }
 
-    /// Enables or disables idle-skip (on by default). The two modes
-    /// produce bit-for-bit identical results; disabling exists for
-    /// equivalence testing and engine benchmarking.
+    /// Enables or disables idle-skip (on by default): a router is not
+    /// stepped, and an endpoint's `on_cycle` not called, before the tick
+    /// it named as its next work ([`Router::next_work`],
+    /// [`Endpoint::next_wake`]). The two modes produce bit-for-bit
+    /// identical results; disabling exists for equivalence testing and
+    /// engine benchmarking.
     pub fn set_idle_skip(&mut self, enabled: bool) {
         for shard in &mut self.shards {
             shard.set_idle_skip(enabled);
@@ -1193,5 +1215,109 @@ mod tests {
             skipped > 2000 * 16 / 2,
             "idle prelude was not skipped ({skipped} steps)"
         );
+    }
+
+    /// A fault-free 4x4 SPAA-rotary torus measured from cycle 0.
+    fn quiet_4x4(cycles: u64) -> NetworkConfig {
+        NetworkConfig {
+            topology: Torus::net_4x4().into(),
+            router: RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary),
+            seed: 11,
+            warmup_cycles: 0,
+            measure_cycles: cycles,
+            fault: FaultConfig::default(),
+        }
+    }
+
+    /// The default `next_wake` means "every cycle", idle-skip or not —
+    /// what an endpoint written before the idleness protocol (or a
+    /// wrapper that does not forward `next_wake`) depends on.
+    #[test]
+    fn endpoint_without_next_wake_is_called_every_cycle() {
+        let cfg = quiet_4x4(300);
+        let endpoints = (0..16)
+            .map(|_| SleepyInjector {
+                fire_at_cycle: 100,
+                cycle: 0,
+                dest: 10,
+                sent: false,
+                received: 0,
+            })
+            .collect();
+        let mut s = NetworkSim::new(cfg, endpoints);
+        let _ = s.run();
+        for node in 0..16 {
+            assert_eq!(s.endpoint(node).cycle, 300, "node {node}");
+        }
+        assert_eq!(s.endpoint(10).received, 1);
+    }
+
+    /// Sleeps to cycle 30, then for good — until a delivery wakes it.
+    struct Napper {
+        wake: Tick,
+        calls: Vec<Tick>,
+        delivered_at: Option<Tick>,
+    }
+
+    impl Endpoint for Napper {
+        fn on_cycle(&mut self, ctx: &mut NodeCtx<'_>) {
+            if self.calls.is_empty() && ctx.node == 0 {
+                let id = router::packet::PacketId(3);
+                let p = Packet::new(id, CoherenceClass::Request, 0, 10, ctx.now(), 0);
+                assert_eq!(ctx.inject(InputPort::Cache, p), InjectionOutcome::Accepted);
+            }
+            self.wake = match self.calls.len() {
+                0 => ctx.now() + Tick::new(30 * ctx.core_period().as_ticks()),
+                _ => Tick::MAX,
+            };
+            self.calls.push(ctx.now());
+        }
+
+        fn next_wake(&self) -> Tick {
+            self.wake
+        }
+
+        fn on_delivered(&mut self, _packet: &Packet, now: Tick) -> Option<TxnCompletion> {
+            self.delivered_at = Some(now);
+            self.wake = now;
+            None
+        }
+    }
+
+    #[test]
+    fn endpoint_sleeps_to_its_wake_unless_a_delivery_lowers_it() {
+        let run = |idle_skip: bool| {
+            let cfg = quiet_4x4(400);
+            let endpoints = (0..16)
+                .map(|_| Napper {
+                    wake: Tick::ZERO,
+                    calls: Vec::new(),
+                    delivered_at: None,
+                })
+                .collect();
+            let mut s = NetworkSim::new(cfg, endpoints);
+            s.set_idle_skip(idle_skip);
+            let _ = s.run();
+            s
+        };
+        let core = quiet_4x4(400).router.timing.core;
+        let s = run(true);
+        for node in 0..16 {
+            let ep = s.endpoint(node);
+            let mut expect = vec![core.edge(0), core.edge(30)];
+            if node == 10 {
+                // The delivery lands mid-sleep and the endpoint runs on
+                // that very cycle (deliveries precede endpoints in it).
+                let at = ep.delivered_at.expect("the packet arrives");
+                assert!(at > core.edge(30));
+                expect.push(core.next_edge_at_or_after(at));
+            }
+            assert_eq!(ep.calls, expect, "node {node}");
+        }
+        // With idle-skip off the answer is never consulted.
+        let s = run(false);
+        for node in 0..16 {
+            assert_eq!(s.endpoint(node).calls.len(), 400, "node {node}");
+        }
     }
 }

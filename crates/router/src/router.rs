@@ -130,7 +130,9 @@ enum HouseEvent {
 /// link rate behind a bounded first-flit offset — all comfortably under
 /// 64 core cycles for both the production and the 2× scaled pipelines.
 /// Events past the ring (none in practice) spill into the wheel's
-/// overflow heap, preserving exactness either way.
+/// overflow heap, preserving exactness either way. 64 is also one
+/// occupancy word: the wheel finds a router's next event in one masked
+/// `trailing_zeros`.
 const WHEEL_SLOTS: usize = 64;
 
 /// What an entry could do this cycle, with the downstream VC resolved.

@@ -3,17 +3,25 @@
 //! Cycle-driven simulators schedule almost every future event a *bounded*
 //! number of clock edges ahead (a packet's last flit, a wire's fixed
 //! latency). A binary heap pays `O(log n)` per event and a cache miss per
-//! comparison; a [`TimingWheel`] pays `O(1)`: events land in the ring slot
-//! of the clock edge at which they come due, and draining an edge empties
-//! exactly one slot. Events beyond the ring's horizon (rare by
-//! construction) spill into an overflow heap.
+//! comparison; a [`TimingWheel`] pays `O(1)`: an event joins the list of
+//! the ring slot of the clock edge at which it comes due, and a drain
+//! visits only the edges that hold something — an occupancy bitmap names
+//! the next one in a masked find-first, however many empty edges lie
+//! between. Events beyond the ring's horizon (rare by construction)
+//! spill into an overflow heap.
+//!
+//! All events live in one slab of nodes threaded into per-slot lists, so
+//! a wheel is three allocations however many slots it has, and a drained
+//! node is the next one reused (the free list is LIFO). Each list is kept
+//! in `(due time, insertion order)` order as it is built — an append,
+//! unless a later schedule is due earlier within the same edge — so
+//! draining an edge is a walk down its list.
 //!
 //! Drain order is deterministic and identical to a min-heap keyed on
 //! `(due time, insertion order)`, so replacing a heap with a wheel changes
 //! no observable simulation result.
 
 use crate::time::Tick;
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -42,7 +50,32 @@ impl<T> Ord for Spill<T> {
     }
 }
 
-/// A ring of per-edge event slots with an overflow heap behind it.
+/// End-of-list marker of the slab's `u32` links.
+const NIL: u32 = u32::MAX;
+
+/// One slab node: a scheduled event on its slot's list, or a free node on
+/// the free list (`item` is `None`).
+#[derive(Clone, Debug)]
+struct Node<T> {
+    at: u64,
+    seq: u64,
+    next: u32,
+    item: Option<T>,
+}
+
+/// One ring slot's event list, in `(at, seq)` order.
+#[derive(Clone, Copy, Debug)]
+struct SlotList {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: SlotList = SlotList {
+    head: NIL,
+    tail: NIL,
+};
+
+/// A ring of per-edge event lists with an overflow heap behind it.
 ///
 /// `granularity` is the tick distance between consecutive drain edges
 /// (normally one core-clock period); an event due at tick `t` is
@@ -68,22 +101,26 @@ impl<T> Ord for Spill<T> {
 #[derive(Clone, Debug)]
 pub struct TimingWheel<T> {
     granularity: u64,
-    slots: Vec<Vec<(u64, u64, T)>>,
-    /// Index of the slot holding events for `cursor_edge`.
+    /// Every in-ring event and every free node.
+    nodes: Vec<Node<T>>,
+    /// Head of the LIFO free list threaded through `Node::next`.
+    free: u32,
+    /// Per ring slot, its event list. Edge number `k` always maps to
+    /// slot `k % lists.len()`.
+    lists: Vec<SlotList>,
+    /// Bit `i % 64` of word `i / 64` is set iff `lists[i]` is not empty.
+    occupied: Vec<u64>,
+    /// Slot of `cursor_edge` (kept beside it so no step divides).
     cursor: usize,
-    /// The next undrained edge (a multiple of `granularity`).
+    /// Number of the next undrained edge (its tick is `* granularity`).
     cursor_edge: u64,
     overflow: BinaryHeap<Reverse<Spill<T>>>,
     seq: u64,
     len: usize,
-    /// Cached lower bound on the next due edge. Lowered on every
-    /// `schedule`; when a drain advances the cursor past it, the next
-    /// [`TimingWheel::next_due_edge`] query repairs it with one ring scan
-    /// (amortized O(1) per event batch instead of O(slots) per query).
+    /// Tick of the earliest edge holding an event: lowered by every
+    /// `schedule`, recomputed by every drain that consumes it.
     /// Meaningless while `len == 0`.
-    next_due: Cell<u64>,
-    /// Per-edge merge scratch, reused across drains.
-    scratch: Vec<(u64, u64, T)>,
+    next_due: u64,
 }
 
 impl<T> TimingWheel<T> {
@@ -98,14 +135,16 @@ impl<T> TimingWheel<T> {
         assert!(slots >= 2, "a wheel needs at least two slots");
         TimingWheel {
             granularity: granularity.as_ticks(),
-            slots: (0..slots).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            lists: vec![EMPTY; slots],
+            occupied: vec![0; slots.div_ceil(64)],
             cursor: 0,
             cursor_edge: 0,
             overflow: BinaryHeap::new(),
             seq: 0,
             len: 0,
-            next_due: Cell::new(u64::MAX),
-            scratch: Vec::new(),
+            next_due: u64::MAX,
         }
     }
 
@@ -126,147 +165,220 @@ impl<T> TimingWheel<T> {
     /// the same first opportunity a heap would give them.
     pub fn schedule(&mut self, at: Tick, item: T) {
         let at = at.as_ticks();
-        let edge = at.div_ceil(self.granularity) * self.granularity;
-        let edge = edge.max(self.cursor_edge);
+        let edge = at.div_ceil(self.granularity).max(self.cursor_edge);
         let seq = self.seq;
         self.seq += 1;
-        if self.len == 0 || edge < self.next_due.get() {
-            self.next_due.set(edge);
+        let due = edge * self.granularity;
+        if self.len == 0 || due < self.next_due {
+            self.next_due = due;
         }
         self.len += 1;
-        let offset = ((edge - self.cursor_edge) / self.granularity) as usize;
-        if offset < self.slots.len() {
-            let idx = (self.cursor + offset) % self.slots.len();
-            self.slots[idx].push((at, seq, item));
-        } else {
+        let offset = edge - self.cursor_edge;
+        if offset >= self.lists.len() as u64 {
             self.overflow.push(Reverse(Spill { at, seq, item }));
+        } else {
+            self.insert(self.slot_ahead(offset as usize), at, seq, item);
+        }
+    }
+
+    /// Links a new node into `slot`'s list at its `(at, seq)` position.
+    fn insert(&mut self, slot: usize, at: u64, seq: u64, item: T) {
+        let SlotList { head, tail } = self.lists[slot];
+        let follows = |n: &Node<T>| (n.at, n.seq) <= (at, seq);
+        // The node the new one goes behind (`NIL`: in front of them all);
+        // nearly always the tail, else found by a walk from the head.
+        let mut prev = NIL;
+        if tail != NIL && follows(&self.nodes[tail as usize]) {
+            prev = tail;
+        } else {
+            let mut node = head;
+            while node != NIL && follows(&self.nodes[node as usize]) {
+                prev = node;
+                node = self.nodes[node as usize].next;
+            }
+        }
+        let next = match prev {
+            NIL => head,
+            _ => self.nodes[prev as usize].next,
+        };
+        let node = Node {
+            at,
+            seq,
+            next,
+            item: Some(item),
+        };
+        let idx = match self.free {
+            NIL => {
+                assert!(self.nodes.len() < NIL as usize, "wheel slab is full");
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+            idx => {
+                self.free = self.nodes[idx as usize].next;
+                self.nodes[idx as usize] = node;
+                idx
+            }
+        };
+        match prev {
+            NIL => self.lists[slot].head = idx,
+            _ => self.nodes[prev as usize].next = idx,
+        }
+        if next == NIL {
+            self.lists[slot].tail = idx;
+        }
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// The slot `offset < lists.len()` edges ahead of the cursor.
+    #[inline]
+    fn slot_ahead(&self, offset: usize) -> usize {
+        let slot = self.cursor + offset;
+        if slot >= self.lists.len() {
+            slot - self.lists.len()
+        } else {
+            slot
+        }
+    }
+
+    /// Moves the cursor forward to edge number `edge`.
+    #[inline]
+    fn seek(&mut self, edge: u64) {
+        let n = self.lists.len();
+        let ahead = edge - self.cursor_edge;
+        self.cursor = if ahead < n as u64 {
+            self.slot_ahead(ahead as usize)
+        } else {
+            (edge % n as u64) as usize
+        };
+        self.cursor_edge = edge;
+    }
+
+    /// Distance in slots from the cursor to the first occupied slot in
+    /// ring order — a masked find-first over the occupancy words: the
+    /// cursor's word masked to the bits at or above it, then the words
+    /// after it, wrapping round to end on the cursor's word again (whose
+    /// high bits are by then known to be clear, so it needs no mask).
+    #[inline]
+    fn first_occupied(&self) -> Option<usize> {
+        let words = self.occupied.len();
+        let mut word = self.cursor / 64;
+        let mut bits = self.occupied[word] & (!0u64 << (self.cursor % 64));
+        for _ in 0..words {
+            if bits != 0 {
+                break;
+            }
+            word = if word + 1 == words { 0 } else { word + 1 };
+            bits = self.occupied[word];
+        }
+        if bits == 0 {
+            return None;
+        }
+        let slot = word * 64 + bits.trailing_zeros() as usize;
+        Some(if slot >= self.cursor {
+            slot - self.cursor
+        } else {
+            slot + self.lists.len() - self.cursor
+        })
+    }
+
+    /// Number of the earliest edge holding an event — the nearer of the
+    /// first occupied slot and the overflow head — or `u64::MAX`.
+    #[inline]
+    fn first_event_edge(&self) -> u64 {
+        let ring = match self.first_occupied() {
+            Some(ahead) => self.cursor_edge + ahead as u64,
+            None => u64::MAX,
+        };
+        match self.overflow.peek() {
+            // An overflow event pops at the first edge >= its due time.
+            Some(Reverse(head)) => {
+                ring.min(head.at.div_ceil(self.granularity).max(self.cursor_edge))
+            }
+            None => ring,
         }
     }
 
     /// The earliest edge at which [`TimingWheel::drain_due`] would yield
     /// an event, or `None` when nothing is scheduled. This is the wake
     /// tick an idle-skipping caller must not sleep past.
+    #[inline]
     pub fn next_due_edge(&self) -> Option<Tick> {
-        if self.len == 0 {
-            return None;
-        }
-        // The cached bound is exact while it has not been drained past:
-        // schedules only lower it, and no event can exist on an edge
-        // below it (any such schedule would have lowered it further).
-        let cached = self.next_due.get();
-        if cached >= self.cursor_edge {
-            return Some(Tick::new(cached));
-        }
-        // Stale (the cursor consumed its edge): one ring scan repairs it.
-        let n = self.slots.len();
-        let mut next = u64::MAX;
-        for k in 0..n {
-            if !self.slots[(self.cursor + k) % n].is_empty() {
-                next = self.cursor_edge + k as u64 * self.granularity;
-                break;
-            }
-        }
-        if let Some(Reverse(head)) = self.overflow.peek() {
-            // An overflow event pops at the first edge >= its due time.
-            let edge = head.at.div_ceil(self.granularity) * self.granularity;
-            next = next.min(edge.max(self.cursor_edge));
-        }
-        debug_assert_ne!(next, u64::MAX, "len > 0 but no event found");
-        self.next_due.set(next);
-        Some(Tick::new(next))
+        (self.len > 0).then_some(Tick::new(self.next_due))
     }
 
     /// True when a [`TimingWheel::drain_due`] at `now` would yield at
-    /// least one event (may rarely report a false positive while the
-    /// cached due bound lags a just-drained batch; the drain then yields
-    /// nothing and repairs the cache).
+    /// least one event.
     #[inline]
     pub fn has_due(&self, now: Tick) -> bool {
-        self.len > 0 && self.next_due.get() <= now.as_ticks()
+        self.len > 0 && self.next_due <= now.as_ticks()
     }
 
     /// Appends all events due at or before `now` to `out` in
     /// `(at, insertion order)` order, advancing the wheel.
     ///
-    /// The nothing-due case is O(1): the cursor stays parked and only the
-    /// cached due bound is consulted, so per-edge stepping costs nothing
-    /// while the wheel idles. When the cursor does move, sparse gaps are
-    /// skipped in O(slots), not O(elapsed edges), so a caller that left
-    /// the wheel idle for a long stretch (an idle-skipped router) pays
-    /// nothing for the skipped time. (A lagging cursor only shortens the
-    /// ring's effective lookahead — late schedules spill to the overflow
-    /// heap, which preserves exactness.)
+    /// The nothing-due case is one comparison: the cursor stays parked,
+    /// so per-edge stepping costs nothing while the wheel idles. When
+    /// something is due the drain hops from one event-holding edge to the
+    /// next (one bitmap scan per hop, however long the gap), so a caller
+    /// that left the wheel idle for a long stretch (an idle-skipped
+    /// router) pays nothing for the skipped time. (A lagging cursor only
+    /// shortens the ring's effective lookahead — late schedules spill to
+    /// the overflow heap, which preserves exactness.)
     pub fn drain_due(&mut self, now: Tick, out: &mut Vec<(Tick, T)>) {
         if !self.has_due(now) {
             return;
         }
+        // The last edge at or before `now`; stepping every edge, that is
+        // the cursor's own, and needs no division.
         let now = now.as_ticks();
-        if self.cursor_edge > now {
-            return;
+        let last = if now - self.cursor_edge * self.granularity < self.granularity {
+            self.cursor_edge
+        } else {
+            now / self.granularity
+        };
+        let mut edge = self.first_event_edge();
+        while edge <= last {
+            self.seek(edge);
+            self.drain_cursor_edge(out);
+            edge = self.first_event_edge();
         }
-        while self.cursor_edge <= now {
-            if self.len == 0 {
-                // Nothing scheduled: every remaining edge drains empty.
-                // Jump the cursor past `now` without visiting the slots.
-                let edges = (now - self.cursor_edge) / self.granularity + 1;
-                self.cursor = (self.cursor + edges as usize) % self.slots.len();
-                self.cursor_edge += edges * self.granularity;
-                return;
-            }
-            // A gap longer than the ring (a router waking from a long
-            // idle-skip sleep) is crossed in one hop to the next due edge
-            // instead of edge-by-edge. `due` is always a multiple of the
-            // granularity, so the cursor lands exactly on it. Short gaps
-            // (the step-every-cycle hot path) skip this scan entirely.
-            let gap_edges = (now - self.cursor_edge) / self.granularity + 1;
-            if gap_edges as usize > self.slots.len() {
-                match self.next_due_edge().map(Tick::as_ticks) {
-                    Some(due) if due <= now => {
-                        let edges = (due - self.cursor_edge) / self.granularity;
-                        self.cursor = (self.cursor + edges as usize) % self.slots.len();
-                        self.cursor_edge = due;
-                    }
-                    _ => {
-                        let edges = (now - self.cursor_edge) / self.granularity + 1;
-                        self.cursor = (self.cursor + edges as usize) % self.slots.len();
-                        self.cursor_edge += edges * self.granularity;
-                        return;
-                    }
-                }
-            }
-            let overflow_due = matches!(
-                self.overflow.peek(), Some(Reverse(head)) if head.at <= self.cursor_edge
-            );
-            if !self.slots[self.cursor].is_empty() || overflow_due {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                scratch.clear();
-                let slot = &mut self.slots[self.cursor];
-                self.len -= slot.len();
-                scratch.append(slot);
-                // Overflow events pop at exactly the edge `ceil(at/g)*g`,
-                // so any head due at or before this edge belongs to this
-                // batch.
-                while let Some(Reverse(head)) = self.overflow.peek() {
-                    if head.at > self.cursor_edge {
-                        break;
-                    }
-                    let Reverse(spill) = self.overflow.pop().expect("peeked");
-                    self.len -= 1;
-                    scratch.push((spill.at, spill.seq, spill.item));
-                }
-                // One edge's events — from the slot and the overflow alike
-                // — all have `at` in the same half-open interval behind
-                // the edge; merging them by (at, seq) reproduces exact
-                // min-heap drain order across the whole stream.
-                scratch.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-                out.extend(scratch.drain(..).map(|(at, _, item)| (Tick::new(at), item)));
-                self.scratch = scratch;
-            }
-            self.cursor = (self.cursor + 1) % self.slots.len();
-            self.cursor_edge += self.granularity;
+        // Park on the first edge after `now`, as a walk over every edge
+        // would have.
+        self.seek(last + 1);
+        if self.len > 0 {
+            self.next_due = edge * self.granularity;
         }
-        // Re-arm the O(1) fast path for the steps ahead.
-        let _ = self.next_due_edge();
+    }
+
+    /// Appends the events of the cursor's edge — its slot's list, with
+    /// every overflow event due by then merged in — to `out`, returning
+    /// the nodes to the free list.
+    fn drain_cursor_edge(&mut self, out: &mut Vec<(Tick, T)>) {
+        // Overflow events pop at exactly the edge `ceil(at/g)`, so any
+        // head due at or before this edge belongs to this batch. One
+        // edge's events — from the slot and the overflow alike — all have
+        // `at` in the same half-open interval behind the edge, so the
+        // list's (at, seq) order reproduces exact min-heap drain order
+        // across the whole stream.
+        let edge_tick = self.cursor_edge * self.granularity;
+        while let Some(Reverse(head)) = self.overflow.peek() {
+            if head.at > edge_tick {
+                break;
+            }
+            let Reverse(spill) = self.overflow.pop().expect("peeked");
+            self.insert(self.cursor, spill.at, spill.seq, spill.item);
+        }
+        let mut node = std::mem::replace(&mut self.lists[self.cursor], EMPTY).head;
+        self.occupied[self.cursor / 64] &= !(1 << (self.cursor % 64));
+        while node != NIL {
+            let n = &mut self.nodes[node as usize];
+            let item = n.item.take().expect("a listed node holds an event");
+            out.push((Tick::new(n.at), item));
+            let next = std::mem::replace(&mut n.next, self.free);
+            self.free = node;
+            node = next;
+            self.len -= 1;
+        }
     }
 }
 
@@ -411,5 +523,157 @@ mod tests {
         }
         assert_eq!(all.len(), 10);
         assert!(all.windows(2).all(|p| p[0].0 < p[1].0), "time ordered");
+    }
+
+    /// The wheel's specification: a min-heap on `(at, seq)` drained with
+    /// `while head.at <= now`, plus the one thing a heap does not have —
+    /// the edge an event was filed under (`ceil(at/g)*g`, or the cursor
+    /// when it was dated before it), which is what `next_due_edge` and
+    /// `has_due` answer from.
+    struct HeapModel {
+        g: u64,
+        heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+        /// `(seq, edge)` of every pending event.
+        edges: Vec<(u64, u64)>,
+        seq: u64,
+        cursor_edge: u64,
+    }
+
+    impl HeapModel {
+        fn schedule(&mut self, at: u64, item: u32) {
+            let edge = (at.div_ceil(self.g) * self.g).max(self.cursor_edge);
+            self.heap.push(Reverse((at, self.seq, item)));
+            self.edges.push((self.seq, edge));
+            self.seq += 1;
+        }
+
+        fn next_due_edge(&self) -> Option<u64> {
+            self.edges.iter().map(|&(_, edge)| edge).min()
+        }
+
+        fn drain(&mut self, now: u64) -> Vec<(u64, u32)> {
+            let mut out = Vec::new();
+            while let Some(&Reverse((at, seq, item))) = self.heap.peek() {
+                if at > now {
+                    break;
+                }
+                self.heap.pop();
+                self.edges.retain(|&(s, _)| s != seq);
+                out.push((at, item));
+            }
+            // A drain that yields parks the cursor on the first edge
+            // after `now`; one that yields nothing leaves it behind.
+            if !out.is_empty() {
+                self.cursor_edge = (now / self.g + 1) * self.g;
+            }
+            out
+        }
+    }
+
+    /// One seeded script of `ops` mixed operations on a `slots`-slot
+    /// wheel against the heap model. Drains run at strictly increasing
+    /// edges, as every caller's do. Returns how often each case the
+    /// slab/bitmap layout could get wrong was exercised.
+    fn differential_script(slots: usize, seed: u64, ops: usize) -> [u32; 7] {
+        const G: u64 = 20;
+        let mut rng = crate::SimRng::from_seed(seed).fork(slots as u64);
+        let mut w: TimingWheel<u32> = TimingWheel::new(Tick::new(G), slots);
+        let mut m = HeapModel {
+            g: G,
+            heap: BinaryHeap::new(),
+            edges: Vec::new(),
+            seq: 0,
+            cursor_edge: 0,
+        };
+        let n = slots as u64;
+        let mut now = 0u64;
+        let mut item = 0u32;
+        // [spilled behind a parked cursor, gap >> ring, dated before the
+        //  cursor, overflow + slot merged on one edge, drain ended on an
+        //  occupied edge, slab node reused, bit 63 / word boundary]
+        let mut seen = [0u32; 7];
+        for _ in 0..ops {
+            let roll = rng.below(100);
+            if roll < 55 {
+                let ahead = match rng.below(8) {
+                    // Dense: within a few edges of `now`.
+                    0..=2 => rng.below(4) as u64 * G + rng.below(G as usize) as u64,
+                    // Anywhere in the ring, and a little past it.
+                    3 | 4 => rng.below(slots + 2) as u64 * G + rng.below(G as usize) as u64,
+                    // Far beyond the horizon.
+                    5 => (n + rng.below(4 * slots) as u64) * G,
+                    // The ring's last slots and the 64-bit word seams.
+                    6 => [n - 1, n - 2, 62, 63, 64, 65, 127, 128][rng.below(8)] * G,
+                    // Dated in the past.
+                    _ => 0,
+                };
+                let at = if ahead == 0 {
+                    now.saturating_sub(rng.below(3 * slots * G as usize) as u64)
+                } else {
+                    now + ahead
+                };
+                let edge = at.div_ceil(G).max(w.cursor_edge);
+                let offset = edge - w.cursor_edge;
+                let spills = offset >= n;
+                seen[0] += (spills && at < now + n * G) as u32;
+                seen[2] += (at < w.cursor_edge * G) as u32;
+                seen[5] += (!spills && w.free != NIL) as u32;
+                let slot = (edge % n) as usize;
+                seen[6] += (!spills && matches!(slot % 64, 0 | 63)) as u32;
+                let filed = w.overflow.iter().any(|Reverse(s)| s.at.div_ceil(G) == edge);
+                seen[3] += (!spills && filed) as u32;
+                w.schedule(Tick::new(at), item);
+                m.schedule(at, item);
+                item += 1;
+            } else if roll < 90 {
+                let step = match rng.below(10) {
+                    0..=5 => 1,
+                    6 | 7 => 1 + rng.below(slots) as u64,
+                    8 => n + rng.below(3 * slots) as u64,
+                    _ => 1_000 * n,
+                };
+                seen[1] += (step > 100 * n) as u32;
+                now = (now / G + step) * G;
+                // Half the time stop exactly on the next occupied edge.
+                if let Some(due) = m.next_due_edge().filter(|&d| d > now - step * G) {
+                    if rng.chance(0.5) && due <= now {
+                        now = due;
+                        seen[4] += 1;
+                    }
+                }
+                assert_eq!(drain(&mut w, now), m.drain(now), "drain at {now}");
+            }
+            assert_eq!(w.len(), m.heap.len());
+            assert_eq!(w.is_empty(), m.heap.is_empty());
+            let due = m.next_due_edge();
+            assert_eq!(w.next_due_edge().map(Tick::as_ticks), due);
+            for probe in [now, now + G, now + rng.below(2 * slots) as u64 * G] {
+                let expect = due.is_some_and(|d| d <= probe);
+                assert_eq!(w.has_due(Tick::new(probe)), expect, "has_due({probe})");
+            }
+        }
+        // Everything left comes out, in heap order, in one long hop.
+        let end = now + 10_000 * n * G;
+        assert_eq!(drain(&mut w, end), m.drain(end));
+        assert!(w.is_empty());
+        assert_eq!(w.next_due_edge(), None);
+        seen
+    }
+
+    #[test]
+    fn matches_a_binary_heap_under_random_scripts() {
+        for slots in [2, 3, 4, 64, 65, 256] {
+            let mut seen = [0u32; 7];
+            for seed in [1, 0x21364] {
+                let counts = differential_script(slots, seed, 10_000);
+                for (total, c) in seen.iter_mut().zip(counts) {
+                    *total += c;
+                }
+            }
+            assert!(
+                seen.iter().all(|&c| c > 0),
+                "{slots} slots: a forced case never ran: {seen:?}"
+            );
+        }
     }
 }

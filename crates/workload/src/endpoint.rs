@@ -47,10 +47,11 @@ const BURST_STREAM: u64 = 0xb0b5_7b0b;
 /// *average* offered load and bursty sweeps stay comparable point-for-
 /// point with smooth ones.
 ///
-/// All draws happen in `on_cycle`, which the simulator runs for every
-/// node on every cycle regardless of router idle-skip — so burstiness
-/// preserves both determinism and the idle-skip bit-exactness contract
-/// (proved by `tests/idle_skip_equivalence.rs`).
+/// ON phases run `on_cycle` every cycle; an OFF phase moves no counter
+/// and takes nothing from the node stream, so its exit is drawn ahead on
+/// the phase stream (the same draws in the same order) and the node
+/// sleeps to it — burstiness preserves both determinism and the idle-skip
+/// bit-exactness contract (proved by `tests/idle_skip_equivalence.rs`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BurstConfig {
     /// Mean ON-phase length in core cycles (geometric; must be ≥ 1).
@@ -222,6 +223,59 @@ impl EndpointStats {
     }
 }
 
+/// Draws one [`DrawAhead::look_ahead`] takes at most: one delivery-wheel
+/// horizon. It bounds the work of a single `on_cycle` at rates like 1e-9,
+/// where the next success is a billion draws away.
+const LOOKAHEAD_DRAWS: u32 = 256;
+
+/// A once-per-cycle Bernoulli stream drawn ahead of the clock, so that
+/// its owner can sleep to the next success. Between two successes the
+/// stream's RNG sees nothing but these draws, so taking them early
+/// consumes the same values in the same order as one per cycle would.
+#[derive(Clone, Copy, Debug)]
+struct DrawAhead {
+    /// Every cycle before `at` has had its draw taken, and failed.
+    at: Tick,
+    /// The draw of cycle `at` itself has been taken and succeeded.
+    hit: bool,
+}
+
+impl DrawAhead {
+    /// A stream whose first undrawn cycle is `at`.
+    fn starting(at: Tick) -> Self {
+        DrawAhead { at, hit: false }
+    }
+
+    /// Draws cycles from `at` on until one succeeds or the bound is
+    /// spent; `at` then remembers "no success before here".
+    fn look_ahead(&mut self, rng: &mut SimRng, p: f64, period: Tick) {
+        for _ in 0..LOOKAHEAD_DRAWS {
+            if rng.chance(p) {
+                self.hit = true;
+                return;
+            }
+            self.at += period;
+        }
+    }
+
+    /// The outcome of cycle `now`'s draw. Must be asked for every cycle
+    /// from `at` on (earlier ones are known failures and may be skipped).
+    fn poll(&mut self, rng: &mut SimRng, p: f64, now: Tick, period: Tick) -> bool {
+        if now < self.at {
+            return false;
+        }
+        debug_assert_eq!(now, self.at, "slept past a cycle whose draw was due");
+        if !self.hit {
+            self.look_ahead(rng, p, period);
+        }
+        let hit_now = self.hit && self.at == now;
+        if hit_now {
+            *self = DrawAhead::starting(now + period);
+        }
+        hit_now
+    }
+}
+
 /// A response or forward scheduled to enter a source queue at `at`.
 #[derive(Clone, Copy, Debug)]
 struct ScheduledSend {
@@ -274,12 +328,18 @@ pub struct CoherenceEndpoint {
     /// node's ON/OFF trace a function of (seed, node, burst config)
     /// only — identical across every point of a load sweep.
     burst_rng: SimRng,
+    /// The OFF phase's exit draws, taken ahead on `burst_rng`.
+    off_exit: DrawAhead,
     /// Precomputed ON-phase generation probability.
     burst_peak_rate: f64,
+    /// The smooth (non-bursty) process's generation draws, taken ahead on
+    /// `rng`: `start_transaction`'s own draws come after a success and
+    /// before the next cycle's draw, exactly where the look-ahead stops
+    /// and resumes.
+    next_attempt: DrawAhead,
     /// `false` once [`CoherenceEndpoint::stop_generation`] is called:
-    /// the node stops starting transactions (and stops drawing the
-    /// generation RNG) but keeps serving its home/owner roles, so a
-    /// drain window can run the network dry.
+    /// the node stops starting transactions but keeps serving its
+    /// home/owner roles, so a drain window can run the network dry.
     generating: bool,
     /// Requester-side book of in-flight transactions — the MSHR file:
     /// `txn_seq` → the cycle the request entered the cache source queue,
@@ -317,7 +377,9 @@ impl CoherenceEndpoint {
             pending: BinaryHeap::new(),
             bursting: true,
             burst_rng,
+            off_exit: DrawAhead::starting(Tick::ZERO),
             burst_peak_rate,
+            next_attempt: DrawAhead::starting(Tick::ZERO),
             generating: true,
             inflight: HashMap::new(),
             send_seq: 0,
@@ -338,10 +400,12 @@ impl CoherenceEndpoint {
         self.inflight.len()
     }
 
-    /// Stops the requester role: no further transactions start (and the
-    /// generation RNG stops drawing), while home/owner service
-    /// continues. Used by drain windows that run the network dry to
-    /// check transaction conservation.
+    /// Stops the requester role: no further transactions start, while
+    /// home/owner service continues. Generation draws already taken ahead
+    /// are discarded; nothing can observe them, because generation never
+    /// restarts and the node stream feeds nothing else. Used by drain
+    /// windows that run the network dry to check transaction
+    /// conservation.
     pub fn stop_generation(&mut self) {
         self.generating = false;
     }
@@ -445,9 +509,20 @@ impl CoherenceEndpoint {
         }
     }
 
+    /// Packets waiting in the three source queues.
+    fn queued(&self) -> usize {
+        self.cache_queue.len() + self.mc_queues[0].len() + self.mc_queues[1].len()
+    }
+
     fn track_queue_depth(&mut self) {
-        let depth = self.cache_queue.len() + self.mc_queues[0].len() + self.mc_queues[1].len();
-        self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(depth);
+        self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(self.queued());
+    }
+
+    /// Whether the requester role still draws: not after
+    /// `stop_generation`, and never at rate 0 — `chance` draws nothing
+    /// there, and a look-ahead would spin on a stream that cannot succeed.
+    fn generates(&self) -> bool {
+        self.generating && self.burst_peak_rate > 0.0
     }
 }
 
@@ -460,15 +535,16 @@ impl Endpoint for CoherenceEndpoint {
         // 2. Bursty phase machine: one exit draw per cycle from the
         // dedicated `burst_rng` stream, so the ON/OFF trace is the same
         // at every point of a load sweep (generation draws, which vary
-        // with the rate, live on the main node stream).
+        // with the rate, live on the main node stream). An OFF phase's
+        // draws are taken ahead, so the node can sleep through it.
+        let period = ctx.core_period();
         if let Some(b) = self.cfg.burst {
-            let exit_p = if self.bursting {
-                1.0 / b.mean_burst_cycles
-            } else {
-                1.0 / b.mean_idle_cycles
-            };
-            if self.burst_rng.chance(exit_p) {
-                self.bursting = !self.bursting;
+            if !self.bursting {
+                let exit_p = 1.0 / b.mean_idle_cycles;
+                self.bursting = self.off_exit.poll(&mut self.burst_rng, exit_p, now, period);
+            } else if self.burst_rng.chance(1.0 / b.mean_burst_cycles) {
+                self.bursting = false;
+                self.off_exit = DrawAhead::starting(now + period);
             }
             if self.bursting {
                 self.stats.burst_on_cycles += 1;
@@ -476,12 +552,15 @@ impl Endpoint for CoherenceEndpoint {
         }
 
         // 3. Possibly start a new transaction (closed-loop MSHR limit).
-        let rate = if self.bursting && self.generating {
-            self.burst_peak_rate
+        let rate = self.burst_peak_rate;
+        let attempt = if !self.generates() {
+            false
+        } else if self.cfg.burst.is_some() {
+            self.bursting && self.rng.chance(rate)
         } else {
-            0.0
+            self.next_attempt.poll(&mut self.rng, rate, now, period)
         };
-        if rate > 0.0 && self.rng.chance(rate) {
+        if attempt {
             if self.inflight.len() < self.cfg.mshrs as usize {
                 self.start_transaction(now);
             } else {
@@ -519,6 +598,24 @@ impl Endpoint for CoherenceEndpoint {
             }
         }
         self.track_queue_depth();
+    }
+
+    /// Sleeps to the nearest of: a queued packet ("now"), the next
+    /// finished lookup, and the next cycle whose phase or generation draw
+    /// can change anything — every cycle of an ON phase, else the
+    /// drawn-ahead OFF exit or generation attempt.
+    fn next_wake(&self) -> Tick {
+        if self.queued() > 0 {
+            return Tick::ZERO;
+        }
+        let lookup = self.pending.peek().map_or(Tick::MAX, |Reverse(s)| s.at);
+        let draw = match self.cfg.burst {
+            Some(_) if self.bursting => Tick::ZERO,
+            Some(_) => self.off_exit.at,
+            None if self.generates() => self.next_attempt.at,
+            None => Tick::MAX,
+        };
+        lookup.min(draw)
     }
 
     fn on_delivered(&mut self, packet: &Packet, now: Tick) -> Option<TxnCompletion> {
@@ -786,5 +883,75 @@ mod tests {
         assert_eq!(a.0.delivered_packets, b.0.delivered_packets);
         assert_eq!(a.0.latency.mean().to_bits(), b.0.latency.mean().to_bits());
         assert_eq!(a.1.transactions_completed, b.1.transactions_completed);
+    }
+
+    #[test]
+    fn draw_ahead_replays_the_per_cycle_stream() {
+        // The same outcomes on the same cycles, and the RNG in the same
+        // state whenever its owner looks at it (after a success) — at the
+        // draw-free extremes and at rates whose next success lies far
+        // beyond one look-ahead.
+        let period = Tick::new(20);
+        for p in [0.0, 1e-7, 0.002, 0.3, 1.0] {
+            let mut per_cycle = SimRng::from_seed(5);
+            let mut ahead_rng = per_cycle.clone();
+            let mut ahead = DrawAhead::starting(Tick::ZERO);
+            let mut slept = 0;
+            for cycle in 0..20_000u64 {
+                let now = Tick::new(cycle * 20);
+                let expect = per_cycle.chance(p);
+                // A sleeper is not even called before `at`.
+                let got = if now < ahead.at {
+                    slept += 1;
+                    false
+                } else {
+                    ahead.poll(&mut ahead_rng, p, now, period)
+                };
+                assert_eq!(got, expect, "p={p} cycle {cycle}");
+                if got {
+                    assert_eq!(ahead_rng.next_u64(), per_cycle.next_u64(), "p={p}");
+                }
+            }
+            if p < 0.01 {
+                assert!(slept > 19_000, "p={p}: slept only {slept} cycles");
+            }
+        }
+    }
+
+    #[test]
+    fn one_look_ahead_is_bounded() {
+        let mut rng = SimRng::from_seed(1);
+        let mut ahead = DrawAhead::starting(Tick::ZERO);
+        ahead.look_ahead(&mut rng, 1e-12, Tick::new(20));
+        assert!(!ahead.hit);
+        assert_eq!(ahead.at, Tick::new(20 * LOOKAHEAD_DRAWS as u64));
+    }
+
+    #[test]
+    fn vanishing_and_zero_rates_finish_and_match_with_idle_skip_off() {
+        // A draw-until-success loop would spin for ~1/rate draws inside
+        // one `on_cycle` at 1e-7 and forever at 0 (`chance(0)` draws
+        // nothing and never succeeds).
+        for rate in [1e-7, 0.0] {
+            let run = |idle_skip: bool| {
+                let cfg = net(Torus::net_4x4(), ArbAlgorithm::SpaaBase, 20_000);
+                let wl = WorkloadConfig::paper(TrafficPattern::Uniform, rate);
+                let endpoints = crate::build_endpoints(&cfg, &wl);
+                let mut sim = NetworkSim::new(cfg, endpoints);
+                sim.set_idle_skip(idle_skip);
+                let report = sim.run();
+                let starts: Vec<u64> = (0..16)
+                    .map(|n| sim.endpoint(n).stats().transactions_started)
+                    .collect();
+                (report, starts)
+            };
+            let (off, starts_off) = run(false);
+            let (on, starts_on) = run(true);
+            off.assert_bit_identical(&on, &format!("rate {rate}"));
+            assert_eq!(starts_off, starts_on);
+            if rate == 0.0 {
+                assert_eq!(starts_on, vec![0; 16]);
+            }
+        }
     }
 }

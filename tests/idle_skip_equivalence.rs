@@ -9,6 +9,11 @@
 //! histogram, every aggregate arbitration counter, and the same in-flight
 //! population at the final cycle. This is what makes the fast path safe to
 //! leave on by default.
+//!
+//! Endpoints sleep too (`Endpoint::next_wake`), and not everything an
+//! endpoint counts reaches the report, so the second half of this file
+//! compares every node's own statistics and MSHR occupancy, skip on
+//! against skip off, and counts the `on_cycle` calls the protocol saves.
 
 use alpha21364::prelude::*;
 
@@ -107,9 +112,9 @@ fn idle_skip_is_bit_for_bit_equivalent_under_bursty_traffic() {
     // The scenario engine's temporal axis: ON/OFF phases make routers
     // oscillate between dead-idle (whole OFF windows skippable) and
     // 5×-rate bursts — the worst case for wake-tick bookkeeping. The
-    // endpoint phase machine draws from its per-node stream every cycle
-    // regardless of skip state, which is exactly the cadence contract
-    // this pins.
+    // endpoint phase machine draws its ON exits cycle by cycle and its
+    // OFF exits ahead of the clock (sleeping to them when skip is on);
+    // both must land on the same cycles, which is what this pins.
     let burst = BurstConfig::new(50.0, 200.0);
     for algo in [
         ArbAlgorithm::SpaaRotary,
@@ -357,4 +362,227 @@ fn idle_skip_equivalence_under_fault_storms() {
             assert!(off.links_dead > 0, "{label}: no link died");
         }
     }
+}
+
+/// Everything an endpoint can tell: its statistics through the derived
+/// `Debug` (every field, so a new one cannot be missed — half of them are
+/// not `pub`) and its MSHR occupancy.
+fn endpoint_state(ep: &CoherenceEndpoint) -> String {
+    format!(
+        "{:?} outstanding={} idle={}",
+        ep.stats(),
+        ep.outstanding_misses(),
+        ep.is_idle()
+    )
+}
+
+/// Counts `on_cycle` calls and forwards `next_wake`, so the count is what
+/// the idleness protocol leaves.
+struct Counted {
+    inner: CoherenceEndpoint,
+    calls: u64,
+}
+
+impl Endpoint for Counted {
+    fn on_cycle(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.calls += 1;
+        self.inner.on_cycle(ctx);
+    }
+
+    fn next_wake(&self) -> Tick {
+        self.inner.next_wake()
+    }
+
+    fn on_delivered(&mut self, packet: &Packet, now: Tick) -> Option<TxnCompletion> {
+        self.inner.on_delivered(packet, now)
+    }
+}
+
+/// One endpoint-equivalence scenario on the 4x4 torus.
+struct Scenario {
+    label: &'static str,
+    wl: WorkloadConfig,
+    fault: FaultConfig,
+    /// After the timed window: `stop_generation()` everywhere, then step
+    /// until every endpoint `is_idle()`.
+    drain: bool,
+}
+
+/// Runs `sc` and returns the report, the cycles the drain took, and every
+/// node's [`endpoint_state`].
+fn run_scenario(
+    sc: &Scenario,
+    workers: usize,
+    idle_skip: bool,
+) -> (NetworkReport, u64, Vec<String>) {
+    let cfg = NetworkConfig {
+        topology: Torus::net_4x4().into(),
+        router: RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary),
+        seed: 0xe9d,
+        warmup_cycles: 600,
+        measure_cycles: 2_400,
+        fault: sc.fault.clone(),
+    };
+    let endpoints = build_endpoints(&cfg, &sc.wl);
+    let mut sim = NetworkSim::with_workers(cfg, endpoints, workers);
+    sim.set_idle_skip(idle_skip);
+    let mut report = sim.run();
+    let mut drain_cycles = 0;
+    if sc.drain {
+        for node in 0..16 {
+            sim.endpoint_mut(node).stop_generation();
+        }
+        while !(0..16).all(|n| sim.endpoint(n).is_idle()) {
+            sim.step_cycle();
+            drain_cycles += 1;
+            assert!(drain_cycles < 60_000, "{}: drain never finished", sc.label);
+        }
+        report = sim.report();
+    }
+    let states = (0..16).map(|n| endpoint_state(sim.endpoint(n))).collect();
+    (report, drain_cycles, states)
+}
+
+#[test]
+fn endpoint_state_is_identical_per_node_with_and_without_idle_skip() {
+    let uniform = TrafficPattern::Uniform;
+    let hotspot = TrafficPattern::Hotspot {
+        targets: HotspotTargets::new(&[5, 10]),
+        fraction: 0.35,
+    };
+    let burst = BurstConfig::new(50.0, 200.0);
+    let healthy = FaultConfig::default;
+    // Every output of node 5 dies mid-run: whatever it queues afterwards
+    // is refused at injection, request and response alike.
+    let severed = FaultConfig {
+        kill_links: [
+            OutputPort::East,
+            OutputPort::West,
+            OutputPort::North,
+            OutputPort::South,
+        ]
+        .into_iter()
+        .map(|port| LinkKill {
+            node: 5,
+            port,
+            at_cycle: 900,
+        })
+        .collect(),
+        ..FaultConfig::default()
+    };
+    let scenarios = [
+        Scenario {
+            label: "smooth near-idle",
+            wl: WorkloadConfig::paper(uniform, 0.002),
+            fault: healthy(),
+            drain: true,
+        },
+        Scenario {
+            label: "smooth loaded",
+            wl: WorkloadConfig::paper(uniform, 0.05),
+            fault: healthy(),
+            drain: false,
+        },
+        Scenario {
+            label: "bursty",
+            wl: WorkloadConfig::paper(uniform, 0.004).with_burst(burst),
+            fault: healthy(),
+            drain: true,
+        },
+        Scenario {
+            label: "hotspot",
+            wl: WorkloadConfig::paper(hotspot, 0.01),
+            fault: healthy(),
+            drain: false,
+        },
+        Scenario {
+            label: "hotspot + bursty",
+            wl: WorkloadConfig::paper(hotspot, 0.02).with_burst(BurstConfig::new(30.0, 120.0)),
+            fault: healthy(),
+            drain: true,
+        },
+        Scenario {
+            // Stall-heavy: one attempt in five finds the only MSHR busy.
+            label: "1-MSHR closed loop",
+            wl: WorkloadConfig::closed_loop(uniform, 0.2, 1),
+            fault: healthy(),
+            drain: true,
+        },
+        Scenario {
+            label: "severed node",
+            wl: WorkloadConfig::paper(uniform, 0.02),
+            fault: severed,
+            drain: false,
+        },
+    ];
+    for sc in &scenarios {
+        let (report, drain_cycles, states) = run_scenario(sc, 1, false);
+        for workers in [1, 3] {
+            let label = format!("{} workers={workers}", sc.label);
+            let (r, d, s) = run_scenario(sc, workers, true);
+            report.assert_bit_identical(&r, &label);
+            assert_eq!(drain_cycles, d, "{label}: drain length");
+            for (node, (off, on)) in states.iter().zip(&s).enumerate() {
+                assert_eq!(off, on, "{label}: node {node}");
+            }
+        }
+        // Each scenario must reach the counter it is here for.
+        let any = |needle: &str| states.iter().any(|s| !s.contains(needle));
+        match sc.label {
+            "1-MSHR closed loop" => assert!(any("mshr_stalls: 0,"), "no stall: {states:?}"),
+            "severed node" => assert!(any("unreachable_drops: 0 "), "no drop: {states:?}"),
+            "bursty" => assert!(any("burst_on_cycles: 0,"), "never ON: {states:?}"),
+            _ => {}
+        }
+        if sc.drain {
+            assert!(states
+                .iter()
+                .all(|s| s.ends_with("outstanding=0 idle=true")));
+        }
+    }
+}
+
+#[test]
+fn near_idle_endpoints_sleep_through_nine_cycles_in_ten() {
+    // The endpoint-side floor beside the router one above: at the
+    // near-idle point a node generates once in 500 cycles and serves a
+    // handful of lookups in between, and must not be run for the rest.
+    let cycles = 3_000u64;
+    let run = |idle_skip: bool| {
+        let cfg = NetworkConfig {
+            topology: Torus::net_4x4().into(),
+            router: RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary),
+            seed: 1,
+            warmup_cycles: cycles / 5,
+            measure_cycles: cycles - cycles / 5,
+            fault: FaultConfig::default(),
+        };
+        let wl = WorkloadConfig::paper(TrafficPattern::Uniform, 0.002);
+        let endpoints = build_endpoints(&cfg, &wl)
+            .into_iter()
+            .map(|inner| Counted { inner, calls: 0 })
+            .collect();
+        let mut sim = NetworkSim::new(cfg, endpoints);
+        sim.set_idle_skip(idle_skip);
+        let report = sim.run();
+        let calls: u64 = (0..16).map(|n| sim.endpoint(n).calls).sum();
+        let states: Vec<String> = (0..16)
+            .map(|n| endpoint_state(&sim.endpoint(n).inner))
+            .collect();
+        (report, calls, states)
+    };
+    let (off, calls_off, states_off) = run(false);
+    let (on, calls_on, states_on) = run(true);
+    off.assert_bit_identical(&on, "counted near-idle");
+    assert_eq!(states_off, states_on);
+    assert_eq!(
+        calls_off,
+        16 * cycles,
+        "skip off runs every endpoint every cycle"
+    );
+    assert!(
+        calls_on * 10 <= calls_off,
+        "only {} of {calls_off} on_cycle calls avoided",
+        calls_off - calls_on
+    );
 }

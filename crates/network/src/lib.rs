@@ -32,14 +32,18 @@
 //!
 //! The traffic side (coherence transactions, MSHRs, §4.2 patterns) lives
 //! in the `workload` crate; anything implementing [`sim::Endpoint`] can
-//! drive the network.
+//! drive the network. [`NetworkConfig::validate`] is the configuration
+//! gate: [`NetworkSim::with_workers`] refuses what it refuses, with the
+//! [`ConfigError`]'s message.
 
+mod config;
 pub mod fault;
 pub mod routing;
 pub(crate) mod shard;
 pub mod sim;
 pub mod topology;
 
+pub use config::ConfigError;
 pub use fault::{DeadLinks, FaultConfig, LinkFlap, LinkKill};
 pub use routing::route_for;
 pub use sim::{

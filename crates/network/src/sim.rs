@@ -27,7 +27,7 @@
 //! Every inter-router interaction in the model crosses a network link,
 //! and every link has the router timing's wire latency — three 0.8 GHz
 //! link-clocks (= 4.5 core cycles) as shipped, and never less than one
-//! core cycle ([`NetworkSim::with_workers`] refuses a timing below that
+//! core cycle ([`NetworkConfig::validate`] refuses a timing below that
 //! floor); even a local injection is decoded cycles after it pins. So
 //! any event a router emits at cycle *k* takes effect strictly after
 //! cycle *k* — no router's cycle-*k* decisions can observe another
@@ -536,7 +536,7 @@ impl<E: Endpoint> NetworkSim<E> {
     ///
     /// # Panics
     ///
-    /// Panics unless `endpoints.len()` equals the node count.
+    /// As [`NetworkSim::with_workers`].
     pub fn new(cfg: NetworkConfig, endpoints: Vec<E>) -> Self {
         Self::with_workers(cfg, endpoints, 1)
     }
@@ -550,20 +550,18 @@ impl<E: Endpoint> NetworkSim<E> {
     ///
     /// # Panics
     ///
-    /// Panics unless `endpoints.len()` equals the node count, or when the
-    /// router timing's wire latency is shorter than one core cycle.
+    /// Panics with the [`ConfigError`](crate::ConfigError)'s message when
+    /// [`NetworkConfig::validate`] refuses `cfg`, and unless
+    /// `endpoints.len()` equals the node count.
     pub fn with_workers(cfg: NetworkConfig, endpoints: Vec<E>, workers: usize) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let topology = cfg.topology;
         assert_eq!(
             endpoints.len(),
             topology.nodes() as usize,
             "one endpoint per node"
-        );
-        // The one-cycle horizon (module docs): an event emitted at cycle k
-        // must take effect strictly after cycle k.
-        assert!(
-            cfg.router.timing.link_latency_ticks() >= cfg.router.timing.core.period(),
-            "link wire latency must be at least one core cycle"
         );
         let workers = effective_workers(workers, topology.nodes() as usize);
         let map = ShardMap::new(&topology, workers);

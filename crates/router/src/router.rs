@@ -233,20 +233,15 @@ pub struct Router {
 
 impl Router {
     /// Builds a router. The node id is the caller's bookkeeping: nothing
-    /// in a router depends on where it sits, so `_id` is not kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured SPAA arbitration latency is below 2 cycles
-    /// (LA and GA cannot share a cycle).
+    /// in a router depends on where it sits, so `_id` is not kept. The
+    /// network's `NetworkConfig::validate` checks `cfg` before any router
+    /// is built.
     pub fn new(_id: u16, cfg: RouterConfig, rng: SimRng) -> Self {
         let arb = cfg.arb_timing();
-        if cfg.algorithm.is_spaa() {
-            assert!(
-                arb.latency.get() >= 2,
-                "SPAA needs at least LA and GA cycles"
-            );
-        }
+        debug_assert!(
+            !cfg.algorithm.is_spaa() || arb.latency.get() >= 2,
+            "SPAA needs at least LA and GA cycles"
+        );
         let rotary = if cfg.algorithm.is_rotary() {
             RotaryMode::On
         } else {

@@ -20,7 +20,9 @@
 use crate::pattern::TrafficPattern;
 use crate::txn::{TxnTag, L2_LATENCY_CYCLES, MEMORY_LATENCY_NS, PAPER_THREE_HOP_FRACTION};
 use arbitration::ports::InputPort;
-use network::{Endpoint, InjectionOutcome, NetTopology, NodeCtx, TxnCompletion};
+use network::{
+    ConfigError, Endpoint, InjectionOutcome, NetTopology, NetworkConfig, NodeCtx, TxnCompletion,
+};
 use router::packet::PacketId;
 use router::{CoherenceClass, Packet};
 use simcore::{SimRng, Tick};
@@ -61,21 +63,9 @@ pub struct BurstConfig {
 }
 
 impl BurstConfig {
-    /// A convenience constructor that validates the means.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both means are finite and ≥ 1 (a sub-cycle mean
-    /// phase is not representable on the per-cycle state machine).
+    /// Creates a burst configuration; [`WorkloadConfig::validate`] checks
+    /// the means.
     pub fn new(mean_burst_cycles: f64, mean_idle_cycles: f64) -> Self {
-        assert!(
-            mean_burst_cycles.is_finite() && mean_burst_cycles >= 1.0,
-            "mean burst length must be a finite cycle count >= 1, got {mean_burst_cycles}"
-        );
-        assert!(
-            mean_idle_cycles.is_finite() && mean_idle_cycles >= 1.0,
-            "mean idle length must be a finite cycle count >= 1, got {mean_idle_cycles}"
-        );
         BurstConfig {
             mean_burst_cycles,
             mean_idle_cycles,
@@ -156,12 +146,7 @@ impl WorkloadConfig {
     /// MSHRs). Sweeping `mshrs` against [`WorkloadConfig::open_loop`]
     /// shows how the closed loop caps post-saturation latency — the
     /// `fig_closedloop` bench's headline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mshrs` is zero (a node that can never issue).
     pub fn closed_loop(pattern: TrafficPattern, injection_rate: f64, mshrs: u32) -> Self {
-        assert!(mshrs > 0, "closed loop needs at least one MSHR");
         WorkloadConfig {
             pattern,
             injection_rate,
@@ -179,12 +164,44 @@ impl WorkloadConfig {
 
     /// The same workload with a different three-hop transaction mix.
     pub fn with_three_hop_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "three-hop fraction must be a probability, got {fraction}"
-        );
         self.three_hop_fraction = fraction;
         self
+    }
+
+    /// Checks `net` ([`NetworkConfig::validate`]), then every workload
+    /// condition a run relies on, and returns the first violation.
+    /// [`build_endpoints`](crate::build_endpoints) refuses a pair this
+    /// refuses.
+    pub fn validate(&self, net: &NetworkConfig) -> Result<(), ConfigError> {
+        net.validate()?;
+        if !self.pattern.supports(&net.topology) {
+            return Err(ConfigError::Pattern {
+                pattern: self.pattern.to_string(),
+                topology: net.topology,
+            });
+        }
+        for (field, value) in [
+            ("injection_rate", self.injection_rate),
+            ("three_hop_fraction", self.three_hop_fraction),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(ConfigError::Probability { field, value });
+            }
+        }
+        if self.mshrs == 0 {
+            return Err(ConfigError::AtLeastOne { field: "mshrs" });
+        }
+        if let Some(b) = self.burst {
+            for (field, value) in [
+                ("burst.mean_burst_cycles", b.mean_burst_cycles),
+                ("burst.mean_idle_cycles", b.mean_idle_cycles),
+            ] {
+                if !(value.is_finite() && value >= 1.0) {
+                    return Err(ConfigError::PhaseMean { field, value });
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -360,7 +377,6 @@ pub struct CoherenceEndpoint {
 impl CoherenceEndpoint {
     /// Creates the agent for `node`.
     pub(crate) fn new(node: u16, topology: NetTopology, cfg: WorkloadConfig, rng: SimRng) -> Self {
-        assert!(cfg.mshrs > 0, "a node needs at least one MSHR");
         let burst_peak_rate = match cfg.burst {
             Some(b) => b.peak_rate(cfg.injection_rate),
             None => cfg.injection_rate,
@@ -790,12 +806,6 @@ mod tests {
         assert!((b.peak_rate(0.01) - 0.05).abs() < 1e-12);
         // Unreachable averages cap at one attempt per cycle.
         assert_eq!(b.peak_rate(0.5), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "mean idle length")]
-    fn burst_config_rejects_subcycle_phase() {
-        let _ = BurstConfig::new(10.0, 0.5);
     }
 
     #[test]

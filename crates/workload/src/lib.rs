@@ -29,7 +29,15 @@ use network::{NetworkConfig, NetworkSim};
 use simcore::SimRng;
 
 /// Builds one coherence endpoint per node of `net`.
+///
+/// # Panics
+///
+/// Panics with the [`network::ConfigError`]'s message when
+/// [`WorkloadConfig::validate`] refuses the pair.
 pub fn build_endpoints(net: &NetworkConfig, wl: &WorkloadConfig) -> Vec<CoherenceEndpoint> {
+    if let Err(e) = wl.validate(net) {
+        panic!("{e}");
+    }
     let root = SimRng::from_seed(net.seed ^ 0x5eed_f00d);
     (0..net.topology.nodes())
         .map(|node| CoherenceEndpoint::new(node, net.topology, wl.clone(), root.fork(node as u64)))

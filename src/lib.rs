@@ -14,9 +14,9 @@ pub use workload;
 pub mod prelude {
     pub use arbitration::prelude::*;
     pub use network::{
-        DeadLinks, Endpoint, FaultConfig, FullMesh, Grid, InjectionOutcome, LinkFlap, LinkKill,
-        Mesh, NetTopology, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, ShardMap, Torus,
-        TxnCompletion,
+        ConfigError, DeadLinks, Endpoint, FaultConfig, FullMesh, Grid, InjectionOutcome, LinkFlap,
+        LinkKill, Mesh, NetTopology, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, ShardMap,
+        Torus, TxnCompletion,
     };
     pub use router::{
         ArbAlgorithm, BufferConfig, CoherenceClass, EscapeVc, IncomingPacket, Packet, RouteInfo,

@@ -18,9 +18,9 @@ use std::path::Path;
 const CEILING: [(&str, usize, usize, usize); 7] = [
     ("core", 87, 3, 19),
     ("router", 75, 47, 15),
-    ("network", 71, 44, 18),
+    ("network", 73, 44, 19),
     ("sim", 100, 11, 6),
-    ("workload", 24, 13, 7),
+    ("workload", 25, 13, 7),
     ("standalone", 5, 5, 1),
     ("bench", 16, 12, 0),
 ];

@@ -28,12 +28,16 @@
 //!   packet can beat a network-port packet to an output.
 //!
 //! The timing-model assumption in the paper is the *Wrapped* WFA, which
-//! launches all diagonals in parallel and has the same matching behaviour;
-//! `WfaVariant` selects between the wrapped and plain evaluation orders
-//! (both maximal; kept for cross-validation).
+//! launches all diagonals in parallel and has the same matching behaviour.
+//! The simulator evaluates it sparsely: only the requested cells of free
+//! rows and free columns are visited, bucketed by the sweep step that
+//! reaches them and taken in exactly the dense sweep's order, so a window
+//! costs work in proportion to its requests rather than to the matrix.
+//! `WfaVariant` keeps the dense sweep and the plain wave as test-only
+//! references (`sparse_wave_matches_the_dense_sweep` pins the first).
 
 use crate::matching::Matching;
-use crate::matrix::RequestMatrix;
+use crate::matrix::{RequestMatrix, MAX_DIM};
 
 /// Which cells get top priority in an arbitration pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,14 +52,19 @@ pub(crate) enum WfaStart {
     },
 }
 
-/// Evaluation styles; both implement the same priority semantics.
+/// Evaluation styles; all implement the same priority semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub(crate) enum WfaVariant {
     /// Wrapped wave-front: wrapped diagonals, each holding at most one
     /// cell per row and per column, evaluated as units. This is the
-    /// variant whose hardware timing the paper assumes.
+    /// variant whose hardware timing the paper assumes, evaluated over
+    /// the requested cells only.
     #[default]
     Wrapped,
+    /// The same wrapped sweep testing every cell of every diagonal: the
+    /// reference the sparse evaluation is pinned against.
+    #[cfg(test)]
+    WrappedDense,
     /// Plain wave-front from a single start cell (textbook WFA). Also
     /// maximal; the unit tests cross-validate the wrapped wave against it.
     #[cfg(test)]
@@ -68,7 +77,12 @@ pub struct WfaArbiter {
     rows: usize,
     cols: usize,
     variant: WfaVariant,
-    start: WfaStart,
+    /// Rows in wave priority order, fixed at construction: the primary
+    /// class (every row for WFA-base, the network rows for WFA-rotary)
+    /// first, then the local rows.
+    order: [u8; MAX_DIM],
+    /// Length of the primary class at the front of `order`.
+    primary_len: usize,
     /// Rotating start offset for the primary (or only) row class.
     ptr_primary: usize,
     /// Rotating start offset for the local row class (rotary mode only).
@@ -83,19 +97,35 @@ impl WfaArbiter {
     /// Panics if dimensions are zero or exceed 32, or if a rotary start is
     /// given an empty or out-of-range `network_rows` mask.
     pub(crate) fn new(rows: usize, cols: usize, variant: WfaVariant, start: WfaStart) -> Self {
-        assert!(rows > 0 && rows <= 32 && cols > 0 && cols <= 32);
-        if let WfaStart::Rotary { network_rows } = start {
-            assert!(network_rows != 0, "rotary start needs network rows");
-            assert!(
-                rows == 32 || network_rows < (1u32 << rows),
-                "network row mask out of range"
-            );
+        assert!(rows > 0 && rows <= MAX_DIM && cols > 0 && cols <= MAX_DIM);
+        let primary_rows = match start {
+            WfaStart::RoundRobin => mask_of(rows),
+            WfaStart::Rotary { network_rows } => {
+                assert!(network_rows != 0, "rotary start needs network rows");
+                assert!(
+                    rows == 32 || network_rows < (1u32 << rows),
+                    "network row mask out of range"
+                );
+                network_rows
+            }
+        };
+        // A stable partition: the primary class in row order, then the rest.
+        let mut order = [0u8; MAX_DIM];
+        let mut n = 0;
+        for primary in [true, false] {
+            for r in 0..rows {
+                if (primary_rows & (1 << r) != 0) == primary {
+                    order[n] = r as u8;
+                    n += 1;
+                }
+            }
         }
         WfaArbiter {
             rows,
             cols,
             variant,
-            start,
+            order,
+            primary_len: primary_rows.count_ones() as usize,
             ptr_primary: 0,
             ptr_secondary: 0,
         }
@@ -116,64 +146,23 @@ impl WfaArbiter {
         )
     }
 
-    /// Runs one arbitration pass and advances the priority pointers.
+    /// Runs one arbitration pass and advances the priority pointers: one
+    /// wave over the primary class, then (WFA-rotary with local rows) one
+    /// over the local class on whatever rows and columns remain free.
     pub fn arbitrate(&mut self, req: &RequestMatrix) -> Matching {
         assert_eq!(req.rows(), self.rows, "request rows mismatch");
         assert_eq!(req.cols(), self.cols, "request cols mismatch");
         let mut m = Matching::empty(self.rows, self.cols);
         let mut free_rows = mask_of(self.rows);
         let mut free_cols = mask_of(self.cols);
-        // Row-order scratch lives on the stack: one wave per window on
-        // the saturated hot path must not touch the allocator.
-        let mut order = [0usize; crate::matrix::MAX_DIM];
-        match self.start {
-            WfaStart::RoundRobin => {
-                for (r, slot) in order.iter_mut().enumerate().take(self.rows) {
-                    *slot = r;
-                }
-                let s = self.ptr_primary % self.rows;
-                self.ptr_primary = (s + 1) % self.rows;
-                self.wave(
-                    req,
-                    &order[..self.rows],
-                    s,
-                    &mut free_rows,
-                    &mut free_cols,
-                    &mut m,
-                );
-            }
-            WfaStart::Rotary { network_rows } => {
-                let mut n = 0;
-                for r in 0..self.rows {
-                    if network_rows & (1 << r) != 0 {
-                        order[n] = r;
-                        n += 1;
-                    }
-                }
-                let net = n;
-                for r in 0..self.rows {
-                    if network_rows & (1 << r) == 0 {
-                        order[n] = r;
-                        n += 1;
-                    }
-                }
-                let s1 = self.ptr_primary % net;
-                self.ptr_primary = (s1 + 1) % net;
-                self.wave(
-                    req,
-                    &order[..net],
-                    s1,
-                    &mut free_rows,
-                    &mut free_cols,
-                    &mut m,
-                );
-                if n > net {
-                    let local = &order[net..n];
-                    let s2 = self.ptr_secondary % local.len();
-                    self.ptr_secondary = (s2 + 1) % local.len();
-                    self.wave(req, local, s2, &mut free_rows, &mut free_cols, &mut m);
-                }
-            }
+        let (primary, local) = self.order[..self.rows].split_at(self.primary_len);
+        let s1 = self.ptr_primary % primary.len();
+        self.ptr_primary = (s1 + 1) % primary.len();
+        self.wave(req, primary, s1, &mut free_rows, &mut free_cols, &mut m);
+        if !local.is_empty() {
+            let s2 = self.ptr_secondary % local.len();
+            self.ptr_secondary = (s2 + 1) % local.len();
+            self.wave(req, local, s2, &mut free_rows, &mut free_cols, &mut m);
         }
         m
     }
@@ -182,24 +171,62 @@ impl WfaArbiter {
     fn wave(
         &self,
         req: &RequestMatrix,
-        order: &[usize],
+        order: &[u8],
         start: usize,
         free_rows: &mut u32,
         free_cols: &mut u32,
         m: &mut Matching,
     ) {
+        let len = order.len();
         match self.variant {
             WfaVariant::Wrapped => {
+                // Cell (order[p], col) lies on wrapped diagonal
+                // (p - col) mod L, which the sweep reaches at step
+                // (p - col - start) mod L, and within a step columns go in
+                // ascending order. Bucket each requested cell of a free
+                // row and a free column as a column bit under its step,
+                // then walk the occupied steps in order: the dense sweep's
+                // cells in the dense sweep's order, minus cells whose row
+                // or column was already taken (they could never grant).
+                let mut steps = [0u32; MAX_DIM];
+                let mut occupied = 0u32;
+                for (p, &row) in order.iter().enumerate() {
+                    if *free_rows & (1 << row) == 0 {
+                        continue;
+                    }
+                    let mut cols = req.row_mask(row as usize) & *free_cols;
+                    let base = p + MAX_DIM * len - start;
+                    while cols != 0 {
+                        let col = cols.trailing_zeros() as usize;
+                        cols &= cols - 1;
+                        let step = (base - col) % len;
+                        steps[step] |= 1 << col;
+                        occupied |= 1 << step;
+                    }
+                }
+                while occupied != 0 {
+                    let step = occupied.trailing_zeros() as usize;
+                    occupied &= occupied - 1;
+                    let mut cols = steps[step];
+                    while cols != 0 {
+                        let col = cols.trailing_zeros() as usize;
+                        cols &= cols - 1;
+                        let row = order[(start + step + col) % len] as usize;
+                        self.try_grant(req, row, col, free_rows, free_cols, m);
+                    }
+                }
+            }
+            #[cfg(test)]
+            WfaVariant::WrappedDense => {
                 // Wrapped diagonal d holds cells (order[(d + col) % L], col):
                 // one cell per column, distinct rows whenever L >= cols.
                 // Sweeping d over 0..L visits every (row, col) cell exactly
                 // once per pass even when L < cols (rows then repeat within
                 // a diagonal, which the free-row mask makes harmless).
-                let len = order.len();
                 for step in 0..len {
                     let d = (start + step) % len;
                     for col in 0..self.cols {
-                        let row = order[(d + col) % len];
+                        let row = order[(d + col) % len] as usize;
                         self.try_grant(req, row, col, free_rows, free_cols, m);
                     }
                 }
@@ -207,14 +234,13 @@ impl WfaArbiter {
             #[cfg(test)]
             WfaVariant::Plain => {
                 // Anti-diagonal wavefronts from cell (order[start], 0).
-                let len = order.len();
                 for k in 0..(len + self.cols - 1) {
                     for i in 0..=k.min(len - 1) {
                         let j = k - i;
                         if j >= self.cols {
                             continue;
                         }
-                        let row = order[(start + i) % len];
+                        let row = order[(start + i) % len] as usize;
                         self.try_grant(req, row, j, free_rows, free_cols, m);
                     }
                 }
@@ -283,7 +309,11 @@ mod tests {
                 network_rows: NETWORK_ROW_MASK,
             },
         ];
-        for variant in [WfaVariant::Wrapped, WfaVariant::Plain] {
+        for variant in [
+            WfaVariant::Wrapped,
+            WfaVariant::WrappedDense,
+            WfaVariant::Plain,
+        ] {
             for start in starts {
                 let mut wfa = WfaArbiter::new(16, 7, variant, start);
                 for _ in 0..200 {
@@ -295,6 +325,102 @@ mod tests {
                         "{variant:?}/{start:?} not maximal on {req:?}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A random `rows × cols` matrix of the given density class: each
+    /// cell requested with probability 1/8, 1/4, 1/2 or 3/4.
+    fn random_req_density(
+        rng: &mut SimRng,
+        rows: usize,
+        cols: usize,
+        density: usize,
+    ) -> RequestMatrix {
+        let masks = (0..rows)
+            .map(|_| {
+                let a = rng.next_u32();
+                let bits = match density {
+                    0 => a & rng.next_u32() & rng.next_u32(),
+                    1 => a & rng.next_u32(),
+                    2 => a,
+                    _ => a | rng.next_u32(),
+                };
+                bits & mask_of(cols)
+            })
+            .collect();
+        RequestMatrix::from_rows(masks, cols)
+    }
+
+    #[test]
+    fn sparse_wave_matches_the_dense_sweep() {
+        // The sparse wave against the dense wrapped sweep it replaced:
+        // the same matching and the same rotation pointers, from every
+        // start position of both row classes, on round-robin and rotary
+        // shapes including a class shorter than the row of columns
+        // (4×7 with two network rows) and both extremes of the mask.
+        let mut rng = SimRng::from_seed(5);
+        let shapes = [
+            (16, 7, WfaStart::RoundRobin),
+            (
+                16,
+                7,
+                WfaStart::Rotary {
+                    network_rows: NETWORK_ROW_MASK,
+                },
+            ),
+            (
+                4,
+                7,
+                WfaStart::Rotary {
+                    network_rows: 0b0011,
+                },
+            ),
+            (1, 1, WfaStart::RoundRobin),
+            (32, 32, WfaStart::RoundRobin),
+            (
+                32,
+                32,
+                WfaStart::Rotary {
+                    network_rows: 0x00FF_00FF,
+                },
+            ),
+        ];
+        for (rows, cols, start) in shapes {
+            let mut sparse = WfaArbiter::new(rows, cols, WfaVariant::Wrapped, start);
+            let mut dense = WfaArbiter::new(rows, cols, WfaVariant::WrappedDense, start);
+            let primary = sparse.primary_len;
+            let local = (rows - primary).max(1);
+            for s1 in 0..primary {
+                for s2 in 0..local {
+                    for density in 0..4 {
+                        let req = random_req_density(&mut rng, rows, cols, density);
+                        for wfa in [&mut sparse, &mut dense] {
+                            wfa.ptr_primary = s1;
+                            wfa.ptr_secondary = s2;
+                        }
+                        let got = sparse.arbitrate(&req);
+                        let want = dense.arbitrate(&req);
+                        assert_eq!(
+                            got, want,
+                            "{rows}x{cols} {start:?} start ({s1}, {s2}) {req:?}"
+                        );
+                        assert_eq!(
+                            (sparse.ptr_primary, sparse.ptr_secondary),
+                            (dense.ptr_primary, dense.ptr_secondary)
+                        );
+                    }
+                }
+            }
+            // And over a free-running sequence, the pointers rotating on
+            // their own.
+            for pass in 0..200 {
+                let req = random_req_density(&mut rng, rows, cols, pass % 4);
+                assert_eq!(sparse.arbitrate(&req), dense.arbitrate(&req), "pass {pass}");
+                assert_eq!(
+                    (sparse.ptr_primary, sparse.ptr_secondary),
+                    (dense.ptr_primary, dense.ptr_secondary)
+                );
             }
         }
     }

@@ -161,6 +161,70 @@ enum Eligibility {
     },
 }
 
+/// One read port's VC selection order, as recency stamps: the VC holding
+/// the smallest stamp is the least recently selected. Picking the oldest
+/// VC of a mask costs one pass over the mask's set bits, and selecting a
+/// VC one store — where a move-to-back list pays a search and a shift.
+/// Stamps stay distinct, so the order is total;
+/// `vc_lru_matches_a_move_to_back_list` pins it against that list.
+#[derive(Clone, Copy, Debug)]
+struct VcLru {
+    /// Per VC: when it was last selected (initially its index, so the
+    /// lowest-numbered VC starts out least recent).
+    stamp: [u16; NUM_VCS],
+    /// The next stamp to hand out; every stamp is below it.
+    clock: u16,
+}
+
+impl VcLru {
+    fn new() -> Self {
+        VcLru {
+            stamp: std::array::from_fn(|v| v as u16),
+            clock: NUM_VCS as u16,
+        }
+    }
+
+    /// The least recently selected VC among the set bits of `mask`
+    /// (non-empty).
+    #[inline]
+    fn oldest(&self, mask: u32) -> usize {
+        debug_assert!(mask != 0, "oldest VC of an empty mask");
+        let mut best = mask.trailing_zeros() as usize;
+        let mut rest = mask & (mask - 1);
+        while rest != 0 {
+            let v = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if self.stamp[v] < self.stamp[best] {
+                best = v;
+            }
+        }
+        best
+    }
+
+    /// Makes `vc` the most recently selected VC. Before the clock runs
+    /// out, the stamps are renumbered `0..NUM_VCS` in their current order.
+    #[inline]
+    fn touch(&mut self, vc: usize) {
+        if self.clock == u16::MAX {
+            let old = self.stamp;
+            for (stamp, &s) in self.stamp.iter_mut().zip(&old) {
+                *stamp = old.iter().filter(|&&o| o < s).count() as u16;
+            }
+            self.clock = NUM_VCS as u16;
+        }
+        self.stamp[vc] = self.clock;
+        self.clock += 1;
+        debug_assert!(
+            self.stamp
+                .iter()
+                .enumerate()
+                .all(|(v, s)| !self.stamp[v + 1..].contains(s)),
+            "VC recency stamps collide: {:?}",
+            self.stamp
+        );
+    }
+}
+
 /// One router of the 21364 torus.
 #[derive(Debug)]
 pub struct Router {
@@ -182,8 +246,8 @@ pub struct Router {
     weight_kind: Option<WeightKind>,
     rng: SimRng,
     read_ports: Vec<ReadPortState>,
-    /// Per read port: VC ids in least-recently-selected-first order.
-    vc_lru: [[u8; NUM_VCS]; NUM_ARBITER_ROWS],
+    /// Per read port: the VCs' least-recently-selected order.
+    vc_lru: [VcLru; NUM_ARBITER_ROWS],
     /// LA-to-GA delay: a nomination (or window) decides this long after
     /// its LA cycle.
     ga_delay: Tick,
@@ -284,7 +348,7 @@ impl Router {
             weight_kind,
             rng,
             read_ports: vec![ReadPortState::default(); NUM_ARBITER_ROWS],
-            vc_lru: [std::array::from_fn(|v| v as u8); NUM_ARBITER_ROWS],
+            vc_lru: [VcLru::new(); NUM_ARBITER_ROWS],
             ga_delay,
             lookahead,
             max_inflight: ga_cycles.min(8) as u8,
@@ -727,27 +791,18 @@ impl Router {
         if found.is_none() {
             found = self.scan_for_nomination(row, now, wired, live, None);
         }
-        let (pos, id, elig) = found?;
+        let (vc, id, elig) = found?;
         let (out, vc_down) = self.choose_output(elig)?;
         // Selecting from a VC makes it most-recently selected.
-        self.touch_vc(row, pos);
+        self.vc_lru[row].touch(vc);
         Some((id, out, vc_down))
-    }
-
-    /// Moves the VC at position `pos` of `row`'s LRU order to the
-    /// most-recently-selected end.
-    #[inline]
-    fn touch_vc(&mut self, row: usize, pos: usize) {
-        let lru = &mut self.vc_lru[row];
-        let vc = lru[pos];
-        lru.copy_within(pos + 1.., pos);
-        lru[NUM_VCS - 1] = vc;
     }
 
     /// One LA scan pass over a read port's VCs in LRU order, restricted
     /// to the VCs of `vcs`, walking at most `scan_window` queued entries
     /// of each. With `only_older_than = Some(cutoff)`, only
-    /// anti-starvation "old" entries qualify.
+    /// anti-starvation "old" entries qualify. Returns the entry's VC, its
+    /// id and its eligibility.
     ///
     /// The walk touches only the dense [`EntryMeta`] slab: readiness is
     /// one flag-and-tick test and eligibility a handful of mask ANDs
@@ -761,21 +816,17 @@ impl Router {
         row: usize,
         now: Tick,
         wired: u8,
-        vcs: u32,
+        mut vcs: u32,
         only_older_than: Option<Tick>,
     ) -> Option<(usize, EntryId, Eligibility)> {
-        if vcs == 0 {
-            return None;
-        }
         let input = row / 2;
         let buf = &self.inputs[input];
         let metas = buf.metas();
-        for (pos, &vc_idx) in self.vc_lru[row].iter().enumerate() {
-            if vcs & (1 << vc_idx) == 0 {
-                continue;
-            }
-            let vc = VcId::from_index(vc_idx as usize);
-            let mut cur = buf.queue_head(vc);
+        let lru = &self.vc_lru[row];
+        while vcs != 0 {
+            let v = lru.oldest(vcs);
+            vcs &= !(1 << v);
+            let mut cur = buf.queue_head(VcId::from_index(v));
             let mut scanned = 0;
             while cur != NIL_INDEX && scanned < self.cfg.scan_window {
                 let m = &metas[cur as usize];
@@ -797,7 +848,7 @@ impl Router {
                     cur = m.next;
                     continue;
                 }
-                return Some((pos, EntryId::new(cur, m.gen), elig));
+                return Some((v, EntryId::new(cur, m.gen), elig));
             }
         }
         None
@@ -888,10 +939,7 @@ impl Router {
         }
         // Dispatching from a VC makes it the most-recently-selected VC of
         // this read port (the LA ordering key, §3).
-        let vc_idx = entry.vc.index() as u8;
-        if let Some(pos) = self.vc_lru[row].iter().position(|&v| v == vc_idx) {
-            self.touch_vc(row, pos);
-        }
+        self.vc_lru[row].touch(entry.vc.index());
         // The read port streams the flits; the buffer slot frees with the
         // tail.
         self.read_ports[row].busy_until = sched.done;
@@ -1090,13 +1138,7 @@ impl Router {
             .win_snapshot
             .take()
             .expect("a windowed algorithm builds a snapshot");
-        snapshot.reset();
-        // Anti-starvation: old entries claim matrix cells first (offers
-        // are first-writer-wins), then the general population fills in.
-        if let Some(cutoff) = self.antistarve.cutoff() {
-            self.fill_snapshot(&mut snapshot, now, free, Some(cutoff));
-        }
-        self.fill_snapshot(&mut snapshot, now, free, None);
+        self.fill_window(&mut snapshot, now, free);
         let input = &snapshot.input;
         let requested = input.requests.request_count();
         if requested == 0 {
@@ -1147,12 +1189,48 @@ impl Router {
         self.win_snapshot = Some(snapshot);
     }
 
+    /// Rebuilds the window's offer table in `snap`. Anti-starvation: old
+    /// entries claim matrix cells first (offers are first-writer-wins),
+    /// then the general population fills in.
+    fn fill_window(&mut self, snap: &mut WindowSnapshot, now: Tick, free: u8) {
+        snap.reset();
+        if let Some(cutoff) = self.antistarve.cutoff() {
+            self.fill_snapshot(snap, now, free, Some(cutoff));
+        }
+        self.fill_snapshot(snap, now, free, None);
+    }
+
+    /// The scheduling weight an offer of entry slot `idx` of VC `v` in
+    /// `buf` carries (iLQF/iOCF, or oracle measurement): depth is the
+    /// VC's waiting-entry count behind the candidate (≥ 1, since the
+    /// candidate itself waits there); age is the candidate's eligibility
+    /// age in core cycles, floored at 1 so a requested cell never carries
+    /// weight 0. Without a weight plane it is 0, computed from nothing.
+    /// (The standalone model, with neither VCs nor a clock, defines both
+    /// differently: its `weight_planes`.)
+    #[inline]
+    fn offer_weight(&self, buf: &InputBuffer, v: usize, idx: u32, now: Tick) -> u32 {
+        match self.weight_kind {
+            None => 0,
+            Some(WeightKind::Depth) => buf.waiting_count(v) as u32,
+            Some(WeightKind::Age) => {
+                let core_period = self.cfg.timing.core.period().as_ticks().max(1);
+                let age = now.saturating_sub(buf.entry_eligible_at(idx)).as_ticks() / core_period;
+                age.min(u32::MAX as u64 - 1) as u32 + 1
+            }
+        }
+    }
+
     /// Builds the window's offer table. The snapshot's cells are disjoint
     /// per row, so the fill visits *inputs* (walking each input's queues
     /// once) and replays the collected ready entries for each of the
-    /// input's two read-port rows in that row's own LRU VC order — the
-    /// resulting snapshot is bit-identical to the row-by-row walk it
-    /// replaces, at half the queue traffic.
+    /// input's two read-port rows in that row's own LRU VC order. A row
+    /// offers only to its *open* cells — wired, free and still unclaimed —
+    /// and stops at the first entry that leaves none open: an offer to a
+    /// claimed cell is a first-writer-wins no-op. The resulting snapshot
+    /// is bit-identical to the plain row-by-row walk offering every
+    /// eligible output (`fill_matches_the_plain_walk` pins it), at a
+    /// fraction of the work.
     fn fill_snapshot(
         &mut self,
         snap: &mut WindowSnapshot,
@@ -1160,15 +1238,6 @@ impl Router {
         free: u8,
         only_older_than: Option<Tick>,
     ) {
-        // Weight stamping (iLQF/iOCF, or oracle measurement): depth is the
-        // VC's waiting-entry count behind the candidate (≥ 1, since the
-        // candidate itself waits there); age is the candidate's eligibility
-        // age in core cycles, floored at 1 so a requested cell never
-        // carries weight 0. `None` computes nothing — the snapshot then
-        // has no plane to stamp. (The standalone model, with neither VCs
-        // nor a clock, defines both differently: its `weight_planes`.)
-        let weight_kind = self.weight_kind;
-        let core_period = self.cfg.timing.core.period().as_ticks().max(1);
         let mut collected = std::mem::take(&mut self.scratch_collect);
         for input in 0..NUM_INPUT_PORTS {
             // Nominable entries are `Waiting` by definition: an input
@@ -1207,9 +1276,11 @@ impl Router {
             }
             let metas = buf.metas();
             // Collect the ready candidates of each VC's scan window once
-            // (grouped per VC; readiness is row-independent).
+            // (grouped per VC; readiness is row-independent). `offering`
+            // marks the VCs that collected any.
             collected.clear();
             let mut ranges = [(0u16, 0u16); NUM_VCS];
+            let mut offering = 0u32;
             let mut mask = live;
             while mask != 0 {
                 let v = mask.trailing_zeros() as usize;
@@ -1232,89 +1303,302 @@ impl Router {
                     }
                     cur = next;
                 }
-                ranges[v] = (start, collected.len() as u16);
-            }
-            if collected.is_empty() {
-                continue;
+                if collected.len() as u16 > start {
+                    ranges[v] = (start, collected.len() as u16);
+                    offering |= 1 << v;
+                }
             }
             // Replay per row, in that row's LRU VC order (the order
             // decides which entry claims a first-writer-wins cell).
             for (i, &row) in rows.iter().enumerate() {
                 let wired = wired[i];
-                if wired == 0 {
-                    continue;
-                }
-                for &vc_idx in &self.vc_lru[row] {
-                    // Once every wired output of this row holds a
-                    // candidate, deeper entries could only re-offer
-                    // claimed cells (no-ops), so the row scan can stop —
-                    // exactly what a full walk would produce.
-                    if wired & !(snap.input.requests.row_mask(row) as u8) == 0 {
-                        break;
-                    }
-                    let (start, end) = ranges[vc_idx as usize];
+                // A drain pre-pass may already have claimed cells.
+                let mut open = wired & !(snap.input.requests.row_mask(row) as u8);
+                let lru = &self.vc_lru[row];
+                let mut vcs = offering;
+                'row: while vcs != 0 && open != 0 {
+                    let v = lru.oldest(vcs);
+                    vcs &= !(1 << v);
+                    let (start, end) = ranges[v];
                     for &idx in &collected[start as usize..end as usize] {
                         let m = &metas[idx as usize];
-                        let id = EntryId::new(idx, m.gen);
-                        let weight = match weight_kind {
-                            None => 0,
-                            Some(WeightKind::Depth) => buf.waiting_count(vc_idx as usize) as u32,
-                            Some(WeightKind::Age) => {
-                                let age = now.saturating_sub(buf.entry_eligible_at(idx)).as_ticks()
-                                    / core_period;
-                                age.min(u32::MAX as u64 - 1) as u32 + 1
-                            }
+                        // Eligibility is judged against every wired output,
+                        // not just the open ones: narrowing it could turn an
+                        // adaptive entry into an escape one.
+                        let (outputs, downstream_vc) = match self.eligibility_meta(m, wired) {
+                            Eligibility::None => continue,
+                            Eligibility::Local { outputs } => (outputs, None),
+                            Eligibility::Adaptive { outputs, vc } => (outputs, Some(vc)),
+                            Eligibility::Escape { output, vc } => (1 << output, Some(vc)),
                         };
-                        match self.eligibility_meta(m, wired) {
-                            Eligibility::None => {}
-                            Eligibility::Local { outputs } => {
-                                let mut bits = outputs;
-                                while bits != 0 {
-                                    let col = bits.trailing_zeros() as usize;
-                                    bits &= bits - 1;
-                                    snap.offer(
-                                        row,
-                                        col,
-                                        Candidate {
-                                            entry: id,
-                                            downstream_vc: None,
-                                        },
-                                        weight,
-                                    );
-                                }
-                            }
-                            Eligibility::Adaptive { outputs, vc } => {
-                                let mut bits = outputs;
-                                while bits != 0 {
-                                    let col = bits.trailing_zeros() as usize;
-                                    bits &= bits - 1;
-                                    snap.offer(
-                                        row,
-                                        col,
-                                        Candidate {
-                                            entry: id,
-                                            downstream_vc: Some(vc),
-                                        },
-                                        weight,
-                                    );
-                                }
-                            }
-                            Eligibility::Escape { output, vc } => {
-                                snap.offer(
-                                    row,
-                                    output,
-                                    Candidate {
-                                        entry: id,
-                                        downstream_vc: Some(vc),
-                                    },
-                                    weight,
-                                );
-                            }
+                        let mut bits = outputs & open;
+                        if bits == 0 {
+                            continue;
+                        }
+                        open &= !bits;
+                        let cand = Candidate {
+                            entry: EntryId::new(idx, m.gen),
+                            downstream_vc,
+                        };
+                        let weight = self.offer_weight(buf, v, idx, now);
+                        while bits != 0 {
+                            let col = bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            snap.offer(row, col, cand, weight);
+                        }
+                        if open == 0 {
+                            break 'row;
                         }
                     }
                 }
             }
         }
         self.scratch_collect = collected;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::packet::{CoherenceClass, PacketId};
+    use crate::route::EscapeVc;
+    use crate::ArbAlgorithm;
+    use simcore::time::Cycles;
+
+    #[test]
+    fn vc_lru_matches_a_move_to_back_list() {
+        // Random selections and oldest-of-mask queries against the plain
+        // list (least recent first, a selected VC moves to the back). One
+        // run of 200,000 selections wraps the 16-bit clock three times, so
+        // the re-rank runs mid-sequence.
+        let mut rng = SimRng::from_seed(11);
+        let mut lru = VcLru::new();
+        let mut list: [u8; NUM_VCS] = std::array::from_fn(|v| v as u8);
+        let mut reranks = 0;
+        for op in 0..200_000 {
+            let mask = rng.next_u32() & ((1 << NUM_VCS) - 1);
+            if mask != 0 {
+                let want = list.iter().find(|&&v| mask & (1 << v) != 0).copied();
+                assert_eq!(Some(lru.oldest(mask) as u8), want, "op {op} mask {mask:#x}");
+            }
+            let vc = rng.below(NUM_VCS);
+            let pos = list.iter().position(|&v| v as usize == vc).unwrap();
+            list[pos..].rotate_left(1);
+            let clock = lru.clock;
+            lru.touch(vc);
+            if lru.clock < clock {
+                reranks += 1;
+            }
+        }
+        assert!(reranks >= 3, "the clock wrapped {reranks} times");
+        for (rank, &v) in list.iter().enumerate() {
+            let later = list[rank..].iter().fold(0u32, |m, &w| m | 1 << w);
+            assert_eq!(lru.oldest(later), v as usize, "rank {rank}");
+        }
+    }
+
+    /// The window fill as the plain statement of its semantics: for each
+    /// row, in LRU VC order, each in-window, ready, `Waiting` entry (in
+    /// queue order) offers every eligible output; the first writer wins.
+    fn fill_reference(
+        r: &Router,
+        snap: &mut WindowSnapshot,
+        now: Tick,
+        free: u8,
+        only_older_than: Option<Tick>,
+    ) {
+        for row in 0..NUM_ARBITER_ROWS {
+            if !r.read_ports[row].can_arbitrate(now, r.lookahead, 1) {
+                continue;
+            }
+            let wired = r.conn.row_mask(row) as u8 & free;
+            let buf = &r.inputs[row / 2];
+            let mut vcs: Vec<usize> = (0..NUM_VCS).collect();
+            vcs.sort_by_key(|&v| r.vc_lru[row].stamp[v]);
+            for v in vcs {
+                let mut cur = buf.queue_head(VcId::from_index(v));
+                for _ in 0..r.cfg.scan_window {
+                    if cur == NIL_INDEX {
+                        break;
+                    }
+                    let m = &buf.metas()[cur as usize];
+                    let old_enough =
+                        only_older_than.is_none_or(|c| buf.entry_eligible_at(cur) <= c);
+                    if m.flags & META_WAITING != 0 && m.ready_at <= now && old_enough {
+                        let (outputs, downstream_vc) = match r.eligibility_meta(m, wired) {
+                            Eligibility::None => (0, None),
+                            Eligibility::Local { outputs } => (outputs, None),
+                            Eligibility::Adaptive { outputs, vc } => (outputs, Some(vc)),
+                            Eligibility::Escape { output, vc } => (1 << output, Some(vc)),
+                        };
+                        for col in 0..NUM_OUTPUT_PORTS {
+                            if outputs & (1 << col) != 0 {
+                                let cand = Candidate {
+                                    entry: EntryId::new(cur, m.gen),
+                                    downstream_vc,
+                                };
+                                snap.offer(row, col, cand, r.offer_weight(buf, v, cur, now));
+                            }
+                        }
+                    }
+                    cur = m.next;
+                }
+            }
+        }
+    }
+
+    /// A packet for `vc` at `input`: one in four terminates here, the rest
+    /// transit with up to two adaptive choices (none for the escape-only
+    /// classes) and an escape hop drawn independently among the torus
+    /// outputs that are not a U-turn.
+    fn arrival(rng: &mut SimRng, id: u64, input: InputPort, vc: VcId, now: Tick) -> IncomingPacket {
+        let class = vc.class();
+        let legal: Vec<OutputPort> = OutputPort::ALL[..4]
+            .iter()
+            .copied()
+            .filter(|o| !input.is_network() || o.index() != input.index())
+            .collect();
+        let route = if rng.chance(0.25) {
+            let sinks = if class.may_route_adaptively() {
+                OutputPort::L0.mask() | OutputPort::L1.mask()
+            } else {
+                OutputPort::Io.mask()
+            };
+            RouteInfo::local(sinks as u8)
+        } else {
+            let escape = legal[rng.below(legal.len())];
+            let adaptive = if class.may_route_adaptively() {
+                legal[rng.below(legal.len())].mask() | legal[rng.below(legal.len())].mask()
+            } else {
+                0
+            };
+            let escape_vc = if rng.chance(0.5) {
+                EscapeVc::Vc0
+            } else {
+                EscapeVc::Vc1
+            };
+            RouteInfo::transit(adaptive as u8, escape, escape_vc)
+        };
+        IncomingPacket {
+            packet: Packet::new(PacketId(id), class, 0, 1, now, id),
+            route,
+            vc,
+            pin_time: now,
+            in_flit_period: Tick::new(30),
+        }
+    }
+
+    #[test]
+    fn fill_matches_the_plain_walk() {
+        // Saturated routers, every input topped up each cycle across nine
+        // VCs (adaptive, escape and special), every forward credited back
+        // after up to 400 link clocks, so adaptive credits run dry and
+        // entries fall back to escape hops outside their adaptive choices.
+        // Each window's production fill must equal
+        // the plain walk cell for cell: candidate, request bit and weight.
+        // A short age threshold makes drain windows (the old-entries
+        // pre-pass) occur.
+        use CoherenceClass as C;
+        let load: [(VcId, usize); 9] = [
+            (VcId::adaptive(C::Request), 12),
+            (VcId::adaptive(C::Forward), 6),
+            (VcId::adaptive(C::BlockResponse), 6),
+            (VcId::adaptive(C::NonBlockResponse), 4),
+            (VcId::escape(C::Request, EscapeVc::Vc0), 1),
+            (VcId::escape(C::Forward, EscapeVc::Vc1), 1),
+            (VcId::escape(C::ReadIo, EscapeVc::Vc0), 1),
+            (VcId::escape(C::WriteIo, EscapeVc::Vc1), 1),
+            (VcId::special(), 2),
+        ];
+        for algorithm in [
+            ArbAlgorithm::Pim1,
+            ArbAlgorithm::WfaRotary,
+            ArbAlgorithm::Ilqf { iterations: 2 },
+            ArbAlgorithm::Iocf { iterations: 1 },
+        ] {
+            let mut cfg = RouterConfig::alpha_21364(algorithm);
+            cfg.measure_matching_weight = true;
+            cfg.antistarvation.age_threshold = Cycles::new(48);
+            cfg.antistarvation.count_threshold = 8;
+            cfg.antistarvation.scan_period = Cycles::new(16);
+            let core = cfg.timing.core.period();
+            let mut r = Router::new(0, cfg, SimRng::from_seed(7));
+            let weighted = r.weight_kind.is_some();
+            assert!(weighted, "{algorithm}: the oracle asks for weights");
+            let mut rng = SimRng::from_seed(8);
+            let (mut next_id, mut windows, mut drain_windows, mut offers) = (0u64, 0, 0, 0);
+            let mut out = Vec::new();
+            for cycle in 0..2_000u64 {
+                let now = Tick::new(cycle * core.as_ticks());
+                for input in InputPort::ALL {
+                    for &(vc, depth) in &load {
+                        let spare = r.cfg.buffers.capacity(vc) - depth;
+                        while r.free_space(input, vc) > spare {
+                            r.accept_packet(input, arrival(&mut rng, next_id, input, vc, now));
+                            next_id += 1;
+                        }
+                    }
+                }
+                // The phases `step` runs before its window (each a no-op
+                // when `step` repeats it at the same `now`), then both
+                // fills of the window it is about to run.
+                out.clear();
+                r.catch_up_idle(now);
+                r.process_housekeeping(now, &mut out);
+                r.antistarve_scan(now);
+                let free = r.free_outputs_for_la(now);
+                if now >= r.next_window && free != 0 {
+                    let mut got = WindowSnapshot::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS, weighted);
+                    r.fill_window(&mut got, now, free);
+                    let mut want =
+                        WindowSnapshot::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS, weighted);
+                    if let Some(cutoff) = r.antistarve.cutoff() {
+                        fill_reference(&r, &mut want, now, free, Some(cutoff));
+                        drain_windows += 1;
+                    }
+                    fill_reference(&r, &mut want, now, free, None);
+                    for row in 0..NUM_ARBITER_ROWS {
+                        let (g, w) = (&got.input, &want.input);
+                        assert_eq!(
+                            g.requests.row_mask(row),
+                            w.requests.row_mask(row),
+                            "{algorithm} cycle {cycle} row {row}: request bits"
+                        );
+                        for col in 0..NUM_OUTPUT_PORTS {
+                            let cell = |s: &WindowSnapshot| {
+                                let weight = s.input.weights.as_ref().map(|p| p.weight(row, col));
+                                (s.candidate(row, col), weight)
+                            };
+                            assert_eq!(
+                                cell(&got),
+                                cell(&want),
+                                "{algorithm} cycle {cycle} cell ({row}, {col})"
+                            );
+                        }
+                    }
+                    windows += 1;
+                    offers += got.input.requests.request_count();
+                }
+                r.step(now, &mut out);
+                for event in &out {
+                    if let RouterOutput::Forward(o) = *event {
+                        let back = o.last_flit_done + Tick::new(30 * (3 + rng.below(400) as u64));
+                        r.accept_credit(o.output, o.downstream_vc, back);
+                    }
+                }
+            }
+            assert!(
+                r.stats().grants.get() > 100,
+                "{algorithm}: the router moved traffic"
+            );
+            assert!(
+                offers > windows,
+                "{algorithm}: {offers} offers in {windows} windows"
+            );
+            assert!(
+                drain_windows > 0 && drain_windows < windows,
+                "{algorithm}: {drain_windows} drain windows of {windows}"
+            );
+        }
     }
 }

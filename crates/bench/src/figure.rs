@@ -604,3 +604,38 @@ pub(crate) fn prove_bit_exactness(
     println!("{what} bit-exactness probe: workers {{1,2,4,8}} x idle-skip {{on,off}} identical");
     reference
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The values `usage` lists for `flag`, e.g. `4x4|8x8` for `--net`.
+    fn listed(flag: &str) -> Vec<String> {
+        let text = usage();
+        let open = format!("[{flag} ");
+        let from = text.find(&open).expect("flag in usage") + open.len();
+        let to = from + text[from..].find(']').expect("closing bracket");
+        text[from..to].split('|').map(str::to_owned).collect()
+    }
+
+    /// `parse` never calls `validate` because every pair it can produce
+    /// passes it: this runs each `--net` × `--pattern` value the usage
+    /// lists through `parse` and then the workload gate, so a new value
+    /// that builds an invalid pair fails here.
+    #[test]
+    fn every_parsable_net_and_pattern_validates() {
+        let (nets, patterns) = (listed("--net"), listed("--pattern"));
+        assert_eq!((nets.len(), patterns.len()), (2, 3));
+        for net in &nets {
+            for pattern in &patterns {
+                let argv = ["fig10", "--net", net, "--pattern", pattern].map(String::from);
+                let Ok(Command::One(_, args)) = parse(&argv) else {
+                    panic!("{argv:?} does not parse");
+                };
+                let cfg = plain_net(args.net, ArbAlgorithm::SpaaRotary, 0, 4_000);
+                let wl = WorkloadConfig::paper(args.pattern, 0.02);
+                assert_eq!(wl.validate(&cfg), Ok(()), "{net} × {pattern}");
+            }
+        }
+    }
+}

@@ -336,10 +336,9 @@ impl NetworkReport {
     /// purpose — a new field that is not visited fails to compile — so
     /// every comparison built on this covers the whole report.
     ///
-    /// Two digests deliberately do *not* derive from this list and keep
-    /// their own: `tests/golden_reports.rs::digest_line`, whose format
-    /// pins the 104 committed golden lines, and
-    /// `perf/src/workloads.rs::digest`, frozen with the benchmark.
+    /// [`NetworkReport::digest`] and
+    /// [`NetworkReport::assert_bit_identical`] both derive from this list. Only `perf/src/workloads.rs::digest`,
+    /// frozen with the benchmark, still lists fields by hand.
     pub(crate) fn for_each_field(&self, mut visit: impl FnMut(&str, u64)) {
         let NetworkReport {
             delivered_packets,
@@ -419,6 +418,23 @@ impl NetworkReport {
         ] {
             visit(name, value);
         }
+    }
+
+    /// 64-bit FNV-1a over the `(name, bits)` pairs `for_each_field`
+    /// visits, skipping every pair whose bits are zero — so a field added
+    /// later, zero in every existing run, leaves every existing digest
+    /// unchanged. The golden report lines in `tests/golden/reports.txt`
+    /// pin this value.
+    pub fn digest(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        self.for_each_field(|name, bits| {
+            if bits != 0 {
+                for &b in name.as_bytes().iter().chain(&bits.to_le_bytes()) {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        });
+        hash
     }
 
     /// Asserts `self` and `other` agree on every field down to the raw

@@ -24,8 +24,6 @@ use simcore::time::{Cycles, Tick};
 /// Anti-starvation configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AntiStarvationConfig {
-    /// Whether the mechanism is armed at all.
-    pub(crate) enabled: bool,
     /// Age (in core cycles) beyond which a waiting packet counts as old.
     pub age_threshold: Cycles,
     /// Number of old packets that trips drain mode.
@@ -37,7 +35,6 @@ pub struct AntiStarvationConfig {
 impl Default for AntiStarvationConfig {
     fn default() -> Self {
         AntiStarvationConfig {
-            enabled: true,
             age_threshold: Cycles::new(4096),
             count_threshold: 32,
             scan_period: Cycles::new(1024),
@@ -72,19 +69,14 @@ impl AntiStarvation {
 
     /// True when a periodic re-count is due.
     pub(crate) fn scan_due(&self, now: Tick) -> bool {
-        self.cfg.enabled && now >= self.next_scan
+        now >= self.next_scan
     }
 
-    /// The tick of the next periodic re-count ([`Tick::MAX`] when the
-    /// mechanism is disabled). A loaded router must be stepped at this
-    /// tick even if it has no other work — the census must run on
-    /// schedule.
+    /// The tick of the next periodic re-count. A loaded router must be
+    /// stepped at this tick even if it has no other work — the census
+    /// must run on schedule.
     pub(crate) fn next_scan_tick(&self) -> Tick {
-        if self.cfg.enabled {
-            self.next_scan
-        } else {
-            Tick::MAX
-        }
+        self.next_scan
     }
 
     /// Replays the scans an *empty* router would have performed over
@@ -97,7 +89,7 @@ impl AntiStarvation {
     /// is what made the cycles skippable), so drain mode cannot have been
     /// engaged — and a draining router is never skipped in the first place.
     pub(crate) fn catch_up_idle(&mut self, now: Tick, period: Tick) {
-        if !self.cfg.enabled || self.next_scan >= now || period == Tick::ZERO {
+        if self.next_scan >= now || period == Tick::ZERO {
             return;
         }
         debug_assert!(
@@ -137,7 +129,6 @@ mod tests {
 
     fn cfg() -> AntiStarvationConfig {
         AntiStarvationConfig {
-            enabled: true,
             age_threshold: Cycles::new(100),
             count_threshold: 2,
             scan_period: Cycles::new(50),
@@ -178,15 +169,6 @@ mod tests {
         a.record_scan(Tick::ZERO, 0, Tick::new(100), Tick::new(500));
         assert!(!a.scan_due(Tick::new(499)));
         assert!(a.scan_due(Tick::new(500)));
-    }
-
-    #[test]
-    fn disabled_never_scans() {
-        let mut c = cfg();
-        c.enabled = false;
-        let a = AntiStarvation::new(c);
-        assert!(!a.scan_due(Tick::new(1_000_000)));
-        assert!(!a.draining());
     }
 
     #[test]

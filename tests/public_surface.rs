@@ -18,7 +18,7 @@ use std::path::Path;
 const CEILING: [(&str, usize, usize, usize); 7] = [
     ("core", 87, 3, 19),
     ("router", 75, 47, 15),
-    ("network", 73, 44, 19),
+    ("network", 74, 44, 19),
     ("sim", 100, 11, 6),
     ("workload", 25, 13, 7),
     ("standalone", 5, 5, 1),

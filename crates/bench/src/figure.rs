@@ -625,7 +625,10 @@ mod tests {
     #[test]
     fn every_parsable_net_and_pattern_validates() {
         let (nets, patterns) = (listed("--net"), listed("--pattern"));
-        assert_eq!((nets.len(), patterns.len()), (2, 3));
+        assert!(
+            nets.len() >= 2 && patterns.len() >= 3,
+            "usage lists {nets:?} and {patterns:?}"
+        );
         for net in &nets {
             for pattern in &patterns {
                 let argv = ["fig10", "--net", net, "--pattern", pattern].map(String::from);

@@ -337,8 +337,9 @@ impl NetworkReport {
     /// every comparison built on this covers the whole report.
     ///
     /// [`NetworkReport::digest`] and
-    /// [`NetworkReport::assert_bit_identical`] both derive from this list. Only `perf/src/workloads.rs::digest`,
-    /// frozen with the benchmark, still lists fields by hand.
+    /// [`NetworkReport::assert_bit_identical`] both derive from this
+    /// list. Only `perf/src/workloads.rs::digest`, frozen with the
+    /// benchmark, still lists fields by hand.
     pub(crate) fn for_each_field(&self, mut visit: impl FnMut(&str, u64)) {
         let NetworkReport {
             delivered_packets,

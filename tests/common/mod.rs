@@ -19,6 +19,7 @@
 //! `GOLDEN_UPDATE=1 cargo test --test golden_reports`.
 
 use alpha21364::prelude::*;
+use alpha21364::simcore::sweep::parallel_map;
 use std::fmt::Debug;
 use std::sync::OnceLock;
 
@@ -85,7 +86,7 @@ const DEFAULT_CYCLES: (u64, u64) = (400, 1_600);
 impl Case {
     /// A fault-free run of the production router under `algo`, over the
     /// default 400 + 1,600 cycles.
-    pub fn new(
+    fn new(
         family: Family,
         topology: impl Into<NetTopology>,
         algo: ArbAlgorithm,
@@ -108,7 +109,7 @@ impl Case {
     }
 
     /// The same run over `total` cycles, a fifth of them warmup.
-    pub fn cycles(self, total: u64) -> Case {
+    fn cycles(self, total: u64) -> Case {
         Case {
             warmup_cycles: total / 5,
             measure_cycles: total - total / 5,
@@ -216,7 +217,7 @@ impl Case {
 }
 
 /// The numbers in `value`'s `Debug` rendering, in order: the label's view
-/// of the workload types whose fields are private to their crate.
+/// of the config types whose fields are private to their crate.
 fn numbers(value: impl Debug) -> Vec<String> {
     format!("{value:?}")
         .split(|c: char| !(c.is_ascii_digit() || c == '.'))
@@ -257,7 +258,7 @@ pub fn cases() -> &'static [Case] {
 ///
 /// When the file and the table differ in length, with one message naming
 /// both counts — every row check would fail otherwise.
-pub fn golden() -> &'static [String] {
+fn golden() -> &'static [String] {
     static LINES: OnceLock<Vec<String>> = OnceLock::new();
     LINES.get_or_init(|| {
         let text = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_default();
@@ -315,36 +316,52 @@ pub const ROTATION: [Engine; 13] = {
     ]
 };
 
+impl Engine {
+    fn idle_skip(self) -> bool {
+        !matches!(
+            self,
+            Engine::Fleet {
+                idle_skip: false,
+                ..
+            }
+        )
+    }
+}
+
 /// Runs `case` on `engine`; returns the report and the router steps
 /// idle-skip avoided.
 pub fn run(case: &Case, engine: Engine) -> (NetworkReport, u64) {
-    let mut sim;
-    let report = match engine {
-        Engine::Fleet { workers, idle_skip } => {
-            sim = case.sim(workers);
-            sim.set_idle_skip(idle_skip);
-            let report = sim.run();
-            if !idle_skip {
-                assert_eq!(sim.skipped_router_steps(), 0, "skip off skipped a step");
-            }
-            report
+    let (Engine::Fleet { workers, .. } | Engine::Inline { workers }) = engine;
+    let mut sim = case.sim(workers);
+    sim.set_idle_skip(engine.idle_skip());
+    let report = if let Engine::Inline { .. } = engine {
+        for _ in 0..case.config().total_cycles() {
+            sim.step_cycle();
         }
-        Engine::Inline { workers } => {
-            sim = case.sim(workers);
-            for _ in 0..case.config().total_cycles() {
-                sim.step_cycle();
-            }
-            sim.report()
-        }
+        sim.report()
+    } else {
+        sim.run()
     };
-    (report, sim.skipped_router_steps())
+    let skipped = sim.skipped_router_steps();
+    assert!(
+        engine.idle_skip() || skipped == 0,
+        "skip off skipped a step"
+    );
+    (report, skipped)
+}
+
+/// Checks `rows` in parallel, row `i` on `engine(i)`.
+pub fn check_rows(rows: Vec<usize>, engine: impl Fn(usize) -> Engine + Sync) {
+    // A stale golden file fails here, once, rather than once per row.
+    golden();
+    parallel_map(0, rows, |i| check(i, engine(i)));
 }
 
 /// Runs row `index` on `engine` and compares its line with the committed
 /// one. On a mismatch the row reruns on [`REFERENCE`] and the two reports
 /// are compared field by field, so the failure names the field an engine
-/// changed; when they agree, the golden line itself is stale.
-pub fn check(index: usize, engine: Engine) -> (NetworkReport, u64) {
+/// changed; when they agree, the behaviour itself changed.
+fn check(index: usize, engine: Engine) {
     let case = &cases()[index];
     let (report, skipped) = run(case, engine);
     let got = line(case, &report);
@@ -352,24 +369,19 @@ pub fn check(index: usize, engine: Engine) -> (NetworkReport, u64) {
     if got != *want {
         let label = format!("row {index} on {engine:?}");
         run(case, REFERENCE).0.assert_bit_identical(&report, &label);
-        panic!("{label}: every engine agrees on a line the golden file does not hold\n got: {got}\nwant: {want}");
+        panic!(
+            "{label}: the reference engine reports the same, so behaviour changed \
+             (re-record only if that is intended)\n got: {got}\nwant: {want}"
+        );
     }
     exercised(case, &report, skipped, engine);
-    (report, skipped)
 }
 
 /// Asserts the row reached what it is in the table for, so a re-recorded
 /// line cannot pin a scenario that quietly stopped happening.
 fn exercised(case: &Case, r: &NetworkReport, skipped: u64, engine: Engine) {
     let label = case.label();
-    let skip_on = !matches!(
-        engine,
-        Engine::Fleet {
-            idle_skip: false,
-            ..
-        }
-    );
-    if skip_on && case.workload.injection_rate <= 0.002 {
+    if engine.idle_skip() && case.workload.injection_rate <= 0.002 {
         let steps = case.config().total_cycles() * case.topology.nodes() as u64;
         assert!(
             skipped > steps / 4,
@@ -415,7 +427,7 @@ pub enum Axis {
 }
 
 impl Axis {
-    pub fn engine(self, index: usize) -> Engine {
+    fn engine(self, index: usize) -> Engine {
         match self {
             Axis::Skip => Engine::Fleet {
                 workers: 1,
@@ -461,16 +473,14 @@ impl Axis {
         }
     }
 
-    /// Checks every row whose family `test` owns on this axis; returns
-    /// each row with its report.
-    pub fn check(self, test: &str) -> Vec<(&'static Case, NetworkReport)> {
-        let rows: Vec<_> = (0..cases().len())
+    /// Checks every row whose family `test` owns on this axis, rows in
+    /// parallel.
+    pub fn check(self, test: &str) {
+        let rows: Vec<usize> = (0..cases().len())
             .filter(|&i| self.test(cases()[i].family) == test)
             .collect();
         assert!(!rows.is_empty(), "{self:?}: no family is checked by {test}");
-        rows.into_iter()
-            .map(|i| (&cases()[i], check(i, self.engine(i)).0))
-            .collect()
+        check_rows(rows, |i| self.engine(i));
     }
 }
 
@@ -612,5 +622,56 @@ fn table() -> Vec<Case> {
     for algo in [WfaBase, Islip { iterations: 1 }, Islip { iterations: 3 }] {
         rows.push(Case::new(Kernels, t4(), algo, uniform(0.04), 1));
     }
+
+    // The scenarios the equivalence suites ran unpinned before they
+    // became rows of this table.
+    for algo in ArbAlgorithm::ALL {
+        rows.push(Case::new(NearIdle, t4(), algo, uniform(0.002), 1).cycles(3_000));
+    }
+    for algo in [WfaBase3Cycle, SpaaDeep { latency: 5 }] {
+        rows.push(Case::new(Kernels, t4(), algo, uniform(0.04), 1));
+    }
+    for algo in [SpaaRotary, Pim1, islip2] {
+        let wl = hotspot(&[5, 10], 0.35, 0.002);
+        rows.push(Case::new(Hotspot, t4(), algo, wl, 21).cycles(3_000));
+    }
+    for algo in [SpaaRotary, WfaRotary, Islip { iterations: 1 }] {
+        let wl = bursty(0.002, 50.0, 200.0);
+        rows.push(Case::new(Bursty, t4(), algo, wl, 31).cycles(3_000));
+    }
+    let wl = hotspot(&[0, 5, 10, 15], 0.5, 0.04).with_burst(BurstConfig::new(30.0, 120.0));
+    rows.push(Case::new(Combined, t4(), SpaaRotary, wl, 41).cycles(4_000));
+    let wl = WorkloadConfig::open_loop(TrafficPattern::Uniform, 0.4);
+    rows.push(Case {
+        measure_cycles: 7_600,
+        ..Case::new(Drain, t4(), WfaRotary, wl, 7)
+    });
+    for algo in [Ilqf { iterations: 1 }, Iocf { iterations: 1 }, islip2] {
+        rows.push(Case {
+            oracle: true,
+            ..Case::new(Oracle, t4(), algo, uniform(0.03), 51).cycles(3_000)
+        });
+    }
+    let wl = WorkloadConfig::paper(TrafficPattern::BitReversal, 0.01);
+    rows.push(Case {
+        scaled_2x: true,
+        ..Case::new(Scaled, t4(), SpaaRotary, wl, 11).cycles(3_000)
+    });
+    rows.push(Case::new(Closed, t4(), SpaaRotary, closed(0.005, 1), 61).cycles(3_000));
+    let wl = closed(0.2, 16);
+    rows.push(Case::new(Closed, t4(), Ilqf { iterations: 2 }, wl, 63).cycles(3_000));
+    let wl = closed(0.05, 8).with_three_hop_fraction(1.0);
+    rows.push(Case::new(ThreeHop, Torus::net_8x8(), islip2, wl, 91).cycles(1_500));
+    // Corruption heavy enough, with a retry budget small enough, that
+    // links die of retry exhaustion mid-run.
+    let exhaustion = FaultConfig {
+        ber: 0.05,
+        max_retries: 1,
+        ..FaultConfig::default()
+    };
+    rows.push(Case {
+        fault: exhaustion,
+        ..Case::new(Fault, t4(), SpaaRotary, uniform(0.03), 61).cycles(3_000)
+    });
     rows
 }

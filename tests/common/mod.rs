@@ -328,19 +328,31 @@ impl Engine {
     }
 }
 
+/// `case` over `workers` shards, idle-skip on, advanced `cycles` cycles
+/// one `step_cycle` at a time.
+pub fn stepped(case: &Case, workers: usize, cycles: u64) -> NetworkSim<CoherenceEndpoint> {
+    let mut sim = case.sim(workers);
+    for _ in 0..cycles {
+        sim.step_cycle();
+    }
+    sim
+}
+
 /// Runs `case` on `engine`; returns the report and the router steps
 /// idle-skip avoided.
 pub fn run(case: &Case, engine: Engine) -> (NetworkReport, u64) {
-    let (Engine::Fleet { workers, .. } | Engine::Inline { workers }) = engine;
-    let mut sim = case.sim(workers);
-    sim.set_idle_skip(engine.idle_skip());
-    let report = if let Engine::Inline { .. } = engine {
-        for _ in 0..case.config().total_cycles() {
-            sim.step_cycle();
+    let (sim, report) = match engine {
+        Engine::Fleet { workers, idle_skip } => {
+            let mut sim = case.sim(workers);
+            sim.set_idle_skip(idle_skip);
+            let report = sim.run();
+            (sim, report)
         }
-        sim.report()
-    } else {
-        sim.run()
+        Engine::Inline { workers } => {
+            let sim = stepped(case, workers, case.config().total_cycles());
+            let report = sim.report();
+            (sim, report)
+        }
     };
     let skipped = sim.skipped_router_steps();
     assert!(
@@ -673,5 +685,48 @@ fn table() -> Vec<Case> {
         fault: exhaustion,
         ..Case::new(Fault, t4(), SpaaRotary, uniform(0.03), 61).cycles(3_000)
     });
+    // The load points of the former equivalence suites no row above
+    // holds: the kernels at 0.02 and 0.1, loaded hotspot and bursty
+    // traffic, the closed-loop extremes on every driver, and the storm
+    // at near-idle load, where routers sleep while a retransmit timer
+    // waits on the fault wheel.
+    for algo in [
+        WfaBase,
+        WfaBase3Cycle,
+        SpaaDeep { latency: 5 },
+        Islip { iterations: 1 },
+        Islip { iterations: 3 },
+    ] {
+        for (seed, rate) in [(2, 0.02), (3, 0.1)] {
+            rows.push(Case::new(Kernels, t4(), algo, uniform(rate), seed).cycles(3_000));
+        }
+    }
+    let wl = hotspot(&[5, 10], 0.35, 0.03);
+    rows.push(Case::new(Hotspot, t4(), islip2, wl, 22).cycles(3_000));
+    for algo in [WfaRotary, Islip { iterations: 1 }] {
+        let wl = bursty(0.02, 50.0, 200.0);
+        rows.push(Case::new(Bursty, t4(), algo, wl, 32).cycles(3_000));
+    }
+    for algo in [Pim1, islip2, Ilqf { iterations: 2 }] {
+        rows.push(Case::new(Closed, t4(), algo, closed(0.005, 1), 61).cycles(3_000));
+    }
+    for algo in [SpaaRotary, Pim1, islip2] {
+        rows.push(Case::new(Closed, t4(), algo, closed(0.2, 16), 63).cycles(3_000));
+    }
+    let storm = FaultConfig {
+        flap: Some(LinkFlap::new(400.0, 40.0)),
+        kill_links: vec![LinkKill {
+            node: 5,
+            port: OutputPort::East,
+            at_cycle: 1_000,
+        }],
+        ..storm
+    };
+    for algo in [SpaaRotary, islip2] {
+        rows.push(Case {
+            fault: storm.clone(),
+            ..Case::new(Fault, t4(), algo, uniform(0.002), 51).cycles(4_000)
+        });
+    }
     rows
 }

@@ -96,7 +96,8 @@ fn idle_skip_equivalence_on_scaled_pipeline() {
 fn idle_skip_equivalence_under_fault_storms() {
     // Retransmit timers park on the fault plane's wheel: skipping past a
     // due retransmission would shift a CRC draw and every later fault
-    // event. Corruption, flaps, kills, dead links and retry exhaustion.
+    // event. Corruption, flaps, kills, dead links and retry exhaustion,
+    // loaded and at near-idle load, where routers sleep with a retry due.
     Axis::Skip.check("idle_skip_equivalence_under_fault_storms");
 }
 

@@ -17,16 +17,7 @@
 pub mod common;
 
 use alpha21364::prelude::*;
-use common::{find, Axis, Case};
-
-/// `case` over `workers` shards, advanced `cycles` cycles inline.
-fn stepped(case: &Case, workers: usize, cycles: u64) -> NetworkSim<CoherenceEndpoint> {
-    let mut sim = case.sim(workers);
-    for _ in 0..cycles {
-        sim.step_cycle();
-    }
-    sim
-}
+use common::{find, stepped, Axis, Case};
 
 #[test]
 fn sharded_engine_is_bit_for_bit_equivalent_across_worker_counts() {

@@ -39,9 +39,9 @@
 //! *r* is owned by the shard that owns *r* and touched only at two
 //! deterministic points: the start of *r*'s phase-A slot (flap steps,
 //! due retries, pending refunds) and the application of *r*'s inbound
-//! events in phase B (arrival CRC draws). The inline cycle and the
-//! worker fleet execute those points in the identical per-shard order
-//! for every worker count, so a faulted run is bit-exact across
+//! events in phase B (arrival CRC draws). The engine's one segment body
+//! executes those points in the identical per-shard order for every
+//! worker count and either driver, so a faulted run is bit-exact across
 //! `{1,2,4,8,…}` workers and idle-skip on/off — the same argument that
 //! makes fault-free runs agree (see DESIGN.md "Fault plane").
 //!

@@ -1,14 +1,11 @@
 //! Shard state: the per-worker slice of a simulation.
 //!
-//! [`crate::sim::NetworkSim`] is built from [`Shard`]s: **one** covering
-//! every node, with its phases run inline, or one per worker thread,
-//! with the phases separated by a barrier.
-//!
+//! [`crate::sim::NetworkSim`] is built from [`Shard`]s, one per worker.
 //! A shard owns a contiguous node-id range of routers and endpoints
 //! (see [`crate::topology::ShardMap`]), its own delivery wheel, the
-//! idle-skip wake arrays of its routers and endpoints, and the
-//! order-insensitive measurement accumulators (integer counters and the
-//! latency histogram, whose merges are exact).
+//! idle-skip wake arrays of its routers and endpoints, its watchdog, and
+//! the order-insensitive measurement accumulators (integer counters and
+//! the latency histogram, whose merges are exact).
 //! Every cycle splits into:
 //!
 //! * **Phase A** ([`Shard::phase_a`]) — step the shard's routers, drain
@@ -26,6 +23,9 @@
 //!   invisible (the one-cycle-horizon argument; see DESIGN.md "One
 //!   engine, N shards").
 //!
+//! Both phases run from the engine's one segment body, whichever driver
+//! (the calling thread alone, or one thread per shard) runs it.
+//!
 //! The only order-*sensitive* statistics — the Welford latency
 //! accumulators, whose floating-point sums do not reassociate — are not
 //! accumulated in the shard at all: phase A emits one [`MeasureRecord`]
@@ -39,9 +39,10 @@ use crate::sim::{Endpoint, NetworkConfig, NodeCtx};
 use crate::topology::{NetTopology, ShardMap};
 use arbitration::ports::{InputPort, OutputPort};
 use router::{IncomingPacket, Packet, Router, RouterOutput};
-use simcore::stats::Histogram;
+use simcore::stats::{Histogram, OnlineStats};
 use simcore::wheel::TimingWheel;
 use simcore::{SimRng, Tick};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-cycle constants shared by both phases of every shard.
 #[derive(Clone, Copy, Debug)]
@@ -174,22 +175,26 @@ impl MeasureRecord {
     }
 }
 
+/// The order-sensitive latency accumulators, fed only by
+/// [`replay_records`].
+#[derive(Default)]
+pub(crate) struct Latencies {
+    pub(crate) transit: OnlineStats,
+    pub(crate) total: OnlineStats,
+    pub(crate) txn: OnlineStats,
+}
+
 /// Sorts one cycle's measurement records into canonical order and replays
-/// them through `record`, draining the buffer. Feeding each cycle's batch
+/// them into `into`, draining the buffer. Feeding each cycle's batch
 /// (from any number of shards) through this reproduces the one-shard
 /// floating-point accumulation bit for bit.
-pub(crate) fn replay_records(
-    records: &mut Vec<MeasureRecord>,
-    latency: &mut simcore::stats::OnlineStats,
-    total_latency: &mut simcore::stats::OnlineStats,
-    txn_latency: &mut simcore::stats::OnlineStats,
-) {
+pub(crate) fn replay_records(records: &mut Vec<MeasureRecord>, into: &mut Latencies) {
     records.sort_unstable_by_key(MeasureRecord::key);
     for r in records.drain(..) {
-        latency.record(r.transit_ns);
-        total_latency.record(r.total_ns);
+        into.transit.record(r.transit_ns);
+        into.total.record(r.total_ns);
         if let Some(txn_ns) = r.txn_ns {
-            txn_latency.record(txn_ns);
+            into.txn.record(txn_ns);
         }
     }
 }
@@ -210,10 +215,26 @@ pub(crate) fn txn_histogram() -> Histogram {
     Histogram::new(0.0, 8000.0, 200)
 }
 
+/// Forward-progress bookkeeping of one shard, kept across calls: with
+/// packets in the shard but no delivery anywhere for `budget` consecutive
+/// cycles, something is wedged (lost credit, dead escape path, protocol
+/// bug).
+#[derive(Default)]
+struct Watchdog {
+    /// This shard's deliveries already added to the fleet-wide counter.
+    published: u64,
+    /// The fleet-wide counter when it last moved.
+    seen: u64,
+    /// Consecutive cycles since.
+    stall: u64,
+}
+
 /// The per-worker slice of a simulation: routers, endpoints, deliveries,
 /// idle-skip state and order-insensitive accumulators for one contiguous
 /// node range.
 pub(crate) struct Shard<E> {
+    /// This shard's index in the engine's shard map.
+    pub(crate) index: usize,
     /// First node id of this shard's contiguous range.
     base: u16,
     pub(crate) routers: Vec<Router>,
@@ -254,14 +275,23 @@ pub(crate) struct Shard<E> {
     /// Every delivery to a local endpoint, warmup included — the
     /// forward-progress signal the watchdog monitors.
     pub(crate) delivered_all: u64,
+    watchdog: Watchdog,
+    /// Phase A's deferred events, one buffer per destination shard,
+    /// handed to the engine's outboxes when the phase ends.
+    pub(crate) staged: Vec<Vec<OutEvent>>,
 }
 
 impl<E: Endpoint> Shard<E> {
-    /// Builds the shard owning nodes `base..base + endpoints.len()`.
-    /// Router RNG streams are forked from the config seed by *global*
-    /// node id, so the resulting simulation state is independent of the
-    /// partition.
-    pub(crate) fn new(cfg: &NetworkConfig, base: u16, endpoints: Vec<E>) -> Self {
+    /// Builds shard `index` of `map`, owning `endpoints`. Router RNG
+    /// streams are forked from the config seed by *global* node id, so
+    /// the resulting simulation state is independent of the partition.
+    pub(crate) fn new(
+        cfg: &NetworkConfig,
+        map: &ShardMap,
+        index: usize,
+        endpoints: Vec<E>,
+    ) -> Self {
+        let base = map.range(index).start;
         let root = SimRng::from_seed(cfg.seed);
         let routers: Vec<Router> = (0..endpoints.len() as u16)
             .map(|i| {
@@ -281,6 +311,7 @@ impl<E: Endpoint> Shard<E> {
             )
         });
         Shard {
+            index,
             base,
             deliveries: TimingWheel::new(cfg.router.timing.core.period(), 256),
             delivery_scratch: Vec::with_capacity(64),
@@ -298,6 +329,8 @@ impl<E: Endpoint> Shard<E> {
             txn_latency_hist: txn_histogram(),
             faults,
             delivered_all: 0,
+            watchdog: Watchdog::default(),
+            staged: vec![Vec::new(); map.shards()],
             routers,
             endpoints,
         }
@@ -333,7 +366,7 @@ impl<E: Endpoint> Shard<E> {
     /// endpoint: buffered in routers, parked on the delivery wheel, or
     /// held in link retransmit buffers. The watchdog pairs this with
     /// [`Shard::delivered_all`]: occupancy without delivery is a wedge.
-    pub(crate) fn occupancy(&self) -> u64 {
+    fn occupancy(&self) -> u64 {
         let buffered: u64 = self
             .routers
             .iter()
@@ -344,17 +377,56 @@ impl<E: Endpoint> Shard<E> {
             + self.faults.as_ref().map_or(0, |p| p.queued_packets)
     }
 
-    /// Appends this shard's contribution to the watchdog's structured
-    /// diagnostic dump: one line per router with occupancy and credit
-    /// state, plus any interesting link-layer state.
-    pub(crate) fn diagnostics(&self, out: &mut String) {
+    /// Appends this shard's section of a diagnostic dump after `cycle`
+    /// cycles: a header with its occupancy and the fleet-wide delivery
+    /// count `delivered`, then one line per router with occupancy and
+    /// credit state, plus any interesting link-layer state.
+    pub(crate) fn diagnostics(&self, cycle: u64, delivered: u64, out: &mut String) {
         use std::fmt::Write;
+        let _ = writeln!(
+            out,
+            "shard {} diagnostic @ cycle {cycle}: occupancy {} packet(s), {delivered} delivered fleet-wide",
+            self.index,
+            self.occupancy(),
+        );
         for (i, r) in self.routers.iter().enumerate() {
             let node = self.base + i as u16;
             let _ = writeln!(out, "  router {node}: {}", r.diagnostics());
         }
         if let Some(plane) = &self.faults {
             plane.diagnostics(out);
+        }
+    }
+
+    /// Runs the watchdog once `cycle` cycles are complete: publishes this
+    /// shard's new deliveries to the fleet-wide counter `delivered`, then
+    /// counts the cycles in which that counter has not moved while this
+    /// shard holds packets. Under the threaded driver a peer's
+    /// publication may land a cycle late — benign against budgets of
+    /// thousands of cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics with this shard's [`Shard::diagnostics`] once `budget`
+    /// such cycles pass in a row.
+    pub(crate) fn watchdog(&mut self, cycle: u64, budget: u64, delivered: &AtomicU64) {
+        let fresh = self.delivered_all - self.watchdog.published;
+        if fresh > 0 {
+            delivered.fetch_add(fresh, Ordering::Relaxed);
+            self.watchdog.published = self.delivered_all;
+        }
+        let seen = delivered.load(Ordering::Relaxed);
+        if seen != self.watchdog.seen || self.occupancy() == 0 {
+            self.watchdog.seen = seen;
+            self.watchdog.stall = 0;
+            return;
+        }
+        self.watchdog.stall += 1;
+        if self.watchdog.stall >= budget {
+            let mut bark =
+                format!("watchdog: no delivery for {budget} cycles with packets in flight\n");
+            self.diagnostics(cycle, seen, &mut bark);
+            panic!("{bark}");
         }
     }
 

@@ -18,9 +18,10 @@
 //! coherence generator is the production endpoint; tests use simpler ones.
 //!
 //! The network is partitioned into contiguous node-range shards
-//! ([`NetworkSim::with_workers`]); one shard runs inline on the calling
-//! thread, several run on one thread each (the calling thread takes
-//! shard 0), and the report is bit-for-bit identical either way.
+//! ([`NetworkSim::with_workers`]); `run` steps one shard on the calling
+//! thread and several on one thread each (the calling thread takes
+//! shard 0), `step_cycle` steps them all on the calling thread, and the
+//! report is bit-for-bit identical either way.
 //!
 //! # Why a one-cycle horizon is safe
 //!
@@ -34,9 +35,14 @@
 //! router's cycle-*k* outputs. That makes one core cycle a safe
 //! parallelism quantum: run every shard's cycle-*k* phase A concurrently,
 //! exchange the emitted `Forward`/`Credit` events at a barrier, apply
-//! them (phase B), repeat. [`NetworkSim::step_cycle`] performs the same
-//! two phases inline, so the equivalence is structural; the golden and
-//! shard-equivalence suites pin it bit for bit.
+//! them (phase B), repeat. The engine has one body for that, a shard's
+//! *segment* (phase B of cycle *k−1*, then phase A of cycle *k*), and two
+//! drivers: one thread per shard with a barrier between segments, or the
+//! calling thread running the shards' segments in shard order. The
+//! buffers between segments are double-buffered by cycle parity, so the
+//! second is one legal schedule of the first and the equivalence is
+//! structural; the golden and shard-equivalence suites pin it bit for
+//! bit.
 //!
 //! # Canonical order
 //!
@@ -45,12 +51,11 @@
 //! shard count, and the order-sensitive floating-point latency
 //! accumulators must see deliveries in the same sequence:
 //!
-//! * **Events**: the inline cycle applies events in emission order —
-//!   ascending (source router, per-step emission index) within a cycle.
-//!   Each worker writes per-destination outbox buckets in emission
-//!   order; the destination drains source shards in index order, and
-//!   because shards are contiguous node ranges that *is* ascending
-//!   source order.
+//! * **Events**: each destination applies a cycle's events in emission
+//!   order — ascending (source router, per-step emission index). Each
+//!   shard writes per-destination outbox buckets in emission order; the
+//!   destination drains source shards in index order, and because shards
+//!   are contiguous node ranges that *is* ascending source order.
 //! * **Latencies**: each measured delivery is tagged with its canonical
 //!   key (delivery tick, emission cycle, destination router, emission
 //!   index); each cycle's records are sorted on that key and replayed
@@ -67,8 +72,8 @@
 use crate::fault::{retransmit_histogram, DeadLinks, FaultConfig};
 use crate::routing::route_for;
 use crate::shard::{
-    event_shards, replay_records, transit_histogram, txn_histogram, CycleEnv, MeasureRecord,
-    OutEvent, Shard,
+    event_shards, replay_records, transit_histogram, txn_histogram, CycleEnv, Latencies,
+    MeasureRecord, OutEvent, Shard,
 };
 use crate::topology::{NetTopology, ShardMap};
 use arbitration::ports::InputPort;
@@ -77,8 +82,8 @@ use simcore::stats::{Histogram, OnlineStats};
 use simcore::sweep::effective_workers;
 use simcore::sync::SpinBarrier;
 use simcore::Tick;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::AtomicU64;
+use std::sync::{Mutex, MutexGuard};
 
 /// Result of an injection attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -460,51 +465,6 @@ impl NetworkReport {
     }
 }
 
-/// Forward-progress watchdog: with packets buffered in the network but
-/// no delivery for `budget` consecutive cycles, something is wedged (lost
-/// credit, dead escape path, protocol bug) — panic with a structured
-/// occupancy/credit dump instead of spinning silently. The inline cycle
-/// and every fleet worker keep one; they differ only in which delivery
-/// counter and which dump they hand it.
-#[derive(Clone, Copy, Default)]
-struct Watchdog {
-    /// The delivery counter when it last moved.
-    delivered: u64,
-    /// Consecutive cycles since.
-    stall: u64,
-}
-
-impl Watchdog {
-    /// Records one cycle. `delivered` is any counter that moves whenever
-    /// a packet is delivered; `occupancy` (consulted only when it has not
-    /// moved) counts the packets that could still be.
-    ///
-    /// # Panics
-    ///
-    /// Panics with `dump()` once `budget` consecutive cycles pass without
-    /// a delivery while packets are in flight.
-    fn check(
-        &mut self,
-        budget: u64,
-        delivered: u64,
-        occupancy: impl FnOnce() -> u64,
-        dump: impl FnOnce() -> String,
-    ) {
-        if delivered != self.delivered || occupancy() == 0 {
-            self.delivered = delivered;
-            self.stall = 0;
-            return;
-        }
-        self.stall += 1;
-        if self.stall >= budget {
-            panic!(
-                "watchdog: no delivery for {budget} cycles with packets in flight\n{}",
-                dump()
-            );
-        }
-    }
-}
-
 /// Extracts the human-readable message from a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -516,35 +476,196 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
+/// Locks an exchange buffer. Every lock is uncontended by construction:
+/// the cycle-parity schedule gives each buffer one user per segment.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("a shard panicked holding an exchange buffer")
+}
+
+/// What the shards hand each other, allocated once per simulator and
+/// double-buffered by cycle parity: segment *k* writes the parity-*k*
+/// buffers and drains the parity-(*k−1*) ones, so no buffer is written
+/// and read in the same segment.
+struct Exchange {
+    /// Deferred events, `outboxes[parity][src shard][dst shard]`.
+    outboxes: [Vec<Vec<Mutex<Vec<OutEvent>>>>; 2],
+    /// Measurement records, `records[parity][shard]`.
+    records: [Vec<Mutex<Vec<MeasureRecord>>>; 2],
+    /// Deliveries the shards' watchdogs have published so far.
+    delivered: AtomicU64,
+}
+
+impl Exchange {
+    fn new(shards: usize) -> Self {
+        let outboxes = || {
+            (0..shards)
+                .map(|_| (0..shards).map(|_| Mutex::default()).collect())
+                .collect()
+        };
+        let records = || (0..shards).map(|_| Mutex::default()).collect();
+        Exchange {
+            outboxes: [outboxes(), outboxes()],
+            records: [records(), records()],
+            delivered: AtomicU64::new(0),
+        }
+    }
+}
+
+/// One call's advance from cycle `start` to cycle `end`, as segments
+/// `start..=end` of every shard. The first segment has no phase B and
+/// the last has no phase A, so consecutive calls compose: the last
+/// segment of one and the first of the next together make one whole
+/// segment.
+struct Segments<'a> {
+    cfg: &'a NetworkConfig,
+    map: &'a ShardMap,
+    exchange: &'a Exchange,
+    start: u64,
+    end: u64,
+}
+
+impl Segments<'_> {
+    /// The engine's one cycle body: segment `k` of `shard`. `latencies`
+    /// is handed to shard 0 only, which replays the measurement records.
+    ///
+    /// The segments of one `k` may run on one thread each or one after
+    /// another in shard order: each reads only what segment `k − 1` of
+    /// every shard wrote, and writes only what segment `k + 1` reads.
+    fn run<E: Endpoint>(&self, k: u64, shard: &mut Shard<E>, latencies: Option<&mut Latencies>) {
+        let me = shard.index;
+        let exchange = self.exchange;
+        if k > self.start {
+            // Phase B of cycle k − 1: the events destined to this shard,
+            // source shards in index order — ascending source router,
+            // since shards are contiguous.
+            let env = CycleEnv::at(self.cfg, k - 1);
+            let parity = ((k - 1) % 2) as usize;
+            for row in &exchange.outboxes[parity] {
+                for OutEvent { src, ev } in lock(&row[me]).drain(..) {
+                    shard.apply(&env, src, ev);
+                }
+            }
+            if let Some(budget) = self.cfg.fault.watchdog_cycles {
+                shard.watchdog(k, budget, &exchange.delivered);
+            }
+            // Cycle k − 1's records, in canonical key order across every
+            // shard.
+            if let Some(latencies) = latencies {
+                let (first, rest) = exchange.records[parity]
+                    .split_first()
+                    .expect("a simulator has at least one shard");
+                let mut records = lock(first);
+                for other in rest {
+                    records.append(&mut lock(other));
+                }
+                replay_records(&mut records, latencies);
+            }
+        }
+        if k < self.end {
+            // Phase A of cycle k, staged per destination shard and then
+            // swapped into this parity's outboxes (drained last segment).
+            let env = CycleEnv::at(self.cfg, k);
+            let parity = (k % 2) as usize;
+            let mut staged = std::mem::take(&mut shard.staged);
+            shard.phase_a(
+                &env,
+                &mut |src, ev| match &mut staged[..] {
+                    [only] => only.push(OutEvent { src, ev }),
+                    staged => {
+                        for dst in event_shards(&env.topology, self.map, src, &ev) {
+                            staged[dst].push(OutEvent { src, ev });
+                        }
+                    }
+                },
+                &mut lock(&exchange.records[parity][me]),
+            );
+            for (bucket, events) in exchange.outboxes[parity][me].iter().zip(&mut staged) {
+                std::mem::swap(&mut *lock(bucket), events);
+            }
+            shard.staged = staged;
+        }
+    }
+
+    /// The sequential driver: every segment on the calling thread, shard
+    /// by shard in index order — one legal schedule of the threaded
+    /// driver's barrier protocol, so both leave the same state.
+    fn sequential<E: Endpoint>(&self, shards: &mut [Shard<E>], latencies: &mut Latencies) {
+        for k in self.start..=self.end {
+            let mut latencies = Some(&mut *latencies);
+            for shard in shards.iter_mut() {
+                self.run(k, shard, latencies.take());
+            }
+        }
+    }
+
+    /// The threaded driver: W shards on W threads — W − 1 scoped workers
+    /// plus the calling thread, which runs shard 0 — crossing one
+    /// barrier before every segment. Each thread holds the exclusive
+    /// borrow of its shard for the whole call; the exchange's mutexes
+    /// only order memory, the barrier orders time.
+    ///
+    /// # Panic robustness
+    ///
+    /// A fixed-party barrier turns one dead party into a fleet-wide
+    /// hang, so every party — the calling thread included — runs under
+    /// `catch_unwind`: on panic it [poisons](SpinBarrier::poison) the
+    /// barrier with the original message and exits. Every peer observes
+    /// the poison at its next crossing and exits the same way; once the
+    /// scope has joined, the calling thread re-raises
+    /// `"worker fleet panicked: <original message>"`, whichever shard
+    /// the panic started in.
+    fn threaded<E: Endpoint>(&self, shards: &mut [Shard<E>], latencies: &mut Latencies) {
+        let barrier = SpinBarrier::new(shards.len());
+        let party = |shard: &mut Shard<E>, mut latencies: Option<&mut Latencies>| {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for k in self.start..=self.end {
+                    barrier.wait();
+                    self.run(k, shard, latencies.as_deref_mut());
+                }
+            }));
+            if let Err(payload) = caught {
+                barrier.poison(panic_message(payload.as_ref()));
+            }
+        };
+        let (first, rest) = shards
+            .split_first_mut()
+            .expect("a simulator has at least one shard");
+        std::thread::scope(|scope| {
+            for shard in rest {
+                let party = &party;
+                scope.spawn(move || party(shard, None));
+            }
+            party(first, Some(latencies));
+        });
+        barrier.raise_if_poisoned();
+    }
+}
+
 /// The simulator: the network partitioned into one or more contiguous
 /// node-range `Shard`s, stepped one core cycle at a time.
 ///
 /// Each cycle runs every shard's phase A (routers, deliveries,
 /// endpoints) with `Forward`/`Credit` events deferred to an outbox, then
-/// applies the outbox in canonical order (phase B). Deferring is
+/// applies the outboxes in canonical order (phase B). Deferring is
 /// bit-for-bit equivalent to inline application because every event's
 /// effect tick lies strictly beyond the emitting cycle (the
 /// one-cycle-horizon argument in the module docs), so the report is
 /// identical for every shard count; the golden-report and
 /// shard-equivalence suites pin that.
 ///
-/// [`NetworkSim::new`] builds one shard and runs everything on the
-/// calling thread. [`NetworkSim::with_workers`] builds several;
-/// [`NetworkSim::run`] then steps them on one thread each, while
-/// [`NetworkSim::step_cycle`] steps them inline in index order.
+/// There is one cycle body, a shard's segment, and two drivers.
+/// [`NetworkSim::run`] with several shards runs them on one thread each
+/// (shard 0 on the calling thread), crossing a barrier between segments;
+/// [`NetworkSim::step_cycle`], and `run` with one shard, run the segments
+/// on the calling thread in shard order.
 pub struct NetworkSim<E: Endpoint> {
     cfg: NetworkConfig,
-    topology: NetTopology,
     map: ShardMap,
     shards: Vec<Shard<E>>,
-    outbox: Vec<OutEvent>,
-    records: Vec<MeasureRecord>,
+    exchange: Exchange,
     cycle: u64,
-    latency: OnlineStats,
-    total_latency: OnlineStats,
-    txn_latency: OnlineStats,
-    /// Forward-progress bookkeeping of the inline cycle.
-    watchdog: Watchdog,
+    latencies: Latencies,
 }
 
 impl<E: Endpoint> NetworkSim<E> {
@@ -574,14 +695,9 @@ impl<E: Endpoint> NetworkSim<E> {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
-        let topology = cfg.topology;
-        assert_eq!(
-            endpoints.len(),
-            topology.nodes() as usize,
-            "one endpoint per node"
-        );
-        let workers = effective_workers(workers, topology.nodes() as usize);
-        let map = ShardMap::new(&topology, workers);
+        let nodes = cfg.topology.nodes() as usize;
+        assert_eq!(endpoints.len(), nodes, "one endpoint per node");
+        let map = ShardMap::new(&cfg.topology, effective_workers(workers, nodes));
         // Peel shards off the back so each `split_off` moves only that
         // shard's endpoints, and shard 0 (the only one, for one worker)
         // keeps the caller's allocation without a copy.
@@ -590,21 +706,16 @@ impl<E: Endpoint> NetworkSim<E> {
             .rev()
             .map(|s| {
                 let base = map.range(s).start;
-                Shard::new(&cfg, base, rest.split_off(base as usize))
+                Shard::new(&cfg, &map, s, rest.split_off(base as usize))
             })
             .collect();
         shards.reverse();
         NetworkSim {
+            exchange: Exchange::new(map.shards()),
             map,
             shards,
-            outbox: Vec::with_capacity(64),
-            records: Vec::with_capacity(64),
             cycle: 0,
-            latency: OnlineStats::new(),
-            total_latency: OnlineStats::new(),
-            txn_latency: OnlineStats::new(),
-            watchdog: Watchdog::default(),
-            topology,
+            latencies: Latencies::default(),
             cfg,
         }
     }
@@ -653,17 +764,11 @@ impl<E: Endpoint> NetworkSim<E> {
     }
 
     /// Runs the configured warmup + measurement window and reports: one
-    /// shard loops [`NetworkSim::step_cycle`] on the calling thread,
-    /// several hand the remaining cycles to the worker fleet.
+    /// shard runs on the calling thread, several on one thread each.
     pub fn run(&mut self) -> NetworkReport {
         let total = self.cfg.total_cycles();
-        if self.shards.len() == 1 {
-            while self.cycle < total {
-                self.step_cycle();
-            }
-        } else if self.cycle < total {
-            self.run_fleet(total);
-            self.cycle = total;
+        if self.cycle < total {
+            self.advance(total, self.shards.len() > 1);
         }
         self.report()
     }
@@ -671,255 +776,37 @@ impl<E: Endpoint> NetworkSim<E> {
     /// Advances exactly one core cycle on the calling thread, whatever
     /// the shard count (incremental tests, traced runs, post-run drains).
     pub fn step_cycle(&mut self) {
-        let env = CycleEnv::at(&self.cfg, self.cycle);
-
-        // Phase A: routers, deliveries, endpoints; Forward/Credit events
-        // land in the outbox in emission order. Visiting shards in index
-        // order makes that the canonical `(source router ascending,
-        // per-step emission index)` order, because shards are contiguous
-        // ascending node ranges and each visits its routers in id order.
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut records = std::mem::take(&mut self.records);
-        for shard in &mut self.shards {
-            shard.phase_a(
-                &env,
-                &mut |src, ev| outbox.push(OutEvent { src, ev }),
-                &mut records,
-            );
-        }
-
-        // Phase B: apply the deferred events in that order.
-        if let [shard] = &mut self.shards[..] {
-            for OutEvent { src, ev } in outbox.drain(..) {
-                shard.apply(&env, src, ev);
-            }
-        } else {
-            for OutEvent { src, ev } in outbox.drain(..) {
-                for dst in event_shards(&self.topology, &self.map, src, &ev) {
-                    self.shards[dst].apply(&env, src, ev);
-                }
-            }
-        }
-        self.outbox = outbox;
-
-        // Latency accumulation in canonical delivery order.
-        replay_records(
-            &mut records,
-            &mut self.latency,
-            &mut self.total_latency,
-            &mut self.txn_latency,
-        );
-        self.records = records;
-
-        self.cycle += 1;
-        if let Some(budget) = self.cfg.fault.watchdog_cycles {
-            let mut watchdog = self.watchdog;
-            watchdog.check(
-                budget,
-                self.delivered_all(),
-                || self.occupancy(),
-                || self.diagnostic_dump(),
-            );
-            self.watchdog = watchdog;
-        }
+        self.advance(self.cycle + 1, false);
     }
 
-    /// Packets not yet at an endpoint, over all shards.
-    fn occupancy(&self) -> u64 {
-        self.shards.iter().map(Shard::occupancy).sum()
-    }
-
-    /// Deliveries so far (warmup included), over all shards.
-    fn delivered_all(&self) -> u64 {
-        self.shards.iter().map(|s| s.delivered_all).sum()
-    }
-
-    /// Structured per-router occupancy/credit/fault dump — the payload
-    /// the watchdog panics with, also usable by hang-guarded tests.
-    /// Routers are listed in ascending id order.
+    /// Structured per-router occupancy/credit/fault dump — the shards'
+    /// watchdog sections, in shard order, so routers are listed in
+    /// ascending id order. Also usable by hang-guarded tests.
     pub fn diagnostic_dump(&self) -> String {
-        use std::fmt::Write as _;
+        let delivered = self.shards.iter().map(|s| s.delivered_all).sum();
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "network diagnostic @ cycle {}: occupancy {} packet(s), {} delivered so far",
-            self.cycle,
-            self.occupancy(),
-            self.delivered_all(),
-        );
         for shard in &self.shards {
-            shard.diagnostics(&mut out);
+            shard.diagnostics(self.cycle, delivered, &mut out);
         }
         out
     }
 
-    /// Barrier-quantum fleet: W shards on W threads — W − 1 scoped
-    /// workers plus the calling thread, which steps shard 0 itself.
-    ///
-    /// Segment *k* (between barrier crossings *k* and *k+1*) runs, on
-    /// each thread: apply phase B of cycle *k−1* from the previous
-    /// segment's outboxes, then phase A of cycle *k* into this segment's
-    /// outboxes. Outboxes and record buffers are double-buffered by
-    /// cycle parity, so one barrier per cycle suffices: parity-*p*
-    /// buffers are written in segment *k* (p = k mod 2), drained in
-    /// segment *k+1*, and not rewritten until *k+2*. The calling thread
-    /// also replays cycle *k−1*'s measurement records in segment *k*.
-    /// Each thread holds the exclusive borrow of its shard for the whole
-    /// run; every mutex in the scheme (outboxes, record buffers) is
-    /// uncontended by construction — locks only order memory, the
-    /// barrier orders time.
-    ///
-    /// # Panic robustness
-    ///
-    /// A fixed-party barrier turns one dead party into a fleet-wide
-    /// hang, so every party — the calling thread included — runs under
-    /// `catch_unwind`: on panic it [poisons](SpinBarrier::poison) the
-    /// barrier with the original message and exits. Every peer observes
-    /// the poison at its next crossing and exits the same way; once the
-    /// scope has joined, the calling thread re-raises
-    /// `"worker fleet panicked: <original message>"`, whichever shard
-    /// the panic started in.
-    ///
-    /// # Watchdog
-    ///
-    /// With `fault.watchdog_cycles = Some(n)`, workers publish delivery
-    /// deltas to a shared counter each segment; a worker that sees no
-    /// fleet-wide delivery for ~n consecutive cycles while its own shard
-    /// still holds packets (the same [`Watchdog`] bookkeeping the inline
-    /// cycle runs) panics with a structured occupancy dump —
-    /// which the poisoning path then propagates to the whole fleet. The
-    /// shared counter is read with one-cycle staleness (benign: budgets
-    /// are thousands of cycles).
-    fn run_fleet(&mut self, total: u64) {
-        let w = self.shards.len();
-        let start = self.cycle;
-        let barrier = SpinBarrier::new(w);
-        let fleet_delivered = AtomicU64::new(0);
-        let watchdog_budget = self.cfg.fault.watchdog_cycles;
-        let buckets = |n: usize| -> Vec<Mutex<Vec<OutEvent>>> {
-            (0..n).map(|_| Mutex::new(Vec::new())).collect()
+    /// Advances to cycle `end` through the threaded driver or the
+    /// sequential one.
+    fn advance(&mut self, end: u64, threaded: bool) {
+        let segments = Segments {
+            cfg: &self.cfg,
+            map: &self.map,
+            exchange: &self.exchange,
+            start: self.cycle,
+            end,
         };
-        // outboxes[parity][src_shard][dst_shard]
-        let outboxes: [Vec<Vec<Mutex<Vec<OutEvent>>>>; 2] = [
-            (0..w).map(|_| buckets(w)).collect(),
-            (0..w).map(|_| buckets(w)).collect(),
-        ];
-        // records[parity][shard]
-        let mk_records = || -> Vec<Mutex<Vec<MeasureRecord>>> {
-            (0..w).map(|_| Mutex::new(Vec::new())).collect()
-        };
-        let records: [Vec<Mutex<Vec<MeasureRecord>>>; 2] = [mk_records(), mk_records()];
-
-        let map = &self.map;
-        let topology = self.topology;
-        let cfg = &self.cfg;
-
-        // The one worker body. `replay` is the latency/total/transaction
-        // accumulator triple, handed to exactly one party (the caller).
-        let worker = |me: usize,
-                      shard: &mut Shard<E>,
-                      mut replay: Option<[&mut OnlineStats; 3]>| {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // This shard's deliveries already published to the
-                // fleet-wide counter its watchdog watches.
-                let mut published = shard.delivered_all;
-                let mut watchdog = Watchdog::default();
-                let mut scratch: Vec<MeasureRecord> = Vec::new();
-                for k in start..=total {
-                    barrier.wait();
-                    if k > start {
-                        // Phase B of cycle k-1: events destined to this
-                        // shard, source shards in index order = ascending
-                        // source router (canonical).
-                        let env = CycleEnv::at(cfg, k - 1);
-                        let parity = ((k - 1) % 2) as usize;
-                        for src_row in &outboxes[parity] {
-                            let mut bucket = src_row[me].lock().expect("worker fleet panicked");
-                            for OutEvent { src, ev } in bucket.drain(..) {
-                                shard.apply(&env, src, ev);
-                            }
-                        }
-                        if let Some(budget) = watchdog_budget {
-                            let delivered = shard.delivered_all;
-                            if delivered != published {
-                                fleet_delivered.fetch_add(delivered - published, Ordering::Relaxed);
-                                published = delivered;
-                            }
-                            let total_now = fleet_delivered.load(Ordering::Relaxed);
-                            watchdog.check(
-                                budget,
-                                total_now,
-                                || shard.occupancy(),
-                                || {
-                                    use std::fmt::Write as _;
-                                    let mut dump = String::new();
-                                    let _ = writeln!(
-                                        dump,
-                                        "shard {me} diagnostic @ cycle {}: occupancy {} packet(s), {} delivered fleet-wide",
-                                        k - 1,
-                                        shard.occupancy(),
-                                        total_now,
-                                    );
-                                    shard.diagnostics(&mut dump);
-                                    dump
-                                },
-                            );
-                        }
-                        // Cycle k-1's measurement records, in canonical
-                        // key order across all shards.
-                        if let Some([latency, total_latency, txn_latency]) = &mut replay {
-                            for shard_records in &records[parity] {
-                                scratch.append(
-                                    &mut shard_records.lock().expect("worker fleet panicked"),
-                                );
-                            }
-                            replay_records(&mut scratch, latency, total_latency, txn_latency);
-                        }
-                    }
-                    if k < total {
-                        // Phase A of cycle k into this parity's buckets
-                        // (drained last segment, free now).
-                        let env = CycleEnv::at(cfg, k);
-                        let parity = (k % 2) as usize;
-                        let mut rows: Vec<_> = outboxes[parity][me]
-                            .iter()
-                            .map(|m| m.lock().expect("worker fleet panicked"))
-                            .collect();
-                        let mut recs = records[parity][me].lock().expect("worker fleet panicked");
-                        shard.phase_a(
-                            &env,
-                            &mut |src, ev| {
-                                for dst in event_shards(&topology, map, src, &ev) {
-                                    rows[dst].push(OutEvent { src, ev });
-                                }
-                            },
-                            &mut recs,
-                        );
-                    }
-                }
-            }));
-            if let Err(payload) = caught {
-                barrier.poison(panic_message(payload.as_ref()));
-            }
-        };
-
-        let (first, rest) = self
-            .shards
-            .split_first_mut()
-            .expect("a simulator has at least one shard");
-        let replay = [
-            &mut self.latency,
-            &mut self.total_latency,
-            &mut self.txn_latency,
-        ];
-        std::thread::scope(|scope| {
-            for (i, shard) in rest.iter_mut().enumerate() {
-                let worker = &worker;
-                scope.spawn(move || worker(i + 1, shard, None));
-            }
-            worker(0, first, Some(replay));
-        });
-        barrier.raise_if_poisoned();
+        if threaded {
+            segments.threaded(&mut self.shards, &mut self.latencies);
+        } else {
+            segments.sequential(&mut self.shards, &mut self.latencies);
+        }
+        self.cycle = end;
     }
 
     /// Builds the report for the window simulated so far. Every merge in
@@ -983,9 +870,9 @@ impl<E: Endpoint> NetworkSim<E> {
         NetworkReport {
             delivered_packets: measured_packets,
             delivered_flits: measured_flits,
-            latency: self.latency.clone(),
+            latency: self.latencies.transit.clone(),
             latency_hist,
-            total_latency: self.total_latency.clone(),
+            total_latency: self.latencies.total.clone(),
             flits_per_router_ns: measured_flits as f64 / (routers * measure_ns),
             injected_packets,
             injected_flits,
@@ -998,7 +885,7 @@ impl<E: Endpoint> NetworkSim<E> {
             matched_weight,
             mwm_weight,
             completed_txns: measured_txns,
-            txn_latency: self.txn_latency.clone(),
+            txn_latency: self.latencies.txn.clone(),
             txn_latency_hist,
             flits_corrupted,
             retransmissions,

@@ -20,7 +20,7 @@ use std::fmt;
 /// assert_eq!(s.mean(), 4.0);
 /// assert_eq!(s.max(), Some(6.0));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -143,6 +143,12 @@ impl OnlineStats {
     /// Largest sample, if any.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
+    }
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -392,6 +398,27 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((s.mean() - mean).abs() < 1e-9);
         assert!((s.variance() - var).abs() < 1e-9);
+    }
+
+    #[test]
+    fn default_is_new() {
+        let bits = |s: &OnlineStats| {
+            [
+                s.count,
+                s.mean.to_bits(),
+                s.m2.to_bits(),
+                s.min.to_bits(),
+                s.max.to_bits(),
+            ]
+        };
+        let (mut built, mut defaulted) = (OnlineStats::new(), OnlineStats::default());
+        assert_eq!(bits(&defaulted), bits(&built));
+        for x in [3.5, 1.25, 8.0] {
+            built.record(x);
+            defaulted.record(x);
+        }
+        assert_eq!(bits(&defaulted), bits(&built));
+        assert_eq!(defaulted.min(), Some(1.25));
     }
 
     #[test]

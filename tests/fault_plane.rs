@@ -447,6 +447,35 @@ fn fleet_steps_w_shards_on_w_threads_with_shard_0_on_the_caller() {
     );
 }
 
+#[test]
+fn step_cycle_runs_every_shard_on_the_caller_and_run_still_spreads_them() {
+    let cfg = storm_config(Torus::net_4x4().into(), 1, 100, FaultConfig::default());
+    let endpoints = (0..16).map(|_| ThreadProbe {
+        stepped_on: Vec::new(),
+    });
+    let mut sim = NetworkSim::with_workers(cfg, endpoints.collect(), 3);
+    for _ in 0..10 {
+        sim.step_cycle();
+    }
+    let caller = std::thread::current().id();
+    for node in 0..16 {
+        assert_eq!(
+            sim.endpoint(node).stepped_on,
+            [caller],
+            "node {node}: step_cycle runs every shard on the calling thread"
+        );
+    }
+    let _ = sim.run();
+    let threads: HashSet<_> = (0..16)
+        .flat_map(|node| sim.endpoint(node).stepped_on.iter().copied())
+        .collect();
+    assert_eq!(
+        threads.len(),
+        3,
+        "run() after step_cycle still uses three threads"
+    );
+}
+
 /// Node 0 sends one packet to the far corner of the torus; nobody else
 /// sends anything.
 struct SendOnce {
@@ -471,8 +500,8 @@ impl Endpoint for SendOnce {
 fn watchdog_barks_with_a_router_dump_on_every_engine_path() {
     // One router alone is 13 cycles pin to pin, so a packet four hops from
     // home is in flight, undelivered, for far longer than a 3-cycle
-    // budget: the watchdog must fire, on the inline path and in the
-    // fleet, and say where the packets are.
+    // budget: the watchdog must fire under both drivers, stepped or run,
+    // and say where the packets are.
     let build = |workers: usize| {
         let fault = FaultConfig {
             watchdog_cycles: Some(3),
@@ -490,15 +519,21 @@ fn watchdog_barks_with_a_router_dump_on_every_engine_path() {
     };
     const BARK: &str = "watchdog: no delivery for 3 cycles with packets in flight\n";
 
-    let stepped = panic_text(&mut || {
-        let mut sim = build(1);
-        for _ in 0..200 {
-            sim.step_cycle();
-        }
-    });
-    let dump = stepped.strip_prefix(BARK).expect("inline bark");
+    // Stepping keeps each shard's stall count across `step_cycle` calls.
+    let stepped = |workers: usize| {
+        panic_text(&mut || {
+            let mut sim = build(workers);
+            for _ in 0..200 {
+                sim.step_cycle();
+            }
+        })
+    };
+    let one = stepped(1);
+    let dump = one.strip_prefix(BARK).expect("inline bark");
     assert!(
-        dump.starts_with("network diagnostic @ cycle 3: occupancy 1 packet(s), 0 delivered"),
+        dump.starts_with(
+            "shard 0 diagnostic @ cycle 3: occupancy 1 packet(s), 0 delivered fleet-wide"
+        ),
         "{dump}"
     );
     for node in 0..16 {
@@ -507,21 +542,25 @@ fn watchdog_barks_with_a_router_dump_on_every_engine_path() {
     let ran = panic_text(&mut || {
         let _ = build(1).run();
     });
-    assert_eq!(ran, stepped, "run() at one worker is the inline path");
+    assert_eq!(ran, one, "run() at one worker is the inline path");
 
-    // Three workers: the shard holding the packet barks, and the poisoned
-    // barrier carries its message out to the caller.
-    let fleet = panic_text(&mut || {
-        let _ = build(3).run();
-    });
-    let dump = fleet
-        .strip_prefix("worker fleet panicked: ")
-        .and_then(|rest| rest.strip_prefix(BARK))
-        .unwrap_or_else(|| panic!("fleet bark: {fleet}"));
-    assert!(dump.starts_with("shard 0 diagnostic @ cycle "), "{dump}");
+    // Three shards: the shard holding the packet barks with its own
+    // routers only, whether stepped inline or run on the fleet, where the
+    // poisoned barrier carries its message out to the caller.
+    let three = stepped(3);
+    let dump = three.strip_prefix(BARK).expect("inline bark");
+    assert!(dump.starts_with("shard 0 diagnostic @ cycle 3: "), "{dump}");
     assert!(dump.contains("  router 0: "), "{dump}");
     assert!(
         !dump.contains("  router 15: "),
-        "a worker dumps its own shard only: {dump}"
+        "a shard dumps its own routers only: {dump}"
+    );
+    let fleet = panic_text(&mut || {
+        let _ = build(3).run();
+    });
+    assert_eq!(
+        fleet.strip_prefix("worker fleet panicked: "),
+        Some(three.as_str()),
+        "fleet bark: {fleet}"
     );
 }

@@ -136,9 +136,9 @@ fn inline_stepping_matches_the_fleet_and_one_shard() {
 
 #[test]
 fn stepping_then_running_equals_an_uninterrupted_run() {
-    // `run()` picks up wherever `step_cycle` left off — on the inline
-    // loop (1 worker) and on the fleet (4), whose watchdog and outbox
-    // state start fresh mid-simulation.
+    // `run()` picks up wherever `step_cycle` left off — on the calling
+    // thread (1 worker) and on the fleet (4), which carries on from the
+    // shards' watchdog state and the exchange the stepping left.
     let mut case = find("4x4 PIM1 uniform rate=0.05 seed=1 mshrs=4").clone();
     case.fault.watchdog_cycles = Some(1_000);
     let whole = case.sim(1).run();

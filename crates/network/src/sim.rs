@@ -552,11 +552,8 @@ impl Segments<'_> {
             // Cycle k − 1's records, in canonical key order across every
             // shard.
             if let Some(latencies) = latencies {
-                let (first, rest) = exchange.records[parity]
-                    .split_first()
-                    .expect("a simulator has at least one shard");
-                let mut records = lock(first);
-                for other in rest {
+                let mut records = lock(&exchange.records[parity][0]);
+                for other in &exchange.records[parity][1..] {
                     records.append(&mut lock(other));
                 }
                 replay_records(&mut records, latencies);

@@ -22,8 +22,8 @@
 //!
 //! **Recovery protocol.** A CRC-failed (or flapped-off) transmission
 //! parks the packet in the receiving link's FIFO retransmit buffer and
-//! arms a timer on a `TimingWheel`: the retry fires one round trip plus
-//! an exponentially backed-off delay later (NACK travels upstream, the
+//! arms the link's retry timer: the retry fires one round trip plus an
+//! exponentially backed-off delay later (NACK travels upstream, the
 //! sender replays from its retransmit buffer — modelled at the receiver,
 //! where the per-link state lives). After
 //! [`FaultConfig::max_retries`] failed retries the link is declared
@@ -35,13 +35,17 @@
 //! plus a synthetic credit refund upstream so the sender's credit
 //! counters stay sound) — never silently.
 //!
-//! **Determinism.** All fault state for the directed link into router
-//! *r* is owned by the shard that owns *r* and touched only at two
-//! deterministic points: the start of *r*'s phase-A slot (flap steps,
-//! due retries, pending refunds) and the application of *r*'s inbound
-//! events in phase B (arrival CRC draws). The engine's one segment body
-//! executes those points in the identical per-shard order for every
-//! worker count and either driver, so a faulted run is bit-exact across
+//! **Determinism.** The state of the directed link into router *r* —
+//! streams, flap state, retransmit buffer, retry timer — and the refunds
+//! *r* owes live in *r*'s slot of the plane (`NodeFaults`), on the
+//! shard that owns *r*. They are touched only at deterministic points:
+//! *r*'s phase-A fault slot, just before *r* steps (flap steps, then
+//! owed refunds, then due retries in entry-port order); the application
+//! of *r*'s inbound events in phase B (arrival CRC draws); and a link
+//! kill, at the cycle boundary or as a phase-B death event, which drops
+//! the link's buffer and disarms its timer. The engine's one
+//! segment body visits slots in ascending router order for every worker
+//! count and either driver, so a faulted run is bit-exact across
 //! `{1,2,4,8,…}` workers and idle-skip on/off — the same argument that
 //! makes fault-free runs agree (see DESIGN.md "Fault plane").
 //!
@@ -53,11 +57,11 @@
 
 use crate::topology::NetTopology;
 use arbitration::ports::{InputPort, OutputPort};
+use router::router::OutgoingPacket;
 use router::{Packet, VcId};
 use simcore::stats::Histogram;
-use simcore::wheel::TimingWheel;
 use simcore::{SimRng, Tick};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-link CRC corruption draws fork from `seed ^ CRC_STREAM`.
 const CRC_STREAM: u64 = 0xfa07_c5c5_0bad_c0de;
@@ -254,11 +258,6 @@ pub(crate) fn retransmit_histogram() -> Histogram {
     Histogram::new(0.0, 4000.0, 200)
 }
 
-/// Key of a directed link in receiver coordinates: `(receiving router,
-/// entry input-port index)`. Keying by receiver makes ascending map
-/// order equal ascending receiver id — the order phase A visits routers.
-type LinkKey = (u16, u8);
-
 /// One packet parked in a link's retransmit buffer.
 #[derive(Debug)]
 pub(crate) struct PendingTx {
@@ -290,6 +289,9 @@ struct LinkState {
     /// FIFO retransmit buffer; head is the packet whose retry timer is
     /// armed. FIFO order preserves per-link in-order delivery.
     queue: VecDeque<PendingTx>,
+    /// When the head packet retries (meaningful while the link's
+    /// [`NodeFaults::armed`] bit is set).
+    retry_at: Tick,
 }
 
 /// A synthetic credit refund owed upstream for a packet dropped at a
@@ -300,7 +302,6 @@ struct LinkState {
 /// owning router's next phase-A slot.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Refund {
-    pub(crate) node: u16,
     pub(crate) input: InputPort,
     pub(crate) vc: VcId,
 }
@@ -326,39 +327,55 @@ pub(crate) enum RetryOutcome {
     Exhausted { src: u16, output: OutputPort },
 }
 
-/// Per-shard fault-plane state: the replicated [`DeadLinks`] mask plus
-/// receiver-owned per-link machinery (CRC/flap streams, retransmit
-/// buffers, retry timers) for the links entering this shard's routers.
+/// The fault state one local router owns: its inbound links and the
+/// refunds it owes upstream, all serviced in its phase-A slot.
+#[derive(Debug)]
+struct NodeFaults {
+    /// Inbound links by entry input-port index (`None` where unwired).
+    links: [Option<LinkState>; 4],
+    /// Bit `e` is set while link `e`'s retry timer is armed: at most one
+    /// timer per link, for its queue head, so an armed link holds
+    /// packets and is alive.
+    armed: u8,
+    /// Refunds to emit in this router's next slot, in staging order.
+    refunds: Vec<Refund>,
+}
+
+impl NodeFaults {
+    /// Drops link `e`'s retransmit buffer with a refund per packet and
+    /// disarms its timer. Returns how many packets were dropped.
+    fn drop_queue(&mut self, e: usize) -> u64 {
+        self.armed &= !(1 << e);
+        let st = self.links[e].as_mut().expect("a wired link is tracked");
+        let input = InputPort::from_index(e);
+        let dropped = st.queue.len() as u64;
+        self.refunds
+            .extend(st.queue.drain(..).map(|tx| Refund { input, vc: tx.vc }));
+        dropped
+    }
+}
+
+/// Per-shard fault-plane state: the replicated [`DeadLinks`] mask plus,
+/// per local router, the receiver-owned machinery (CRC/flap streams,
+/// retransmit buffers, retry timers, owed refunds) of its inbound links.
 pub(crate) struct FaultPlane {
     ber: f64,
     flap: Option<LinkFlap>,
     max_retries: u32,
     backoff_base_cycles: u64,
-    /// One-way wire latency of a link (for the NACK round trip).
+    /// One-way wire latency of a link (arrival pin time, NACK round trip).
     wire: Tick,
+    core_period: Tick,
     /// Replicated dead mask (identical on every shard).
     pub(crate) dead: DeadLinks,
-    /// Receiver-keyed state for links entering this shard's routers.
-    links: BTreeMap<LinkKey, LinkState>,
+    /// Per local router, indexed `node - base`.
+    nodes: Vec<NodeFaults>,
+    /// First node id of this shard's range.
+    base: u16,
     /// All scheduled kills (config kills plus the seeded dead-fraction
     /// picks), sorted by cycle; every shard holds the identical list.
     kills: Vec<LinkKill>,
     next_kill: usize,
-    /// Retry timers: at most one armed per link, for the queue head.
-    wheel: TimingWheel<LinkKey>,
-    wheel_scratch: Vec<(Tick, LinkKey)>,
-    /// This cycle's due retries, sorted by key so they process inside
-    /// their receiving router's phase-A slot.
-    due: Vec<LinkKey>,
-    due_cursor: usize,
-    /// Refunds drained this cycle (sorted by router) / accumulating for
-    /// the next cycle.
-    refunds_now: Vec<Refund>,
-    refund_cursor: usize,
-    refunds_next: Vec<Refund>,
-    /// This shard's node range (for ownership tests).
-    base: u16,
-    len: u16,
     // Counters (whole-run, like the injection counters).
     pub(crate) flits_corrupted: u64,
     pub(crate) retransmissions: u64,
@@ -406,31 +423,25 @@ impl FaultPlane {
     ) -> Self {
         let crc_root = SimRng::from_seed(seed ^ CRC_STREAM);
         let flap_root = SimRng::from_seed(seed ^ FLAP_STREAM);
-        let mut links = BTreeMap::new();
-        for node in base..base + len {
-            for input in [
-                InputPort::North,
-                InputPort::South,
-                InputPort::East,
-                InputPort::West,
-            ] {
-                let Some((src, output)) = topo.feeder(node, input) else {
-                    continue;
-                };
-                let link_id = (src as u64) << 3 | output.index() as u64;
-                links.insert(
-                    (node, input.index() as u8),
-                    LinkState {
+        let nodes = (base..base + len)
+            .map(|node| NodeFaults {
+                links: std::array::from_fn(|e| {
+                    let (src, output) = topo.feeder(node, InputPort::from_index(e))?;
+                    let link_id = (src as u64) << 3 | output.index() as u64;
+                    Some(LinkState {
                         src,
                         output,
                         rng: crc_root.fork(link_id),
                         flap_rng: cfg.flap.map(|_| flap_root.fork(link_id)),
                         up: true,
                         queue: VecDeque::new(),
-                    },
-                );
-            }
-        }
+                        retry_at: Tick::ZERO,
+                    })
+                }),
+                armed: 0,
+                refunds: Vec::new(),
+            })
+            .collect();
 
         // Scheduled kills: explicit config kills plus the seeded
         // dead-fraction picks (killed at cycle 0). Every shard runs the
@@ -464,19 +475,12 @@ impl FaultPlane {
             max_retries: cfg.max_retries,
             backoff_base_cycles: cfg.backoff_base_cycles,
             wire,
+            core_period,
             dead: DeadLinks::new(topo.nodes()),
-            links,
+            nodes,
+            base,
             kills,
             next_kill: 0,
-            wheel: TimingWheel::new(core_period, 256),
-            wheel_scratch: Vec::new(),
-            due: Vec::new(),
-            due_cursor: 0,
-            refunds_now: Vec::new(),
-            refund_cursor: 0,
-            refunds_next: Vec::new(),
-            base,
-            len,
             flits_corrupted: 0,
             retransmissions: 0,
             retry_exhaustions: 0,
@@ -487,51 +491,47 @@ impl FaultPlane {
         }
     }
 
-    #[inline]
-    fn owns(&self, node: u16) -> bool {
-        (self.base..self.base + self.len).contains(&node)
-    }
-
     /// Marks a link dead (idempotent), counting it and dropping its
-    /// retransmit queue iff this shard owns the receiver. Used by both
-    /// the scheduled-kill path and the broadcast exhaustion-death path,
-    /// so the dead count is attributed exactly once fleet-wide.
+    /// retransmit queue (which disarms its timer) iff this shard owns
+    /// the receiver. Used by both the scheduled-kill path and the
+    /// broadcast exhaustion-death path, so the dead count is attributed
+    /// exactly once fleet-wide.
     pub(crate) fn kill_link(&mut self, topo: &NetTopology, node: u16, port: OutputPort) {
         if !self.dead.kill(node, port) {
             return;
         }
         let target = topo.link(node, port).expect("killing an unwired link");
-        let (peer, entry) = (target.peer, target.entry);
-        if !self.owns(peer) {
+        let Some(nf) = (target.peer.checked_sub(self.base))
+            .and_then(|local| self.nodes.get_mut(local as usize))
+        else {
             return;
-        }
+        };
         self.links_dead += 1;
-        if let Some(st) = self.links.get_mut(&(peer, entry.index() as u8)) {
-            for tx in st.queue.drain(..) {
-                self.refunds_next.push(Refund {
-                    node: peer,
-                    input: entry,
-                    vc: tx.vc,
-                });
-                self.unreachable_drops += 1;
-                self.queued_packets -= 1;
-            }
-        }
+        let dropped = nf.drop_queue(target.entry.index());
+        self.unreachable_drops += dropped;
+        self.queued_packets -= dropped;
     }
 
-    /// Start-of-cycle bookkeeping, run at the top of every phase A: apply scheduled kills due this cycle, step the flap
-    /// machines of locally received links (one draw per flapped live
-    /// link, in ascending link order), drain due retry timers, and stage
-    /// the refunds accumulated since the last cycle.
-    pub(crate) fn begin_cycle(&mut self, topo: &NetTopology, cycle: u64, now: Tick) {
+    /// Start-of-cycle bookkeeping, run at the top of every phase A:
+    /// applies the scheduled kills due by `cycle`. Everything else the
+    /// plane does at a cycle boundary happens per router, in
+    /// [`FaultPlane::begin_slot`] and [`FaultPlane::fire`].
+    pub(crate) fn begin_cycle(&mut self, topo: &NetTopology, cycle: u64) {
         while self.next_kill < self.kills.len() && self.kills[self.next_kill].at_cycle <= cycle {
             let k = self.kills[self.next_kill];
             self.next_kill += 1;
             self.kill_link(topo, k.node, k.port);
         }
+    }
 
+    /// Opens local router `node`'s phase-A slot: steps the flap machines
+    /// of its live inbound links (one draw each, in entry-port order),
+    /// then hands out the refunds it owes. A refund staged after this
+    /// call — during the slot or in phase B — waits for the next slot.
+    pub(crate) fn begin_slot(&mut self, node: u16) -> std::vec::Drain<'_, Refund> {
+        let nf = &mut self.nodes[(node - self.base) as usize];
         if let Some(flap) = self.flap {
-            for st in self.links.values_mut() {
+            for st in nf.links.iter_mut().flatten() {
                 if self.dead.is_dead(st.src, st.output) {
                     continue;
                 }
@@ -547,56 +547,29 @@ impl FaultPlane {
                 }
             }
         }
-
-        self.wheel_scratch.clear();
-        self.wheel.drain_due(now, &mut self.wheel_scratch);
-        self.due.clear();
-        self.due.extend(self.wheel_scratch.iter().map(|&(_, k)| k));
-        self.due.sort_unstable();
-        self.due_cursor = 0;
-
-        self.refunds_now.clear();
-        self.refunds_now.append(&mut self.refunds_next);
-        // Stable by construction order within a router: group per router
-        // for the per-slot emission walk.
-        self.refunds_now.sort_by_key(|r| r.node);
-        self.refund_cursor = 0;
+        nf.refunds.drain(..)
     }
 
-    /// The refunds to emit in `node`'s phase-A slot (call with ascending
-    /// node, exactly once per local router per cycle).
-    pub(crate) fn refunds_for(&mut self, node: u16) -> &[Refund] {
-        let start = self.refund_cursor;
-        while self.refund_cursor < self.refunds_now.len()
-            && self.refunds_now[self.refund_cursor].node == node
-        {
-            self.refund_cursor += 1;
-        }
-        &self.refunds_now[start..self.refund_cursor]
-    }
-
-    /// Pops the next due retry for `node`'s slot, if any (call with
-    /// ascending node within a cycle).
-    pub(crate) fn next_due(&mut self, node: u16) -> Option<LinkKey> {
-        if self.due_cursor < self.due.len() && self.due[self.due_cursor].0 == node {
-            let key = self.due[self.due_cursor];
-            self.due_cursor += 1;
-            Some(key)
-        } else {
-            None
-        }
+    /// Entry ports of local router `node`'s links with a retry timer
+    /// armed, as a bit mask over input-port indices.
+    #[inline]
+    pub(crate) fn armed(&self, node: u16) -> u8 {
+        self.nodes[(node - self.base) as usize].armed
     }
 
     /// Records a drop with accounting: bumps `unreachable_drops` and
-    /// owes the upstream sender a credit refund for the consumed slot.
+    /// owes the upstream sender a credit refund for the consumed slot,
+    /// emitted in local router `node`'s next slot.
     pub(crate) fn drop_with_refund(&mut self, node: u16, input: InputPort, vc: VcId) {
         self.unreachable_drops += 1;
-        self.refunds_next.push(Refund { node, input, vc });
+        self.nodes[(node - self.base) as usize]
+            .refunds
+            .push(Refund { input, vc });
     }
 
     /// Retry delay for failed attempt number `attempts` (1-based): one
     /// NACK round trip plus exponential backoff.
-    fn retry_at(
+    fn retry_time(
         backoff_base_cycles: u64,
         fail_time: Tick,
         wire: Tick,
@@ -624,41 +597,35 @@ impl FaultPlane {
         st.up && !corrupted
     }
 
-    /// Link-layer admission of a `Forward` arriving at local router
-    /// `dest` through `entry` (phase B). Exactly one of the variants:
-    /// deliver (CRC passed, link up, no queue ahead), hold (parked in
-    /// the retransmit buffer with a timer armed), or drop (link dead).
-    // One parameter per field of the arrival event; bundling them into a
-    // struct would just rename the call site.
-    #[allow(clippy::too_many_arguments)]
+    /// Link-layer admission of `forward` arriving at local router `dest`
+    /// through `entry` (phase B), pinned one wire latency after its first
+    /// flit. Exactly one of the variants: deliver (CRC passed, link up,
+    /// no queue ahead), hold (parked in the retransmit buffer with a
+    /// timer armed), or drop (link dead).
     pub(crate) fn admit(
         &mut self,
         dest: u16,
         entry: InputPort,
-        packet: Packet,
-        vc: VcId,
-        flit_period: Tick,
-        pin_time: Tick,
-        core_period: Tick,
+        forward: OutgoingPacket,
     ) -> Admission {
-        let key = (dest, entry.index() as u8);
-        let st = self
-            .links
-            .get_mut(&key)
+        let e = entry.index();
+        let nf = &mut self.nodes[(dest - self.base) as usize];
+        let st = nf.links[e]
+            .as_mut()
             .expect("network arrival on an untracked link");
         if self.dead.is_dead(st.src, st.output) {
             self.unreachable_drops += 1;
-            self.refunds_next.push(Refund {
-                node: dest,
+            nf.refunds.push(Refund {
                 input: entry,
-                vc,
+                vc: forward.downstream_vc,
             });
             return Admission::Dropped;
         }
-        let tx = PendingTx {
-            packet,
-            vc,
-            flit_period,
+        let pin_time = forward.first_flit + self.wire;
+        let mut tx = PendingTx {
+            packet: forward.packet,
+            vc: forward.downstream_vc,
+            flit_period: forward.flit_period,
             first_pin: pin_time,
             attempts: 0,
         };
@@ -671,59 +638,64 @@ impl FaultPlane {
         if Self::transmit(self.ber, &mut self.flits_corrupted, st, tx.packet.len()) {
             return Admission::Deliver(tx.packet);
         }
-        let mut tx = tx;
         tx.attempts = 1;
-        let at = Self::retry_at(
+        st.queue.push_back(tx);
+        self.queued_packets += 1;
+        st.retry_at = Self::retry_time(
             self.backoff_base_cycles,
             pin_time,
             self.wire,
-            core_period,
+            self.core_period,
             1,
         );
-        st.queue.push_back(tx);
-        self.queued_packets += 1;
-        self.wheel.schedule(at, key);
+        nf.armed |= 1 << e;
         Admission::Held
     }
 
-    /// Fires a due retry timer (phase A, inside the receiving router's
-    /// slot). `None` means the timer went stale (the link died or its
-    /// queue was dropped) and nothing happened — deterministically, with
-    /// no draws.
-    pub(crate) fn fire(
-        &mut self,
-        key: LinkKey,
-        now: Tick,
-        core_period: Tick,
-    ) -> Option<RetryOutcome> {
-        let st = self.links.get_mut(&key)?;
-        if st.queue.is_empty() || self.dead.is_dead(st.src, st.output) {
+    /// Fires the retry timer of the link entering local router `node`
+    /// through `entry` (phase A, inside the router's slot). `None` means
+    /// the timer is not due at `now` — disarmed, or armed for later —
+    /// and nothing happened, with no draws.
+    pub(crate) fn fire(&mut self, node: u16, entry: InputPort, now: Tick) -> Option<RetryOutcome> {
+        let e = entry.index();
+        let bit = 1 << e;
+        let nf = &mut self.nodes[(node - self.base) as usize];
+        let st = nf.links[e].as_mut()?;
+        if nf.armed & bit == 0 || st.retry_at > now {
             return None;
         }
+        debug_assert!(!st.queue.is_empty() && !self.dead.is_dead(st.src, st.output));
+        nf.armed &= !bit;
         self.retransmissions += 1;
-        let len = st.queue.front().expect("nonempty queue").packet.len();
+        let len = st
+            .queue
+            .front()
+            .expect("armed links hold packets")
+            .packet
+            .len();
         if Self::transmit(self.ber, &mut self.flits_corrupted, st, len) {
-            let tx = st.queue.pop_front().expect("nonempty queue");
+            let tx = st.queue.pop_front().expect("armed links hold packets");
             self.queued_packets -= 1;
             if let Some(next) = st.queue.front() {
                 // The next packet waited behind this one; attempt it no
-                // earlier than its own arrival and no earlier than now.
-                let at = next.first_pin.max(now + core_period);
-                self.wheel.schedule(at, key);
+                // earlier than its own arrival and no earlier than the
+                // next cycle.
+                st.retry_at = next.first_pin.max(now + self.core_period);
+                nf.armed |= bit;
             }
             return Some(RetryOutcome::Deliver(tx));
         }
-        let head = st.queue.front_mut().expect("nonempty queue");
+        let head = st.queue.front_mut().expect("armed links hold packets");
         head.attempts += 1;
         if head.attempts <= self.max_retries {
-            let at = Self::retry_at(
+            st.retry_at = Self::retry_time(
                 self.backoff_base_cycles,
                 now,
                 self.wire,
-                core_period,
+                self.core_period,
                 head.attempts,
             );
-            self.wheel.schedule(at, key);
+            nf.armed |= bit;
             return Some(RetryOutcome::Backoff);
         }
         // Exhausted: the link is declared dead. Drop the whole queue
@@ -731,17 +703,10 @@ impl FaultPlane {
         // every shard's mask replica updates in canonical order (this
         // shard counts `links_dead` when it applies its own broadcast).
         self.retry_exhaustions += 1;
-        let (src, output, node) = (st.src, st.output, key.0);
-        let entry = InputPort::from_index(key.1 as usize);
-        for tx in st.queue.drain(..) {
-            self.refunds_next.push(Refund {
-                node,
-                input: entry,
-                vc: tx.vc,
-            });
-            self.unreachable_drops += 1;
-            self.queued_packets -= 1;
-        }
+        let (src, output) = (st.src, st.output);
+        let dropped = nf.drop_queue(e);
+        self.unreachable_drops += dropped;
+        self.queued_packets -= dropped;
         Some(RetryOutcome::Exhausted { src, output })
     }
 
@@ -756,27 +721,30 @@ impl FaultPlane {
     /// or holding packets), for the watchdog dump.
     pub(crate) fn diagnostics(&self, out: &mut String) {
         use std::fmt::Write;
-        for ((node, entry), st) in &self.links {
-            let dead = self.dead.is_dead(st.src, st.output);
-            if !dead && st.up && st.queue.is_empty() {
-                continue;
+        for (node, nf) in (self.base..).zip(&self.nodes) {
+            for (entry, st) in nf.links.iter().enumerate() {
+                let Some(st) = st else { continue };
+                let dead = self.dead.is_dead(st.src, st.output);
+                if !dead && st.up && st.queue.is_empty() {
+                    continue;
+                }
+                let _ = writeln!(
+                    out,
+                    "  link {}->{} (entry {}): {} queue={} head_attempts={}",
+                    st.src,
+                    node,
+                    entry,
+                    if dead {
+                        "DEAD"
+                    } else if st.up {
+                        "up"
+                    } else {
+                        "down"
+                    },
+                    st.queue.len(),
+                    st.queue.front().map_or(0, |t| t.attempts),
+                );
             }
-            let _ = writeln!(
-                out,
-                "  link {}->{} (entry {}): {} queue={} head_attempts={}",
-                st.src,
-                node,
-                entry,
-                if dead {
-                    "DEAD"
-                } else if st.up {
-                    "up"
-                } else {
-                    "down"
-                },
-                st.queue.len(),
-                st.queue.front().map_or(0, |t| t.attempts),
-            );
         }
     }
 }
@@ -785,6 +753,26 @@ impl FaultPlane {
 mod tests {
     use super::*;
     use crate::topology::Torus;
+
+    /// A request leaving node 0 through East with its first flit at tick
+    /// 10, so it pins at node 1's West input at tick 100 (wire 90).
+    fn forward_east_from_0() -> OutgoingPacket {
+        OutgoingPacket {
+            packet: Packet::new(
+                router::PacketId(1),
+                router::CoherenceClass::Request,
+                0,
+                1,
+                Tick::ZERO,
+                0,
+            ),
+            output: OutputPort::East,
+            downstream_vc: VcId::adaptive(router::CoherenceClass::Request),
+            first_flit: Tick::new(10),
+            flit_period: Tick::new(30),
+            last_flit_done: Tick::new(70),
+        }
+    }
 
     #[test]
     fn default_config_is_fully_disabled() {
@@ -850,12 +838,12 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut plane = FaultPlane::new(&cfg, &topo, 1, Tick::new(20), Tick::new(90), 0, 16);
-        plane.begin_cycle(&topo, 4, Tick::new(80));
+        plane.begin_cycle(&topo, 4);
         assert!(!plane.dead.is_dead(0, OutputPort::East));
-        plane.begin_cycle(&topo, 5, Tick::new(100));
+        plane.begin_cycle(&topo, 5);
         assert!(plane.dead.is_dead(0, OutputPort::East));
         assert_eq!(plane.links_dead, 1, "owner shard counts the death");
-        plane.begin_cycle(&topo, 6, Tick::new(120));
+        plane.begin_cycle(&topo, 6);
         assert_eq!(plane.links_dead, 1, "kill is applied once");
     }
 
@@ -869,33 +857,15 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut plane = FaultPlane::new(&cfg, &topo, 7, Tick::new(20), Tick::new(90), 0, 16);
-        let period = Tick::new(20);
-        let packet = Packet::new(
-            router::PacketId(1),
-            router::CoherenceClass::Request,
-            0,
-            1,
-            Tick::ZERO,
-            0,
-        );
         // Node 1's West feeder is node 0's East output.
-        let admission = plane.admit(
-            1,
-            InputPort::West,
-            packet,
-            VcId::adaptive(router::CoherenceClass::Request),
-            Tick::new(30),
-            Tick::new(100),
-            period,
-        );
+        let admission = plane.admit(1, InputPort::West, forward_east_from_0());
         assert!(matches!(admission, Admission::Held));
         assert_eq!(plane.queued_packets, 1);
         assert!(plane.flits_corrupted >= 1);
         // Fire retries until exhaustion (attempts 2, 3 fail => dead).
-        let key = (1u16, InputPort::West.index() as u8);
         let mut died = false;
         for n in 0..cfg.max_retries + 1 {
-            match plane.fire(key, Tick::new(1000 * (n as u64 + 1)), period) {
+            match plane.fire(1, InputPort::West, Tick::new(1000 * (n as u64 + 1))) {
                 Some(RetryOutcome::Backoff) => {}
                 Some(RetryOutcome::Exhausted { src, output }) => {
                     assert_eq!((src, output), (0, OutputPort::East));
@@ -914,8 +884,44 @@ mod tests {
         plane.kill_link(&topo, 0, OutputPort::East);
         assert_eq!(plane.links_dead, 1);
         assert!(plane.dead.is_dead(0, OutputPort::East));
-        // A stale timer for the dead link is a deterministic no-op.
-        assert!(plane.fire(key, Tick::new(99_000), period).is_none());
+    }
+
+    #[test]
+    fn killing_an_armed_link_disarms_its_timer() {
+        let topo = NetTopology::from(Torus::net_4x4());
+        let cfg = FaultConfig {
+            ber: 1.0,
+            ..FaultConfig::default()
+        };
+        let mut plane = FaultPlane::new(&cfg, &topo, 7, Tick::new(20), Tick::new(90), 0, 16);
+        let admission = plane.admit(1, InputPort::West, forward_east_from_0());
+        assert!(matches!(admission, Admission::Held));
+        assert_eq!(plane.armed(1), 1 << InputPort::West.index());
+        plane.kill_link(&topo, 0, OutputPort::East);
+        assert_eq!(plane.armed(1), 0, "the kill disarms the link");
+        assert_eq!((plane.queued_packets, plane.unreachable_drops), (0, 1));
+        assert!(plane.fire(1, InputPort::West, Tick::MAX).is_none());
+        assert_eq!(plane.retransmissions, 0, "a disarmed link draws nothing");
+    }
+
+    #[test]
+    fn a_refund_staged_inside_a_slot_waits_for_the_next_slot() {
+        let topo = NetTopology::from(Torus::net_4x4());
+        let cfg = FaultConfig {
+            dead_link_fraction: 0.25,
+            ..FaultConfig::default()
+        };
+        let mut plane = FaultPlane::new(&cfg, &topo, 3, Tick::new(20), Tick::new(90), 0, 16);
+        let vc = VcId::adaptive(router::CoherenceClass::Request);
+        assert_eq!(plane.begin_slot(1).count(), 0);
+        // Staged after router 1's slot opened (and one for router 2).
+        plane.drop_with_refund(1, InputPort::West, vc);
+        plane.drop_with_refund(2, InputPort::North, vc);
+        let next: Vec<_> = plane.begin_slot(1).map(|r| (r.input, r.vc)).collect();
+        assert_eq!(next, [(InputPort::West, vc)], "only router 1's refund");
+        assert_eq!(plane.begin_slot(1).count(), 0, "emitted exactly once");
+        assert_eq!(plane.begin_slot(2).count(), 1);
+        assert_eq!(plane.unreachable_drops, 2);
     }
 
     #[test]
@@ -932,28 +938,11 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut plane = FaultPlane::new(&cfg, &topo, 9, Tick::new(20), Tick::new(90), 0, 16);
-        let packet = Packet::new(
-            router::PacketId(1),
-            router::CoherenceClass::Request,
-            0,
-            1,
-            Tick::ZERO,
-            0,
-        );
-        let admission = plane.admit(
-            1,
-            InputPort::West,
-            packet,
-            VcId::adaptive(router::CoherenceClass::Request),
-            Tick::new(30),
-            Tick::new(100),
-            Tick::new(20),
-        );
+        let admission = plane.admit(1, InputPort::West, forward_east_from_0());
         assert!(matches!(admission, Admission::Deliver(_)));
         assert_eq!(plane.flits_corrupted, 0);
-        let st = plane
-            .links
-            .get(&(1, InputPort::West.index() as u8))
+        let st = plane.nodes[1].links[InputPort::West.index()]
+            .as_ref()
             .unwrap();
         let mut untouched = SimRng::from_seed(9 ^ CRC_STREAM).fork(OutputPort::East.index() as u64);
         assert_eq!(

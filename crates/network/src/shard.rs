@@ -456,11 +456,10 @@ impl<E: Endpoint> Shard<E> {
         records: &mut Vec<MeasureRecord>,
     ) {
         let now = env.now;
-        // 0. Fault-plane cycle boundary: scheduled kills, flap machine
-        // steps, due retry timers, staged refunds — all before any router
-        // steps, at every shard count.
+        // 0. Fault-plane cycle boundary: the scheduled kills due now,
+        // before any router's slot.
         if let Some(plane) = self.faults.as_mut() {
-            plane.begin_cycle(&env.topology, env.cycle, now);
+            plane.begin_cycle(&env.topology, env.cycle);
         }
         // 1. Routers.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -570,16 +569,17 @@ impl<E: Endpoint> Shard<E> {
         }
     }
 
-    /// The fault-plane slot of local router `i` in phase A: emit pending
-    /// credit refunds, then fire due retransmit timers. Runs before the
-    /// router's own step (and even when the step is idle-skipped), so
-    /// every event it emits holds a deterministic per-source position.
+    /// The fault-plane slot of local router `i` in phase A, which owns
+    /// the state of `i`'s inbound links: step their flap machines, emit
+    /// the credit refunds `i` owes, then fire `i`'s due retransmit timers
+    /// in entry-port order. Runs just before `i`'s own step (and even
+    /// when the step is idle-skipped), so every event it emits holds a
+    /// deterministic per-source position.
     fn fault_slot(&mut self, env: &CycleEnv, i: usize, emit: &mut impl FnMut(u16, ShardEvent)) {
         let now = env.now;
         let src = self.base + i as u16;
         let plane = self.faults.as_mut().expect("fault_slot requires a plane");
-        for r in plane.refunds_for(src) {
-            debug_assert_eq!(r.node, src);
+        for r in plane.begin_slot(src) {
             emit(
                 src,
                 ShardEvent::Router(RouterOutput::Credit {
@@ -589,11 +589,13 @@ impl<E: Endpoint> Shard<E> {
                 }),
             );
         }
-        while let Some(key) = plane.next_due(src) {
-            match plane.fire(key, now, env.core_period) {
+        let mut armed = plane.armed(src);
+        while armed != 0 {
+            let entry = InputPort::from_index(armed.trailing_zeros() as usize);
+            armed &= armed - 1;
+            match plane.fire(src, entry, now) {
                 None | Some(RetryOutcome::Backoff) => {}
                 Some(RetryOutcome::Deliver(tx)) => {
-                    let entry = InputPort::from_index(key.1 as usize);
                     match route_for(&env.topology, &plane.dead, src, &tx.packet) {
                         Some(route) => {
                             plane.record_retransmit_latency(now, tx.first_pin);
@@ -660,15 +662,7 @@ impl<E: Endpoint> Shard<E> {
                 let pin_time = o.first_flit + env.link_latency;
                 let local = (neighbor - self.base) as usize;
                 let packet = if let Some(plane) = self.faults.as_mut() {
-                    match plane.admit(
-                        neighbor,
-                        entry,
-                        o.packet,
-                        o.downstream_vc,
-                        o.flit_period,
-                        pin_time,
-                        env.core_period,
-                    ) {
+                    match plane.admit(neighbor, entry, o) {
                         Admission::Deliver(packet) => packet,
                         Admission::Held | Admission::Dropped => return,
                     }

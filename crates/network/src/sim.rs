@@ -747,8 +747,8 @@ impl<E: Endpoint> NetworkSim<E> {
     /// stepped, and an endpoint's `on_cycle` not called, before the tick
     /// it named as its next work ([`Router::next_work`],
     /// [`Endpoint::next_wake`]). The two modes produce bit-for-bit
-    /// identical results; disabling exists for equivalence testing and
-    /// engine benchmarking.
+    /// identical results; disabling exists for the equivalence suites and
+    /// the figures' bit-exactness probes, which run both modes.
     pub fn set_idle_skip(&mut self, enabled: bool) {
         for shard in &mut self.shards {
             shard.set_idle_skip(enabled);

@@ -7,7 +7,7 @@
 
 use crate::time::Tick;
 
-/// A free-running clock domain: rising edges at `phase + n * period`.
+/// A free-running clock domain: rising edges at `n * period`.
 ///
 /// # Example
 ///
@@ -22,21 +22,17 @@ use crate::time::Tick;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Clock {
     period: Tick,
-    phase: Tick,
 }
 
 impl Clock {
-    /// Creates a clock with the given period (in ticks) and zero phase.
+    /// Creates a clock with the given period (in ticks).
     ///
     /// # Panics
     ///
     /// Panics if `period` is zero.
     pub(crate) fn new(period: Tick) -> Self {
         assert!(period > Tick::ZERO, "clock period must be positive");
-        Clock {
-            period,
-            phase: Tick::ZERO,
-        }
+        Clock { period }
     }
 
     /// The 1.2 GHz 21364 core/router clock (20-tick period).
@@ -65,19 +61,16 @@ impl Clock {
         self.period
     }
 
-    /// Time of the `n`-th rising edge (edge 0 is at the phase offset).
+    /// Time of the `n`-th rising edge (edge 0 is at tick zero).
     #[inline]
     pub fn edge(&self, n: u64) -> Tick {
-        Tick::new(self.phase.as_ticks() + n * self.period.as_ticks())
+        Tick::new(n * self.period.as_ticks())
     }
 
     /// The first edge at or after `t`.
     #[inline]
     pub fn next_edge_at_or_after(&self, t: Tick) -> Tick {
-        let p = self.period.as_ticks();
-        let rel = t.as_ticks().saturating_sub(self.phase.as_ticks());
-        let n = rel.div_ceil(p);
-        self.edge(n)
+        self.edge(t.as_ticks().div_ceil(self.period.as_ticks()))
     }
 
     /// Duration of `n` whole cycles.

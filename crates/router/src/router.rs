@@ -35,6 +35,7 @@ use simcore::time::Cycles;
 use simcore::wheel::TimingWheel;
 use simcore::{SimRng, Tick};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// A packet being handed to a router, with its routing pre-computed.
 #[derive(Clone, Copy, Debug)]
@@ -161,6 +162,39 @@ enum Eligibility {
     },
 }
 
+/// The events that clear rows from the SPAA LA quiet memo: each can turn
+/// an empty pick of those rows into a nomination ([`Router::wake_rows`]).
+#[derive(Clone, Copy, Debug)]
+enum RowWake {
+    /// A credit refund on an output: the rows wired to it.
+    Refund,
+    /// An output joined the LA free mask: the rows wired to it.
+    OutputFreed,
+    /// A decoded arrival: its input's rows.
+    Arrival,
+    /// A grant left its queue, promoting the entry queued behind the
+    /// scan window into it: its input's rows.
+    Departure,
+    /// A nomination went back to `Waiting` (a GA loser or a cancelled
+    /// sibling): its input's rows.
+    Loser,
+}
+
+/// Per output: the rows the 21364 connection matrix wires to it. The
+/// matrix is fixed, so the transpose is built once and every router
+/// copies it (building it per router showed in set-up time).
+fn rows_of_output() -> [u16; NUM_OUTPUT_PORTS] {
+    static ROWS: OnceLock<[u16; NUM_OUTPUT_PORTS]> = OnceLock::new();
+    *ROWS.get_or_init(|| {
+        let conn = ConnectionMatrix::alpha_21364();
+        std::array::from_fn(|o| {
+            (0..NUM_ARBITER_ROWS)
+                .filter(|&row| conn.connected(row, o))
+                .fold(0u16, |rows, row| rows | 1 << row)
+        })
+    })
+}
+
 /// One read port's VC selection order, as recency stamps: the VC holding
 /// the smallest stamp is the least recently selected. Picking the oldest
 /// VC of a mask costs one pass over the mask's set bits, and selecting a
@@ -265,6 +299,26 @@ pub struct Router {
     pending_arrival_count: u32,
     /// Slots reserved by pending arrivals, per (input, vc).
     reserved: [[u16; NUM_VCS]; NUM_INPUT_PORTS],
+    /// SPAA LA row gate, one bit per read port: bits `2i` and `2i + 1`
+    /// are set exactly while input `i` holds a `Waiting` entry.
+    waiting_rows: u16,
+    /// Rows whose last LA pick found nothing, with nothing that pick
+    /// depends on changed since (the clearing rules: `wake_rows`).
+    la_quiet: u16,
+    /// The free-output mask of the previous SPAA LA phase.
+    la_free: u8,
+    /// Per output: the rows wired to it.
+    rows_of_output: [u16; NUM_OUTPUT_PORTS],
+    /// Test-only: the SPAA LA visits every row, the literal reference
+    /// the row gate is pinned against.
+    #[cfg(test)]
+    every_row_la: bool,
+    /// Test-only: per [`RowWake`], how often it cleared a quiet row.
+    #[cfg(test)]
+    wakes: [u64; 5],
+    /// Test-only: empty picks left unmemoised for a back-off.
+    #[cfg(test)]
+    deferred_picks: u64,
     /// SPAA nominations awaiting GA. Every nomination is decided the
     /// same fixed `ga_delay` after its LA cycle and `now` never goes
     /// back, so push order is decide order: a FIFO, drained from the
@@ -356,6 +410,16 @@ impl Router {
             house: TimingWheel::new(core_period, WHEEL_SLOTS),
             pending_arrival_count: 0,
             reserved: [[0; NUM_VCS]; NUM_INPUT_PORTS],
+            waiting_rows: 0,
+            la_quiet: 0,
+            la_free: 0,
+            rows_of_output: rows_of_output(),
+            #[cfg(test)]
+            every_row_la: false,
+            #[cfg(test)]
+            wakes: [0; 5],
+            #[cfg(test)]
+            deferred_picks: 0,
             ga_queue: VecDeque::new(),
             next_window: Tick::ZERO,
             antistarve,
@@ -416,6 +480,13 @@ impl Router {
         for port in &OutputPort::ALL[..4] {
             let _ = write!(s, " {}:{}", port, self.credits.port_total(*port));
         }
+        // A missed wake reads as waiting rows that stay quiet beside a
+        // free, credited output.
+        let _ = write!(
+            s,
+            "; la-quiet {:#06x} waiting-rows {:#06x}",
+            self.la_quiet, self.waiting_rows
+        );
         s
     }
 
@@ -576,6 +647,7 @@ impl Router {
                     not_before: Tick::ZERO,
                 },
             });
+            self.input_changed(input, RowWake::Arrival);
             self.active_entries += 1;
             self.stats.packets_in.bump();
         }
@@ -589,6 +661,7 @@ impl Router {
                 OutputPort::from_index(o as usize),
                 VcId::from_index(v as usize),
             );
+            self.wake_rows(self.rows_of_output[o as usize], RowWake::Refund);
         }
         // Releases are order-sensitive: the order slots return to the
         // free lists decides which slot the next arrival claims. Restore
@@ -635,6 +708,37 @@ impl Router {
     // ------------------------------------------------------------------
     // Shared arbitration helpers
     // ------------------------------------------------------------------
+
+    /// Re-derives input `input`'s two `waiting_rows` bits after a
+    /// transition of its buffer.
+    #[inline]
+    fn sync_waiting_rows(&mut self, input: usize) {
+        let rows = 0b11 << (2 * input);
+        if self.inputs[input].waiting_mask() != 0 {
+            self.waiting_rows |= rows;
+        } else {
+            self.waiting_rows &= !rows;
+        }
+    }
+
+    /// Drops `rows` from the quiet memo: `_why` may have given a pick of
+    /// theirs an entry to find.
+    #[inline]
+    fn wake_rows(&mut self, rows: u16, _why: RowWake) {
+        #[cfg(test)]
+        if self.la_quiet & rows != 0 {
+            self.wakes[_why as usize] += 1;
+        }
+        self.la_quiet &= !rows;
+    }
+
+    /// After a buffer transition of `input` that can add an eligible
+    /// in-window entry: refreshes its waiting rows and wakes both.
+    #[inline]
+    fn input_changed(&mut self, input: usize, why: RowWake) {
+        self.sync_waiting_rows(input);
+        self.wake_rows(0b11 << (2 * input), why);
+    }
 
     /// The request-tracking test at the heart of the LA prune: the VCs of
     /// `scannable` holding, among the `Waiting` entries an LA walk can
@@ -754,6 +858,7 @@ impl Router {
 
     /// Scans one read port's VCs (least-recently-selected first) for the
     /// oldest nominable entry, returning its id, output and downstream VC.
+    /// A row that finds nothing joins the quiet memo.
     fn pick_nomination(
         &mut self,
         row: usize,
@@ -764,6 +869,7 @@ impl Router {
         // every eligibility branch intersects `wired = row_mask & free`.
         let wired = self.conn.row_mask(row) as u8 & free;
         if wired == 0 {
+            self.la_quiet |= 1 << row;
             return None;
         }
         // Only `Waiting` entries can be nominated, and only a VC whose
@@ -775,23 +881,37 @@ impl Router {
         let live = self.live_vcs(buf, scannable, wired);
         debug_assert!(
             self.scan_for_nomination(row, now, wired, scannable & !live, None)
+                .0
                 .is_none(),
             "pruned VC holds a nominable entry"
         );
         if live == 0 {
+            self.la_quiet |= 1 << row;
             return None;
         }
         // Anti-starvation drain: old packets take priority, so scan for
         // them first; fall back to a normal scan when none can move.
         let drain_cutoff = self.antistarve.cutoff();
-        let mut found = None;
+        let (mut found, mut deferred) = (None, false);
         if drain_cutoff.is_some() {
-            found = self.scan_for_nomination(row, now, wired, live, drain_cutoff);
+            found = self
+                .scan_for_nomination(row, now, wired, live, drain_cutoff)
+                .0;
         }
         if found.is_none() {
-            found = self.scan_for_nomination(row, now, wired, live, None);
+            (found, deferred) = self.scan_for_nomination(row, now, wired, live, None);
         }
-        let (vc, id, elig) = found?;
+        let Some((vc, id, elig)) = found else {
+            // A walk that passed over a backed-off loser is not memoised:
+            // that entry becomes ready with time alone, which no clearing
+            // rule sees.
+            self.la_quiet |= u16::from(!deferred) << row;
+            #[cfg(test)]
+            {
+                self.deferred_picks += u64::from(deferred);
+            }
+            return None;
+        };
         let (out, vc_down) = self.choose_output(elig)?;
         // Selecting from a VC makes it most-recently selected.
         self.vc_lru[row].touch(vc);
@@ -802,7 +922,8 @@ impl Router {
     /// to the VCs of `vcs`, walking at most `scan_window` queued entries
     /// of each. With `only_older_than = Some(cutoff)`, only
     /// anti-starvation "old" entries qualify. Returns the entry's VC, its
-    /// id and its eligibility.
+    /// id and its eligibility, and whether the walk passed over a
+    /// `Waiting` entry not yet ready at `now`.
     ///
     /// The walk touches only the dense [`EntryMeta`] slab: readiness is
     /// one flag-and-tick test and eligibility a handful of mask ANDs
@@ -818,11 +939,12 @@ impl Router {
         wired: u8,
         mut vcs: u32,
         only_older_than: Option<Tick>,
-    ) -> Option<(usize, EntryId, Eligibility)> {
+    ) -> (Option<(usize, EntryId, Eligibility)>, bool) {
         let input = row / 2;
         let buf = &self.inputs[input];
         let metas = buf.metas();
         let lru = &self.vc_lru[row];
+        let mut deferred = false;
         while vcs != 0 {
             let v = lru.oldest(vcs);
             vcs &= !(1 << v);
@@ -832,6 +954,7 @@ impl Router {
                 let m = &metas[cur as usize];
                 scanned += 1;
                 if m.flags & META_WAITING == 0 || m.ready_at > now {
+                    deferred |= m.flags & META_WAITING != 0;
                     cur = m.next;
                     continue;
                 }
@@ -848,10 +971,10 @@ impl Router {
                     cur = m.next;
                     continue;
                 }
-                return Some((v, EntryId::new(cur, m.gen), elig));
+                return (Some((v, EntryId::new(cur, m.gen), elig)), deferred);
             }
         }
-        None
+        (None, deferred)
     }
 
     /// The eligibility test over the cached scan metadata: identical to
@@ -944,6 +1067,7 @@ impl Router {
         // tail.
         self.read_ports[row].busy_until = sched.done;
         self.inputs[input].begin_departure(id, sched.done);
+        self.input_changed(input, RowWake::Departure);
         self.active_entries -= 1;
         self.house
             .schedule(sched.done, HouseEvent::Release(input as u8, id));
@@ -1061,6 +1185,7 @@ impl Router {
                 self.stats.collisions.bump();
                 self.inputs[n.input as usize]
                     .set_waiting(n.entry, now + self.cfg.timing.core.period());
+                self.input_changed(n.input as usize, RowWake::Loser);
             }
         }
         self.scratch_due = due;
@@ -1082,42 +1207,97 @@ impl Router {
             let e = self.inputs[input].entry(id);
             if matches!(e.state, EntryState::Nominated { read_port, .. } if read_port == rp) {
                 self.inputs[input].set_waiting(id, now + self.cfg.timing.core.period());
+                self.input_changed(input, RowWake::Loser);
             }
         }
+    }
+
+    /// The rows the SPAA LA visits: those holding a `Waiting` entry and
+    /// not memoised quiet, in ascending order (the input-major order).
+    #[inline]
+    fn la_rows(&self) -> u16 {
+        #[cfg(test)]
+        if self.every_row_la {
+            return u16::MAX;
+        }
+        self.waiting_rows & !self.la_quiet
     }
 
     fn spaa_la_phase(&mut self, now: Tick) {
         let ga = now + self.ga_delay;
         let free = self.free_outputs_for_la(now);
+        // Losing a free output can only empty a pick; gaining one wakes
+        // the rows wired to it.
+        let mut freed = free & !self.la_free;
+        self.la_free = free;
+        let mut woken = 0u16;
+        while freed != 0 {
+            woken |= self.rows_of_output[freed.trailing_zeros() as usize];
+            freed &= freed - 1;
+        }
+        self.wake_rows(woken, RowWake::OutputFreed);
         if free == 0 {
             return;
         }
-        for input in 0..NUM_INPUT_PORTS {
-            // Only `Waiting` entries can be nominated: an input without
-            // one (the common case below saturation, where buffered
-            // packets are mostly awaiting GA) costs both rows one test.
-            if self.inputs[input].waiting_mask() == 0 {
+        #[cfg(debug_assertions)]
+        self.debug_check_row_gate(now, free);
+        let mut rows = self.la_rows();
+        while rows != 0 {
+            let row = rows.trailing_zeros() as usize;
+            rows &= rows - 1;
+            if !self.read_ports[row].can_arbitrate(now, self.lookahead, self.max_inflight) {
                 continue;
             }
-            for row in [2 * input, 2 * input + 1] {
-                if !self.read_ports[row].can_arbitrate(now, self.lookahead, self.max_inflight) {
-                    continue;
-                }
-                let Some((id, output, vc_down)) = self.pick_nomination(row, now, free) else {
-                    continue;
-                };
-                self.inputs[input].set_nominated(id, (row % 2) as u8, output as u8, ga);
-                self.read_ports[row].inflight.push(id);
-                self.stats.nominations.bump();
-                self.ga_queue.push_back(Nomination {
-                    row: row as u8,
-                    input: input as u8,
-                    entry: id,
-                    output: output as u8,
-                    downstream_vc: vc_down,
-                    decide_at: ga,
-                });
+            let Some((id, output, vc_down)) = self.pick_nomination(row, now, free) else {
+                continue;
+            };
+            let input = row / 2;
+            self.inputs[input].set_nominated(id, (row % 2) as u8, output as u8, ga);
+            self.sync_waiting_rows(input);
+            // The sibling row is skipped if that took the input's last
+            // waiting entry.
+            rows &= self.la_rows();
+            self.read_ports[row].inflight.push(id);
+            self.stats.nominations.bump();
+            self.ga_queue.push_back(Nomination {
+                row: row as u8,
+                input: input as u8,
+                entry: id,
+                output: output as u8,
+                downstream_vc: vc_down,
+                decide_at: ga,
+            });
+        }
+    }
+
+    /// The row gate's cross-check: `waiting_rows` matches the buffers,
+    /// and every quiet waiting row that can arbitrate still finds nothing
+    /// (the prune, then the walk, neither of which changes state).
+    #[cfg(debug_assertions)]
+    fn debug_check_row_gate(&self, now: Tick, free: u8) {
+        let derived = (0..NUM_INPUT_PORTS)
+            .filter(|&i| self.inputs[i].waiting_mask() != 0)
+            .fold(0u16, |rows, i| rows | 0b11 << (2 * i));
+        assert_eq!(
+            self.waiting_rows, derived,
+            "waiting_rows out of step with the buffers"
+        );
+        let mut quiet = self.waiting_rows & self.la_quiet;
+        while quiet != 0 {
+            let row = quiet.trailing_zeros() as usize;
+            quiet &= quiet - 1;
+            if !self.read_ports[row].can_arbitrate(now, self.lookahead, self.max_inflight) {
+                continue;
             }
+            let wired = self.conn.row_mask(row) as u8 & free;
+            let buf = &self.inputs[row / 2];
+            let live = self.live_vcs(buf, buf.waiting_mask(), wired);
+            assert!(
+                self.scan_for_nomination(row, now, wired, live, None)
+                    .0
+                    .is_none(),
+                "quiet row {row} holds a nominable entry"
+            );
         }
     }
 
@@ -1268,6 +1448,7 @@ impl Router {
             let live = self.live_vcs(buf, scannable, wired_union);
             debug_assert!(
                 self.scan_for_nomination(rows[0], now, wired_union, scannable & !live, None)
+                    .0
                     .is_none(),
                 "pruned VC holds an offerable entry"
             );
@@ -1600,5 +1781,120 @@ mod tests {
                 "{algorithm}: {drain_windows} drain windows of {windows}"
             );
         }
+    }
+
+    #[test]
+    fn la_gate_matches_the_every_row_la() {
+        // A saturated SPAA-rotary router: every torus input starts full on
+        // nine VCs and each released slot is refilled at once. Each forward
+        // is credited back when the downstream router frees its slot, 3 to
+        // 4,000 link clocks later, so credits run dry, entries fall back to
+        // escape hops and whole outputs stall until a refund. The gated LA
+        // must emit the same events and counters as the every-row LA at
+        // every step, and every clearing rule must have woken a quiet row.
+        use CoherenceClass as C;
+        let vcs = [
+            VcId::adaptive(C::Request),
+            VcId::adaptive(C::Forward),
+            VcId::adaptive(C::BlockResponse),
+            VcId::adaptive(C::NonBlockResponse),
+            VcId::escape(C::Request, EscapeVc::Vc0),
+            VcId::escape(C::Forward, EscapeVc::Vc1),
+            VcId::escape(C::ReadIo, EscapeVc::Vc0),
+            VcId::escape(C::WriteIo, EscapeVc::Vc1),
+            VcId::special(),
+        ];
+        let cfg = RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary);
+        let core = cfg.timing.core.period();
+        let mut gated = Router::new(0, cfg.clone(), SimRng::from_seed(3));
+        let mut every = Router::new(0, cfg, SimRng::from_seed(3));
+        every.every_row_la = true;
+        let mut rng = SimRng::from_seed(4);
+        let mut next_id = 0u64;
+        for input in InputPort::ALL.into_iter().filter(|p| p.is_network()) {
+            for &vc in &vcs {
+                for _ in 0..gated.free_space(input, vc) {
+                    let incoming = arrival(&mut rng, next_id, input, vc, Tick::ZERO);
+                    next_id += 1;
+                    gated.accept_packet(input, incoming);
+                    every.accept_packet(input, incoming);
+                }
+            }
+        }
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for cycle in 0..20_000u64 {
+            let now = Tick::new(cycle * core.as_ticks());
+            got.clear();
+            want.clear();
+            gated.step(now, &mut got);
+            every.step(now, &mut want);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "cycle {cycle}: events"
+            );
+            assert_eq!(
+                format!("{:?}", gated.stats()),
+                format!("{:?}", every.stats()),
+                "cycle {cycle}: stats"
+            );
+            for event in &got {
+                match *event {
+                    RouterOutput::Credit { input, vc, at } => {
+                        let incoming = arrival(&mut rng, next_id, input, vc, at);
+                        next_id += 1;
+                        gated.accept_packet(input, incoming);
+                        every.accept_packet(input, incoming);
+                    }
+                    RouterOutput::Forward(o) => {
+                        let back = o.last_flit_done + Tick::new(30 * (3 + rng.below(4_000) as u64));
+                        gated.accept_credit(o.output, o.downstream_vc, back);
+                        every.accept_credit(o.output, o.downstream_vc, back);
+                    }
+                    RouterOutput::Delivered { .. } => {}
+                }
+            }
+        }
+        assert!(
+            gated.stats().grants.get() > 5_000,
+            "the router moved traffic"
+        );
+        let rules = ["refund", "output freed", "arrival", "departure", "loser"];
+        for (rule, &n) in rules.iter().zip(&gated.wakes) {
+            assert!(n > 0, "{rule} never woke a row: {:?}", gated.wakes);
+        }
+        assert!(gated.deferred_picks > 0, "no back-off pick went unmemoised");
+    }
+
+    #[test]
+    fn diagnostics_show_the_row_gate() {
+        let cfg = RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary);
+        let core = cfg.timing.core.period();
+        let mut r = Router::new(0, cfg, SimRng::from_seed(5));
+        assert!(
+            r.diagnostics()
+                .ends_with("; la-quiet 0x0000 waiting-rows 0x0000"),
+            "{}",
+            r.diagnostics()
+        );
+        let mut rng = SimRng::from_seed(6);
+        let vc = VcId::adaptive(CoherenceClass::Request);
+        for id in 0..20 {
+            r.accept_packet(
+                InputPort::ALL[1],
+                arrival(&mut rng, id, InputPort::ALL[1], vc, Tick::ZERO),
+            );
+        }
+        let mut out = Vec::new();
+        for cycle in 0..40 {
+            r.step(Tick::new(cycle * core.as_ticks()), &mut out);
+        }
+        assert_eq!(
+            r.waiting_rows, 0b1100,
+            "input 1 still holds waiting entries"
+        );
+        let dump = r.diagnostics();
+        let field = format!("; la-quiet {:#06x} waiting-rows 0x000c", r.la_quiet);
+        assert!(dump.ends_with(&field), "{dump}");
     }
 }

@@ -21,6 +21,7 @@
 use alpha21364::prelude::*;
 use alpha21364::simcore::sweep::parallel_map;
 use std::fmt::Debug;
+use std::str::FromStr;
 use std::sync::OnceLock;
 
 pub const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/reports.txt");
@@ -214,6 +215,166 @@ impl Case {
         }
         label
     }
+}
+
+/// Parses a label back into its [`Case`]. Tokens, space-separated: the
+/// topology (`4x4`, `mesh4x4`, `fullmesh5`), the arbiter (an
+/// `ArbAlgorithm::ALL` name), `2x` for the doubled pipeline, the pattern
+/// (`hotspot[5,10]@0.25` names its hot set and fraction;
+/// `+burst=on/off` adds ON/OFF generation), then `rate=` and `seed=`,
+/// which are required, and the options `mshrs=N|open`, `threehop=`,
+/// `cycles=warmup+measure`, `window=`, `oracle`, `ber=`, `flap=up/down`,
+/// `kill=<node><Port>@<cycle>` (one per link), `dead=`, `retries=`,
+/// `backoff=` and `watchdog=`. What is left out is the paper workload
+/// over 400 + 1,600 cycles on the production router with no faults.
+///
+/// # Errors
+///
+/// Names the token that is unknown, repeated or does not parse, or the
+/// key that is missing.
+pub fn parse(label: &str) -> Result<Case, String> {
+    let mut tokens = label.split(' ');
+    let mut positional = |what: &str| tokens.next().ok_or(format!("no {what}"));
+    let token = positional("topology")?;
+    let topology = topology(token).ok_or(format!("unknown topology {token}"))?;
+    let token = positional("arbiter")?;
+    let algo = ArbAlgorithm::ALL
+        .into_iter()
+        .find(|a| a.to_string() == token)
+        .ok_or(format!("unknown arbiter {token}"))?;
+    let mut token = positional("pattern")?;
+    let scaled_2x = token == "2x";
+    if scaled_2x {
+        token = positional("pattern")?;
+    }
+    let (name, burst) = match token.split_once("+burst=") {
+        Some((name, burst)) => (name, Some(pair(token, burst, '/')?)),
+        None => (token, None),
+    };
+    let mut workload = WorkloadConfig::paper(pattern(token, name)?, 0.0);
+    workload.burst = burst.map(|(on, off)| BurstConfig::new(on, off));
+    let mut case = Case {
+        family: Family::Uniform,
+        topology,
+        algo,
+        scaled_2x,
+        scan_window: RouterConfig::alpha_21364(algo).scan_window,
+        oracle: false,
+        workload,
+        fault: FaultConfig::default(),
+        seed: 0,
+        warmup_cycles: 400,
+        measure_cycles: 1_600,
+    };
+    let mut seen = Vec::new();
+    for token in tokens {
+        let (key, value) = token.split_once('=').unwrap_or((token, ""));
+        if seen.contains(&key) && key != "kill" {
+            return Err(format!("repeated {key} in {token}"));
+        }
+        seen.push(key);
+        let (wl, f) = (&mut case.workload, &mut case.fault);
+        match key {
+            "rate" => wl.injection_rate = number(token, value)?,
+            "seed" => case.seed = number(token, value)?,
+            "mshrs" if value == "open" => wl.mshrs = u32::MAX,
+            "mshrs" => wl.mshrs = number(token, value)?,
+            "threehop" => wl.three_hop_fraction = number(token, value)?,
+            "cycles" => (case.warmup_cycles, case.measure_cycles) = pair(token, value, '+')?,
+            "window" => case.scan_window = number(token, value)?,
+            "oracle" if token == key => case.oracle = true,
+            "ber" => f.ber = number(token, value)?,
+            "flap" => {
+                let (up, down) = pair(token, value, '/')?;
+                f.flap = Some(LinkFlap::new(up, down));
+            }
+            "kill" => f.kill_links.push(kill(token, value)?),
+            "dead" => f.dead_link_fraction = number(token, value)?,
+            "retries" => f.max_retries = number(token, value)?,
+            "backoff" => f.backoff_base_cycles = number(token, value)?,
+            "watchdog" => f.watchdog_cycles = Some(number(token, value)?),
+            _ => return Err(format!("unknown token {token}")),
+        }
+    }
+    for required in ["rate", "seed"] {
+        if !seen.contains(&required) {
+            return Err(format!("no {required}="));
+        }
+    }
+    Ok(case)
+}
+
+/// `4x4` (a torus), `mesh4x4` or `fullmesh5`.
+fn topology(token: &str) -> Option<NetTopology> {
+    let dims = |wh: &str| -> Option<(u16, u16)> {
+        let (w, h) = wh.split_once('x')?;
+        Some((w.parse().ok()?, h.parse().ok()?))
+    };
+    Some(if let Some(nodes) = token.strip_prefix("fullmesh") {
+        FullMesh::new(nodes.parse().ok()?).into()
+    } else if let Some(wh) = token.strip_prefix("mesh") {
+        let (w, h) = dims(wh)?;
+        Mesh::new(w, h).into()
+    } else {
+        let (w, h) = dims(token)?;
+        Torus::new(w, h).into()
+    })
+}
+
+/// A pattern name, or `hotspot[<node>,...]@<fraction>`.
+fn pattern(token: &str, name: &str) -> Result<TrafficPattern, String> {
+    use TrafficPattern::*;
+    let unknown = || format!("unknown pattern {token}");
+    Ok(match name {
+        "uniform" => Uniform,
+        "bit-reversal" => BitReversal,
+        "perfect-shuffle" => PerfectShuffle,
+        "tornado" => Tornado,
+        _ => {
+            let hot = name.strip_prefix("hotspot[").ok_or_else(unknown)?;
+            let (nodes, fraction) = hot.split_once("]@").ok_or_else(unknown)?;
+            let nodes = nodes
+                .split(',')
+                .map(|n| number(token, n))
+                .collect::<Result<Vec<u16>, _>>()?;
+            Hotspot {
+                targets: HotspotTargets::new(&nodes),
+                fraction: number(token, fraction)?,
+            }
+        }
+    })
+}
+
+/// `<node><Port>@<cycle>`: the sender and its network output port.
+fn kill(token: &str, value: &str) -> Result<LinkKill, String> {
+    let (link, at) = value.split_once('@').ok_or(format!("no @ in {token}"))?;
+    let (node, port) = link.split_at(link.find(|c: char| c.is_ascii_alphabetic()).unwrap_or(0));
+    let port = match port {
+        "North" => OutputPort::North,
+        "South" => OutputPort::South,
+        "East" => OutputPort::East,
+        "West" => OutputPort::West,
+        _ => return Err(format!("unknown port {port} in {token}")),
+    };
+    Ok(LinkKill {
+        node: number(token, node)?,
+        port,
+        at_cycle: number(token, at)?,
+    })
+}
+
+/// Two numbers joined by `sep`.
+fn pair<T: FromStr>(token: &str, value: &str, sep: char) -> Result<(T, T), String> {
+    let (a, b) = value
+        .split_once(sep)
+        .ok_or(format!("no {sep} in {token}"))?;
+    Ok((number(token, a)?, number(token, b)?))
+}
+
+/// `text` as a number. Rust reads a float back from the shortest form it
+/// prints to the same bits, so a label reproduces its config exactly.
+fn number<T: FromStr>(token: &str, text: &str) -> Result<T, String> {
+    text.parse().map_err(|_| format!("unparsable {token}"))
 }
 
 /// The numbers in `value`'s `Debug` rendering, in order: the label's view

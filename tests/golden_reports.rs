@@ -105,3 +105,62 @@ fn every_row_is_checked_once_on_each_axis() {
         "the shard axis runs sharded engines"
     );
 }
+
+/// No simulation: every committed label parses back into its table row,
+/// field for field, floats by bits.
+#[test]
+fn labels_parse_back_to_their_rows() {
+    let text = std::fs::read_to_string(GOLDEN_PATH).unwrap();
+    let labels: Vec<&str> = text
+        .lines()
+        .map(|l| l.split(" | ").next().unwrap())
+        .collect();
+    assert_eq!(labels.len(), cases().len());
+    for (i, (label, want)) in labels.iter().zip(cases()).enumerate() {
+        let got = common::parse(label).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        let at = format!("line {}: {label}", i + 1);
+        assert_eq!(got.topology, want.topology, "{at}");
+        assert_eq!(got.algo, want.algo, "{at}");
+        assert_eq!(got.scaled_2x, want.scaled_2x, "{at}");
+        assert_eq!(got.scan_window, want.scan_window, "{at}");
+        assert_eq!(got.oracle, want.oracle, "{at}");
+        assert_eq!(got.seed, want.seed, "{at}");
+        assert_eq!(got.warmup_cycles, want.warmup_cycles, "{at}");
+        assert_eq!(got.measure_cycles, want.measure_cycles, "{at}");
+        let (g, w) = (&got.workload, &want.workload);
+        assert_eq!(g.pattern, w.pattern, "{at}");
+        if let (
+            alpha21364::prelude::TrafficPattern::Hotspot { fraction: a, .. },
+            alpha21364::prelude::TrafficPattern::Hotspot { fraction: b, .. },
+        ) = (g.pattern, w.pattern)
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "{at}");
+        }
+        assert_eq!(
+            g.injection_rate.to_bits(),
+            w.injection_rate.to_bits(),
+            "{at}"
+        );
+        assert_eq!(g.mshrs, w.mshrs, "{at}");
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(
+            bits(g.three_hop_fraction),
+            bits(w.three_hop_fraction),
+            "{at}"
+        );
+        assert_eq!(g.burst, w.burst, "{at}");
+        let (g, w) = (&got.fault, &want.fault);
+        assert_eq!(bits(g.ber), bits(w.ber), "{at}");
+        assert_eq!(g.flap, w.flap, "{at}");
+        assert_eq!(g.kill_links, w.kill_links, "{at}");
+        assert_eq!(
+            bits(g.dead_link_fraction),
+            bits(w.dead_link_fraction),
+            "{at}"
+        );
+        assert_eq!(g.max_retries, w.max_retries, "{at}");
+        assert_eq!(g.backoff_base_cycles, w.backoff_base_cycles, "{at}");
+        assert_eq!(g.watchdog_cycles, w.watchdog_cycles, "{at}");
+        assert_eq!(got.label(), *label, "{at}");
+    }
+}

@@ -417,7 +417,7 @@ mod tests {
         let x_axis = |d| matches!(d, OutputPort::East | OutputPort::West);
         for (w, h) in [(2, 2), (2, 3), (5, 3), (4, 4), (8, 8)] {
             for grid in [Torus::new(w, h), Mesh::new(w, h)] {
-                let label = NetTopology::from(grid).label();
+                let label = NetTopology::from(grid).to_string();
                 for src in 0..grid.nodes() {
                     for dest in 0..grid.nodes() {
                         let p = pkt(src, dest, CoherenceClass::Request);

@@ -304,18 +304,6 @@ impl NetTopology {
         }
     }
 
-    /// A compact shape label: `4x4` (torus, the historical spelling kept
-    /// stable for golden digests), `mesh4x4`, `fullmesh5`.
-    pub fn label(&self) -> String {
-        match self {
-            NetTopology::Grid(g) => {
-                let kind = if g.wrap() { "" } else { "mesh" };
-                format!("{kind}{}x{}", g.width(), g.height())
-            }
-            NetTopology::FullMesh(f) => format!("fullmesh{}", f.nodes()),
-        }
-    }
-
     /// The far end of the wire on network side `side` of `node`: the
     /// peer, and the side of the peer the same wire is on. Wires are
     /// two-way, so this is its own inverse — asking the answer the same
@@ -368,9 +356,17 @@ impl NetTopology {
     }
 }
 
+/// A compact shape label: `4x4` (torus, the historical spelling kept
+/// stable for golden digests), `mesh4x4`, `fullmesh5`.
 impl fmt::Display for NetTopology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        match self {
+            NetTopology::Grid(g) => {
+                let kind = if g.wrap() { "" } else { "mesh" };
+                write!(f, "{kind}{}x{}", g.width(), g.height())
+            }
+            NetTopology::FullMesh(m) => write!(f, "fullmesh{}", m.nodes()),
+        }
     }
 }
 
@@ -660,9 +656,9 @@ mod tests {
 
     #[test]
     fn net_topology_labels() {
-        assert_eq!(NetTopology::from(Torus::net_4x4()).label(), "4x4");
-        assert_eq!(NetTopology::from(Mesh::new(8, 8)).label(), "mesh8x8");
-        assert_eq!(NetTopology::from(FullMesh::new(5)).label(), "fullmesh5");
+        assert_eq!(NetTopology::from(Torus::net_4x4()).to_string(), "4x4");
+        assert_eq!(NetTopology::from(Mesh::new(8, 8)).to_string(), "mesh8x8");
+        assert_eq!(NetTopology::from(FullMesh::new(5)).to_string(), "fullmesh5");
         assert_eq!(NetTopology::from(Mesh::new(4, 4)).grid(), Some((4, 4)));
         assert_eq!(NetTopology::from(FullMesh::new(3)).grid(), None);
     }

@@ -88,7 +88,7 @@ fn wired_links(topo: &NetTopology) -> Vec<(u16, OutputPort)> {
 /// into the all-alive one.
 fn kill_mask(topo: &NetTopology) -> DeadLinks {
     let stream = topo
-        .label()
+        .to_string()
         .bytes()
         .fold(0u64, |h, b| h.wrapping_mul(131) + b as u64);
     let mut rng = SimRng::from_seed(SEED).fork(stream);

@@ -14,21 +14,17 @@ pub use workload;
 pub mod prelude {
     pub use arbitration::prelude::*;
     pub use network::{
-        ConfigError, DeadLinks, Endpoint, FaultConfig, FullMesh, Grid, InjectionOutcome, LinkFlap,
-        LinkKill, Mesh, NetTopology, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, ShardMap,
-        Torus, TxnCompletion,
+        ConfigError, Endpoint, FaultConfig, FullMesh, Grid, InjectionOutcome, LinkFlap, LinkKill,
+        Mesh, NetTopology, NetworkConfig, NetworkReport, NetworkSim, NodeCtx, Torus, TxnCompletion,
     };
     pub use router::{
-        ArbAlgorithm, BufferConfig, CoherenceClass, EscapeVc, IncomingPacket, Packet, RouteInfo,
-        Router, RouterConfig, RouterOutput, RouterTiming, VcId, WeightKind,
+        ArbAlgorithm, BufferConfig, CoherenceClass, Packet, Router, RouterConfig, RouterTiming,
     };
-    pub use simcore::{BnfCurve, BnfPoint, ReplicatedBnfCurve, ReplicatedBnfPoint, SimRng, Tick};
-    pub use standalone::{
-        find_mcm_saturation_load, run_standalone, AlgoKind, StandaloneConfig, StandaloneResult,
-    };
+    pub use simcore::{BnfCurve, SimRng, Tick};
+    pub use standalone::{find_mcm_saturation_load, run_standalone, AlgoKind, StandaloneConfig};
     pub use workload::{
-        build_endpoints, run_coherence_sim, BurstConfig, CoherenceEndpoint, EndpointStats,
-        HotspotTargets, TrafficPattern, TxnTag, WorkloadConfig,
+        build_endpoints, run_coherence_sim, BurstConfig, CoherenceEndpoint, HotspotTargets,
+        TrafficPattern, WorkloadConfig,
     };
 }
 

@@ -1,6 +1,6 @@
 //! Golden end-to-end reports: every row of the case table
-//! (`tests/common/mod.rs`) run at one worker with idle-skip on must
-//! reproduce its committed line in `tests/golden/reports.txt`.
+//! (`tests/golden/reports.txt`, read by `tests/common/mod.rs`) run at one
+//! worker with idle-skip on must reproduce its committed line.
 //!
 //! A line's `report=` field is `NetworkReport::digest`, over every field
 //! down to the raw `f64` bits and every histogram bucket, so any drift in
@@ -10,7 +10,7 @@
 //! byte-for-byte.
 //!
 //! Regenerate (only when intentionally changing simulation semantics, or
-//! after appending a row) with:
+//! after appending a label-only line) with:
 //!
 //! ```text
 //! GOLDEN_UPDATE=1 cargo test --test golden_reports
@@ -20,7 +20,7 @@ pub mod common;
 
 use alpha21364::simcore::sweep::parallel_map;
 use common::{
-    cases, check_rows, find, line, run, Axis, Case, Engine, GOLDEN_PATH, REFERENCE, ROTATION,
+    check_every_row, counters, parse, rows, run, Engine, GOLDEN_PATH, REFERENCE, ROTATION,
 };
 
 /// The MWM oracle is a pure observer: switching it on must change
@@ -28,17 +28,9 @@ use common::{
 /// into grants, and only accumulates two extra counters.
 #[test]
 fn oracle_observation_does_not_perturb_reports() {
-    let case = Case {
-        seed: 3,
-        ..find("4x4 iSLIP2 uniform rate=0.04 seed=1").clone()
-    };
-    let off = case.sim(1).run();
-    let on = Case {
-        oracle: true,
-        ..case
-    }
-    .sim(1)
-    .run();
+    let [off, on] = ["", " oracle"]
+        .map(|oracle| parse(&format!("4x4 iSLIP2 uniform rate=0.04 seed=3{oracle}")).unwrap());
+    let (off, on) = (off.sim(1).run(), on.sim(1).run());
     assert_eq!(off.delivered_packets, on.delivered_packets);
     assert_eq!(off.grants, on.grants);
     assert_eq!(off.collisions, on.collisions);
@@ -51,47 +43,26 @@ fn oracle_observation_does_not_perturb_reports() {
 #[test]
 fn reports_match_golden_digests() {
     if std::env::var("GOLDEN_UPDATE").as_deref() == Ok("1") {
-        let lines = parallel_map(0, cases().iter().collect(), |case| {
-            line(case, &run(case, REFERENCE).0)
+        let lines = parallel_map(0, rows().iter().collect(), |row| {
+            format!("{} | {}", row.label, counters(&run(&row.case, REFERENCE).0))
         });
         std::fs::write(GOLDEN_PATH, lines.join("\n") + "\n").expect("write golden digests");
         eprintln!("updated {GOLDEN_PATH}");
         return;
     }
-    check_rows((0..cases().len()).collect(), |_| REFERENCE);
+    check_every_row(|_| REFERENCE);
 }
 
-/// No simulation: in each equivalence binary every row is checked by
-/// exactly one test, and the shard rotation reaches every worker count,
-/// both idle-skip settings and inline stepping.
+/// No simulation: each equivalence binary checks every row, and the shard
+/// rotation reaches every worker count, both idle-skip settings and
+/// inline stepping.
 #[test]
 fn every_row_is_checked_once_on_each_axis() {
-    for (axis, source) in [
-        (Axis::Skip, include_str!("idle_skip_equivalence.rs")),
-        (Axis::Shard, include_str!("shard_equivalence.rs")),
+    for source in [
+        include_str!("idle_skip_equivalence.rs"),
+        include_str!("shard_equivalence.rs"),
     ] {
-        for case in cases() {
-            let test = axis.test(case.family);
-            let label = case.label();
-            let count = |needle: String| source.matches(&needle).count();
-            assert_eq!(
-                count(format!("fn {test}()")),
-                1,
-                "{axis:?}: {label}: no test {test}"
-            );
-            assert_eq!(
-                count(format!("check(\"{test}\")")),
-                1,
-                "{axis:?}: {label}: {test} must check its families exactly once"
-            );
-        }
-        for call in source.split("check(\"").skip(1) {
-            let test = &call[..call.find('"').unwrap()];
-            assert!(
-                cases().iter().any(|c| axis.test(c.family) == test),
-                "{axis:?}: {test} checks no row"
-            );
-        }
+        assert_eq!(source.matches("check_every_row(|").count(), 1);
     }
     for workers in [2, 3, 4, 5, 8, 16] {
         for idle_skip in [false, true] {
@@ -106,61 +77,47 @@ fn every_row_is_checked_once_on_each_axis() {
     );
 }
 
-/// No simulation: every committed label parses back into its table row,
-/// field for field, floats by bits.
+/// No simulation: a malformed label is refused, naming the token.
 #[test]
-fn labels_parse_back_to_their_rows() {
-    let text = std::fs::read_to_string(GOLDEN_PATH).unwrap();
-    let labels: Vec<&str> = text
-        .lines()
-        .map(|l| l.split(" | ").next().unwrap())
-        .collect();
-    assert_eq!(labels.len(), cases().len());
-    for (i, (label, want)) in labels.iter().zip(cases()).enumerate() {
-        let got = common::parse(label).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
-        let at = format!("line {}: {label}", i + 1);
-        assert_eq!(got.topology, want.topology, "{at}");
-        assert_eq!(got.algo, want.algo, "{at}");
-        assert_eq!(got.scaled_2x, want.scaled_2x, "{at}");
-        assert_eq!(got.scan_window, want.scan_window, "{at}");
-        assert_eq!(got.oracle, want.oracle, "{at}");
-        assert_eq!(got.seed, want.seed, "{at}");
-        assert_eq!(got.warmup_cycles, want.warmup_cycles, "{at}");
-        assert_eq!(got.measure_cycles, want.measure_cycles, "{at}");
-        let (g, w) = (&got.workload, &want.workload);
-        assert_eq!(g.pattern, w.pattern, "{at}");
-        if let (
-            alpha21364::prelude::TrafficPattern::Hotspot { fraction: a, .. },
-            alpha21364::prelude::TrafficPattern::Hotspot { fraction: b, .. },
-        ) = (g.pattern, w.pattern)
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "{at}");
-        }
-        assert_eq!(
-            g.injection_rate.to_bits(),
-            w.injection_rate.to_bits(),
-            "{at}"
-        );
-        assert_eq!(g.mshrs, w.mshrs, "{at}");
-        let bits = |x: f64| x.to_bits();
-        assert_eq!(
-            bits(g.three_hop_fraction),
-            bits(w.three_hop_fraction),
-            "{at}"
-        );
-        assert_eq!(g.burst, w.burst, "{at}");
-        let (g, w) = (&got.fault, &want.fault);
-        assert_eq!(bits(g.ber), bits(w.ber), "{at}");
-        assert_eq!(g.flap, w.flap, "{at}");
-        assert_eq!(g.kill_links, w.kill_links, "{at}");
-        assert_eq!(
-            bits(g.dead_link_fraction),
-            bits(w.dead_link_fraction),
-            "{at}"
-        );
-        assert_eq!(g.max_retries, w.max_retries, "{at}");
-        assert_eq!(g.backoff_base_cycles, w.backoff_base_cycles, "{at}");
-        assert_eq!(g.watchdog_cycles, w.watchdog_cycles, "{at}");
-        assert_eq!(got.label(), *label, "{at}");
+fn malformed_labels_are_refused_by_token() {
+    let row = "4x4 SPAA-rotary uniform rate=0.04 seed=1";
+    assert!(parse(row).is_ok());
+    for (label, error) in [
+        (format!("{row} speed=3"), "unknown token speed=3"),
+        (format!("{row} oracle=1"), "unknown token oracle=1"),
+        (format!("{row} seed=2"), "repeated seed in seed=2"),
+        ("4x4 SPAA-rotary uniform seed=1".into(), "no rate="),
+        ("4x4 SPAA-rotary uniform rate=0.04".into(), "no seed="),
+        (format!("{row} ber=0.o1"), "unparsable ber=0.o1"),
+        (format!("{row} cycles=600"), "no + in cycles=600"),
+        (
+            "4x4 SPAA-fast uniform rate=0.04 seed=1".into(),
+            "unknown arbiter SPAA-fast",
+        ),
+        (
+            "4y4 SPAA-rotary uniform rate=0.04 seed=1".into(),
+            "unknown topology 4y4",
+        ),
+        (
+            "4x4 SPAA-rotary zipf rate=0.04 seed=1".into(),
+            "unknown pattern zipf",
+        ),
+        (
+            format!("{row} kill=5Up@500"),
+            "unknown port Up in kill=5Up@500",
+        ),
+        ("4x4".into(), "no arbiter"),
+    ] {
+        assert_eq!(parse(&label).err().as_deref(), Some(error), "{label}");
+    }
+}
+
+/// No simulation: a label names one row, so `find` is never ambiguous.
+#[test]
+fn every_label_names_one_row() {
+    let mut labels: Vec<&str> = rows().iter().map(|row| row.label.as_str()).collect();
+    labels.sort_unstable();
+    for pair in labels.windows(2) {
+        assert_ne!(pair[0], pair[1], "two rows labelled {}", pair[0]);
     }
 }

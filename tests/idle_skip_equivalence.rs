@@ -1,13 +1,17 @@
 //! The idle-skip engine must be *bit-for-bit* equivalent to stepping every
 //! router on every core-clock edge.
 //!
-//! Every row of the case table (`tests/common/mod.rs`) runs here at one
-//! worker with idle-skip off and must reproduce the golden line that
+//! Every row of the case table (`tests/golden/reports.txt`) runs here at
+//! one worker with idle-skip off and must reproduce the golden line that
 //! `golden_reports` reproduces with idle-skip on — delivered counts, the
 //! latency statistics on raw f64 bits, every histogram bucket, every
 //! arbitration and fault counter. A mismatch reruns the row with skip on
-//! and names the first field that differs. Each test below checks the
-//! families `common::Axis::test` gives it; every row is checked once.
+//! and names the first field that differs. The rows span every arbiter
+//! at near-idle load (where skipping does the most), hotspot and bursty
+//! traffic (asymmetric and ON/OFF wake schedules), drain mode, mesh and
+//! full mesh, the oracle, the closed loop, the 2x pipeline (catch-up
+//! arithmetic off the 20-tick clock) and fault storms (a retransmit
+//! timer due while routers sleep).
 //!
 //! Endpoints sleep too (`Endpoint::next_wake`), and not everything an
 //! endpoint counts reaches the report, so the directed tests at the end
@@ -17,88 +21,14 @@
 pub mod common;
 
 use alpha21364::prelude::*;
-use common::{find, Axis, Case};
+use common::{check_every_row, find, parse, Case, Engine};
 
 #[test]
-fn idle_skip_is_bit_for_bit_equivalent() {
-    // Every arbiter at near-idle load (where skipping does the most), the
-    // headline and weighted arbiters from low load to saturation, the
-    // remaining kernels and ablations, and the 16x16 torus.
-    Axis::Skip.check("idle_skip_is_bit_for_bit_equivalent");
-}
-
-#[test]
-fn idle_skip_is_bit_for_bit_equivalent_under_hotspot_traffic() {
-    // Concentrated destinations change *which* routers idle: cold-corner
-    // routers sleep while the hot region churns, a very asymmetric wake
-    // schedule.
-    Axis::Skip.check("idle_skip_is_bit_for_bit_equivalent_under_hotspot_traffic");
-}
-
-#[test]
-fn idle_skip_is_bit_for_bit_equivalent_under_bursty_traffic() {
-    // ON/OFF phases swing routers between whole skippable OFF windows and
-    // 5x-rate bursts. The endpoint draws its ON exits cycle by cycle and
-    // its OFF exits ahead of the clock, sleeping to them with skip on;
-    // both must land on the same cycles.
-    Axis::Skip.check("idle_skip_is_bit_for_bit_equivalent_under_bursty_traffic");
-}
-
-#[test]
-fn idle_skip_equivalence_holds_under_combined_hotspot_bursty() {
-    // Both scenario axes at once, pushed to the saturation knee.
-    Axis::Skip.check("idle_skip_equivalence_holds_under_combined_hotspot_bursty");
-}
-
-#[test]
-fn idle_skip_equivalence_holds_after_drain_engagement() {
-    // Anti-starvation drain mode must park the router awake until it is
-    // released; every row here engages it.
-    Axis::Skip.check("idle_skip_equivalence_holds_after_drain_engagement");
-}
-
-#[test]
-fn idle_skip_equivalence_on_mesh_and_full_mesh() {
-    // Edge routers with unwired ports (mesh), and credits returning on
-    // entry ports that are not the geometric opposite (full mesh).
-    Axis::Skip.check("idle_skip_equivalence_on_mesh_and_full_mesh");
-}
-
-#[test]
-fn idle_skip_equivalence_holds_with_matching_weight_oracle() {
-    // The oracle observes the snapshots the kernels arbitrate on, so its
-    // counters must replay identically when idle windows are skipped.
-    Axis::Skip.check("idle_skip_equivalence_holds_with_matching_weight_oracle");
-}
-
-#[test]
-fn idle_skip_equivalence_for_closed_loop_drivers() {
-    // With an MSHR cap, generation depends on reply arrival times, so any
-    // divergence in delivery timing desynchronizes the RNG draw stream.
-    Axis::Skip.check("idle_skip_equivalence_for_closed_loop_drivers");
-}
-
-#[test]
-fn idle_skip_equivalence_for_closed_loop_three_hop_extremes() {
-    // All-two-hop and all-three-hop mixes drive different reply paths
-    // (home-direct vs owner-forwarded) through the wake bookkeeping.
-    Axis::Skip.check("idle_skip_equivalence_for_closed_loop_three_hop_extremes");
-}
-
-#[test]
-fn idle_skip_equivalence_on_scaled_pipeline() {
-    // The 2x pipeline halves the core period: catch-up arithmetic must not
-    // assume the 20-tick base clock.
-    Axis::Skip.check("idle_skip_equivalence_on_scaled_pipeline");
-}
-
-#[test]
-fn idle_skip_equivalence_under_fault_storms() {
-    // Retransmit timers park on the fault plane's wheel: skipping past a
-    // due retransmission would shift a CRC draw and every later fault
-    // event. Corruption, flaps, kills, dead links and retry exhaustion,
-    // loaded and at near-idle load, where routers sleep with a retry due.
-    Axis::Skip.check("idle_skip_equivalence_under_fault_storms");
+fn every_row_reproduces_with_idle_skip_off() {
+    check_every_row(|_| Engine::Fleet {
+        workers: 1,
+        idle_skip: false,
+    });
 }
 
 /// Everything an endpoint can tell: its statistics through the derived
@@ -145,6 +75,7 @@ fn near_idle() -> &'static Case {
 /// the drain took, and every node's [`endpoint_state`].
 fn run_scenario(
     case: &Case,
+    label: &str,
     drain: bool,
     workers: usize,
     idle_skip: bool,
@@ -160,11 +91,7 @@ fn run_scenario(
         while !(0..16).all(|n| sim.endpoint(n).is_idle()) {
             sim.step_cycle();
             drain_cycles += 1;
-            assert!(
-                drain_cycles < 60_000,
-                "{}: drain never finished",
-                case.label()
-            );
+            assert!(drain_cycles < 60_000, "{label}: drain never finished");
         }
         report = sim.report();
     }
@@ -174,79 +101,44 @@ fn run_scenario(
 
 #[test]
 fn endpoint_state_is_identical_per_node_with_and_without_idle_skip() {
-    let uniform = TrafficPattern::Uniform;
-    let hotspot = TrafficPattern::Hotspot {
-        targets: HotspotTargets::new(&[5, 10]),
-        fraction: 0.35,
-    };
-    let burst = BurstConfig::new(50.0, 200.0);
-    // Every output of node 5 dies mid-run: whatever it queues afterwards
-    // is refused at injection, request and response alike.
-    let severed = FaultConfig {
-        kill_links: [
-            OutputPort::East,
-            OutputPort::West,
-            OutputPort::North,
-            OutputPort::South,
-        ]
-        .into_iter()
-        .map(|port| LinkKill {
-            node: 5,
-            port,
-            at_cycle: 900,
-        })
-        .collect(),
-        ..FaultConfig::default()
-    };
-    let paper = WorkloadConfig::paper;
-    let burst_short = BurstConfig::new(30.0, 120.0);
-    // (name, workload, drain after the timed window)
+    // (scenario, drain after the timed window, an endpoint counter at
+    // zero that some node must move)
     let scenarios = [
-        ("smooth near-idle", paper(uniform, 0.002), true),
-        ("smooth loaded", paper(uniform, 0.05), false),
-        ("bursty", paper(uniform, 0.004).with_burst(burst), true),
-        ("hotspot", paper(hotspot, 0.01), false),
+        ("uniform rate=0.002", true, None),
+        ("uniform rate=0.05", false, None),
         (
-            "hotspot + bursty",
-            paper(hotspot, 0.02).with_burst(burst_short),
+            "uniform+burst=50.0/200.0 rate=0.004",
             true,
+            Some("burst_on_cycles: 0,"),
         ),
+        ("hotspot[5,10]@0.35 rate=0.01", false, None),
+        ("hotspot[5,10]@0.35+burst=30.0/120.0 rate=0.02", true, None),
         // Stall-heavy: one attempt in five finds the only MSHR busy.
+        ("uniform rate=0.2 mshrs=1", true, Some("mshr_stalls: 0,")),
+        // Every output of node 5 dies mid-run: whatever it queues
+        // afterwards is refused at injection, request and response alike.
         (
-            "1-MSHR closed loop",
-            WorkloadConfig::closed_loop(uniform, 0.2, 1),
-            true,
+            "uniform rate=0.02 kill=5East@900 kill=5West@900 kill=5North@900 kill=5South@900",
+            false,
+            Some("unreachable_drops: 0 "),
         ),
-        ("severed node", paper(uniform, 0.02), false),
     ];
-    for (name, workload, drain) in scenarios {
-        let fault = match name {
-            "severed node" => severed.clone(),
-            _ => FaultConfig::default(),
-        };
-        let case = Case {
-            workload,
-            fault,
-            seed: 0xe9d,
-            ..near_idle().clone()
-        };
-        let (report, drain_cycles, states) = run_scenario(&case, drain, 1, false);
+    for (scenario, drain, moved) in scenarios {
+        let label = format!("4x4 SPAA-rotary {scenario} seed=3741 cycles=600+2400");
+        let case = parse(&label).unwrap();
+        let (report, drain_cycles, states) = run_scenario(&case, &label, drain, 1, false);
         for workers in [1, 3] {
-            let label = format!("{name} workers={workers}");
-            let (r, d, s) = run_scenario(&case, drain, workers, true);
+            let label = format!("{label} workers={workers}");
+            let (r, d, s) = run_scenario(&case, &label, drain, workers, true);
             report.assert_bit_identical(&r, &label);
             assert_eq!(drain_cycles, d, "{label}: drain length");
             for (node, (off, on)) in states.iter().zip(&s).enumerate() {
                 assert_eq!(off, on, "{label}: node {node}");
             }
         }
-        // Each scenario must reach the counter it is here for.
-        let any = |needle: &str| states.iter().any(|s| !s.contains(needle));
-        match name {
-            "1-MSHR closed loop" => assert!(any("mshr_stalls: 0,"), "no stall: {states:?}"),
-            "severed node" => assert!(any("unreachable_drops: 0 "), "no drop: {states:?}"),
-            "bursty" => assert!(any("burst_on_cycles: 0,"), "never ON: {states:?}"),
-            _ => {}
+        if let Some(zero) = moved {
+            let any = states.iter().any(|s| !s.contains(zero));
+            assert!(any, "{label}: every node has {zero} {states:?}");
         }
         if drain {
             assert!(states

@@ -381,7 +381,125 @@ pub fn run(case: &Case, engine: Engine) -> (NetworkReport, u64) {
 
 /// Checks every row in parallel, row `i` on `engine(i)`.
 pub fn check_every_row(engine: impl Fn(usize) -> Engine + Sync) {
-    parallel_map(0, (0..rows().len()).collect(), |i| check(i, engine(i)));
+    check_rows((0..rows().len()).collect(), engine);
+}
+
+fn check_rows(indices: Vec<usize>, engine: impl Fn(usize) -> Engine + Sync) {
+    parallel_map(0, indices, |i| check(i, engine(i)));
+}
+
+/// An equivalence binary: the engine it runs each row on, and the test
+/// that checks each row there.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Axis {
+    /// `idle_skip_equivalence`: one worker, idle-skip off.
+    Skip,
+    /// `shard_equivalence`: the row's [`ROTATION`] engine.
+    Shard,
+}
+
+impl Axis {
+    fn engine(self, index: usize) -> Engine {
+        match self {
+            Axis::Skip => Engine::Fleet {
+                workers: 1,
+                idle_skip: false,
+            },
+            Axis::Shard => ROTATION[index % ROTATION.len()],
+        }
+    }
+
+    /// The test in this axis's binary that checks `case`, read off the
+    /// scenario: the first thing the row does that a test is named for.
+    pub fn test(self, case: &Case) -> &'static str {
+        let (wl, topology) = (&case.workload, case.topology);
+        let paper = WorkloadConfig::paper(TrafficPattern::Uniform, 0.0);
+        let hotspot = matches!(wl.pattern, TrafficPattern::Hotspot { .. });
+        let torus = topology
+            .grid()
+            .is_some_and(|(w, h)| topology == Torus::new(w, h).into());
+        let (skip, shard) = if case.fault.injection_enabled() {
+            (
+                "idle_skip_equivalence_under_fault_storms",
+                "sharded_engine_is_equivalent_under_fault_storms",
+            )
+        } else if wl.mshrs == u32::MAX {
+            (
+                "idle_skip_equivalence_holds_after_drain_engagement",
+                "sharded_engine_is_equivalent_under_saturation_drain",
+            )
+        } else if case.oracle {
+            (
+                "idle_skip_equivalence_holds_with_matching_weight_oracle",
+                "sharded_engine_is_equivalent_with_matching_weight_oracle",
+            )
+        } else if case.scaled_2x {
+            (
+                "idle_skip_equivalence_on_scaled_pipeline",
+                "sharded_engine_is_bit_for_bit_equivalent_across_worker_counts",
+            )
+        } else if wl.three_hop_fraction != paper.three_hop_fraction {
+            (
+                "idle_skip_equivalence_for_closed_loop_three_hop_extremes",
+                "sharded_engine_is_equivalent_for_closed_loop_three_hop_on_8x8",
+            )
+        } else if wl.mshrs < paper.mshrs || wl.injection_rate >= 0.2 {
+            // Fewer MSHRs than the paper's, or a rate that outruns them.
+            (
+                "idle_skip_equivalence_for_closed_loop_drivers",
+                "sharded_engine_is_equivalent_for_closed_loop_drivers",
+            )
+        } else if !torus {
+            (
+                "idle_skip_equivalence_on_mesh_and_full_mesh",
+                "sharded_engine_is_equivalent_on_mesh_and_full_mesh",
+            )
+        } else if topology == Torus::net_16x16().into() {
+            (
+                "idle_skip_is_bit_for_bit_equivalent",
+                "sharded_engine_is_equivalent_on_a_larger_torus",
+            )
+        } else if hotspot && wl.burst.is_some() {
+            (
+                "idle_skip_equivalence_holds_under_combined_hotspot_bursty",
+                "sharded_engine_is_equivalent_under_hotspot_and_bursty_traffic",
+            )
+        } else if hotspot {
+            (
+                "idle_skip_is_bit_for_bit_equivalent_under_hotspot_traffic",
+                "sharded_engine_is_equivalent_under_hotspot_and_bursty_traffic",
+            )
+        } else if wl.burst.is_some() {
+            (
+                "idle_skip_is_bit_for_bit_equivalent_under_bursty_traffic",
+                "sharded_engine_is_equivalent_under_hotspot_and_bursty_traffic",
+            )
+        } else if wl.injection_rate <= 0.002 {
+            (
+                "idle_skip_is_bit_for_bit_equivalent",
+                "sharded_engine_is_equivalent_with_idle_skip_off",
+            )
+        } else {
+            (
+                "idle_skip_is_bit_for_bit_equivalent",
+                "sharded_engine_is_bit_for_bit_equivalent_across_worker_counts",
+            )
+        };
+        match self {
+            Axis::Skip => skip,
+            Axis::Shard => shard,
+        }
+    }
+
+    /// Checks, rows in parallel, every row that [`Axis::test`] gives to
+    /// `test` on this axis.
+    pub fn check(self, test: &str) {
+        let indices: Vec<usize> = (0..rows().len())
+            .filter(|&i| self.test(&rows()[i].case) == test)
+            .collect();
+        assert!(!indices.is_empty(), "{self:?}: {test} checks no row");
+        check_rows(indices, |i| self.engine(i));
+    }
 }
 
 /// Runs row `index` on `engine` and compares its counters with the

@@ -20,7 +20,7 @@ pub mod common;
 
 use alpha21364::simcore::sweep::parallel_map;
 use common::{
-    check_every_row, counters, parse, rows, run, Engine, GOLDEN_PATH, REFERENCE, ROTATION,
+    check_every_row, counters, parse, rows, run, Axis, Engine, GOLDEN_PATH, REFERENCE, ROTATION,
 };
 
 /// The MWM oracle is a pure observer: switching it on must change
@@ -53,16 +53,36 @@ fn reports_match_golden_digests() {
     check_every_row(|_| REFERENCE);
 }
 
-/// No simulation: each equivalence binary checks every row, and the shard
-/// rotation reaches every worker count, both idle-skip settings and
-/// inline stepping.
+/// No simulation: in each equivalence binary every row is checked by
+/// exactly one test, and the shard rotation reaches every worker count,
+/// both idle-skip settings and inline stepping.
 #[test]
 fn every_row_is_checked_once_on_each_axis() {
-    for source in [
-        include_str!("idle_skip_equivalence.rs"),
-        include_str!("shard_equivalence.rs"),
+    for (axis, source) in [
+        (Axis::Skip, include_str!("idle_skip_equivalence.rs")),
+        (Axis::Shard, include_str!("shard_equivalence.rs")),
     ] {
-        assert_eq!(source.matches("check_every_row(|").count(), 1);
+        for row in rows() {
+            let (test, label) = (axis.test(&row.case), &row.label);
+            let count = |needle: String| source.matches(&needle).count();
+            assert_eq!(
+                count(format!("fn {test}()")),
+                1,
+                "{axis:?}: {label}: no test {test}"
+            );
+            assert_eq!(
+                count(format!("check(\"{test}\")")),
+                1,
+                "{axis:?}: {label}: {test} must check its rows exactly once"
+            );
+        }
+        for call in source.split("check(\"").skip(1) {
+            let test = &call[..call.find('"').unwrap()];
+            assert!(
+                rows().iter().any(|row| axis.test(&row.case) == test),
+                "{axis:?}: {test} checks no row"
+            );
+        }
     }
     for workers in [2, 3, 4, 5, 8, 16] {
         for idle_skip in [false, true] {

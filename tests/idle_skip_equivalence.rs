@@ -6,12 +6,9 @@
 //! `golden_reports` reproduces with idle-skip on — delivered counts, the
 //! latency statistics on raw f64 bits, every histogram bucket, every
 //! arbitration and fault counter. A mismatch reruns the row with skip on
-//! and names the first field that differs. The rows span every arbiter
-//! at near-idle load (where skipping does the most), hotspot and bursty
-//! traffic (asymmetric and ON/OFF wake schedules), drain mode, mesh and
-//! full mesh, the oracle, the closed loop, the 2x pipeline (catch-up
-//! arithmetic off the 20-tick clock) and fault storms (a retransmit
-//! timer due while routers sleep).
+//! and names the first field that differs. Each test below checks the
+//! rows `common::Axis::test` reads off their scenario as its own; every
+//! row is checked once.
 //!
 //! Endpoints sleep too (`Endpoint::next_wake`), and not everything an
 //! endpoint counts reaches the report, so the directed tests at the end
@@ -21,14 +18,89 @@
 pub mod common;
 
 use alpha21364::prelude::*;
-use common::{check_every_row, find, parse, Case, Engine};
+use common::{find, parse, Axis, Case};
 
 #[test]
-fn every_row_reproduces_with_idle_skip_off() {
-    check_every_row(|_| Engine::Fleet {
-        workers: 1,
-        idle_skip: false,
-    });
+fn idle_skip_is_bit_for_bit_equivalent() {
+    // Every arbiter at near-idle load (where skipping does the most), the
+    // headline and weighted arbiters from low load to saturation, the
+    // remaining kernels and ablations, and the 16x16 torus.
+    Axis::Skip.check("idle_skip_is_bit_for_bit_equivalent");
+}
+
+#[test]
+fn idle_skip_is_bit_for_bit_equivalent_under_hotspot_traffic() {
+    // Concentrated destinations change *which* routers idle: cold-corner
+    // routers sleep while the hot region churns, a very asymmetric wake
+    // schedule.
+    Axis::Skip.check("idle_skip_is_bit_for_bit_equivalent_under_hotspot_traffic");
+}
+
+#[test]
+fn idle_skip_is_bit_for_bit_equivalent_under_bursty_traffic() {
+    // ON/OFF phases swing routers between whole skippable OFF windows and
+    // 5x-rate bursts. The endpoint draws its ON exits cycle by cycle and
+    // its OFF exits ahead of the clock, sleeping to them with skip on;
+    // both must land on the same cycles.
+    Axis::Skip.check("idle_skip_is_bit_for_bit_equivalent_under_bursty_traffic");
+}
+
+#[test]
+fn idle_skip_equivalence_holds_under_combined_hotspot_bursty() {
+    // Both scenario axes at once, pushed to the saturation knee.
+    Axis::Skip.check("idle_skip_equivalence_holds_under_combined_hotspot_bursty");
+}
+
+#[test]
+fn idle_skip_equivalence_holds_after_drain_engagement() {
+    // Anti-starvation drain mode must park the router awake until it is
+    // released; every open-loop row engages it.
+    Axis::Skip.check("idle_skip_equivalence_holds_after_drain_engagement");
+}
+
+#[test]
+fn idle_skip_equivalence_on_mesh_and_full_mesh() {
+    // Edge routers with unwired ports (mesh), and credits returning on
+    // entry ports that are not the geometric opposite (full mesh).
+    Axis::Skip.check("idle_skip_equivalence_on_mesh_and_full_mesh");
+}
+
+#[test]
+fn idle_skip_equivalence_holds_with_matching_weight_oracle() {
+    // The oracle observes the snapshots the kernels arbitrate on, so its
+    // counters must replay identically when idle windows are skipped.
+    Axis::Skip.check("idle_skip_equivalence_holds_with_matching_weight_oracle");
+}
+
+#[test]
+fn idle_skip_equivalence_for_closed_loop_drivers() {
+    // With the MSHRs throttling generation, it depends on reply arrival
+    // times, so any divergence in delivery timing desynchronizes the RNG
+    // draw stream.
+    Axis::Skip.check("idle_skip_equivalence_for_closed_loop_drivers");
+}
+
+#[test]
+fn idle_skip_equivalence_for_closed_loop_three_hop_extremes() {
+    // All-two-hop and all-three-hop mixes drive different reply paths
+    // (home-direct vs owner-forwarded) through the wake bookkeeping.
+    Axis::Skip.check("idle_skip_equivalence_for_closed_loop_three_hop_extremes");
+}
+
+#[test]
+fn idle_skip_equivalence_on_scaled_pipeline() {
+    // The 2x pipeline halves the core period: catch-up arithmetic must not
+    // assume the 20-tick base clock.
+    Axis::Skip.check("idle_skip_equivalence_on_scaled_pipeline");
+}
+
+#[test]
+fn idle_skip_equivalence_under_fault_storms() {
+    // Retransmit timers park on the fault plane's wheel: skipping past a
+    // due retransmission would shift a CRC draw and every later fault
+    // event. Corruption, flaps, kills, dead links and retry exhaustion,
+    // loaded and at near-idle load, where routers sleep with a retry due.
+    Axis::Skip.check("idle_skip_equivalence_under_fault_storms");
 }
 
 /// Everything an endpoint can tell: its statistics through the derived

@@ -162,13 +162,14 @@ enum Eligibility {
     },
 }
 
-/// The events that clear rows from the SPAA LA quiet memo: each can turn
-/// an empty pick of those rows into a nomination ([`Router::wake_rows`]).
+/// The events that clear rows from the row gate's quiet memo: each can
+/// turn an empty walk of those rows into a find ([`Router::wake_rows`]).
 #[derive(Clone, Copy, Debug)]
 enum RowWake {
     /// A credit refund on an output: the rows wired to it.
     Refund,
-    /// An output joined the LA free mask: the rows wired to it.
+    /// An output is free that was not at the previous arbitration: the
+    /// rows wired to it.
     OutputFreed,
     /// A decoded arrival: its input's rows.
     Arrival,
@@ -299,20 +300,20 @@ pub struct Router {
     pending_arrival_count: u32,
     /// Slots reserved by pending arrivals, per (input, vc).
     reserved: [[u16; NUM_VCS]; NUM_INPUT_PORTS],
-    /// SPAA LA row gate, one bit per read port: bits `2i` and `2i + 1`
-    /// are set exactly while input `i` holds a `Waiting` entry.
+    /// The row gate, one bit per read port: bits `2i` and `2i + 1` are
+    /// set exactly while input `i` holds a `Waiting` entry.
     waiting_rows: u16,
-    /// Rows whose last LA pick found nothing, with nothing that pick
-    /// depends on changed since (the clearing rules: `wake_rows`).
-    la_quiet: u16,
-    /// The free-output mask of the previous SPAA LA phase.
-    la_free: u8,
+    /// Rows whose last walk found nothing, with nothing that walk depends
+    /// on changed since (the clearing rules: `wake_rows`).
+    quiet_rows: u16,
+    /// The free-output mask of the previous arbitration.
+    last_free: u8,
     /// Per output: the rows wired to it.
     rows_of_output: [u16; NUM_OUTPUT_PORTS],
-    /// Test-only: the SPAA LA visits every row, the literal reference
+    /// Test-only: both drivers visit every row, the literal reference
     /// the row gate is pinned against.
     #[cfg(test)]
-    every_row_la: bool,
+    every_row: bool,
     /// Test-only: per [`RowWake`], how often it cleared a quiet row.
     #[cfg(test)]
     wakes: [u64; 5],
@@ -341,8 +342,6 @@ pub struct Router {
     scratch_releases: Vec<(Tick, (u8, EntryId))>,
     /// Windowed driver: (input, entry) pairs dispatched this window.
     scratch_dispatched: Vec<(usize, EntryId)>,
-    /// Windowed driver: per-input collected ready-entry slots.
-    scratch_collect: Vec<u32>,
     /// Windowed driver: the per-window offer table and the kernel input
     /// it builds, reset in place (its weight plane is present exactly
     /// when `weight_kind` is); `None` for the SPAA family.
@@ -411,11 +410,11 @@ impl Router {
             pending_arrival_count: 0,
             reserved: [[0; NUM_VCS]; NUM_INPUT_PORTS],
             waiting_rows: 0,
-            la_quiet: 0,
-            la_free: 0,
+            quiet_rows: 0,
+            last_free: 0,
             rows_of_output: rows_of_output(),
             #[cfg(test)]
-            every_row_la: false,
+            every_row: false,
             #[cfg(test)]
             wakes: [0; 5],
             #[cfg(test)]
@@ -429,7 +428,6 @@ impl Router {
             scratch_house: Vec::new(),
             scratch_releases: Vec::new(),
             scratch_dispatched: Vec::new(),
-            scratch_collect: Vec::new(),
             win_snapshot,
         }
     }
@@ -484,8 +482,8 @@ impl Router {
         // free, credited output.
         let _ = write!(
             s,
-            "; la-quiet {:#06x} waiting-rows {:#06x}",
-            self.la_quiet, self.waiting_rows
+            "; quiet-rows {:#06x} waiting-rows {:#06x}",
+            self.quiet_rows, self.waiting_rows
         );
         s
     }
@@ -726,10 +724,10 @@ impl Router {
     #[inline]
     fn wake_rows(&mut self, rows: u16, _why: RowWake) {
         #[cfg(test)]
-        if self.la_quiet & rows != 0 {
+        if self.quiet_rows & rows != 0 {
             self.wakes[_why as usize] += 1;
         }
-        self.la_quiet &= !rows;
+        self.quiet_rows &= !rows;
     }
 
     /// After a buffer transition of `input` that can add an eligible
@@ -856,56 +854,33 @@ impl Router {
         }
     }
 
-    /// Scans one read port's VCs (least-recently-selected first) for the
+    /// Walks one read port's VCs (least-recently-selected first) for the
     /// oldest nominable entry, returning its id, output and downstream VC.
-    /// A row that finds nothing joins the quiet memo.
+    /// Anti-starvation drain: old packets take priority, so a drain walks
+    /// for them first and falls back to a normal walk when none can move.
+    /// A row whose normal walk finds nothing joins the quiet memo.
     fn pick_nomination(
         &mut self,
         row: usize,
         now: Tick,
         free: u8,
     ) -> Option<(EntryId, usize, Option<VcId>)> {
-        // A row whose wired outputs are all busy can nominate nothing:
-        // every eligibility branch intersects `wired = row_mask & free`.
         let wired = self.conn.row_mask(row) as u8 & free;
-        if wired == 0 {
-            self.la_quiet |= 1 << row;
-            return None;
-        }
-        // Only `Waiting` entries can be nominated, and only a VC whose
-        // window requests a wired, free, credited output can yield one —
-        // both incrementally maintained, so a blocked read port costs a
-        // few mask tests and never touches the LRU order or a queue.
-        let buf = &self.inputs[row / 2];
-        let scannable = buf.waiting_mask();
-        let live = self.live_vcs(buf, scannable, wired);
-        debug_assert!(
-            self.scan_for_nomination(row, now, wired, scannable & !live, None)
-                .0
-                .is_none(),
-            "pruned VC holds a nominable entry"
-        );
-        if live == 0 {
-            self.la_quiet |= 1 << row;
-            return None;
-        }
-        // Anti-starvation drain: old packets take priority, so scan for
-        // them first; fall back to a normal scan when none can move.
-        let drain_cutoff = self.antistarve.cutoff();
         let (mut found, mut deferred) = (None, false);
-        if drain_cutoff.is_some() {
-            found = self
-                .scan_for_nomination(row, now, wired, live, drain_cutoff)
-                .0;
-        }
-        if found.is_none() {
-            (found, deferred) = self.scan_for_nomination(row, now, wired, live, None);
+        for cutoff in self.antistarve.cutoff().map(Some).into_iter().chain([None]) {
+            deferred = self.walk_row(row, now, wired, cutoff, |vc, id, elig| {
+                found = Some((vc, id, elig));
+                true
+            });
+            if found.is_some() {
+                break;
+            }
         }
         let Some((vc, id, elig)) = found else {
             // A walk that passed over a backed-off loser is not memoised:
             // that entry becomes ready with time alone, which no clearing
             // rule sees.
-            self.la_quiet |= u16::from(!deferred) << row;
+            self.quiet_rows |= u16::from(!deferred) << row;
             #[cfg(test)]
             {
                 self.deferred_picks += u64::from(deferred);
@@ -918,12 +893,15 @@ impl Router {
         Some((id, out, vc_down))
     }
 
-    /// One LA scan pass over a read port's VCs in LRU order, restricted
-    /// to the VCs of `vcs`, walking at most `scan_window` queued entries
-    /// of each. With `only_older_than = Some(cutoff)`, only
-    /// anti-starvation "old" entries qualify. Returns the entry's VC, its
-    /// id and its eligibility, and whether the walk passed over a
-    /// `Waiting` entry not yet ready at `now`.
+    /// The one walk over a read port's candidates, shared by SPAA's LA
+    /// pick and the window fill: the live VCs (the [`Router::live_vcs`]
+    /// prune against `wired`) in the row's LRU order, at most
+    /// `scan_window` queued entries of each. Every ready `Waiting` entry
+    /// with a non-empty eligibility against `wired` — with
+    /// `only_older_than = Some(cutoff)`, only anti-starvation "old" ones —
+    /// goes to `stop` as (VC, id, eligibility), and the walk ends when
+    /// `stop` returns true. Returns whether it passed over a `Waiting`
+    /// entry not yet ready at `now`.
     ///
     /// The walk touches only the dense [`EntryMeta`] slab: readiness is
     /// one flag-and-tick test and eligibility a handful of mask ANDs
@@ -931,50 +909,60 @@ impl Router {
     /// masks; the fat [`Entry`] payload is loaded only on the rare
     /// anti-starvation age check. The result is bit-identical to the
     /// payload-walking scan it replaces ([`InputBuffer::debug_validate`]
-    /// proves `metadata ≡ entries`).
-    fn scan_for_nomination(
+    /// proves `metadata ≡ entries`). Debug builds also walk the VCs the
+    /// prune rejected, in the same order up to the stop, asserting that
+    /// none holds an eligible entry.
+    fn walk_row(
         &self,
         row: usize,
         now: Tick,
         wired: u8,
-        mut vcs: u32,
         only_older_than: Option<Tick>,
-    ) -> (Option<(usize, EntryId, Eligibility)>, bool) {
-        let input = row / 2;
-        let buf = &self.inputs[input];
+        mut stop: impl FnMut(usize, EntryId, Eligibility) -> bool,
+    ) -> bool {
+        let buf = &self.inputs[row / 2];
+        let waiting = buf.waiting_mask();
+        let live = self.live_vcs(buf, waiting, wired);
         let metas = buf.metas();
         let lru = &self.vc_lru[row];
+        let mut vcs = if cfg!(debug_assertions) {
+            waiting
+        } else {
+            live
+        };
         let mut deferred = false;
         while vcs != 0 {
             let v = lru.oldest(vcs);
             vcs &= !(1 << v);
+            let pruned = cfg!(debug_assertions) && live & 1 << v == 0;
             let mut cur = buf.queue_head(VcId::from_index(v));
             let mut scanned = 0;
             while cur != NIL_INDEX && scanned < self.cfg.scan_window {
                 let m = &metas[cur as usize];
+                let idx = cur;
+                cur = m.next;
                 scanned += 1;
                 if m.flags & META_WAITING == 0 || m.ready_at > now {
-                    deferred |= m.flags & META_WAITING != 0;
-                    cur = m.next;
+                    deferred |= m.flags & META_WAITING != 0 && !pruned;
                     continue;
                 }
-                if let Some(cutoff) = only_older_than {
-                    if buf.entry_eligible_at(cur) > cutoff {
-                        cur = m.next;
-                        continue;
-                    }
+                if only_older_than.is_some_and(|cutoff| buf.entry_eligible_at(idx) > cutoff) {
+                    continue;
                 }
                 let elig = self.eligibility_meta(m, wired);
-                if matches!(elig, Eligibility::None)
-                    || matches!(elig, Eligibility::Local { outputs: 0 })
-                {
-                    cur = m.next;
+                if matches!(elig, Eligibility::None | Eligibility::Local { outputs: 0 }) {
                     continue;
                 }
-                return (Some((v, EntryId::new(cur, m.gen), elig)), deferred);
+                debug_assert!(
+                    !pruned,
+                    "pruned VC {v} of row {row} holds an eligible entry"
+                );
+                if stop(v, EntryId::new(idx, m.gen), elig) {
+                    return deferred;
+                }
             }
         }
-        (None, deferred)
+        deferred
     }
 
     /// The eligibility test over the cached scan metadata: identical to
@@ -1212,36 +1200,44 @@ impl Router {
         }
     }
 
-    /// The rows the SPAA LA visits: those holding a `Waiting` entry and
+    /// The rows both drivers visit: those holding a `Waiting` entry and
     /// not memoised quiet, in ascending order (the input-major order).
     #[inline]
-    fn la_rows(&self) -> u16 {
+    fn gate_rows(&self) -> u16 {
         #[cfg(test)]
-        if self.every_row_la {
+        if self.every_row {
             return u16::MAX;
         }
-        self.waiting_rows & !self.la_quiet
+        self.waiting_rows & !self.quiet_rows
     }
 
-    fn spaa_la_phase(&mut self, now: Tick) {
-        let ga = now + self.ga_delay;
+    /// The free-output mask an arbitration at `now` walks against, for
+    /// both drivers. Losing a free output can only empty a walk; gaining
+    /// one wakes the rows wired to it.
+    fn gate_free(&mut self, now: Tick) -> u8 {
         let free = self.free_outputs_for_la(now);
-        // Losing a free output can only empty a pick; gaining one wakes
-        // the rows wired to it.
-        let mut freed = free & !self.la_free;
-        self.la_free = free;
+        let mut freed = free & !self.last_free;
+        self.last_free = free;
         let mut woken = 0u16;
         while freed != 0 {
             woken |= self.rows_of_output[freed.trailing_zeros() as usize];
             freed &= freed - 1;
         }
         self.wake_rows(woken, RowWake::OutputFreed);
+        #[cfg(debug_assertions)]
+        if free != 0 {
+            self.debug_check_row_gate(now, free);
+        }
+        free
+    }
+
+    fn spaa_la_phase(&mut self, now: Tick) {
+        let ga = now + self.ga_delay;
+        let free = self.gate_free(now);
         if free == 0 {
             return;
         }
-        #[cfg(debug_assertions)]
-        self.debug_check_row_gate(now, free);
-        let mut rows = self.la_rows();
+        let mut rows = self.gate_rows();
         while rows != 0 {
             let row = rows.trailing_zeros() as usize;
             rows &= rows - 1;
@@ -1256,7 +1252,7 @@ impl Router {
             self.sync_waiting_rows(input);
             // The sibling row is skipped if that took the input's last
             // waiting entry.
-            rows &= self.la_rows();
+            rows &= self.gate_rows();
             self.read_ports[row].inflight.push(id);
             self.stats.nominations.bump();
             self.ga_queue.push_back(Nomination {
@@ -1272,7 +1268,7 @@ impl Router {
 
     /// The row gate's cross-check: `waiting_rows` matches the buffers,
     /// and every quiet waiting row that can arbitrate still finds nothing
-    /// (the prune, then the walk, neither of which changes state).
+    /// (a walk changes no state).
     #[cfg(debug_assertions)]
     fn debug_check_row_gate(&self, now: Tick, free: u8) {
         let derived = (0..NUM_INPUT_PORTS)
@@ -1282,7 +1278,7 @@ impl Router {
             self.waiting_rows, derived,
             "waiting_rows out of step with the buffers"
         );
-        let mut quiet = self.waiting_rows & self.la_quiet;
+        let mut quiet = self.waiting_rows & self.quiet_rows;
         while quiet != 0 {
             let row = quiet.trailing_zeros() as usize;
             quiet &= quiet - 1;
@@ -1290,14 +1286,9 @@ impl Router {
                 continue;
             }
             let wired = self.conn.row_mask(row) as u8 & free;
-            let buf = &self.inputs[row / 2];
-            let live = self.live_vcs(buf, buf.waiting_mask(), wired);
-            assert!(
-                self.scan_for_nomination(row, now, wired, live, None)
-                    .0
-                    .is_none(),
-                "quiet row {row} holds a nominable entry"
-            );
+            self.walk_row(row, now, wired, None, |_, _, _| {
+                panic!("quiet row {row} holds an eligible entry")
+            });
         }
     }
 
@@ -1308,7 +1299,7 @@ impl Router {
 
     fn run_window(&mut self, now: Tick, out: &mut Vec<RouterOutput>) {
         let ga = now + self.ga_delay;
-        let free = self.free_outputs_for_la(now);
+        let free = self.gate_free(now);
         if free == 0 {
             return;
         }
@@ -1369,15 +1360,65 @@ impl Router {
         self.win_snapshot = Some(snapshot);
     }
 
-    /// Rebuilds the window's offer table in `snap`. Anti-starvation: old
-    /// entries claim matrix cells first (offers are first-writer-wins),
-    /// then the general population fills in.
+    /// Rebuilds the window's offer table in `snap`, walking each gated
+    /// row that can arbitrate. Anti-starvation: old entries claim matrix
+    /// cells first (offers are first-writer-wins), then the general
+    /// population fills in. A row offers only to its *open* cells —
+    /// wired, free and still unclaimed — and stops at the first entry
+    /// that leaves none open: an offer to a claimed cell is a no-op. The
+    /// snapshot is bit-identical to the plain every-row walk offering
+    /// every eligible output (`fill_matches_the_plain_walk` pins it).
+    ///
+    /// A row joins the quiet memo when its normal walk ends with
+    /// `open == wired`: it offered nothing and the drain pre-pass claimed
+    /// none of its cells, so it found no eligible entry at all — the same
+    /// condition under which SPAA memoises a row — and it passed no
+    /// backed-off entry.
     fn fill_window(&mut self, snap: &mut WindowSnapshot, now: Tick, free: u8) {
         snap.reset();
-        if let Some(cutoff) = self.antistarve.cutoff() {
-            self.fill_snapshot(snap, now, free, Some(cutoff));
+        for cutoff in self.antistarve.cutoff().map(Some).into_iter().chain([None]) {
+            let mut rows = self.gate_rows();
+            while rows != 0 {
+                let row = rows.trailing_zeros() as usize;
+                rows &= rows - 1;
+                if !self.read_ports[row].can_arbitrate(now, self.lookahead, self.max_inflight) {
+                    continue;
+                }
+                let wired = self.conn.row_mask(row) as u8 & free;
+                let mut open = wired & !(snap.input.requests.row_mask(row) as u8);
+                let buf = &self.inputs[row / 2];
+                let deferred = open != 0
+                    && self.walk_row(row, now, wired, cutoff, |v, entry, elig| {
+                        // Eligibility is judged against every wired output,
+                        // not just the open ones: narrowing it could turn
+                        // an adaptive entry into an escape one.
+                        let (outputs, downstream_vc) = match elig {
+                            Eligibility::None => (0, None),
+                            Eligibility::Local { outputs } => (outputs, None),
+                            Eligibility::Adaptive { outputs, vc } => (outputs, Some(vc)),
+                            Eligibility::Escape { output, vc } => (1 << output, Some(vc)),
+                        };
+                        let mut bits = outputs & open;
+                        if bits == 0 {
+                            return false;
+                        }
+                        open &= !bits;
+                        let cand = Candidate {
+                            entry,
+                            downstream_vc,
+                        };
+                        let weight = self.offer_weight(buf, v, entry.index() as u32, now);
+                        while bits != 0 {
+                            snap.offer(row, bits.trailing_zeros() as usize, cand, weight);
+                            bits &= bits - 1;
+                        }
+                        open == 0
+                    });
+                if cutoff.is_none() && open == wired && !deferred {
+                    self.quiet_rows |= 1 << row;
+                }
+            }
         }
-        self.fill_snapshot(snap, now, free, None);
     }
 
     /// The scheduling weight an offer of entry slot `idx` of VC `v` in
@@ -1399,142 +1440,6 @@ impl Router {
                 age.min(u32::MAX as u64 - 1) as u32 + 1
             }
         }
-    }
-
-    /// Builds the window's offer table. The snapshot's cells are disjoint
-    /// per row, so the fill visits *inputs* (walking each input's queues
-    /// once) and replays the collected ready entries for each of the
-    /// input's two read-port rows in that row's own LRU VC order. A row
-    /// offers only to its *open* cells — wired, free and still unclaimed —
-    /// and stops at the first entry that leaves none open: an offer to a
-    /// claimed cell is a first-writer-wins no-op. The resulting snapshot
-    /// is bit-identical to the plain row-by-row walk offering every
-    /// eligible output (`fill_matches_the_plain_walk` pins it), at a
-    /// fraction of the work.
-    fn fill_snapshot(
-        &mut self,
-        snap: &mut WindowSnapshot,
-        now: Tick,
-        free: u8,
-        only_older_than: Option<Tick>,
-    ) {
-        let mut collected = std::mem::take(&mut self.scratch_collect);
-        for input in 0..NUM_INPUT_PORTS {
-            // Nominable entries are `Waiting` by definition: an input
-            // without one offers nothing.
-            let buf = &self.inputs[input];
-            let scannable = buf.waiting_mask();
-            if scannable == 0 {
-                continue;
-            }
-            let rows = [2 * input, 2 * input + 1];
-            // Per-row gates: a busy read port or a fully-busy wired set
-            // offers nothing.
-            let wired: [u8; 2] = std::array::from_fn(|i| {
-                let row = rows[i];
-                if self.read_ports[row].can_arbitrate(now, self.lookahead, 1) {
-                    self.conn.row_mask(row) as u8 & free
-                } else {
-                    0
-                }
-            });
-            if wired == [0, 0] {
-                continue;
-            }
-            // The request-tracking test skips VCs dead for both rows
-            // (bit-identical to scanning them and finding nothing). The
-            // walk touches only the dense scan metadata.
-            let wired_union = wired[0] | wired[1];
-            let live = self.live_vcs(buf, scannable, wired_union);
-            debug_assert!(
-                self.scan_for_nomination(rows[0], now, wired_union, scannable & !live, None)
-                    .0
-                    .is_none(),
-                "pruned VC holds an offerable entry"
-            );
-            if live == 0 {
-                continue;
-            }
-            let metas = buf.metas();
-            // Collect the ready candidates of each VC's scan window once
-            // (grouped per VC; readiness is row-independent). `offering`
-            // marks the VCs that collected any.
-            collected.clear();
-            let mut ranges = [(0u16, 0u16); NUM_VCS];
-            let mut offering = 0u32;
-            let mut mask = live;
-            while mask != 0 {
-                let v = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let start = collected.len() as u16;
-                let mut cur = buf.queue_head(VcId::from_index(v));
-                let mut scanned = 0;
-                while cur != NIL_INDEX && scanned < self.cfg.scan_window {
-                    let m = &metas[cur as usize];
-                    scanned += 1;
-                    let next = m.next;
-                    if m.flags & META_WAITING != 0 && m.ready_at <= now {
-                        let old_enough = match only_older_than {
-                            Some(cutoff) => buf.entry_eligible_at(cur) <= cutoff,
-                            None => true,
-                        };
-                        if old_enough {
-                            collected.push(cur);
-                        }
-                    }
-                    cur = next;
-                }
-                if collected.len() as u16 > start {
-                    ranges[v] = (start, collected.len() as u16);
-                    offering |= 1 << v;
-                }
-            }
-            // Replay per row, in that row's LRU VC order (the order
-            // decides which entry claims a first-writer-wins cell).
-            for (i, &row) in rows.iter().enumerate() {
-                let wired = wired[i];
-                // A drain pre-pass may already have claimed cells.
-                let mut open = wired & !(snap.input.requests.row_mask(row) as u8);
-                let lru = &self.vc_lru[row];
-                let mut vcs = offering;
-                'row: while vcs != 0 && open != 0 {
-                    let v = lru.oldest(vcs);
-                    vcs &= !(1 << v);
-                    let (start, end) = ranges[v];
-                    for &idx in &collected[start as usize..end as usize] {
-                        let m = &metas[idx as usize];
-                        // Eligibility is judged against every wired output,
-                        // not just the open ones: narrowing it could turn an
-                        // adaptive entry into an escape one.
-                        let (outputs, downstream_vc) = match self.eligibility_meta(m, wired) {
-                            Eligibility::None => continue,
-                            Eligibility::Local { outputs } => (outputs, None),
-                            Eligibility::Adaptive { outputs, vc } => (outputs, Some(vc)),
-                            Eligibility::Escape { output, vc } => (1 << output, Some(vc)),
-                        };
-                        let mut bits = outputs & open;
-                        if bits == 0 {
-                            continue;
-                        }
-                        open &= !bits;
-                        let cand = Candidate {
-                            entry: EntryId::new(idx, m.gen),
-                            downstream_vc,
-                        };
-                        let weight = self.offer_weight(buf, v, idx, now);
-                        while bits != 0 {
-                            let col = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            snap.offer(row, col, cand, weight);
-                        }
-                        if open == 0 {
-                            break 'row;
-                        }
-                    }
-                }
-            }
-        }
-        self.scratch_collect = collected;
     }
 }
 
@@ -1722,13 +1627,18 @@ mod tests {
                 }
                 // The phases `step` runs before its window (each a no-op
                 // when `step` repeats it at the same `now`), then both
-                // fills of the window it is about to run.
+                // fills of the window it is about to run, against the
+                // free mask of the same gate.
                 out.clear();
                 r.catch_up_idle(now);
                 r.process_housekeeping(now, &mut out);
                 r.antistarve_scan(now);
-                let free = r.free_outputs_for_la(now);
-                if now >= r.next_window && free != 0 {
+                let free = if now >= r.next_window {
+                    r.gate_free(now)
+                } else {
+                    0
+                };
+                if free != 0 {
                     let mut got = WindowSnapshot::new(NUM_ARBITER_ROWS, NUM_OUTPUT_PORTS, weighted);
                     r.fill_window(&mut got, now, free);
                     let mut want =
@@ -1785,13 +1695,14 @@ mod tests {
 
     #[test]
     fn la_gate_matches_the_every_row_la() {
-        // A saturated SPAA-rotary router: every torus input starts full on
+        // A saturated router per driver: every torus input starts full on
         // nine VCs and each released slot is refilled at once. Each forward
         // is credited back when the downstream router frees its slot, 3 to
         // 4,000 link clocks later, so credits run dry, entries fall back to
-        // escape hops and whole outputs stall until a refund. The gated LA
-        // must emit the same events and counters as the every-row LA at
-        // every step, and every clearing rule must have woken a quiet row.
+        // escape hops and whole outputs stall until a refund. The gated
+        // router must emit the same events and counters as the every-row
+        // one at every step, and every clearing rule must have woken a
+        // quiet row (losers and back-offs exist under SPAA only).
         use CoherenceClass as C;
         let vcs = [
             VcId::adaptive(C::Request),
@@ -1804,66 +1715,83 @@ mod tests {
             VcId::escape(C::WriteIo, EscapeVc::Vc1),
             VcId::special(),
         ];
-        let cfg = RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary);
-        let core = cfg.timing.core.period();
-        let mut gated = Router::new(0, cfg.clone(), SimRng::from_seed(3));
-        let mut every = Router::new(0, cfg, SimRng::from_seed(3));
-        every.every_row_la = true;
-        let mut rng = SimRng::from_seed(4);
-        let mut next_id = 0u64;
-        for input in InputPort::ALL.into_iter().filter(|p| p.is_network()) {
-            for &vc in &vcs {
-                for _ in 0..gated.free_space(input, vc) {
-                    let incoming = arrival(&mut rng, next_id, input, vc, Tick::ZERO);
-                    next_id += 1;
-                    gated.accept_packet(input, incoming);
-                    every.accept_packet(input, incoming);
-                }
-            }
-        }
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        for cycle in 0..20_000u64 {
-            let now = Tick::new(cycle * core.as_ticks());
-            got.clear();
-            want.clear();
-            gated.step(now, &mut got);
-            every.step(now, &mut want);
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{want:?}"),
-                "cycle {cycle}: events"
-            );
-            assert_eq!(
-                format!("{:?}", gated.stats()),
-                format!("{:?}", every.stats()),
-                "cycle {cycle}: stats"
-            );
-            for event in &got {
-                match *event {
-                    RouterOutput::Credit { input, vc, at } => {
-                        let incoming = arrival(&mut rng, next_id, input, vc, at);
+        for algorithm in [
+            ArbAlgorithm::SpaaRotary,
+            ArbAlgorithm::WfaRotary,
+            ArbAlgorithm::Pim1,
+        ] {
+            let cfg = RouterConfig::alpha_21364(algorithm);
+            let core = cfg.timing.core.period();
+            let mut gated = Router::new(0, cfg.clone(), SimRng::from_seed(3));
+            let mut every = Router::new(0, cfg, SimRng::from_seed(3));
+            every.every_row = true;
+            let mut rng = SimRng::from_seed(4);
+            let mut next_id = 0u64;
+            for input in InputPort::ALL.into_iter().filter(|p| p.is_network()) {
+                for &vc in &vcs {
+                    for _ in 0..gated.free_space(input, vc) {
+                        let incoming = arrival(&mut rng, next_id, input, vc, Tick::ZERO);
                         next_id += 1;
                         gated.accept_packet(input, incoming);
                         every.accept_packet(input, incoming);
                     }
-                    RouterOutput::Forward(o) => {
-                        let back = o.last_flit_done + Tick::new(30 * (3 + rng.below(4_000) as u64));
-                        gated.accept_credit(o.output, o.downstream_vc, back);
-                        every.accept_credit(o.output, o.downstream_vc, back);
-                    }
-                    RouterOutput::Delivered { .. } => {}
                 }
             }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for cycle in 0..20_000u64 {
+                let now = Tick::new(cycle * core.as_ticks());
+                got.clear();
+                want.clear();
+                gated.step(now, &mut got);
+                every.step(now, &mut want);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{algorithm} cycle {cycle}: events"
+                );
+                assert_eq!(
+                    format!("{:?}", gated.stats()),
+                    format!("{:?}", every.stats()),
+                    "{algorithm} cycle {cycle}: stats"
+                );
+                for event in &got {
+                    match *event {
+                        RouterOutput::Credit { input, vc, at } => {
+                            let incoming = arrival(&mut rng, next_id, input, vc, at);
+                            next_id += 1;
+                            gated.accept_packet(input, incoming);
+                            every.accept_packet(input, incoming);
+                        }
+                        RouterOutput::Forward(o) => {
+                            let back =
+                                o.last_flit_done + Tick::new(30 * (3 + rng.below(4_000) as u64));
+                            gated.accept_credit(o.output, o.downstream_vc, back);
+                            every.accept_credit(o.output, o.downstream_vc, back);
+                        }
+                        RouterOutput::Delivered { .. } => {}
+                    }
+                }
+            }
+            assert!(
+                gated.stats().grants.get() > 5_000,
+                "{algorithm}: the router moved traffic"
+            );
+            let spaa = algorithm.is_spaa();
+            let rules = ["refund", "output freed", "arrival", "departure", "loser"];
+            for (rule, &n) in rules.iter().zip(&gated.wakes) {
+                assert!(
+                    (n > 0) == (spaa || *rule != "loser"),
+                    "{algorithm}: {rule} woke {n} rows: {:?}",
+                    gated.wakes
+                );
+            }
+            assert_eq!(
+                gated.deferred_picks > 0,
+                spaa,
+                "{algorithm}: {} back-off picks went unmemoised",
+                gated.deferred_picks
+            );
         }
-        assert!(
-            gated.stats().grants.get() > 5_000,
-            "the router moved traffic"
-        );
-        let rules = ["refund", "output freed", "arrival", "departure", "loser"];
-        for (rule, &n) in rules.iter().zip(&gated.wakes) {
-            assert!(n > 0, "{rule} never woke a row: {:?}", gated.wakes);
-        }
-        assert!(gated.deferred_picks > 0, "no back-off pick went unmemoised");
     }
 
     #[test]
@@ -1873,7 +1801,7 @@ mod tests {
         let mut r = Router::new(0, cfg, SimRng::from_seed(5));
         assert!(
             r.diagnostics()
-                .ends_with("; la-quiet 0x0000 waiting-rows 0x0000"),
+                .ends_with("; quiet-rows 0x0000 waiting-rows 0x0000"),
             "{}",
             r.diagnostics()
         );
@@ -1894,7 +1822,7 @@ mod tests {
             "input 1 still holds waiting entries"
         );
         let dump = r.diagnostics();
-        let field = format!("; la-quiet {:#06x} waiting-rows 0x000c", r.la_quiet);
+        let field = format!("; quiet-rows {:#06x} waiting-rows 0x000c", r.quiet_rows);
         assert!(dump.ends_with(&field), "{dump}");
     }
 }

@@ -152,14 +152,18 @@ pub fn parse(label: &str) -> Result<Case, String> {
     Ok(case)
 }
 
-/// `4x4` (a torus), `mesh4x4` or `fullmesh5`.
+/// `4x4` (a torus), `mesh4x4` or `fullmesh5`; `None` for a shape the
+/// constructors reject (a side below 2, more nodes than `u16` counts, a
+/// full mesh outside `2..=FullMesh::MAX_NODES`).
 fn topology(token: &str) -> Option<NetTopology> {
     let dims = |wh: &str| -> Option<(u16, u16)> {
         let (w, h) = wh.split_once('x')?;
-        Some((w.parse().ok()?, h.parse().ok()?))
+        let (w, h): (u16, u16) = (w.parse().ok()?, h.parse().ok()?);
+        (w >= 2 && h >= 2 && w.checked_mul(h).is_some()).then_some((w, h))
     };
     Some(if let Some(nodes) = token.strip_prefix("fullmesh") {
-        FullMesh::new(nodes.parse().ok()?).into()
+        let nodes = nodes.parse().ok();
+        FullMesh::new(nodes.filter(|n| (2..=FullMesh::MAX_NODES).contains(n))?).into()
     } else if let Some(wh) = token.strip_prefix("mesh") {
         let (w, h) = dims(wh)?;
         Mesh::new(w, h).into()
@@ -169,7 +173,8 @@ fn topology(token: &str) -> Option<NetTopology> {
     })
 }
 
-/// A pattern name, or `hotspot[<node>,...]@<fraction>`.
+/// A pattern name, or `hotspot[<node>,...]@<fraction>` over at most
+/// four distinct nodes (what `HotspotTargets::new` accepts).
 fn pattern(token: &str, name: &str) -> Result<TrafficPattern, String> {
     use TrafficPattern::*;
     let unknown = || format!("unknown pattern {token}");
@@ -185,6 +190,12 @@ fn pattern(token: &str, name: &str) -> Result<TrafficPattern, String> {
                 .split(',')
                 .map(|n| number(token, n))
                 .collect::<Result<Vec<u16>, _>>()?;
+            if nodes.len() > 4 {
+                return Err(format!("more than 4 hot nodes in {token}"));
+            }
+            if let Some(i) = (1..nodes.len()).find(|&i| nodes[..i].contains(&nodes[i])) {
+                return Err(format!("repeated hot node {} in {token}", nodes[i]));
+            }
             Hotspot {
                 targets: HotspotTargets::new(&nodes),
                 fraction: number(token, fraction)?,

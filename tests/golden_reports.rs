@@ -127,6 +127,26 @@ fn malformed_labels_are_refused_by_token() {
             "unknown port Up in kill=5Up@500",
         ),
         ("4x4".into(), "no arbiter"),
+        (
+            "1x4 SPAA-rotary uniform rate=0.04 seed=1".into(),
+            "unknown topology 1x4",
+        ),
+        (
+            "256x257 SPAA-rotary uniform rate=0.04 seed=1".into(),
+            "unknown topology 256x257",
+        ),
+        (
+            "fullmesh6 SPAA-rotary uniform rate=0.04 seed=1".into(),
+            "unknown topology fullmesh6",
+        ),
+        (
+            "4x4 SPAA-rotary hotspot[5,5]@0.3 rate=0.04 seed=1".into(),
+            "repeated hot node 5 in hotspot[5,5]@0.3",
+        ),
+        (
+            "4x4 SPAA-rotary hotspot[1,2,3,4,5]@0.3 rate=0.04 seed=1".into(),
+            "more than 4 hot nodes in hotspot[1,2,3,4,5]@0.3",
+        ),
     ] {
         assert_eq!(parse(&label).err().as_deref(), Some(error), "{label}");
     }

@@ -341,20 +341,6 @@ struct NodeFaults {
     refunds: Vec<Refund>,
 }
 
-impl NodeFaults {
-    /// Drops link `e`'s retransmit buffer with a refund per packet and
-    /// disarms its timer. Returns how many packets were dropped.
-    fn drop_queue(&mut self, e: usize) -> u64 {
-        self.armed &= !(1 << e);
-        let st = self.links[e].as_mut().expect("a wired link is tracked");
-        let input = InputPort::from_index(e);
-        let dropped = st.queue.len() as u64;
-        self.refunds
-            .extend(st.queue.drain(..).map(|tx| Refund { input, vc: tx.vc }));
-        dropped
-    }
-}
-
 /// Per-shard fault-plane state: the replicated [`DeadLinks`] mask plus,
 /// per local router, the receiver-owned machinery (CRC/flap streams,
 /// retransmit buffers, retry timers, owed refunds) of its inbound links.
@@ -501,13 +487,24 @@ impl FaultPlane {
             return;
         }
         let target = topo.link(node, port).expect("killing an unwired link");
-        let Some(nf) = (target.peer.checked_sub(self.base))
-            .and_then(|local| self.nodes.get_mut(local as usize))
-        else {
-            return;
-        };
-        self.links_dead += 1;
-        let dropped = nf.drop_queue(target.entry.index());
+        let local = target.peer.checked_sub(self.base).map(usize::from);
+        if let Some(local) = local.filter(|&l| l < self.nodes.len()) {
+            self.links_dead += 1;
+            self.drop_queue(local, target.entry.index());
+        }
+    }
+
+    /// Drops the retransmit buffer of local router `local`'s inbound link
+    /// `e` with accounting — each packet an unreachable drop that owes
+    /// its sender a credit refund — and disarms the link's timer.
+    fn drop_queue(&mut self, local: usize, e: usize) {
+        let nf = &mut self.nodes[local];
+        nf.armed &= !(1 << e);
+        let st = nf.links[e].as_mut().expect("a wired link is tracked");
+        let input = InputPort::from_index(e);
+        let dropped = st.queue.len() as u64;
+        nf.refunds
+            .extend(st.queue.drain(..).map(|tx| Refund { input, vc: tx.vc }));
         self.unreachable_drops += dropped;
         self.queued_packets -= dropped;
     }
@@ -657,9 +654,9 @@ impl FaultPlane {
     /// the timer is not due at `now` — disarmed, or armed for later —
     /// and nothing happened, with no draws.
     pub(crate) fn fire(&mut self, node: u16, entry: InputPort, now: Tick) -> Option<RetryOutcome> {
-        let e = entry.index();
+        let (local, e) = ((node - self.base) as usize, entry.index());
         let bit = 1 << e;
-        let nf = &mut self.nodes[(node - self.base) as usize];
+        let nf = &mut self.nodes[local];
         let st = nf.links[e].as_mut()?;
         if nf.armed & bit == 0 || st.retry_at > now {
             return None;
@@ -704,9 +701,7 @@ impl FaultPlane {
         // shard counts `links_dead` when it applies its own broadcast).
         self.retry_exhaustions += 1;
         let (src, output) = (st.src, st.output);
-        let dropped = nf.drop_queue(e);
-        self.unreachable_drops += dropped;
-        self.queued_packets -= dropped;
+        self.drop_queue(local, e);
         Some(RetryOutcome::Exhausted { src, output })
     }
 

@@ -4,16 +4,14 @@
 //! A shard owns a contiguous node-id range of routers and endpoints
 //! (see [`crate::topology::ShardMap`]), its own delivery wheel, the
 //! idle-skip wake arrays of its routers and endpoints, its watchdog, and
-//! the order-insensitive measurement accumulators (integer counters and
-//! the latency histogram, whose merges are exact).
-//! Every cycle splits into:
+//! its injection counters. Every cycle splits into:
 //!
 //! * **Phase A** ([`Shard::phase_a`]) — step the shard's routers, drain
-//!   its due deliveries, let its endpoints inject. `Delivered` events are
+//!   its due deliveries, let its endpoints inject. Deliveries are
 //!   scheduled on the shard's own wheel immediately (a delivery is
 //!   emitted by the destination's own router, so it never crosses a
-//!   shard); `Forward`/`Credit` events are *deferred* to the caller's
-//!   outbox, tagged with the emitting router.
+//!   shard); forwards and credits are *deferred* to the caller's outbox
+//!   as [`ShardEvent`]s, tagged with the emitting router.
 //! * **Phase B** ([`Shard::apply`]) — apply the deferred events destined
 //!   to this shard, in ascending `(source router, emission order)`
 //!   sequence. This reproduces the order in which an engine that applies
@@ -26,19 +24,25 @@
 //! Both phases run from the engine's one segment body, whichever driver
 //! (the calling thread alone, or one thread per shard) runs it.
 //!
-//! The only order-*sensitive* statistics — the Welford latency
-//! accumulators, whose floating-point sums do not reassociate — are not
-//! accumulated in the shard at all: phase A emits one [`MeasureRecord`]
-//! per measured delivery, and the engine replays all shards' records
-//! through [`replay_records`] in the canonical key order, reproducing the
-//! one-shard accumulation bit for bit.
+//! A packet that crossed a link — a forward in phase B, a retransmission
+//! in its receiver's fault slot — enters its router only through
+//! `Shard::receive`. After every hand-off to a router (a step, a packet,
+//! a credit, an injection) its wake becomes its `next_work`, in
+//! `Shard::rearm`.
+//!
+//! The shard measures nothing itself: phase A emits one [`MeasureRecord`]
+//! per delivery at or after warm-up, and [`replay_records`] — the one
+//! function that says what a measured delivery adds to the report —
+//! replays all shards' records in the canonical key order, so even the
+//! floating-point Welford sums match the one-shard run bit for bit.
 
 use crate::fault::{Admission, DeadLinks, FaultPlane, RetryOutcome};
 use crate::routing::route_for;
 use crate::sim::{Endpoint, NetworkConfig, NodeCtx};
-use crate::topology::{NetTopology, ShardMap};
+use crate::topology::{LinkTarget, NetTopology, ShardMap};
 use arbitration::ports::{InputPort, OutputPort};
-use router::{IncomingPacket, Packet, Router, RouterOutput};
+use router::router::OutgoingPacket;
+use router::{IncomingPacket, Packet, Router, RouterOutput, VcId};
 use simcore::stats::{Histogram, OnlineStats};
 use simcore::wheel::TimingWheel;
 use simcore::{SimRng, Tick};
@@ -69,14 +73,20 @@ impl CycleEnv {
     }
 }
 
-/// A deferred cross-router event: a router's `Forward`/`Credit` output,
-/// or a fault-plane link death that every shard must apply to its
-/// [`DeadLinks`] replica.
+/// A deferred cross-router event: a forward, a credit, or a fault-plane
+/// link death that every shard must apply to its [`DeadLinks`] replica.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ShardEvent {
-    /// A router output (`Forward` or `Credit`), applied at its
-    /// destination router's shard.
-    Router(RouterOutput),
+    /// A packet dispatched through `output`, applied at the link peer's
+    /// shard.
+    Forward(OutgoingPacket),
+    /// A `vc` slot of `input` released at `at`, applied at the shard of
+    /// the upstream router feeding `input`.
+    Credit {
+        input: InputPort,
+        vc: VcId,
+        at: Tick,
+    },
     /// The directed link leaving `node` through `output` died (retry
     /// exhaustion). Broadcast to *every* shard so all [`DeadLinks`]
     /// replicas update in the same canonical event position.
@@ -93,26 +103,9 @@ pub(crate) struct OutEvent {
     pub(crate) ev: ShardEvent,
 }
 
-/// The destination router of a deferred event: the link neighbour a
-/// forward enters, or the upstream neighbour a credit returns to.
-fn event_destination(topo: &NetTopology, src: u16, ev: &RouterOutput) -> u16 {
-    match ev {
-        RouterOutput::Forward(o) => {
-            topo.link(src, o.output)
-                .expect("forward along an unwired port")
-                .peer
-        }
-        RouterOutput::Credit { input, .. } => {
-            topo.feeder(src, *input)
-                .expect("credit for an unwired input")
-                .0
-        }
-        RouterOutput::Delivered { .. } => src,
-    }
-}
-
 /// The shards that must apply a deferred event emitted by router `src`: a
-/// routed event goes to the shard owning its destination router; a link
+/// forward goes to the shard owning the link neighbour it enters, a
+/// credit to the one owning the upstream router it returns to; a link
 /// death is broadcast, because every shard must mask the link out of its
 /// routing decisions (and the receiver-owning shard tears down the
 /// retransmit state).
@@ -122,13 +115,21 @@ pub(crate) fn event_shards(
     src: u16,
     ev: &ShardEvent,
 ) -> std::ops::Range<usize> {
-    match ev {
-        ShardEvent::Router(out) => {
-            let dst = map.shard_of(event_destination(topo, src, out));
-            dst..dst + 1
+    let dst = match *ev {
+        ShardEvent::Forward(o) => {
+            topo.link(src, o.output)
+                .expect("forward along an unwired port")
+                .peer
         }
-        ShardEvent::LinkDead { .. } => 0..map.shards(),
-    }
+        ShardEvent::Credit { input, .. } => {
+            topo.feeder(src, input)
+                .expect("credit for an unwired input")
+                .0
+        }
+        ShardEvent::LinkDead { .. } => return 0..map.shards(),
+    };
+    let dst = map.shard_of(dst);
+    dst..dst + 1
 }
 
 /// A pending delivery on a shard's wheel, carrying the canonical emission
@@ -155,13 +156,12 @@ pub(crate) struct MeasureRecord {
     emit_cycle: u64,
     node: u16,
     emit_seq: u32,
-    pub(crate) transit_ns: f64,
-    pub(crate) total_ns: f64,
+    flits: u32,
+    transit_ns: f64,
+    total_ns: f64,
     /// Round-trip latency of the closed-loop transaction this delivery
     /// completed (`None` for deliveries that are not terminal replies).
-    /// Riding the canonical replay keeps the per-transaction Welford
-    /// accumulator bit-exact across worker counts.
-    pub(crate) txn_ns: Option<f64>,
+    txn_ns: Option<f64>,
 }
 
 impl MeasureRecord {
@@ -175,44 +175,54 @@ impl MeasureRecord {
     }
 }
 
-/// The order-sensitive latency accumulators, fed only by
-/// [`replay_records`].
-#[derive(Default)]
-pub(crate) struct Latencies {
+/// Everything the report measures about deliveries, fed only by
+/// [`replay_records`]. The packet and transaction counts are the
+/// `transit` and `txn` accumulators' sample counts.
+pub(crate) struct Measured {
+    pub(crate) flits: u64,
     pub(crate) transit: OnlineStats,
     pub(crate) total: OnlineStats,
+    /// Transaction round trips, one per measured terminal reply.
     pub(crate) txn: OnlineStats,
+    /// 10 ns bins up to 2 µs; saturated tails land in the overflow bucket.
+    pub(crate) transit_hist: Histogram,
+    /// A closed-loop round trip is two network transits plus the 73 ns
+    /// memory (or L2) lookup plus source queueing, so the clamp sits 4×
+    /// above the packet-transit histogram's.
+    pub(crate) txn_hist: Histogram,
 }
 
-/// Sorts one cycle's measurement records into canonical order and replays
-/// them into `into`, draining the buffer. Feeding each cycle's batch
-/// (from any number of shards) through this reproduces the one-shard
-/// floating-point accumulation bit for bit.
-pub(crate) fn replay_records(records: &mut Vec<MeasureRecord>, into: &mut Latencies) {
-    records.sort_unstable_by_key(MeasureRecord::key);
-    for r in records.drain(..) {
-        into.transit.record(r.transit_ns);
-        into.total.record(r.total_ns);
-        if let Some(txn_ns) = r.txn_ns {
-            into.txn.record(txn_ns);
+impl Default for Measured {
+    fn default() -> Self {
+        Measured {
+            flits: 0,
+            transit: OnlineStats::new(),
+            total: OnlineStats::new(),
+            txn: OnlineStats::new(),
+            transit_hist: Histogram::new(0.0, 2000.0, 200),
+            txn_hist: Histogram::new(0.0, 8000.0, 200),
         }
     }
 }
 
-/// The packet transit-latency histogram every shard partial and the
-/// merged report use (`Histogram::merge` needs one shape): 10 ns bins
-/// up to 2 µs; saturated tails beyond that land in the overflow bucket.
-pub(crate) fn transit_histogram() -> Histogram {
-    Histogram::new(0.0, 2000.0, 200)
-}
-
-/// The transaction-latency histogram every shard partial uses: a closed
-/// -loop round trip is two network transits plus the 73 ns memory (or
-/// L2) lookup plus source queueing, so the clamp sits 4× above the
-/// packet-transit histogram; beyond-clamp round trips land in the
-/// overflow bucket exactly like packet latencies.
-pub(crate) fn txn_histogram() -> Histogram {
-    Histogram::new(0.0, 8000.0, 200)
+/// Sorts one cycle's measurement records into canonical order and replays
+/// them into `into`, draining the buffer: the one place that says what a
+/// measured delivery adds to the report. Feeding each cycle's batch (from
+/// any number of shards) through this reproduces the one-shard
+/// floating-point accumulation bit for bit; the counts and histogram bins
+/// are integers, which no order changes.
+pub(crate) fn replay_records(records: &mut Vec<MeasureRecord>, into: &mut Measured) {
+    records.sort_unstable_by_key(MeasureRecord::key);
+    for r in records.drain(..) {
+        into.flits += u64::from(r.flits);
+        into.transit.record(r.transit_ns);
+        into.transit_hist.record(r.transit_ns);
+        into.total.record(r.total_ns);
+        if let Some(txn_ns) = r.txn_ns {
+            into.txn.record(txn_ns);
+            into.txn_hist.record(txn_ns);
+        }
+    }
 }
 
 /// Forward-progress bookkeeping of one shard, kept across calls: with
@@ -230,8 +240,7 @@ struct Watchdog {
 }
 
 /// The per-worker slice of a simulation: routers, endpoints, deliveries,
-/// idle-skip state and order-insensitive accumulators for one contiguous
-/// node range.
+/// idle-skip state and injection counters for one contiguous node range.
 pub(crate) struct Shard<E> {
     /// This shard's index in the engine's shard map.
     pub(crate) index: usize,
@@ -249,8 +258,9 @@ pub(crate) struct Shard<E> {
     /// Idle-skip: step a router only while it has work (see
     /// [`crate::sim::NetworkSim::set_idle_skip`]).
     idle_skip: bool,
-    /// Per local router: `Tick::ZERO` while awake; otherwise the earliest
-    /// tick at which it must be stepped again.
+    /// Per local router: the earliest tick at which it must be stepped
+    /// again, its [`Router::next_work`] since the last hand-off
+    /// ([`Shard::rearm`]); `Tick::ZERO` throughout while idle-skip is off.
     wake_at: Vec<Tick>,
     /// Per local endpoint: its last [`Endpoint::next_wake`] answer
     /// (`Tick::ZERO` while idle-skip is off).
@@ -258,16 +268,6 @@ pub(crate) struct Shard<E> {
     pub(crate) skipped_steps: u64,
     pub(crate) injected_packets: u64,
     pub(crate) injected_flits: u64,
-    pub(crate) measured_packets: u64,
-    pub(crate) measured_flits: u64,
-    /// Closed-loop transactions completed in the measurement window.
-    pub(crate) measured_txns: u64,
-    /// Transit-latency histogram partial (bin counts are integers, so
-    /// shard partials merge exactly; see [`Histogram::merge`]).
-    pub(crate) latency_hist: Histogram,
-    /// Transaction round-trip latency histogram partial (merges exactly
-    /// for the same reason).
-    pub(crate) txn_latency_hist: Histogram,
     /// The fault plane, present only when fault injection is configured
     /// — `None` costs one branch per phase and guarantees zero RNG
     /// draws (the zero-fault tax pinned by `tests/fault_plane.rs`).
@@ -322,11 +322,6 @@ impl<E: Endpoint> Shard<E> {
             skipped_steps: 0,
             injected_packets: 0,
             injected_flits: 0,
-            measured_packets: 0,
-            measured_flits: 0,
-            measured_txns: 0,
-            latency_hist: transit_histogram(),
-            txn_latency_hist: txn_histogram(),
             faults,
             delivered_all: 0,
             watchdog: Watchdog::default(),
@@ -352,11 +347,6 @@ impl<E: Endpoint> Shard<E> {
         &mut self.endpoints[i]
     }
 
-    /// Undelivered packets still parked on the delivery wheel.
-    pub(crate) fn pending_deliveries(&self) -> usize {
-        self.deliveries.len()
-    }
-
     /// The shard's fault plane, when fault injection is configured.
     pub(crate) fn faults(&self) -> Option<&FaultPlane> {
         self.faults.as_ref()
@@ -366,7 +356,7 @@ impl<E: Endpoint> Shard<E> {
     /// endpoint: buffered in routers, parked on the delivery wheel, or
     /// held in link retransmit buffers. The watchdog pairs this with
     /// [`Shard::delivered_all`]: occupancy without delivery is a wedge.
-    fn occupancy(&self) -> u64 {
+    pub(crate) fn occupancy(&self) -> u64 {
         let buffered: u64 = self
             .routers
             .iter()
@@ -471,11 +461,10 @@ impl<E: Endpoint> Shard<E> {
             if self.faults.is_some() {
                 self.fault_slot(env, i, emit);
             }
-            if self.idle_skip && now < self.wake_at[i] {
+            if now < self.wake_at[i] {
                 self.skipped_steps += 1;
                 continue;
             }
-            self.wake_at[i] = Tick::ZERO;
             scratch.clear();
             self.routers[i].step(now, &mut scratch);
             for (seq, ev) in scratch.drain(..).enumerate() {
@@ -491,12 +480,13 @@ impl<E: Endpoint> Shard<E> {
                             },
                         );
                     }
-                    other => emit(src, ShardEvent::Router(other)),
+                    RouterOutput::Forward(o) => emit(src, ShardEvent::Forward(o)),
+                    RouterOutput::Credit { input, vc, at } => {
+                        emit(src, ShardEvent::Credit { input, vc, at })
+                    }
                 }
             }
-            if self.idle_skip {
-                self.wake_at[i] = self.routers[i].next_work();
-            }
+            self.rearm(i);
         }
         self.scratch = scratch;
 
@@ -512,23 +502,15 @@ impl<E: Endpoint> Shard<E> {
                 self.ep_wake[local] = self.endpoints[local].next_wake();
             }
             if at >= env.warmup_end {
-                let transit_ns = (at - d.packet.injected).as_ns();
-                self.latency_hist.record(transit_ns);
-                self.measured_packets += 1;
-                self.measured_flits += d.packet.len() as u64;
-                let txn_ns = txn.map(|t| (at - t.issued).as_ns());
-                if let Some(txn_ns) = txn_ns {
-                    self.measured_txns += 1;
-                    self.txn_latency_hist.record(txn_ns);
-                }
                 records.push(MeasureRecord {
                     at,
                     emit_cycle: d.emit_cycle,
                     node: d.node,
                     emit_seq: d.emit_seq,
-                    transit_ns,
+                    flits: d.packet.len(),
+                    transit_ns: (at - d.packet.injected).as_ns(),
                     total_ns: (at - d.packet.birth).as_ns(),
-                    txn_ns,
+                    txn_ns: txn.map(|t| (at - t.issued).as_ns()),
                 });
             }
         }
@@ -554,19 +536,64 @@ impl<E: Endpoint> Shard<E> {
                 woke: false,
             };
             self.endpoints[i].on_cycle(&mut ctx);
-            let woke = ctx.woke;
+            if ctx.woke {
+                self.rearm(i);
+            }
             if self.idle_skip {
                 self.ep_wake[i] = self.endpoints[i].next_wake();
-                if woke {
-                    // An injection is processed by the router on a later
-                    // edge; until then the router may stay asleep.
-                    // Recompute the wake exactly (a `min` against the
-                    // previous value could retain a stale earlier tick
-                    // and trigger spurious steps).
-                    self.wake_at[i] = self.routers[i].next_work();
-                }
             }
         }
+    }
+
+    /// The one wake rule: after any hand-off to local router `i` — its own
+    /// step, an arriving packet or credit, an injection — its wake is its
+    /// [`Router::next_work`]. A hand-off only schedules on the router's
+    /// housekeeping wheel, which can lower `next_work` and changes no
+    /// other input of it. Applying it in phase B rather than at emission
+    /// is exact because an event's earliest effect tick lies strictly
+    /// after the cycle that emitted it.
+    fn rearm(&mut self, i: usize) {
+        if self.idle_skip {
+            self.wake_at[i] = self.routers[i].next_work();
+        }
+    }
+
+    /// The one path by which a packet that crossed a link enters a router:
+    /// a forward in phase B, or a retransmission in its receiver's fault
+    /// slot. Routes the packet at `to.peer` against the dead mask and
+    /// hands it to the router through `to.entry`, re-arming its wake; with
+    /// no route left it is dropped with a credit refund. Returns whether
+    /// the router took it.
+    fn receive(
+        &mut self,
+        topo: &NetTopology,
+        to: LinkTarget,
+        packet: Packet,
+        vc: VcId,
+        pin_time: Tick,
+        in_flit_period: Tick,
+    ) -> bool {
+        let dead = self.faults.as_ref().map_or(DeadLinks::empty(), |p| &p.dead);
+        let Some(route) = route_for(topo, dead, to.peer, &packet) else {
+            self.faults
+                .as_mut()
+                .expect("routes only fail once links have died")
+                .drop_with_refund(to.peer, to.entry, vc);
+            return false;
+        };
+        let i = (to.peer - self.base) as usize;
+        self.routers[i].accept_packet(
+            to.entry,
+            IncomingPacket {
+                packet,
+                route,
+                vc,
+                pin_time,
+                in_flit_period,
+            },
+        );
+        self.rearm(i);
+        true
     }
 
     /// The fault-plane slot of local router `i` in phase A, which owns
@@ -580,42 +607,21 @@ impl<E: Endpoint> Shard<E> {
         let src = self.base + i as u16;
         let plane = self.faults.as_mut().expect("fault_slot requires a plane");
         for r in plane.begin_slot(src) {
-            emit(
-                src,
-                ShardEvent::Router(RouterOutput::Credit {
-                    input: r.input,
-                    vc: r.vc,
-                    at: now,
-                }),
-            );
+            let (input, vc) = (r.input, r.vc);
+            emit(src, ShardEvent::Credit { input, vc, at: now });
         }
         let mut armed = plane.armed(src);
         while armed != 0 {
             let entry = InputPort::from_index(armed.trailing_zeros() as usize);
             armed &= armed - 1;
+            let plane = self.faults.as_mut().expect("fault_slot requires a plane");
             match plane.fire(src, entry, now) {
                 None | Some(RetryOutcome::Backoff) => {}
                 Some(RetryOutcome::Deliver(tx)) => {
-                    match route_for(&env.topology, &plane.dead, src, &tx.packet) {
-                        Some(route) => {
-                            plane.record_retransmit_latency(now, tx.first_pin);
-                            self.routers[i].accept_packet(
-                                entry,
-                                IncomingPacket {
-                                    packet: tx.packet,
-                                    route,
-                                    vc: tx.vc,
-                                    pin_time: now,
-                                    in_flit_period: tx.flit_period,
-                                },
-                            );
-                            // `next_wake` captures whether this arrival
-                            // makes the upcoming step (or a later one)
-                            // meaningful — the same invariant the apply
-                            // path maintains.
-                            self.wake_at[i] = self.wake_at[i].min(self.routers[i].next_wake());
-                        }
-                        None => plane.drop_with_refund(src, entry, tx.vc),
+                    let to = LinkTarget { peer: src, entry };
+                    if self.receive(&env.topology, to, tx.packet, tx.vc, now, tx.flit_period) {
+                        let plane = self.faults.as_mut().expect("retransmits need a plane");
+                        plane.record_retransmit_latency(now, tx.first_pin);
                     }
                 }
                 Some(RetryOutcome::Exhausted { src: node, output }) => {
@@ -632,78 +638,44 @@ impl<E: Endpoint> Shard<E> {
     /// lie in this shard (link deaths are broadcast and applied by every
     /// shard). The caller supplies events in ascending `(source router,
     /// emission order)` sequence.
-    ///
-    /// The `next_wake` minimum re-arms idle-skip: applying it here rather
-    /// than at emission time is exact because the event's earliest effect
-    /// tick is strictly later than the cycle that emitted it, so the
-    /// destination's skip decisions up to and including that cycle are
-    /// unchanged, and `min(next_work(before), next_wake(after)) ==
-    /// next_work(after)` re-establishes the invariant for the cycles
-    /// after.
     pub(crate) fn apply(&mut self, env: &CycleEnv, src: u16, ev: ShardEvent) {
-        let ev = match ev {
-            ShardEvent::Router(ev) => ev,
-            ShardEvent::LinkDead { node, output } => {
-                let plane = self
-                    .faults
-                    .as_mut()
-                    .expect("link deaths require a fault plane");
-                plane.kill_link(&env.topology, node, output);
-                return;
-            }
-        };
         match ev {
-            RouterOutput::Forward(o) => {
-                let target = env
+            ShardEvent::Forward(o) => {
+                let to = env
                     .topology
                     .link(src, o.output)
                     .expect("forward along an unwired port");
-                let (neighbor, entry) = (target.peer, target.entry);
-                let pin_time = o.first_flit + env.link_latency;
-                let local = (neighbor - self.base) as usize;
-                let packet = if let Some(plane) = self.faults.as_mut() {
-                    match plane.admit(neighbor, entry, o) {
+                let packet = match self.faults.as_mut() {
+                    Some(plane) => match plane.admit(to.peer, to.entry, o) {
                         Admission::Deliver(packet) => packet,
                         Admission::Held | Admission::Dropped => return,
-                    }
-                } else {
-                    o.packet
-                };
-                let dead = match &self.faults {
-                    Some(p) => &p.dead,
-                    None => DeadLinks::empty(),
-                };
-                let Some(route) = route_for(&env.topology, dead, neighbor, &packet) else {
-                    self.faults
-                        .as_mut()
-                        .expect("routes only fail once links have died")
-                        .drop_with_refund(neighbor, entry, o.downstream_vc);
-                    return;
-                };
-                self.routers[local].accept_packet(
-                    entry,
-                    IncomingPacket {
-                        packet,
-                        route,
-                        vc: o.downstream_vc,
-                        pin_time,
-                        in_flit_period: o.flit_period,
                     },
+                    None => o.packet,
+                };
+                let pin_time = o.first_flit + env.link_latency;
+                self.receive(
+                    &env.topology,
+                    to,
+                    packet,
+                    o.downstream_vc,
+                    pin_time,
+                    o.flit_period,
                 );
-                self.wake_at[local] = self.wake_at[local].min(self.routers[local].next_wake());
             }
-            RouterOutput::Credit { input, vc, at } => {
+            ShardEvent::Credit { input, vc, at } => {
                 let (upstream, output) = env
                     .topology
                     .feeder(src, input)
                     .expect("credit for an unwired input");
-                let local = (upstream - self.base) as usize;
-                self.routers[local].accept_credit(output, vc, at + env.link_latency);
-                self.wake_at[local] = self.wake_at[local].min(self.routers[local].next_wake());
+                let i = (upstream - self.base) as usize;
+                self.routers[i].accept_credit(output, vc, at + env.link_latency);
+                self.rearm(i);
             }
-            RouterOutput::Delivered { .. } => {
-                unreachable!("deliveries are scheduled in phase A and never deferred")
-            }
+            ShardEvent::LinkDead { node, output } => self
+                .faults
+                .as_mut()
+                .expect("link deaths require a fault plane")
+                .kill_link(&env.topology, node, output),
         }
     }
 }

@@ -56,12 +56,14 @@
 //!   shard writes per-destination outbox buckets in emission order; the
 //!   destination drains source shards in index order, and because shards
 //!   are contiguous node ranges that *is* ascending source order.
-//! * **Latencies**: each measured delivery is tagged with its canonical
+//! * **Measurement**: each measured delivery is tagged with its canonical
 //!   key (delivery tick, emission cycle, destination router, emission
-//!   index); each cycle's records are sorted on that key and replayed
-//!   into one triple of Welford accumulators — the exact global
-//!   wheel-drain order. All other statistics (counters, the latency
-//!   histograms) merge exactly.
+//!   index); each cycle's records from every shard are sorted on that key
+//!   and replayed, on shard 0's thread, into the one struct the report
+//!   reads — counts, histograms and the Welford triple, in the exact
+//!   global wheel-drain order. `shard::replay_records` is the one
+//!   function that says what a measured delivery adds. Every other
+//!   statistic is an integer sum over shards.
 //!
 //! # RNG streams
 //!
@@ -72,8 +74,7 @@
 use crate::fault::{retransmit_histogram, DeadLinks, FaultConfig};
 use crate::routing::route_for;
 use crate::shard::{
-    event_shards, replay_records, transit_histogram, txn_histogram, CycleEnv, Latencies,
-    MeasureRecord, OutEvent, Shard,
+    event_shards, replay_records, CycleEnv, MeasureRecord, Measured, OutEvent, Shard,
 };
 use crate::topology::{NetTopology, ShardMap};
 use arbitration::ports::InputPort;
@@ -526,13 +527,13 @@ struct Segments<'a> {
 }
 
 impl Segments<'_> {
-    /// The engine's one cycle body: segment `k` of `shard`. `latencies`
+    /// The engine's one cycle body: segment `k` of `shard`. `measured`
     /// is handed to shard 0 only, which replays the measurement records.
     ///
     /// The segments of one `k` may run on one thread each or one after
     /// another in shard order: each reads only what segment `k − 1` of
     /// every shard wrote, and writes only what segment `k + 1` reads.
-    fn run<E: Endpoint>(&self, k: u64, shard: &mut Shard<E>, latencies: Option<&mut Latencies>) {
+    fn run<E: Endpoint>(&self, k: u64, shard: &mut Shard<E>, measured: Option<&mut Measured>) {
         let me = shard.index;
         let exchange = self.exchange;
         if k > self.start {
@@ -551,12 +552,12 @@ impl Segments<'_> {
             }
             // Cycle k − 1's records, in canonical key order across every
             // shard.
-            if let Some(latencies) = latencies {
+            if let Some(measured) = measured {
                 let mut records = lock(&exchange.records[parity][0]);
                 for other in &exchange.records[parity][1..] {
                     records.append(&mut lock(other));
                 }
-                replay_records(&mut records, latencies);
+                replay_records(&mut records, measured);
             }
         }
         if k < self.end {
@@ -587,11 +588,11 @@ impl Segments<'_> {
     /// The sequential driver: every segment on the calling thread, shard
     /// by shard in index order — one legal schedule of the threaded
     /// driver's barrier protocol, so both leave the same state.
-    fn sequential<E: Endpoint>(&self, shards: &mut [Shard<E>], latencies: &mut Latencies) {
+    fn sequential<E: Endpoint>(&self, shards: &mut [Shard<E>], measured: &mut Measured) {
         for k in self.start..=self.end {
-            let mut latencies = Some(&mut *latencies);
+            let mut measured = Some(&mut *measured);
             for shard in shards.iter_mut() {
-                self.run(k, shard, latencies.take());
+                self.run(k, shard, measured.take());
             }
         }
     }
@@ -612,13 +613,13 @@ impl Segments<'_> {
     /// scope has joined, the calling thread re-raises
     /// `"worker fleet panicked: <original message>"`, whichever shard
     /// the panic started in.
-    fn threaded<E: Endpoint>(&self, shards: &mut [Shard<E>], latencies: &mut Latencies) {
+    fn threaded<E: Endpoint>(&self, shards: &mut [Shard<E>], measured: &mut Measured) {
         let barrier = SpinBarrier::new(shards.len());
-        let party = |shard: &mut Shard<E>, mut latencies: Option<&mut Latencies>| {
+        let party = |shard: &mut Shard<E>, mut measured: Option<&mut Measured>| {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 for k in self.start..=self.end {
                     barrier.wait();
-                    self.run(k, shard, latencies.as_deref_mut());
+                    self.run(k, shard, measured.as_deref_mut());
                 }
             }));
             if let Err(payload) = caught {
@@ -633,7 +634,7 @@ impl Segments<'_> {
                 let party = &party;
                 scope.spawn(move || party(shard, None));
             }
-            party(first, Some(latencies));
+            party(first, Some(measured));
         });
         barrier.raise_if_poisoned();
     }
@@ -662,7 +663,7 @@ pub struct NetworkSim<E: Endpoint> {
     shards: Vec<Shard<E>>,
     exchange: Exchange,
     cycle: u64,
-    latencies: Latencies,
+    measured: Measured,
 }
 
 impl<E: Endpoint> NetworkSim<E> {
@@ -712,7 +713,7 @@ impl<E: Endpoint> NetworkSim<E> {
             map,
             shards,
             cycle: 0,
-            latencies: Latencies::default(),
+            measured: Measured::default(),
             cfg,
         }
     }
@@ -799,17 +800,16 @@ impl<E: Endpoint> NetworkSim<E> {
             end,
         };
         if threaded {
-            segments.threaded(&mut self.shards, &mut self.latencies);
+            segments.threaded(&mut self.shards, &mut self.measured);
         } else {
-            segments.sequential(&mut self.shards, &mut self.latencies);
+            segments.sequential(&mut self.shards, &mut self.measured);
         }
         self.cycle = end;
     }
 
-    /// Builds the report for the window simulated so far. Every merge in
-    /// here is exact (integer sums and [`Histogram::merge`]) — the only
-    /// order-sensitive state, the `OnlineStats` triple, was accumulated
-    /// in canonical order by `replay_records`.
+    /// Builds the report for the window simulated so far: the measured
+    /// deliveries from the one struct `replay_records` feeds, and every
+    /// other field an integer sum over shards.
     pub fn report(&self) -> NetworkReport {
         let cfg = &self.cfg;
         let measure_ns = cfg.router.timing.core.cycles(cfg.measure_cycles).as_ns();
@@ -821,14 +821,9 @@ impl<E: Endpoint> NetworkSim<E> {
         let mut drains = 0;
         let mut matched_weight = 0;
         let mut mwm_weight = 0;
-        let mut in_flight = 0u64;
+        let mut in_flight = 0;
         let mut injected_packets = 0;
         let mut injected_flits = 0;
-        let mut measured_packets = 0;
-        let mut measured_flits = 0;
-        let mut measured_txns = 0;
-        let mut latency_hist = transit_histogram();
-        let mut txn_latency_hist = txn_histogram();
         let mut flits_corrupted = 0;
         let mut retransmissions = 0;
         let mut retry_exhaustions = 0;
@@ -844,33 +839,27 @@ impl<E: Endpoint> NetworkSim<E> {
                 drains += r.stats().drain_engagements.get();
                 matched_weight += r.stats().matched_weight.get();
                 mwm_weight += r.stats().mwm_weight.get();
-                in_flight += r.accounted_packets() as u64;
             }
-            in_flight += shard.pending_deliveries() as u64;
+            in_flight += shard.occupancy();
             injected_packets += shard.injected_packets;
             injected_flits += shard.injected_flits;
-            measured_packets += shard.measured_packets;
-            measured_flits += shard.measured_flits;
-            measured_txns += shard.measured_txns;
-            latency_hist.merge(&shard.latency_hist);
-            txn_latency_hist.merge(&shard.txn_latency_hist);
             if let Some(plane) = shard.faults() {
                 flits_corrupted += plane.flits_corrupted;
                 retransmissions += plane.retransmissions;
                 retry_exhaustions += plane.retry_exhaustions;
                 links_dead += plane.links_dead;
                 unreachable_drops += plane.unreachable_drops;
-                in_flight += plane.queued_packets;
                 retransmit_latency_hist.merge(&plane.retransmit_hist);
             }
         }
+        let m = &self.measured;
         NetworkReport {
-            delivered_packets: measured_packets,
-            delivered_flits: measured_flits,
-            latency: self.latencies.transit.clone(),
-            latency_hist,
-            total_latency: self.latencies.total.clone(),
-            flits_per_router_ns: measured_flits as f64 / (routers * measure_ns),
+            delivered_packets: m.transit.count(),
+            delivered_flits: m.flits,
+            latency: m.transit.clone(),
+            latency_hist: m.transit_hist.clone(),
+            total_latency: m.total.clone(),
+            flits_per_router_ns: m.flits as f64 / (routers * measure_ns),
             injected_packets,
             injected_flits,
             in_flight_packets: in_flight,
@@ -881,9 +870,9 @@ impl<E: Endpoint> NetworkSim<E> {
             drain_engagements: drains,
             matched_weight,
             mwm_weight,
-            completed_txns: measured_txns,
-            txn_latency: self.latencies.txn.clone(),
-            txn_latency_hist,
+            completed_txns: m.txn.count(),
+            txn_latency: m.txn.clone(),
+            txn_latency_hist: m.txn_hist.clone(),
             flits_corrupted,
             retransmissions,
             retry_exhaustions,

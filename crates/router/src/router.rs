@@ -528,17 +528,6 @@ impl Router {
         );
     }
 
-    /// The earliest tick at which a router with no competing entry next
-    /// has internal work — a pending arrival becoming eligible, a
-    /// streaming packet's buffer slot releasing, or a credit refund coming
-    /// due — or [`Tick::MAX`] when it is fully idle until an external
-    /// packet or credit arrives. Each such event carries its own due time
-    /// on the housekeeping wheel and is drained in heap order on the first
-    /// step at or after it, exactly as per-cycle stepping would have.
-    pub fn next_wake(&self) -> Tick {
-        self.house.next_due_edge().unwrap_or(Tick::MAX)
-    }
-
     /// The earliest tick at which stepping this router can do anything at
     /// all. A network layer may skip stepping the router until then (or
     /// until it hands it a packet or credit) and observe bit-for-bit
@@ -548,11 +537,16 @@ impl Router {
     /// (entries that are merely `Departing` stream on a precomputed
     /// schedule and free their slot at a known release tick), no
     /// nomination awaiting GA, anti-starvation not draining: only wheel
-    /// events remain, so the answer is [`Router::next_wake`].
-    /// [`Router::step`] catches up the anti-starvation scan cadence and
-    /// the windowed driver's phase across the gap, and every skipped step
-    /// provably emitted no events, mutated no entry state, and drew no
-    /// random numbers (with no competing entry the LA scans and window
+    /// events remain — a pending arrival becoming eligible, a streaming
+    /// packet's buffer slot releasing, a credit refund coming due — so the
+    /// answer is the housekeeping wheel's next due edge ([`Tick::MAX`]
+    /// when it is empty: idle until an external packet or credit). Each
+    /// such event carries its own due time and is drained in heap order on
+    /// the first step at or after it, exactly as per-cycle stepping would
+    /// have. [`Router::step`] catches up the anti-starvation scan cadence
+    /// and the windowed driver's phase across the gap, and every skipped
+    /// step provably emitted no events, mutated no entry state, and drew
+    /// no random numbers (with no competing entry the LA scans and window
     /// snapshots of the skipped cycles were empty, and the
     /// anti-starvation old-census — which counts only `Waiting` entries —
     /// was zero).
@@ -564,7 +558,12 @@ impl Router {
     /// no due anti-starvation census is provably a no-op (every phase
     /// short-circuits: the drains find nothing due, `scan_due` is false,
     /// and `now < next_window`).
+    ///
+    /// A hand-off ([`Router::accept_packet`], [`Router::accept_credit`])
+    /// only schedules on the wheel, so it can lower this answer but
+    /// changes nothing else it reads.
     pub fn next_work(&self) -> Tick {
+        let wheel = || self.house.next_due_edge().unwrap_or(Tick::MAX);
         let busy =
             self.active_entries > 0 || !self.ga_queue.is_empty() || self.antistarve.draining();
         if busy {
@@ -574,11 +573,11 @@ impl Router {
             return self
                 .next_window
                 .min(self.antistarve.next_scan_tick())
-                .min(self.next_wake());
+                .min(wheel());
         }
         // Empty router: wheel events only (the idle catch-up replays the
         // skipped empty census scans and window phases).
-        self.next_wake()
+        wheel()
     }
 
     /// Replays the phase bookkeeping of skipped quiescent cycles: empty

@@ -320,6 +320,9 @@ impl Ord for ScheduledSend {
     }
 }
 
+/// The local injection ports, in the order their source queues are tried.
+const PORTS: [InputPort; 3] = [InputPort::Cache, InputPort::Mc0, InputPort::Mc1];
+
 /// The coherence agent for one node.
 #[derive(Clone, Debug)]
 pub struct CoherenceEndpoint {
@@ -327,9 +330,9 @@ pub struct CoherenceEndpoint {
     topology: NetTopology,
     cfg: WorkloadConfig,
     rng: SimRng,
-    /// Source queues, one per local injection port.
-    cache_queue: VecDeque<Packet>,
-    mc_queues: [VecDeque<Packet>; 2],
+    /// Source queues, one per port of [`PORTS`]: requests wait in the
+    /// cache port's, responses and forwards in the two MC ports'.
+    queues: [VecDeque<Packet>; 3],
     /// Which MC port takes the next response (alternation).
     mc_flip: bool,
     /// Memory/L2 lookups in progress.
@@ -387,8 +390,7 @@ impl CoherenceEndpoint {
             topology,
             cfg,
             rng,
-            cache_queue: VecDeque::new(),
-            mc_queues: [VecDeque::new(), VecDeque::new()],
+            queues: Default::default(),
             mc_flip: false,
             pending: BinaryHeap::new(),
             bursting: true,
@@ -432,11 +434,7 @@ impl CoherenceEndpoint {
     /// idle (plus zero packets in flight in the network) means every
     /// transaction fully drained.
     pub fn is_idle(&self) -> bool {
-        self.inflight.is_empty()
-            && self.pending.is_empty()
-            && self.cache_queue.is_empty()
-            && self.mc_queues[0].is_empty()
-            && self.mc_queues[1].is_empty()
+        self.inflight.is_empty() && self.pending.is_empty() && self.queued() == 0
     }
 
     fn next_packet_id(&mut self) -> PacketId {
@@ -485,15 +483,14 @@ impl CoherenceEndpoint {
             now,
             tag.pack(),
         );
-        self.cache_queue.push_back(req);
+        self.queues[0].push_back(req);
         self.stats.transactions_started += 1;
     }
 
     /// Queues a response-side packet for injection through an MC port.
     fn queue_mc(&mut self, packet: Packet) {
-        let q = if self.mc_flip { 1 } else { 0 };
+        self.queues[1 + usize::from(self.mc_flip)].push_back(packet);
         self.mc_flip = !self.mc_flip;
-        self.mc_queues[q].push_back(packet);
     }
 
     fn drain_pending(&mut self, now: Tick) {
@@ -527,7 +524,7 @@ impl CoherenceEndpoint {
 
     /// Packets waiting in the three source queues.
     fn queued(&self) -> usize {
-        self.cache_queue.len() + self.mc_queues[0].len() + self.mc_queues[1].len()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     fn track_queue_depth(&mut self) {
@@ -587,31 +584,16 @@ impl Endpoint for CoherenceEndpoint {
         // 4. Each local port can accept at most one packet per cycle.
         // A destination severed by link deaths is dropped and accounted
         // (never retried: the route cannot come back).
-        if let Some(p) = self.cache_queue.front().copied() {
-            match ctx.inject(InputPort::Cache, p) {
-                InjectionOutcome::Accepted => {
-                    self.cache_queue.pop_front();
-                }
-                InjectionOutcome::Unreachable => {
-                    self.cache_queue.pop_front();
-                    self.drop_unreachable(&p);
-                }
-                InjectionOutcome::NoBufferSpace => {}
+        for (q, port) in PORTS.into_iter().enumerate() {
+            let Some(&p) = self.queues[q].front() else {
+                continue;
+            };
+            match ctx.inject(port, p) {
+                InjectionOutcome::NoBufferSpace => continue,
+                InjectionOutcome::Unreachable => self.drop_unreachable(&p),
+                InjectionOutcome::Accepted => {}
             }
-        }
-        for (i, port) in [InputPort::Mc0, InputPort::Mc1].into_iter().enumerate() {
-            if let Some(p) = self.mc_queues[i].front().copied() {
-                match ctx.inject(port, p) {
-                    InjectionOutcome::Accepted => {
-                        self.mc_queues[i].pop_front();
-                    }
-                    InjectionOutcome::Unreachable => {
-                        self.mc_queues[i].pop_front();
-                        self.drop_unreachable(&p);
-                    }
-                    InjectionOutcome::NoBufferSpace => {}
-                }
-            }
+            self.queues[q].pop_front();
         }
         self.track_queue_depth();
     }

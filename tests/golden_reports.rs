@@ -1,6 +1,7 @@
 //! Golden end-to-end reports: every row of the case table
 //! (`tests/golden/reports.txt`, read by `tests/common/mod.rs`) run at one
-//! worker with idle-skip on must reproduce its committed line.
+//! worker with idle-skip on must reproduce its committed line. Each fault
+//! row must also conserve packets after every single step.
 //!
 //! A line's `report=` field is `NetworkReport::digest`, over every field
 //! down to the raw `f64` bits and every histogram bucket, so any drift in
@@ -51,6 +52,35 @@ fn reports_match_golden_digests() {
         return;
     }
     check_every_row(|_| REFERENCE);
+}
+
+/// Packets are conserved after every cycle, not only at the end of a
+/// run: `injected == delivered + in_flight + unreachable_drops` after
+/// each `step_cycle` of every fault row, at one worker and over two
+/// shards. Warm-up 0 moves the measurement window over every delivery
+/// and changes nothing else in the run.
+#[test]
+fn fault_rows_conserve_packets_after_every_step() {
+    let faulty = rows()
+        .iter()
+        .filter(|row| row.case.fault.injection_enabled());
+    let runs: Vec<_> = faulty.flat_map(|row| [(row, 1), (row, 2)]).collect();
+    assert_eq!(runs.len(), 2 * 11, "the table's fault rows");
+    parallel_map(0, runs, |(row, workers)| {
+        let mut case = row.case.clone();
+        case.measure_cycles += std::mem::take(&mut case.warmup_cycles);
+        let mut sim = case.sim(workers);
+        for cycle in 1..=case.measure_cycles {
+            sim.step_cycle();
+            let r = sim.report();
+            assert_eq!(
+                r.injected_packets,
+                r.delivered_packets + r.in_flight_packets + r.unreachable_drops,
+                "{} over {workers} shard(s), after cycle {cycle}",
+                row.label
+            );
+        }
+    });
 }
 
 /// No simulation: in each equivalence binary every row is checked by

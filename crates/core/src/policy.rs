@@ -119,7 +119,13 @@ impl Selector {
             }
             RotaryMode::Off => requesters,
         };
-        let row = self.least_recent(pool);
+        // A lone requester is the least recent of its one-bit pool: no
+        // stamp needs reading.
+        let row = if pool & (pool - 1) == 0 {
+            pool.trailing_zeros() as usize
+        } else {
+            self.least_recent(pool)
+        };
         self.clock += 1;
         self.stamps[row] = self.clock;
         row
@@ -250,5 +256,47 @@ mod tests {
     #[test]
     fn single_requester_fast_path() {
         assert_eq!(lrs(RotaryMode::Off).select(1 << 11), 11);
+    }
+
+    #[test]
+    fn lone_requester_matches_the_plain_least_recent_pick() {
+        // Seeded masks, half of them one bit wide (a lone requester, or a
+        // lone network row under the Rotary Rule): every pick and the
+        // whole stamp vector must equal the plain statement — the
+        // smallest stamp of the pool, lowest row on ties — after every
+        // call.
+        let mut rng = simcore::SimRng::from_seed(44);
+        for rotary in [RotaryMode::Off, RotaryMode::On] {
+            let mut s = lrs(rotary);
+            let (mut stamps, mut clock) = (vec![0u64; 16], 0u64);
+            let mut lone = 0;
+            for call in 0..20_000 {
+                let mask = if rng.chance(0.5) {
+                    1 << rng.below(16)
+                } else {
+                    (rng.next_u32() & 0xFFFF).max(1)
+                };
+                let net = mask & NETWORK_ROW_MASK;
+                let pool = if rotary == RotaryMode::On && net != 0 {
+                    net
+                } else {
+                    mask
+                };
+                lone += usize::from(pool.count_ones() == 1);
+                let want = (0..16)
+                    .filter(|&row| pool & (1 << row) != 0)
+                    .min_by_key(|&row| stamps[row])
+                    .unwrap();
+                clock += 1;
+                stamps[want] = clock;
+                assert_eq!(
+                    s.select(mask),
+                    want,
+                    "{rotary:?} call {call} mask {mask:#x}"
+                );
+                assert_eq!(s.stamps, stamps, "{rotary:?} call {call}: stamps");
+            }
+            assert!(lone > 5_000, "{rotary:?}: {lone} lone requesters");
+        }
     }
 }

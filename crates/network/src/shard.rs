@@ -132,6 +132,17 @@ pub(crate) fn event_shards(
     dst..dst + 1
 }
 
+/// The due word of at most 64 nodes' `wakes`: bit `i` is set iff
+/// `wakes[i] <= now`, built without a branch so that a walk pays a
+/// find-first per due node instead of a test per node.
+fn due_word(wakes: &[Tick], now: Tick) -> u64 {
+    debug_assert!(wakes.len() <= 64);
+    wakes
+        .iter()
+        .enumerate()
+        .fold(0, |word, (bit, &wake)| word | u64::from(wake <= now) << bit)
+}
+
 /// A pending delivery on a shard's wheel, carrying the canonical emission
 /// key of the `Delivered` event that scheduled it.
 #[derive(Debug)]
@@ -423,16 +434,20 @@ impl<E: Endpoint> Shard<E> {
     /// Phase A of one core cycle, in the same order the original
     /// single-threaded engine used:
     ///
-    /// 1. routers arbitrate and emit events (skipping quiescent routers
-    ///    until their wake tick — a skipped step would have been a
-    ///    no-op); `Delivered` lands on the shard's wheel, everything else
-    ///    goes to `emit`;
+    /// 1. routers arbitrate and emit events (skipping a router until its
+    ///    wake tick, its [`Router::next_work`] — a skipped step would have
+    ///    been a no-op); `Delivered` lands on the shard's wheel, everything
+    ///    else goes to `emit`;
     /// 2. deliveries due now reach their endpoints, appending a
     ///    [`MeasureRecord`] per measured delivery;
     /// 3. endpoints generate new traffic (skipping an endpoint until the
     ///    tick its [`Endpoint::next_wake`] named — by that contract a
     ///    skipped `on_cycle` would have been a no-op; a delivery in step 2
     ///    re-asks).
+    ///
+    /// Steps 1 and 3 visit only what is due: one due word per 64 nodes
+    /// (bit set iff the wake tick has come), walked by find-first. Only
+    /// a shard with a fault plane visits every router, for its fault slot.
     ///
     /// Endpoint decisions cannot observe the deferred events: injections
     /// check `free_space` on *local* input ports only, while forwards
@@ -451,42 +466,57 @@ impl<E: Endpoint> Shard<E> {
         if let Some(plane) = self.faults.as_mut() {
             plane.begin_cycle(&env.topology, env.cycle);
         }
-        // 1. Routers.
+        // 1. Routers, by due word: a step re-arms only its own router, so a
+        // word read before its walk stays exact throughout it. The fault
+        // slot runs for every local router — including idle-skipped ones —
+        // so refunds, retries, and death events hold their canonical
+        // per-source position; it may hand its own router a retransmission,
+        // so with a fault plane each wake is tested after the slot.
         let mut scratch = std::mem::take(&mut self.scratch);
-        for i in 0..self.routers.len() {
-            let src = self.base + i as u16;
-            // Fault slot: runs for every local router — including
-            // idle-skipped ones — so refunds, retries, and death events
-            // hold their canonical per-source position.
-            if self.faults.is_some() {
-                self.fault_slot(env, i, emit);
-            }
-            if now < self.wake_at[i] {
-                self.skipped_steps += 1;
-                continue;
-            }
-            scratch.clear();
-            self.routers[i].step(now, &mut scratch);
-            for (seq, ev) in scratch.drain(..).enumerate() {
-                match ev {
-                    RouterOutput::Delivered { packet, at, .. } => {
-                        self.deliveries.schedule(
-                            at,
-                            Delivery {
-                                node: src,
-                                emit_cycle: env.cycle,
-                                emit_seq: seq as u32,
-                                packet,
-                            },
-                        );
-                    }
-                    RouterOutput::Forward(o) => emit(src, ShardEvent::Forward(o)),
-                    RouterOutput::Credit { input, vc, at } => {
-                        emit(src, ShardEvent::Credit { input, vc, at })
+        let n = self.routers.len();
+        for base in (0..n).step_by(64) {
+            let wakes = &self.wake_at[base..n.min(base + 64)];
+            let mut visit = if self.faults.is_some() {
+                u64::MAX >> (64 - wakes.len())
+            } else {
+                let due = due_word(wakes, now);
+                self.skipped_steps += (wakes.len() - due.count_ones() as usize) as u64;
+                due
+            };
+            while visit != 0 {
+                let i = base + visit.trailing_zeros() as usize;
+                visit &= visit - 1;
+                let src = self.base + i as u16;
+                if self.faults.is_some() {
+                    self.fault_slot(env, i, emit);
+                    if now < self.wake_at[i] {
+                        self.skipped_steps += 1;
+                        continue;
                     }
                 }
+                scratch.clear();
+                self.routers[i].step(now, &mut scratch);
+                for (seq, ev) in scratch.drain(..).enumerate() {
+                    match ev {
+                        RouterOutput::Delivered { packet, at, .. } => {
+                            self.deliveries.schedule(
+                                at,
+                                Delivery {
+                                    node: src,
+                                    emit_cycle: env.cycle,
+                                    emit_seq: seq as u32,
+                                    packet,
+                                },
+                            );
+                        }
+                        RouterOutput::Forward(o) => emit(src, ShardEvent::Forward(o)),
+                        RouterOutput::Credit { input, vc, at } => {
+                            emit(src, ShardEvent::Credit { input, vc, at })
+                        }
+                    }
+                }
+                self.rearm(i);
             }
-            self.rearm(i);
         }
         self.scratch = scratch;
 
@@ -516,31 +546,34 @@ impl<E: Endpoint> Shard<E> {
         }
         self.delivery_scratch = due;
 
-        // 3. Endpoints generate new traffic.
-        for i in 0..self.routers.len() {
-            if now < self.ep_wake[i] {
-                continue;
-            }
-            let mut ctx = NodeCtx {
-                router: &mut self.routers[i],
-                topology: &env.topology,
-                dead: match &self.faults {
-                    Some(p) => &p.dead,
-                    None => DeadLinks::empty(),
-                },
-                node: self.base + i as u16,
-                now,
-                core_period: env.core_period,
-                injected_packets: &mut self.injected_packets,
-                injected_flits: &mut self.injected_flits,
-                woke: false,
-            };
-            self.endpoints[i].on_cycle(&mut ctx);
-            if ctx.woke {
-                self.rearm(i);
-            }
-            if self.idle_skip {
-                self.ep_wake[i] = self.endpoints[i].next_wake();
+        // 3. Endpoints generate new traffic, by due word: their wakes move
+        // only in step 2 and in their own `on_cycle`.
+        for base in (0..n).step_by(64) {
+            let mut due = due_word(&self.ep_wake[base..n.min(base + 64)], now);
+            while due != 0 {
+                let i = base + due.trailing_zeros() as usize;
+                due &= due - 1;
+                let mut ctx = NodeCtx {
+                    router: &mut self.routers[i],
+                    topology: &env.topology,
+                    dead: match &self.faults {
+                        Some(p) => &p.dead,
+                        None => DeadLinks::empty(),
+                    },
+                    node: self.base + i as u16,
+                    now,
+                    core_period: env.core_period,
+                    injected_packets: &mut self.injected_packets,
+                    injected_flits: &mut self.injected_flits,
+                    woke: false,
+                };
+                self.endpoints[i].on_cycle(&mut ctx);
+                if ctx.woke {
+                    self.rearm(i);
+                }
+                if self.idle_skip {
+                    self.ep_wake[i] = self.endpoints[i].next_wake();
+                }
             }
         }
     }

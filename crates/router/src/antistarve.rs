@@ -85,9 +85,11 @@ impl AntiStarvation {
     /// router's idle-skip catch-up before its first real step after a gap;
     /// a no-op while the cadence is current.
     ///
-    /// The caller guarantees the router held no packets over the gap (that
-    /// is what made the cycles skippable), so drain mode cannot have been
-    /// engaged — and a draining router is never skipped in the first place.
+    /// The cadence falls behind only across a gap in which the router held
+    /// no packets: the wake of a loaded or draining router includes the
+    /// census tick, so it never sleeps past one. Every replayed scan would
+    /// have counted zero old packets, so drain mode cannot have been
+    /// engaged.
     pub(crate) fn catch_up_idle(&mut self, now: Tick, period: Tick) {
         if self.next_scan >= now || period == Tick::ZERO {
             return;

@@ -551,13 +551,25 @@ impl Router {
     /// anti-starvation old-census — which counts only `Waiting` entries —
     /// was zero).
     ///
-    /// **Loaded router** — a SPAA router with buffered work arbitrates
-    /// every cycle, so it must be stepped every cycle (`Tick::ZERO`). A
-    /// *windowed* router with buffered work arbitrates only at its next
-    /// window start; between windows a step with no due wheel event and
-    /// no due anti-starvation census is provably a no-op (every phase
-    /// short-circuits: the drains find nothing due, `scan_due` is false,
-    /// and `now < next_window`).
+    /// **Loaded router** — a *windowed* router with buffered work
+    /// arbitrates only at its next window start; between windows a step
+    /// with no due wheel event and no due anti-starvation census is
+    /// provably a no-op (every phase short-circuits: the drains find
+    /// nothing due, `scan_due` is false, and `now < next_window`). A
+    /// loaded SPAA router must be stepped every cycle (`Tick::ZERO`) only
+    /// while its row gate holds a row: otherwise the LA stage walks
+    /// nothing until an output wired to a waiting row frees, and the GA
+    /// stage decides nothing before the queue front's `decide_at`. So it
+    /// sleeps until the earliest of the census, the wheel's next edge,
+    /// that `decide_at`, and `busy_until − lookahead` of each output
+    /// outside `last_free` wired to a waiting row. Nothing else a skipped
+    /// step reads moves: no output is dispatched, so the free mask only
+    /// grows, and the first step afterwards applies the output-freed wakes
+    /// of all the skipped steps at once (they clear only quiet bits of
+    /// rows that are not waiting). Drain mode needs no term of its own: it
+    /// changes only which entries a walk or a GA pool prefers, a quiet row
+    /// finds nothing with or without its cutoff, and it engages and ends
+    /// only at a census.
     ///
     /// A hand-off ([`Router::accept_packet`], [`Router::accept_credit`])
     /// only schedules on the wheel, so it can lower this answer but
@@ -567,13 +579,25 @@ impl Router {
         let busy =
             self.active_entries > 0 || !self.ga_queue.is_empty() || self.antistarve.draining();
         if busy {
-            if self.cfg.algorithm.is_spaa() {
+            let due = self.antistarve.next_scan_tick().min(wheel());
+            if !self.cfg.algorithm.is_spaa() {
+                return self.next_window.min(due);
+            }
+            if self.gate_rows() != 0 {
                 return Tick::ZERO;
             }
-            return self
-                .next_window
-                .min(self.antistarve.next_scan_tick())
-                .min(wheel());
+            let ga = self.ga_queue.front().map_or(Tick::MAX, |n| n.decide_at);
+            let mut busy_outputs = !self.last_free & ((1 << NUM_OUTPUT_PORTS) - 1) as u8;
+            let mut freeing = Tick::MAX;
+            while busy_outputs != 0 {
+                let o = busy_outputs.trailing_zeros() as usize;
+                busy_outputs &= busy_outputs - 1;
+                if self.rows_of_output[o] & self.waiting_rows != 0 {
+                    let free_at = self.outputs[o].busy_until().saturating_sub(self.lookahead);
+                    freeing = freeing.min(free_at);
+                }
+            }
+            return due.min(ga).min(freeing);
         }
         // Empty router: wheel events only (the idle catch-up replays the
         // skipped empty census scans and window phases).
@@ -583,7 +607,9 @@ impl Router {
     /// Replays the phase bookkeeping of skipped quiescent cycles: empty
     /// anti-starvation scans and empty arbitration windows advance their
     /// cadence counters but change nothing else, so only the counters need
-    /// fast-forwarding. A no-op when the router is stepped every cycle.
+    /// fast-forwarding. A no-op when the router is stepped every cycle, or
+    /// sleeps loaded: its wake then holds the census tick and the next
+    /// window start.
     fn catch_up_idle(&mut self, now: Tick) {
         if !self.cfg.algorithm.is_spaa() && self.next_window < now {
             self.next_window = self.next_window.advance_cadence(now, self.window_interval);
@@ -1230,7 +1256,15 @@ impl Router {
         free
     }
 
+    /// The LA stage. With no waiting row it returns before
+    /// [`Router::gate_free`]: a row starts waiting only through
+    /// [`Router::input_changed`], which wakes it, so the stale `last_free`
+    /// can miss only wakes of rows that are not waiting, and the next LA
+    /// that runs re-syncs it.
     fn spaa_la_phase(&mut self, now: Tick) {
+        if self.waiting_rows == 0 {
+            return;
+        }
         let ga = now + self.ga_delay;
         let free = self.gate_free(now);
         if free == 0 {
@@ -1789,6 +1823,92 @@ mod tests {
                 spaa,
                 "{algorithm}: {} back-off picks went unmemoised",
                 gated.deferred_picks
+            );
+        }
+    }
+
+    #[test]
+    fn spaa_sleep_matches_every_cycle_stepping() {
+        // One arrival and credit script drives two routers per SPAA
+        // variant: one stepped every cycle, the other only at ticks at or
+        // past its `next_work`, asked again after every step and hand-off
+        // (the shard's wake rule). Credits come back 3 to 1,500 link
+        // clocks after a forward, so outputs stall on credits and on long
+        // trains while entries wait, and short anti-starvation thresholds
+        // make the router drain. Both must emit the same events and
+        // counters at every tick, and the sleeper must have slept while it
+        // held competing entries, some of those cycles in drain mode.
+        use CoherenceClass as C;
+        let vcs = [
+            VcId::adaptive(C::Request),
+            VcId::adaptive(C::Forward),
+            VcId::adaptive(C::BlockResponse),
+            VcId::adaptive(C::NonBlockResponse),
+            VcId::escape(C::Request, EscapeVc::Vc0),
+            VcId::escape(C::Forward, EscapeVc::Vc1),
+            VcId::special(),
+        ];
+        for algorithm in [ArbAlgorithm::SpaaRotary, ArbAlgorithm::SpaaBase] {
+            let mut cfg = RouterConfig::alpha_21364(algorithm);
+            cfg.antistarvation.age_threshold = Cycles::new(600);
+            cfg.antistarvation.count_threshold = 4;
+            cfg.antistarvation.scan_period = Cycles::new(64);
+            let core = cfg.timing.core.period();
+            let mut every = Router::new(0, cfg.clone(), SimRng::from_seed(9));
+            let mut sleeper = Router::new(0, cfg, SimRng::from_seed(9));
+            let mut rng = SimRng::from_seed(10);
+            let (mut next_id, mut wake) = (0u64, Tick::ZERO);
+            let (mut loaded_sleeps, mut draining_sleeps) = (0u64, 0u64);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for cycle in 0..40_000u64 {
+                let now = Tick::new(cycle * core.as_ticks());
+                got.clear();
+                want.clear();
+                every.step(now, &mut want);
+                if now >= wake {
+                    sleeper.step(now, &mut got);
+                    wake = sleeper.next_work();
+                } else if sleeper.active_entries > 0 {
+                    loaded_sleeps += 1;
+                    draining_sleeps += u64::from(sleeper.antistarve.draining());
+                }
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{algorithm} cycle {cycle}: events"
+                );
+                assert_eq!(
+                    format!("{:?}", sleeper.stats()),
+                    format!("{:?}", every.stats()),
+                    "{algorithm} cycle {cycle}: stats"
+                );
+                for event in &want {
+                    if let RouterOutput::Forward(o) = *event {
+                        let back = o.last_flit_done + Tick::new(30 * (3 + rng.below(1_500) as u64));
+                        every.accept_credit(o.output, o.downstream_vc, back);
+                        sleeper.accept_credit(o.output, o.downstream_vc, back);
+                        wake = sleeper.next_work();
+                    }
+                }
+                if rng.chance(0.1) {
+                    let input = InputPort::ALL[rng.below(5)];
+                    let vc = vcs[rng.below(vcs.len())];
+                    if every.free_space(input, vc) > 0 {
+                        let incoming = arrival(&mut rng, next_id, input, vc, now);
+                        next_id += 1;
+                        every.accept_packet(input, incoming);
+                        sleeper.accept_packet(input, incoming);
+                        wake = sleeper.next_work();
+                    }
+                }
+            }
+            assert!(
+                every.stats().grants.get() > 2_000,
+                "{algorithm}: the router moved traffic"
+            );
+            assert!(
+                loaded_sleeps > 5_000 && draining_sleeps > 0,
+                "{algorithm}: {loaded_sleeps} loaded sleeps, {draining_sleeps} of them draining"
             );
         }
     }

@@ -18,7 +18,7 @@
 pub mod common;
 
 use alpha21364::prelude::*;
-use common::{find, parse, Axis, Case};
+use common::{find, parse, run, Axis, Case, Engine};
 
 #[test]
 fn idle_skip_is_bit_for_bit_equivalent() {
@@ -256,4 +256,31 @@ fn near_idle_endpoints_sleep_through_nine_cycles_in_ten() {
         skipped > steps / 4,
         "only {skipped}/{steps} router steps skipped"
     );
+    // The count is deterministic: a change to the wake rule shows as a
+    // diff here.
+    assert_eq!(skipped, 45_370, "router steps skipped");
+}
+
+#[test]
+fn skipped_router_steps_are_pinned_on_a_fault_and_a_saturated_row() {
+    // The work idle-skip saves, pinned exactly where loaded SPAA routers
+    // sleep: under a fault plane (which still runs every router's fault
+    // slot) and past saturation, with anti-starvation drains.
+    for (label, want) in [
+        (
+            "4x4 SPAA-rotary uniform rate=0.04 seed=1 ber=0.002 flap=300.0/30.0 kill=5East@500 dead=0.05",
+            10_670,
+        ),
+        (
+            "4x4 SPAA-rotary uniform rate=0.1 seed=1 mshrs=open cycles=400+7600 window=1",
+            4_919,
+        ),
+    ] {
+        let engine = Engine::Fleet {
+            workers: 1,
+            idle_skip: true,
+        };
+        let (_, skipped) = run(find(label), engine);
+        assert_eq!(skipped, want, "{label}: router steps skipped");
+    }
 }

@@ -17,7 +17,6 @@ use crate::sim::NetworkConfig;
 use crate::topology::NetTopology;
 use arbitration::ports::OutputPort;
 use router::ArbAlgorithm;
-use simcore::Tick;
 use std::fmt;
 
 /// Why a configuration was refused: one variant per kind of violation,
@@ -35,9 +34,6 @@ pub enum ConfigError {
     /// An `ArbAlgorithm::SpaaDeep` latency below 2: LA and GA cannot
     /// share a cycle.
     SpaaLatency { latency: u8 },
-    /// The link wire latency is shorter than one core-clock period,
-    /// which breaks the engine's one-cycle horizon (`sim` module docs).
-    WireLatency { wire: Tick, core_period: Tick },
     /// A scheduled kill names a link the topology does not wire.
     UnwiredKill { node: u16, port: OutputPort },
     /// The traffic pattern is undefined on the topology.
@@ -62,10 +58,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "router.algorithm SPAA-deep needs at least 2 arbitration cycles \
                  (LA and GA cannot share one), got {latency}"
-            ),
-            ConfigError::WireLatency { wire, core_period } => write!(
-                f,
-                "link wire latency {wire} is shorter than one core cycle ({core_period})"
             ),
             ConfigError::UnwiredKill { node, port } => {
                 write!(f, "fault.kill_links names an unwired link ({node}, {port})")
@@ -98,11 +90,6 @@ impl NetworkConfig {
                 return Err(ConfigError::SpaaLatency { latency })
             }
             _ => {}
-        }
-        let wire = router.timing.link_latency_ticks();
-        let core_period = router.timing.core.period();
-        if wire < core_period {
-            return Err(ConfigError::WireLatency { wire, core_period });
         }
         for (field, count) in [
             ("router.scan_window", router.scan_window as u64),

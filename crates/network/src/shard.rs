@@ -61,14 +61,15 @@ pub(crate) struct CycleEnv {
 
 impl CycleEnv {
     pub(crate) fn at(cfg: &NetworkConfig, cycle: u64) -> Self {
-        let core = cfg.router.timing.core;
+        let timing = cfg.router.timing();
+        let core = timing.core;
         CycleEnv {
             topology: cfg.topology,
             now: core.edge(cycle),
             cycle,
             warmup_end: core.edge(cfg.warmup_cycles),
             core_period: core.period(),
-            link_latency: cfg.router.timing.link_latency_ticks(),
+            link_latency: timing.link_latency_ticks(),
         }
     }
 }
@@ -310,13 +311,14 @@ impl<E: Endpoint> Shard<E> {
                 Router::new(id, cfg.router.clone(), root.fork(id as u64))
             })
             .collect();
+        let timing = cfg.router.timing();
         let faults = cfg.fault.injection_enabled().then(|| {
             FaultPlane::new(
                 &cfg.fault,
                 &cfg.topology,
                 cfg.seed,
-                cfg.router.timing.core.period(),
-                cfg.router.timing.link_latency_ticks(),
+                timing.core.period(),
+                timing.link_latency_ticks(),
                 base,
                 endpoints.len() as u16,
             )
@@ -324,7 +326,7 @@ impl<E: Endpoint> Shard<E> {
         Shard {
             index,
             base,
-            deliveries: TimingWheel::new(cfg.router.timing.core.period(), 256),
+            deliveries: TimingWheel::new(timing.core.period(), 256),
             delivery_scratch: Vec::with_capacity(64),
             scratch: Vec::with_capacity(64),
             idle_skip: true,

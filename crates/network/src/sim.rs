@@ -28,11 +28,12 @@
 //! Every inter-router interaction in the model crosses a network link,
 //! and every link has the router timing's wire latency — three 0.8 GHz
 //! link-clocks (= 4.5 core cycles) as shipped, and never less than one
-//! core cycle ([`NetworkConfig::validate`] refuses a timing below that
-//! floor); even a local injection is decoded cycles after it pins. So
-//! any event a router emits at cycle *k* takes effect strictly after
-//! cycle *k* — no router's cycle-*k* decisions can observe another
-//! router's cycle-*k* outputs. That makes one core cycle a safe
+//! core cycle (a configuration selects one of two shipped timings, and
+//! the router crate's `shipped_timings_keep_the_one_cycle_horizon` test
+//! pins the floor for both); even a local injection is decoded cycles
+//! after it pins. So any event a router emits at cycle *k* takes effect
+//! strictly after cycle *k* — no router's cycle-*k* decisions can
+//! observe another router's cycle-*k* outputs. That makes one core cycle a safe
 //! parallelism quantum: run every shard's cycle-*k* phase A concurrently,
 //! exchange the emitted `Forward`/`Credit` events at a barrier, apply
 //! them (phase B), repeat. The engine has one body for that, a shard's
@@ -71,15 +72,16 @@
 //! (`seed.fork(node)` and `(seed ^ 0x5eed_f00d).fork(node)`), never per
 //! shard, so partitioning cannot perturb a single random draw.
 
-use crate::fault::{retransmit_histogram, DeadLinks, FaultConfig};
+use crate::fault::{retransmit_histogram, DeadLinks, FaultConfig, FaultPlane};
 use crate::routing::route_for;
 use crate::shard::{
     event_shards, replay_records, CycleEnv, MeasureRecord, Measured, OutEvent, Shard,
 };
 use crate::topology::{NetTopology, ShardMap};
 use arbitration::ports::InputPort;
+use router::stats::RouterStats;
 use router::{CoherenceClass, IncomingPacket, Packet, Router, RouterConfig, VcId};
-use simcore::stats::{Histogram, OnlineStats};
+use simcore::stats::{Counter, Histogram, OnlineStats};
 use simcore::sweep::effective_workers;
 use simcore::sync::SpinBarrier;
 use simcore::Tick;
@@ -812,45 +814,17 @@ impl<E: Endpoint> NetworkSim<E> {
     /// other field an integer sum over shards.
     pub fn report(&self) -> NetworkReport {
         let cfg = &self.cfg;
-        let measure_ns = cfg.router.timing.core.cycles(cfg.measure_cycles).as_ns();
+        let measure_ns = cfg.router.timing().core.cycles(cfg.measure_cycles).as_ns();
         let routers = cfg.topology.nodes() as f64;
-        let mut nominations = 0;
-        let mut grants = 0;
-        let mut collisions = 0;
-        let mut escapes = 0;
-        let mut drains = 0;
-        let mut matched_weight = 0;
-        let mut mwm_weight = 0;
-        let mut in_flight = 0;
-        let mut injected_packets = 0;
-        let mut injected_flits = 0;
-        let mut flits_corrupted = 0;
-        let mut retransmissions = 0;
-        let mut retry_exhaustions = 0;
-        let mut links_dead = 0;
-        let mut unreachable_drops = 0;
+        let router_sum = |counter: fn(&RouterStats) -> &Counter| -> u64 {
+            let all = self.shards.iter().flat_map(|s| &s.routers);
+            all.map(|r| counter(r.stats()).get()).sum()
+        };
+        let planes = || self.shards.iter().filter_map(Shard::faults);
+        let fault_sum = |count: fn(&FaultPlane) -> u64| -> u64 { planes().map(count).sum() };
         let mut retransmit_latency_hist = retransmit_histogram();
-        for shard in &self.shards {
-            for r in &shard.routers {
-                nominations += r.stats().nominations.get();
-                grants += r.stats().grants.get();
-                collisions += r.stats().collisions.get();
-                escapes += r.stats().escape_dispatches.get();
-                drains += r.stats().drain_engagements.get();
-                matched_weight += r.stats().matched_weight.get();
-                mwm_weight += r.stats().mwm_weight.get();
-            }
-            in_flight += shard.occupancy();
-            injected_packets += shard.injected_packets;
-            injected_flits += shard.injected_flits;
-            if let Some(plane) = shard.faults() {
-                flits_corrupted += plane.flits_corrupted;
-                retransmissions += plane.retransmissions;
-                retry_exhaustions += plane.retry_exhaustions;
-                links_dead += plane.links_dead;
-                unreachable_drops += plane.unreachable_drops;
-                retransmit_latency_hist.merge(&plane.retransmit_hist);
-            }
+        for plane in planes() {
+            retransmit_latency_hist.merge(&plane.retransmit_hist);
         }
         let m = &self.measured;
         NetworkReport {
@@ -860,24 +834,24 @@ impl<E: Endpoint> NetworkSim<E> {
             latency_hist: m.transit_hist.clone(),
             total_latency: m.total.clone(),
             flits_per_router_ns: m.flits as f64 / (routers * measure_ns),
-            injected_packets,
-            injected_flits,
-            in_flight_packets: in_flight,
-            nominations,
-            grants,
-            collisions,
-            escape_dispatches: escapes,
-            drain_engagements: drains,
-            matched_weight,
-            mwm_weight,
+            injected_packets: self.shards.iter().map(|s| s.injected_packets).sum(),
+            injected_flits: self.shards.iter().map(|s| s.injected_flits).sum(),
+            in_flight_packets: self.shards.iter().map(Shard::occupancy).sum(),
+            nominations: router_sum(|r| &r.nominations),
+            grants: router_sum(|r| &r.grants),
+            collisions: router_sum(|r| &r.collisions),
+            escape_dispatches: router_sum(|r| &r.escape_dispatches),
+            drain_engagements: router_sum(|r| &r.drain_engagements),
+            matched_weight: router_sum(|r| &r.matched_weight),
+            mwm_weight: router_sum(|r| &r.mwm_weight),
             completed_txns: m.txn.count(),
             txn_latency: m.txn.clone(),
             txn_latency_hist: m.txn_hist.clone(),
-            flits_corrupted,
-            retransmissions,
-            retry_exhaustions,
-            links_dead,
-            unreachable_drops,
+            flits_corrupted: fault_sum(|p| p.flits_corrupted),
+            retransmissions: fault_sum(|p| p.retransmissions),
+            retry_exhaustions: fault_sum(|p| p.retry_exhaustions),
+            links_dead: fault_sum(|p| p.links_dead),
+            unreachable_drops: fault_sum(|p| p.unreachable_drops),
             retransmit_latency_hist,
         }
     }
@@ -1188,7 +1162,7 @@ mod tests {
             let _ = s.run();
             s
         };
-        let core = quiet_4x4(400).router.timing.core;
+        let core = quiet_4x4(400).router.timing().core;
         let s = run(true);
         for node in 0..16 {
             let ep = s.endpoint(node);

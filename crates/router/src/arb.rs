@@ -23,10 +23,9 @@ use simcore::Tick;
 /// One in-flight SPAA nomination awaiting its GA stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Nomination {
-    /// Connection-matrix row of the nominating read port.
+    /// Connection-matrix row of the nominating read port (of input
+    /// `row / 2`).
     pub(crate) row: u8,
-    /// Input port index (row / 2).
-    pub(crate) input: u8,
     /// Nominated entry.
     pub(crate) entry: EntryId,
     /// Target output port index.

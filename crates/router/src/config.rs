@@ -204,10 +204,9 @@ impl fmt::Display for ArbAlgorithm {
 pub struct RouterConfig {
     /// Arbitration algorithm (fixes the arbiter driver and its timing).
     pub algorithm: ArbAlgorithm,
-    /// Pipeline depth scale: `false` = 21364, `true` = Figure 11a 2×.
+    /// Pipeline depth scale: `false` = 21364, `true` = Figure 11a 2×;
+    /// it fixes the clocks and delays ([`RouterConfig::timing`]).
     pub(crate) scaled_2x: bool,
-    /// Clock and fixed-delay set.
-    pub timing: RouterTiming,
     /// Input-buffer partition.
     pub buffers: BufferConfig,
     /// How many waiting packets per VC an input arbiter examines per
@@ -232,7 +231,6 @@ impl RouterConfig {
         RouterConfig {
             algorithm,
             scaled_2x: false,
-            timing: RouterTiming::alpha_21364(),
             buffers: BufferConfig::alpha_21364(),
             scan_window: 8,
             antistarvation: AntiStarvationConfig::default(),
@@ -244,8 +242,16 @@ impl RouterConfig {
     pub fn scaled_2x(algorithm: ArbAlgorithm) -> Self {
         RouterConfig {
             scaled_2x: true,
-            timing: RouterTiming::scaled_2x(),
             ..RouterConfig::alpha_21364(algorithm)
+        }
+    }
+
+    /// The clock and fixed-delay set implied by the scale flag.
+    pub fn timing(&self) -> RouterTiming {
+        if self.scaled_2x {
+            RouterTiming::scaled_2x()
+        } else {
+            RouterTiming::alpha_21364()
         }
     }
 
@@ -271,7 +277,7 @@ impl RouterConfig {
     /// pipeline degraded the network throughput by roughly 5%" (§1).
     pub(crate) fn la_lookahead(&self) -> simcore::time::Cycles {
         let production_spaa_latency = if self.scaled_2x { 6 } else { 3 };
-        simcore::time::Cycles::new(self.timing.output_delay.get() + production_spaa_latency - 1)
+        simcore::time::Cycles::new(self.timing().output_delay.get() + production_spaa_latency - 1)
     }
 }
 
@@ -404,7 +410,27 @@ mod tests {
         assert_eq!(base.arb_timing(), ArbTiming::new(3, 1));
         let scaled = RouterConfig::scaled_2x(ArbAlgorithm::SpaaRotary);
         assert_eq!(scaled.arb_timing(), ArbTiming::new(6, 1));
-        assert_eq!(scaled.timing.input_delay.get(), 8);
+        assert_eq!(scaled.timing().input_delay.get(), 8);
+    }
+
+    /// The network engine's one-cycle horizon (`network::sim` module
+    /// docs) needs every link's wire latency to last at least one core
+    /// period. [`RouterConfig::timing`] can only return these two, so
+    /// no configuration can break it.
+    #[test]
+    fn shipped_timings_keep_the_one_cycle_horizon() {
+        for cfg in [
+            RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary),
+            RouterConfig::scaled_2x(ArbAlgorithm::SpaaRotary),
+        ] {
+            let t = cfg.timing();
+            assert!(
+                t.link_latency_ticks() >= t.core.period(),
+                "wire {} under one core cycle {}",
+                t.link_latency_ticks(),
+                t.core.period()
+            );
+        }
     }
 
     #[test]

@@ -77,11 +77,8 @@ pub const REQ_ESCAPE_SHIFT: [u32; 2] = [8, 12];
 const REQ_BITS: usize = 16;
 
 /// Handle to an entry within one input port's slab: slot index plus the
-/// slot's generation at allocation time. Ordering is by `(index, gen)`;
-/// all tie-breaking order used by the arbitration engines reduces to the
-/// slot index, which reproduces the pre-generational `EntryId = u32`
-/// behaviour bit-for-bit (a slot's live handle is unique at any instant).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// slot's generation at allocation time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EntryId {
     index: u32,
     gen: u32,

@@ -24,8 +24,6 @@ use simcore::Tick;
 pub(crate) struct FlitSchedule {
     /// When the first flit crosses the output pin.
     pub(crate) first_flit: Tick,
-    /// When the last flit starts crossing.
-    pub(crate) last_flit_start: Tick,
     /// When the last flit has fully crossed (port and buffer release
     /// time; also the downstream tail-arrival minus link latency).
     pub(crate) done: Tick,
@@ -117,14 +115,9 @@ impl OutputState {
         // Cut-through: flit i cannot leave before it has been received.
         let own_rate_last = first_flit + Tick::new(n * out_p.as_ticks());
         let arrival_last = head_arrival + Tick::new(n * in_flit_period.as_ticks());
-        let last_flit_start = own_rate_last.max(arrival_last);
-        let done = last_flit_start + out_p;
+        let done = own_rate_last.max(arrival_last) + out_p;
         self.busy_until = done;
-        FlitSchedule {
-            first_flit,
-            last_flit_start,
-            done,
-        }
+        FlitSchedule { first_flit, done }
     }
 
     /// Time the port frees (for tests and statistics).
@@ -255,8 +248,8 @@ mod tests {
             &t,
         );
         assert_eq!(sched.first_flit, Tick::new(240));
-        // 3 flits at 30 ticks each.
-        assert_eq!(sched.last_flit_start, Tick::new(300));
+        // 3 flits at 30 ticks each: the last starts at 300.
+        assert_eq!(sched.done - t.link.period(), Tick::new(300));
         assert_eq!(sched.done, Tick::new(330));
 
         // GA at tick 120: +140 = 260, aligned up to the 270 link edge.
@@ -304,8 +297,8 @@ mod tests {
             &t,
         );
         let arrival_last = head_arrival + Tick::new(18 * 30);
-        assert_eq!(sched.last_flit_start, arrival_last);
-        assert_eq!(sched.done, arrival_last + t.core.period());
+        // The last flit starts as soon as it has arrived.
+        assert_eq!(sched.done - t.core.period(), arrival_last);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::output::{CreditBank, OutputState};
 use crate::packet::Packet;
 use crate::route::RouteInfo;
 use crate::stats::RouterStats;
+use crate::timing::RouterTiming;
 use crate::vc::{VcId, NUM_VCS};
 use arbitration::arbiter::Arbiter;
 use arbitration::matrix::ConnectionMatrix;
@@ -105,12 +106,16 @@ struct PendingArrival {
     incoming: IncomingPacket,
 }
 
-/// One deferred housekeeping event. All three kinds share a single
-/// per-router timing wheel, so the every-cycle step pays one due-check
-/// and one drain instead of three; the processing phases then run over
-/// the drained batch kind-by-kind, in the same order the split queues
-/// were drained in (each kind's relative `(time, insertion)` order is
-/// preserved by the shared wheel).
+/// One deferred housekeeping event. All three kinds share one timing
+/// wheel, and [`Router::process_housekeeping`] handles each drained event
+/// once, in wheel order. No other order is observable: arrivals still meet
+/// each other in `(eligible_at, insertion)` order, the order their VC
+/// queues append them in; credit refunds commute (each increments one
+/// counter and wakes rows, which nothing else in the batch reads); and a
+/// release only returns a slot to a free list, where the slot's number
+/// decides nothing (queues, walks and windows follow the age links), while
+/// its `Credit` output is one more commuting refund upstream. Reversing
+/// the whole drain order kept every golden digest, so no test pins this.
 #[derive(Clone, Copy, Debug)]
 enum HouseEvent {
     /// An arrival finishing input synchronization/decode.
@@ -264,6 +269,8 @@ impl VcLru {
 #[derive(Debug)]
 pub struct Router {
     cfg: RouterConfig,
+    /// `cfg.timing()`, kept for the hot path.
+    timing: RouterTiming,
     conn: ConnectionMatrix,
     inputs: Vec<InputBuffer>,
     outputs: Vec<OutputState>,
@@ -338,8 +345,6 @@ pub struct Router {
     scratch_due: Vec<Nomination>,
     /// Housekeeping-wheel drain buffer.
     scratch_house: Vec<(Tick, HouseEvent)>,
-    /// Release-reorder buffer (restores the split queues' release order).
-    scratch_releases: Vec<(Tick, (u8, EntryId))>,
     /// Windowed driver: (input, entry) pairs dispatched this window.
     scratch_dispatched: Vec<(usize, EntryId)>,
     /// Windowed driver: the per-window offer table and the kernel input
@@ -382,13 +387,14 @@ impl Router {
             .collect();
         let credits = CreditBank::new(&cfg.buffers);
         let antistarve = AntiStarvation::new(cfg.antistarvation);
-        let core_period = cfg.timing.core.period();
+        let timing = cfg.timing();
         let ga_cycles = arb.latency.get() - 1;
-        let ga_delay = cfg.timing.core_cycles(Cycles::new(ga_cycles));
-        let lookahead = cfg.timing.core_cycles(cfg.la_lookahead());
-        let window_interval = cfg.timing.core_cycles(arb.initiation_interval);
+        let ga_delay = timing.core_cycles(Cycles::new(ga_cycles));
+        let lookahead = timing.core_cycles(cfg.la_lookahead());
+        let window_interval = timing.core_cycles(arb.initiation_interval);
         Router {
             cfg,
+            timing,
             conn: ConnectionMatrix::alpha_21364(),
             inputs,
             outputs: OutputPort::ALL
@@ -406,7 +412,7 @@ impl Router {
             lookahead,
             max_inflight: ga_cycles.min(8) as u8,
             window_interval,
-            house: TimingWheel::new(core_period, WHEEL_SLOTS),
+            house: TimingWheel::new(timing.core.period(), WHEEL_SLOTS),
             pending_arrival_count: 0,
             reserved: [[0; NUM_VCS]; NUM_INPUT_PORTS],
             waiting_rows: 0,
@@ -426,7 +432,6 @@ impl Router {
             active_entries: 0,
             scratch_due: Vec::new(),
             scratch_house: Vec::new(),
-            scratch_releases: Vec::new(),
             scratch_dispatched: Vec::new(),
             win_snapshot,
         }
@@ -501,11 +506,11 @@ impl Router {
     /// checked [`Router::free_space`].
     pub fn accept_packet(&mut self, input: InputPort, incoming: IncomingPacket) {
         let delay = if input.is_network() {
-            self.cfg.timing.input_delay
+            self.timing.input_delay
         } else {
-            self.cfg.timing.local_input_delay
+            self.timing.local_input_delay
         };
-        let eligible_at = incoming.pin_time + self.cfg.timing.core_cycles(delay);
+        let eligible_at = incoming.pin_time + self.timing.core_cycles(delay);
         self.reserved[input.index()][incoming.vc.index()] += 1;
         self.pending_arrival_count += 1;
         self.house.schedule(
@@ -615,7 +620,6 @@ impl Router {
             self.next_window = self.next_window.advance_cadence(now, self.window_interval);
         }
         let period = self
-            .cfg
             .timing
             .core_cycles(self.antistarve.config().scan_period);
         self.antistarve.catch_up_idle(now, period);
@@ -640,9 +644,9 @@ impl Router {
     // Housekeeping phases
     // ------------------------------------------------------------------
 
-    /// Runs all due housekeeping events: one wheel drain, then the three
-    /// former phases (arrivals, credit refunds, buffer releases) replayed
-    /// kind-by-kind over the batch in their original phase order.
+    /// Runs all due housekeeping events: one wheel drain, each event
+    /// handled once in wheel order ([`HouseEvent`] says why that order is
+    /// as good as any).
     fn process_housekeeping(&mut self, now: Tick, out: &mut Vec<RouterOutput>) {
         if !self.house.has_due(now) {
             return;
@@ -650,65 +654,47 @@ impl Router {
         let mut due = std::mem::take(&mut self.scratch_house);
         due.clear();
         self.house.drain_due(now, &mut due);
-        // Arrivals, in `(eligible_at, insertion)` order — the same total
-        // order the former dedicated queue popped in.
-        for &(eligible_at, ev) in &due {
-            let HouseEvent::Arrival(head) = ev else {
-                continue;
-            };
-            let incoming = head.incoming;
-            let input = head.input as usize;
-            self.pending_arrival_count -= 1;
-            self.reserved[input][incoming.vc.index()] -= 1;
-            self.inputs[input].insert(Entry {
-                packet: incoming.packet,
-                route: incoming.route,
-                vc: incoming.vc,
-                eligible_at,
-                in_flit_period: incoming.in_flit_period,
-                state: EntryState::Waiting {
-                    not_before: Tick::ZERO,
-                },
-            });
-            self.input_changed(input, RowWake::Arrival);
-            self.active_entries += 1;
-            self.stats.packets_in.bump();
-        }
-        // Credit refunds: commutative (each only increments one
-        // `(output, vc)` counter), so batch order is immaterial.
-        for &(_, ev) in &due {
-            let HouseEvent::Credit(o, v) = ev else {
-                continue;
-            };
-            self.credits.refund(
-                OutputPort::from_index(o as usize),
-                VcId::from_index(v as usize),
-            );
-            self.wake_rows(self.rows_of_output[o as usize], RowWake::Refund);
-        }
-        // Releases are order-sensitive: the order slots return to the
-        // free lists decides which slot the next arrival claims. Restore
-        // the former queue's `(time, input, slot)` order exactly.
-        let mut rel = std::mem::take(&mut self.scratch_releases);
-        rel.clear();
-        for &(t, ev) in &due {
-            if let HouseEvent::Release(p, id) = ev {
-                rel.push((t, (p, id)));
+        for &(at, ev) in &due {
+            match ev {
+                HouseEvent::Arrival(head) => {
+                    let incoming = head.incoming;
+                    let input = head.input as usize;
+                    self.pending_arrival_count -= 1;
+                    self.reserved[input][incoming.vc.index()] -= 1;
+                    self.inputs[input].insert(Entry {
+                        packet: incoming.packet,
+                        route: incoming.route,
+                        vc: incoming.vc,
+                        eligible_at: at,
+                        in_flit_period: incoming.in_flit_period,
+                        state: EntryState::Waiting {
+                            not_before: Tick::ZERO,
+                        },
+                    });
+                    self.input_changed(input, RowWake::Arrival);
+                    self.active_entries += 1;
+                    self.stats.packets_in.bump();
+                }
+                HouseEvent::Credit(o, v) => {
+                    self.credits.refund(
+                        OutputPort::from_index(o as usize),
+                        VcId::from_index(v as usize),
+                    );
+                    self.wake_rows(self.rows_of_output[o as usize], RowWake::Refund);
+                }
+                HouseEvent::Release(p, id) => {
+                    let input = InputPort::from_index(p as usize);
+                    let entry = self.inputs[p as usize].release(id);
+                    if input.is_network() {
+                        out.push(RouterOutput::Credit {
+                            input,
+                            vc: entry.vc,
+                            at,
+                        });
+                    }
+                }
             }
         }
-        rel.sort_unstable_by_key(|&(t, (p, id))| (t, p, id.index()));
-        for &(t, (p, id)) in &rel {
-            let input = InputPort::from_index(p as usize);
-            let entry = self.inputs[p as usize].release(id);
-            if input.is_network() {
-                out.push(RouterOutput::Credit {
-                    input,
-                    vc: entry.vc,
-                    at: t,
-                });
-            }
-        }
-        self.scratch_releases = rel;
         self.scratch_house = due;
     }
 
@@ -717,8 +703,8 @@ impl Router {
             return;
         }
         let cfg = *self.antistarve.config();
-        let age = self.cfg.timing.core_cycles(cfg.age_threshold);
-        let period = self.cfg.timing.core_cycles(cfg.scan_period);
+        let age = self.timing.core_cycles(cfg.age_threshold);
+        let period = self.timing.core_cycles(cfg.scan_period);
         let cutoff = now.saturating_sub(age);
         let was_draining = self.antistarve.draining();
         let old: u32 = self.inputs.iter().map(|b| b.count_old(cutoff)).sum();
@@ -1040,7 +1026,7 @@ impl Router {
             // A read port streams one packet at a time: the next train may
             // be granted early but starts after the previous one ends.
             self.read_ports[row].busy_until,
-            &self.cfg.timing,
+            &self.timing,
         );
         let port = OutputPort::from_index(output);
         let mut packet = entry.packet;
@@ -1059,13 +1045,12 @@ impl Router {
                     output: port,
                     downstream_vc: vc,
                     first_flit: sched.first_flit,
-                    flit_period: self.outputs[output].flit_period(&self.cfg.timing),
+                    flit_period: self.outputs[output].flit_period(&self.timing),
                     last_flit_done: sched.done,
                 }));
             }
             None => {
                 self.stats.packets_delivered.bump();
-                self.stats.flits_delivered.add(packet.len() as u64);
                 out.push(RouterOutput::Delivered {
                     packet,
                     output: port,
@@ -1117,7 +1102,7 @@ impl Router {
             // (grants of sibling nominations cancel the others; a
             // handle whose entry departed and was released reads as not
             // current).
-            let live = self.inputs[n.input as usize]
+            let live = self.inputs[n.row as usize / 2]
                 .entry_if_current(n.entry)
                 .is_some_and(|entry| {
                     matches!(
@@ -1149,13 +1134,13 @@ impl Router {
             // LA time) and pick a winner. During an anti-starvation drain,
             // old contenders pre-empt everyone — including the Rotary
             // Rule, whose starvation this mechanism exists to break.
-            let winner_row = if self.outputs[output].grantable(now, &self.cfg.timing) {
+            let winner_row = if self.outputs[output].grantable(now, &self.timing) {
                 let pool = match self.antistarve.cutoff() {
                     Some(cutoff) => {
                         let mut old = 0u32;
                         for n in &due {
                             if n.output as usize == output
-                                && self.inputs[n.input as usize].entry(n.entry).eligible_at
+                                && self.inputs[n.row as usize / 2].entry(n.entry).eligible_at
                                     <= cutoff
                             {
                                 old |= 1 << n.row;
@@ -1196,9 +1181,9 @@ impl Router {
                 // Loser (or no winner): reset for re-nomination next cycle
                 // (SPAA step 3).
                 self.stats.collisions.bump();
-                self.inputs[n.input as usize]
-                    .set_waiting(n.entry, now + self.cfg.timing.core.period());
-                self.input_changed(n.input as usize, RowWake::Loser);
+                let input = n.row as usize / 2;
+                self.inputs[input].set_waiting(n.entry, now + self.timing.core.period());
+                self.input_changed(input, RowWake::Loser);
             }
         }
         self.scratch_due = due;
@@ -1219,7 +1204,7 @@ impl Router {
             }
             let e = self.inputs[input].entry(id);
             if matches!(e.state, EntryState::Nominated { read_port, .. } if read_port == rp) {
-                self.inputs[input].set_waiting(id, now + self.cfg.timing.core.period());
+                self.inputs[input].set_waiting(id, now + self.timing.core.period());
                 self.input_changed(input, RowWake::Loser);
             }
         }
@@ -1290,7 +1275,6 @@ impl Router {
             self.stats.nominations.bump();
             self.ga_queue.push_back(Nomination {
                 row: row as u8,
-                input: input as u8,
                 entry: id,
                 output: output as u8,
                 downstream_vc: vc_down,
@@ -1468,7 +1452,7 @@ impl Router {
             None => 0,
             Some(WeightKind::Depth) => buf.waiting_count(v) as u32,
             Some(WeightKind::Age) => {
-                let core_period = self.cfg.timing.core.period().as_ticks().max(1);
+                let core_period = self.timing.core.period().as_ticks().max(1);
                 let age = now.saturating_sub(buf.entry_eligible_at(idx)).as_ticks() / core_period;
                 age.min(u32::MAX as u64 - 1) as u32 + 1
             }
@@ -1640,7 +1624,7 @@ mod tests {
             cfg.antistarvation.age_threshold = Cycles::new(48);
             cfg.antistarvation.count_threshold = 8;
             cfg.antistarvation.scan_period = Cycles::new(16);
-            let core = cfg.timing.core.period();
+            let core = cfg.timing().core.period();
             let mut r = Router::new(0, cfg, SimRng::from_seed(7));
             let weighted = r.weight_kind.is_some();
             assert!(weighted, "{algorithm}: the oracle asks for weights");
@@ -1754,7 +1738,7 @@ mod tests {
             ArbAlgorithm::Pim1,
         ] {
             let cfg = RouterConfig::alpha_21364(algorithm);
-            let core = cfg.timing.core.period();
+            let core = cfg.timing().core.period();
             let mut gated = Router::new(0, cfg.clone(), SimRng::from_seed(3));
             let mut every = Router::new(0, cfg, SimRng::from_seed(3));
             every.every_row = true;
@@ -1853,7 +1837,7 @@ mod tests {
             cfg.antistarvation.age_threshold = Cycles::new(600);
             cfg.antistarvation.count_threshold = 4;
             cfg.antistarvation.scan_period = Cycles::new(64);
-            let core = cfg.timing.core.period();
+            let core = cfg.timing().core.period();
             let mut every = Router::new(0, cfg.clone(), SimRng::from_seed(9));
             let mut sleeper = Router::new(0, cfg, SimRng::from_seed(9));
             let mut rng = SimRng::from_seed(10);
@@ -1916,7 +1900,7 @@ mod tests {
     #[test]
     fn diagnostics_show_the_row_gate() {
         let cfg = RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary);
-        let core = cfg.timing.core.period();
+        let core = cfg.timing().core.period();
         let mut r = Router::new(0, cfg, SimRng::from_seed(5));
         assert!(
             r.diagnostics()

@@ -13,8 +13,6 @@ pub struct RouterStats {
     pub flits_out: Counter,
     /// Packets delivered to the local sinks (L0/L1/I-O at destination).
     pub packets_delivered: Counter,
-    /// Flits delivered to the local sinks.
-    pub(crate) flits_delivered: Counter,
     /// Nominations issued by the input arbiters.
     pub nominations: Counter,
     /// Grants issued by the output arbiters.

@@ -27,7 +27,7 @@ fn first_flit_times(
     packets: &[(u64, OutputPort, u64)],
     cycles: u64,
 ) -> Vec<(u64, u64)> {
-    let period = cfg.timing.core.period().as_ticks();
+    let period = cfg.timing().core.period().as_ticks();
     let mut r = Router::new(0, cfg, SimRng::from_seed(9));
     for &(id, dir, pin) in packets {
         r.accept_packet(
@@ -177,7 +177,7 @@ fn specials_ride_the_special_vc_through_any_algorithm() {
         ArbAlgorithm::Pim1,
     ] {
         let cfg = RouterConfig::alpha_21364(algo);
-        let period = cfg.timing.core.period().as_ticks();
+        let period = cfg.timing().core.period().as_ticks();
         let mut r = Router::new(0, cfg, SimRng::from_seed(3));
         r.accept_packet(
             InputPort::North,
@@ -202,7 +202,7 @@ fn specials_ride_the_special_vc_through_any_algorithm() {
 #[test]
 fn io_class_packets_use_escape_vcs_only() {
     let cfg = RouterConfig::alpha_21364(ArbAlgorithm::SpaaBase);
-    let period = cfg.timing.core.period().as_ticks();
+    let period = cfg.timing().core.period().as_ticks();
     let mut r = Router::new(0, cfg, SimRng::from_seed(4));
     r.accept_packet(
         InputPort::Cache,

@@ -26,8 +26,7 @@ use network::{
 use router::packet::PacketId;
 use router::{CoherenceClass, Packet};
 use simcore::{SimRng, Tick};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Fork label of the per-node burst phase-machine stream (see
 /// `CoherenceEndpoint::burst_rng`). Forking is a function of the node
@@ -293,30 +292,17 @@ impl DrawAhead {
     }
 }
 
-/// A response or forward scheduled to enter a source queue at `at`.
-#[derive(Clone, Copy, Debug)]
-struct ScheduledSend {
-    at: Tick,
-    seq: u64,
-    class: CoherenceClass,
-    dest: u16,
-    tag: u64,
-}
+/// The lookup kinds, indexing `CoherenceEndpoint::pending`: the home's
+/// memory lookup and a remote owner's L2 lookup.
+const MEMORY: usize = 0;
+const L2: usize = 1;
 
-impl PartialEq for ScheduledSend {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for ScheduledSend {}
-impl PartialOrd for ScheduledSend {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ScheduledSend {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+/// How long a lookup of `kind` takes.
+fn lookup_latency(kind: usize) -> Tick {
+    if kind == MEMORY {
+        Tick::from_ns(MEMORY_LATENCY_NS)
+    } else {
+        simcore::clock::Clock::alpha_21364_core().cycles(L2_LATENCY_CYCLES)
     }
 }
 
@@ -335,8 +321,13 @@ pub struct CoherenceEndpoint {
     queues: [VecDeque<Packet>; 3],
     /// Which MC port takes the next response (alternation).
     mc_flip: bool,
-    /// Memory/L2 lookups in progress.
-    pending: BinaryHeap<Reverse<ScheduledSend>>,
+    /// Lookups in progress, one FIFO per kind ([`MEMORY`], [`L2`]), as
+    /// `(finish tick, transaction tag)`. Each kind has a fixed latency and
+    /// `on_delivered`'s `now` never decreases, so each FIFO is in finish
+    /// order. Two lookups finishing on the same tick leave memory first:
+    /// that is issue order, because the L2 lookup is the shorter one, so
+    /// it was issued later.
+    pending: [VecDeque<(Tick, u64)>; 2],
     /// Bursty modulation state: currently in an ON phase? (Always `true`
     /// when no burst config is set.) Every node starts ON; the geometric
     /// phase machine decorrelates the nodes well within the warmup
@@ -371,7 +362,6 @@ pub struct CoherenceEndpoint {
     /// lookups and `len()` only (never iterated), so the map's order
     /// cannot leak into any simulation output.
     inflight: HashMap<u32, Tick>,
-    send_seq: u64,
     packet_seq: u64,
     txn_seq: u32,
     stats: EndpointStats,
@@ -392,7 +382,7 @@ impl CoherenceEndpoint {
             rng,
             queues: Default::default(),
             mc_flip: false,
-            pending: BinaryHeap::new(),
+            pending: Default::default(),
             bursting: true,
             burst_rng,
             off_exit: DrawAhead::starting(Tick::ZERO),
@@ -400,7 +390,6 @@ impl CoherenceEndpoint {
             next_attempt: DrawAhead::starting(Tick::ZERO),
             generating: true,
             inflight: HashMap::new(),
-            send_seq: 0,
             packet_seq: 0,
             txn_seq: 0,
             stats: EndpointStats::default(),
@@ -434,7 +423,7 @@ impl CoherenceEndpoint {
     /// idle (plus zero packets in flight in the network) means every
     /// transaction fully drained.
     pub fn is_idle(&self) -> bool {
-        self.inflight.is_empty() && self.pending.is_empty() && self.queued() == 0
+        self.inflight.is_empty() && self.next_lookup().is_none() && self.queued() == 0
     }
 
     fn next_packet_id(&mut self) -> PacketId {
@@ -493,15 +482,43 @@ impl CoherenceEndpoint {
         self.mc_flip = !self.mc_flip;
     }
 
+    /// Starts a lookup of `kind` at `now` for the transaction `txn`.
+    fn start_lookup(&mut self, kind: usize, now: Tick, txn: u64) {
+        let at = now + lookup_latency(kind);
+        let fifo = &mut self.pending[kind];
+        debug_assert!(
+            fifo.back().is_none_or(|&(last, _)| last <= at),
+            "lookup FIFO {kind} out of order"
+        );
+        fifo.push_back((at, txn));
+    }
+
+    /// The lookup kind whose FIFO front finishes first, and when: memory
+    /// on a tie (`min_by_key` keeps the first minimum; see `pending`).
+    fn next_lookup(&self) -> Option<(usize, Tick)> {
+        [MEMORY, L2]
+            .into_iter()
+            .filter_map(|kind| Some((kind, self.pending[kind].front()?.0)))
+            .min_by_key(|&(_, at)| at)
+    }
+
+    /// Finished lookups enter the MC source queues: the home answers a
+    /// two-hop request and forwards a three-hop one to its owner, and the
+    /// owner answers.
     fn drain_pending(&mut self, now: Tick) {
-        while let Some(&Reverse(s)) = self.pending.peek() {
-            if s.at > now {
+        while let Some((kind, at)) = self.next_lookup() {
+            if at > now {
                 break;
             }
-            self.pending.pop();
+            let (_, txn) = self.pending[kind].pop_front().expect("a front was seen");
+            let tag = TxnTag::unpack(txn);
+            let (class, dest) = if kind == MEMORY && tag.three_hop {
+                (CoherenceClass::Forward, tag.owner)
+            } else {
+                (CoherenceClass::BlockResponse, tag.requester)
+            };
             let id = self.next_packet_id();
-            let pkt = Packet::new(id, s.class, self.node, s.dest, s.at, s.tag);
-            self.queue_mc(pkt);
+            self.queue_mc(Packet::new(id, class, self.node, dest, at, txn));
         }
     }
 
@@ -606,7 +623,7 @@ impl Endpoint for CoherenceEndpoint {
         if self.queued() > 0 {
             return Tick::ZERO;
         }
-        let lookup = self.pending.peek().map_or(Tick::MAX, |Reverse(s)| s.at);
+        let lookup = self.next_lookup().map_or(Tick::MAX, |(_, at)| at);
         let draw = match self.cfg.burst {
             Some(_) if self.bursting => Tick::ZERO,
             Some(_) => self.off_exit.at,
@@ -621,34 +638,13 @@ impl Endpoint for CoherenceEndpoint {
         let tag = TxnTag::unpack(packet.txn);
         match packet.class {
             CoherenceClass::Request => {
-                // Home role: after the memory lookup, answer or forward.
-                let at = now + Tick::from_ns(MEMORY_LATENCY_NS);
-                let (class, dest) = if tag.three_hop {
-                    (CoherenceClass::Forward, tag.owner)
-                } else {
-                    (CoherenceClass::BlockResponse, tag.requester)
-                };
-                self.send_seq += 1;
-                self.pending.push(Reverse(ScheduledSend {
-                    at,
-                    seq: self.send_seq,
-                    class,
-                    dest,
-                    tag: packet.txn,
-                }));
+                // Home role: the memory lookup, then an answer or a forward.
+                self.start_lookup(MEMORY, now, packet.txn);
                 None
             }
             CoherenceClass::Forward => {
-                // Owner role: L2 lookup, then the data response.
-                let l2 = simcore::clock::Clock::alpha_21364_core().cycles(L2_LATENCY_CYCLES);
-                self.send_seq += 1;
-                self.pending.push(Reverse(ScheduledSend {
-                    at: now + l2,
-                    seq: self.send_seq,
-                    class: CoherenceClass::BlockResponse,
-                    dest: tag.requester,
-                    tag: packet.txn,
-                }));
+                // Owner role: the L2 lookup, then the data response.
+                self.start_lookup(L2, now, packet.txn);
                 None
             }
             CoherenceClass::BlockResponse => {
@@ -908,6 +904,50 @@ mod tests {
                 assert!(slept > 19_000, "p={p}: slept only {slept} cycles");
             }
         }
+    }
+
+    /// A memory lookup and an L2 lookup that finish on the same tick leave
+    /// in issue order, memory first, each with the next packet id.
+    #[test]
+    fn lookups_finishing_together_leave_memory_first() {
+        let (memory, l2) = (lookup_latency(MEMORY), lookup_latency(L2));
+        assert!(l2 < memory, "the tie rule needs L2 {l2} < memory {memory}");
+        assert_eq!(memory - l2, Tick::new(1_252));
+        let cfg = WorkloadConfig::paper(TrafficPattern::Uniform, 0.0);
+        let mut ep = CoherenceEndpoint::new(5, Torus::net_4x4().into(), cfg, SimRng::from_seed(1));
+        let deliver = |ep: &mut CoherenceEndpoint, class, tag: TxnTag, at: Tick| {
+            ep.on_delivered(&Packet::new(PacketId(0), class, 1, 5, at, tag.pack()), at);
+        };
+        let t = Tick::new(10_000);
+        let home = TxnTag {
+            requester: 1,
+            owner: 2,
+            three_hop: true,
+            seq: 7,
+        };
+        deliver(&mut ep, CoherenceClass::Request, home, t);
+        let owner = TxnTag {
+            requester: 3,
+            owner: 5,
+            three_hop: true,
+            seq: 9,
+        };
+        deliver(&mut ep, CoherenceClass::Forward, owner, t + memory - l2);
+        let done = t + memory;
+        ep.drain_pending(done - Tick::new(1));
+        assert_eq!(ep.queued(), 0);
+        ep.drain_pending(done);
+        let sent = |q: usize| -> Vec<_> {
+            let packets = ep.queues[q].iter();
+            packets.map(|p| (p.class, p.dest, p.id, p.birth)).collect()
+        };
+        let id = |seq: u64| PacketId(5 << 40 | seq);
+        assert_eq!(sent(0), vec![]);
+        assert_eq!(sent(1), vec![(CoherenceClass::Forward, 2, id(1), done)]);
+        assert_eq!(
+            sent(2),
+            vec![(CoherenceClass::BlockResponse, 3, id(2), done)]
+        );
     }
 
     #[test]

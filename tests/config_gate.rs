@@ -11,7 +11,6 @@
 //! algorithm catalogue run still passes.
 
 use alpha21364::prelude::*;
-use simcore::clock::Clock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// An endpoint that never injects: network rows need one per node and
@@ -222,40 +221,6 @@ fn fault_conditions_are_refused() {
             cfg,
             ConfigError::UnwiredKill { node, port },
         );
-    }
-}
-
-/// The wire-latency floor guards the engine's one-cycle horizon. No
-/// public constructor builds a timing below it — `Clock::new` and the
-/// `RouterTiming` delays are crate-private — so its row checks the
-/// message and that every clock a caller can swap in passes.
-#[test]
-fn wire_latency_floor_holds_for_every_public_timing() {
-    let error = ConfigError::WireLatency {
-        wire: Tick::new(90),
-        core_period: Tick::new(100),
-    };
-    assert_eq!(
-        error.to_string(),
-        "link wire latency 3.750ns is shorter than one core cycle (4.167ns)"
-    );
-    for router in [
-        RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary),
-        RouterConfig::scaled_2x(ArbAlgorithm::SpaaRotary),
-    ] {
-        for core in [
-            Clock::alpha_21364_core(),
-            Clock::alpha_21364_link(),
-            Clock::scaled_2x_core(),
-            Clock::scaled_2x_link(),
-        ] {
-            let mut cfg = NetworkConfig {
-                router: router.clone(),
-                ..net_4x4()
-            };
-            cfg.router.timing.core = core;
-            assert!(cfg.validate().is_ok(), "{core:?}");
-        }
     }
 }
 

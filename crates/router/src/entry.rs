@@ -115,8 +115,9 @@ pub enum EntryState {
         /// GA time.
         decide_at: Tick,
     },
-    /// Granted: flits are streaming out; the buffer slot frees at
-    /// `done_at` (when the read port finishes reading the tail flit).
+    /// Granted from a local input: flits are streaming out; the buffer
+    /// slot frees at `done_at` (when the read port finishes reading the
+    /// tail flit). A torus input's grant frees its slot at once.
     Departing {
         /// Slot release time.
         done_at: Tick,

@@ -85,14 +85,17 @@ pub enum RouterOutput {
         /// Delivery completion time (last flit).
         at: Tick,
     },
-    /// A buffer slot freed: return one credit to the upstream router
-    /// feeding `input`. Emitted only for torus input ports.
+    /// A torus input's buffer slot freed: return one credit to the
+    /// upstream router feeding `input`. Emitted at the grant, right after
+    /// the packet's own `Forward` or `Delivered`; local inputs return
+    /// none.
     Credit {
         /// The input port whose buffer released a slot.
         input: InputPort,
         /// The virtual channel of the freed slot.
         vc: VcId,
-        /// Release time (upstream sees it one link latency later).
+        /// The tail tick, when the read port lets the slot go (upstream
+        /// sees it one link latency later).
         at: Tick,
     },
 }
@@ -112,17 +115,17 @@ struct PendingArrival {
 /// each other in `(eligible_at, insertion)` order, the order their VC
 /// queues append them in; credit refunds commute (each increments one
 /// counter and wakes rows, which nothing else in the batch reads); and a
-/// release only returns a slot to a free list, where the slot's number
-/// decides nothing (queues, walks and windows follow the age links), while
-/// its `Credit` output is one more commuting refund upstream. Reversing
-/// the whole drain order kept every golden digest, so no test pins this.
+/// local input's release only returns a slot to a free list, where the
+/// slot's number decides nothing (queues, walks and windows follow the
+/// age links). Reversing the whole drain order kept every golden digest,
+/// so no test pins this.
 #[derive(Clone, Copy, Debug)]
 enum HouseEvent {
     /// An arrival finishing input synchronization/decode.
     Arrival(PendingArrival),
     /// An inbound credit refund `(output, vc)`.
     Credit(u8, u8),
-    /// A buffer release `(input, entry)` at tail-done time.
+    /// A local input's buffer release `(input, entry)` at tail-done time.
     Release(u8, EntryId),
 }
 
@@ -629,7 +632,7 @@ impl Router {
     /// its externally visible events to `out`.
     pub fn step(&mut self, now: Tick, out: &mut Vec<RouterOutput>) {
         self.catch_up_idle(now);
-        self.process_housekeeping(now, out);
+        self.process_housekeeping(now);
         self.antistarve_scan(now);
         if self.cfg.algorithm.is_spaa() {
             self.spaa_ga_phase(now, out);
@@ -647,7 +650,7 @@ impl Router {
     /// Runs all due housekeeping events: one wheel drain, each event
     /// handled once in wheel order ([`HouseEvent`] says why that order is
     /// as good as any).
-    fn process_housekeeping(&mut self, now: Tick, out: &mut Vec<RouterOutput>) {
+    fn process_housekeeping(&mut self, now: Tick) {
         if !self.house.has_due(now) {
             return;
         }
@@ -683,15 +686,7 @@ impl Router {
                     self.wake_rows(self.rows_of_output[o as usize], RowWake::Refund);
                 }
                 HouseEvent::Release(p, id) => {
-                    let input = InputPort::from_index(p as usize);
-                    let entry = self.inputs[p as usize].release(id);
-                    if input.is_network() {
-                        out.push(RouterOutput::Credit {
-                            input,
-                            vc: entry.vc,
-                            at,
-                        });
-                    }
+                    self.inputs[p as usize].release(id);
                 }
             }
         }
@@ -1058,17 +1053,30 @@ impl Router {
                 });
             }
         }
+        // The buffer slot frees with the tail. Nothing reads a torus slot
+        // before then (`free_space` gates local injection only), so a
+        // torus slot frees now and its credit, dated at the tail, rides
+        // the grant; a local slot waits out the train on the wheel.
+        let port = InputPort::from_index(input);
+        if port.is_network() {
+            self.inputs[input].release(id);
+            out.push(RouterOutput::Credit {
+                input: port,
+                vc: entry.vc,
+                at: sched.done,
+            });
+        } else {
+            self.inputs[input].begin_departure(id, sched.done);
+            self.house
+                .schedule(sched.done, HouseEvent::Release(input as u8, id));
+        }
         // Dispatching from a VC makes it the most-recently-selected VC of
         // this read port (the LA ordering key, §3).
         self.vc_lru[row].touch(entry.vc.index());
-        // The read port streams the flits; the buffer slot frees with the
-        // tail.
+        // The read port streams the flits.
         self.read_ports[row].busy_until = sched.done;
-        self.inputs[input].begin_departure(id, sched.done);
         self.input_changed(input, RowWake::Departure);
         self.active_entries -= 1;
-        self.house
-            .schedule(sched.done, HouseEvent::Release(input as u8, id));
     }
 
     // ------------------------------------------------------------------
@@ -1648,7 +1656,7 @@ mod tests {
                 // free mask of the same gate.
                 out.clear();
                 r.catch_up_idle(now);
-                r.process_housekeeping(now, &mut out);
+                r.process_housekeeping(now);
                 r.antistarve_scan(now);
                 let free = if now >= r.next_window {
                     r.gate_free(now)

@@ -109,22 +109,20 @@ struct PendingArrival {
     incoming: IncomingPacket,
 }
 
-/// One deferred housekeeping event. All three kinds share one timing
+/// One deferred housekeeping event: an arrival, or a local input's
+/// release (a torus slot frees at its grant, and credit refunds queue on
+/// their own, [`Router::accept_credit`]). Both kinds share one timing
 /// wheel, and [`Router::process_housekeeping`] handles each drained event
 /// once, in wheel order. No other order is observable: arrivals still meet
 /// each other in `(eligible_at, insertion)` order, the order their VC
-/// queues append them in; credit refunds commute (each increments one
-/// counter and wakes rows, which nothing else in the batch reads); and a
-/// local input's release only returns a slot to a free list, where the
-/// slot's number decides nothing (queues, walks and windows follow the
-/// age links). Reversing the whole drain order kept every golden digest,
-/// so no test pins this.
+/// queues append them in, and a release only returns a slot to a free
+/// list, where the slot's number decides nothing (queues, walks and
+/// windows follow the age links). Reversing the whole drain order kept
+/// every golden digest, so no test pins this.
 #[derive(Clone, Copy, Debug)]
 enum HouseEvent {
     /// An arrival finishing input synchronization/decode.
     Arrival(PendingArrival),
-    /// An inbound credit refund `(output, vc)`.
-    Credit(u8, u8),
     /// A local input's buffer release `(input, entry)` at tail-done time.
     Release(u8, EntryId),
 }
@@ -134,10 +132,10 @@ enum HouseEvent {
 /// Every event a router schedules for itself comes due a *bounded* number
 /// of edges ahead: an arrival decodes `input_delay` cycles after its pin
 /// time (itself at most the GA→pin plus wire latency ahead of the
-/// dispatching step), a credit refund arrives one wire latency after a
-/// release, and a buffer release waits out at most a 19-flit train at
-/// link rate behind a bounded first-flit offset — all comfortably under
-/// 64 core cycles for both the production and the 2× scaled pipelines.
+/// dispatching step), and a local input's release waits out at most a
+/// 19-flit train at link rate behind a bounded first-flit offset — both
+/// comfortably under 64 core cycles for both the production and the 2×
+/// scaled pipelines.
 /// Events past the ring (none in practice) spill into the wheel's
 /// overflow heap, preserving exactness either way. 64 is also one
 /// occupancy word: the wheel finds a router's next event in one masked
@@ -303,9 +301,12 @@ pub struct Router {
     max_inflight: u8,
     /// Spacing of the PIM1/WFA driver's windows.
     window_interval: Tick,
-    /// All deferred housekeeping events (arrivals, credit refunds, buffer
-    /// releases) on one bounded-horizon timing wheel keyed by due tick.
+    /// Deferred arrivals and local buffer releases on one bounded-horizon
+    /// timing wheel keyed by due tick.
     house: TimingWheel<HouseEvent>,
+    /// Inbound credit refunds `(at, output, vc)` not yet applied, in `at`
+    /// order ([`Router::next_work`] says when they must be).
+    refunds: VecDeque<(Tick, u8, u8)>,
     /// Arrivals pending on the wheel (for packet accounting).
     pending_arrival_count: u32,
     /// Slots reserved by pending arrivals, per (input, vc).
@@ -416,6 +417,7 @@ impl Router {
             max_inflight: ga_cycles.min(8) as u8,
             window_interval,
             house: TimingWheel::new(timing.core.period(), WHEEL_SLOTS),
+            refunds: VecDeque::new(),
             pending_arrival_count: 0,
             reserved: [[0; NUM_VCS]; NUM_INPUT_PORTS],
             waiting_rows: 0,
@@ -466,9 +468,11 @@ impl Router {
 
     /// One-line occupancy/credit snapshot for watchdog diagnostic dumps:
     /// how many packets this router owns, how many sit buffered, the GA
-    /// queue depth, when each torus output frees, and the per-direction
+    /// queue depth, when each torus output frees, the per-direction
     /// credit totals (a wedged router typically shows a direction pinned
-    /// at zero credits or a port busy far in the future).
+    /// at zero credits or a port busy far in the future) and the refunds
+    /// still queued, with the earliest one's tick: an empty router applies
+    /// them only at its next step, so its credits may read low meanwhile.
     pub fn diagnostics(&self) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
@@ -485,6 +489,10 @@ impl Router {
         let _ = write!(s, "; credits");
         for port in &OutputPort::ALL[..4] {
             let _ = write!(s, " {}:{}", port, self.credits.port_total(*port));
+        }
+        let _ = write!(s, "; refunds {}", self.refunds.len());
+        if let Some(&(at, ..)) = self.refunds.front() {
+            let _ = write!(s, " from {}", at.as_ticks());
         }
         // A missed wake reads as waiting rows that stay quiet beside a
         // free, credited output.
@@ -530,10 +538,11 @@ impl Router {
     /// includes the credit wire latency).
     pub fn accept_credit(&mut self, output: OutputPort, vc: VcId, at: Tick) {
         assert!(output.is_network(), "credits only exist for torus outputs");
-        self.house.schedule(
-            at,
-            HouseEvent::Credit(output.index() as u8, vc.index() as u8),
-        );
+        // Refunds mostly arrive in `at` order, so the slot is found from
+        // the back; equal ticks commute.
+        let behind = self.refunds.iter().rev().take_while(|r| r.0 > at).count();
+        let refund = (at, output.index() as u8, vc.index() as u8);
+        self.refunds.insert(self.refunds.len() - behind, refund);
     }
 
     /// The earliest tick at which stepping this router can do anything at
@@ -541,47 +550,54 @@ impl Router {
     /// until it hands it a packet or credit) and observe bit-for-bit
     /// identical simulation results.
     ///
+    /// **Credit refunds wait for arbitration.** Only arbitration reads
+    /// credits, and every step applies the due refunds before anything
+    /// else, so a refund applied at any step up to the router's next
+    /// arbitration is bit-identical to one applied at its own tick. A
+    /// router that cannot arbitrate before its answer below therefore
+    /// ignores the refund queue.
+    ///
     /// **Empty router** — no buffered entry competing for arbitration
-    /// (entries that are merely `Departing` stream on a precomputed
-    /// schedule and free their slot at a known release tick), no
+    /// (a local input's `Departing` entry streams on a precomputed
+    /// schedule and frees its slot at a known release tick), no
     /// nomination awaiting GA, anti-starvation not draining: only wheel
-    /// events remain — a pending arrival becoming eligible, a streaming
-    /// packet's buffer slot releasing, a credit refund coming due — so the
-    /// answer is the housekeeping wheel's next due edge ([`Tick::MAX`]
-    /// when it is empty: idle until an external packet or credit). Each
-    /// such event carries its own due time and is drained in heap order on
-    /// the first step at or after it, exactly as per-cycle stepping would
-    /// have. [`Router::step`] catches up the anti-starvation scan cadence
-    /// and the windowed driver's phase across the gap, and every skipped
-    /// step provably emitted no events, mutated no entry state, and drew
-    /// no random numbers (with no competing entry the LA scans and window
-    /// snapshots of the skipped cycles were empty, and the
-    /// anti-starvation old-census — which counts only `Waiting` entries —
-    /// was zero).
+    /// events remain — a pending arrival becoming eligible, a local slot
+    /// releasing (injection reads its free space) — so the answer is the
+    /// housekeeping wheel's next due edge ([`Tick::MAX`] when it is empty:
+    /// idle until an external packet). Each such event carries its own due
+    /// time and is drained in heap order on the first step at or after it,
+    /// exactly as per-cycle stepping would have. [`Router::step`] catches
+    /// up the anti-starvation scan cadence and the windowed driver's phase
+    /// across the gap, and every skipped step provably emitted no events,
+    /// mutated no entry state, and drew no random numbers (with no
+    /// competing entry the LA scans and window snapshots of the skipped
+    /// cycles were empty, and the anti-starvation old-census — which
+    /// counts only `Waiting` entries — was zero).
     ///
     /// **Loaded router** — a *windowed* router with buffered work
     /// arbitrates only at its next window start; between windows a step
     /// with no due wheel event and no due anti-starvation census is
     /// provably a no-op (every phase short-circuits: the drains find
-    /// nothing due, `scan_due` is false, and `now < next_window`). A
-    /// loaded SPAA router must be stepped every cycle (`Tick::ZERO`) only
-    /// while its row gate holds a row: otherwise the LA stage walks
-    /// nothing until an output wired to a waiting row frees, and the GA
-    /// stage decides nothing before the queue front's `decide_at`. So it
-    /// sleeps until the earliest of the census, the wheel's next edge,
-    /// that `decide_at`, and `busy_until − lookahead` of each output
-    /// outside `last_free` wired to a waiting row. Nothing else a skipped
-    /// step reads moves: no output is dispatched, so the free mask only
-    /// grows, and the first step afterwards applies the output-freed wakes
-    /// of all the skipped steps at once (they clear only quiet bits of
-    /// rows that are not waiting). Drain mode needs no term of its own: it
-    /// changes only which entries a walk or a GA pool prefers, a quiet row
-    /// finds nothing with or without its cutoff, and it engages and ends
-    /// only at a census.
+    /// nothing due, `scan_due` is false, and `now < next_window`), and its
+    /// refunds wait for the window. A loaded SPAA router must be stepped
+    /// every cycle (`Tick::ZERO`) only while its row gate holds a row:
+    /// otherwise the LA stage walks nothing until an output wired to a
+    /// waiting row frees or a refund wakes a quiet row, and the GA stage
+    /// decides nothing before the queue front's `decide_at`. So it sleeps
+    /// until the earliest of the census, the wheel's next edge, the front
+    /// refund's tick, that `decide_at`, and `busy_until − lookahead` of
+    /// each output outside `last_free` wired to a waiting row. Nothing
+    /// else a skipped step reads moves: no output is dispatched, so the
+    /// free mask only grows, and the first step afterwards applies the
+    /// output-freed wakes of all the skipped steps at once (they clear
+    /// only quiet bits of rows that are not waiting). Drain mode needs no
+    /// term of its own: it changes only which entries a walk or a GA pool
+    /// prefers, a quiet row finds nothing with or without its cutoff, and
+    /// it engages and ends only at a census.
     ///
     /// A hand-off ([`Router::accept_packet`], [`Router::accept_credit`])
-    /// only schedules on the wheel, so it can lower this answer but
-    /// changes nothing else it reads.
+    /// only schedules on the wheel or queues a refund, so it can lower
+    /// this answer but changes nothing else it reads.
     pub fn next_work(&self) -> Tick {
         let wheel = || self.house.next_due_edge().unwrap_or(Tick::MAX);
         let busy =
@@ -594,6 +610,7 @@ impl Router {
             if self.gate_rows() != 0 {
                 return Tick::ZERO;
             }
+            let refund = self.refunds.front().map_or(Tick::MAX, |r| r.0);
             let ga = self.ga_queue.front().map_or(Tick::MAX, |n| n.decide_at);
             let mut busy_outputs = !self.last_free & ((1 << NUM_OUTPUT_PORTS) - 1) as u8;
             let mut freeing = Tick::MAX;
@@ -605,7 +622,7 @@ impl Router {
                     freeing = freeing.min(free_at);
                 }
             }
-            return due.min(ga).min(freeing);
+            return due.min(refund).min(ga).min(freeing);
         }
         // Empty router: wheel events only (the idle catch-up replays the
         // skipped empty census scans and window phases).
@@ -647,10 +664,21 @@ impl Router {
     // Housekeeping phases
     // ------------------------------------------------------------------
 
-    /// Runs all due housekeeping events: one wheel drain, each event
-    /// handled once in wheel order ([`HouseEvent`] says why that order is
-    /// as good as any).
+    /// Runs all due housekeeping: every due credit refund, then one wheel
+    /// drain, each event handled once in wheel order ([`HouseEvent`] says
+    /// why that order is as good as any; refunds commute with all of it).
     fn process_housekeeping(&mut self, now: Tick) {
+        while let Some(&(at, o, v)) = self.refunds.front() {
+            if at > now {
+                break;
+            }
+            self.refunds.pop_front();
+            self.credits.refund(
+                OutputPort::from_index(o as usize),
+                VcId::from_index(v as usize),
+            );
+            self.wake_rows(self.rows_of_output[o as usize], RowWake::Refund);
+        }
         if !self.house.has_due(now) {
             return;
         }
@@ -677,13 +705,6 @@ impl Router {
                     self.input_changed(input, RowWake::Arrival);
                     self.active_entries += 1;
                     self.stats.packets_in.bump();
-                }
-                HouseEvent::Credit(o, v) => {
-                    self.credits.refund(
-                        OutputPort::from_index(o as usize),
-                        VcId::from_index(v as usize),
-                    );
-                    self.wake_rows(self.rows_of_output[o as usize], RowWake::Refund);
                 }
                 HouseEvent::Release(p, id) => {
                     self.inputs[p as usize].release(id);
@@ -1820,16 +1841,19 @@ mod tests {
     }
 
     #[test]
-    fn spaa_sleep_matches_every_cycle_stepping() {
-        // One arrival and credit script drives two routers per SPAA
-        // variant: one stepped every cycle, the other only at ticks at or
-        // past its `next_work`, asked again after every step and hand-off
-        // (the shard's wake rule). Credits come back 3 to 1,500 link
-        // clocks after a forward, so outputs stall on credits and on long
-        // trains while entries wait, and short anti-starvation thresholds
-        // make the router drain. Both must emit the same events and
-        // counters at every tick, and the sleeper must have slept while it
-        // held competing entries, some of those cycles in drain mode.
+    fn sleeping_routers_match_every_cycle_stepping() {
+        // One arrival and credit script drives two routers per algorithm
+        // (both SPAA variants, and WFA and PIM1 for the windowed branch):
+        // one stepped every cycle, the other only at ticks at or past its
+        // `next_work`, asked again after every step and hand-off (the
+        // shard's wake rule). Credits come back 3 to 1,500 link clocks
+        // after a forward, so outputs stall on credits and on long trains
+        // while entries wait, and short anti-starvation thresholds make
+        // the router drain. Both must emit the same events and counters at
+        // every tick, and the sleeper must have slept while it held
+        // competing entries, some of those cycles in drain mode, and while
+        // empty with a due refund queued. A loaded windowed router sleeps
+        // past due refunds too; a loaded SPAA router never does.
         use CoherenceClass as C;
         let vcs = [
             VcId::adaptive(C::Request),
@@ -1840,7 +1864,12 @@ mod tests {
             VcId::escape(C::Forward, EscapeVc::Vc1),
             VcId::special(),
         ];
-        for algorithm in [ArbAlgorithm::SpaaRotary, ArbAlgorithm::SpaaBase] {
+        for algorithm in [
+            ArbAlgorithm::SpaaRotary,
+            ArbAlgorithm::SpaaBase,
+            ArbAlgorithm::WfaRotary,
+            ArbAlgorithm::Pim1,
+        ] {
             let mut cfg = RouterConfig::alpha_21364(algorithm);
             cfg.antistarvation.age_threshold = Cycles::new(600);
             cfg.antistarvation.count_threshold = 4;
@@ -1851,18 +1880,23 @@ mod tests {
             let mut rng = SimRng::from_seed(10);
             let (mut next_id, mut wake) = (0u64, Tick::ZERO);
             let (mut loaded_sleeps, mut draining_sleeps) = (0u64, 0u64);
+            let (mut loaded_refund_sleeps, mut empty_refund_sleeps) = (0u64, 0u64);
             let (mut got, mut want) = (Vec::new(), Vec::new());
             for cycle in 0..40_000u64 {
                 let now = Tick::new(cycle * core.as_ticks());
                 got.clear();
                 want.clear();
                 every.step(now, &mut want);
+                let refund_due = u64::from(sleeper.refunds.front().is_some_and(|r| r.0 <= now));
                 if now >= wake {
                     sleeper.step(now, &mut got);
                     wake = sleeper.next_work();
                 } else if sleeper.active_entries > 0 {
                     loaded_sleeps += 1;
                     draining_sleeps += u64::from(sleeper.antistarve.draining());
+                    loaded_refund_sleeps += refund_due;
+                } else if sleeper.ga_queue.is_empty() && !sleeper.antistarve.draining() {
+                    empty_refund_sleeps += refund_due;
                 }
                 assert_eq!(
                     format!("{got:?}"),
@@ -1899,8 +1933,14 @@ mod tests {
                 "{algorithm}: the router moved traffic"
             );
             assert!(
-                loaded_sleeps > 5_000 && draining_sleeps > 0,
-                "{algorithm}: {loaded_sleeps} loaded sleeps, {draining_sleeps} of them draining"
+                loaded_sleeps > 5_000 && draining_sleeps > 0 && empty_refund_sleeps > 0,
+                "{algorithm}: {loaded_sleeps} loaded sleeps, {draining_sleeps} of them \
+                 draining; {empty_refund_sleeps} empty sleeps past a due refund"
+            );
+            assert_eq!(
+                loaded_refund_sleeps > 0,
+                !algorithm.is_spaa(),
+                "{algorithm}: {loaded_refund_sleeps} loaded sleeps past a due refund"
             );
         }
     }
@@ -1935,5 +1975,27 @@ mod tests {
         let dump = r.diagnostics();
         let field = format!("; quiet-rows {:#06x} waiting-rows 0x000c", r.quiet_rows);
         assert!(dump.ends_with(&field), "{dump}");
+        // An empty router applies refunds only at its next step, so the
+        // dump names the queue beside the credits it has not raised yet.
+        let cfg = RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary);
+        let mut e = Router::new(0, cfg, SimRng::from_seed(5));
+        let south = OutputPort::South;
+        let before = e.credits.port_total(south);
+        assert!(e.diagnostics().contains("; refunds 0; quiet-rows"));
+        let (early, late) = (
+            Tick::new(3 * core.as_ticks()),
+            Tick::new(9 * core.as_ticks()),
+        );
+        e.accept_credit(south, vc, late);
+        e.accept_credit(south, vc, early);
+        assert_eq!(e.next_work(), Tick::MAX, "refunds wake no empty router");
+        let dump = e.diagnostics();
+        let field = format!("; refunds 2 from {}; quiet-rows", early.as_ticks());
+        assert!(dump.contains(&field), "{dump}");
+        e.step(Tick::new(5 * core.as_ticks()), &mut out);
+        let dump = e.diagnostics();
+        let field = format!("; refunds 1 from {}; quiet-rows", late.as_ticks());
+        assert!(dump.contains(&field), "{dump}");
+        assert_eq!(e.credits.port_total(south), before + 1, "the due refund");
     }
 }

@@ -86,42 +86,83 @@ fn spaa_forwards_a_transit_packet_with_pin_to_pin_13_cycles() {
 
 #[test]
 fn local_delivery_emits_delivered_and_no_credit_events_for_local_inputs() {
-    let mut r = router(ArbAlgorithm::SpaaBase);
     // Injected from the cache port, delivered to a local sink: the whole
-    // path stays inside the node.
+    // path stays inside the node. The slot frees at the first step at or
+    // after the tail, not before (injection reads its free space).
+    let mut r = router(ArbAlgorithm::SpaaBase);
+    let vc = VcId::adaptive(CoherenceClass::Request);
+    let full = r.free_space(InputPort::Cache, vc);
     r.accept_packet(InputPort::Cache, incoming_local_delivery(9, 0));
-    let events = run(&mut r, 0, 60);
-    let delivered: Vec<_> = events
-        .iter()
-        .filter(|e| matches!(e, RouterOutput::Delivered { .. }))
-        .collect();
-    assert_eq!(delivered.len(), 1);
-    if let RouterOutput::Delivered { packet, output, .. } = delivered[0] {
-        assert_eq!(packet.id, PacketId(9));
-        assert!(output.is_local_sink());
+    let mut tail = None;
+    let mut out = Vec::new();
+    for cycle in 0..100 {
+        let now = Tick::new(cycle * CORE);
+        out.clear();
+        r.step(now, &mut out);
+        for event in &out {
+            match *event {
+                RouterOutput::Delivered { packet, output, at } => {
+                    assert_eq!(packet.id, PacketId(9));
+                    assert!(output.is_local_sink());
+                    tail = Some(at);
+                }
+                _ => panic!("local inputs do not return credits: {out:?}"),
+            }
+        }
+        let freed = tail.is_some_and(|t| now >= t);
+        assert_eq!(
+            r.free_space(InputPort::Cache, vc),
+            full - usize::from(!freed),
+            "cycle {cycle}, tail {tail:?}"
+        );
     }
     assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e, RouterOutput::Credit { .. })),
-        "local inputs do not return credits"
+        tail.is_some_and(|t| t > Tick::new(CORE)),
+        "delivered: {tail:?}"
     );
     assert_eq!(r.stats().packets_delivered.get(), 1);
 }
 
 #[test]
 fn network_input_returns_credit_when_buffer_frees() {
-    let mut r = router(ArbAlgorithm::SpaaBase);
-    r.accept_packet(InputPort::North, incoming_transit(1, OutputPort::South, 0));
-    let events = run(&mut r, 0, 60);
-    let credits: Vec<_> = events
-        .iter()
-        .filter(|e| matches!(e, RouterOutput::Credit { .. }))
-        .collect();
-    assert_eq!(credits.len(), 1, "one buffer slot released = one credit");
-    if let RouterOutput::Credit { input, vc, .. } = credits[0] {
-        assert_eq!(*input, InputPort::North);
-        assert_eq!(*vc, VcId::adaptive(CoherenceClass::Request));
+    // A transit packet and a packet ending here, both on a torus input:
+    // the step that grants each emits its one credit right after its
+    // `Forward` or `Delivered`, dated at the tail, and the slot is free
+    // at once.
+    let vc = VcId::adaptive(CoherenceClass::Request);
+    let packets = [
+        incoming_transit(1, OutputPort::South, 0),
+        incoming_local_delivery(2, 0),
+    ];
+    for incoming in packets {
+        let mut r = router(ArbAlgorithm::SpaaBase);
+        let full = r.free_space(InputPort::North, vc);
+        r.accept_packet(InputPort::North, incoming);
+        let mut out = Vec::new();
+        let mut cycle = 0;
+        while out.is_empty() {
+            assert_eq!(r.free_space(InputPort::North, vc), full - 1, "held");
+            assert!(cycle < 60, "no grant");
+            r.step(Tick::new(cycle * CORE), &mut out);
+            cycle += 1;
+        }
+        let tail = match out[0] {
+            RouterOutput::Forward(o) => o.last_flit_done,
+            RouterOutput::Delivered { at, .. } => at,
+            RouterOutput::Credit { .. } => panic!("credit before its packet: {out:?}"),
+        };
+        assert!(tail > Tick::new((cycle - 1) * CORE), "the tail is ahead");
+        assert!(
+            matches!(out[1..], [RouterOutput::Credit { input: InputPort::North, vc: v, at }]
+                if v == vc && at == tail),
+            "{out:?}"
+        );
+        assert_eq!(
+            r.free_space(InputPort::North, vc),
+            full,
+            "freed at the grant"
+        );
+        assert!(run(&mut r, cycle, 60).is_empty(), "one slot, one credit");
     }
 }
 

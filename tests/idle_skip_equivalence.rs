@@ -258,7 +258,7 @@ fn near_idle_endpoints_sleep_through_nine_cycles_in_ten() {
     );
     // The count is deterministic: a change to the wake rule shows as a
     // diff here.
-    assert_eq!(skipped, 45_835, "router steps skipped");
+    assert_eq!(skipped, 46_293, "router steps skipped");
 }
 
 #[test]
@@ -270,15 +270,15 @@ fn skipped_router_steps_are_pinned_on_a_fault_and_a_saturated_row() {
     for (label, want) in [
         (
             "4x4 SPAA-rotary uniform rate=0.04 seed=1 ber=0.002 flap=300.0/30.0 kill=5East@500 dead=0.05",
-            11_727,
+            12_370,
         ),
         (
             "4x4 SPAA-rotary uniform rate=0.1 seed=1 mshrs=open cycles=400+7600 window=1",
-            5_741,
+            5_854,
         ),
         (
             "16x16 SPAA-rotary uniform rate=0.01 seed=1 cycles=200+800",
-            143_862,
+            153_429,
         ),
     ] {
         let engine = Engine::Fleet {

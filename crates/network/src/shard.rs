@@ -275,8 +275,12 @@ pub(crate) struct Shard<E> {
     /// ([`Shard::rearm`]); `Tick::ZERO` throughout while idle-skip is off.
     wake_at: Vec<Tick>,
     /// Per local endpoint: its last [`Endpoint::next_wake`] answer
-    /// (`Tick::ZERO` while idle-skip is off).
+    /// (`Tick::ZERO` while idle-skip is off), lowered to "now" when its
+    /// router frees a slot on a port in `refused`.
     ep_wake: Vec<Tick>,
+    /// Per local endpoint: the local inputs its last `on_cycle` was
+    /// refused for space at ([`NodeCtx::inject`]).
+    refused: Vec<u8>,
     pub(crate) skipped_steps: u64,
     pub(crate) injected_packets: u64,
     pub(crate) injected_flits: u64,
@@ -332,6 +336,7 @@ impl<E: Endpoint> Shard<E> {
             idle_skip: true,
             wake_at: vec![Tick::ZERO; routers.len()],
             ep_wake: vec![Tick::ZERO; routers.len()],
+            refused: vec![0; routers.len()],
             skipped_steps: 0,
             injected_packets: 0,
             injected_flits: 0,
@@ -439,13 +444,15 @@ impl<E: Endpoint> Shard<E> {
     /// 1. routers arbitrate and emit events (skipping a router until its
     ///    wake tick, its [`Router::next_work`] — a skipped step would have
     ///    been a no-op); `Delivered` lands on the shard's wheel, everything
-    ///    else goes to `emit`;
+    ///    else goes to `emit`; a step that frees a slot on a local input
+    ///    that refused its endpoint's last `on_cycle` makes that endpoint
+    ///    due now;
     /// 2. deliveries due now reach their endpoints, appending a
     ///    [`MeasureRecord`] per measured delivery;
     /// 3. endpoints generate new traffic (skipping an endpoint until the
     ///    tick its [`Endpoint::next_wake`] named — by that contract a
     ///    skipped `on_cycle` would have been a no-op; a delivery in step 2
-    ///    re-asks).
+    ///    re-asks, unless the endpoint is due already).
     ///
     /// Steps 1 and 3 visit only what is due: one due word per 64 nodes
     /// (bit set iff the wake tick has come), walked by find-first. Only
@@ -497,7 +504,9 @@ impl<E: Endpoint> Shard<E> {
                     }
                 }
                 scratch.clear();
-                self.routers[i].step(now, &mut scratch);
+                if self.routers[i].step(now, &mut scratch) & self.refused[i] != 0 {
+                    self.ep_wake[i] = self.ep_wake[i].min(now);
+                }
                 for (seq, ev) in scratch.drain(..).enumerate() {
                     match ev {
                         RouterOutput::Delivered { packet, at, .. } => {
@@ -530,7 +539,9 @@ impl<E: Endpoint> Shard<E> {
             self.delivered_all += 1;
             let local = (d.node - self.base) as usize;
             let txn = self.endpoints[local].on_delivered(&d.packet, at);
-            if self.idle_skip {
+            // A wake already due stays due: step 1 may have set it for a
+            // freed slot that `next_wake` leaves out.
+            if self.idle_skip && self.ep_wake[local] > now {
                 self.ep_wake[local] = self.endpoints[local].next_wake();
             }
             if at >= env.warmup_end {
@@ -568,8 +579,10 @@ impl<E: Endpoint> Shard<E> {
                     injected_packets: &mut self.injected_packets,
                     injected_flits: &mut self.injected_flits,
                     woke: false,
+                    refused: 0,
                 };
                 self.endpoints[i].on_cycle(&mut ctx);
+                self.refused[i] = ctx.refused;
                 if ctx.woke {
                     self.rearm(i);
                 }

@@ -1,8 +1,9 @@
 //! The network simulator: routers + links + endpoints.
 //!
 //! [`NetworkSim`] visits each 1.2 GHz core-clock edge, steps every router
-//! that has work (quiescent routers are *skipped* — bit-for-bit
-//! equivalently — until a packet, credit, or wake tick reaches them), and
+//! that has work (a router is *skipped* — bit-for-bit equivalently — until
+//! its [`Router::next_work`] tick, which an arriving packet or injection
+//! can lower; a credit lowers it only where arbitration reads it), and
 //! moves the router outputs around:
 //!
 //! * **Forwards** cross a 0.8 GHz link with three link-clocks of wire
@@ -16,6 +17,9 @@
 //! inject packets through its local input ports (cache, memory
 //! controllers, I/O), bounded by real buffer space. The `workload` crate's
 //! coherence generator is the production endpoint; tests use simpler ones.
+//! Endpoints are skipped too, until their [`Endpoint::next_wake`] tick, a
+//! delivery to them, or a step of their router that frees a slot on a
+//! local input that refused them in their last `on_cycle`.
 //!
 //! The network is partitioned into contiguous node-range shards
 //! ([`NetworkSim::with_workers`]); `run` steps one shard on the calling
@@ -117,6 +121,10 @@ pub struct NodeCtx<'a> {
     pub(crate) dead: &'a DeadLinks,
     /// Set when an injection gave the router new work (idle-skip wake).
     pub(crate) woke: bool,
+    /// The local inputs an injection was refused for space at, bit
+    /// `InputPort::index()` each: the endpoint may sleep on them until
+    /// its router frees a slot there (idle-skip wake).
+    pub(crate) refused: u8,
 }
 
 impl NodeCtx<'_> {
@@ -156,6 +164,7 @@ impl NodeCtx<'_> {
         assert_eq!(packet.src, self.node, "packet source must be this node");
         let vc = Self::injection_vc(packet.class);
         if self.router.free_space(input, vc) == 0 {
+            self.refused |= 1 << input.index();
             return InjectionOutcome::NoBufferSpace;
         }
         // Route before committing: a destination cut off by link deaths
@@ -213,6 +222,12 @@ pub trait Endpoint: Send {
     /// and change no statistic, unless `on_delivered` is called first;
     /// the engine asks again after every `on_cycle` and `on_delivered`.
     /// The default, [`Tick::ZERO`], means "call me every cycle".
+    ///
+    /// A packet that the last `on_cycle` offered and [`NodeCtx::inject`]
+    /// refused with [`InjectionOutcome::NoBufferSpace`] may be left out of
+    /// the answer: the engine calls `on_cycle` again on the first cycle
+    /// whose router step frees a slot on a refused port, and a local
+    /// input's free space rises at no other time.
     fn next_wake(&self) -> Tick {
         Tick::ZERO
     }
@@ -1144,6 +1159,76 @@ mod tests {
             self.wake = now;
             None
         }
+    }
+
+    /// Node 0 keeps its cache port full with requests until `budget` are
+    /// in, and sleeps while the port refuses: after a refusal only the
+    /// engine's wake on a freed slot calls it again.
+    struct Filler {
+        budget: u64,
+        /// Every call while the budget lasts: its tick, and whether the
+        /// port had room on entry.
+        calls: Vec<(Tick, bool)>,
+    }
+
+    impl Endpoint for Filler {
+        fn on_cycle(&mut self, ctx: &mut NodeCtx<'_>) {
+            if ctx.node != 0 || self.budget == 0 {
+                return;
+            }
+            let vc = NodeCtx::injection_vc(CoherenceClass::Request);
+            let room = ctx.router.free_space(InputPort::Cache, vc) > 0;
+            self.calls.push((ctx.now(), room));
+            while self.budget > 0 {
+                let id = router::packet::PacketId(self.budget);
+                let p = Packet::new(id, CoherenceClass::Request, 0, 5, ctx.now(), 0);
+                if ctx.inject(InputPort::Cache, p) == InjectionOutcome::NoBufferSpace {
+                    break;
+                }
+                self.budget -= 1;
+            }
+        }
+
+        fn next_wake(&self) -> Tick {
+            Tick::MAX
+        }
+
+        fn on_delivered(&mut self, _packet: &Packet, _now: Tick) -> Option<TxnCompletion> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_refused_endpoint_is_called_on_the_release_edge_and_no_cycle_between() {
+        let run = |idle_skip: bool| {
+            let endpoints = (0..16)
+                .map(|_| Filler {
+                    budget: 120,
+                    calls: Vec::new(),
+                })
+                .collect();
+            let mut s = NetworkSim::new(quiet_4x4(1500), endpoints);
+            s.set_idle_skip(idle_skip);
+            let report = s.run();
+            assert_eq!(report.delivered_packets, 120, "idle_skip {idle_skip}");
+            let ep = s.endpoint(0);
+            assert_eq!(ep.budget, 0, "idle_skip {idle_skip}");
+            (report, ep.calls.clone())
+        };
+        let (off, every) = run(false);
+        let (on, calls) = run(true);
+        off.assert_bit_identical(&on, "filler");
+        // Skip off, node 0 runs every cycle until its budget is in, and
+        // finds the port full on most of them. Skip on, it runs at cycle
+        // 0 and then exactly on the cycles whose step 1 released a
+        // cache-port slot: those that find room, and none between.
+        let core = quiet_4x4(0).router.timing().core;
+        let ticks: Vec<_> = (0..every.len() as u64).map(|c| core.edge(c)).collect();
+        assert!(every.iter().map(|&(at, _)| at).eq(ticks));
+        let freed: Vec<_> = every.iter().filter(|&&(_, room)| room).copied().collect();
+        assert!(freed.len() * 2 < every.len(), "the port was rarely full");
+        assert!(freed.len() > 40, "the port refilled {} times", freed.len());
+        assert_eq!(calls, freed);
     }
 
     #[test]

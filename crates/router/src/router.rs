@@ -646,10 +646,13 @@ impl Router {
     }
 
     /// Advances the router by one core-clock edge at time `now`, appending
-    /// its externally visible events to `out`.
-    pub fn step(&mut self, now: Tick, out: &mut Vec<RouterOutput>) {
+    /// its externally visible events to `out`. Returns the local inputs
+    /// this step released a buffer slot of, bit `InputPort::index()` each:
+    /// the only way a local input's [`Router::free_space`] rises, so an
+    /// injector refused for space need not retry before such a step.
+    pub fn step(&mut self, now: Tick, out: &mut Vec<RouterOutput>) -> u8 {
         self.catch_up_idle(now);
-        self.process_housekeeping(now);
+        let freed = self.process_housekeeping(now);
         self.antistarve_scan(now);
         if self.cfg.algorithm.is_spaa() {
             self.spaa_ga_phase(now, out);
@@ -658,6 +661,7 @@ impl Router {
             self.run_window(now, out);
             self.next_window = now + self.window_interval;
         }
+        freed
     }
 
     // ------------------------------------------------------------------
@@ -667,7 +671,8 @@ impl Router {
     /// Runs all due housekeeping: every due credit refund, then one wheel
     /// drain, each event handled once in wheel order ([`HouseEvent`] says
     /// why that order is as good as any; refunds commute with all of it).
-    fn process_housekeeping(&mut self, now: Tick) {
+    /// Returns the mask of local inputs a release freed a slot of.
+    fn process_housekeeping(&mut self, now: Tick) -> u8 {
         while let Some(&(at, o, v)) = self.refunds.front() {
             if at > now {
                 break;
@@ -680,8 +685,9 @@ impl Router {
             self.wake_rows(self.rows_of_output[o as usize], RowWake::Refund);
         }
         if !self.house.has_due(now) {
-            return;
+            return 0;
         }
+        let mut freed = 0;
         let mut due = std::mem::take(&mut self.scratch_house);
         due.clear();
         self.house.drain_due(now, &mut due);
@@ -708,10 +714,12 @@ impl Router {
                 }
                 HouseEvent::Release(p, id) => {
                     self.inputs[p as usize].release(id);
+                    freed |= 1 << p;
                 }
             }
         }
         self.scratch_house = due;
+        freed
     }
 
     fn antistarve_scan(&mut self, now: Tick) {

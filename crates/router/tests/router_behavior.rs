@@ -88,17 +88,19 @@ fn spaa_forwards_a_transit_packet_with_pin_to_pin_13_cycles() {
 fn local_delivery_emits_delivered_and_no_credit_events_for_local_inputs() {
     // Injected from the cache port, delivered to a local sink: the whole
     // path stays inside the node. The slot frees at the first step at or
-    // after the tail, not before (injection reads its free space).
+    // after the tail, not before (injection reads its free space), and
+    // that step, alone, reports the cache port freed.
     let mut r = router(ArbAlgorithm::SpaaBase);
     let vc = VcId::adaptive(CoherenceClass::Request);
     let full = r.free_space(InputPort::Cache, vc);
     r.accept_packet(InputPort::Cache, incoming_local_delivery(9, 0));
     let mut tail = None;
     let mut out = Vec::new();
+    let mut was_freed = false;
     for cycle in 0..100 {
         let now = Tick::new(cycle * CORE);
         out.clear();
-        r.step(now, &mut out);
+        let released = r.step(now, &mut out);
         for event in &out {
             match *event {
                 RouterOutput::Delivered { packet, output, at } => {
@@ -115,6 +117,9 @@ fn local_delivery_emits_delivered_and_no_credit_events_for_local_inputs() {
             full - usize::from(!freed),
             "cycle {cycle}, tail {tail:?}"
         );
+        let cache = 1 << InputPort::Cache.index();
+        assert_eq!(released, if freed && !was_freed { cache } else { 0 });
+        was_freed = freed;
     }
     assert!(
         tail.is_some_and(|t| t > Tick::new(CORE)),
@@ -143,7 +148,9 @@ fn network_input_returns_credit_when_buffer_frees() {
         while out.is_empty() {
             assert_eq!(r.free_space(InputPort::North, vc), full - 1, "held");
             assert!(cycle < 60, "no grant");
-            r.step(Tick::new(cycle * CORE), &mut out);
+            // A torus slot's release is its credit: the step reports no
+            // local input freed.
+            assert_eq!(r.step(Tick::new(cycle * CORE), &mut out), 0);
             cycle += 1;
         }
         let tail = match out[0] {

@@ -319,6 +319,10 @@ pub struct CoherenceEndpoint {
     /// Source queues, one per port of [`PORTS`]: requests wait in the
     /// cache port's, responses and forwards in the two MC ports'.
     queues: [VecDeque<Packet>; 3],
+    /// The source queues, bit `q` each, whose head the last `on_cycle`
+    /// offered and was refused for space: they wait for the engine's
+    /// wake on a freed slot instead of keeping `next_wake` at "now".
+    refused: u8,
     /// Which MC port takes the next response (alternation).
     mc_flip: bool,
     /// Lookups in progress, one FIFO per kind ([`MEMORY`], [`L2`]), as
@@ -381,6 +385,7 @@ impl CoherenceEndpoint {
             cfg,
             rng,
             queues: Default::default(),
+            refused: 0,
             mc_flip: false,
             pending: Default::default(),
             bursting: true,
@@ -601,12 +606,16 @@ impl Endpoint for CoherenceEndpoint {
         // 4. Each local port can accept at most one packet per cycle.
         // A destination severed by link deaths is dropped and accounted
         // (never retried: the route cannot come back).
+        self.refused = 0;
         for (q, port) in PORTS.into_iter().enumerate() {
             let Some(&p) = self.queues[q].front() else {
                 continue;
             };
             match ctx.inject(port, p) {
-                InjectionOutcome::NoBufferSpace => continue,
+                InjectionOutcome::NoBufferSpace => {
+                    self.refused |= 1 << q;
+                    continue;
+                }
                 InjectionOutcome::Unreachable => self.drop_unreachable(&p),
                 InjectionOutcome::Accepted => {}
             }
@@ -615,12 +624,16 @@ impl Endpoint for CoherenceEndpoint {
         self.track_queue_depth();
     }
 
-    /// Sleeps to the nearest of: a queued packet ("now"), the next
-    /// finished lookup, and the next cycle whose phase or generation draw
-    /// can change anything — every cycle of an ON phase, else the
-    /// drawn-ahead OFF exit or generation attempt.
+    /// Sleeps to the nearest of: a queued packet its port has not
+    /// refused ("now"), the next finished lookup, and the next cycle whose
+    /// phase or generation draw can change anything — every cycle of an
+    /// ON phase, else the drawn-ahead OFF exit or generation attempt. A
+    /// refused head is offered again when the engine wakes the node for a
+    /// slot its router freed on that port, or on any earlier wake.
     fn next_wake(&self) -> Tick {
-        if self.queued() > 0 {
+        let ready =
+            (0..PORTS.len()).any(|q| self.refused & 1 << q == 0 && !self.queues[q].is_empty());
+        if ready {
             return Tick::ZERO;
         }
         let lookup = self.next_lookup().map_or(Tick::MAX, |(_, at)| at);

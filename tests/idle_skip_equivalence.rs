@@ -185,6 +185,13 @@ fn endpoint_state_is_identical_per_node_with_and_without_idle_skip() {
         ),
         ("hotspot[5,10]@0.35 rate=0.01", false, None),
         ("hotspot[5,10]@0.35+burst=30.0/120.0 rate=0.02", true, None),
+        // Past saturation: source queues grow behind full local inputs,
+        // so nodes sleep on refused ports.
+        (
+            "uniform rate=0.1 mshrs=open",
+            false,
+            Some("peak_queue_depth: 0,"),
+        ),
         // Stall-heavy: one attempt in five finds the only MSHR busy.
         ("uniform rate=0.2 mshrs=1", true, Some("mshr_stalls: 0,")),
         // Every output of node 5 dies mid-run: whatever it queues
@@ -220,30 +227,35 @@ fn endpoint_state_is_identical_per_node_with_and_without_idle_skip() {
     }
 }
 
+/// Runs `case` at one worker with every endpoint [`Counted`]. Returns
+/// the report, every node's [`endpoint_state`], the `on_cycle` calls
+/// made and the router steps skipped.
+fn run_counted(case: &Case, idle_skip: bool) -> (NetworkReport, Vec<String>, u64, u64) {
+    let cfg = case.config();
+    let endpoints = build_endpoints(&cfg, &case.workload)
+        .into_iter()
+        .map(|inner| Counted { inner, calls: 0 })
+        .collect();
+    let mut sim = NetworkSim::new(cfg.clone(), endpoints);
+    sim.set_idle_skip(idle_skip);
+    let report = sim.run();
+    let nodes = cfg.topology.nodes();
+    let calls = (0..nodes).map(|n| sim.endpoint(n).calls).sum();
+    let states = (0..nodes)
+        .map(|n| endpoint_state(&sim.endpoint(n).inner))
+        .collect();
+    (report, states, calls, sim.skipped_router_steps())
+}
+
 #[test]
 fn near_idle_endpoints_sleep_through_nine_cycles_in_ten() {
     // At the near-idle point a node generates once in 500 cycles and
     // serves a handful of lookups in between: it must not be run for the
     // rest, and most router steps must be skipped too.
     let case = near_idle();
-    let cfg = case.config();
-    let steps = 16 * cfg.total_cycles();
-    let run = |idle_skip: bool| {
-        let endpoints = build_endpoints(&cfg, &case.workload)
-            .into_iter()
-            .map(|inner| Counted { inner, calls: 0 })
-            .collect();
-        let mut sim = NetworkSim::new(cfg.clone(), endpoints);
-        sim.set_idle_skip(idle_skip);
-        let report = sim.run();
-        let calls: u64 = (0..16).map(|n| sim.endpoint(n).calls).sum();
-        let states: Vec<String> = (0..16)
-            .map(|n| endpoint_state(&sim.endpoint(n).inner))
-            .collect();
-        (report, calls, states, sim.skipped_router_steps())
-    };
-    let (off, calls_off, states_off, _) = run(false);
-    let (on, calls_on, states_on, skipped) = run(true);
+    let steps = 16 * case.config().total_cycles();
+    let (off, states_off, calls_off, _) = run_counted(case, false);
+    let (on, states_on, calls_on, skipped) = run_counted(case, true);
     off.assert_bit_identical(&on, "counted near-idle");
     assert_eq!(states_off, states_on);
     assert_eq!(calls_off, steps, "skip off runs every endpoint every cycle");
@@ -256,9 +268,41 @@ fn near_idle_endpoints_sleep_through_nine_cycles_in_ten() {
         skipped > steps / 4,
         "only {skipped}/{steps} router steps skipped"
     );
-    // The count is deterministic: a change to the wake rule shows as a
+    // The counts are deterministic: a change to the wake rule shows as a
     // diff here.
+    assert_eq!(calls_on, 487, "on_cycle calls");
     assert_eq!(skipped, 46_293, "router steps skipped");
+}
+
+#[test]
+fn blocked_sources_sleep_until_their_port_frees_a_slot() {
+    // Past saturation most of a node's cycles offer a queue head that its
+    // full local input refuses. The node sleeps on the refused ports and
+    // the engine wakes it when its router releases a slot on one, so
+    // these rows make a third of the calls they made when every
+    // non-empty queue woke its node every cycle (those counts are in the
+    // comments). A closed-loop row, whose sources are rarely refused,
+    // made the same number of calls then.
+    for (label, want) in [
+        // 109,885.
+        (
+            "4x4 SPAA-rotary uniform rate=0.1 seed=1 mshrs=open cycles=400+7600 window=1",
+            36_011,
+        ),
+        // 111,963.
+        (
+            "4x4 WFA-rotary uniform rate=0.1 seed=1 mshrs=open cycles=400+7600 window=1",
+            37_114,
+        ),
+        ("4x4 SPAA-rotary uniform rate=0.1 seed=1", 7_224),
+    ] {
+        let case = find(label);
+        let (off, states_off, _, _) = run_counted(case, false);
+        let (on, states_on, calls, _) = run_counted(case, true);
+        off.assert_bit_identical(&on, label);
+        assert_eq!(states_off, states_on, "{label}");
+        assert_eq!(calls, want, "{label}: on_cycle calls");
+    }
 }
 
 #[test]

@@ -26,8 +26,9 @@
 //!   `cached metadata ≡ re-derivation from the entries` under
 //!   `debug_assertions` (tests call it in release too).
 //! * **Intrusive per-VC queues** — the links live in the metadata,
-//!   making grant-time dequeue and tail-time release O(1) instead of the
-//!   O(queue) shifting a `VecDeque::retain` pays.
+//!   making the grant-time release O(1) instead of the O(queue) shifting
+//!   a `VecDeque::retain` pays. Every live entry is queued: it leaves its
+//!   queue exactly once, at its grant, which frees its slot.
 //! * **Incremental waiting masks** — the buffer tracks, per VC, how many
 //!   queued entries are in the `Waiting` state. Only `Waiting` entries
 //!   can ever be nominated, so VCs without one are never visited, and
@@ -40,8 +41,8 @@
 //!   its window tail, and the buffer keeps, per VC, the union of the
 //!   outputs requested by the `Waiting` entries inside the window
 //!   ([`InputBuffer::window_requests`]) — the row of the request matrix
-//!   the arbiters consume, maintained at insert / unlink / state
-//!   transition instead of re-derived by walking the queue. An unlink
+//!   the arbiters consume, maintained at insert / release / state
+//!   transition instead of re-derived by walking the queue. A release
 //!   inside the window promotes the next queued entry into it. A VC
 //!   whose union misses every wired, free and credited output holds no
 //!   eligible entry a walk could reach, so the scans skip it — and a
@@ -58,15 +59,13 @@ pub const NIL_INDEX: u32 = u32::MAX;
 /// "No virtual channel" marker in [`EntryMeta`] VC fields.
 pub(crate) const NO_VC: u8 = u8::MAX;
 
-/// [`EntryMeta::flags`]: threaded into its VC queue (competing in LA).
-pub(crate) const META_QUEUED: u8 = 1 << 0;
 /// [`EntryMeta::flags`]: state is `Waiting` (the only nominable state).
-pub(crate) const META_WAITING: u8 = 1 << 1;
+pub(crate) const META_WAITING: u8 = 1 << 0;
 /// [`EntryMeta::flags`]: the route is local delivery (no credits needed).
-pub(crate) const META_LOCAL: u8 = 1 << 2;
+pub(crate) const META_LOCAL: u8 = 1 << 1;
 /// [`EntryMeta::flags`]: among the first `scan_window` queued entries of
 /// its VC — the only ones an LA walk can reach.
-pub const META_IN_WINDOW: u8 = 1 << 3;
+pub const META_IN_WINDOW: u8 = 1 << 2;
 
 /// Bit positions of a request word ([`InputBuffer::window_requests`]):
 /// the low byte is laid out like an output mask — adaptive torus
@@ -115,13 +114,6 @@ pub enum EntryState {
         /// GA time.
         decide_at: Tick,
     },
-    /// Granted from a local input: flits are streaming out; the buffer
-    /// slot frees at `done_at` (when the read port finishes reading the
-    /// tail flit). A torus input's grant frees its slot at once.
-    Departing {
-        /// Slot release time.
-        done_at: Tick,
-    },
 }
 
 /// One buffered packet with its routing and arbitration state.
@@ -151,8 +143,7 @@ pub struct Entry {
 /// cannot dispatch.
 #[derive(Clone, Copy, Debug)]
 pub struct EntryMeta {
-    /// Next entry in this VC's age queue (`NIL_INDEX` at the tail or when
-    /// unqueued).
+    /// Next entry in this VC's age queue (`NIL_INDEX` at the tail).
     pub(crate) next: u32,
     /// Previous entry in this VC's age queue.
     prev: u32,
@@ -162,7 +153,7 @@ pub struct EntryMeta {
     /// `max(not_before, eligible_at)`. An entry is nominable at `now`
     /// exactly when `flags & META_WAITING != 0 && ready_at <= now`.
     pub(crate) ready_at: Tick,
-    /// `META_*` bits.
+    /// `META_*` bits; 0 exactly when the slot is free.
     pub flags: u8,
     /// Candidate outputs: the adaptive torus directions for transit
     /// routes, or the wired sink ports for local routes.
@@ -251,26 +242,20 @@ pub struct InputBuffer {
     head: [u32; NUM_VCS],
     /// Tail (youngest) of each VC's age queue.
     tail: [u32; NUM_VCS],
-    /// Buffered-packet count per VC, including departing entries (the
-    /// physical slot is held until the tail flit is read out).
+    /// Buffered packets per VC, all of them threaded into its age queue.
     occupancy: [u16; NUM_VCS],
     /// Sum of `occupancy` (kept in step so quiescence checks are O(1)).
     total: u16,
-    /// Entries in the `Departing` state (kept in step so the
-    /// packet-conservation census is O(1)).
-    departing: u16,
     /// Queued entries in the `Waiting` state, per VC.
     waiting: [u16; NUM_VCS],
     /// Bit `v` set while `waiting[v] > 0` (mask-parallel LA skipping:
     /// only `Waiting` entries can be nominated).
     waiting_mask: u32,
-    /// Entries threaded into each VC's age queue.
-    queued: [u16; NUM_VCS],
     /// How many queued entries per VC an LA walk examines; the first
     /// `scan_window` entries of a queue carry `META_IN_WINDOW`.
     scan_window: usize,
     /// The youngest in-window entry of each VC (`NIL_INDEX` while the
-    /// window is empty): the entry queued behind it is the one an unlink
+    /// window is empty): the entry queued behind it is the one a release
     /// inside the window promotes.
     window_tail: [u32; NUM_VCS],
     /// Per (VC, request-word bit): in-window `Waiting` entries requesting
@@ -296,10 +281,8 @@ impl InputBuffer {
             tail: [NIL_INDEX; NUM_VCS],
             occupancy: [0; NUM_VCS],
             total: 0,
-            departing: 0,
             waiting: [0; NUM_VCS],
             waiting_mask: 0,
-            queued: [0; NUM_VCS],
             scan_window,
             window_tail: [NIL_INDEX; NUM_VCS],
             request_count: [[0; REQ_BITS]; NUM_VCS],
@@ -432,8 +415,6 @@ impl InputBuffer {
                     .is_some_and(|tail| tail.eligible_at <= entry.eligible_at),
             "arrivals must be inserted in eligibility order"
         );
-        self.occupancy[v] += 1;
-        self.total += 1;
         let (route_flags, outputs, escape_mask, adaptive_vc, escape_vc) =
             EntryMeta::route_fields(&entry);
         let ready_at = EntryMeta::ready_at_of(&entry);
@@ -471,6 +452,8 @@ impl InputBuffer {
             m.vc = v as u8;
         }
         self.link_tail(v, index);
+        self.occupancy[v] += 1;
+        self.total += 1;
         self.inc_waiting(v);
         let m = self.meta[index as usize];
         if m.flags & META_IN_WINDOW != 0 {
@@ -483,12 +466,11 @@ impl InputBuffer {
     /// scan window while fewer than `scan_window` entries are queued.
     fn link_tail(&mut self, v: usize, index: u32) {
         let tail = self.tail[v];
-        let in_window = (self.queued[v] as usize) < self.scan_window;
+        let in_window = (self.occupancy[v] as usize) < self.scan_window;
         {
             let m = &mut self.meta[index as usize];
             m.prev = tail;
             m.next = NIL_INDEX;
-            m.flags |= META_QUEUED;
             if in_window {
                 m.flags |= META_IN_WINDOW;
             }
@@ -502,57 +484,7 @@ impl InputBuffer {
         if in_window {
             self.window_tail[v] = index;
         }
-        self.queued[v] += 1;
         self.non_empty |= 1 << v;
-    }
-
-    /// Unthreads `index` from its VC queue, keeping the waiting counter
-    /// and the scan window in step; a no-op when not queued. Leaving the
-    /// window promotes the entry queued behind the window tail into it.
-    fn unlink(&mut self, index: u32) {
-        let m = self.meta[index as usize];
-        if m.flags & META_QUEUED == 0 {
-            return;
-        }
-        let v = m.vc as usize;
-        if m.flags & META_WAITING != 0 {
-            self.dec_waiting(v);
-        }
-        if m.flags & META_IN_WINDOW != 0 {
-            if m.flags & META_WAITING != 0 {
-                self.remove_requests(v, &m);
-            }
-            let promoted = self.meta[self.window_tail[v] as usize].next;
-            if promoted != NIL_INDEX {
-                self.meta[promoted as usize].flags |= META_IN_WINDOW;
-                let p = self.meta[promoted as usize];
-                if p.flags & META_WAITING != 0 {
-                    self.add_requests(v, &p);
-                }
-                self.window_tail[v] = promoted;
-            } else if self.window_tail[v] == index {
-                self.window_tail[v] = m.prev;
-            }
-        }
-        let (prev, next) = (m.prev, m.next);
-        if prev == NIL_INDEX {
-            self.head[v] = next;
-        } else {
-            self.meta[prev as usize].next = next;
-        }
-        if next == NIL_INDEX {
-            self.tail[v] = prev;
-        } else {
-            self.meta[next as usize].prev = prev;
-        }
-        let m = &mut self.meta[index as usize];
-        m.prev = NIL_INDEX;
-        m.next = NIL_INDEX;
-        m.flags &= !(META_QUEUED | META_IN_WINDOW);
-        self.queued[v] -= 1;
-        if self.head[v] == NIL_INDEX {
-            self.non_empty &= !(1 << v);
-        }
     }
 
     #[inline]
@@ -639,19 +571,6 @@ impl InputBuffer {
         }
     }
 
-    /// Commits a grant: the entry stops competing in LA (dequeued) and
-    /// streams until `done_at`, when its slot frees.
-    pub fn begin_departure(&mut self, id: EntryId, done_at: Tick) {
-        self.dequeue(id);
-        let e = self.entries[id.index()].as_mut().expect("stale entry id");
-        debug_assert!(!matches!(e.state, EntryState::Departing { .. }));
-        e.state = EntryState::Departing { done_at };
-        let m = &mut self.meta[id.index()];
-        m.flags &= !META_WAITING;
-        m.ready_at = Tick::MAX;
-        self.departing += 1;
-    }
-
     /// Iterates a VC's age queue (oldest first), yielding live handles.
     #[inline]
     pub fn queue_iter(&self, vc: VcId) -> QueueIter<'_> {
@@ -661,38 +580,61 @@ impl InputBuffer {
         }
     }
 
-    /// Removes an id from its VC queue (the packet no longer competes in
-    /// LA, though its slot remains held). O(1) via the intrusive links.
-    pub fn dequeue(&mut self, id: EntryId) {
-        self.check_current(id);
-        self.unlink(id.index);
-    }
-
-    /// Releases an entry's slot (tail flit read out). Returns the freed
-    /// entry; the handle (and any copies of it) goes stale.
+    /// Releases an entry's slot at its grant: unthreads it from its VC
+    /// queue in O(1), keeping the waiting counter and the scan window in
+    /// step (leaving the window promotes the entry queued behind the
+    /// window tail into it), and frees the slot. Returns the freed entry;
+    /// the handle (and any copies of it) goes stale.
     ///
     /// # Panics
     ///
     /// Panics if the id is stale.
     pub fn release(&mut self, id: EntryId) -> Entry {
-        // Granted entries were dequeued already; releasing a still-waiting
-        // entry (e.g. in teardown paths) must also unthread it, keeping
-        // the waiting masks in step.
-        self.dequeue(id);
-        let index = id.index();
-        let entry = self.entries[index].take().expect("stale entry id");
-        let v = entry.vc.index();
-        if matches!(entry.state, EntryState::Departing { .. }) {
-            self.departing -= 1;
+        self.check_current(id);
+        let index = id.index;
+        let m = self.meta[index as usize];
+        let v = m.vc as usize;
+        if m.flags & META_WAITING != 0 {
+            self.dec_waiting(v);
+        }
+        if m.flags & META_IN_WINDOW != 0 {
+            if m.flags & META_WAITING != 0 {
+                self.remove_requests(v, &m);
+            }
+            let promoted = self.meta[self.window_tail[v] as usize].next;
+            if promoted != NIL_INDEX {
+                self.meta[promoted as usize].flags |= META_IN_WINDOW;
+                let p = self.meta[promoted as usize];
+                if p.flags & META_WAITING != 0 {
+                    self.add_requests(v, &p);
+                }
+                self.window_tail[v] = promoted;
+            } else if self.window_tail[v] == index {
+                self.window_tail[v] = m.prev;
+            }
+        }
+        let (prev, next) = (m.prev, m.next);
+        if prev == NIL_INDEX {
+            self.head[v] = next;
+        } else {
+            self.meta[prev as usize].next = next;
+        }
+        if next == NIL_INDEX {
+            self.tail[v] = prev;
+        } else {
+            self.meta[next as usize].prev = prev;
+        }
+        if self.head[v] == NIL_INDEX {
+            self.non_empty &= !(1 << v);
         }
         self.occupancy[v] -= 1;
         self.total -= 1;
-        let m = &mut self.meta[index];
+        let m = &mut self.meta[index as usize];
         m.gen = m.gen.wrapping_add(1);
         m.flags = 0;
         m.ready_at = Tick::MAX;
-        self.free.push(id.index);
-        entry
+        self.free.push(index);
+        self.entries[index as usize].take().expect("checked")
     }
 
     /// Counts entries that became eligible at or before `cutoff` and are
@@ -728,15 +670,6 @@ impl InputBuffer {
         n
     }
 
-    /// Number of buffered packets that still *belong* to this router —
-    /// everything except departing entries, whose ownership has moved to
-    /// the downstream router (or the delivery queue). Used for
-    /// packet-conservation accounting. O(1): both counts are maintained
-    /// incrementally.
-    pub(crate) fn owned_packets(&self) -> usize {
-        (self.total - self.departing) as usize
-    }
-
     /// Recomputes every cached mask, counter, and metadata record from a
     /// full slab re-scan — and the scan-window flags, window tails and
     /// request unions from a naive walk of the first `scan_window` queued
@@ -748,12 +681,11 @@ impl InputBuffer {
         assert_eq!(self.meta.len(), self.entries.len(), "slab split drifted");
         let mut waiting = [0u16; NUM_VCS];
         let mut occupancy = [0u16; NUM_VCS];
-        let mut departing = 0u16;
         let mut in_window = 0usize;
         for (i, slot) in self.entries.iter().enumerate() {
             let m = &self.meta[i];
             let Some(e) = slot.as_ref() else {
-                assert!(m.flags & META_QUEUED == 0, "freed slot still queued");
+                assert_eq!(m.flags, 0, "freed slot still flagged");
                 continue;
             };
             occupancy[e.vc.index()] += 1;
@@ -779,15 +711,10 @@ impl InputBuffer {
             if m.flags & META_IN_WINDOW != 0 {
                 in_window += 1;
             }
-            match e.state {
-                EntryState::Departing { .. } => departing += 1,
-                EntryState::Waiting { .. } if m.flags & META_QUEUED != 0 => {
-                    waiting[e.vc.index()] += 1;
-                }
-                _ => {}
+            if m.flags & META_WAITING != 0 {
+                waiting[e.vc.index()] += 1;
             }
         }
-        let mut queued = 0usize;
         let mut windowed = 0usize;
         for v in 0..NUM_VCS {
             let mut prev_eligible = Tick::ZERO;
@@ -797,7 +724,6 @@ impl InputBuffer {
             let mut request_count = [0u16; REQ_BITS];
             while cur != NIL_INDEX {
                 let m = &self.meta[cur as usize];
-                assert!(m.flags & META_QUEUED != 0, "queue references unqueued slot");
                 let e = self.entries[cur as usize]
                     .as_ref()
                     .expect("queued slot is live");
@@ -824,9 +750,8 @@ impl InputBuffer {
                 len += 1;
                 cur = m.next;
             }
-            queued += len;
             windowed += len.min(self.scan_window);
-            assert_eq!(self.queued[v] as usize, len, "queue length drifted");
+            assert_eq!(occupancy[v] as usize, len, "a live entry is not queued");
             assert_eq!(self.window_tail[v], window_tail, "window tail drifted");
             assert_eq!(
                 self.request_count[v], request_count,
@@ -854,9 +779,10 @@ impl InputBuffer {
         }
         let live = self.entries.iter().filter(|s| s.is_some()).count();
         assert_eq!(self.total as usize, live, "total occupancy drifted");
-        assert_eq!(self.departing, departing, "departing count drifted");
-        assert!(queued <= live, "more queued than live entries");
-        assert_eq!(in_window, windowed, "unqueued slot still flagged in-window");
+        assert_eq!(
+            in_window, windowed,
+            "slot flagged in-window past the window"
+        );
     }
 }
 
@@ -943,7 +869,7 @@ mod tests {
         let b = buf.insert(entry(vc(), 2));
         let c = buf.insert(entry(vc(), 3));
         assert_eq!(queue_vec(&buf, vc()), vec![a, b, c]);
-        buf.dequeue(b);
+        buf.release(b);
         assert_eq!(queue_vec(&buf, vc()), vec![a, c]);
         buf.debug_validate();
     }
@@ -1013,8 +939,8 @@ mod tests {
         buf.insert(entry(vc(), 30));
         buf.set_nominated(a, 0, 0, Tick::new(100));
         assert_eq!(buf.count_old(Tick::new(50)), 2, "nominated not old");
-        buf.begin_departure(b, Tick::new(200));
-        assert_eq!(buf.count_old(Tick::new(50)), 1, "departing not old");
+        buf.release(b);
+        assert_eq!(buf.count_old(Tick::new(50)), 1, "granted not old");
         buf.set_waiting(a, Tick::new(101));
         assert_eq!(buf.count_old(Tick::new(50)), 2, "re-waiting counts again");
         buf.debug_validate();
@@ -1026,11 +952,7 @@ mod tests {
         assert_eq!(buf.non_empty, 0);
         let a = buf.insert(entry(vc(), 1));
         assert_eq!(buf.non_empty, 1 << vc().index());
-        buf.dequeue(a);
-        assert_eq!(buf.non_empty, 0, "dequeue clears the bit");
         buf.release(a);
-        let b = buf.insert(entry(vc(), 2));
-        buf.release(b);
         assert_eq!(buf.non_empty, 0, "release clears the bit");
     }
 
@@ -1048,9 +970,9 @@ mod tests {
         assert_eq!(buf.waiting_mask(), 0, "no waiting entries left");
         buf.set_waiting(a, Tick::new(60));
         assert_eq!(buf.waiting_mask(), bit);
-        buf.begin_departure(a, Tick::new(90));
+        buf.release(a);
         assert_eq!(buf.waiting_mask(), 0);
-        assert_eq!(buf.owned_packets(), 1, "departing no longer owned");
+        assert_eq!(buf.total_occupancy(), 1, "the grant frees its slot");
         buf.debug_validate();
     }
 
@@ -1082,8 +1004,8 @@ mod tests {
         assert_eq!(buf.metas()[c.index()].flags & META_IN_WINDOW, 0);
         assert_eq!(buf.window_requests(v), 0b011_0000 | north);
         buf.debug_validate();
-        // A departure inside the window promotes it.
-        buf.begin_departure(a, Tick::new(50));
+        // A grant inside the window promotes it.
+        buf.release(a);
         assert!(buf.metas()[c.index()].flags & META_IN_WINDOW != 0);
         assert_eq!(
             buf.window_requests(v),

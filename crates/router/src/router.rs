@@ -109,22 +109,23 @@ struct PendingArrival {
     incoming: IncomingPacket,
 }
 
-/// One deferred housekeeping event: an arrival, or a local input's
-/// release (a torus slot frees at its grant, and credit refunds queue on
-/// their own, [`Router::accept_credit`]). Both kinds share one timing
-/// wheel, and [`Router::process_housekeeping`] handles each drained event
-/// once, in wheel order. No other order is observable: arrivals still meet
-/// each other in `(eligible_at, insertion)` order, the order their VC
-/// queues append them in, and a release only returns a slot to a free
-/// list, where the slot's number decides nothing (queues, walks and
-/// windows follow the age links). Reversing the whole drain order kept
-/// every golden digest, so no test pins this.
+/// One deferred housekeeping event: an arrival, or the tail of a local
+/// input's granted packet (every grant frees its entry at once; a local
+/// slot stays reserved until the tail, and credit refunds queue on their
+/// own, [`Router::accept_credit`]). Both kinds share one timing wheel, and
+/// [`Router::process_housekeeping`] handles each drained event once, in
+/// wheel order. No other order is observable: arrivals still meet each
+/// other in `(eligible_at, insertion)` order, the order their VC queues
+/// append them in, and a release only lowers a reservation count.
+/// Reversing the whole drain order kept every golden digest, so no test
+/// pins this.
 #[derive(Clone, Copy, Debug)]
 enum HouseEvent {
     /// An arrival finishing input synchronization/decode.
     Arrival(PendingArrival),
-    /// A local input's buffer release `(input, entry)` at tail-done time.
-    Release(u8, EntryId),
+    /// A local input's reserved slot `(input, vc)` freeing at tail-done
+    /// time.
+    Release(u8, VcId),
 }
 
 /// Ring lookahead of the per-router timing wheel, in core-clock edges.
@@ -301,7 +302,7 @@ pub struct Router {
     max_inflight: u8,
     /// Spacing of the PIM1/WFA driver's windows.
     window_interval: Tick,
-    /// Deferred arrivals and local buffer releases on one bounded-horizon
+    /// Deferred arrivals and local slot releases on one bounded-horizon
     /// timing wheel keyed by due tick.
     house: TimingWheel<HouseEvent>,
     /// Inbound credit refunds `(at, output, vc)` not yet applied, in `at`
@@ -309,7 +310,9 @@ pub struct Router {
     refunds: VecDeque<(Tick, u8, u8)>,
     /// Arrivals pending on the wheel (for packet accounting).
     pending_arrival_count: u32,
-    /// Slots reserved by pending arrivals, per (input, vc).
+    /// Slots not free to the injector, per (input, vc): pending arrivals,
+    /// plus a local input's granted packets still streaming out (the
+    /// slot frees at the tail, `HouseEvent::Release`).
     reserved: [[u16; NUM_VCS]; NUM_INPUT_PORTS],
     /// The row gate, one bit per read port: bits `2i` and `2i + 1` are
     /// set exactly while input `i` holds a `Waiting` entry.
@@ -341,9 +344,9 @@ pub struct Router {
     antistarve: AntiStarvation,
     stats: RouterStats,
     // ---- reusable per-cycle scratch (steady-state zero-allocation) ----
-    /// Buffered entries still competing for arbitration (`Waiting` or
-    /// `Nominated`; `Departing` entries only stream and release). Kept in
-    /// step so quiescence checks are O(1).
+    /// Buffered entries, all of them competing for arbitration (`Waiting`
+    /// or `Nominated`; a grant releases its entry). Kept in step so
+    /// quiescence checks are O(1).
     active_entries: u32,
     /// SPAA GA phase: nominations maturing this cycle.
     scratch_due: Vec<Nomination>,
@@ -447,8 +450,12 @@ impl Router {
         &self.stats
     }
 
-    /// Total packets currently buffered (including pending arrivals).
-    pub(crate) fn buffered_packets(&self) -> usize {
+    /// Packets this router is accountable for: pending arrivals plus
+    /// buffered entries. A granted packet is already counted by its
+    /// destination (the downstream router's pending arrivals, or the
+    /// network's delivery queue), so summing `accounted_packets` across
+    /// routers never double-counts.
+    pub fn accounted_packets(&self) -> usize {
         self.inputs
             .iter()
             .map(|b| b.total_occupancy())
@@ -456,29 +463,18 @@ impl Router {
             + self.pending_arrival_count as usize
     }
 
-    /// Packets this router is accountable for: pending arrivals plus
-    /// buffered entries that have not begun departing. Departing packets
-    /// are already counted by their destination (the downstream router's
-    /// pending arrivals, or the network's delivery queue), so summing
-    /// `accounted_packets` across routers never double-counts.
-    pub fn accounted_packets(&self) -> usize {
-        self.inputs.iter().map(|b| b.owned_packets()).sum::<usize>()
-            + self.pending_arrival_count as usize
-    }
-
     /// One-line occupancy/credit snapshot for watchdog diagnostic dumps:
-    /// how many packets this router owns, how many sit buffered, the GA
-    /// queue depth, when each torus output frees, the per-direction
-    /// credit totals (a wedged router typically shows a direction pinned
-    /// at zero credits or a port busy far in the future) and the refunds
-    /// still queued, with the earliest one's tick: an empty router applies
-    /// them only at its next step, so its credits may read low meanwhile.
+    /// how many packets this router owns, the GA queue depth, when each
+    /// torus output frees, the per-direction credit totals (a wedged
+    /// router typically shows a direction pinned at zero credits or a port
+    /// busy far in the future) and the refunds still queued, with the
+    /// earliest one's tick: an empty router applies them only at its next
+    /// step, so its credits may read low meanwhile.
     pub fn diagnostics(&self) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
-            "owned {}, buffered {}, ga-queue {}, {};",
+            "owned {}, ga-queue {}, {};",
             self.accounted_packets(),
-            self.buffered_packets(),
             self.ga_queue.len(),
             self.stats.summary(),
         );
@@ -504,8 +500,9 @@ impl Router {
         s
     }
 
-    /// Free buffer slots of `vc` at `input`, accounting for in-flight
-    /// arrivals. Local injectors must check this before injecting.
+    /// Free buffer slots of `vc` at `input`: its space less the reserved
+    /// slots (in-flight arrivals, and local packets still streaming out).
+    /// Local injectors must check this before injecting.
     pub fn free_space(&self, input: InputPort, vc: VcId) -> usize {
         self.inputs[input.index()]
             .space(vc)
@@ -515,7 +512,17 @@ impl Router {
     /// Hands the router a packet. For torus inputs the caller must have
     /// consumed a credit upstream; for local inputs the caller must have
     /// checked [`Router::free_space`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` has no free slot at `input`: flow control upstream
+    /// must never let that happen.
     pub fn accept_packet(&mut self, input: InputPort, incoming: IncomingPacket) {
+        assert!(
+            self.free_space(input, incoming.vc) > 0,
+            "no free {} slot at {input}: flow control violated",
+            incoming.vc
+        );
         let delay = if input.is_network() {
             self.timing.input_delay
         } else {
@@ -557,12 +564,10 @@ impl Router {
     /// router that cannot arbitrate before its answer below therefore
     /// ignores the refund queue.
     ///
-    /// **Empty router** — no buffered entry competing for arbitration
-    /// (a local input's `Departing` entry streams on a precomputed
-    /// schedule and frees its slot at a known release tick), no
-    /// nomination awaiting GA, anti-starvation not draining: only wheel
-    /// events remain — a pending arrival becoming eligible, a local slot
-    /// releasing (injection reads its free space) — so the answer is the
+    /// **Empty router** — no buffered entry, no nomination awaiting GA,
+    /// anti-starvation not draining: only wheel events remain — a pending
+    /// arrival becoming eligible, a local slot freeing at its packet's
+    /// tail (injection reads its free space) — so the answer is the
     /// housekeeping wheel's next due edge ([`Tick::MAX`] when it is empty:
     /// idle until an external packet). Each such event carries its own due
     /// time and is drained in heap order on the first step at or after it,
@@ -712,8 +717,8 @@ impl Router {
                     self.active_entries += 1;
                     self.stats.packets_in.bump();
                 }
-                HouseEvent::Release(p, id) => {
-                    self.inputs[p as usize].release(id);
+                HouseEvent::Release(p, vc) => {
+                    self.reserved[p as usize][vc.index()] -= 1;
                     freed |= 1 << p;
                 }
             }
@@ -1041,7 +1046,11 @@ impl Router {
         out: &mut Vec<RouterOutput>,
     ) {
         let input = row / 2;
-        let entry = *self.inputs[input].entry(id);
+        // The buffer slot frees with the tail, but only local injection
+        // reads a slot before then (`free_space`). So the entry frees now;
+        // a torus input's credit, dated at the tail, rides the grant, and
+        // a local slot stays reserved until the tail (below).
+        let entry = self.inputs[input].release(id);
         let sched = self.outputs[output].dispatch(
             ga,
             entry.packet.len(),
@@ -1082,22 +1091,17 @@ impl Router {
                 });
             }
         }
-        // The buffer slot frees with the tail. Nothing reads a torus slot
-        // before then (`free_space` gates local injection only), so a
-        // torus slot frees now and its credit, dated at the tail, rides
-        // the grant; a local slot waits out the train on the wheel.
         let port = InputPort::from_index(input);
         if port.is_network() {
-            self.inputs[input].release(id);
             out.push(RouterOutput::Credit {
                 input: port,
                 vc: entry.vc,
                 at: sched.done,
             });
         } else {
-            self.inputs[input].begin_departure(id, sched.done);
+            self.reserved[input][entry.vc.index()] += 1;
             self.house
-                .schedule(sched.done, HouseEvent::Release(input as u8, id));
+                .schedule(sched.done, HouseEvent::Release(input as u8, entry.vc));
         }
         // Dispatching from a VC makes it the most-recently-selected VC of
         // this read port (the LA ordering key, §3).
@@ -1137,8 +1141,7 @@ impl Router {
             self.ga_queue.pop_front();
             // Stale-check: the entry must still hold this nomination
             // (grants of sibling nominations cancel the others; a
-            // handle whose entry departed and was released reads as not
-            // current).
+            // handle whose entry was granted reads as not current).
             let live = self.inputs[n.row as usize / 2]
                 .entry_if_current(n.entry)
                 .is_some_and(|entry| {

@@ -129,6 +129,33 @@ fn local_delivery_emits_delivered_and_no_credit_events_for_local_inputs() {
 }
 
 #[test]
+#[should_panic(expected = "flow control violated")]
+fn a_hand_off_into_a_slot_still_streaming_out_is_refused() {
+    // A grant frees a local entry, but its slot stays reserved until the
+    // tail: with the VC full, a packet handed over before then overflows
+    // it, and the hand-off itself says so.
+    let mut r = router(ArbAlgorithm::SpaaBase);
+    let vc = VcId::adaptive(CoherenceClass::Request);
+    let capacity = r.free_space(InputPort::Cache, vc) as u64;
+    for id in 0..capacity {
+        r.accept_packet(InputPort::Cache, incoming_local_delivery(id, 0));
+    }
+    let mut out = Vec::new();
+    let mut cycle = 0;
+    while out.is_empty() {
+        assert!(cycle < 60, "no grant");
+        r.step(Tick::new(cycle * CORE), &mut out);
+        cycle += 1;
+    }
+    let RouterOutput::Delivered { at: tail, .. } = out[0] else {
+        panic!("a local delivery: {out:?}");
+    };
+    assert!(tail > Tick::new((cycle - 1) * CORE), "the tail is ahead");
+    assert_eq!(r.free_space(InputPort::Cache, vc), 0, "reserved");
+    r.accept_packet(InputPort::Cache, incoming_local_delivery(capacity, 0));
+}
+
+#[test]
 fn network_input_returns_credit_when_buffer_frees() {
     // A transit packet and a packet ending here, both on a torus input:
     // the step that grants each emits its one credit right after its
@@ -454,24 +481,37 @@ fn antistarvation_drains_old_packets_under_rotary_pressure() {
     );
     // A 3-flit packet occupies the South link for 90 ticks, so arrivals
     // every 90 ticks keep a contender present without overflowing the
-    // 50-packet adaptive buffer.
-    for i in 0..100 {
-        r.accept_packet(
-            InputPort::North,
-            IncomingPacket {
-                packet: Packet::new(PacketId(i), CoherenceClass::Request, 0, 1, Tick::ZERO, i),
-                route: RouteInfo::transit(
-                    OutputPort::South.mask() as u8,
-                    OutputPort::South,
-                    EscapeVc::Vc0,
-                ),
-                vc: VcId::adaptive(CoherenceClass::Request),
-                pin_time: Tick::new(i * 90),
-                in_flit_period: Tick::new(30),
-            },
-        );
+    // 50-packet adaptive buffer. Each is handed over on its pin cycle,
+    // as a link delivers it.
+    let mut events = Vec::new();
+    let mut next = 0;
+    for c in 0..3000 {
+        while next < 100 && next * 90 / CORE == c {
+            r.accept_packet(
+                InputPort::North,
+                IncomingPacket {
+                    packet: Packet::new(
+                        PacketId(next),
+                        CoherenceClass::Request,
+                        0,
+                        1,
+                        Tick::ZERO,
+                        next,
+                    ),
+                    route: RouteInfo::transit(
+                        OutputPort::South.mask() as u8,
+                        OutputPort::South,
+                        EscapeVc::Vc0,
+                    ),
+                    vc: VcId::adaptive(CoherenceClass::Request),
+                    pin_time: Tick::new(next * 90),
+                    in_flit_period: Tick::new(30),
+                },
+            );
+            next += 1;
+        }
+        r.step(Tick::new(c * CORE), &mut events);
     }
-    let events = run(&mut r, 0, 3000);
     let local_sent = events.iter().any(|e| match e {
         RouterOutput::Forward(o) => o.packet.id == PacketId(999),
         _ => false,

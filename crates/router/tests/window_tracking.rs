@@ -16,13 +16,11 @@ use router::vc::NUM_VCS;
 use router::{BufferConfig, CoherenceClass, EscapeVc, Packet, RouteInfo, VcId};
 use simcore::{SimRng, Tick};
 
-/// What the shadow model remembers of one live entry.
+/// What the shadow model remembers of one live (hence queued) entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Shadow {
     Waiting,
     Nominated,
-    /// Departing, or dequeued bare: no longer in its queue.
-    Unqueued,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -38,7 +36,7 @@ struct Model {
     buf: InputBuffer,
     window: usize,
     /// Every live entry; queue order is insertion order among the slots
-    /// of one VC that are still queued.
+    /// of one VC.
     slots: Vec<Slot>,
     clock: u64,
 }
@@ -134,16 +132,6 @@ impl Model {
         self.slot(id).state = Shadow::Waiting;
     }
 
-    fn depart(&mut self, id: EntryId) {
-        self.buf.begin_departure(id, Tick::new(self.clock + 100));
-        self.slot(id).state = Shadow::Unqueued;
-    }
-
-    fn dequeue(&mut self, id: EntryId) {
-        self.buf.dequeue(id);
-        self.slot(id).state = Shadow::Unqueued;
-    }
-
     fn release(&mut self, id: EntryId) {
         self.buf.release(id);
         self.slots.retain(|s| s.id != id);
@@ -162,11 +150,7 @@ impl Model {
     fn check(&self) {
         self.buf.debug_validate();
         for v in 0..NUM_VCS {
-            let queue: Vec<&Slot> = self
-                .slots
-                .iter()
-                .filter(|s| s.vc == v && s.state != Shadow::Unqueued)
-                .collect();
+            let queue: Vec<&Slot> = self.slots.iter().filter(|s| s.vc == v).collect();
             let got: Vec<EntryId> = self.buf.queue_iter(VcId::from_index(v)).collect();
             let want: Vec<EntryId> = queue.iter().map(|s| s.id).collect();
             assert_eq!(got, want, "queue order of VC {v}");
@@ -182,13 +166,6 @@ impl Model {
                 self.buf.window_requests(v),
                 requests,
                 "request union of VC {v}"
-            );
-        }
-        for s in self.slots.iter().filter(|s| s.state == Shadow::Unqueued) {
-            assert_eq!(
-                self.buf.metas()[s.id.index()].flags & META_IN_WINDOW,
-                0,
-                "unqueued entry still flagged in-window"
             );
         }
     }
@@ -253,40 +230,24 @@ fn random_op_sequences_keep_the_window_exact() {
                             m.insert(class, vc, route);
                         }
                     }
-                    4 => {
+                    4 | 5 => {
                         let waiting = m.ids(Shadow::Waiting);
                         if !waiting.is_empty() {
                             m.nominate(waiting[rng.below(waiting.len())]);
                         }
                     }
-                    5 => {
+                    6 => {
                         let nominated = m.ids(Shadow::Nominated);
                         if !nominated.is_empty() {
                             m.lose(nominated[rng.below(nominated.len())]);
                         }
                     }
-                    6 | 7 => {
-                        let mut queued = m.ids(Shadow::Waiting);
-                        queued.extend(m.ids(Shadow::Nominated));
-                        if !queued.is_empty() {
-                            let id = queued[rng.below(queued.len())];
-                            if rng.chance(0.8) {
-                                m.depart(id);
-                            } else {
-                                m.dequeue(id);
-                            }
-                        }
-                    }
                     _ => {
-                        // Mostly streamed-out entries; sometimes one that
-                        // was never granted (teardown).
-                        let pool = if rng.chance(0.8) {
-                            m.ids(Shadow::Unqueued)
-                        } else {
-                            m.slots.iter().map(|s| s.id).collect()
-                        };
-                        if !pool.is_empty() {
-                            m.release(pool[rng.below(pool.len())]);
+                        // A grant, from either state: SPAA grants
+                        // `Nominated` entries, the windowed drivers
+                        // `Waiting` ones.
+                        if !m.slots.is_empty() {
+                            m.release(m.slots[rng.below(m.slots.len())].id);
                         }
                     }
                 }
@@ -312,19 +273,19 @@ fn unlinking_the_window_tail_promotes_its_successor() {
     let b = north(&mut m);
     let c = south(&mut m);
     assert_eq!(m.buf.window_requests(request_vc()), NORTH);
-    m.depart(b);
+    m.release(b);
     m.check();
     assert_eq!(m.buf.window_requests(request_vc()), NORTH | SOUTH);
-    // With nothing queued behind it, the tail's departure shrinks the
+    // With nothing queued behind it, the tail's grant shrinks the
     // window back onto its predecessor.
-    m.depart(c);
+    m.release(c);
     m.check();
     assert_eq!(m.buf.window_requests(request_vc()), NORTH);
     // The next arrival re-extends the window from there.
     south(&mut m);
     m.check();
     assert_eq!(m.buf.window_requests(request_vc()), NORTH | SOUTH);
-    m.depart(a);
+    m.release(a);
     m.check();
 }
 
@@ -335,19 +296,19 @@ fn unlinking_the_head_of_a_deep_queue_slides_the_window() {
     let b = north(&mut m);
     let c = south(&mut m);
     let d = south(&mut m);
-    m.depart(a);
+    m.release(a);
     m.check();
     assert_eq!(m.buf.window_requests(request_vc()), NORTH | SOUTH);
-    m.depart(b);
+    m.release(b);
     m.check();
     assert_eq!(m.buf.window_requests(request_vc()), SOUTH);
     // A promoted entry that is not waiting contributes nothing.
     let e = north(&mut m);
     m.nominate(e);
-    m.depart(c);
+    m.release(c);
     m.check();
     assert_eq!(m.buf.window_requests(request_vc()), SOUTH);
-    m.depart(d);
+    m.release(d);
     m.check();
     assert_eq!(m.buf.window_requests(request_vc()), 0);
     m.lose(e);
@@ -389,7 +350,7 @@ fn nominate_lose_round_trip_inside_the_window() {
     assert_eq!(m.buf.window_requests(request_vc()), NORTH | SOUTH);
     // Both requesters of one direction must leave before the bit clears.
     let c = north(&mut m);
-    m.depart(b);
+    m.release(b);
     m.check();
     m.nominate(a);
     assert_eq!(m.buf.window_requests(request_vc()), NORTH);
@@ -399,7 +360,7 @@ fn nominate_lose_round_trip_inside_the_window() {
 }
 
 #[test]
-fn releasing_a_never_granted_entry_unthreads_it() {
+fn releases_behind_and_inside_the_window_unthread_the_entry() {
     let mut m = Model::new(BufferConfig::alpha_21364(), 1);
     let a = north(&mut m);
     let b = south(&mut m);
@@ -412,7 +373,7 @@ fn releasing_a_never_granted_entry_unthreads_it() {
     m.release(a);
     m.check();
     assert_eq!(m.buf.window_requests(request_vc()), SOUTH);
-    // Nominated and never granted.
+    // Nominated, as SPAA grants it.
     m.nominate(b);
     m.release(b);
     m.check();

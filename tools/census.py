@@ -1,7 +1,16 @@
 #!/usr/bin/env python3
-"""Compile-driven visibility census over the seven library crates (PR 22).
+"""Compile-driven visibility census over the seven library crates (PR 22),
+and the non-test line count.
 
-Run from the repository root, on a clean tree, python3 only:
+Run from the repository root, python3 only:
+
+  tools/census.py lines    print the non-test lines of each crate's `src/`
+                           (and the facade's `src/`) and their total: every
+                           line of a file up to its unit-test module, a
+                           `#[cfg(test)]` line followed by a `mod` line, the
+                           boundary tests/public_surface.rs draws
+
+The visibility census runs on a clean tree:
 
   tools/census.py split    one `pub use` statement per re-exported name
   tools/census.py demote   pub -> pub(crate) on every item, field and `pub use`
@@ -192,9 +201,25 @@ def round_():
     print('promoted',total,flush=True)
     return total
 
+def non_test_lines(path):
+    ls=[l.strip() for l in open(path).read().splitlines()]
+    for i in range(len(ls)-1):
+        if ls[i]=='#[cfg(test)]' and ls[i+1].startswith('mod '): return i
+    return len(ls)
+
+def lines():
+    dirs=sorted(glob.glob(f'{ROOT}/crates/*/src'))+[f'{ROOT}/src']
+    total=0
+    for d in dirs:
+        n=sum(non_test_lines(p) for p in glob.glob(f'{d}/**/*.rs', recursive=True))
+        total+=n
+        print(f'{os.path.relpath(d, ROOT):<22}{n:>7}')
+    print(f'{"total":<22}{total:>7}')
+
 if __name__=='__main__':
     a=sys.argv[1]
-    if a=='split': split_uses()
+    if a=='lines': lines()
+    elif a=='split': split_uses()
     elif a=='demote': demote()
     elif a=='fix':
         while round_(): pass

@@ -18,6 +18,16 @@
 //! a freeze-until-drained interpretation collapses saturated-network
 //! throughput by an order of magnitude, far beyond anything the paper
 //! reports.
+//!
+//! A drain's cutoff is fixed when it engages, and every packet decoded
+//! after that census is younger than it (a step decodes its due arrivals
+//! before the census runs), so a drain's old set can only shrink: an old
+//! packet leaves at its grant, and none joins. The router therefore
+//! counts each input's old entries once, at engagement, and lowers the
+//! count at each old grant; a drain walk of an input at zero would find
+//! nothing and is skipped. The census itself re-counts against a moving
+//! cutoff, so a drain can outlive its old set: it ends only at a census
+//! that finds no `Waiting` entry older than `age_threshold`.
 
 use simcore::time::{Cycles, Tick};
 

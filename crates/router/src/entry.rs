@@ -14,26 +14,29 @@
 //!   index plus a generation stamp, so a stale handle (a nomination that
 //!   outlived its packet) is detectable instead of silently reading
 //!   whatever reused the slot. Freed slots are recycled LIFO.
-//! * **Dense scan metadata** — the decode stage distils exactly what the
-//!   LA readiness/eligibility test consumes into a compact 32-byte
-//!   [`EntryMeta`] per slot (intrusive queue links, generation, a
-//!   `ready_at` tick, and the candidate-output masks with their resolved
-//!   downstream VCs). The per-cycle scans walk only this dense array —
-//!   one cache line covers two packets — and touch the fat [`Entry`]
-//!   payload only when a packet actually wins consideration. The
-//!   metadata is updated at entry insert/release and at every state
-//!   transition, and [`InputBuffer::debug_validate`] checks
-//!   `cached metadata ≡ re-derivation from the entries` under
-//!   `debug_assertions` (tests call it in release too).
+//! * **The scan record holds the arbitration status** — the decode stage
+//!   distils everything arbitration reads into a compact 32-byte
+//!   [`EntryMeta`] per slot: intrusive queue links, generation, the
+//!   `Waiting`/nominated state with the nominating read port and output,
+//!   a `ready_at` tick (the earliest nomination tick, or while nominated
+//!   the GA decide tick), and the candidate-output masks with their
+//!   resolved downstream VCs. LA walks, nominations, GA's stale check and
+//!   lost nominations read and write only this dense array — one cache
+//!   line covers two packets. The 64-byte [`Entry`] payload (packet,
+//!   route, eligibility tick, flit period) is written at decode and read
+//!   at the grant, by the anti-starvation age tests and by iOCF's age
+//!   weight. [`InputBuffer::debug_validate`] checks `cached metadata ≡
+//!   re-derivation from the entries` under `debug_assertions` (tests call
+//!   it in release too).
 //! * **Intrusive per-VC queues** — the links live in the metadata,
 //!   making the grant-time release O(1) instead of the O(queue) shifting
 //!   a `VecDeque::retain` pays. Every live entry is queued: it leaves its
-//!   queue exactly once, at its grant, which frees its slot.
+//!   queue exactly once, at its grant, which frees its slot. Arrivals
+//!   decode in eligibility order, so each queue is age-ordered and the
+//!   anti-starvation census walks only its old prefix.
 //! * **Incremental waiting masks** — the buffer tracks, per VC, how many
 //!   queued entries are in the `Waiting` state. Only `Waiting` entries
-//!   can ever be nominated, so VCs without one are never visited, and
-//!   the anti-starvation census walks only the old prefix of VCs that
-//!   still hold waiting packets.
+//!   can ever be nominated, so VCs without one are never visited.
 //! * **Window-exact request tracking** — an LA walk examines at most the
 //!   first `scan_window` queued entries of a VC, so that prefix (the
 //!   *scan window*) is the only part of the queue whose requests matter.
@@ -59,13 +62,16 @@ pub const NIL_INDEX: u32 = u32::MAX;
 /// "No virtual channel" marker in [`EntryMeta`] VC fields.
 pub(crate) const NO_VC: u8 = u8::MAX;
 
-/// [`EntryMeta::flags`]: state is `Waiting` (the only nominable state).
+/// [`EntryMeta::flags`]: state is `Waiting` (the only nominable state);
+/// clear on a live entry while a read port has it nominated.
 pub(crate) const META_WAITING: u8 = 1 << 0;
 /// [`EntryMeta::flags`]: the route is local delivery (no credits needed).
 pub(crate) const META_LOCAL: u8 = 1 << 1;
 /// [`EntryMeta::flags`]: among the first `scan_window` queued entries of
 /// its VC — the only ones an LA walk can reach.
 pub const META_IN_WINDOW: u8 = 1 << 2;
+/// [`EntryMeta::flags`]: the slot holds a live entry.
+const META_LIVE: u8 = 1 << 3;
 
 /// Bit positions of a request word ([`InputBuffer::window_requests`]):
 /// the low byte is laid out like an output mask — adaptive torus
@@ -96,27 +102,8 @@ impl EntryId {
     }
 }
 
-/// Arbitration status of a buffered packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EntryState {
-    /// Buffered and (at or after `not_before`) eligible for nomination.
-    Waiting {
-        /// Earliest time the packet may be (re)nominated; set one cycle
-        /// ahead when a nomination loses output arbitration (SPAA step 3).
-        not_before: Tick,
-    },
-    /// Nominated by a read port; the output arbiter decides at `decide_at`.
-    Nominated {
-        /// Nominating read port (0 or 1).
-        read_port: u8,
-        /// Target output port index.
-        output: u8,
-        /// GA time.
-        decide_at: Tick,
-    },
-}
-
-/// One buffered packet with its routing and arbitration state.
+/// One buffered packet with its routing: the payload a grant reads. Its
+/// arbitration status lives in the slot's [`EntryMeta`].
 #[derive(Clone, Copy, Debug)]
 pub struct Entry {
     /// The packet itself.
@@ -132,15 +119,16 @@ pub struct Entry {
     /// inputs, core period for local injections) — needed for cut-through
     /// tail timing on the way out.
     pub in_flit_period: Tick,
-    /// Arbitration status.
-    pub state: EntryState,
 }
 
-/// The dense per-slot scan record: everything the LA readiness and
-/// eligibility tests consume, in 32 bytes. Derived from the [`Entry`] at
-/// insert time and kept in lock-step at every state transition, so the
-/// per-cycle scans never have to load the payload of a packet that
-/// cannot dispatch.
+// One payload per cache line.
+const _: () = assert!(std::mem::size_of::<Entry>() == 64);
+
+/// The dense per-slot scan record, in 32 bytes: everything the LA
+/// readiness and eligibility tests consume, and the entry's arbitration
+/// status from nomination to GA. Derived from the [`Entry`] at insert
+/// time and updated at every state transition, so arbitration loads the
+/// payload of a packet only when it is granted or its age is asked.
 #[derive(Clone, Copy, Debug)]
 pub struct EntryMeta {
     /// Next entry in this VC's age queue (`NIL_INDEX` at the tail).
@@ -149,12 +137,16 @@ pub struct EntryMeta {
     prev: u32,
     /// Slot generation; bumped on release.
     pub(crate) gen: u32,
-    /// Earliest tick a `Waiting` entry can be nominated:
-    /// `max(not_before, eligible_at)`. An entry is nominable at `now`
-    /// exactly when `flags & META_WAITING != 0 && ready_at <= now`.
+    /// While `Waiting`: the earliest tick the entry can be nominated, its
+    /// `eligible_at` on arrival and the back-off tick after a lost
+    /// nomination. While nominated: the GA decide tick. An entry is
+    /// nominable at `now` exactly when
+    /// `flags & META_WAITING != 0 && ready_at <= now`.
     pub(crate) ready_at: Tick,
     /// `META_*` bits; 0 exactly when the slot is free.
     pub flags: u8,
+    /// While nominated: `output | read_port << 3` of the nomination.
+    nomination: u8,
     /// Candidate outputs: the adaptive torus directions for transit
     /// routes, or the wired sink ports for local routes.
     pub(crate) outputs: u8,
@@ -217,16 +209,6 @@ impl EntryMeta {
         let group = (self.escape_vc % 3 == 2) as usize;
         adaptive as u16 | (self.escape_mask as u16) << REQ_ESCAPE_SHIFT[group]
     }
-
-    /// Recomputes the readiness tick after a state transition.
-    #[inline]
-    fn ready_at_of(entry: &Entry) -> Tick {
-        match entry.state {
-            EntryState::Waiting { not_before } => not_before.max(entry.eligible_at),
-            // Meaningless without META_WAITING; keep it inert.
-            _ => Tick::MAX,
-        }
-    }
 }
 
 /// One input port's entry table and VC queues.
@@ -267,6 +249,10 @@ pub struct InputBuffer {
     /// Bit `v` set while VC `v`'s age queue is non-empty.
     non_empty: u32,
     caps: BufferConfig,
+    /// Test-only: payload loads by the simulation's own paths (debug
+    /// cross-checks read the slab directly and are not counted).
+    #[cfg(test)]
+    payload_reads: std::cell::Cell<u64>,
 }
 
 impl InputBuffer {
@@ -289,6 +275,8 @@ impl InputBuffer {
             requests: [0; NUM_VCS],
             non_empty: 0,
             caps,
+            #[cfg(test)]
+            payload_reads: std::cell::Cell::new(0),
         }
     }
 
@@ -384,10 +372,10 @@ impl InputBuffer {
         self.total as usize
     }
 
-    /// Inserts a packet entry, claiming one slot of its VC. The entry
-    /// must be in the `Waiting` state (fresh arrivals always are), and —
-    /// because arrivals decode in eligibility order — must not be older
-    /// than the current queue tail.
+    /// Inserts a packet entry in the `Waiting` state, ready at its
+    /// `eligible_at`, claiming one slot of its VC. Because arrivals decode
+    /// in eligibility order, it must not be older than the current queue
+    /// tail.
     ///
     /// # Panics
     ///
@@ -401,10 +389,6 @@ impl InputBuffer {
             self.space(vc) > 0,
             "buffer overflow on {vc}: flow control violated"
         );
-        debug_assert!(
-            matches!(entry.state, EntryState::Waiting { .. }),
-            "entries are inserted in the Waiting state"
-        );
         // Age order along each queue doubles as eligibility order; the
         // anti-starvation census relies on it to stop at the first young
         // entry.
@@ -417,7 +401,7 @@ impl InputBuffer {
         );
         let (route_flags, outputs, escape_mask, adaptive_vc, escape_vc) =
             EntryMeta::route_fields(&entry);
-        let ready_at = EntryMeta::ready_at_of(&entry);
+        let ready_at = entry.eligible_at;
         let index = match self.free.pop() {
             Some(index) => {
                 debug_assert!(self.entries[index as usize].is_none());
@@ -432,6 +416,7 @@ impl InputBuffer {
                     gen: 0,
                     ready_at: Tick::MAX,
                     flags: 0,
+                    nomination: 0,
                     outputs: 0,
                     escape_mask: 0,
                     adaptive_vc: NO_VC,
@@ -444,7 +429,7 @@ impl InputBuffer {
         {
             let m = &mut self.meta[index as usize];
             m.ready_at = ready_at;
-            m.flags = route_flags | META_WAITING;
+            m.flags = route_flags | META_WAITING | META_LIVE;
             m.outputs = outputs;
             m.escape_mask = escape_mask;
             m.adaptive_vc = adaptive_vc;
@@ -489,82 +474,110 @@ impl InputBuffer {
 
     #[inline]
     fn check_current(&self, id: EntryId) {
-        assert!(
-            self.meta[id.index()].gen == id.gen && self.entries[id.index()].is_some(),
-            "stale entry id"
-        );
+        let m = &self.meta[id.index()];
+        assert!(m.gen == id.gen && m.flags != 0, "stale entry id");
     }
 
-    /// Immutable access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is stale (released, or released and reused).
+    /// The payload of the live entry in slot `index`: with `release`, the
+    /// only place the simulation loads one (tests count the loads).
     #[inline]
-    pub(crate) fn entry(&self, id: EntryId) -> &Entry {
-        self.check_current(id);
-        self.entries[id.index()].as_ref().expect("stale entry id")
+    fn payload(&self, index: u32) -> &Entry {
+        #[cfg(test)]
+        self.payload_reads.set(self.payload_reads.get() + 1);
+        self.entries[index as usize]
+            .as_ref()
+            .expect("queued slot is live")
+    }
+
+    /// Test-only: how many payload loads the simulation's paths made.
+    #[cfg(test)]
+    pub(crate) fn payload_reads(&self) -> u64 {
+        self.payload_reads.get()
     }
 
     /// The eligibility tick of the live entry in `index` (anti-starvation
-    /// age checks; the dense metadata intentionally omits it).
+    /// age checks and iOCF's age weight; the dense metadata omits it).
     ///
     /// # Panics
     ///
     /// Panics if the slot is free.
     #[inline]
     pub(crate) fn entry_eligible_at(&self, index: u32) -> Tick {
-        self.entries[index as usize]
-            .as_ref()
-            .expect("queued slot is live")
-            .eligible_at
+        self.payload(index).eligible_at
     }
 
-    /// Immutable access that tolerates stale handles: `None` once the
-    /// entry has been released (even if the slot was reused since). Used
-    /// by the GA stage's liveness check on in-flight nominations.
+    /// Whether `id` still holds the nomination of `read_port` for
+    /// `output`, decided at `decide_at` — the GA stage's stale check, on
+    /// the scan record alone. A grant releases the entry (its generation
+    /// moves on) and a lost or abandoned nomination sets it `Waiting`, so
+    /// only the nomination's own GA finds it current.
     #[inline]
-    pub(crate) fn entry_if_current(&self, id: EntryId) -> Option<&Entry> {
-        if self.meta[id.index()].gen == id.gen {
-            self.entries[id.index()].as_ref()
-        } else {
-            None
-        }
+    pub(crate) fn holds_nomination(
+        &self,
+        id: EntryId,
+        read_port: u8,
+        output: u8,
+        decide_at: Tick,
+    ) -> bool {
+        let m = &self.meta[id.index()];
+        m.gen == id.gen
+            && m.flags != 0
+            && m.flags & META_WAITING == 0
+            && m.nomination == output | read_port << 3
+            && m.ready_at == decide_at
     }
 
-    /// Transition a `Waiting` entry to `Nominated` (LA nominated it).
+    /// Whether the live entry `id` is nominated by read port `read_port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is stale.
+    #[inline]
+    pub(crate) fn nominated_by(&self, id: EntryId, read_port: u8) -> bool {
+        self.check_current(id);
+        let m = &self.meta[id.index()];
+        m.flags & META_WAITING == 0 && m.nomination >> 3 == read_port
+    }
+
+    /// Transition a `Waiting` entry to nominated (LA nominated it for
+    /// `output` from `read_port`; GA decides at `decide_at`).
     pub fn set_nominated(&mut self, id: EntryId, read_port: u8, output: u8, decide_at: Tick) {
         self.check_current(id);
-        let e = self.entries[id.index()].as_mut().expect("checked");
-        debug_assert!(matches!(e.state, EntryState::Waiting { .. }));
-        e.state = EntryState::Nominated {
-            read_port,
-            output,
-            decide_at,
-        };
-        let v = e.vc.index();
         let m = self.meta[id.index()];
+        debug_assert!(m.flags & META_WAITING != 0, "nominating a nominated entry");
+        debug_assert!(read_port < 2 && output < 8, "nomination byte overflow");
+        let v = m.vc as usize;
         if m.flags & META_IN_WINDOW != 0 {
             self.remove_requests(v, &m);
         }
         let m = &mut self.meta[id.index()];
         m.flags &= !META_WAITING;
-        m.ready_at = Tick::MAX;
+        m.nomination = output | read_port << 3;
+        m.ready_at = decide_at;
         self.dec_waiting(v);
     }
 
-    /// Transition a `Nominated` entry back to `Waiting` (its nomination
-    /// lost output arbitration or was abandoned).
+    /// Transition a nominated entry back to `Waiting` (its nomination
+    /// lost output arbitration or was abandoned), ready at `not_before`.
+    /// The entry was ready when it was nominated, so `not_before` is
+    /// already at or past its `eligible_at`.
     pub fn set_waiting(&mut self, id: EntryId, not_before: Tick) {
         self.check_current(id);
-        let e = self.entries[id.index()].as_mut().expect("checked");
-        debug_assert!(matches!(e.state, EntryState::Nominated { .. }));
-        e.state = EntryState::Waiting { not_before };
-        let (v, ready_at) = (e.vc.index(), not_before.max(e.eligible_at));
+        debug_assert!(
+            self.meta[id.index()].flags & META_WAITING == 0,
+            "a waiting entry lost a nomination"
+        );
+        debug_assert!(
+            self.entries[id.index()]
+                .as_ref()
+                .is_some_and(|e| e.eligible_at <= not_before),
+            "backed off to before its eligibility"
+        );
         let m = &mut self.meta[id.index()];
         m.flags |= META_WAITING;
-        m.ready_at = ready_at;
+        m.ready_at = not_before;
         let m = *m;
+        let v = m.vc as usize;
         self.inc_waiting(v);
         if m.flags & META_IN_WINDOW != 0 {
             self.add_requests(v, &m);
@@ -634,40 +647,46 @@ impl InputBuffer {
         m.flags = 0;
         m.ready_at = Tick::MAX;
         self.free.push(index);
+        #[cfg(test)]
+        self.payload_reads.set(self.payload_reads.get() + 1);
         self.entries[index as usize].take().expect("checked")
     }
 
-    /// Counts entries that became eligible at or before `cutoff` and are
-    /// still waiting (the anti-starvation "old" census). Thanks to the
-    /// incremental waiting masks and the age order of the queues, the
-    /// walk visits only the old prefix of VCs that hold waiting entries
-    /// instead of every buffered packet.
-    pub(crate) fn count_old(&self, cutoff: Tick) -> u32 {
+    /// The anti-starvation census: of the entries that became eligible
+    /// at or before `cutoff` (the *old* ones), how many are `Waiting`
+    /// (the count that trips and ends a drain), and how many there are in
+    /// all (a drain's `old_left`). The queues are age-ordered, so the walk
+    /// visits only each VC's old prefix instead of every buffered packet.
+    pub(crate) fn count_old(&self, cutoff: Tick) -> (u32, u32) {
         #[cfg(debug_assertions)]
         self.debug_validate();
-        let mut n = 0;
-        let mut mask = self.non_empty & self.waiting_mask;
+        let (mut waiting, mut all) = (0, 0);
+        let mut mask = self.non_empty;
         while mask != 0 {
             let v = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let mut cur = self.head[v];
-            while cur != NIL_INDEX {
+            // Age order: the first young entry ends the old prefix.
+            while cur != NIL_INDEX && self.payload(cur).eligible_at <= cutoff {
                 let m = &self.meta[cur as usize];
-                let e = self.entries[cur as usize]
-                    .as_ref()
-                    .expect("queued slot is live");
-                if e.eligible_at > cutoff {
-                    // Queues are age-ordered, so every younger entry
-                    // behind this one is also past the cutoff.
-                    break;
-                }
-                if m.flags & META_WAITING != 0 {
-                    n += 1;
-                }
+                all += 1;
+                waiting += u32::from(m.flags & META_WAITING != 0);
                 cur = m.next;
             }
         }
-        n
+        (waiting, all)
+    }
+
+    /// A fresh count of the entries that became eligible at or before
+    /// `cutoff`, in any state, from the slab alone: the debug reference
+    /// for a drain's `old_left`.
+    #[cfg(debug_assertions)]
+    pub(crate) fn debug_count_old(&self, cutoff: Tick) -> u32 {
+        self.entries
+            .iter()
+            .flatten()
+            .filter(|e| e.eligible_at <= cutoff)
+            .count() as u32
     }
 
     /// Recomputes every cached mask, counter, and metadata record from a
@@ -698,16 +717,15 @@ impl InputBuffer {
             assert_eq!(m.adaptive_vc, adaptive_vc, "adaptive VC drifted");
             assert_eq!(m.escape_vc, escape_vc, "escape VC drifted");
             assert_eq!(m.vc as usize, e.vc.index(), "buffer VC drifted");
-            assert_eq!(
-                m.flags & META_WAITING != 0,
-                matches!(e.state, EntryState::Waiting { .. }),
-                "waiting flag drifted"
-            );
-            assert_eq!(
-                m.ready_at,
-                EntryMeta::ready_at_of(e),
-                "readiness tick drifted"
-            );
+            assert!(m.flags & META_LIVE != 0, "live slot not flagged live");
+            // A waiting entry is ready no earlier than its eligibility; a
+            // nominated one holds a read port and output (the router
+            // checks them, and its decide tick, against its GA queue).
+            if m.flags & META_WAITING != 0 {
+                assert!(m.ready_at >= e.eligible_at, "readiness tick drifted");
+            } else {
+                assert!(m.nomination < 16, "nomination byte drifted");
+            }
             if m.flags & META_IN_WINDOW != 0 {
                 in_window += 1;
             }
@@ -832,9 +850,6 @@ mod tests {
             vc,
             eligible_at: Tick::new(at),
             in_flit_period: Tick::new(30),
-            state: EntryState::Waiting {
-                not_before: Tick::ZERO,
-            },
         }
     }
 
@@ -878,12 +893,19 @@ mod tests {
     fn slot_reuse_bumps_generation() {
         let mut buf = InputBuffer::new(BufferConfig::alpha_21364(), 8);
         let a = buf.insert(entry(vc(), 1));
+        let decide = Tick::new(40);
+        buf.set_nominated(a, 1, 3, decide);
+        assert!(buf.holds_nomination(a, 1, 3, decide));
         buf.release(a);
         let b = buf.insert(entry(vc(), 2));
         assert_eq!(a.index(), b.index(), "freed slot is reused");
         assert_ne!(a.gen, b.gen, "reuse invalidates old handles");
-        assert!(buf.entry_if_current(a).is_none(), "stale handle detected");
-        assert!(buf.entry_if_current(b).is_some());
+        buf.set_nominated(b, 1, 3, decide);
+        assert!(
+            !buf.holds_nomination(a, 1, 3, decide),
+            "stale handle detected"
+        );
+        assert!(buf.holds_nomination(b, 1, 3, decide));
     }
 
     #[test]
@@ -893,7 +915,7 @@ mod tests {
         let a = buf.insert(entry(vc(), 1));
         buf.release(a);
         buf.insert(entry(vc(), 2));
-        let _ = buf.entry(a);
+        buf.release(a);
     }
 
     #[test]
@@ -911,10 +933,23 @@ mod tests {
         let m = buf.metas()[a.index()];
         assert_eq!(m.ready_at, Tick::new(100), "ready_at = eligible_at");
         assert!(m.flags & META_WAITING != 0);
+        // While nominated, the record holds the nomination: read port,
+        // output and decide tick, each checked by the stale test.
+        let decide = Tick::new(120);
+        buf.set_nominated(a, 1, 5, decide);
+        let m = buf.metas()[a.index()];
+        assert_eq!(m.flags & META_WAITING, 0);
+        assert_eq!(m.ready_at, decide, "ready_at = decide tick");
+        assert!(buf.holds_nomination(a, 1, 5, decide));
+        assert!(buf.nominated_by(a, 1) && !buf.nominated_by(a, 0));
+        assert!(!buf.holds_nomination(a, 0, 5, decide), "other read port");
+        assert!(!buf.holds_nomination(a, 1, 4, decide), "other output");
+        assert!(!buf.holds_nomination(a, 1, 5, Tick::new(119)), "other GA");
+        buf.debug_validate();
         // A GA loss pushes readiness to the backoff tick.
-        buf.set_nominated(a, 0, 0, Tick::new(120));
-        assert_eq!(buf.metas()[a.index()].flags & META_WAITING, 0);
         buf.set_waiting(a, Tick::new(150));
+        assert!(!buf.holds_nomination(a, 1, 5, decide), "lost");
+        assert!(!buf.nominated_by(a, 1));
         let m = buf.metas()[a.index()];
         assert!(m.flags & META_WAITING != 0);
         assert_eq!(m.ready_at, Tick::new(150), "ready_at = not_before");
@@ -927,8 +962,8 @@ mod tests {
         buf.insert(entry(vc(), 10));
         buf.insert(entry(vc(), 20));
         buf.insert(entry(vc(), 300));
-        assert_eq!(buf.count_old(Tick::new(25)), 2);
-        assert_eq!(buf.count_old(Tick::new(5)), 0);
+        assert_eq!(buf.count_old(Tick::new(25)), (2, 2));
+        assert_eq!(buf.count_old(Tick::new(5)), (0, 0));
     }
 
     #[test]
@@ -938,11 +973,13 @@ mod tests {
         let b = buf.insert(entry(vc(), 20));
         buf.insert(entry(vc(), 30));
         buf.set_nominated(a, 0, 0, Tick::new(100));
-        assert_eq!(buf.count_old(Tick::new(50)), 2, "nominated not old");
+        let old = buf.count_old(Tick::new(50));
+        assert_eq!(old, (2, 3), "nominated: old, but not waiting");
         buf.release(b);
-        assert_eq!(buf.count_old(Tick::new(50)), 1, "granted not old");
+        assert_eq!(buf.count_old(Tick::new(50)), (1, 2), "granted not old");
         buf.set_waiting(a, Tick::new(101));
-        assert_eq!(buf.count_old(Tick::new(50)), 2, "re-waiting counts again");
+        let old = buf.count_old(Tick::new(50));
+        assert_eq!(old, (2, 2), "re-waiting counts again");
         buf.debug_validate();
     }
 

@@ -17,7 +17,7 @@ use crate::antistarve::AntiStarvation;
 use crate::arb::{Candidate, Nomination, ReadPortState, WindowSnapshot};
 use crate::config::{RouterConfig, WeightKind};
 use crate::entry::{
-    Entry, EntryId, EntryMeta, EntryState, InputBuffer, META_LOCAL, META_WAITING, NIL_INDEX, NO_VC,
+    Entry, EntryId, EntryMeta, InputBuffer, META_LOCAL, META_WAITING, NIL_INDEX, NO_VC,
     REQ_ESCAPE_SHIFT,
 };
 use crate::output::{CreditBank, OutputState};
@@ -334,6 +334,10 @@ pub struct Router {
     /// Test-only: empty picks left unmemoised for a back-off.
     #[cfg(test)]
     deferred_picks: u64,
+    /// Test-only: drain walks of a row run, and skipped because its input
+    /// holds no old entry.
+    #[cfg(test)]
+    drain_walks: [u64; 2],
     /// SPAA nominations awaiting GA. Every nomination is decided the
     /// same fixed `ga_delay` after its LA cycle and `now` never goes
     /// back, so push order is decide order: a FIFO, drained from the
@@ -342,6 +346,12 @@ pub struct Router {
     /// Next window start for the PIM1/WFA driver.
     next_window: Tick,
     antistarve: AntiStarvation,
+    /// While draining, per input: its entries that became eligible at or
+    /// before the drain cutoff, in any state (0 outside a drain). Set when
+    /// the drain engages and lowered at each old grant: the cutoff is
+    /// fixed and every later arrival is younger, so the old set only
+    /// shrinks. A drain walk of an input at 0 would find nothing.
+    old_left: [u32; NUM_INPUT_PORTS],
     stats: RouterStats,
     // ---- reusable per-cycle scratch (steady-state zero-allocation) ----
     /// Buffered entries, all of them competing for arbitration (`Waiting`
@@ -433,9 +443,12 @@ impl Router {
             wakes: [0; 5],
             #[cfg(test)]
             deferred_picks: 0,
+            #[cfg(test)]
+            drain_walks: [0; 2],
             ga_queue: VecDeque::new(),
             next_window: Tick::ZERO,
             antistarve,
+            old_left: [0; NUM_INPUT_PORTS],
             stats: RouterStats::default(),
             active_entries: 0,
             scratch_due: Vec::new(),
@@ -469,7 +482,10 @@ impl Router {
     /// router typically shows a direction pinned at zero credits or a port
     /// busy far in the future) and the refunds still queued, with the
     /// earliest one's tick: an empty router applies them only at its next
-    /// step, so its credits may read low meanwhile.
+    /// step, so its credits may read low meanwhile. While the router
+    /// drains, the line ends with the drain cutoff and the old entries
+    /// left: a drain at `old 0` has nothing left to drain and ends at the
+    /// next census.
     pub fn diagnostics(&self) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
@@ -497,6 +513,10 @@ impl Router {
             "; quiet-rows {:#06x} waiting-rows {:#06x}",
             self.quiet_rows, self.waiting_rows
         );
+        if let Some(cutoff) = self.antistarve.cutoff() {
+            let old: u32 = self.old_left.iter().sum();
+            let _ = write!(s, "; drain cutoff {}, old {old}", cutoff.as_ticks());
+        }
         s
     }
 
@@ -709,9 +729,6 @@ impl Router {
                         vc: incoming.vc,
                         eligible_at: at,
                         in_flit_period: incoming.in_flit_period,
-                        state: EntryState::Waiting {
-                            not_before: Tick::ZERO,
-                        },
                     });
                     self.input_changed(input, RowWake::Arrival);
                     self.active_entries += 1;
@@ -736,11 +753,22 @@ impl Router {
         let period = self.timing.core_cycles(cfg.scan_period);
         let cutoff = now.saturating_sub(age);
         let was_draining = self.antistarve.draining();
-        let old: u32 = self.inputs.iter().map(|b| b.count_old(cutoff)).sum();
-        self.antistarve.record_scan(now, old, age, period);
-        if !was_draining && self.antistarve.draining() {
+        let (mut old_waiting, mut old) = (0, [0; NUM_INPUT_PORTS]);
+        for (i, buf) in self.inputs.iter().enumerate() {
+            let (waiting, all) = buf.count_old(cutoff);
+            old_waiting += waiting;
+            old[i] = all;
+        }
+        self.antistarve.record_scan(now, old_waiting, age, period);
+        if !self.antistarve.draining() {
+            self.old_left = [0; NUM_INPUT_PORTS];
+        } else if !was_draining {
+            // The drain's cutoff is this census's.
+            self.old_left = old;
             self.stats.drain_engagements.bump();
         }
+        #[cfg(debug_assertions)]
+        self.debug_check_entries();
     }
 
     // ------------------------------------------------------------------
@@ -894,6 +922,20 @@ impl Router {
         }
     }
 
+    /// The cutoff a drain walk of `input`'s rows runs with: `None` outside
+    /// a drain, and when the input holds no old entry (the walk would find
+    /// nothing, so it is skipped).
+    #[inline]
+    fn drain_cutoff(&mut self, input: usize) -> Option<Tick> {
+        let cutoff = self.antistarve.cutoff()?;
+        let old = self.old_left[input] != 0;
+        #[cfg(test)]
+        {
+            self.drain_walks[usize::from(!old)] += 1;
+        }
+        old.then_some(cutoff)
+    }
+
     /// Walks one read port's VCs (least-recently-selected first) for the
     /// oldest nominable entry, returning its id, output and downstream VC.
     /// Anti-starvation drain: old packets take priority, so a drain walks
@@ -907,7 +949,8 @@ impl Router {
     ) -> Option<(EntryId, usize, Option<VcId>)> {
         let wired = self.conn.row_mask(row) as u8 & free;
         let (mut found, mut deferred) = (None, false);
-        for cutoff in self.antistarve.cutoff().map(Some).into_iter().chain([None]) {
+        let drain = self.drain_cutoff(row / 2);
+        for cutoff in drain.map(Some).into_iter().chain([None]) {
             deferred = self.walk_row(row, now, wired, cutoff, |vc, id, elig| {
                 found = Some((vc, id, elig));
                 true
@@ -941,17 +984,17 @@ impl Router {
     /// `only_older_than = Some(cutoff)`, only anti-starvation "old" ones —
     /// goes to `stop` as (VC, id, eligibility), and the walk ends when
     /// `stop` returns true. Returns whether it passed over a `Waiting`
-    /// entry not yet ready at `now`.
+    /// entry not yet ready at `now` (a drain walk may stop a VC early, so
+    /// only a walk without a cutoff answers that exactly).
     ///
     /// The walk touches only the dense [`EntryMeta`] slab: readiness is
     /// one flag-and-tick test and eligibility a handful of mask ANDs
     /// against the cached candidate outputs and the bank's credited
-    /// masks; the fat [`Entry`] payload is loaded only on the rare
-    /// anti-starvation age check. The result is bit-identical to the
-    /// payload-walking scan it replaces ([`InputBuffer::debug_validate`]
-    /// proves `metadata ≡ entries`). Debug builds also walk the VCs the
-    /// prune rejected, in the same order up to the stop, asserting that
-    /// none holds an eligible entry.
+    /// masks. A drain walk loads the [`Entry`] payload for the age of an
+    /// eligible entry; the queues are in eligibility order, so the first
+    /// young one ends its VC. Debug builds also walk the VCs the prune
+    /// rejected, in the same order up to the stop, asserting that none
+    /// holds an eligible entry.
     fn walk_row(
         &self,
         row: usize,
@@ -986,9 +1029,6 @@ impl Router {
                     deferred |= m.flags & META_WAITING != 0 && !pruned;
                     continue;
                 }
-                if only_older_than.is_some_and(|cutoff| buf.entry_eligible_at(idx) > cutoff) {
-                    continue;
-                }
                 let elig = self.eligibility_meta(m, wired);
                 if matches!(elig, Eligibility::None | Eligibility::Local { outputs: 0 }) {
                     continue;
@@ -997,6 +1037,9 @@ impl Router {
                     !pruned,
                     "pruned VC {v} of row {row} holds an eligible entry"
                 );
+                if only_older_than.is_some_and(|cutoff| buf.entry_eligible_at(idx) > cutoff) {
+                    break;
+                }
                 if stop(v, EntryId::new(idx, m.gen), elig) {
                     return deferred;
                 }
@@ -1051,6 +1094,8 @@ impl Router {
         // a torus input's credit, dated at the tail, rides the grant, and
         // a local slot stays reserved until the tail (below).
         let entry = self.inputs[input].release(id);
+        let cutoff = self.antistarve.cutoff();
+        self.old_left[input] -= u32::from(cutoff.is_some_and(|c| entry.eligible_at <= c));
         let sched = self.outputs[output].dispatch(
             ga,
             entry.packet.len(),
@@ -1142,15 +1187,12 @@ impl Router {
             // Stale-check: the entry must still hold this nomination
             // (grants of sibling nominations cancel the others; a
             // handle whose entry was granted reads as not current).
-            let live = self.inputs[n.row as usize / 2]
-                .entry_if_current(n.entry)
-                .is_some_and(|entry| {
-                    matches!(
-                        entry.state,
-                        EntryState::Nominated { read_port, output, decide_at }
-                            if read_port == n.row % 2 && output == n.output && decide_at == n.decide_at
-                    )
-                });
+            let live = self.inputs[n.row as usize / 2].holds_nomination(
+                n.entry,
+                n.row % 2,
+                n.output,
+                n.decide_at,
+            );
             self.read_ports[n.row as usize].retire(n.entry);
             if live {
                 due.push(n);
@@ -1173,14 +1215,17 @@ impl Router {
             // Re-check the port (another grant may have claimed it since
             // LA time) and pick a winner. During an anti-starvation drain,
             // old contenders pre-empt everyone — including the Rotary
-            // Rule, whose starvation this mechanism exists to break.
+            // Rule, whose starvation this mechanism exists to break. Only
+            // an input with old entries left can field an old contender.
             let winner_row = if self.outputs[output].grantable(now, &self.timing) {
                 let pool = match self.antistarve.cutoff() {
                     Some(cutoff) => {
                         let mut old = 0u32;
                         for n in &due {
+                            let input = n.row as usize / 2;
                             if n.output as usize == output
-                                && self.inputs[n.row as usize / 2].entry(n.entry).eligible_at
+                                && self.old_left[input] != 0
+                                && self.inputs[input].entry_eligible_at(n.entry.index() as u32)
                                     <= cutoff
                             {
                                 old |= 1 << n.row;
@@ -1239,11 +1284,7 @@ impl Router {
         // unchanged here, and this avoids cloning it every grant.
         for i in 0..self.read_ports[row].inflight.len() {
             let id = self.read_ports[row].inflight[i];
-            if id == granted {
-                continue;
-            }
-            let e = self.inputs[input].entry(id);
-            if matches!(e.state, EntryState::Nominated { read_port, .. } if read_port == rp) {
+            if id != granted && self.inputs[input].nominated_by(id, rp) {
                 self.inputs[input].set_waiting(id, now + self.timing.core.period());
                 self.input_changed(input, RowWake::Loser);
             }
@@ -1323,11 +1364,44 @@ impl Router {
         }
     }
 
+    /// The scan records' cross-check, at each census and arbitration:
+    /// each input's `old_left` equals a fresh count from its slab (0
+    /// outside a drain), and its nominated entries are exactly the entries
+    /// of the GA queue's nominations that hold them, each nomination's
+    /// byte and `ready_at` naming its read port, output and decide tick,
+    /// and each entry on that read port's `inflight` list.
+    #[cfg(debug_assertions)]
+    fn debug_check_entries(&self) {
+        let cutoff = self.antistarve.cutoff();
+        for (i, buf) in self.inputs.iter().enumerate() {
+            let fresh = cutoff.map_or(0, |c| buf.debug_count_old(c));
+            assert_eq!(self.old_left[i], fresh, "old_left of input {i} drifted");
+            let mut held = 0;
+            for n in self.ga_queue.iter().filter(|n| n.row as usize / 2 == i) {
+                if buf.holds_nomination(n.entry, n.row % 2, n.output, n.decide_at) {
+                    assert!(
+                        self.read_ports[n.row as usize].inflight.contains(&n.entry),
+                        "nomination of row {} not in flight",
+                        n.row
+                    );
+                    held += 1;
+                }
+            }
+            let waiting: usize = (0..NUM_VCS).map(|v| buf.waiting_count(v)).sum();
+            assert_eq!(
+                buf.total_occupancy() - waiting,
+                held,
+                "a nominated entry of input {i} holds no queued nomination"
+            );
+        }
+    }
+
     /// The row gate's cross-check: `waiting_rows` matches the buffers,
     /// and every quiet waiting row that can arbitrate still finds nothing
     /// (a walk changes no state).
     #[cfg(debug_assertions)]
     fn debug_check_row_gate(&self, now: Tick, free: u8) {
+        self.debug_check_entries();
         let derived = (0..NUM_INPUT_PORTS)
             .filter(|&i| self.inputs[i].waiting_mask() != 0)
             .fold(0u16, |rows, i| rows | 0b11 << (2 * i));
@@ -1430,7 +1504,8 @@ impl Router {
     /// `open == wired`: it offered nothing and the drain pre-pass claimed
     /// none of its cells, so it found no eligible entry at all — the same
     /// condition under which SPAA memoises a row — and it passed no
-    /// backed-off entry.
+    /// backed-off entry. The pre-pass skips the rows of inputs holding no
+    /// old entry.
     fn fill_window(&mut self, snap: &mut WindowSnapshot, now: Tick, free: u8) {
         snap.reset();
         for cutoff in self.antistarve.cutoff().map(Some).into_iter().chain([None]) {
@@ -1439,6 +1514,9 @@ impl Router {
                 let row = rows.trailing_zeros() as usize;
                 rows &= rows - 1;
                 if !self.read_ports[row].can_arbitrate(now, self.lookahead, self.max_inflight) {
+                    continue;
+                }
+                if cutoff.is_some() && self.drain_cutoff(row / 2).is_none() {
                     continue;
                 }
                 let wired = self.conn.row_mask(row) as u8 & free;
@@ -1956,6 +2034,112 @@ mod tests {
         }
     }
 
+    /// A packet for South handed over at `pin`.
+    fn for_south(id: u64, pin: u64) -> IncomingPacket {
+        IncomingPacket {
+            packet: Packet::new(PacketId(id), CoherenceClass::Request, 0, 1, Tick::ZERO, id),
+            route: RouteInfo::transit(
+                OutputPort::South.mask() as u8,
+                OutputPort::South,
+                EscapeVc::Vc0,
+            ),
+            vc: VcId::adaptive(CoherenceClass::Request),
+            pin_time: Tick::new(pin),
+            in_flit_period: Tick::new(30),
+        }
+    }
+
+    /// An SPAA-rotary router that counts entries older than 40 cycles at
+    /// a census every 100 and drains above 3, with twelve packets for
+    /// South waiting at North from cycle 0.
+    fn south_stream_router() -> Router {
+        let mut cfg = RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary);
+        cfg.antistarvation.age_threshold = Cycles::new(40);
+        cfg.antistarvation.count_threshold = 3;
+        cfg.antistarvation.scan_period = Cycles::new(100);
+        let mut r = Router::new(0, cfg, SimRng::from_seed(5));
+        for id in 0..12 {
+            r.accept_packet(InputPort::North, for_south(id, 0));
+        }
+        r
+    }
+
+    /// Steps `south_stream_router` at `cycle`: first the stream of 60
+    /// packets for South at East, one handed over every 90 ticks from
+    /// cycle 0, then the step; each forward is credited back 90 ticks
+    /// after its tail.
+    fn step_south_stream(r: &mut Router, cycle: u64, out: &mut Vec<RouterOutput>) {
+        let core = r.timing.core.period().as_ticks();
+        for n in (0..60u64).filter(|n| (n * 90).div_ceil(core) == cycle) {
+            r.accept_packet(InputPort::East, for_south(100 + n, cycle * core));
+        }
+        out.clear();
+        r.step(Tick::new(cycle * core), out);
+        for e in out.iter() {
+            if let RouterOutput::Forward(o) = *e {
+                r.accept_credit(o.output, o.downstream_vc, o.last_flit_done + Tick::new(90));
+            }
+        }
+    }
+
+    #[test]
+    fn drain_walks_stop_at_the_last_old_grant() {
+        // The East stream comes one packet per 90 ticks, as fast as South
+        // serves 3-flit packets. The census at cycle 100 finds entries of
+        // both inputs older than 40 cycles and engages a drain. Its old
+        // entries are all granted by cycle 148, but the stream keeps the
+        // moving census cutoff finding old `Waiting` entries until the
+        // census at cycle 500, so the drain outlives them by 350 cycles:
+        // every drain walk of that stretch is skipped. Outside drains and
+        // censuses a step loads one payload per grant, however many
+        // nominations lose and return.
+        let mut r = south_stream_router();
+        let reads = |r: &Router| r.inputs.iter().map(|b| b.payload_reads()).sum::<u64>();
+        let mut out = Vec::new();
+        let (mut engaged, mut last_old_grant, mut ended) = (None, None, None);
+        let mut walks_at_last_old_grant = [0; 2];
+        let mut losing_steps = 0;
+        for cycle in 0..700u64 {
+            let old_before: u32 = r.old_left.iter().sum();
+            let before = (reads(&r), r.stats.grants.get(), r.stats.collisions.get());
+            step_south_stream(&mut r, cycle, &mut out);
+            let old: u32 = r.old_left.iter().sum();
+            let grants = r.stats.grants.get() - before.1;
+            if cycle % 100 != 0 && old_before == 0 {
+                assert_eq!(reads(&r) - before.0, grants, "cycle {cycle}: payload reads");
+                losing_steps += u64::from(r.stats.collisions.get() > before.2);
+            }
+            match (r.antistarve.draining(), engaged) {
+                (true, None) => {
+                    engaged = Some(cycle);
+                    assert_eq!(r.old_left[..3], [3, 0, 5], "old entries left");
+                }
+                (true, Some(_)) if old == 0 && old_before > 0 => {
+                    last_old_grant = Some(cycle);
+                    walks_at_last_old_grant = r.drain_walks;
+                }
+                (false, Some(_)) if ended.is_none() => ended = Some(cycle),
+                _ => {}
+            }
+        }
+        assert_eq!(
+            (engaged, last_old_grant, ended),
+            (Some(100), Some(148), Some(500))
+        );
+        assert_eq!(walks_at_last_old_grant, [70, 1], "drain walks run, skipped");
+        assert_eq!(
+            r.drain_walks,
+            [70, 161],
+            "no drain walk after the last old grant"
+        );
+        assert_eq!((r.stats.grants.get(), r.stats.collisions.get()), (72, 44));
+        assert_eq!(
+            losing_steps, 31,
+            "steps with a lost nomination, no old entry"
+        );
+        assert_eq!(reads(&r), 165, "payload reads");
+    }
+
     #[test]
     fn diagnostics_show_the_row_gate() {
         let cfg = RouterConfig::alpha_21364(ArbAlgorithm::SpaaRotary);
@@ -2008,5 +2192,21 @@ mod tests {
         let field = format!("; refunds 1 from {}; quiet-rows", late.as_ticks());
         assert!(dump.contains(&field), "{dump}");
         assert_eq!(e.credits.port_total(south), before + 1, "the due refund");
+        // A draining router names its cutoff and the old entries left, so
+        // a drain with nothing left to drain shows as `old 0`.
+        let mut d = south_stream_router();
+        let mut dumps = Vec::new();
+        for cycle in 0..=500 {
+            step_south_stream(&mut d, cycle, &mut out);
+            if [99, 100, 200, 500].contains(&cycle) {
+                dumps.push(d.diagnostics());
+            }
+        }
+        assert!(!dumps[0].contains("; drain"), "{}", dumps[0]);
+        let engaged = "; drain cutoff 1200, old 8";
+        assert!(dumps[1].ends_with(engaged), "{}", dumps[1]);
+        let outlived = "; drain cutoff 1200, old 0";
+        assert!(dumps[2].ends_with(outlived), "{}", dumps[2]);
+        assert!(!dumps[3].contains("; drain"), "ended: {}", dumps[3]);
     }
 }

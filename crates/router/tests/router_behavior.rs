@@ -463,62 +463,62 @@ fn antistarvation_drains_old_packets_under_rotary_pressure() {
     cfg.antistarvation.count_threshold = 0;
     cfg.antistarvation.scan_period = simcore::time::Cycles::new(50);
     let mut r = Router::new(0, cfg, SimRng::from_seed(3));
-    // A continuous stream of network packets plus one local packet that
-    // would otherwise starve behind them.
-    r.accept_packet(
-        InputPort::Cache,
-        IncomingPacket {
-            packet: packet(999, CoherenceClass::Request),
-            route: RouteInfo::transit(
-                OutputPort::South.mask() as u8,
-                OutputPort::South,
-                EscapeVc::Vc0,
-            ),
-            vc: VcId::adaptive(CoherenceClass::Request),
-            pin_time: Tick::ZERO,
-            in_flit_period: Tick::new(20),
-        },
-    );
-    // A 3-flit packet occupies the South link for 90 ticks, so arrivals
-    // every 90 ticks keep a contender present without overflowing the
-    // 50-packet adaptive buffer. Each is handed over on its pin cycle,
-    // as a link delivers it.
+    // A continuous stream of network packets for South: a 3-flit packet
+    // occupies the South link for 90 ticks, so arrivals every 90 ticks
+    // keep a contender present. Each is handed over on its pin cycle, as a
+    // link delivers it. A local packet for South joins at cycle 40, once
+    // the stream flows: the Rotary Rule holds it behind the stream until
+    // a census finds it old and engages a drain, which must serve it.
+    const JOIN: u64 = 40;
     let mut events = Vec::new();
+    let (mut engaged, mut left) = (None, None);
     let mut next = 0;
-    for c in 0..3000 {
-        while next < 100 && next * 90 / CORE == c {
+    for c in 0..300 {
+        while next * 90 / CORE == c {
             r.accept_packet(
                 InputPort::North,
+                incoming_transit(next, OutputPort::South, next * 90),
+            );
+            next += 1;
+        }
+        if c == JOIN {
+            r.accept_packet(
+                InputPort::Cache,
                 IncomingPacket {
-                    packet: Packet::new(
-                        PacketId(next),
-                        CoherenceClass::Request,
-                        0,
-                        1,
-                        Tick::ZERO,
-                        next,
-                    ),
+                    packet: packet(999, CoherenceClass::Request),
                     route: RouteInfo::transit(
                         OutputPort::South.mask() as u8,
                         OutputPort::South,
                         EscapeVc::Vc0,
                     ),
                     vc: VcId::adaptive(CoherenceClass::Request),
-                    pin_time: Tick::new(next * 90),
-                    in_flit_period: Tick::new(30),
+                    pin_time: Tick::new(JOIN * CORE),
+                    in_flit_period: Tick::new(20),
                 },
             );
-            next += 1;
         }
+        events.clear();
         r.step(Tick::new(c * CORE), &mut events);
+        if engaged.is_none() && r.stats().drain_engagements.get() > 0 {
+            engaged = Some(c);
+        }
+        let local = |e: &RouterOutput| matches!(e, RouterOutput::Forward(o) if o.packet.id == PacketId(999));
+        if events.iter().any(local) {
+            left = Some(c);
+            break;
+        }
     }
-    let local_sent = events.iter().any(|e| match e {
-        RouterOutput::Forward(o) => o.packet.id == PacketId(999),
-        _ => false,
-    });
-    assert!(
-        local_sent,
-        "anti-starvation must eventually serve the local packet"
+    // The censuses run every 50 cycles. The local packet is eligible at
+    // cycle 43, so the census at cycle 150 is the first to find it more
+    // than 100 cycles old.
+    assert_eq!(
+        engaged,
+        Some(150),
+        "the first drain engages (left {left:?})"
     );
-    assert!(r.stats().drain_engagements.get() > 0, "drain mode engaged");
+    let left = left.expect("anti-starvation must serve the local packet");
+    assert!(
+        (150..=158).contains(&left),
+        "the drain serves the local packet within 8 cycles, not at {left}"
+    );
 }

@@ -8,9 +8,7 @@
 //! the test itself generated), so the two references check each other.
 
 use arbitration::ports::OutputPort;
-use router::entry::{
-    Entry, EntryId, EntryState, InputBuffer, META_IN_WINDOW, NIL_INDEX, REQ_ESCAPE_SHIFT,
-};
+use router::entry::{Entry, EntryId, InputBuffer, META_IN_WINDOW, NIL_INDEX, REQ_ESCAPE_SHIFT};
 use router::packet::PacketId;
 use router::vc::NUM_VCS;
 use router::{BufferConfig, CoherenceClass, EscapeVc, Packet, RouteInfo, VcId};
@@ -48,9 +46,6 @@ fn make_entry(class: CoherenceClass, vc: VcId, route: RouteInfo, at: u64) -> Ent
         vc,
         eligible_at: Tick::new(at),
         in_flit_period: Tick::new(30),
-        state: EntryState::Waiting {
-            not_before: Tick::ZERO,
-        },
     }
 }
 

@@ -17,7 +17,7 @@ use std::path::Path;
 /// all in the non-test region of `src/` (up to the `#[cfg(test)] mod`).
 const CEILING: [(&str, usize, usize, usize); 7] = [
     ("core", 87, 3, 19),
-    ("router", 73, 46, 15),
+    ("router", 72, 45, 15),
     ("network", 73, 44, 19),
     ("sim", 100, 11, 6),
     ("workload", 25, 13, 7),
